@@ -616,11 +616,13 @@ let e9 () =
   let m = Qir.Qir_builder.build cb in
   let t_per_shot =
     Harness.time_once (fun () ->
-        ignore (Qruntime.Executor.run_shots ~seed:1 ~batch:false ~shots m))
+        ignore
+          (Qruntime.Executor.run_shots_resilient ~seed:1 ~max_tier:`Per_shot
+             ~shots m))
   in
   let t_batched =
     Harness.time_once (fun () ->
-        ignore (Qruntime.Executor.run_shots ~seed:1 ~batch:true ~shots m))
+        ignore (Qruntime.Executor.run_shots_resilient ~seed:1 ~shots m))
   in
   Harness.row "@\n  %d-qubit, %d-gate circuit, %d shots through qir-run:@\n" nb
     gb shots;
@@ -776,7 +778,10 @@ let e14 () =
   let result = ref None in
   let t28 =
     Harness.time_once (fun () ->
-        result := Some (Qruntime.Executor.run_shots ~seed:5 ~batch:true ~shots m28))
+        result :=
+          Some
+            (Qruntime.Executor.run_shots_resilient ~seed:5 ~shots m28)
+              .histogram)
   in
   let hist = Option.get !result in
   let completed = List.fold_left (fun acc (_, k) -> acc + k) 0 hist in
@@ -912,7 +917,9 @@ let e18 () =
   let t28 =
     Harness.time_once (fun () ->
         result :=
-          Some (Qruntime.Executor.run_shots ~seed:5 ~batch:true ~shots m28))
+          Some
+            (Qruntime.Executor.run_shots_resilient ~seed:5 ~shots m28)
+              .histogram)
   in
   let hist = Option.get !result in
   let completed = List.fold_left (fun acc (_, k) -> acc + k) 0 hist in
@@ -1294,7 +1301,7 @@ let e10 () =
           result :=
             Some
               (Qruntime.Executor.run_shots_resilient ~policy ~seed:7 ~backend
-                 ~batch:false ~shots m))
+                 ~max_tier:`Per_shot ~shots m))
     in
     (t, Option.get !result)
   in
@@ -1758,18 +1765,19 @@ let e13 () =
   (* hybrid feedback: full executor, per-shot by nature *)
   let rounds = 60 in
   let fm = Llvm_ir.Parser.parse_module (feedback_src rounds) in
-  let out engine =
-    let r = Qruntime.Executor.run ~seed:3 ~engine fm in
+  let out (r : Qruntime.Executor.run_result) =
     (r.Qruntime.Executor.output, r.Qruntime.Executor.results)
   in
-  assert (out `Ast = out `Bytecode);
+  assert (
+    out (Qruntime.Executor.Reference.run ~seed:3 fm)
+    = out (Qruntime.Executor.run ~seed:3 fm));
   let t_fb_ast =
     Harness.time_ns "feedback/ast" (fun () ->
-        ignore (Qruntime.Executor.run ~seed:3 ~engine:`Ast fm))
+        ignore (Qruntime.Executor.Reference.run ~seed:3 fm))
   in
   let t_fb_bc =
     Harness.time_ns "feedback/bytecode" (fun () ->
-        ignore (Qruntime.Executor.run ~seed:3 ~engine:`Bytecode fm))
+        ignore (Qruntime.Executor.run ~seed:3 fm))
   in
   Harness.row
     "  hybrid-feedback (%d rounds)   ast %s   bytecode %s   (%.1fx)@\n"
@@ -1782,30 +1790,43 @@ let e13 () =
   let sm =
     Llvm_ir.Parser.parse_module (static_circuit_src ~qubits ~layers ~chain)
   in
-  let shot_run engine batch =
-    Qruntime.Executor.run_shots_resilient ~seed:11 ~batch ~engine ~shots sm
+  let shot_run max_tier =
+    Qruntime.Executor.run_shots_resilient ~seed:11 ~max_tier ~shots sm
   in
-  let r_ast = shot_run `Ast false in
-  let r_bc = shot_run `Bytecode false in
-  (* the first Auto run pays the tape-eligibility analysis; later runs
+  (* the reference interpreter is one-shot: drive it with the per-shot
+     tier's seeds, keyed by the recorded output *)
+  let ast_histogram () =
+    let tbl = Hashtbl.create 16 in
+    for shot = 0 to shots - 1 do
+      let r = Qruntime.Executor.Reference.run ~seed:(11 + (shot * 7919)) sm in
+      let key = r.Qruntime.Executor.output in
+      Hashtbl.replace tbl key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+    done;
+    List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
+  in
+  let h_ast = ast_histogram () in
+  let r_bc = shot_run `Per_shot in
+  assert (not r_bc.Qruntime.Executor.tape);
+  (* the first tape run pays the tape-eligibility analysis; later runs
      hit the executor's verdict cache, so the timed loop below measures
      steady-state replay *)
-  let r_tape = shot_run `Auto true in
+  let r_tape = shot_run `Batched in
   assert r_tape.Qruntime.Executor.tape;
   let t_analysis = r_tape.Qruntime.Executor.analysis_s *. 1e9 in
   let diverged =
-    r_ast.Qruntime.Executor.histogram <> r_bc.Qruntime.Executor.histogram
-    || r_ast.Qruntime.Executor.histogram <> r_tape.Qruntime.Executor.histogram
+    h_ast <> r_bc.Qruntime.Executor.histogram
+    || h_ast <> r_tape.Qruntime.Executor.histogram
   in
   let t_st_ast =
-    Harness.time_ns "static/ast" (fun () -> ignore (shot_run `Ast false))
+    Harness.time_ns "static/ast" (fun () -> ignore (ast_histogram ()))
   in
   let t_st_bc =
     Harness.time_ns "static/bytecode" (fun () ->
-        ignore (shot_run `Bytecode false))
+        ignore (shot_run `Per_shot))
   in
   let t_st_tape =
-    Harness.time_ns "static/tape" (fun () -> ignore (shot_run `Auto true))
+    Harness.time_ns "static/tape" (fun () -> ignore (shot_run `Batched))
   in
   Harness.row
     "  static-circuit (%dq x %d layers, %d-step addresses, %d shots)   ast \

@@ -11,7 +11,7 @@
 
 open Cmdliner
 
-let run input shots seed backend no_batch engine stats timeout shot_timeout
+let run input shots seed backend no_batch stats timeout shot_timeout
     retries domains local_bits mem_budget opt_quantum =
   Cli_common.protect @@ fun () ->
   Option.iter
@@ -102,7 +102,7 @@ let run input shots seed backend no_batch engine stats timeout shot_timeout
     }
   in
   if shots = 1 then begin
-    match Qruntime.Executor.run_resilient ~policy ~seed ~backend ~engine m with
+    match Qruntime.Executor.run_resilient ~policy ~seed ~backend m with
     | Error e -> Cli_common.fail_error e
     | Ok r ->
       if String.length r.Qruntime.Executor.output > 0 then
@@ -116,10 +116,10 @@ let run input shots seed backend no_batch engine stats timeout shot_timeout
         let q = r.Qruntime.Executor.runtime_stats in
         Printf.printf
           "instructions=%d external-calls=%d gates=%d measurements=%d \
-           resets=%d engine=%s\n"
+           resets=%d\n"
           i.Llvm_ir.Interp.instructions i.Llvm_ir.Interp.external_calls
           q.Qruntime.Runtime.gate_calls q.Qruntime.Runtime.measurements
-          q.Qruntime.Runtime.resets r.Qruntime.Executor.engine_used;
+          q.Qruntime.Runtime.resets;
         print_opt_stats ();
         print_timings ~compile_s:r.Qruntime.Executor.compile_s ~analysis_s:0.
       end
@@ -127,18 +127,18 @@ let run input shots seed backend no_batch engine stats timeout shot_timeout
   else begin
     let r =
       Qruntime.Executor.run_shots_resilient ~policy ~seed ~backend
-        ~batch:(not no_batch) ~engine ~shots m
+        ~max_tier:(if no_batch then `Per_shot else `Batched) ~shots m
     in
     Format.printf "%a@?" Qruntime.Executor.pp_histogram
       r.Qruntime.Executor.histogram;
     if stats then begin
       Printf.printf
         "completed=%d/%d retries=%d batched=%b batch-fallback=%b \
-         pool-fallbacks=%d engine=%s tape=%b\n"
+         pool-fallbacks=%d tape=%b\n"
         r.Qruntime.Executor.completed r.Qruntime.Executor.requested
         r.Qruntime.Executor.retries r.Qruntime.Executor.batched
         r.Qruntime.Executor.batch_fallback r.Qruntime.Executor.pool_fallbacks
-        r.Qruntime.Executor.engine r.Qruntime.Executor.tape;
+        r.Qruntime.Executor.tape;
       (* Machine-readable mirror of the line above, plus the session
          cache counters — stable keys, like the timings line. *)
       let c =
@@ -147,14 +147,13 @@ let run input shots seed backend no_batch engine stats timeout shot_timeout
       Printf.printf
         "stats: {\"completed\": %d, \"requested\": %d, \"retries\": %d, \
          \"batched\": %b, \"batch_fallback\": %b, \"pool_fallbacks\": %d, \
-         \"engine\": \"%s\", \"tape\": %b, \"compile_cache_hits\": %d, \
+         \"tape\": %b, \"compile_cache_hits\": %d, \
          \"compile_cache_misses\": %d, \"tape_cache_hits\": %d, \
          \"tape_cache_misses\": %d}\n"
         r.Qruntime.Executor.completed r.Qruntime.Executor.requested
         r.Qruntime.Executor.retries r.Qruntime.Executor.batched
         r.Qruntime.Executor.batch_fallback r.Qruntime.Executor.pool_fallbacks
-        r.Qruntime.Executor.engine r.Qruntime.Executor.tape
-        c.Qruntime.Executor.Session.compile_hits
+        r.Qruntime.Executor.tape c.Qruntime.Executor.Session.compile_hits
         c.Qruntime.Executor.Session.compile_misses
         c.Qruntime.Executor.Session.tape_hits
         c.Qruntime.Executor.Session.tape_misses;
@@ -223,38 +222,13 @@ let backend =
                Faulty runs execute per shot so faults exercise the \
                retry machinery.")
 
-let engine_conv : Qruntime.Executor.engine Arg.conv =
-  let parse = function
-    | "ast" -> Ok `Ast
-    | "bytecode" -> Ok `Bytecode
-    | "auto" -> Ok `Auto
-    | s ->
-      Error
-        (`Msg
-           (Printf.sprintf
-              "unknown engine %S (expected ast, bytecode or auto)" s))
-  in
-  let print ppf (e : Qruntime.Executor.engine) =
-    Format.pp_print_string ppf
-      (match e with `Ast -> "ast" | `Bytecode -> "bytecode" | `Auto -> "auto")
-  in
-  Arg.conv (parse, print)
-
-let engine =
-  Arg.(value & opt engine_conv `Auto & info [ "engine" ] ~docv:"ENGINE"
-         ~doc:"Execution engine: ast (tree-walking interpreter), bytecode \
-               (compile each function once to a flat instruction array \
-               and execute that), or auto (default: bytecode, plus the \
-               gate-tape fast path for proved-static multi-shot \
-               programs). All engines produce bit-identical results for \
-               identical seeds.")
-
 let no_batch =
   Arg.(value & flag & info [ "no-batch" ]
-         ~doc:"Disable the batched sampling fast path and interpret the \
-               program once per shot. By default, measurement-terminal \
-               programs are simulated once and all shots are drawn from \
-               the final distribution.")
+         ~doc:"Cap execution at the per-shot tier: interpret the program \
+               once per shot, with neither batched sampling nor gate-tape \
+               replay. By default, measurement-terminal programs are \
+               simulated once and all shots are drawn from the final \
+               distribution.")
 
 let stats =
   Arg.(value & flag & info [ "stats" ]
@@ -347,7 +321,7 @@ let cmd =
   Cmd.v
     (Cmd.info "qir-run" ~doc)
     Term.(
-      const run $ input $ shots $ seed $ backend $ no_batch $ engine $ stats
+      const run $ input $ shots $ seed $ backend $ no_batch $ stats
       $ timeout $ shot_timeout $ retries $ domains $ local_bits $ mem_budget
       $ opt_quantum)
 

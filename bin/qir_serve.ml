@@ -31,7 +31,7 @@ let usage_die fmt = Cli_common.die ~code:Qruntime.Qir_error.exit_usage fmt
 type sink = { mutable write : string -> unit }
 
 let handle_submit service ~(out : sink) ~id ~tenant ~program ~shots ~seed
-    ~backend ~engine ~timeout =
+    ~backend ~timeout =
   let source =
     match program with
     | `Inline text -> Ok text
@@ -56,8 +56,8 @@ let handle_submit service ~(out : sink) ~id ~tenant ~program ~shots ~seed
               shed = false;
             }))
   | Ok m ->
-    Qservice.Service.submit service ~tenant ?id ~shots ~seed ~backend ~engine
-      ?timeout m
+    Qservice.Service.submit service ~tenant ?id ~shots ~seed ~backend ?timeout
+      m
 
 let handle_line service ~out ~route line =
   match String.trim line with
@@ -71,10 +71,10 @@ let handle_line service ~out ~route line =
     | Ok Qservice.Protocol.Stats -> `Stats
     | Ok
         (Qservice.Protocol.Submit
-           { id; tenant; program; shots; seed; backend; engine; timeout }) ->
+           { id; tenant; program; shots; seed; backend; timeout }) ->
       let id = route ~requested:id in
       handle_submit service ~out ~id ~tenant ~program ~shots ~seed ~backend
-        ~engine ~timeout;
+        ~timeout;
       `Continue)
 
 (* ------------------------------------------------------------------ *)

@@ -48,7 +48,9 @@ let () =
   Format.printf "@\nghz-6 on %s: %a@\n" hw.Qmapping.Hardware.hw_name
     Qmapping.Mapper.pp_report report;
   let m = Qir.Qir_builder.build routed in
-  let hist = Qruntime.Executor.run_shots ~seed:21 ~shots:200 m in
+  let hist =
+    (Qruntime.Executor.run_shots_resilient ~seed:21 ~shots:200 m).histogram
+  in
   Format.printf "measured (should be only all-0 / all-1):@\n%a"
     Qruntime.Executor.pp_histogram hist;
   let ok =

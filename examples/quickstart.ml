@@ -26,7 +26,9 @@ let () =
     Qir.Profile.pp (Qir.Profile_check.classify m);
 
   print_endline "\n=== Execution (1000 shots, statevector backend) ===";
-  let hist = Qruntime.Executor.run_shots ~seed:2024 ~shots:1000 m in
+  let hist =
+    (Qruntime.Executor.run_shots_resilient ~seed:2024 ~shots:1000 m).histogram
+  in
   Format.printf "%a" Qruntime.Executor.pp_histogram hist;
 
   (* parse the QIR right back into a circuit (the paper's Ex. 3) *)

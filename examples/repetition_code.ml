@@ -46,7 +46,9 @@ let repetition_round ~error_on =
 let run_case name ~error_on =
   let circuit = repetition_round ~error_on in
   let m = Qir.Qir_builder.build circuit in
-  let hist = Qruntime.Executor.run_shots ~seed:99 ~shots:50 m in
+  let hist =
+    (Qruntime.Executor.run_shots_resilient ~seed:99 ~shots:50 m).histogram
+  in
   (* data bits are positions 2..4 of the recorded output *)
   let recovered =
     List.for_all (fun (key, _) -> String.sub key 2 3 = "111") hist

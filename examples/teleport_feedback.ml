@@ -39,7 +39,9 @@ let () =
     Qir.Profile.pp (Qir.Profile_check.classify m);
 
   let shots = 4000 in
-  let hist = Qruntime.Executor.run_shots ~seed:7 ~shots m in
+  let hist =
+    (Qruntime.Executor.run_shots_resilient ~seed:7 ~shots m).histogram
+  in
   (* clbit 2 (the third recorded bit) is the teleported qubit's readout;
      result ids are allocated per measurement in order 0,1,2 *)
   let ones =

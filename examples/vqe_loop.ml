@@ -63,7 +63,7 @@ let expectation hist bits =
 let energy ~seed params =
   let run basis =
     let m = Qir.Qir_builder.build (measured_circuit basis params) in
-    Qruntime.Executor.run_shots ~seed ~shots m
+    (Qruntime.Executor.run_shots_resilient ~seed ~shots m).histogram
   in
   let z = run `Z in
   let x = run `X in

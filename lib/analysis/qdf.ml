@@ -328,67 +328,6 @@ let tokenize (w1 : wire list) (w2 : wire list) :
     let distinct l = List.length (List.sort_uniq compare l) = List.length l in
     if distinct t1 && distinct t2 then Some (t1, t2) else None
 
-(* Commutation on tokenized qubits, ported from {!Commute_opt} (which
-   works on circuit ops) to bare gate/operand-list pairs. Conservative:
-   false whenever unsure. *)
-let is_diagonal (g : Gate.t) =
-  match g with
-  | Gate.Z | Gate.S | Gate.Sdg | Gate.T | Gate.Tdg | Gate.Rz _ | Gate.P _
-  | Gate.Cz | Gate.Cp _ | Gate.Crz _ | Gate.I ->
-    true
-  | _ -> false
-
-let is_x_axis (g : Gate.t) =
-  match g with
-  | Gate.X | Gate.Rx _ | Gate.Sx | Gate.Sxdg | Gate.I -> true
-  | _ -> false
-
-let commutes_1q_int (g : Gate.t) q (g2 : Gate.t) (qs2 : int list) =
-  if is_diagonal g && is_diagonal g2 then true
-  else
-    match g2, qs2 with
-    | Gate.Cx, [ ctrl; tgt ] ->
-      (is_diagonal g && q = ctrl) || (is_x_axis g && q = tgt)
-    | Gate.Ccx, [ c1; c2; tgt ] ->
-      (is_diagonal g && (q = c1 || q = c2)) || (is_x_axis g && q = tgt)
-    | Gate.Crx _, [ ctrl; _ ]
-    | Gate.Cry _, [ ctrl; _ ]
-    | Gate.Cu _, [ ctrl; _ ] ->
-      is_diagonal g && q = ctrl
-    | _ -> false
-
-let commutes_2q_int (g : Gate.t) qs (g2 : Gate.t) (qs2 : int list) =
-  match g, qs with
-  | Gate.Cx, [ ctrl; tgt ] -> (
-    match g2, qs2 with
-    | Gate.Cx, [ ctrl2; tgt2 ] ->
-      (ctrl = ctrl2 && tgt <> tgt2 && ctrl <> tgt2 && tgt <> ctrl2)
-      || (tgt = tgt2 && ctrl <> ctrl2 && ctrl <> tgt2 && tgt <> ctrl2)
-    | _, _ ->
-      let shared = List.filter (fun q -> List.mem q qs2) qs in
-      shared <> []
-      && List.for_all
-           (fun q ->
-             match Gate.num_qubits g2, qs2 with
-             | 1, [ _ ] ->
-               (is_diagonal g2 && q = ctrl) || (is_x_axis g2 && q = tgt)
-             | _ -> false)
-           shared)
-  | (Gate.Cz | Gate.Cp _), [ _; _ ] -> (
-    match g2, qs2 with
-    | _, [ _ ] -> is_diagonal g2
-    | (Gate.Cz | Gate.Cp _ | Gate.Crz _), _ -> true
-    | _ -> false)
-  | _ -> false
-
-let commutes_int (g : Gate.t) qs (g2 : Gate.t) qs2 =
-  if List.for_all (fun q -> not (List.mem q qs2)) qs then true
-  else
-    match qs with
-    | [ q ] -> commutes_1q_int g q g2 qs2
-    | [ _; _ ] -> commutes_2q_int g qs g2 qs2
-    | _ -> false
-
 (* Does the gate [shape] on [wires] commute past event [k]? *)
 let gate_commutes_past (shape : Gate.t) (wires : wire list) (k : ekind) =
   match k with
@@ -404,6 +343,9 @@ let gate_commutes_past (shape : Gate.t) (wires : wire list) (k : ekind) =
         wires
     then true (* provably disjoint supports *)
     else
+      (* every pair is decided and one may alias, so the tokenized
+         supports overlap: the gate-level table applies as is *)
       match tokenize wires wires2 with
-      | Some (t1, t2) -> commutes_int shape t1 shape2 t2
+      | Some (t1, t2) ->
+        Qcircuit.Commute_opt.gate_commutes shape t1 shape2 t2
       | None -> false)

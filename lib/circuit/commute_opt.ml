@@ -24,66 +24,62 @@ let is_x_axis (g : Gate.t) =
   | Gate.X | Gate.Rx _ | Gate.Sx | Gate.Sxdg | Gate.I -> true
   | _ -> false
 
-(* Does the single-qubit gate [g] on [q] commute with operation [op]
+(* Does the single-qubit gate [g] on [q] commute with [g2] on [qs2]
    (which touches [q])? *)
-let commutes_1q (g : Gate.t) q (op : Circuit.op) =
-  match op.Circuit.cond, op.Circuit.kind with
-  | Some _, _ -> false
-  | None, Circuit.Gate (g2, qs2) -> (
-    if is_diagonal g && is_diagonal g2 then true
-    else
-      match g2, qs2 with
-      | Gate.Cx, [ ctrl; tgt ] ->
-        (is_diagonal g && q = ctrl) || (is_x_axis g && q = tgt)
-      | Gate.Ccx, [ c1; c2; tgt ] ->
-        (is_diagonal g && (q = c1 || q = c2)) || (is_x_axis g && q = tgt)
-      | Gate.Crx _, [ ctrl; _ ] -> is_diagonal g && q = ctrl
-      | Gate.Cry _, [ ctrl; _ ] -> is_diagonal g && q = ctrl
-      | Gate.Cu _, [ ctrl; _ ] -> is_diagonal g && q = ctrl
-      | _ -> false)
-  | None, (Circuit.Measure _ | Circuit.Reset _ | Circuit.Barrier _) -> false
+let commutes_1q (g : Gate.t) q (g2 : Gate.t) qs2 =
+  if is_diagonal g && is_diagonal g2 then true
+  else
+    match g2, qs2 with
+    | Gate.Cx, [ ctrl; tgt ] ->
+      (is_diagonal g && q = ctrl) || (is_x_axis g && q = tgt)
+    | Gate.Ccx, [ c1; c2; tgt ] ->
+      (is_diagonal g && (q = c1 || q = c2)) || (is_x_axis g && q = tgt)
+    | (Gate.Crx _ | Gate.Cry _ | Gate.Cu _), [ ctrl; _ ] ->
+      is_diagonal g && q = ctrl
+    | _ -> false
 
-(* Does CX (or CZ) on [qs] commute with [op]? Conservative. *)
-let commutes_2q (g : Gate.t) qs (op : Circuit.op) =
+(* Does CX (or CZ/CP) on [qs] commute with [g2] on [qs2]? Conservative. *)
+let commutes_2q (g : Gate.t) qs (g2 : Gate.t) qs2 =
   match g, qs with
   | Gate.Cx, [ ctrl; tgt ] -> (
-    match op.Circuit.cond, op.Circuit.kind with
-    | Some _, _ -> false
-    | None, Circuit.Gate (g2, qs2) -> (
-      match g2, qs2 with
-      | Gate.Cx, [ ctrl2; tgt2 ] ->
-        (* share only controls or only targets *)
-        (ctrl = ctrl2 && tgt <> tgt2 && ctrl <> tgt2 && tgt <> ctrl2)
-        || (tgt = tgt2 && ctrl <> ctrl2 && ctrl <> tgt2 && tgt <> ctrl2)
-      | _, _ ->
-        let shared = List.filter (fun q -> List.mem q qs2) qs in
-        List.for_all
-          (fun q ->
-            match Gate.num_qubits g2, qs2 with
-            | 1, [ _ ] ->
-              (is_diagonal g2 && q = ctrl) || (is_x_axis g2 && q = tgt)
-            | _ -> false)
-          shared
-        && shared <> [])
-    | None, (Circuit.Measure _ | Circuit.Reset _ | Circuit.Barrier _) -> false)
+    match g2, qs2 with
+    | Gate.Cx, [ ctrl2; tgt2 ] ->
+      (* share only controls or only targets *)
+      (ctrl = ctrl2 && tgt <> tgt2 && ctrl <> tgt2 && tgt <> ctrl2)
+      || (tgt = tgt2 && ctrl <> ctrl2 && ctrl <> tgt2 && tgt <> ctrl2)
+    | _, _ ->
+      let shared = List.filter (fun q -> List.mem q qs2) qs in
+      List.for_all
+        (fun q ->
+          match Gate.num_qubits g2, qs2 with
+          | 1, [ _ ] ->
+            (is_diagonal g2 && q = ctrl) || (is_x_axis g2 && q = tgt)
+          | _ -> false)
+        shared
+      && shared <> [])
   | (Gate.Cz | Gate.Cp _), [ _; _ ] -> (
-    match op.Circuit.cond, op.Circuit.kind with
-    | Some _, _ -> false
-    | None, Circuit.Gate (g2, qs2) -> (
-      match g2, qs2 with
-      | _, [ _ ] ->
-        (* CZ/CP are diagonal: commute with diagonal 1q gates anywhere *)
-        is_diagonal g2
-      | (Gate.Cz | Gate.Cp _ | Gate.Crz _), _ -> true
-      | _ -> false)
-    | None, (Circuit.Measure _ | Circuit.Reset _ | Circuit.Barrier _) -> false)
+    match g2, qs2 with
+    | _, [ _ ] ->
+      (* CZ/CP are diagonal: commute with diagonal 1q gates anywhere *)
+      is_diagonal g2
+    | (Gate.Cz | Gate.Cp _ | Gate.Crz _), _ -> true
+    | _ -> false)
+  | _ -> false
+
+(* The one commutation table, over bare (gate, qubits) pairs; the QIR
+   dataflow optimizer ({!Qir_analysis.Qdf}) shares it. *)
+let gate_commutes (g : Gate.t) qs (g2 : Gate.t) qs2 =
+  match qs with
+  | [ q ] -> commutes_1q g q g2 qs2
+  | [ _; _ ] -> commutes_2q g qs g2 qs2
   | _ -> false
 
 let commutes (g : Gate.t) qs (op : Circuit.op) =
-  match qs with
-  | [ q ] -> commutes_1q g q op
-  | [ _; _ ] -> commutes_2q g qs op
-  | _ -> false
+  match op.Circuit.cond, op.Circuit.kind with
+  | None, Circuit.Gate (g2, qs2) -> gate_commutes g qs g2 qs2
+  | Some _, _
+  | None, (Circuit.Measure _ | Circuit.Reset _ | Circuit.Barrier _) ->
+    false
 
 type stats = { cancelled : int; merged : int }
 

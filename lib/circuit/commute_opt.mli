@@ -8,13 +8,14 @@
     targets; nothing commutes across conditions, measurements, resets or
     barriers. *)
 
-val is_diagonal : Gate.t -> bool
-val is_x_axis : Gate.t -> bool
+val gate_commutes : Gate.t -> int list -> Gate.t -> int list -> bool
+(** [gate_commutes g qs g2 qs2]: does [g] on [qs] commute with [g2] on
+    [qs2]? The gate-level commutation table, shared with the QIR
+    dataflow optimizer. Only meaningful when the two share a qubit. *)
 
 val commutes : Gate.t -> int list -> Circuit.op -> bool
-(** [commutes g qs op]: does the gate application [g qs] commute with
-    [op]? Only meaningful when [op] touches at least one qubit of
-    [qs]. *)
+(** [commutes g qs op]: {!gate_commutes} against a gate [op]; false for
+    conditioned operations, measurements, resets and barriers. *)
 
 type stats = { cancelled : int; merged : int }
 

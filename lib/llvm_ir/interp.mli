@@ -4,6 +4,11 @@
     their implementations through the [externals] table — precisely the
     runtime-augmentation architecture of the paper's Ex. 5.
 
+    Production execution runs {!Bc_exec}; this tree walker is its
+    differential oracle (reached through [Qruntime.Executor.Reference])
+    and holds the value model the bytecode engine and constant folding
+    share.
+
     Memory model: a flat 64-bit address space of 8-byte cells. [alloca]
     and global initializers carve cells from a bump allocator starting at
     {!heap_base}, far above the small integers that static qubit

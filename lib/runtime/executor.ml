@@ -21,24 +21,12 @@ open Llvm_ir
 type backend_kind =
   [ `Statevector | `Stabilizer | `Faulty of Qsim.Faulty.spec ]
 
-type engine = [ `Ast | `Bytecode | `Auto ]
-
-(* `Auto resolves to the bytecode engine; `Ast forces the reference
-   tree-walking interpreter (the two are differentially tested to be
-   bit-identical, so this is a debugging/benchmarking knob). *)
-let resolve_engine : engine -> [ `Ast | `Bytecode ] = function
-  | `Ast -> `Ast
-  | `Bytecode | `Auto -> `Bytecode
-
-let engine_name = function `Ast -> "ast" | `Bytecode -> "bytecode"
-
 type run_result = {
   output : string; (* the recorded-output bitstring, clbit order *)
   results : (int64 * bool) list; (* all measured results, by address *)
   interp_stats : Interp.stats;
   runtime_stats : Runtime.stats;
-  engine_used : string; (* "ast" or "bytecode" *)
-  compile_s : float; (* bytecode compile time (0 on cache hit / ast) *)
+  compile_s : float; (* bytecode compile time (0 on cache hit / oracle) *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -201,8 +189,6 @@ module Session = struct
         | None -> None)
 end
 
-let compiled m = Session.compiled Session.default m
-
 let backend_of_kind ?seed ?attempt (kind : backend_kind) n :
     Qsim.Backend.instance =
   match kind with
@@ -219,9 +205,11 @@ let declared_qubits (m : Ir_module.t) =
     | None -> 0)
   | None -> 0
 
-let run ?(session = Session.default) ?(seed = 1)
-    ?(backend : backend_kind = `Statevector) ?fuel ?deadline ?attempt
-    ?(engine : engine = `Auto) (m : Ir_module.t) : run_result =
+(* One shot: backend, runtime, deadline and entry point are set up here
+   once for both interpreters; [interpret ~fuel ~deadline ~externals
+   entry] runs the entry and returns its stats and compile seconds. *)
+let run_with ?(seed = 1) ?(backend : backend_kind = `Statevector) ?fuel
+    ?deadline ?attempt (m : Ir_module.t) interpret : run_result =
   let inst = backend_of_kind ~seed ?attempt backend (declared_qubits m) in
   let rt = Runtime.create inst in
   let deadline = Resilience.Deadline.to_check deadline in
@@ -231,19 +219,7 @@ let run ?(session = Session.default) ?(seed = 1)
     | Some f -> f.Func.name
     | None -> raise (Runtime.Runtime_error "module has no entry point")
   in
-  let engine = resolve_engine engine in
-  let interp_stats, compile_s =
-    match engine with
-    | `Ast ->
-      let st = Interp.create ?fuel ?deadline ~externals m in
-      let _ = Interp.run_function st entry [] in
-      (Interp.stats st, 0.)
-    | `Bytecode ->
-      let prog, compile_s, cached = Session.compiled session m in
-      let st = Bc_exec.create ?fuel ?deadline ~externals prog in
-      let _ = Bc_exec.run_function st entry [] in
-      (Bc_exec.stats st, if cached then 0. else compile_s)
-  in
+  let interp_stats, compile_s = interpret ~fuel ~deadline ~externals entry in
   let results =
     Hashtbl.fold (fun addr b acc -> (addr, b) :: acc) rt.Runtime.results []
     |> List.sort compare
@@ -253,16 +229,36 @@ let run ?(session = Session.default) ?(seed = 1)
     results;
     interp_stats;
     runtime_stats = Runtime.stats rt;
-    engine_used = engine_name engine;
     compile_s;
   }
+
+let run ?(session = Session.default) ?seed ?backend ?fuel ?deadline ?attempt
+    (m : Ir_module.t) : run_result =
+  run_with ?seed ?backend ?fuel ?deadline ?attempt m
+    (fun ~fuel ~deadline ~externals entry ->
+      let prog, compile_s, cached = Session.compiled session m in
+      let st = Bc_exec.create ?fuel ?deadline ~externals prog in
+      let _ = Bc_exec.run_function st entry [] in
+      (Bc_exec.stats st, if cached then 0. else compile_s))
+
+(* The tree-walking interpreter as the differential oracle for [run]:
+   same setup, same observable results, no production path reaches it. *)
+module Reference = struct
+  let run ?seed ?backend ?fuel ?deadline ?attempt (m : Ir_module.t) :
+      run_result =
+    run_with ?seed ?backend ?fuel ?deadline ?attempt m
+      (fun ~fuel ~deadline ~externals entry ->
+        let st = Interp.create ?fuel ?deadline ~externals m in
+        let _ = Interp.run_function st entry [] in
+        (Interp.stats st, 0.))
+end
 
 (* One shot under a policy: retries transient faults with backoff,
    bounds wall-clock by the shot timeout, and classifies failures into
    the taxonomy. *)
 let run_resilient ?session ?(policy = Resilience.default) ?(seed = 1)
-    ?(backend : backend_kind = `Statevector) ?(engine : engine = `Auto)
-    (m : Ir_module.t) : (run_result, Qir_error.t) result =
+    ?(backend : backend_kind = `Statevector) (m : Ir_module.t) :
+    (run_result, Qir_error.t) result =
   let rng = Qcircuit.Rng.create (seed lxor 0x5bd1e995) in
   let deadline =
     Resilience.Deadline.(
@@ -271,7 +267,7 @@ let run_resilient ?session ?(policy = Resilience.default) ?(seed = 1)
   match
     Resilience.with_retries policy rng (fun ~attempt ->
         run ?session ~seed ~backend ?fuel:policy.Resilience.fuel ?deadline
-          ~attempt ~engine m)
+          ~attempt m)
   with
   | Ok (r, _) -> Ok r
   | Error (e, _) -> Error e
@@ -365,9 +361,8 @@ type shots_result = {
   batched : bool; (* histogram came from the batched fast path *)
   batch_fallback : bool; (* batched path failed mid-run; fell back *)
   pool_fallbacks : int; (* parallel sweeps degraded to sequential *)
-  engine : string; (* per-shot engine the loop resolved to *)
   tape : bool; (* histogram came from gate-tape replay *)
-  compile_s : float; (* bytecode compile time (0 on cache hit / ast) *)
+  compile_s : float; (* bytecode compile time (0 on cache hit) *)
   analysis_s : float; (* tape-eligibility static analysis time *)
 }
 
@@ -384,26 +379,18 @@ exception Deadline_hit
 
 let run_shots_resilient ?(session = Session.default)
     ?(policy = Resilience.default) ?(seed = 1)
-    ?(backend : backend_kind = `Statevector) ?(batch = true)
-    ?(max_tier : tier = `Batched) ?(engine : engine = `Auto) ~shots
-    (m : Ir_module.t) : shots_result =
-  (* [batch = false] is the historical spelling of capping at the
-     per-shot tier; the effective cap is the lower of the two knobs. *)
-  let max_tier : tier = if batch then max_tier else `Per_shot in
+    ?(backend : backend_kind = `Statevector) ?(max_tier : tier = `Batched)
+    ~shots (m : Ir_module.t) : shots_result =
   let allow_batched = max_tier = `Batched in
   let allow_tape = match max_tier with `Batched | `Tape -> true | `Per_shot -> false in
   let total_deadline = Resilience.Deadline.after policy.total_timeout in
   let pool_fallbacks0 = Qsim.Dpool.sequential_fallbacks () in
   let retries = ref 0 in
-  (* Compile once up front (and time it) when the per-shot engine is the
-     bytecode one; every retry and shot below hits the cache. *)
-  let resolved = resolve_engine engine in
+  (* Compile once up front (and time it); every retry and shot below
+     hits the cache. *)
   let compile_s =
-    match resolved with
-    | `Ast -> 0.
-    | `Bytecode ->
-      let _, dt, cached = Session.compiled session m in
-      if cached then 0. else dt
+    let _, dt, cached = Session.compiled session m in
+    if cached then 0. else dt
   in
   let analysis_s = ref 0. in
   let tape_hit = ref false in
@@ -417,7 +404,6 @@ let run_shots_resilient ?(session = Session.default)
       batched;
       batch_fallback;
       pool_fallbacks = Qsim.Dpool.sequential_fallbacks () - pool_fallbacks0;
-      engine = engine_name resolved;
       tape = !tape_hit;
       compile_s;
       analysis_s = !analysis_s;
@@ -447,14 +433,14 @@ let run_shots_resilient ?(session = Session.default)
       ~batch_fallback:false
   | (`Not_batchable | `Fallback) as outcome -> (
     let batch_fallback = outcome = `Fallback in
-    (* The gate-tape tier: under `Auto (with batching allowed), when the
-       analyses prove the entry is straight-line static quantum code,
-       replay the extracted tape per shot instead of interpreting. Fuel
-       and per-shot timeouts are interpreter concepts, so any policy
-       that sets them keeps the interpreter in the loop. *)
+    (* The gate-tape tier: when the cap allows it and the analyses prove
+       the entry is straight-line static quantum code, replay the
+       extracted tape per shot instead of interpreting. Fuel and
+       per-shot timeouts are interpreter concepts, so any policy that
+       sets them keeps the interpreter in the loop. *)
     let tape_attempt =
       if
-        engine = `Auto && allow_tape && shots > 1
+        allow_tape && shots > 1
         && (backend = `Statevector || backend = `Stabilizer)
         && policy.Resilience.fuel = None
         && policy.Resilience.shot_timeout = None
@@ -514,7 +500,7 @@ let run_shots_resilient ?(session = Session.default)
                  run ~session
                    ~seed:(seed + (shot * 7919))
                    ~backend ?fuel:policy.Resilience.fuel
-                   ?deadline:shot_deadline ~attempt ~engine m)
+                   ?deadline:shot_deadline ~attempt m)
            with
            | Ok (r, _) ->
              let key = shot_key r in
@@ -531,24 +517,6 @@ let run_shots_resilient ?(session = Session.default)
        with Deadline_hit -> ());
       finish ~histogram:(sorted_histogram tbl) ~completed:!completed
         ~degraded:!degraded ~batched:false ~batch_fallback)
-
-(* Back-compatible histogram API: no retries (plain backends never
-   fault), no deadlines, identical per-shot seeding. *)
-let run_shots ?session ?(seed = 1) ?(backend : backend_kind = `Statevector)
-    ?fuel ?(batch = true) ?(engine : engine = `Auto) ~shots (m : Ir_module.t)
-    : (string * int) list =
-  let policy =
-    { Resilience.no_retry with Resilience.fuel = fuel; sleep = false }
-  in
-  (run_shots_resilient ?session ~policy ~seed ~backend ~batch ~engine ~shots m)
-    .histogram
-
-(* Convenience: run a circuit through the full QIR path (build -> execute)
-   — the architecture benchmarked in E4. *)
-let run_circuit_via_qir ?seed ?backend ?(addressing = `Static) ?batch ~shots c
-    =
-  let m = Qir.Qir_builder.build ~addressing c in
-  run_shots ?seed ?backend ?batch ~shots m
 
 let pp_histogram ppf hist =
   List.iter

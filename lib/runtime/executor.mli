@@ -10,16 +10,6 @@ type backend_kind =
     fault injector ({!Qsim.Faulty}); its transient faults exercise the
     retry machinery. *)
 
-type engine = [ `Ast | `Bytecode | `Auto ]
-(** Which execution engine interprets the program. [`Ast] walks the
-    tree directly; [`Bytecode] compiles each function once
-    ({!Llvm_ir.Bytecode}) and executes the flat form
-    ({!Llvm_ir.Bc_exec}); [`Auto] (the default) picks bytecode and
-    additionally unlocks the gate-tape fast path in the shot loop. *)
-
-val resolve_engine : engine -> [ `Ast | `Bytecode ]
-val engine_name : [< `Ast | `Bytecode ] -> string
-
 (** {1 Sessions}
 
     A session is the reentrant, handle-based home for everything that
@@ -74,10 +64,6 @@ module Session : sig
       triggers the analysis itself. *)
 end
 
-val compiled : Llvm_ir.Ir_module.t -> Llvm_ir.Bytecode.program * float * bool
-(** [Session.compiled Session.default] — the historical session-less
-    spelling. *)
-
 (** {1 Execution tiers} *)
 
 type tier = [ `Batched | `Tape | `Per_shot ]
@@ -98,7 +84,6 @@ type run_result = {
   results : (int64 * bool) list;  (** every measured result, by address *)
   interp_stats : Llvm_ir.Interp.stats;
   runtime_stats : Runtime.stats;
-  engine_used : string;  (** ["ast"] or ["bytecode"] *)
   compile_s : float;  (** bytecode compile seconds; 0 on cache hit *)
 }
 
@@ -113,27 +98,41 @@ val run :
   ?fuel:int ->
   ?deadline:float ->
   ?attempt:int ->
-  ?engine:engine ->
   Llvm_ir.Ir_module.t ->
   run_result
-(** One shot. [deadline] is an absolute {!Resilience.Deadline.now}
+(** One shot on the compile-once bytecode engine ({!Llvm_ir.Bytecode},
+    {!Llvm_ir.Bc_exec}). [deadline] is an absolute {!Resilience.Deadline.now}
     (monotonic-clock) instant;
     past it the interpreter aborts with
     {!Llvm_ir.Ir_error.Timeout_error}. [attempt] perturbs only the
     faulty backend's fault stream (retries re-run with the identical
-    quantum seed). Both engines are observably identical — same
+    quantum seed). {!Reference.run} is observably identical — same
     outputs, stats, fuel accounting and error strings. Raises
     {!Runtime.Runtime_error}, {!Llvm_ir.Ir_error.Exec_error},
     {!Llvm_ir.Ir_error.Timeout_error} or
     {!Qsim.Sim_error.Backend_fault} on bad programs, expired deadlines
     and backend faults. *)
 
+(** The tree-walking interpreter ({!Llvm_ir.Interp}), kept as the
+    differential oracle for {!run} — no production path reaches it. *)
+module Reference : sig
+  val run :
+    ?seed:int ->
+    ?backend:backend_kind ->
+    ?fuel:int ->
+    ?deadline:float ->
+    ?attempt:int ->
+    Llvm_ir.Ir_module.t ->
+    run_result
+  (** {!run} with the AST interpreter in place of the bytecode engine:
+      identical backend, runtime and deadline setup; [compile_s] is 0. *)
+end
+
 val run_resilient :
   ?session:Session.t ->
   ?policy:Resilience.policy ->
   ?seed:int ->
   ?backend:backend_kind ->
-  ?engine:engine ->
   Llvm_ir.Ir_module.t ->
   (run_result, Qir_error.t) result
 (** One shot under a policy: transient faults are retried with backoff
@@ -151,7 +150,6 @@ type shots_result = {
   batched : bool;  (** histogram came from the batched fast path *)
   batch_fallback : bool;  (** batched path failed mid-run; fell back *)
   pool_fallbacks : int;  (** parallel sweeps degraded to sequential *)
-  engine : string;  (** per-shot engine: ["ast"] or ["bytecode"] *)
   tape : bool;  (** histogram came from the gate-tape fast path *)
   compile_s : float;  (** bytecode compile seconds; 0 on cache hit *)
   analysis_s : float;  (** gate-tape eligibility analysis seconds *)
@@ -162,9 +160,7 @@ val run_shots_resilient :
   ?policy:Resilience.policy ->
   ?seed:int ->
   ?backend:backend_kind ->
-  ?batch:bool ->
   ?max_tier:tier ->
-  ?engine:engine ->
   shots:int ->
   Llvm_ir.Ir_module.t ->
   shots_result
@@ -188,45 +184,18 @@ val run_shots_resilient :
     flow through the runtime's recovery paths.
 
     Below the batched tier sits the gate-tape tier ({!Gate_tape}):
-    under [`Auto] with batching allowed, no fuel and no per-shot
-    timeout, on the statevector or stabilizer backend, a proved-static
-    entry point is extracted once and replayed per shot ([tape = true])
-    with bit-identical histograms. The eligibility verdict is cached
-    per module identity ([analysis_s] is 0 on a hit), mirroring the
-    bytecode compile cache. Forcing [`Ast] or [`Bytecode] disables the
-    tape, which differential tests rely on.
+    with no fuel and no per-shot timeout, on the statevector or
+    stabilizer backend, a proved-static entry point is extracted once
+    and replayed per shot ([tape = true]) with bit-identical
+    histograms. The eligibility verdict is cached per module identity
+    ([analysis_s] is 0 on a hit), mirroring the bytecode compile cache,
+    which the loop fills up front.
 
     [max_tier] (default [`Batched]) caps the ladder explicitly:
     [`Tape] skips the batched sampler but keeps gate-tape replay —
     per-shot seeding is identical to the per-shot tier, so chunked
     runs with per-chunk seed offsets merge into bit-identical
-    histograms; [`Per_shot] forces full interpretation.
-    [~batch:false] is the historical spelling of [~max_tier:`Per_shot];
-    the effective cap is the lower of the two. *)
-
-val run_shots :
-  ?session:Session.t ->
-  ?seed:int ->
-  ?backend:backend_kind ->
-  ?fuel:int ->
-  ?batch:bool ->
-  ?engine:engine ->
-  shots:int ->
-  Llvm_ir.Ir_module.t ->
-  (string * int) list
-(** {!run_shots_resilient} with no retries and no deadlines, returning
-    just the histogram — the historical API. Pass [~batch:false] to
-    force per-shot interpretation. *)
-
-val run_circuit_via_qir :
-  ?seed:int ->
-  ?backend:backend_kind ->
-  ?addressing:Qir.Qir_builder.addressing ->
-  ?batch:bool ->
-  shots:int ->
-  Qcircuit.Circuit.t ->
-  (string * int) list
-(** Convenience: circuit -> QIR -> histogram (the E4 architecture). *)
+    histograms; [`Per_shot] forces full interpretation. *)
 
 val pp_histogram : Format.formatter -> (string * int) list -> unit
 

@@ -248,8 +248,11 @@ let str_opt = function Str s -> Some s | _ -> None
 let num_opt = function Num v -> Some v | _ -> None
 let bool_opt = function Bool v -> Some v | _ -> None
 
+(* Integral and within 2^53, where every integer is an exact double and
+   [int_of_float] is defined. *)
 let int_opt = function
-  | Num v when Float.is_integer v -> Some (int_of_float v)
+  | Num v when Float.is_integer v && Float.abs v <= 0x1p53 ->
+    Some (int_of_float v)
   | _ -> None
 
 let mem_str key v = Option.bind (member key v) str_opt

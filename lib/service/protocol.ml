@@ -6,9 +6,9 @@
    Requests:
      {"op":"submit","tenant":"alice","program":"<QIR text>", ...}
      {"op":"submit","tenant":"alice","file":"bell.ll", ...}
-       optional: "id", "shots", "seed", "backend" ("statevector" |
-       "stabilizer" | "faulty:<spec>"), "engine" ("auto"|"ast"|
-       "bytecode"), "timeout" (seconds)
+       optional: "id", "shots" and "seed" (integers), "backend"
+       ("statevector" | "stabilizer" | "faulty:<spec>"), "timeout"
+       (seconds); unknown keys are ignored
      {"op":"stats"}
      {"op":"quit"}
 
@@ -27,7 +27,6 @@ type request =
       shots : int;
       seed : int;
       backend : Executor.backend_kind;
-      engine : Executor.engine;
       timeout : float option;
     }
   | Stats
@@ -45,11 +44,20 @@ let parse_backend = function
     | Error msg -> Error (usage (Printf.sprintf "bad faulty backend spec: %s" msg)))
   | s -> Error (usage (Printf.sprintf "unknown backend %S" s))
 
-let parse_engine = function
-  | "auto" -> Ok `Auto
-  | "ast" -> Ok `Ast
-  | "bytecode" -> Ok `Bytecode
-  | s -> Error (usage (Printf.sprintf "unknown engine %S" s))
+(* An optional integer field: absent gives [default]; present but not
+   an exactly representable integer is the client's error, never a
+   silent default. *)
+let int_field key ~default v =
+  match Jsonx.member key v with
+  | None -> Ok default
+  | Some n -> (
+    match Jsonx.int_opt n with
+    | Some i -> Ok i
+    | None ->
+      Error
+        (usage
+           (Printf.sprintf "%S must be an integer of magnitude at most 2^53"
+              key)))
 
 (* [parse_request line] decodes one protocol line. Errors are
    [Usage]-kind taxonomy values: a malformed request is the client's
@@ -83,21 +91,17 @@ let parse_request line : (request, Qir_error.t) result =
         | None -> Ok `Statevector
         | Some s -> parse_backend s
       in
-      let* engine =
-        match Jsonx.mem_str "engine" v with
-        | None -> Ok `Auto
-        | Some s -> parse_engine s
-      in
+      let* shots = int_field "shots" ~default:1 v in
+      let* seed = int_field "seed" ~default:1 v in
       Ok
         (Submit
            {
              id = Jsonx.mem_str "id" v;
              tenant;
              program;
-             shots = Option.value ~default:1 (Jsonx.mem_int "shots" v);
-             seed = Option.value ~default:1 (Jsonx.mem_int "seed" v);
+             shots;
+             seed;
              backend;
-             engine;
              timeout = Jsonx.mem_num "timeout" v;
            }))
     | Some op -> Error (usage (Printf.sprintf "unknown op %S" op)))
@@ -144,7 +148,6 @@ let event_json (ev : Service.event) =
         ("requested", Jsonx.Num (float_of_int r.Executor.requested));
         ("degraded", Jsonx.Bool r.Executor.degraded);
         ("retries", Jsonx.Num (float_of_int r.Executor.retries));
-        ("engine", Jsonx.Str r.Executor.engine);
         ("tape", Jsonx.Bool r.Executor.tape);
         ("batched", Jsonx.Bool r.Executor.batched);
         ("pool_fallbacks", Jsonx.Num (float_of_int r.Executor.pool_fallbacks));

@@ -53,7 +53,6 @@ type job = {
   shots : int;
   seed : int;
   backend : Executor.backend_kind;
-  engine : Executor.engine;
   deadline : Resilience.Deadline.t; (* absolute; includes queue wait *)
   submitted_at : float; (* Deadline.now instant *)
   bytes : int; (* certified footprint charged against the tenant *)
@@ -288,9 +287,8 @@ let reject ?(shed = false) t ~id ~tenant error =
 let cache_cold t job = not (Executor.Session.is_cached t.session job.m)
 
 let submit t ~tenant ?id ?(shots = 1) ?(seed = 1)
-    ?(backend : Executor.backend_kind = `Statevector)
-    ?(engine : Executor.engine = `Auto) ?timeout (m : Llvm_ir.Ir_module.t) :
-    unit =
+    ?(backend : Executor.backend_kind = `Statevector) ?timeout
+    (m : Llvm_ir.Ir_module.t) : unit =
   locked t @@ fun () ->
   t.submitted <- t.submitted + 1;
   let id =
@@ -348,7 +346,6 @@ let submit t ~tenant ?id ?(shots = 1) ?(seed = 1)
               shots;
               seed;
               backend;
-              engine;
               deadline =
                 Resilience.Deadline.after
                   (match timeout with
@@ -495,8 +492,7 @@ let run_job t (job : job) =
       let r =
         Executor.run_shots_resilient ~session:t.session
           ~policy:(policy_for t (remaining_of job))
-          ~seed:job.seed ~backend:job.backend ~engine:job.engine
-          ~shots:job.shots job.m
+          ~seed:job.seed ~backend:job.backend ~shots:job.shots job.m
       in
       finish r `Batched
     end
@@ -511,7 +507,6 @@ let run_job t (job : job) =
       let retries = ref 0 in
       let degraded = ref false in
       let tape_used = ref false in
-      let engine_used = ref (Executor.engine_name (Executor.resolve_engine job.engine)) in
       let compile_s = ref 0. in
       let analysis_s = ref 0. in
       let lo = ref 0 in
@@ -527,14 +522,12 @@ let run_job t (job : job) =
             Executor.run_shots_resilient ~session:t.session
               ~policy:(policy_for t rem)
               ~seed:(job.seed + (!lo * 7919))
-              ~backend:job.backend ~max_tier:cap ~engine:job.engine ~shots:n
-              job.m
+              ~backend:job.backend ~max_tier:cap ~shots:n job.m
           in
           merge_histogram tbl r.Executor.histogram;
           completed := !completed + r.Executor.completed;
           retries := !retries + r.Executor.retries;
           tape_used := !tape_used || r.Executor.tape;
-          engine_used := r.Executor.engine;
           compile_s := !compile_s +. r.Executor.compile_s;
           analysis_s := !analysis_s +. r.Executor.analysis_s;
           if r.Executor.degraded then begin
@@ -566,7 +559,6 @@ let run_job t (job : job) =
           batch_fallback = false;
           pool_fallbacks =
             Qsim.Dpool.sequential_fallbacks () - pool_fallbacks0;
-          engine = !engine_used;
           tape = !tape_used;
           compile_s = !compile_s;
           analysis_s = !analysis_s;

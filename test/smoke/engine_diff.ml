@@ -1,12 +1,14 @@
-(* Engine differential smoke: the AST interpreter and the bytecode
-   engine must be observably identical. 200 fuzzed modules (random
-   circuits, both addressing modes, feedback workloads, optimized and
-   not) execute per shot under both engines with identical seeds —
-   histograms and interpreter statistics must match bit for bit. A
-   faulty-backend subset checks the retry machinery sees the same world
-   from both engines; a counting-deadline case checks mid-shot timeout
-   fires at the identical instruction; the checked-in examples (and
-   recursive_bad under a fuel ceiling) close the loop on real files.
+(* Engine differential smoke: the production executor (bytecode engine)
+   must be observably identical to its oracle, the AST interpreter
+   behind [Executor.Reference]. 200 fuzzed modules (random circuits,
+   both addressing modes, feedback workloads, optimized and not)
+   execute per shot on both with identical seeds — histograms and
+   interpreter statistics must match bit for bit. A faulty-backend
+   subset checks the retry machinery sees the same world from both; a
+   counting-deadline case checks mid-shot timeout fires at the
+   identical instruction; the checked-in examples (and recursive_bad
+   under a fuel ceiling) close the loop on real files, and a missing
+   example is a failure.
 
    Used by CI as the engine-parity gate:
      dune exec test/smoke/engine_diff.exe *)
@@ -54,12 +56,55 @@ let module_of_circuit ~i c =
   let m = Llvm_ir.Parser.parse_module text in
   if i mod 3 = 0 then Passes.Pipeline.optimize m else m
 
-let run_engine ~policy ~seed ~backend ~engine m =
-  Qruntime.Executor.run_shots_resilient ~policy ~seed ~backend ~batch:false
-    ~engine ~shots m
+(* The production path, capped at the per-shot tier so every shot is
+   interpreted (the tape would replay without the interpreter). *)
+let run_production ~policy ~seed ~backend m =
+  let r =
+    Qruntime.Executor.run_shots_resilient ~policy ~seed ~backend
+      ~max_tier:`Per_shot ~shots m
+  in
+  if r.Qruntime.Executor.tape then fail "per-shot cap still ran the tape";
+  (r.Qruntime.Executor.histogram, r.Qruntime.Executor.retries,
+   r.Qruntime.Executor.completed)
+
+(* The oracle's shot loop, following the per-shot tier's contract: shot
+   [i] runs with seed [seed + i * 7919], keyed by its recorded output
+   (or its results in address order), and transient faults are retried
+   under [policy] with a fresh fault stream per attempt. *)
+let run_oracle ~policy ~seed ~backend m =
+  let tbl = Hashtbl.create 16 in
+  let retries = ref 0 in
+  let rng = Qcircuit.Rng.create seed in
+  for shot = 0 to shots - 1 do
+    match
+      Qruntime.Resilience.with_retries
+        ~on_retry:(fun _ ~attempt:_ -> incr retries)
+        policy rng
+        (fun ~attempt ->
+          Qruntime.Executor.Reference.run
+            ~seed:(seed + (shot * 7919))
+            ~backend ?fuel:policy.Qruntime.Resilience.fuel ~attempt m)
+    with
+    | Ok (r, _) ->
+      let key =
+        if r.Qruntime.Executor.output <> "" then r.Qruntime.Executor.output
+        else
+          String.concat ""
+            (List.map
+               (fun (_, b) -> if b then "1" else "0")
+               r.Qruntime.Executor.results)
+      in
+      Hashtbl.replace tbl key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+    | Error (e, _) -> raise (Qruntime.Qir_error.Error e)
+  done;
+  let hist =
+    List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
+  in
+  (hist, !retries, shots)
 
 (* -------------------------------------------------------------------- *)
-(* 1. fuzzed corpus, both engines, identical seeds                       *)
+(* 1. fuzzed corpus, oracle and production, identical seeds             *)
 
 let fuzzed_corpus () =
   let policy = { Qruntime.Resilience.no_retry with sleep = false } in
@@ -76,21 +121,16 @@ let fuzzed_corpus () =
     in
     try
       let m = module_of_circuit ~i c in
-      let a = run_engine ~policy ~seed ~backend:`Statevector ~engine:`Ast m in
-      let b =
-        run_engine ~policy ~seed ~backend:`Statevector ~engine:`Bytecode m
-      in
-      if a.Qruntime.Executor.histogram <> b.Qruntime.Executor.histogram then
+      let a, _, _ = run_oracle ~policy ~seed ~backend:`Statevector m in
+      let b, _, _ = run_production ~policy ~seed ~backend:`Statevector m in
+      if a <> b then
         fail "circuit %d (seed %d): histogram %s <> %s" i seed
-          (hist_to_string a.Qruntime.Executor.histogram)
-          (hist_to_string b.Qruntime.Executor.histogram);
+          (hist_to_string a) (hist_to_string b);
       (* single-shot stats must agree instruction for instruction *)
       let ra =
-        Qruntime.Executor.run ~seed ~backend:`Statevector ~engine:`Ast m
+        Qruntime.Executor.Reference.run ~seed ~backend:`Statevector m
       in
-      let rb =
-        Qruntime.Executor.run ~seed ~backend:`Statevector ~engine:`Bytecode m
-      in
+      let rb = Qruntime.Executor.run ~seed ~backend:`Statevector m in
       if ra.Qruntime.Executor.output <> rb.Qruntime.Executor.output then
         fail "circuit %d (seed %d): output %S <> %S" i seed
           ra.Qruntime.Executor.output rb.Qruntime.Executor.output;
@@ -132,18 +172,15 @@ let faulty_subset () =
     try
       let m = module_of_circuit ~i c in
       let backend = `Faulty { spec with Qsim.Faulty.fault_seed = seed } in
-      let a = run_engine ~policy ~seed ~backend ~engine:`Ast m in
-      let b = run_engine ~policy ~seed ~backend ~engine:`Bytecode m in
-      if a.Qruntime.Executor.histogram <> b.Qruntime.Executor.histogram then
+      let ha, ra, ca = run_oracle ~policy ~seed ~backend m in
+      let hb, rb, cb = run_production ~policy ~seed ~backend m in
+      if ha <> hb then
         fail "faulty %d (seed %d): histogram %s <> %s" i seed
-          (hist_to_string a.Qruntime.Executor.histogram)
-          (hist_to_string b.Qruntime.Executor.histogram);
-      if a.Qruntime.Executor.retries <> b.Qruntime.Executor.retries then
-        fail "faulty %d (seed %d): retries %d <> %d" i seed
-          a.Qruntime.Executor.retries b.Qruntime.Executor.retries;
-      if a.Qruntime.Executor.completed <> b.Qruntime.Executor.completed then
-        fail "faulty %d (seed %d): completed %d <> %d" i seed
-          a.Qruntime.Executor.completed b.Qruntime.Executor.completed
+          (hist_to_string ha) (hist_to_string hb);
+      if ra <> rb then
+        fail "faulty %d (seed %d): retries %d <> %d" i seed ra rb;
+      if ca <> cb then
+        fail "faulty %d (seed %d): completed %d <> %d" i seed ca cb
     with e ->
       fail "faulty %d (seed %d): raised %s" i seed (Printexc.to_string e)
   done
@@ -179,7 +216,9 @@ let deadline_parity () =
       (fun st -> Llvm_ir.Interp.run_function st "main" [])
   in
   let b =
-    let prog, _, _ = Qruntime.Executor.compiled m in
+    let prog, _, _ =
+      Qruntime.Executor.(Session.compiled Session.default) m
+    in
     timeout_of
       (fun ~deadline ~externals ->
         Llvm_ir.Bc_exec.create ~deadline ~externals prog)
@@ -200,8 +239,7 @@ let examples () =
   let dir = if Sys.file_exists dir then dir else "examples" in
   let run_file name f =
     let path = Filename.concat dir name in
-    if Sys.file_exists path then f path
-    else Printf.eprintf "engine-diff: skipping missing %s\n" path
+    if Sys.file_exists path then f path else fail "missing example %s" path
   in
   List.iter
     (fun name ->
@@ -211,18 +249,15 @@ let examples () =
           close_in ic;
           let m = Llvm_ir.Parser.parse_module text in
           let policy = { Qruntime.Resilience.no_retry with sleep = false } in
-          let a =
-            run_engine ~policy ~seed:11 ~backend:`Statevector ~engine:`Ast m
+          let a, _, _ =
+            run_oracle ~policy ~seed:11 ~backend:`Statevector m
           in
-          let b =
-            run_engine ~policy ~seed:11 ~backend:`Statevector
-              ~engine:`Bytecode m
+          let b, _, _ =
+            run_production ~policy ~seed:11 ~backend:`Statevector m
           in
-          if a.Qruntime.Executor.histogram <> b.Qruntime.Executor.histogram
-          then
-            fail "%s: histogram %s <> %s" name
-              (hist_to_string a.Qruntime.Executor.histogram)
-              (hist_to_string b.Qruntime.Executor.histogram)))
+          if a <> b then
+            fail "%s: histogram %s <> %s" name (hist_to_string a)
+              (hist_to_string b)))
     [
       "bell_static.ll"; "bell_dynamic.ll"; "phi_addr.ll";
       "teleport_helpers.ll";
@@ -233,14 +268,15 @@ let examples () =
       let text = really_input_string ic (in_channel_length ic) in
       close_in ic;
       let m = Llvm_ir.Parser.parse_module text in
-      let msg_of engine =
-        match
-          Qruntime.Executor.run ~seed:5 ~fuel:10 ~engine m
-        with
+      let msg_of run =
+        match run m with
         | _ -> None
         | exception Llvm_ir.Ir_error.Exec_error msg -> Some msg
       in
-      match (msg_of `Ast, msg_of `Bytecode) with
+      match
+        ( msg_of (Qruntime.Executor.Reference.run ~seed:5 ~fuel:10),
+          msg_of (Qruntime.Executor.run ~seed:5 ~fuel:10) )
+      with
       | Some ma, Some mb when ma = mb -> ()
       | Some ma, Some mb -> fail "recursive_bad fuel: %S <> %S" ma mb
       | a, b ->

@@ -60,7 +60,7 @@ let () =
       let r =
         Qruntime.Executor.run_shots_resilient ~policy ~seed
           ~backend:(`Faulty { spec with Qsim.Faulty.fault_seed = seed })
-          ~batch:false ~shots m
+          ~max_tier:`Per_shot ~shots m
       in
       total_retries := !total_retries + r.Qruntime.Executor.retries;
       if r.Qruntime.Executor.degraded then begin

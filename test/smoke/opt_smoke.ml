@@ -54,7 +54,8 @@ let circuit ~redundant ~seed n =
 let eligible m = Qruntime.Gate_tape.extract m <> None
 
 let run_histogram ~seed m =
-  Qruntime.Executor.run_shots ~seed ~batch:false ~shots:48 m
+  (Qruntime.Executor.run_shots_resilient ~seed ~max_tier:`Per_shot ~shots:48 m)
+    .histogram
 
 let () =
   let total = ref 0 in

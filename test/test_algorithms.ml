@@ -12,7 +12,9 @@ let int_t = Alcotest.int
    LSB first in position 0) always equals [expected]. *)
 let assert_deterministic ?(shots = 30) circuit expected_bits =
   let m = Qir.Qir_builder.build circuit in
-  let hist = Qruntime.Executor.run_shots ~seed:5 ~shots m in
+  let hist =
+    (Qruntime.Executor.run_shots_resilient ~seed:5 ~shots m).histogram
+  in
   match hist with
   | [ (key, n) ] ->
     check int_t "all shots" shots n;
@@ -47,7 +49,9 @@ let test_deutsch_jozsa_balanced () =
   List.iter
     (fun mask ->
       let m = Qir.Qir_builder.build (Algorithms.deutsch_jozsa ~n:4 (`Balanced mask)) in
-      let hist = Qruntime.Executor.run_shots ~seed:5 ~shots:30 m in
+      let hist =
+        (Qruntime.Executor.run_shots_resilient ~seed:5 ~shots:30 m).histogram
+      in
       check bool_t "no all-zeros outcome" false
         (List.mem_assoc "0000" hist))
     [ 1; 6; 15 ]
@@ -77,7 +81,9 @@ let test_bv_textual_roundtrip () =
   let c = Algorithms.bernstein_vazirani [ true; false; true ] in
   let text = Qir.Qir_builder.to_string c in
   let m = Llvm_ir.Parser.parse_module text in
-  let hist = Qruntime.Executor.run_shots ~seed:5 ~shots:20 m in
+  let hist =
+    (Qruntime.Executor.run_shots_resilient ~seed:5 ~shots:20 m).histogram
+  in
   check bool_t "recovers secret" true (List.mem_assoc "101" hist);
   check int_t "deterministic" 1 (List.length hist)
 
@@ -88,7 +94,9 @@ let test_bv_routed () =
   let hw = Qmapping.Hardware.linear 4 in
   let routed, _report = Qmapping.Mapper.map ~allocate:false hw c in
   let m = Qir.Qir_builder.build routed in
-  let hist = Qruntime.Executor.run_shots ~seed:9 ~shots:20 m in
+  let hist =
+    (Qruntime.Executor.run_shots_resilient ~seed:9 ~shots:20 m).histogram
+  in
   match hist with
   | [ (key, 20) ] -> check Alcotest.string "outcome" "110" key
   | _ -> Alcotest.fail "routing broke determinism"

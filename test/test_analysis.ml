@@ -276,8 +276,8 @@ let test_quantum_dce_removes_dead_gate () =
   check int_t "x removed" 0 (count_calls_to m' Names.(qis "x"));
   check int_t "h kept" 1 (count_calls_to m' Names.(qis "h"));
   (* removing the dead gate does not change the output distribution *)
-  let hist = Executor.run_shots ~seed:7 ~shots:100 m in
-  let hist' = Executor.run_shots ~seed:7 ~shots:100 m' in
+  let hist = (Executor.run_shots_resilient ~seed:7 ~shots:100 m).histogram in
+  let hist' = (Executor.run_shots_resilient ~seed:7 ~shots:100 m').histogram in
   check bool_t "same histogram" true (hist = hist')
 
 let test_quantum_dce_respects_entanglement () =
@@ -375,8 +375,8 @@ let test_to_static_converts_where_syntactic_refuses () =
   (* and the observable behavior is unchanged: qubit 1 is always
      flipped, qubit 0 stays uniform *)
   let shots = 300 in
-  let hist = Executor.run_shots ~seed:13 ~shots m in
-  let hist' = Executor.run_shots ~seed:29 ~shots m' in
+  let hist = (Executor.run_shots_resilient ~seed:13 ~shots m).histogram in
+  let hist' = (Executor.run_shots_resilient ~seed:29 ~shots m').histogram in
   let count key h = Option.value ~default:0 (List.assoc_opt key h) in
   List.iter
     (fun h ->
@@ -818,8 +818,8 @@ let test_to_static_through_calls () =
   check bool_t "conforms base" true (Profile_check.conforms Profile.Base m');
   (* distribution equivalence: qubit 1 always flipped, qubit 0 uniform *)
   let shots = 300 in
-  let hist = Executor.run_shots ~seed:11 ~shots m in
-  let hist' = Executor.run_shots ~seed:23 ~shots m' in
+  let hist = (Executor.run_shots_resilient ~seed:11 ~shots m).histogram in
+  let hist' = (Executor.run_shots_resilient ~seed:23 ~shots m').histogram in
   let count key h = Option.value ~default:0 (List.assoc_opt key h) in
   List.iter
     (fun h ->
@@ -905,10 +905,10 @@ declare i64 @choose()
 let run_opt = Passes.Pipeline.run_pass "quantum-opt"
 
 (* Bit-identical histograms, per-shot sampling: the batched sampler
-   draws in a different order, so exact equality needs ~batch:false. *)
+   draws in a different order, so exact equality needs the per-shot tier. *)
 let same_histogram ?(seed = 11) ?(shots = 64) m m' =
-  Executor.run_shots ~seed ~batch:false ~shots m
-  = Executor.run_shots ~seed ~batch:false ~shots m'
+  (Executor.run_shots_resilient ~seed ~max_tier:`Per_shot ~shots m).histogram
+  = (Executor.run_shots_resilient ~seed ~max_tier:`Per_shot ~shots m').histogram
 
 let test_qopt_cancel_across_classical () =
   let m =

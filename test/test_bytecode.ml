@@ -248,7 +248,8 @@ exit:
   check string_t "same timeout point" a b
 
 (* Differential property: random circuits through the full QIR path
-   produce identical outputs, results and stats under both engines. *)
+   produce identical outputs, results and stats under the production
+   executor and the reference interpreter. *)
 let prop_engine_differential =
   QCheck2.Test.make ~count:40 ~name:"bytecode engine matches ast engine"
     QCheck2.Gen.(pair (int_range 0 100000) (int_range 2 5))
@@ -256,8 +257,8 @@ let prop_engine_differential =
       let c = Qcircuit.Generate.random ~seed ~gates:30 n in
       let addressing = if seed mod 2 = 0 then `Static else `Dynamic in
       let m = Qir.Qir_builder.build ~addressing c in
-      let ra = Qruntime.Executor.run ~seed ~engine:`Ast m in
-      let rb = Qruntime.Executor.run ~seed ~engine:`Bytecode m in
+      let ra = Qruntime.Executor.Reference.run ~seed m in
+      let rb = Qruntime.Executor.run ~seed m in
       ra.Qruntime.Executor.output = rb.Qruntime.Executor.output
       && ra.Qruntime.Executor.results = rb.Qruntime.Executor.results
       && stats_to_string ra.Qruntime.Executor.interp_stats
@@ -268,14 +269,15 @@ let prop_engine_differential =
 
 let test_compile_cache () =
   let m = Parser.parse_module loop_qir in
-  let p1, _, hit1 = Qruntime.Executor.compiled m in
-  let p2, _, hit2 = Qruntime.Executor.compiled m in
+  let compiled = Qruntime.Executor.(Session.compiled Session.default) in
+  let p1, _, hit1 = compiled m in
+  let p2, _, hit2 = compiled m in
   check bool_t "first is a miss" false hit1;
   check bool_t "second is a hit" true hit2;
   check bool_t "same program" true (p1 == p2);
   (* a different parse of the same text is a different module *)
   let m' = Parser.parse_module loop_qir in
-  let _, _, hit3 = Qruntime.Executor.compiled m' in
+  let _, _, hit3 = compiled m' in
   check bool_t "reparse is a miss" false hit3
 
 (* ------------------------------------------------------------------ *)
@@ -365,21 +367,21 @@ let test_tape_proved_address () =
   check bool_t "computed address still tapes" true
     (Qruntime.Gate_tape.extract m <> None)
 
-(* The tape's histogram must equal forced per-shot interpretation. *)
+(* Under the default tier cap the tape fires, and its histogram must
+   equal per-shot interpretation at the same seed. *)
 let tape_matches_from text =
   let m = Parser.parse_module text in
-  let auto =
-    Qruntime.Executor.run_shots_resilient ~seed:9 ~shots:60 ~engine:`Auto m
+  let tape = Qruntime.Executor.run_shots_resilient ~seed:9 ~shots:60 m in
+  check bool_t "tape fired" true tape.Qruntime.Executor.tape;
+  let per_shot =
+    Qruntime.Executor.run_shots_resilient ~seed:9 ~shots:60
+      ~max_tier:`Per_shot m
   in
-  check bool_t "tape fired" true auto.Qruntime.Executor.tape;
-  let ast =
-    Qruntime.Executor.run_shots_resilient ~seed:9 ~shots:60 ~batch:false
-      ~engine:`Ast m
-  in
-  check bool_t "ast ran per shot" false ast.Qruntime.Executor.tape;
+  check bool_t "per-shot cap keeps the tape off" false
+    per_shot.Qruntime.Executor.tape;
   Alcotest.(check (list (pair string int)))
-    "identical histogram" ast.Qruntime.Executor.histogram
-    auto.Qruntime.Executor.histogram
+    "identical histogram" per_shot.Qruntime.Executor.histogram
+    tape.Qruntime.Executor.histogram
 
 let test_tape_histogram_matches () = tape_matches_from static_circuit_qir
 let test_tape_histogram_computed () = tape_matches_from computed_addr_qir
@@ -389,7 +391,7 @@ let test_tape_histogram_computed () = tape_matches_from computed_addr_qir
 let test_tape_verdict_cache () =
   let m = Parser.parse_module static_circuit_qir in
   let run m =
-    Qruntime.Executor.run_shots_resilient ~seed:5 ~shots:3 ~engine:`Auto m
+    Qruntime.Executor.run_shots_resilient ~seed:5 ~shots:3 m
   in
   let r1 = run m in
   check bool_t "tape fired" true r1.Qruntime.Executor.tape;

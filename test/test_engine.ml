@@ -335,12 +335,12 @@ let total_variation h1 h2 =
 let test_batched_matches_per_shot () =
   let c = measure_all (Generate.random ~seed:8 ~gates:40 ~parametric:true 4) in
   let shots = 2000 in
-  let batched =
-    Qruntime.Executor.run_circuit_via_qir ~seed:3 ~batch:true ~shots c
+  let m = Qir.Qir_builder.build c in
+  let run max_tier =
+    (Qruntime.Executor.run_shots_resilient ~seed:3 ~max_tier ~shots m)
+      .Qruntime.Executor.histogram
   in
-  let per_shot =
-    Qruntime.Executor.run_circuit_via_qir ~seed:3 ~batch:false ~shots c
-  in
+  let batched = run `Batched and per_shot = run `Per_shot in
   check int_t "batched shot total" shots
     (List.fold_left (fun a (_, n) -> a + n) 0 batched);
   let tv = total_variation batched per_shot in
@@ -367,8 +367,11 @@ let test_batched_deterministic_permutation () =
   (* QPE measures qubit i into clbit bits-1-i: the batched path must
      reproduce the per-shot (recorded-output) key exactly *)
   let m = Qir.Qir_builder.build (Algorithms.phase_estimation ~bits:3 ~k:5) in
-  let batched = Qruntime.Executor.run_shots ~seed:4 ~shots:50 m in
-  let per_shot = Qruntime.Executor.run_shots ~seed:4 ~batch:false ~shots:50 m in
+  let run max_tier =
+    (Qruntime.Executor.run_shots_resilient ~seed:4 ~max_tier ~shots:50 m)
+      .Qruntime.Executor.histogram
+  in
+  let batched = run `Batched and per_shot = run `Per_shot in
   check bool_t "same deterministic histogram" true (batched = per_shot);
   match batched with
   | [ (key, 50) ] -> check Alcotest.string "key" "101" key

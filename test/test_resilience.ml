@@ -48,8 +48,8 @@ let policy ?(retries = 8) () =
 let recovered_equals_fault_free backend =
   let m = bell () in
   let reference =
-    Executor.run_shots_resilient ~policy:(policy ()) ~seed:5 ~batch:false
-      ~shots:300 m
+    Executor.run_shots_resilient ~policy:(policy ()) ~seed:5
+      ~max_tier:`Per_shot ~shots:300 m
   in
   let injected_before = Qsim.Faulty.injected () in
   let r =
@@ -142,7 +142,9 @@ let test_shot_deadline_stops_spinning_program () =
   let m = Llvm_ir.Parser.parse_module spin_src in
   let p = { (policy ()) with Resilience.shot_timeout = Some 0.02 } in
   let t0 = Unix.gettimeofday () in
-  let r = Executor.run_shots_resilient ~policy:p ~batch:false ~shots:3 m in
+  let r =
+    Executor.run_shots_resilient ~policy:p ~max_tier:`Per_shot ~shots:3 m
+  in
   check bool_t "degraded" true r.Executor.degraded;
   check bool_t "stopped promptly" true (Unix.gettimeofday () -. t0 < 5.0)
 
@@ -179,7 +181,7 @@ let test_batch_fallback_identical_histogram () =
   check bool_t "fallback engaged" true fell_back.Executor.batch_fallback;
   check bool_t "no longer batched" false fell_back.Executor.batched;
   let per_shot =
-    Executor.run_shots_resilient ~seed:4 ~batch:false ~shots:400 m
+    Executor.run_shots_resilient ~seed:4 ~max_tier:`Per_shot ~shots:400 m
   in
   check hist_t "fallback histogram = per-shot histogram"
     per_shot.Executor.histogram fell_back.Executor.histogram
@@ -323,13 +325,6 @@ let test_spec_parsing () =
     | Error msg -> Alcotest.fail msg
     | Ok s' -> check bool_t "round trip" true (s = s'))
 
-let test_run_shots_back_compat () =
-  (* the historical API still produces the same histograms *)
-  let m = bell () in
-  let old_api = Executor.run_shots ~seed:8 ~shots:150 m in
-  let new_api = Executor.run_shots_resilient ~seed:8 ~shots:150 m in
-  check hist_t "identical" new_api.Executor.histogram old_api
-
 let suite =
   [
     Alcotest.test_case "recover from gate faults" `Quick
@@ -365,6 +360,4 @@ let suite =
     Alcotest.test_case "with_retries accounting" `Quick
       test_with_retries_counts;
     Alcotest.test_case "fault spec parsing" `Quick test_spec_parsing;
-    Alcotest.test_case "run_shots back-compat" `Quick
-      test_run_shots_back_compat;
   ]

@@ -14,7 +14,7 @@ let count key hist = Option.value ~default:0 (List.assoc_opt key hist)
 
 let test_bell_static () =
   let m = Qir_builder.build ~addressing:`Static (Generate.bell ()) in
-  let hist = Executor.run_shots ~shots:200 m in
+  let hist = (Executor.run_shots_resilient ~shots:200 m).histogram in
   check int_t "all shots accounted" 200 (total hist);
   check int_t "only 00 and 11" 0
     (total (List.filter (fun (k, _) -> k <> "00" && k <> "11") hist));
@@ -23,7 +23,7 @@ let test_bell_static () =
 
 let test_bell_dynamic () =
   let m = Qir_builder.build ~addressing:`Dynamic (Generate.bell ()) in
-  let hist = Executor.run_shots ~shots:200 m in
+  let hist = (Executor.run_shots_resilient ~shots:200 m).histogram in
   check int_t "only 00 and 11" 0
     (total (List.filter (fun (k, _) -> k <> "00" && k <> "11") hist));
   check bool_t "both outcomes occur" true
@@ -46,7 +46,9 @@ let test_paper_ex4_loop_executes () =
 
 let test_ghz_via_qir () =
   let hist =
-    Executor.run_circuit_via_qir ~seed:5 ~shots:100 (Generate.ghz 5)
+    (Executor.run_shots_resilient ~seed:5 ~shots:100
+       (Qir.Qir_builder.build (Generate.ghz 5)))
+      .histogram
   in
   check int_t "only extreme outcomes" 0
     (total (List.filter (fun (k, _) -> k <> "00000" && k <> "11111") hist));
@@ -61,7 +63,7 @@ let test_feedback_correction () =
   Circuit.Build.gate b ~cond:{ Circuit.cbits = [ 0 ]; value = 1 } Gate.X [ 1 ];
   Circuit.Build.measure b 1 1;
   let m = Qir_builder.build (Circuit.Build.finish b) in
-  let hist = Executor.run_shots ~shots:20 m in
+  let hist = (Executor.run_shots_resilient ~shots:20 m).histogram in
   check int_t "always 11" 20 (count "11" hist)
 
 let test_feedback_not_taken () =
@@ -71,12 +73,14 @@ let test_feedback_not_taken () =
   Circuit.Build.gate b ~cond:{ Circuit.cbits = [ 0 ]; value = 1 } Gate.X [ 1 ];
   Circuit.Build.measure b 1 1;
   let m = Qir_builder.build (Circuit.Build.finish b) in
-  let hist = Executor.run_shots ~shots:20 m in
+  let hist = (Executor.run_shots_resilient ~shots:20 m).histogram in
   check int_t "always 00" 20 (count "00" hist)
 
 let test_stabilizer_backend () =
   let m = Qir_builder.build (Generate.ghz 4) in
-  let hist = Executor.run_shots ~backend:`Stabilizer ~shots:100 m in
+  let hist =
+    (Executor.run_shots_resilient ~backend:`Stabilizer ~shots:100 m).histogram
+  in
   check int_t "only extreme outcomes" 0
     (total (List.filter (fun (k, _) -> k <> "0000" && k <> "1111") hist));
   check bool_t "both occur" true
@@ -84,8 +88,14 @@ let test_stabilizer_backend () =
 
 let test_backends_agree_on_distribution () =
   let m = Qir_builder.build (Generate.bell ()) in
-  let sv = Executor.run_shots ~seed:11 ~backend:`Statevector ~shots:300 m in
-  let sb = Executor.run_shots ~seed:23 ~backend:`Stabilizer ~shots:300 m in
+  let sv =
+    (Executor.run_shots_resilient ~seed:11 ~backend:`Statevector ~shots:300 m)
+      .histogram
+  in
+  let sb =
+    (Executor.run_shots_resilient ~seed:23 ~backend:`Stabilizer ~shots:300 m)
+      .histogram
+  in
   let frac hist key = float_of_int (count key hist) /. 300.0 in
   check bool_t "p(00) close" true
     (Float.abs (frac sv "00" -. frac sb "00") < 0.15)
@@ -135,7 +145,7 @@ let test_rotation_angles_flow () =
   Circuit.Build.gate b (Gate.Rx Float.pi) [ 0 ];
   Circuit.Build.measure b 0 0;
   let m = Qir_builder.build (Circuit.Build.finish b) in
-  let hist = Executor.run_shots ~shots:20 m in
+  let hist = (Executor.run_shots_resilient ~shots:20 m).histogram in
   check int_t "always 1" 20 (count "1" hist)
 
 let test_hybrid_program_with_classical_code () =

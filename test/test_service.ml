@@ -96,6 +96,46 @@ let test_jsonx_rejects_garbage () =
     (Jsonx.parse "\"\\u00e9\"" = Ok (Jsonx.Str "\xc3\xa9"))
 
 (* ------------------------------------------------------------------ *)
+(* Protocol                                                             *)
+
+let submit_line fields =
+  Printf.sprintf "{\"op\":\"submit\",\"tenant\":\"t\",\"program\":\"p\"%s}"
+    fields
+
+(* A present "shots" or "seed" must be an integer an IEEE double holds
+   exactly; anything else is the client's error, not a silent 1. *)
+let test_protocol_rejects_bad_ints () =
+  List.iter
+    (fun fields ->
+      match Protocol.parse_request (submit_line fields) with
+      | Ok _ -> Alcotest.failf "accepted %s" fields
+      | Error e ->
+        check string_t (fields ^ ": kind") "usage"
+          (Qir_error.kind_name e.Qir_error.kind))
+    [
+      ",\"shots\":\"1000\""; ",\"shots\":2.5"; ",\"shots\":null";
+      ",\"shots\":true"; ",\"shots\":1e300"; ",\"shots\":-1e19";
+      ",\"seed\":\"7\""; ",\"seed\":0.5"; ",\"seed\":9007199254740994";
+    ]
+
+let test_protocol_reads_ints () =
+  let shots_seed fields =
+    match Protocol.parse_request (submit_line fields) with
+    | Ok (Protocol.Submit { shots; seed; _ }) -> (shots, seed)
+    | Ok _ -> Alcotest.fail "not a submit"
+    | Error e -> Alcotest.fail e.Qir_error.message
+  in
+  let pair_t = Alcotest.(pair int int) in
+  check pair_t "defaults" (1, 1) (shots_seed "");
+  check pair_t "integral numbers" (1000, -3)
+    (shots_seed ",\"shots\":1000,\"seed\":-3.0");
+  check pair_t "2^53 is exact" (1, 9007199254740992)
+    (shots_seed ",\"seed\":9007199254740992");
+  (* "engine" is no longer a request field: ignored like any unknown key *)
+  check pair_t "engine key ignored" (5, 1)
+    (shots_seed ",\"shots\":5,\"engine\":\"turbo\"")
+
+(* ------------------------------------------------------------------ *)
 (* Scheduler                                                            *)
 
 let test_scheduler_weighted_fairness () =
@@ -714,6 +754,10 @@ let suite =
     Alcotest.test_case "jsonx: round-trip" `Quick test_jsonx_roundtrip;
     Alcotest.test_case "jsonx: rejects garbage" `Quick
       test_jsonx_rejects_garbage;
+    Alcotest.test_case "protocol: malformed shots/seed are usage errors"
+      `Quick test_protocol_rejects_bad_ints;
+    Alcotest.test_case "protocol: integer shots/seed, unknown keys ignored"
+      `Quick test_protocol_reads_ints;
     Alcotest.test_case "scheduler: weighted fairness" `Quick
       test_scheduler_weighted_fairness;
     Alcotest.test_case "scheduler: idle tenants rejoin fairly" `Quick
