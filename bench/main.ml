@@ -527,13 +527,53 @@ let a1 () =
    measured against the seed's naive general-kernel engine. Results are
    also written machine-readably to BENCH_simulator.json. *)
 
-(* E9 and E14 both report into BENCH_simulator.json: each stores its
-   fragment here and rewrites the file with whatever has run so far, so
-   a BENCH_ONLY subset still produces a valid record. The pool fragment
-   is computed at write time, after any domain sweeps have restored the
-   configuration, so the file records the pool the numbers were
-   actually measured with. *)
+(* E9, E14, E18 and E19 report into BENCH_simulator.json: each stores
+   its fragment here and rewrites the file with whatever has run so far,
+   keeping the top-level entries of the existing file that this run did
+   not regenerate — so a BENCH_ONLY subset updates its own entries and
+   leaves the others as last measured. The pool fragment is computed at
+   write time, after any domain sweeps have restored the configuration,
+   so the file records the pool the numbers were actually measured
+   with. *)
 let sim_fragments : (string * string) list ref = ref []
+
+(* The top-level entries of a file in this writer's layout, as (key,
+   text) pairs: an entry starts at a line indented by exactly two
+   spaces and runs up to the next one or the closing brace; the comma
+   separating it from the next entry is dropped. *)
+let top_level_entries text =
+  let starts line = String.length line > 3 && String.sub line 0 3 = {|  "|} in
+  let entry = function
+    | [] -> None
+    | rev_lines ->
+      let lines = List.rev rev_lines in
+      let body = String.concat "\n" lines in
+      let body =
+        if String.ends_with ~suffix:"," body then
+          String.sub body 0 (String.length body - 1)
+        else body
+      in
+      Some (List.nth (String.split_on_char '"' (List.hd lines)) 1, body)
+  in
+  let done_, cur =
+    List.fold_left
+      (fun (done_, cur) line ->
+        if starts line then (entry cur :: done_, [ line ])
+        else if cur <> [] && line <> "}" && line <> "" then (done_, line :: cur)
+        else (done_, cur))
+      ([], [])
+      (String.split_on_char '\n' text)
+  in
+  List.filter_map Fun.id (List.rev (entry cur :: done_))
+
+let sim_previous =
+  lazy
+    (match open_in "BENCH_simulator.json" with
+    | ic ->
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      top_level_entries text
+    | exception Sys_error _ -> [])
 
 let write_sim_json () =
   let pool =
@@ -544,9 +584,17 @@ let write_sim_json () =
       (Qsim.Dpool.threshold ())
       (Qsim.Dpool.sequential_fallbacks ())
   in
-  let body =
-    String.concat ",\n" (List.map snd (List.rev !sim_fragments) @ [ pool ])
+  let fresh = List.map snd (List.rev !sim_fragments) in
+  let fresh_keys =
+    List.concat_map (fun f -> List.map fst (top_level_entries f)) fresh
   in
+  let kept =
+    List.filter_map
+      (fun (k, body) ->
+        if k = "pool" || List.mem k fresh_keys then None else Some body)
+      (Lazy.force sim_previous)
+  in
+  let body = String.concat ",\n" (kept @ fresh @ [ pool ]) in
   let oc = open_out "BENCH_simulator.json" in
   output_string oc (Printf.sprintf "{\n%s\n}\n" body);
   close_out oc;
@@ -962,6 +1010,93 @@ let e18 () =
       (baseline_ghz_s /. t28)
   in
   add_sim_fragment "e18" fragment
+
+(* ------------------------------------------------------------------ *)
+(* E19 — the shot-branching batched tier on a mid-circuit measurement.
+   The case: an 18-qubit, 200-gate Clifford+T circuit with
+   a mid-circuit measurement after gate 10 — of a qubit whose outcome is
+   close to a fair coin there — into an extra clbit, the qubit reused,
+   then every qubit measured at the end; 1000 shots. The tape tier
+   replays the whole circuit per shot (timed on 20 shots, reported per
+   shot); the branching tier runs one fused simulation per measurement
+   branch for all 1000 shots. The same circuit without the mid-circuit
+   measurement is the one-simulation floor. Every run is cold: a fresh
+   session pays its plan, analysis or compile. Written to
+   BENCH_simulator.json. *)
+
+let e19 () =
+  Harness.section "E19" "shot-branching tier vs tape replay, mid-circuit measurement";
+  let n = 18 and gates = 200 and at = 10 and shots = 1000 and tape_shots = 20 in
+  (* the qubit closest to a fair coin after gate [at], in the first
+     circuit (seed 77 up) that has one within 0.25 of it: a measurement
+     of a basis state would not branch *)
+  let balanced seed =
+    let body = (Generate.random ~seed ~parametric:false ~gates n).Circuit.ops in
+    let st, _ =
+      Qsim.Statevector.run_circuit
+        (Circuit.create ~num_qubits:n ~num_clbits:0 (List.filteri (fun i _ -> i < at) body))
+    in
+    let bias q = Float.abs (Qsim.Statevector.prob_one st q -. 0.5) in
+    let q = List.fold_left (fun b q -> if bias q < bias b then q else b) 0 (List.init n Fun.id) in
+    if bias q < 0.25 then Some (seed, body, q) else None
+  in
+  let rec first seed = match balanced seed with Some r -> r | None -> first (seed + 1) in
+  let seed, body, mid_q = first 77 in
+  let terminal = List.init n (fun q -> Circuit.measure q q) in
+  let with_mid =
+    Circuit.create ~num_qubits:n ~num_clbits:(n + 1)
+      (List.filteri (fun i _ -> i < at) body
+      @ [ Circuit.measure mid_q n ]
+      @ List.filteri (fun i _ -> i >= at) body
+      @ terminal)
+  in
+  let terminal_only = Circuit.create ~num_qubits:n ~num_clbits:n (body @ terminal) in
+  let run ?max_tier ~shots c =
+    let m = Qir.Qir_builder.build c in
+    let session = Qruntime.Executor.Session.create () in
+    let result = ref None in
+    let t =
+      Harness.time_once (fun () ->
+          result :=
+            Some (Qruntime.Executor.run_shots_resilient ~session ?max_tier ~seed:3 ~shots m))
+    in
+    (Option.get !result, t)
+  in
+  let floor, t_floor = run ~shots terminal_only in
+  let tape, t_tape = run ~max_tier:`Tape ~shots:tape_shots with_mid in
+  let br, t_br = run ~shots with_mid in
+  let tape_per_shot = t_tape /. float_of_int tape_shots in
+  let projected = tape_per_shot *. float_of_int shots in
+  Harness.row "  %d-qubit, %d-gate Clifford+T circuit, qubit %d measured after gate %d:@
+"
+    n gates mid_q at;
+  Harness.row "  %-40s %12s@
+" "terminal only, batched (1000 shots)"
+    (Harness.ns_to_string (t_floor *. 1e9));
+  Harness.row "  %-40s %12s per shot (tape=%b)@
+" "tape tier (20 shots)"
+    (Harness.ns_to_string (tape_per_shot *. 1e9))
+    tape.Qruntime.Executor.tape;
+  Harness.row "  %-40s %12s, %d branches (batched=%b) — %.0fx the tape tier@
+"
+    "branching tier (1000 shots)"
+    (Harness.ns_to_string (t_br *. 1e9))
+    br.Qruntime.Executor.branches br.Qruntime.Executor.batched (projected /. t_br);
+  let fragment =
+    Printf.sprintf
+      {|  "e19_branching": {
+    "circuit": { "qubits": %d, "gates": %d, "family": "clifford+t", "seed": %d, "mid_measure_after_gate": %d, "mid_qubit": %d },
+    "shots": %d,
+    "terminal_only_batched_s": %.6f, "terminal_only_branches": %d,
+    "tape": { "shots": %d, "time_s": %.6f, "s_per_shot": %.6f, "tape": %b, "projected_s": %.6f },
+    "branching": { "time_s": %.6f, "branches": %d, "batched": %b, "shots_completed": %d },
+    "speedup_vs_tape": %.1f
+  }|}
+      n gates seed at mid_q shots t_floor floor.Qruntime.Executor.branches tape_shots t_tape
+      tape_per_shot tape.Qruntime.Executor.tape projected t_br br.Qruntime.Executor.branches
+      br.Qruntime.Executor.batched br.Qruntime.Executor.completed (projected /. t_br)
+  in
+  add_sim_fragment "e19" fragment
 
 (* ------------------------------------------------------------------ *)
 (* E15 — the multi-tenant service under mixed hot/cold load             *)
@@ -2244,4 +2379,5 @@ let () =
   run "e16" e16;
   run "e17" e17;
   run "e18" e18;
+  run "e19" e19;
   Format.printf "@\nAll benchmarks complete.@\n"

@@ -63,19 +63,27 @@ let run input shots seed backend no_batch stats timeout shot_timeout
      budget, or when the charged footprint (proof over declaration)
      exceeds it. Exit 8 (overload), like qir-serve. *)
   let resource_s = ref 0. in
-  Option.iter
-    (fun budget ->
-      let cert, cert_s, _ =
-        Qruntime.Executor.Session.cert_of Qruntime.Executor.Session.default m
-      in
+  let max_tier = if no_batch then `Per_shot else `Batched in
+  let max_tier =
+    match mem_budget with
+    | None -> max_tier
+    | Some budget -> (
+      let session = Qruntime.Executor.Session.default in
+      let cert, cert_s, _ = Qruntime.Executor.Session.cert_of session m in
       resource_s := cert_s;
-      match Qservice.Admission.check ~cert ~budget ~backend m with
+      (* the session sizes the shot-branching footprint, when it may run *)
+      let session = if no_batch then None else Some session in
+      match
+        Qservice.Admission.check ~cert ?session ~shots ~budget ~backend m
+      with
       | Ok v ->
-        Option.iter
-          (fun note -> Printf.eprintf "qir-run: %s\n%!" note)
-          v.Qservice.Admission.v_qr003
+        List.iter
+          (Printf.eprintf "qir-run: %s\n%!")
+          (List.filter_map Fun.id
+             [ v.Qservice.Admission.v_qr003; v.Qservice.Admission.v_capped ]);
+        if v.Qservice.Admission.v_capped <> None then `Tape else max_tier
       | Error e -> Cli_common.fail_error e)
-    mem_budget;
+  in
   (* Wall-clock breakdown under --stats, as one stable-keyed JSON line:
      parse / analysis (every static pass: quantum optimizer plus
      gate-tape eligibility) / resource (certification for admission) /
@@ -127,18 +135,18 @@ let run input shots seed backend no_batch stats timeout shot_timeout
   else begin
     let r =
       Qruntime.Executor.run_shots_resilient ~policy ~seed ~backend
-        ~max_tier:(if no_batch then `Per_shot else `Batched) ~shots m
+        ~max_tier ~shots m
     in
     Format.printf "%a@?" Qruntime.Executor.pp_histogram
       r.Qruntime.Executor.histogram;
     if stats then begin
       Printf.printf
         "completed=%d/%d retries=%d batched=%b batch-fallback=%b \
-         pool-fallbacks=%d tape=%b\n"
+         pool-fallbacks=%d tape=%b branches=%d\n"
         r.Qruntime.Executor.completed r.Qruntime.Executor.requested
         r.Qruntime.Executor.retries r.Qruntime.Executor.batched
         r.Qruntime.Executor.batch_fallback r.Qruntime.Executor.pool_fallbacks
-        r.Qruntime.Executor.tape;
+        r.Qruntime.Executor.tape r.Qruntime.Executor.branches;
       (* Machine-readable mirror of the line above, plus the session
          cache counters — stable keys, like the timings line. *)
       let c =
@@ -147,16 +155,20 @@ let run input shots seed backend no_batch stats timeout shot_timeout
       Printf.printf
         "stats: {\"completed\": %d, \"requested\": %d, \"retries\": %d, \
          \"batched\": %b, \"batch_fallback\": %b, \"pool_fallbacks\": %d, \
-         \"tape\": %b, \"compile_cache_hits\": %d, \
+         \"tape\": %b, \"branches\": %d, \"compile_cache_hits\": %d, \
          \"compile_cache_misses\": %d, \"tape_cache_hits\": %d, \
-         \"tape_cache_misses\": %d}\n"
+         \"tape_cache_misses\": %d, \"plan_cache_hits\": %d, \
+         \"plan_cache_misses\": %d}\n"
         r.Qruntime.Executor.completed r.Qruntime.Executor.requested
         r.Qruntime.Executor.retries r.Qruntime.Executor.batched
         r.Qruntime.Executor.batch_fallback r.Qruntime.Executor.pool_fallbacks
-        r.Qruntime.Executor.tape c.Qruntime.Executor.Session.compile_hits
+        r.Qruntime.Executor.tape r.Qruntime.Executor.branches
+        c.Qruntime.Executor.Session.compile_hits
         c.Qruntime.Executor.Session.compile_misses
         c.Qruntime.Executor.Session.tape_hits
-        c.Qruntime.Executor.Session.tape_misses;
+        c.Qruntime.Executor.Session.tape_misses
+        c.Qruntime.Executor.Session.plan_hits
+        c.Qruntime.Executor.Session.plan_misses;
       print_opt_stats ();
       print_timings ~compile_s:r.Qruntime.Executor.compile_s
         ~analysis_s:r.Qruntime.Executor.analysis_s
@@ -226,9 +238,10 @@ let no_batch =
   Arg.(value & flag & info [ "no-batch" ]
          ~doc:"Cap execution at the per-shot tier: interpret the program \
                once per shot, with neither batched sampling nor gate-tape \
-               replay. By default, measurement-terminal programs are \
-               simulated once and all shots are drawn from the final \
-               distribution.")
+               replay. By default, programs the QIR-to-circuit parser \
+               accepts run on the shot-branching tier: one simulation \
+               per mid-circuit measurement branch, every shot of a \
+               branch drawn from its final distribution.")
 
 let stats =
   Arg.(value & flag & info [ "stats" ]

@@ -6,6 +6,9 @@ type t
 val create : int -> t
 (** [create seed]. Equal seeds give equal streams. *)
 
+val copy : t -> t
+(** An independent generator continuing the same stream. *)
+
 val next_int64 : t -> int64
 
 val int : t -> int -> int

@@ -11,10 +11,10 @@
    - per-shot and total wall-clock deadlines abort cleanly: completed
      shots are kept and the result is flagged [degraded] instead of
      being lost;
-   - the batched sampling fast path falls back to per-shot execution if
-     the batchability check or the fused prefix fails mid-run, and the
-     Domain pool falls back to sequential sweeps if workers cannot be
-     spawned — both fallbacks are counted in {!shots_result}. *)
+   - the batched (shot-branching) fast path falls back to per-shot
+     execution if the fused simulation fails mid-run, and the Domain
+     pool falls back to sequential sweeps if workers cannot be spawned —
+     both fallbacks are counted in {!shots_result}. *)
 
 open Llvm_ir
 
@@ -27,12 +27,138 @@ type run_result = {
   interp_stats : Interp.stats;
   runtime_stats : Runtime.stats;
   compile_s : float; (* bytecode compile time (0 on cache hit / oracle) *)
+  qubits : int; (* simulator register size at the end of the shot *)
 }
 
 (* ------------------------------------------------------------------ *)
+(* Program shape                                                        *)
+
+(* How the program names its qubits: [(dynamic, static)] — does some
+   function call qubit_allocate(_array), and does some quantum call pass
+   a constant qubit address? *)
+let addressing (m : Ir_module.t) =
+  let dynamic = ref false and static = ref false in
+  List.iter
+    (fun (f : Func.t) ->
+      List.iter
+        (fun (b : Block.t) ->
+          List.iter
+            (fun (i : Instr.t) ->
+              match i.Instr.op with
+              | Instr.Call (_, callee, args) -> (
+                if
+                  String.equal callee Names.rt_qubit_allocate
+                  || String.equal callee Names.rt_qubit_allocate_array
+                then dynamic := true
+                else
+                  match Signatures.find callee with
+                  | Some sg when List.length sg.Signatures.args = List.length args ->
+                    List.iter2
+                      (fun kind (a : Operand.typed) ->
+                        match kind, a.Operand.v with
+                        | Signatures.Qubit, Operand.Const _ -> static := true
+                        | _ -> ())
+                      sg.Signatures.args args
+                  | _ -> ())
+              | _ -> ())
+            b.Block.instrs)
+        f.Func.blocks)
+    (Ir_module.defined_funcs m);
+  (!dynamic, !static)
+
+(* Initial register size: the entry point's declared requirement, or 0
+   (the register grows on demand — Sec. IV-A). *)
+let declared_qubits (m : Ir_module.t) =
+  match Ir_module.entry_point m with
+  | Some f -> (
+    match Func.attr f "required_num_qubits" with
+    | Some n -> Option.value ~default:0 (int_of_string_opt n)
+    | None -> 0)
+  | None -> 0
+
+(* A program that allocates its qubits at run time starts from an empty
+   register: preallocating the declared count as well would simulate
+   twice the qubits. Static addresses index the register directly, so a
+   program naming any keeps the declared prefix reserved. *)
+let initial_qubits (m : Ir_module.t) =
+  match addressing m with
+  | true, false -> 0
+  | _ -> declared_qubits m
+
+(* The sampling plan behind the batched tier: the QIR program parsed
+   back into a circuit (Ex. 3), its clbits renumbered to recorded-output
+   order, prepared for shot-branching sampling.
+
+   Key compatibility: the per-shot histogram is keyed by the recorded
+   output (result_record_output call order), or by results in address
+   order when nothing is recorded. The parser assigns clbit = result id
+   in allocation order, so a recorded result becomes the clbit of its
+   position in the recorded output, and a measured but unrecorded one
+   (it may still feed a condition) a clbit past them; the key reads the
+   recorded positions. Programs that record a result twice or one that
+   is never measured, read an unmeasured result in a condition, or mix
+   static addresses with dynamic allocation (the parser numbers both
+   from qubit 0) have no plan. *)
+let remap_output_order (c : Qcircuit.Circuit.t) recorded =
+  let open Qcircuit in
+  let pos = Hashtbl.create 8 in
+  let ok = ref true in
+  List.iteri
+    (fun i r -> if Hashtbl.mem pos r then ok := false else Hashtbl.add pos r i)
+    recorded;
+  let next = ref (List.length recorded) in
+  List.iter
+    (fun (op : Circuit.op) ->
+      match op.Circuit.kind with
+      | Circuit.Measure (_, cl) when not (Hashtbl.mem pos cl) ->
+        Hashtbl.add pos cl !next;
+        incr next
+      | _ -> ())
+    c.Circuit.ops;
+  let at cl =
+    match Hashtbl.find_opt pos cl with
+    | Some i -> i
+    | None ->
+      ok := false;
+      cl
+  in
+  let measured = Hashtbl.create 8 in
+  let ops =
+    List.map
+      (fun (op : Circuit.op) ->
+        let cond =
+          Option.map
+            (fun (cd : Circuit.cond) ->
+              { cd with Circuit.cbits = List.map at cd.Circuit.cbits })
+            op.Circuit.cond
+        in
+        match op.Circuit.kind with
+        | Circuit.Measure (q, cl) ->
+          Hashtbl.replace measured cl ();
+          { Circuit.kind = Circuit.Measure (q, at cl); cond }
+        | _ -> { op with Circuit.cond })
+      c.Circuit.ops
+  in
+  if !ok && List.for_all (Hashtbl.mem measured) recorded then
+    Some { c with Circuit.ops; num_clbits = !next }
+  else None
+
+let sampling_plan (m : Ir_module.t) =
+  match addressing m with
+  | true, true -> None
+  | _ -> (
+    match Qir.Qir_parser.parse_with_output m with
+    | Ok (c, []) -> Some (Qsim.Sampler.prepare c)
+    | Ok (c, recorded) ->
+      let key = List.init (List.length recorded) Fun.id in
+      Option.map (Qsim.Sampler.prepare ~key) (remap_output_order c recorded)
+    | Error _ -> None)
+
+(* ------------------------------------------------------------------ *)
 (* Sessions: the reentrant, handle-based home for everything that used
-   to be module-global mutable state — the compile-once bytecode cache
-   and the gate-tape verdict cache, both keyed by module *identity*
+   to be module-global mutable state — the compile-once bytecode cache,
+   the gate-tape verdict cache, the resource-certificate cache and the
+   sampling-plan cache, all keyed by module *identity*
    (physical equality), plus hit/miss counters the service tier and
    qir-run --stats read. A long-running daemon creates one session per
    logical cache domain; callers that never mention sessions share
@@ -55,7 +181,13 @@ module Session = struct
     tape_misses : int;
     cert_hits : int;
     cert_misses : int;
+    plan_hits : int;
+    plan_misses : int;
   }
+
+  (* A plan-cache entry. [warm] is set once an execution (not just an
+     admission check) asked for the plan. *)
+  type plan_entry = { plan : Qsim.Sampler.plan option; mutable warm : bool }
 
   type t = {
     lock : Mutex.t;
@@ -63,12 +195,15 @@ module Session = struct
     mutable compile_cache : (Ir_module.t * Bytecode.program * float) list;
     mutable tape_cache : (Ir_module.t * Gate_tape.t option * float) list;
     mutable cert_cache : (Ir_module.t * Qir_analysis.Resource.t * float) list;
+    mutable plan_cache : (Ir_module.t * plan_entry * float) list;
     mutable compile_hits : int;
     mutable compile_misses : int;
     mutable tape_hits : int;
     mutable tape_misses : int;
     mutable cert_hits : int;
     mutable cert_misses : int;
+    mutable plan_hits : int;
+    mutable plan_misses : int;
   }
 
   let create ?(cache_limit = 8) () =
@@ -80,12 +215,15 @@ module Session = struct
       compile_cache = [];
       tape_cache = [];
       cert_cache = [];
+      plan_cache = [];
       compile_hits = 0;
       compile_misses = 0;
       tape_hits = 0;
       tape_misses = 0;
       cert_hits = 0;
       cert_misses = 0;
+      plan_hits = 0;
+      plan_misses = 0;
     }
 
   (* The process-wide session behind the session-less API. *)
@@ -162,6 +300,29 @@ module Session = struct
           s.cert_misses <- s.cert_misses + 1;
           (cert, dt, false))
 
+  (* The sampling-plan cache, fourth sibling: the QIR-to-circuit parse,
+     output-order remap and fusion plan behind the batched tier, or the
+     proved [None], so hot runs skip all three. Admission control asks
+     for the plan with [~warm:false] (it needs the branch-point count
+     before anything runs); only an execution's lookup warms the entry
+     for {!is_cached}. *)
+  let plan_of ?(warm = true) s (m : Ir_module.t) :
+      Qsim.Sampler.plan option * float * bool =
+    locked s (fun () ->
+        match touch m s.plan_cache with
+        | Some ((_, entry, dt), reordered) ->
+          s.plan_cache <- reordered;
+          s.plan_hits <- s.plan_hits + 1;
+          if warm then entry.warm <- true;
+          (entry.plan, dt, true)
+        | None ->
+          let t0 = Unix.gettimeofday () in
+          let plan = sampling_plan m in
+          let dt = Unix.gettimeofday () -. t0 in
+          s.plan_cache <- (m, { plan; warm }, dt) :: trim s.limit s.plan_cache;
+          s.plan_misses <- s.plan_misses + 1;
+          (plan, dt, false))
+
   let cache_stats s =
     locked s (fun () ->
         {
@@ -171,14 +332,18 @@ module Session = struct
           tape_misses = s.tape_misses;
           cert_hits = s.cert_hits;
           cert_misses = s.cert_misses;
+          plan_hits = s.plan_hits;
+          plan_misses = s.plan_misses;
         })
 
-  (* Is this module warm in either cache? Admission control and the
+  (* Has an execution warmed this module — compiled it, analysed its
+     tape, or sampled from its plan? Admission control and the
      load-shedding policy treat cache-hot jobs as nearly free. *)
   let is_cached s (m : Ir_module.t) =
     locked s (fun () ->
         List.exists (fun (m', _, _) -> m' == m) s.compile_cache
-        || List.exists (fun (m', _, _) -> m' == m) s.tape_cache)
+        || List.exists (fun (m', _, _) -> m' == m) s.tape_cache
+        || List.exists (fun (m', e, _) -> m' == m && e.warm) s.plan_cache)
 
   (* The cached tape verdict, if the analysis already ran — a peek that
      never triggers the (expensive) analysis itself. *)
@@ -195,22 +360,13 @@ let backend_of_kind ?seed ?attempt (kind : backend_kind) n :
   | (`Statevector | `Stabilizer) as k -> Qsim.Backend.create_instance ?seed k n
   | `Faulty spec -> Qsim.Faulty.create_instance ?seed ?attempt spec n
 
-(* Initial register size: the entry point's declared requirement, or 0
-   (the register grows on demand — Sec. IV-A). *)
-let declared_qubits (m : Ir_module.t) =
-  match Ir_module.entry_point m with
-  | Some f -> (
-    match Func.attr f "required_num_qubits" with
-    | Some n -> Option.value ~default:0 (int_of_string_opt n)
-    | None -> 0)
-  | None -> 0
-
 (* One shot: backend, runtime, deadline and entry point are set up here
    once for both interpreters; [interpret ~fuel ~deadline ~externals
-   entry] runs the entry and returns its stats and compile seconds. *)
+   entry] runs the entry and returns its stats and compile seconds.
+   [qubits] is the initial register size ({!initial_qubits}). *)
 let run_with ?(seed = 1) ?(backend : backend_kind = `Statevector) ?fuel
-    ?deadline ?attempt (m : Ir_module.t) interpret : run_result =
-  let inst = backend_of_kind ~seed ?attempt backend (declared_qubits m) in
+    ?deadline ?attempt ~qubits (m : Ir_module.t) interpret : run_result =
+  let inst = backend_of_kind ~seed ?attempt backend qubits in
   let rt = Runtime.create inst in
   let deadline = Resilience.Deadline.to_check deadline in
   let externals = Runtime.externals rt in
@@ -230,23 +386,29 @@ let run_with ?(seed = 1) ?(backend : backend_kind = `Statevector) ?fuel
     interp_stats;
     runtime_stats = Runtime.stats rt;
     compile_s;
+    qubits = Qsim.Backend.instance_num_qubits inst;
   }
 
-let run ?(session = Session.default) ?seed ?backend ?fuel ?deadline ?attempt
+let run_bytecode ~session ?seed ?backend ?fuel ?deadline ?attempt ~qubits
     (m : Ir_module.t) : run_result =
-  run_with ?seed ?backend ?fuel ?deadline ?attempt m
+  run_with ?seed ?backend ?fuel ?deadline ?attempt ~qubits m
     (fun ~fuel ~deadline ~externals entry ->
       let prog, compile_s, cached = Session.compiled session m in
       let st = Bc_exec.create ?fuel ?deadline ~externals prog in
       let _ = Bc_exec.run_function st entry [] in
       (Bc_exec.stats st, if cached then 0. else compile_s))
 
+let run ?(session = Session.default) ?seed ?backend ?fuel ?deadline ?attempt
+    (m : Ir_module.t) : run_result =
+  run_bytecode ~session ?seed ?backend ?fuel ?deadline ?attempt
+    ~qubits:(initial_qubits m) m
+
 (* The tree-walking interpreter as the differential oracle for [run]:
    same setup, same observable results, no production path reaches it. *)
 module Reference = struct
   let run ?seed ?backend ?fuel ?deadline ?attempt (m : Ir_module.t) :
       run_result =
-    run_with ?seed ?backend ?fuel ?deadline ?attempt m
+    run_with ?seed ?backend ?fuel ?deadline ?attempt ~qubits:(initial_qubits m) m
       (fun ~fuel ~deadline ~externals entry ->
         let st = Interp.create ?fuel ?deadline ~externals m in
         let _ = Interp.run_function st entry [] in
@@ -280,68 +442,14 @@ let shot_key r =
     String.concat ""
       (List.map (fun (_, b) -> if b then "1" else "0") r.results)
 
-(* The batched fast path (Sec. "as fast as the hardware allows"): when
-   the QIR program parses back into a circuit (Ex. 3) whose shots are
-   all drawn from one terminal distribution — no mid-circuit
-   measurement feeding later operations, no reset, no classical
-   conditional — run the fused unitary prefix once and sample every
-   shot from the final probabilities, instead of re-interpreting the
-   whole program per shot.
-
-   Key compatibility: the per-shot histogram is keyed by the recorded
-   output (result_record_output call order), or by results in address
-   order when nothing is recorded. The parser assigns clbit = result id
-   in allocation order, so before sampling we remap clbits to the
-   recorded order; programs whose recorded output is not a permutation
-   of the measured results fall back to per-shot execution. *)
-let remap_output_order (c : Qcircuit.Circuit.t) recorded =
-  let open Qcircuit in
-  match recorded with
-  | [] -> Some c (* no record calls: keys read results in address order *)
-  | _ ->
-    let pos = Hashtbl.create 8 in
-    let dup = ref false in
-    List.iteri
-      (fun i r -> if Hashtbl.mem pos r then dup := true else Hashtbl.add pos r i)
-      recorded;
-    let measures = ref 0 in
-    let ok = ref (not !dup) in
-    let ops =
-      List.map
-        (fun (op : Circuit.op) ->
-          match op.Circuit.kind with
-          | Circuit.Measure (q, cl) -> (
-            incr measures;
-            match Hashtbl.find_opt pos cl with
-            | Some i -> { op with Circuit.kind = Circuit.Measure (q, i) }
-            | None ->
-              ok := false;
-              op)
-          | _ -> op)
-        c.Circuit.ops
-    in
-    if !ok && !measures = List.length recorded then
-      Some { c with Circuit.ops; num_clbits = List.length recorded }
-    else None
-
-let batched_circuit (m : Ir_module.t) =
-  match Qir.Qir_parser.parse_with_output m with
-  | Ok (c, recorded) -> (
-    match remap_output_order c recorded with
-    | Some c when Qsim.Sampler.batchable c -> Some c
-    | Some _ | None -> None)
-  | Error _ -> None
-
-let batchable m = Option.is_some (batched_circuit m)
-
-(* The execution-tier ladder, fastest first: [`Batched] (fused unitary
-   prefix, one simulation, all shots sampled from the final
-   distribution), [`Tape] (proved-static gate sequence replayed per
-   shot), [`Per_shot] (full interpretation per shot). Capping the tier
-   walks the ladder downward — the service tier degrades under overload
-   by capping cold or contended jobs at [`Tape] or [`Per_shot], which
-   chunk and stream cleanly, instead of letting one monolithic batched
-   run monopolize the scheduler. *)
+(* The execution-tier ladder, fastest first: [`Batched] (shot-branching
+   sampling: one fused simulation per measurement branch, every shot of
+   a branch drawn from its final distribution), [`Tape] (proved-static
+   gate sequence replayed per shot), [`Per_shot] (full interpretation
+   per shot). Capping the tier walks the ladder downward — the service
+   tier degrades under overload by capping cold or contended jobs at
+   [`Tape] or [`Per_shot], which chunk and stream cleanly, instead of
+   letting one monolithic batched run monopolize the scheduler. *)
 type tier = [ `Batched | `Tape | `Per_shot ]
 
 let tier_name : tier -> string = function
@@ -364,6 +472,7 @@ type shots_result = {
   tape : bool; (* histogram came from gate-tape replay *)
   compile_s : float; (* bytecode compile time (0 on cache hit) *)
   analysis_s : float; (* tape-eligibility static analysis time *)
+  branches : int; (* fused simulations the batched tier ran; 0 off it *)
 }
 
 (* Test hook: raised inside the batched path to exercise the
@@ -386,15 +495,11 @@ let run_shots_resilient ?(session = Session.default)
   let total_deadline = Resilience.Deadline.after policy.total_timeout in
   let pool_fallbacks0 = Qsim.Dpool.sequential_fallbacks () in
   let retries = ref 0 in
-  (* Compile once up front (and time it); every retry and shot below
-     hits the cache. *)
-  let compile_s =
-    let _, dt, cached = Session.compiled session m in
-    if cached then 0. else dt
-  in
+  let compile_s = ref 0. in
   let analysis_s = ref 0. in
   let tape_hit = ref false in
-  let finish ~histogram ~completed ~degraded ~batched ~batch_fallback =
+  let finish ?(branches = 0) ~histogram ~completed ~degraded ~batched
+      ~batch_fallback () =
     {
       histogram;
       completed;
@@ -405,32 +510,41 @@ let run_shots_resilient ?(session = Session.default)
       batch_fallback;
       pool_fallbacks = Qsim.Dpool.sequential_fallbacks () - pool_fallbacks0;
       tape = !tape_hit;
-      compile_s;
+      compile_s = !compile_s;
       analysis_s = !analysis_s;
+      branches;
     }
   in
-  (* The batched fast path applies only to the plain statevector
-     backend: the stabilizer backend cannot expose amplitudes, and the
-     faulty backend must execute per shot so faults actually flow
-     through the runtime and its recovery paths. *)
+  (* The batched tier applies only to the plain statevector backend: the
+     stabilizer backend cannot expose amplitudes, and the faulty backend
+     must execute per shot so faults actually flow through the runtime
+     and its recovery paths. The plan comes from the session cache; a
+     deadline that expires at a branch point ends the run with no shots
+     (a partial branching run would be a biased sample). *)
   let batched_attempt =
     if Resilience.Deadline.expired total_deadline then
       (* already over budget: let the per-shot loop record degradation *)
       `Not_batchable
     else if allow_batched && shots > 1 && backend = `Statevector then
-      match batched_circuit m with
-      | None -> `Not_batchable
-      | Some c -> (
+      match Session.plan_of session m with
+      | None, _, _ -> `Not_batchable
+      | Some plan, _, _ -> (
+        let stop () = Resilience.Deadline.expired total_deadline in
         try
           !batch_sabotage ();
-          `Batched (Qsim.Sampler.sample ~seed ~shots c)
-        with e when Qir_error.of_exn e <> None -> `Fallback)
+          `Batched (Qsim.Sampler.run ~seed ~stop ~shots plan)
+        with
+        | Qsim.Sampler.Stopped -> `Stopped
+        | e when Qir_error.of_exn e <> None -> `Fallback)
     else `Not_batchable
   in
   match batched_attempt with
-  | `Batched histogram ->
-    finish ~histogram ~completed:shots ~degraded:false ~batched:true
-      ~batch_fallback:false
+  | `Batched (histogram, stats) ->
+    finish ~branches:stats.Qsim.Sampler.branches ~histogram ~completed:shots
+      ~degraded:false ~batched:true ~batch_fallback:false ()
+  | `Stopped ->
+    finish ~histogram:[] ~completed:0 ~degraded:true ~batched:true
+      ~batch_fallback:false ()
   | (`Not_batchable | `Fallback) as outcome -> (
     let batch_fallback = outcome = `Fallback in
     (* The gate-tape tier: when the cap allows it and the analyses prove
@@ -476,8 +590,13 @@ let run_shots_resilient ?(session = Session.default)
          done
        with Deadline_hit -> ());
       finish ~histogram:(sorted_histogram tbl) ~completed:!completed
-        ~degraded:!degraded ~batched:false ~batch_fallback
+        ~degraded:!degraded ~batched:false ~batch_fallback ()
     | None ->
+      (* Compile once (and time it); every retry and shot below hits the
+         cache. *)
+      (let _, dt, cached = Session.compiled session m in
+       compile_s := if cached then 0. else dt);
+      let qubits = initial_qubits m in
       let tbl = Hashtbl.create 16 in
       let completed = ref 0 in
       let degraded = ref false in
@@ -497,10 +616,10 @@ let run_shots_resilient ?(session = Session.default)
                ~on_retry:(fun _ ~attempt:_ -> incr retries)
                policy rng
                (fun ~attempt ->
-                 run ~session
+                 run_bytecode ~session
                    ~seed:(seed + (shot * 7919))
                    ~backend ?fuel:policy.Resilience.fuel
-                   ?deadline:shot_deadline ~attempt m)
+                   ?deadline:shot_deadline ~attempt ~qubits m)
            with
            | Ok (r, _) ->
              let key = shot_key r in
@@ -516,7 +635,7 @@ let run_shots_resilient ?(session = Session.default)
          done
        with Deadline_hit -> ());
       finish ~histogram:(sorted_histogram tbl) ~completed:!completed
-        ~degraded:!degraded ~batched:false ~batch_fallback)
+        ~degraded:!degraded ~batched:false ~batch_fallback ())
 
 let pp_histogram ppf hist =
   List.iter

@@ -14,8 +14,9 @@ type backend_kind =
 
     A session is the reentrant, handle-based home for everything that
     used to be module-global mutable state: the compile-once bytecode
-    cache and the gate-tape verdict cache, keyed by module identity
-    ([==]), plus hit/miss counters. Every run entry point takes
+    cache, the gate-tape verdict cache, the resource-certificate cache
+    and the sampling-plan cache, keyed by module identity ([==]), plus
+    hit/miss counters. Every run entry point takes
     [?session]; callers that omit it share {!Session.default}, which
     preserves the historical behaviour exactly. A long-running service
     creates one session per logical cache domain and probes it for
@@ -30,6 +31,8 @@ module Session : sig
     tape_misses : int;
     cert_hits : int;
     cert_misses : int;
+    plan_hits : int;
+    plan_misses : int;
   }
 
   val create : ?cache_limit:int -> unit -> t
@@ -53,11 +56,22 @@ module Session : sig
       static bounds ({!Qir_analysis.Resource.certify}) that admission
       control and the cost-fair scheduler charge. *)
 
+  val plan_of :
+    ?warm:bool -> t -> Llvm_ir.Ir_module.t -> Qsim.Sampler.plan option * float * bool
+  (** The sampling-plan cache behind the batched tier, shaped like
+      {!compiled}: the program parsed back into a circuit
+      ({!Qir.Qir_parser.parse_with_output}), its clbits renumbered to
+      recorded-output order, prepared by {!Qsim.Sampler.prepare} — or
+      [None] when the program has no such circuit. [warm] (default true)
+      marks the module warm for {!is_cached}; admission control passes
+      [false], since sizing a job is not running it. *)
+
   val cache_stats : t -> cache_stats
 
   val is_cached : t -> Llvm_ir.Ir_module.t -> bool
-  (** Is the module warm in either cache? Admission control and load
-      shedding treat cache-hot jobs as nearly free. *)
+  (** Has an execution warmed the module — is it in the compile or tape
+      cache, or in the plan cache with a warm entry? Admission control
+      and load shedding treat cache-hot jobs as nearly free. *)
 
   val cached_tape : t -> Llvm_ir.Ir_module.t -> Gate_tape.t option
   (** The cached tape verdict if the analysis already ran; never
@@ -67,17 +81,14 @@ end
 (** {1 Execution tiers} *)
 
 type tier = [ `Batched | `Tape | `Per_shot ]
-(** The execution-tier ladder, fastest first: fused-prefix batched
-    sampling, proved-static gate-tape replay, full per-shot
+(** The execution-tier ladder, fastest first: shot-branching batched
+    sampling ({!Qsim.Sampler}: one fused simulation per measurement
+    branch), proved-static gate-tape replay, full per-shot
     interpretation. Capping the tier (see {!run_shots_resilient})
     walks the ladder downward — the service tier degrades under
     overload by capping jobs at [`Tape] or [`Per_shot]. *)
 
 val tier_name : tier -> string
-
-val batchable : Llvm_ir.Ir_module.t -> bool
-(** Would the batched fast path accept this module (on the plain
-    statevector backend)? A cheap syntactic probe — no simulation. *)
 
 type run_result = {
   output : string;  (** recorded-output bitstring, clbit order *)
@@ -85,11 +96,17 @@ type run_result = {
   interp_stats : Llvm_ir.Interp.stats;
   runtime_stats : Runtime.stats;
   compile_s : float;  (** bytecode compile seconds; 0 on cache hit *)
+  qubits : int;  (** simulator register size at the end of the shot *)
 }
 
 val declared_qubits : Llvm_ir.Ir_module.t -> int
 (** The entry point's [required_num_qubits], or 0 (the register grows on
     demand). *)
+
+val initial_qubits : Llvm_ir.Ir_module.t -> int
+(** The register a shot starts from: 0 when the program allocates its
+    qubits at run time and names none by a constant address (the
+    allocations build the register), else {!declared_qubits}. *)
 
 val run :
   ?session:Session.t ->
@@ -153,6 +170,10 @@ type shots_result = {
   tape : bool;  (** histogram came from the gate-tape fast path *)
   compile_s : float;  (** bytecode compile seconds; 0 on cache hit *)
   analysis_s : float;  (** gate-tape eligibility analysis seconds *)
+  branches : int;
+      (** fused simulations the batched tier ran (leaves of the
+          measurement-branch tree; 1 for terminal-measurement programs),
+          0 when another tier answered *)
 }
 
 val run_shots_resilient :
@@ -176,12 +197,18 @@ val run_shots_resilient :
     Permanent errors (and exhausted retry budgets) raise
     {!Qir_error.Error}.
 
-    The batched fast path (fused unitary prefix simulated once, shots
-    drawn from the final distribution) applies to measurement-terminal
-    programs on the plain statevector backend; if it fails mid-run the
-    loop falls back to per-shot execution ([batch_fallback = true]).
-    The faulty backend always executes per shot, so injected faults
-    flow through the runtime's recovery paths.
+    The batched tier is shot-branching sampling ({!Qsim.Sampler}) over
+    the session's cached plan ({!Session.plan_of}): every program the
+    QIR-to-circuit parser accepts — mid-circuit measurements, resets,
+    classically conditioned operations, static or dynamic addressing —
+    runs at most [min(2^k, shots)] fused simulations for [k] branch
+    points ([branches] reports how many), on the plain statevector
+    backend. If it fails mid-run the loop falls back to per-shot
+    execution ([batch_fallback = true]); a total deadline that expires
+    at a branch point returns no shots, [degraded = true]. The faulty
+    backend always executes per shot, so injected faults flow through
+    the runtime's recovery paths. Only the per-shot tier compiles
+    bytecode.
 
     Below the batched tier sits the gate-tape tier ({!Gate_tape}):
     with no fuel and no per-shot timeout, on the statevector or

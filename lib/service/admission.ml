@@ -18,6 +18,13 @@
      more. When a proof shows a *higher* peak than the declaration the
      proof wins and the discrepancy is surfaced as a QR003 note.
 
+   A job the shot-branching batched tier will run (plain statevector,
+   more than one shot, a sampling plan with k branch points) holds up to
+   min(k, floor(log2 shots)) + 1 states at once and is charged that
+   many. When that exceeds the budget but one state fits, the job is
+   admitted capped at the tape tier — one state per shot — instead of
+   being rejected.
+
    Stabilizer-backed jobs use the tableau's quadratic footprint, which
    is negligible at any qubit count this toolchain accepts. Modules
    that declare nothing (registers grow on demand) are admitted at the
@@ -50,9 +57,12 @@ let backend_bytes ~(backend : Qruntime.Executor.backend_kind) q =
 (* What the admission decision was sized from. *)
 type verdict = {
   v_qubits : int;  (* register requirement charged *)
-  v_bytes : int;  (* footprint charged (per the backend model) *)
+  v_bytes : int;  (* footprint charged (per the backend model, per live state) *)
   v_source : [ `Declared | `Tape | `Certificate ];
   v_qr003 : string option;  (* set when a proof beats the declaration *)
+  v_capped : string option;
+      (* set when the branching footprint is over budget and the job
+         must run capped at the tape tier *)
 }
 
 (* The register requirement the footprint is sized from: the declared
@@ -92,7 +102,13 @@ let evaluate ?tape ?cert ~(backend : Qruntime.Executor.backend_kind)
            v_qubits)
     else None
   in
-  { v_qubits; v_bytes = backend_bytes ~backend v_qubits; v_source; v_qr003 }
+  {
+    v_qubits;
+    v_bytes = backend_bytes ~backend v_qubits;
+    v_source;
+    v_qr003;
+    v_capped = None;
+  }
 
 let required_qubits ?tape ?cert (m : Llvm_ir.Ir_module.t) =
   (evaluate ?tape ?cert ~backend:`Statevector m).v_qubits
@@ -118,6 +134,12 @@ let overload fmt =
            ~layer:Qruntime.Qir_error.L_service message))
     fmt
 
+(* Statevectors live at once when the branching tier runs [shots] shots
+   over [k] branch points. *)
+let branching_states ~k ~shots =
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
+  min k (log2 shots) + 1
+
 (* [check ~budget ~backend m] admits or rejects the job on memory
    grounds. [Error] carries an [Overload]-kind taxonomy error (stable
    exit code 8) so the rejection flows through the same reporting path
@@ -126,9 +148,15 @@ let overload fmt =
    With a certificate, the *proven lower bound* is tested first: when
    even the cheapest execution breaches the budget the job is rejected
    before any compilation — that rejection costs one static analysis,
-   not a bytecode compile plus a doomed simulation. *)
-let check ?tape ?cert ~budget ~(backend : Qruntime.Executor.backend_kind)
-    (m : Llvm_ir.Ir_module.t) : (verdict, Qruntime.Qir_error.t) result =
+   not a bytecode compile plus a doomed simulation.
+
+   [session] is the cache whose sampling plan sizes the shot-branching
+   footprint; callers omit it when the job cannot run on the batched
+   tier. The plan (a QIR parse and a fusion plan) is only looked up
+   once one state fits. *)
+let check ?tape ?cert ?session ?(shots = 1) ~budget
+    ~(backend : Qruntime.Executor.backend_kind) (m : Llvm_ir.Ir_module.t) :
+    (verdict, Qruntime.Qir_error.t) result =
   let lower_reject =
     match cert with
     | Some c ->
@@ -150,7 +178,32 @@ let check ?tape ?cert ~budget ~(backend : Qruntime.Executor.backend_kind)
         "admission rejected: %d-qubit statevector footprint %s exceeds the \
          %s memory budget"
         v.v_qubits (bytes_to_string v.v_bytes) (bytes_to_string budget)
-    else Ok v
+    else
+      let plan =
+        match session with
+        | Some s when backend = `Statevector && shots > 1 ->
+          let plan, _, _ = Qruntime.Executor.Session.plan_of ~warm:false s m in
+          plan
+        | _ -> None
+      in
+      match plan with
+      | Some plan ->
+        let states = branching_states ~k:(Qsim.Sampler.branch_points plan) ~shots in
+        if v.v_bytes <= budget / states then Ok { v with v_bytes = states * v.v_bytes }
+        else
+          Ok
+            {
+              v with
+              v_capped =
+                Some
+                  (Printf.sprintf
+                     "branching tier needs %d states (%s) over the %s memory \
+                      budget; capped at the tape tier"
+                     states
+                     (bytes_to_string (states * v.v_bytes))
+                     (bytes_to_string budget));
+            }
+      | None -> Ok v
 
 (* Per-tenant memory accounting: the certified footprints of a tenant's
    in-flight jobs must fit the budget *together*, not just one at a

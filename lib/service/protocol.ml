@@ -150,6 +150,7 @@ let event_json (ev : Service.event) =
         ("retries", Jsonx.Num (float_of_int r.Executor.retries));
         ("tape", Jsonx.Bool r.Executor.tape);
         ("batched", Jsonx.Bool r.Executor.batched);
+        ("branches", Jsonx.Num (float_of_int r.Executor.branches));
         ("pool_fallbacks", Jsonx.Num (float_of_int r.Executor.pool_fallbacks));
         ("wait_s", Jsonx.Num wait_s);
         ("run_s", Jsonx.Num run_s);
@@ -182,6 +183,8 @@ let stats_json (s : Service.stats) =
       n "tape_cache_misses" s.Service.cache.Executor.Session.tape_misses;
       n "cert_cache_hits" s.Service.cache.Executor.Session.cert_hits;
       n "cert_cache_misses" s.Service.cache.Executor.Session.cert_misses;
+      n "plan_cache_hits" s.Service.cache.Executor.Session.plan_hits;
+      n "plan_cache_misses" s.Service.cache.Executor.Session.plan_misses;
     ]
 
 (* A protocol-level error (unparsable line, missing field) as an event

@@ -56,6 +56,7 @@ type job = {
   deadline : Resilience.Deadline.t; (* absolute; includes queue wait *)
   submitted_at : float; (* Deadline.now instant *)
   bytes : int; (* certified footprint charged against the tenant *)
+  cap : Executor.tier; (* admission's tier cap: [`Tape] when branching won't fit *)
 }
 
 type config = {
@@ -319,7 +320,7 @@ let submit t ~tenant ?id ?(shots = 1) ?(seed = 1)
     match
       Admission.check
         ?tape:(Executor.Session.cached_tape t.session m)
-        ~cert ~budget:t.config.mem_budget ~backend m
+        ~cert ~session:t.session ~shots ~budget:t.config.mem_budget ~backend m
     with
     | Error e -> fail e
     | Ok v -> (
@@ -353,6 +354,7 @@ let submit t ~tenant ?id ?(shots = 1) ?(seed = 1)
                   | None -> t.config.default_timeout);
               submitted_at = Resilience.Deadline.now ();
               bytes = v.Admission.v_bytes;
+              cap = (if v.Admission.v_capped = None then `Batched else `Tape);
             }
           in
           let admit () =
@@ -368,7 +370,12 @@ let submit t ~tenant ?id ?(shots = 1) ?(seed = 1)
             ignore (Scheduler.push ~cost t.sched ~tenant ~weight job);
             charge t tenant job.bytes;
             t.accepted <- t.accepted + 1;
-            t.emit (Accepted { id; tenant; note = v.Admission.v_qr003 })
+            let note =
+              match List.filter_map Fun.id [ v.Admission.v_qr003; v.Admission.v_capped ] with
+              | [] -> None
+              | notes -> Some (String.concat "; " notes)
+            in
+            t.emit (Accepted { id; tenant; note })
           in
           if Scheduler.length t.sched < t.config.max_queue then admit ()
           else if cache_cold t job then
@@ -450,14 +457,14 @@ let run_job t (job : job) =
      ladder: Elevated caps them at the tape tier — tape and per-shot
      chunk and stream cleanly, so no cold job monopolizes the
      scheduler for a whole batched run — and Critical drops them to
-     per-shot interpretation while the Domain pool runs sequentially. *)
+     per-shot interpretation while the Domain pool runs sequentially.
+     Admission's own cap (a branching footprint over the memory budget)
+     is the ceiling at every level. *)
   let cap : Executor.tier =
-    if hot then `Batched
-    else
-      match level with
-      | Normal -> `Batched
-      | Elevated -> `Tape
-      | Critical -> `Per_shot
+    match hot, level with
+    | false, Elevated -> `Tape
+    | false, Critical -> `Per_shot
+    | _ -> job.cap
   in
   let throttle = level = Critical in
   Qsim.Dpool.set_throttle throttle;
@@ -485,7 +492,9 @@ let run_job t (job : job) =
   in
   let batchable =
     job.shots > 1 && job.backend = `Statevector && cap = `Batched
-    && Executor.batchable job.m
+    && (match Executor.Session.plan_of t.session job.m with
+       | Some _, _, _ -> true
+       | None, _, _ -> false)
   in
   try
     if batchable then begin
@@ -562,6 +571,7 @@ let run_job t (job : job) =
           tape = !tape_used;
           compile_s = !compile_s;
           analysis_s = !analysis_s;
+          branches = 0;
         }
       in
       finish result (if !tape_used then `Tape else `Per_shot)

@@ -1,63 +1,117 @@
-(* Batched shot sampling: when a circuit is a unitary prefix followed by
-   terminal measurements — no mid-circuit measurement feeding later
-   operations, no reset, no classical conditional — re-simulating the
-   whole circuit per shot is pure waste. Run the (fused) unitary once,
-   marginalize the final probability distribution onto the measured
-   qubits, and draw all shots from the cumulative distribution.
+(* Shot-branching sampling: simulate each distinct measurement history
+   once instead of re-simulating the whole circuit per shot.
 
-   The histogram keys are bitstrings over the measured classical bits in
-   clbit order, matching both {!Statevector.run_circuit}'s clbit array
-   and the QIR builder's result-recording order, so batched histograms
-   are directly comparable with per-shot ones. *)
+   A measurement is *terminal* when it is unconditioned and no later
+   operation touches its qubit or its clbit (writes it, or reads it in a
+   condition). Terminal measurements commute to the end of the circuit,
+   so they are drawn from the final distribution. Every other
+   measurement, and every reset, is a *branch point*: the walker
+   computes the probability of outcome 1, splits the branch's shot
+   count between the two outcomes with the seeded RNG, and continues
+   each non-empty branch depth-first with its clbits fixed, so
+   classically conditioned operations resolve per branch. At each leaf
+   it marginalizes the state onto the terminal-measured qubits and
+   draws that leaf's shots.
+
+   Cost: at most min(2^k, shots) fused simulations for k branch points.
+   A state is copied only when both children have shots; the smaller
+   child runs first on the copy and the larger one reuses the parent's
+   buffer, so at most min(k, floor(log2 shots)) + 1 states are live.
+
+   With no branch point (k = 0) the whole run is one fused simulation
+   and one draw loop over the RNG stream [Rng.create seed], exactly the
+   historical batched sampler.
+
+   Histogram keys are bitstrings over the measured clbits in ascending
+   clbit order (or over an explicit list of clbits) — the key format of
+   the per-shot executor when clbits follow the recorded-output order. *)
 
 open Qcircuit
 
-(* [batchable c] iff all shots can be drawn from one final distribution:
-   - no classically-conditioned operation and no reset;
-   - measured qubits are pairwise distinct (re-measurement would
-     correlate, not resample) and measured clbits are pairwise distinct
-     and dense (0..m-1), so a bitstring over them is well-defined;
-   - once a qubit is measured, no later gate or measurement touches it
-     (gates on other qubits commute with the measurement, so they may
-     still run "after" it). *)
-let batchable (c : Circuit.t) =
-  let measured = Array.make (max c.Circuit.num_qubits 1) false in
-  let clbits = Hashtbl.create 8 in
-  let max_clbit = ref (-1) in
-  let ok = ref true in
-  List.iter
-    (fun (op : Circuit.op) ->
-      if op.Circuit.cond <> None then ok := false
-      else
-        match op.Circuit.kind with
-        | Circuit.Reset _ -> ok := false
-        | Circuit.Barrier _ -> ()
-        | Circuit.Gate (_, qs) ->
-          if List.exists (fun q -> measured.(q)) qs then ok := false
-        | Circuit.Measure (q, cl) ->
-          if measured.(q) || cl < 0 || Hashtbl.mem clbits cl then ok := false
-          else begin
-            measured.(q) <- true;
-            Hashtbl.add clbits cl ();
-            if cl > !max_clbit then max_clbit := cl
-          end)
-    c.Circuit.ops;
-  !ok && !max_clbit = Hashtbl.length clbits - 1
+type plan = {
+  steps : Fusion.step list;  (* the circuit without its terminal measurements *)
+  num_qubits : int;
+  num_clbits : int;
+  terminal_qubits : int array;  (* terminal measurements by ascending clbit *)
+  key : (int, int) Either.t array;
+      (* key bit j: [Left r] is outcome bit r of the leaf draw, [Right cl]
+         the branch's clbit [cl] *)
+  branch_points : int;
+}
 
-(* The measured (qubit, clbit) pairs, sorted by clbit — key bit j of
-   the histogram is the qubit measured into clbit j. *)
-let measurements (c : Circuit.t) =
-  List.filter_map
-    (fun (op : Circuit.op) ->
+type stats = { branches : int; peak_states : int }
+
+(* Marks each op of [ops] terminal or not, walking backwards with the
+   sets of qubits and clbits a later op touches. Barriers touch nothing. *)
+let terminal_flags (c : Circuit.t) =
+  let ops = Array.of_list c.Circuit.ops in
+  let later_q = Hashtbl.create 16 and later_cl = Hashtbl.create 16 in
+  let flags = Array.make (Array.length ops) false in
+  for i = Array.length ops - 1 downto 0 do
+    let op = ops.(i) in
+    (match op.Circuit.kind, op.Circuit.cond with
+    | Circuit.Measure (q, cl), None ->
+      flags.(i) <- not (Hashtbl.mem later_q q || Hashtbl.mem later_cl cl)
+    | _ -> ());
+    match op.Circuit.kind with
+    | Circuit.Barrier _ -> ()
+    | _ ->
+      List.iter (fun q -> Hashtbl.replace later_q q ()) (Circuit.op_qubits op);
+      List.iter (fun cl -> Hashtbl.replace later_cl cl ()) (Circuit.op_clbits op);
+      Option.iter
+        (fun (cd : Circuit.cond) ->
+          List.iter (fun cl -> Hashtbl.replace later_cl cl ()) cd.Circuit.cbits)
+        op.Circuit.cond
+  done;
+  (ops, flags)
+
+let plan_with ?key ~fuse (c : Circuit.t) =
+  let ops, flags = terminal_flags c in
+  let kept = ref [] and terminal = ref [] and measured = Hashtbl.create 16 in
+  let branch_points = ref 0 in
+  Array.iteri
+    (fun i (op : Circuit.op) ->
+      (match op.Circuit.kind with
+      | Circuit.Measure (_, cl) -> Hashtbl.replace measured cl ()
+      | _ -> ());
       match op.Circuit.kind with
-      | Circuit.Measure (q, cl) -> Some (q, cl)
-      | _ -> None)
-    c.Circuit.ops
-  |> List.sort (fun (_, a) (_, b) -> compare a b)
+      | Circuit.Measure (q, cl) when flags.(i) -> terminal := (q, cl) :: !terminal
+      | Circuit.Measure _ | Circuit.Reset _ ->
+        incr branch_points;
+        kept := op :: !kept
+      | _ -> kept := op :: !kept)
+    ops;
+  let prefix = { c with Circuit.ops = List.rev !kept } in
+  let steps =
+    if fuse then fst (Fusion.plan prefix)
+    else List.map (fun op -> Fusion.Op op) prefix.Circuit.ops
+  in
+  let terminal = Array.of_list (List.sort (fun (_, a) (_, b) -> compare a b) !terminal) in
+  let rank = Hashtbl.create 16 in
+  Array.iteri (fun r (_, cl) -> Hashtbl.replace rank cl r) terminal;
+  let key_clbits =
+    match key with
+    | Some key -> key
+    | None -> List.sort compare (Hashtbl.fold (fun cl () acc -> cl :: acc) measured [])
+  in
+  {
+    steps;
+    num_qubits = c.Circuit.num_qubits;
+    num_clbits = c.Circuit.num_clbits;
+    terminal_qubits = Array.map fst terminal;
+    key =
+      Array.of_list
+        (List.map
+           (fun cl ->
+             match Hashtbl.find_opt rank cl with
+             | Some r -> Either.Left r
+             | None -> Either.Right cl)
+           key_clbits);
+    branch_points = !branch_points;
+  }
 
-let key_of_outcome ~bits outcome =
-  String.init bits (fun j ->
-      if outcome land (1 lsl j) <> 0 then '1' else '0')
+let prepare ?key c = plan_with ?key ~fuse:true c
+let branch_points p = p.branch_points
 
 let strip_measurements (c : Circuit.t) =
   {
@@ -71,54 +125,115 @@ let strip_measurements (c : Circuit.t) =
         c.Circuit.ops;
   }
 
-(* [sample ~shots c] — requires [batchable c]. *)
-let sample ?(seed = 1) ?(fuse = true) ~shots (c : Circuit.t) =
-  if not (batchable c) then
-    Sim_error.error ~op:"Sampler.sample" "circuit is not batchable";
-  if shots < 0 then
-    Sim_error.error ~op:"Sampler.sample" "negative shot count %d" shots;
-  let st, _ =
-    if fuse then Fusion.run_circuit ~seed (strip_measurements c)
-    else Statevector.run_circuit ~seed (strip_measurements c)
-  in
-  let meas = measurements c in
-  let m = List.length meas in
-  let qubits = Array.of_list (List.map fst meas) in
-  (* marginal distribution over the measured qubits, outcome bit j =
-     state of qubits.(j) *)
-  let probs = Array.make (1 lsl m) 0.0 in
-  let dim = Statevector.dim st in
-  for i = 0 to dim - 1 do
-    let o = ref 0 in
-    for j = 0 to m - 1 do
-      if i land (1 lsl qubits.(j)) <> 0 then o := !o lor (1 lsl j)
-    done;
-    probs.(!o) <- probs.(!o) +. Statevector.probability st i
+(* Binomial(shots, p) as a count of Bernoulli draws. *)
+let binomial rng shots p =
+  let n = ref 0 in
+  for _ = 1 to shots do
+    if Rng.float rng < p then incr n
   done;
-  (* cumulative distribution; the final entry is forced to 1 so a draw
-     of ~1.0 cannot fall off the end under accumulated rounding *)
+  !n
+
+exception Stopped
+
+(* Draws a leaf's [shots] outcomes into [counts]: the marginal
+   distribution over the terminal qubits, cumulative sums with the last
+   entry forced to 1 (so a draw of ~1.0 cannot fall off the end), one
+   binary search per shot. *)
+let draw_leaf p rng st clbits shots counts =
+  let probs = Statevector.marginal st p.terminal_qubits in
   let outcomes = Array.length probs in
-  let cumulative = Array.make outcomes 0.0 in
-  let acc = ref 0.0 in
-  for o = 0 to outcomes - 1 do
-    acc := !acc +. probs.(o);
-    cumulative.(o) <- !acc
-  done;
-  cumulative.(outcomes - 1) <- 1.0;
+  let hits = Array.make outcomes 0 in
+  if outcomes = 1 then hits.(0) <- shots
+  else begin
+    let cumulative = Array.make outcomes 0.0 in
+    let acc = ref 0.0 in
+    for o = 0 to outcomes - 1 do
+      acc := !acc +. probs.(o);
+      cumulative.(o) <- !acc
+    done;
+    cumulative.(outcomes - 1) <- 1.0;
+    for _ = 1 to shots do
+      let u = Rng.float rng in
+      (* first outcome with cumulative >= u *)
+      let lo = ref 0 and hi = ref (outcomes - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if cumulative.(mid) < u then lo := mid + 1 else hi := mid
+      done;
+      hits.(!lo) <- hits.(!lo) + 1
+    done
+  end;
+  Array.iteri
+    (fun o n ->
+      if n > 0 then begin
+        let key =
+          String.init (Array.length p.key) (fun j ->
+              let bit =
+                match p.key.(j) with
+                | Either.Left r -> o land (1 lsl r) <> 0
+                | Either.Right cl -> clbits.(cl)
+              in
+              if bit then '1' else '0')
+        in
+        Hashtbl.replace counts key
+          (n + Option.value ~default:0 (Hashtbl.find_opt counts key))
+      end)
+    hits
+
+let run ?(seed = 1) ?(stop = fun () -> false) ~shots p =
+  if shots < 0 then
+    Sim_error.error ~op:"Sampler.run" "negative shot count %d" shots;
   let rng = Rng.create seed in
   let counts = Hashtbl.create 64 in
-  for _ = 1 to shots do
-    let u = Rng.float rng in
-    (* first outcome with cumulative >= u (binary search) *)
-    let lo = ref 0 and hi = ref (outcomes - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if cumulative.(mid) < u then lo := mid + 1 else hi := mid
-    done;
-    Hashtbl.replace counts !lo
-      (1 + Option.value ~default:0 (Hashtbl.find_opt counts !lo))
-  done;
-  Hashtbl.fold
-    (fun o n acc -> (key_of_outcome ~bits:m o, n) :: acc)
-    counts []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let branches = ref 0 and live = ref 1 and peak = ref 1 in
+  (* Settles a branch point on [outcome]: projection, the reset's
+     correction, the measured clbit. *)
+  let settle st clbits (op : Circuit.op) outcome prob =
+    match op.Circuit.kind with
+    | Circuit.Measure (q, cl) ->
+      Statevector.collapse st q outcome prob;
+      clbits.(cl) <- outcome
+    | Circuit.Reset q ->
+      Statevector.collapse st q outcome prob;
+      if outcome then Statevector.apply st Gate.X [ q ]
+    | _ -> assert false
+  in
+  let rec walk st clbits steps shots =
+    match steps with
+    | [] ->
+      incr branches;
+      if shots > 0 then draw_leaf p rng st clbits shots counts
+    | Fusion.Op ({ Circuit.kind = Circuit.Measure (q, _) | Circuit.Reset q; _ } as op)
+      :: rest
+      when Statevector.cond_holds clbits op.Circuit.cond ->
+      if stop () then raise Stopped;
+      let p1 = Statevector.prob_one st q in
+      let n1 = binomial rng shots p1 in
+      let n0 = shots - n1 in
+      let prob o = if o then p1 else 1.0 -. p1 in
+      let large = n1 > n0 in
+      if min n0 n1 > 0 then begin
+        (* both outcomes have shots: the smaller runs first, on a copy *)
+        let child = Statevector.copy st and child_clbits = Array.copy clbits in
+        incr live;
+        peak := max !peak !live;
+        settle child child_clbits op (not large) (prob (not large));
+        walk child child_clbits rest (min n0 n1);
+        decr live
+      end;
+      settle st clbits op large (prob large);
+      walk st clbits rest (max n0 n1)
+    | step :: rest ->
+      Fusion.apply_plan st clbits [ step ];
+      walk st clbits rest shots
+  in
+  let st = Statevector.create ~seed p.num_qubits in
+  walk st (Array.make (max p.num_clbits 1) false) p.steps shots;
+  let histogram =
+    Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  (histogram, { branches = !branches; peak_states = !peak })
+
+let sample ?seed ?(fuse = true) ~shots (c : Circuit.t) =
+  fst (run ?seed ~shots (plan_with ~fuse c))

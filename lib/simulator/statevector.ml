@@ -166,6 +166,65 @@ let check_qubit st q =
   if q < 0 || q >= st.n then
     Sim_error.error ~op:"Statevector" "qubit %d out of range [0, %d)" q st.n
 
+(* The distribution of qubits [qs] — outcome bit [j] is qubit [qs.(j)] —
+   summed in ascending basis-index order whatever the shard layout, so
+   each outcome's float sum is reproducible. An identity prefix
+   ([qs.(j) = j]) masks the index; any other mapping assembles the
+   outcome from one 256-entry table per index byte rather than testing
+   [m] bits per amplitude. The outcome of a shard's base index and of an
+   offset inside the shard occupy disjoint bits, so they combine by [lor]. *)
+let marginal st (qs : int array) =
+  Array.iter (check_qubit st) qs;
+  let m = Array.length qs in
+  let out = Array.make (1 lsl m) 0.0 in
+  let shard_size = 1 lsl st.lb in
+  let identity =
+    let ok = ref true in
+    Array.iteri (fun j q -> if q <> j then ok := false) qs;
+    !ok
+  in
+  let bytes = (st.n + 7) / 8 in
+  let tables =
+    Array.init bytes (fun b ->
+        Array.init 256 (fun v ->
+            let o = ref 0 in
+            Array.iteri
+              (fun j q ->
+                if q lsr 3 = b && v land (1 lsl (q land 7)) <> 0 then
+                  o := !o lor (1 lsl j))
+              qs;
+            !o))
+  in
+  let outcome i =
+    let o = ref 0 in
+    for b = 0 to bytes - 1 do
+      o := !o lor Array.unsafe_get tables.(b) ((i lsr (8 * b)) land 255)
+    done;
+    !o
+  in
+  let mask = (1 lsl m) - 1 in
+  for s = 0 to shard_count st - 1 do
+    let re = st.re.(s) and im = st.im.(s) in
+    let base = s lsl st.lb in
+    if identity then
+      for j = 0 to shard_size - 1 do
+        let r = bget re j and mi = bget im j in
+        let o = (base + j) land mask in
+        Array.unsafe_set out o
+          (Array.unsafe_get out o +. ((r *. r) +. (mi *. mi)))
+      done
+    else begin
+      let hi = outcome base in
+      for j = 0 to shard_size - 1 do
+        let r = bget re j and mi = bget im j in
+        let o = hi lor outcome j in
+        Array.unsafe_set out o
+          (Array.unsafe_get out o +. ((r *. r) +. (mi *. mi)))
+      done
+    end
+  done;
+  out
+
 (* Tensors |0> onto the high end of the register. While the register
    fits in one shard this doubles the flat slices (as before); once it
    crosses [max_local_bits] growth appends zero shards — no copy of the
@@ -197,6 +256,22 @@ let ensure_qubits st n =
   while st.n < n do
     add_qubit st
   done
+
+(* An independent copy: fresh shards of the same layout, and the
+   measurement RNG continuing from the same point. *)
+let copy st =
+  let dup (a : slice) : slice =
+    let b = Ba.create Bigarray.Float64 Bigarray.C_layout (Ba.dim a) in
+    Ba.blit a b;
+    b
+  in
+  {
+    n = st.n;
+    lb = st.lb;
+    re = Array.map dup st.re;
+    im = Array.map dup st.im;
+    rng = Rng.copy st.rng;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Index enumeration                                                    *)

@@ -55,11 +55,21 @@ val probability : t -> int -> float
 
 val probabilities : t -> float array
 
+val marginal : t -> int array -> float array
+(** [marginal st qs] is the distribution of the qubits [qs] over
+    [2^(length qs)] outcomes, outcome bit [j] being qubit [qs.(j)]. Each
+    outcome's probability is summed in ascending basis-index order, so
+    the result is bit-identical for flat and sharded states. *)
+
 val add_qubit : t -> unit
 (** Tensors |0> onto the high end of the register. *)
 
 val ensure_qubits : t -> int -> unit
 (** Grows the register until it has at least [n] qubits. *)
+
+val copy : t -> t
+(** An independent copy (flat or sharded) with the same amplitudes,
+    layout and measurement-RNG position. *)
 
 val apply : t -> Qcircuit.Gate.t -> int list -> unit
 (** Applies a gate to the given qubit operands via the best kernel for
@@ -84,6 +94,11 @@ val apply_cluster : t -> Complex.t array array -> int array -> unit
 val prob_one : t -> int -> float
 (** Probability that measuring qubit [q] yields 1 (non-destructive).
     Clamped to [0, 1] against accumulated rounding. *)
+
+val collapse : t -> int -> bool -> float -> unit
+(** [collapse st q outcome p] projects qubit [q] onto [outcome] and
+    renormalizes by [p], the outcome's probability (guarded against
+    denormal values). *)
 
 val measure : t -> int -> bool
 (** Samples and collapses qubit [q]. The collapse renormalization is

@@ -8,7 +8,11 @@
    counting-deadline case checks mid-shot timeout fires at the
    identical instruction; the checked-in examples (and recursive_bad
    under a fuel ceiling) close the loop on real files, and a missing
-   example is a failure.
+   example is a failure. Last, adaptive programs (static and dynamic
+   addressing; a mid-circuit measurement reused, reset, or feeding a
+   conditioned gate) run on the shot-branching tier and must agree in
+   distribution — every bit, and every bit jointly with the
+   mid-circuit one — with per-shot oracle runs.
 
    Used by CI as the engine-parity gate:
      dune exec test/smoke/engine_diff.exe *)
@@ -284,13 +288,108 @@ let examples () =
               bc=%b)"
           (a <> None) (b <> None))
 
+(* ------------------------------------------------------------------ *)
+(* 5. shot-branching tier vs per-shot oracle runs, in distribution      *)
+
+(* [width] qubits of random gates with qubit [m] measured into the extra
+   clbit [width] halfway, then reused (H), reset, or used to drive an X
+   on its neighbour; terminal measurements of every qubit. *)
+let adaptive_circuit ~seed ~width kind =
+  let rng = Rng.create seed in
+  let body = (Generate.random ~seed ~gates:24 ~parametric:true width).Circuit.ops in
+  let m = Rng.int rng width in
+  let pre = List.filteri (fun i _ -> i < 12) body in
+  let post = List.filteri (fun i _ -> i >= 12) body in
+  let mid =
+    Circuit.measure m width
+    ::
+    (match kind with
+    | `Mid -> [ Circuit.gate Gate.H [ m ] ]
+    | `Reset -> [ Circuit.reset m; Circuit.gate Gate.H [ m ] ]
+    | `Feedback ->
+      [
+        Circuit.gate Gate.H [ m ];
+        Circuit.gate
+          ~cond:{ Circuit.cbits = [ width ]; value = 1 }
+          Gate.X
+          [ (m + 1) mod width ];
+      ])
+  in
+  Circuit.create ~num_qubits:width ~num_clbits:(width + 1)
+    (pre @ mid @ post @ List.init width (fun q -> Circuit.measure q q))
+
+let branching_shots = 800
+
+(* Two histograms agree when every single-bit frequency, and the joint
+   frequency of the mid-circuit bit with every other bit, differ by at
+   most six standard deviations of the two-sample difference. *)
+let agree ~mid a b =
+  let total h = float_of_int (List.fold_left (fun acc (_, n) -> acc + n) 0 h) in
+  let freq h js =
+    float_of_int
+      (List.fold_left
+         (fun acc (k, n) ->
+           if List.for_all (fun j -> k.[j] = '1') js then acc + n else acc)
+         0 h)
+    /. total h
+  in
+  let na = total a and nb = total b in
+  let events =
+    List.init (mid + 1) (fun j -> [ j ]) @ List.init mid (fun j -> [ mid; j ])
+  in
+  List.for_all
+    (fun js ->
+      let fa = freq a js and fb = freq b js in
+      let pbar = ((fa *. na) +. (fb *. nb)) /. (na +. nb) in
+      let sd = sqrt (pbar *. (1. -. pbar) *. ((1. /. na) +. (1. /. nb))) in
+      Float.abs (fa -. fb) <= (6. *. sd) +. (2. /. Float.min na nb))
+    events
+
+let branching_parity () =
+  let programs = ref 0 in
+  List.iteri
+    (fun i (addressing, kind) ->
+      List.iter
+        (fun width ->
+          let seed = 1000 + (10 * i) + width in
+          let c = adaptive_circuit ~seed ~width kind in
+          let m =
+            Llvm_ir.Parser.parse_module (Qir.Qir_builder.to_string ~addressing c)
+          in
+          let r =
+            Qruntime.Executor.run_shots_resilient ~seed ~shots:branching_shots m
+          in
+          if not r.Qruntime.Executor.batched then
+            fail "adaptive program %d/%d did not run on the branching tier" i width;
+          let tbl = Hashtbl.create 16 in
+          for shot = 0 to branching_shots - 1 do
+            let o = Qruntime.Executor.Reference.run ~seed:(seed + 1 + (shot * 7919)) m in
+            let key = o.Qruntime.Executor.output in
+            Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+          done;
+          let reference = Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [] in
+          incr programs;
+          if not (agree ~mid:width r.Qruntime.Executor.histogram reference) then
+            fail "adaptive program %d/%d: branching %s disagrees with per-shot %s" i
+              width
+              (hist_to_string r.Qruntime.Executor.histogram)
+              (hist_to_string (List.sort compare reference)))
+        [ 3; 5 ])
+    [
+      (`Static, `Mid); (`Static, `Feedback); (`Static, `Reset);
+      (`Dynamic, `Mid); (`Dynamic, `Feedback); (`Dynamic, `Reset);
+    ];
+  !programs
+
 let () =
   fuzzed_corpus ();
   faulty_subset ();
   deadline_parity ();
   examples ();
+  let adaptive = branching_parity () in
   Printf.printf
     "engine diff: %d fuzzed modules x %d shots + 30 faulty + deadline + \
-     examples, %d divergences\n"
-    circuits shots !failures;
+     examples + %d adaptive programs branching vs per-shot oracle, %d \
+     divergences\n"
+    circuits shots adaptive !failures;
   if !failures > 0 then exit 1

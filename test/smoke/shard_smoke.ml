@@ -7,7 +7,9 @@
    specialized sharded, reference sharded (the two-level slice
    addressing of the oracle itself) and specialized sharded with
    checked accesses (every unsafe Bigarray index re-asserted against
-   the slice bounds) — and every histogram must match bit for bit. A
+   the slice bounds) — and every histogram must match bit for bit. The
+   shot-branching sampler must also draw bit-identical histograms from
+   flat and sharded states, feedback circuits (which branch) included. A
    capstone case allocates a 28-qubit sharded register end to end
    (create, in-shard and cross-shard gates, measurement, teardown) and
    checks the ceiling itself rejects 31.
@@ -20,6 +22,7 @@ module Sv = Qsim.Statevector
 
 let circuits = 100
 let shots = 12
+let sampler_shots = 200
 let failures = ref 0
 
 let fail fmt =
@@ -44,6 +47,20 @@ let with_measurements (c : Circuit.t) =
     Circuit.Build.measure b q q
   done;
   Circuit.Build.finish b
+
+(* Measurement into clbit [cl] becomes measurement into [m - 1 - cl]. *)
+let reverse_clbits (c : Circuit.t) =
+  let m = c.Circuit.num_clbits in
+  {
+    c with
+    Circuit.ops =
+      List.map
+        (fun (op : Circuit.op) ->
+          match op.Circuit.kind with
+          | Circuit.Measure (q, cl) -> { op with Circuit.kind = Circuit.Measure (q, m - 1 - cl) }
+          | _ -> op)
+        c.Circuit.ops;
+  }
 
 let with_local_bits bits f =
   let b0 = Sv.max_local_bits () in
@@ -116,7 +133,18 @@ let fuzzed_corpus () =
           if h <> base then
             fail "circuit %d (seed %d, k=%d, lb=%d): %s histogram %s <> %s" i
               seed k lb name (hist_to_string h) (hist_to_string base))
-        checks
+        checks;
+      (* the shot-branching sampler (state copies, marginals), with the
+         clbit order as built and reversed (the lookup-table marginal) *)
+      List.iter
+        (fun c ->
+          let sampled () = Qsim.Sampler.sample ~seed ~shots:sampler_shots c in
+          let flat = sampled () in
+          let sharded = with_local_bits lb sampled in
+          if sharded <> flat then
+            fail "circuit %d (seed %d, lb=%d): branching sampler sharded %s <> flat %s"
+              i seed lb (hist_to_string sharded) (hist_to_string flat))
+        [ c; reverse_clbits c ]
     with e ->
       fail "circuit %d (seed %d): raised %s" i seed (Printexc.to_string e)
   done
@@ -152,6 +180,7 @@ let () =
   ceiling ();
   Printf.printf
     "shard smoke: %d fuzzed circuits x %d shots x 7 configurations + \
-     28-qubit ceiling, %d divergences\n"
-    circuits shots !failures;
+     branching sampler flat/sharded x %d shots + 28-qubit ceiling, %d \
+     divergences\n"
+    circuits shots sampler_shots !failures;
   if !failures > 0 then exit 1

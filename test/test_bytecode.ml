@@ -367,11 +367,16 @@ let test_tape_proved_address () =
   check bool_t "computed address still tapes" true
     (Qruntime.Gate_tape.extract m <> None)
 
-(* Under the default tier cap the tape fires, and its histogram must
-   equal per-shot interpretation at the same seed. *)
+(* Under the tape cap the tape fires, and its histogram must equal
+   per-shot interpretation at the same seed. (The default cap answers
+   these mid-circuit-reset programs on the shot-branching tier.) *)
 let tape_matches_from text =
   let m = Parser.parse_module text in
-  let tape = Qruntime.Executor.run_shots_resilient ~seed:9 ~shots:60 m in
+  let branching = Qruntime.Executor.run_shots_resilient ~seed:9 ~shots:60 m in
+  check bool_t "default cap branches" true branching.Qruntime.Executor.batched;
+  let tape =
+    Qruntime.Executor.run_shots_resilient ~seed:9 ~shots:60 ~max_tier:`Tape m
+  in
   check bool_t "tape fired" true tape.Qruntime.Executor.tape;
   let per_shot =
     Qruntime.Executor.run_shots_resilient ~seed:9 ~shots:60
@@ -391,7 +396,7 @@ let test_tape_histogram_computed () = tape_matches_from computed_addr_qir
 let test_tape_verdict_cache () =
   let m = Parser.parse_module static_circuit_qir in
   let run m =
-    Qruntime.Executor.run_shots_resilient ~seed:5 ~shots:3 m
+    Qruntime.Executor.run_shots_resilient ~seed:5 ~shots:3 ~max_tier:`Tape m
   in
   let r1 = run m in
   check bool_t "tape fired" true r1.Qruntime.Executor.tape;

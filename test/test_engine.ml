@@ -282,40 +282,95 @@ let measure_all c =
   done;
   Circuit.Build.finish b
 
+(* Histogram over [shots] per-shot Reference runs (seeds seed + s*7919),
+   keyed like the sampler: the measured clbits in ascending order. *)
+let measured_clbits (c : Circuit.t) =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun (op : Circuit.op) ->
+         match op.Circuit.kind with
+         | Circuit.Measure (_, cl) -> Some cl
+         | _ -> None)
+       c.Circuit.ops)
+
+let reference_shots (c : Circuit.t) ~shots ~seed =
+  let key_cl = measured_clbits c in
+  let tbl = Hashtbl.create 16 in
+  for s = 0 to shots - 1 do
+    let _, bits = Ref.run_circuit ~seed:(seed + (s * 7919)) c in
+    let key =
+      String.concat "" (List.map (fun cl -> if bits.(cl) then "1" else "0") key_cl)
+    in
+    Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+  done;
+  Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl []
+
+(* Two sampled histograms agree at 6 sigma on every single-bit
+   frequency and every pairwise joint frequency. *)
+let agree a b =
+  let total h = float_of_int (List.fold_left (fun acc (_, n) -> acc + n) 0 h) in
+  let na = total a and nb = total b in
+  let width = match a with (k, _) :: _ -> String.length k | [] -> 0 in
+  let freq h js =
+    float_of_int
+      (List.fold_left
+         (fun acc (k, n) -> if List.for_all (fun j -> k.[j] = '1') js then acc + n else acc)
+         0 h)
+    /. total h
+  in
+  let events =
+    List.concat_map
+      (fun i -> [ i ] :: List.filter_map (fun j -> if j > i then Some [ i; j ] else None)
+                          (List.init width Fun.id))
+      (List.init width Fun.id)
+  in
+  List.for_all
+    (fun js ->
+      let fa = freq a js and fb = freq b js in
+      let pbar = ((fa *. na) +. (fb *. nb)) /. (na +. nb) in
+      let sd = sqrt (pbar *. (1. -. pbar) *. ((1. /. na) +. (1. /. nb))) in
+      Float.abs (fa -. fb) <= (6. *. sd) +. (2. /. Float.min na nb))
+    events
+
+let branch_points c = Qsim.Sampler.branch_points (Qsim.Sampler.prepare c)
+
 let test_batchable () =
-  check bool_t "bell is batchable" true (Qsim.Sampler.batchable (Generate.bell ()));
-  check bool_t "ghz is batchable" true (Qsim.Sampler.batchable (Generate.ghz 4));
-  check bool_t "feedback is not (cond/reset)" false
-    (Qsim.Sampler.batchable (Generate.feedback_rounds ~rounds:2 2));
+  check int_t "bell: no branch point" 0 (branch_points (Generate.bell ()));
+  check int_t "ghz: no branch point" 0 (branch_points (Generate.ghz 4));
+  (* two rounds: each measurement feeds a condition, each reset branches *)
+  let fb = Generate.feedback_rounds ~rounds:2 2 in
+  check int_t "feedback: measurements and resets branch" 4 (branch_points fb);
   (* gate after measuring the same qubit *)
   let b = Circuit.Build.create ~num_qubits:2 ~num_clbits:1 () in
   Circuit.Build.gate b Gate.H [ 0 ];
   Circuit.Build.measure b 0 0;
   Circuit.Build.gate b Gate.X [ 0 ];
-  check bool_t "gate after measure" false
-    (Qsim.Sampler.batchable (Circuit.Build.finish b));
-  (* gate on another qubit after a measurement commutes: still batchable *)
+  check int_t "gate after measure" 1 (branch_points (Circuit.Build.finish b));
+  (* gate on another qubit after a measurement commutes: terminal *)
   let b = Circuit.Build.create ~num_qubits:2 ~num_clbits:2 () in
   Circuit.Build.gate b Gate.H [ 0 ];
   Circuit.Build.measure b 0 0;
   Circuit.Build.gate b Gate.X [ 1 ];
   Circuit.Build.measure b 1 1;
-  check bool_t "commuting tail gate" true
-    (Qsim.Sampler.batchable (Circuit.Build.finish b));
-  (* permuted clbits are fine; sparse clbits are not *)
+  check int_t "commuting tail gate" 0 (branch_points (Circuit.Build.finish b));
+  (* permuted and sparse clbits are terminal; keys cover measured clbits *)
   let b = Circuit.Build.create ~num_qubits:2 ~num_clbits:2 () in
   Circuit.Build.gate b Gate.H [ 0 ];
   Circuit.Build.measure b 0 1;
   Circuit.Build.measure b 1 0;
-  check bool_t "permuted clbits" true
-    (Qsim.Sampler.batchable (Circuit.Build.finish b));
+  check int_t "permuted clbits" 0 (branch_points (Circuit.Build.finish b));
   let b = Circuit.Build.create ~num_qubits:2 ~num_clbits:3 () in
+  Circuit.Build.gate b Gate.X [ 0 ];
   Circuit.Build.measure b 0 2;
-  check bool_t "sparse clbits" false
-    (Qsim.Sampler.batchable (Circuit.Build.finish b));
-  match Qsim.Sampler.sample ~shots:10 (Generate.feedback_rounds ~rounds:2 2) with
-  | _ -> Alcotest.fail "sample must reject non-batchable circuits"
-  | exception Qsim.Sim_error.Error _ -> ()
+  let sparse = Circuit.Build.finish b in
+  check int_t "sparse clbits" 0 (branch_points sparse);
+  check bool_t "sparse key is the measured clbit" true
+    (Qsim.Sampler.sample ~shots:10 sparse = [ ("1", 10) ]);
+  (* feedback rounds now sample, and agree with per-shot Reference runs *)
+  let fb = Generate.feedback_rounds ~rounds:3 3 in
+  let sampled = Qsim.Sampler.sample ~seed:5 ~shots:3000 fb in
+  let reference = reference_shots fb ~shots:3000 ~seed:6 in
+  check bool_t "feedback agrees with per-shot Reference" true (agree sampled reference)
 
 let total_variation h1 h2 =
   let keys =
@@ -502,6 +557,278 @@ let test_checked_access_path () =
   let dev = max_dev st_chk st_ref in
   if dev > 1e-12 then Alcotest.failf "checked-access deviation %g" dev
 
+(* ------------------------------------------------------------------ *)
+(* 9. Shot-branching sampler                                            *)
+
+(* A random dynamic circuit over [n] qubits: random gates interleaved
+   with up to six mid-circuit measurements (some conditioned), resets
+   and gates conditioned on one or two clbits, then terminal
+   measurements of up to three qubits into their own clbits. *)
+let random_dynamic ~seed n =
+  let rng = Rng.create (seed * 31 + 7) in
+  let mids = 3 in
+  let events = ref 0 in
+  let cond () =
+    let c1 = Rng.int rng mids in
+    let cbits = if Rng.bool rng then [ c1 ] else [ c1; (c1 + 1) mod mids ] in
+    { Circuit.cbits; value = Rng.int rng (1 lsl List.length cbits) }
+  in
+  let base = Generate.random ~seed ~gates:(4 * n) ~parametric:true n in
+  let ops =
+    List.concat_map
+      (fun op ->
+        let q = Rng.int rng n in
+        let extra =
+          match Rng.int rng 10 with
+          | 0 when !events < 6 ->
+            incr events;
+            [ Circuit.measure q (Rng.int rng mids) ]
+          | 1 when !events < 6 ->
+            incr events;
+            [ Circuit.reset q ]
+          | 2 when !events < 6 ->
+            incr events;
+            [ Circuit.measure ~cond:(cond ()) q (Rng.int rng mids) ]
+          | 3 | 4 -> [ Circuit.gate ~cond:(cond ()) Gate.X [ q ] ]
+          | _ -> []
+        in
+        op :: extra)
+      base.Circuit.ops
+  in
+  let t = min n 3 in
+  Circuit.create ~num_qubits:n ~num_clbits:(mids + t)
+    (ops @ List.init t (fun q -> Circuit.measure q (mids + q)))
+
+(* The exact key distribution of [c] by branch enumeration over the
+   naive Reference kernels: every measurement and reset forks both
+   outcomes with their exact probabilities. *)
+let exact_distribution (c : Circuit.t) =
+  let key_cl = measured_clbits c in
+  let dist = Hashtbl.create 16 in
+  let prob_one st q =
+    let p = ref 0.0 in
+    for i = 0 to Sv.dim st - 1 do
+      if i land (1 lsl q) <> 0 then p := !p +. Sv.probability st i
+    done;
+    !p
+  in
+  let rec go st clbits ops p =
+    match ops with
+    | [] ->
+      let key =
+        String.concat "" (List.map (fun cl -> if clbits.(cl) then "1" else "0") key_cl)
+      in
+      Hashtbl.replace dist key (p +. Option.value ~default:0.0 (Hashtbl.find_opt dist key))
+    | (op : Circuit.op) :: rest when not (Sv.cond_holds clbits op.Circuit.cond) ->
+      go st clbits rest p
+    | op :: rest -> (
+      match op.Circuit.kind with
+      | Circuit.Gate (g, qs) ->
+        Ref.apply st g qs;
+        go st clbits rest p
+      | Circuit.Barrier _ -> go st clbits rest p
+      | Circuit.Measure (q, _) | Circuit.Reset q ->
+        let p1 = prob_one st q in
+        List.iter
+          (fun outcome ->
+            let po = if outcome then p1 else 1.0 -. p1 in
+            if po > 1e-12 then begin
+              let st' = Sv.copy st and clbits' = Array.copy clbits in
+              Sv.collapse st' q outcome po;
+              (match op.Circuit.kind with
+              | Circuit.Measure (_, cl) -> clbits'.(cl) <- outcome
+              | _ -> if outcome then Ref.apply st' Gate.X [ q ]);
+              go st' clbits' rest (p *. po)
+            end)
+          [ false; true ])
+  in
+  go (Sv.create c.Circuit.num_qubits)
+    (Array.make (max c.Circuit.num_clbits 1) false)
+    c.Circuit.ops 1.0;
+  dist
+
+(* Sampled key frequencies against the exact distribution, at six
+   standard deviations per key; every sampled key must be possible. *)
+let test_branching_exact () =
+  List.iter
+    (fun i ->
+      let n = 2 + (i mod 9) in
+      let c = random_dynamic ~seed:(40 + i) n in
+      let shots = 4000 in
+      let hist = Qsim.Sampler.sample ~seed:(i + 1) ~shots c in
+      let exact = exact_distribution c in
+      List.iter
+        (fun (k, _) ->
+          if not (Hashtbl.mem exact k) then
+            Alcotest.failf "circuit %d (%d qubits): impossible key %s" i n k)
+        hist;
+      Hashtbl.iter
+        (fun k p ->
+          let f =
+            float_of_int (Option.value ~default:0 (List.assoc_opt k hist))
+            /. float_of_int shots
+          in
+          let sd = sqrt (p *. (1.0 -. p) /. float_of_int shots) in
+          if Float.abs (f -. p) > (6.0 *. sd) +. (1.0 /. float_of_int shots) then
+            Alcotest.failf "circuit %d (%d qubits): key %s sampled %.4f, exact %.4f" i n
+              k f p)
+        exact)
+    (List.init 18 Fun.id)
+
+(* Terminal-measurement circuits (no branch point) whose histograms were
+   recorded before the sampler learned to branch: the draws must stay
+   byte-identical. Identity, reversed, rotated-subset and identity-prefix
+   measurement maps exercise both marginalisation paths. *)
+let terminal_corpus () =
+  List.init 24 (fun i ->
+      let n = 2 + (i mod 11) in
+      let base =
+        Generate.random ~seed:(100 + i) ~gates:(8 * n) ~parametric:(i mod 2 = 0) n
+      in
+      let m = (n + 1) / 2 and r = i mod n in
+      let meas =
+        match i mod 4 with
+        | 0 -> List.init n (fun q -> (q, q))
+        | 1 -> List.init n (fun q -> (q, n - 1 - q))
+        | 2 -> List.init m (fun j -> ((j + r) mod n, j))
+        | _ -> List.init m (fun q -> (q, q))
+      in
+      let c =
+        Circuit.create ~num_qubits:n ~num_clbits:n
+          (base.Circuit.ops @ List.map (fun (q, cl) -> Circuit.measure q cl) meas)
+      in
+      (c, 50 + (37 * i), 1 + i))
+
+let pinned_terminal_digests =
+  [
+    "06ddc39d40b229feddbd35c2475ba2c2";
+    "03e496309b68f196ef20f92124318982";
+    "0ae0d711f0d7544971c4c1881d9be4e5";
+    "9da9d37cf514bb86b8a619f71f8a64fd";
+    "b57303d6e4a014fdadba872451e05a0d";
+    "f3df88062846073d3cc4838d38dfe968";
+    "506b3f836af5317a298e49f30275e8ef";
+    "4e56273d883647619aca851d15259b77";
+    "47f5a23601aa04a4f3a116587750a889";
+    "1bbaae18567edd537c0623946d6028c8";
+    "81fabb0af652bc7a968c457981b29534";
+    "064dca2bf4e747036f8d7dbb9911708c";
+    "4a935ef769f71e5a82b3ae33c54bf7b2";
+    "49ebc2e4ae6a8b7a42ee5f512b8b292c";
+    "7996c33555ff8a5219ef99ded3224c6b";
+    "43225cca2998cd7cb92a59bda9eef685";
+    "39c2393926a83ecf1a4475080a97c5d0";
+    "c91074f5f46f48160bf2dfb6d6d4f043";
+    "c5ccbabf60e22239fd472bce80ea14b6";
+    "7ee23b8f13d555a04a3880f939140c29";
+    "99f1cc65826cb857d19e1daf37d8b2ae";
+    "866566db053bb5ee05013cef05fdf2af";
+    "562f073bc72bfd8f7edf2a0317495717";
+    "fb0f0c1893cf1390c9efd00f0cd5f1f9";
+  ]
+
+let histogram_digest hist =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";" (List.map (fun (k, n) -> k ^ ":" ^ string_of_int n) hist)))
+
+let test_terminal_histograms_pinned () =
+  List.iteri
+    (fun i ((c, shots, seed), pinned) ->
+      check int_t "no branch point" 0 (branch_points c);
+      check Alcotest.string
+        (Printf.sprintf "terminal circuit %d" i)
+        pinned
+        (histogram_digest (Qsim.Sampler.sample ~seed ~shots c)))
+    (List.combine (terminal_corpus ()) pinned_terminal_digests)
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
+
+(* The walker's own counters: at most min(2^k, shots) leaves and
+   min(k, floor(log2 shots)) + 1 live states. *)
+let test_branching_live_states () =
+  List.iter
+    (fun i ->
+      let c = random_dynamic ~seed:(70 + i) (2 + (i mod 6)) in
+      let plan = Qsim.Sampler.prepare c in
+      let k = Qsim.Sampler.branch_points plan in
+      List.iter
+        (fun shots ->
+          let hist, st = Qsim.Sampler.run ~seed:i ~shots plan in
+          check int_t "every shot drawn" shots
+            (List.fold_left (fun a (_, n) -> a + n) 0 hist);
+          if st.Qsim.Sampler.peak_states > min k (log2 shots) + 1 then
+            Alcotest.failf "k=%d shots=%d: %d live states" k shots
+              st.Qsim.Sampler.peak_states;
+          if st.Qsim.Sampler.branches > min (1 lsl min k 30) shots then
+            Alcotest.failf "k=%d shots=%d: %d branches" k shots st.Qsim.Sampler.branches)
+        [ 1; 2; 7; 64; 1000 ])
+    (List.init 12 Fun.id);
+  (* a chain of fair coins: k mid-circuit measurements of |+>, each
+     followed by a reset (2k branch points, the resets never split) *)
+  let coins k =
+    let b = Circuit.Build.create ~num_qubits:1 ~num_clbits:k () in
+    for j = 0 to k - 1 do
+      Circuit.Build.gate b Gate.H [ 0 ];
+      Circuit.Build.measure b 0 j;
+      Circuit.Build.reset b 0
+    done;
+    Qsim.Sampler.prepare (Circuit.Build.finish b)
+  in
+  let _, st = Qsim.Sampler.run ~shots:4096 (coins 5) in
+  check int_t "all 2^k measurement histories" 32 st.Qsim.Sampler.branches;
+  (* the stop probe is polled at branch points only *)
+  (match Qsim.Sampler.run ~stop:(fun () -> true) ~shots:8 (coins 1) with
+  | _ -> Alcotest.fail "stop probe ignored at a branch point"
+  | exception Qsim.Sampler.Stopped -> ());
+  check int_t "no branch point, no poll" 1
+    (snd
+       (Qsim.Sampler.run ~stop:(fun () -> true) ~shots:8
+          (Qsim.Sampler.prepare (Generate.bell ()))))
+      .Qsim.Sampler.branches;
+  (* deeper than log2 shots: the smaller-child-first order keeps the
+     live states at log2 shots + 1, not k + 1 *)
+  List.iter
+    (fun seed ->
+      let _, st = Qsim.Sampler.run ~seed ~shots:64 (coins 14) in
+      if st.Qsim.Sampler.peak_states > 7 then
+        Alcotest.failf "seed %d: %d live states for 64 shots" seed
+          st.Qsim.Sampler.peak_states)
+    [ 1; 2; 3 ]
+
+(* Adaptive QIR through the executor: the batched tier answers, a hot
+   run (plan cached) equals the cold one, and no bytecode is compiled. *)
+let test_branching_hot_equals_cold () =
+  List.iter
+    (fun addressing ->
+      let b = Circuit.Build.create ~num_qubits:3 ~num_clbits:4 () in
+      Circuit.Build.gate b Gate.H [ 0 ];
+      Circuit.Build.gate b Gate.Cx [ 0; 1 ];
+      Circuit.Build.measure b 0 3;
+      Circuit.Build.gate b ~cond:{ Circuit.cbits = [ 3 ]; value = 1 } Gate.X [ 2 ];
+      Circuit.Build.gate b Gate.H [ 0 ];
+      for q = 0 to 2 do
+        Circuit.Build.measure b q q
+      done;
+      let m = Qir.Qir_builder.build ~addressing (Circuit.Build.finish b) in
+      let session = Qruntime.Executor.Session.create () in
+      let run () = Qruntime.Executor.run_shots_resilient ~session ~seed:4 ~shots:300 m in
+      let cold = run () and hot = run () in
+      check bool_t "batched" true (cold.Qruntime.Executor.batched && hot.Qruntime.Executor.batched);
+      check int_t "two branches" 2 cold.Qruntime.Executor.branches;
+      check bool_t "hot equals cold" true
+        (cold.Qruntime.Executor.histogram = hot.Qruntime.Executor.histogram);
+      let s = Qruntime.Executor.Session.cache_stats session in
+      check int_t "one plan" 1 s.Qruntime.Executor.Session.plan_misses;
+      check int_t "one plan hit" 1 s.Qruntime.Executor.Session.plan_hits;
+      check int_t "no bytecode compiled" 0 s.Qruntime.Executor.Session.compile_misses;
+      (* qubit 2 copies qubit 1 = the mid-circuit bit: keys read bit 3 *)
+      List.iter
+        (fun (key, _) ->
+          check bool_t ("mid bit drives the feedback in " ^ key) true (key.[1] = key.[2] && key.[1] = key.[3]))
+        cold.Qruntime.Executor.histogram)
+    [ `Static; `Dynamic ]
+
 let suite =
   [
     Alcotest.test_case "specialized kernels vs reference" `Quick
@@ -540,4 +867,12 @@ let suite =
     Alcotest.test_case "add_qubit across the shard split" `Quick
       test_add_qubit_across_shard_split;
     Alcotest.test_case "checked-access mode" `Quick test_checked_access_path;
+    Alcotest.test_case "branching sampler vs exact enumeration" `Quick
+      test_branching_exact;
+    Alcotest.test_case "terminal histograms pinned (k = 0)" `Quick
+      test_terminal_histograms_pinned;
+    Alcotest.test_case "branching live-state bound" `Quick
+      test_branching_live_states;
+    Alcotest.test_case "branching: hot run equals cold" `Quick
+      test_branching_hot_equals_cold;
   ]

@@ -29,6 +29,28 @@ let test_bell_dynamic () =
   check bool_t "both outcomes occur" true
     (count "00" hist > 40 && count "11" hist > 40)
 
+(* A dynamically addressed program builds its register from its own
+   allocations: examples/bell_dynamic.ll (required_num_qubits = 2,
+   qubit_allocate_array(2)) simulates 2 qubits, not 4, on every tier
+   and on the oracle. *)
+let test_bell_dynamic_register () =
+  let ch = open_in_bin "../examples/bell_dynamic.ll" in
+  let text = really_input_string ch (in_channel_length ch) in
+  close_in ch;
+  let m = Llvm_ir.Parser.parse_module text in
+  check int_t "initial register" 0 (Executor.initial_qubits m);
+  check int_t "bytecode engine: 2 qubits" 2 (Executor.run ~seed:5 m).Executor.qubits;
+  check int_t "oracle: 2 qubits" 2 (Executor.Reference.run ~seed:5 m).Executor.qubits;
+  let faulty =
+    match Qsim.Faulty.spec_of_string "gate=0.2,seed=3" with
+    | Ok spec -> `Faulty spec
+    | Error e -> Alcotest.fail e
+  in
+  let policy = { Resilience.default with Resilience.max_retries = 50; sleep = false } in
+  match Executor.run_resilient ~policy ~seed:5 ~backend:faulty m with
+  | Ok r -> check int_t "faulty backend: 2 qubits" 2 r.Executor.qubits
+  | Error e -> Alcotest.fail (Qir_error.to_string e)
+
 let test_paper_fig1_text () =
   (* the paper's own Fig. 1 program, executed end to end *)
   let m = Llvm_ir.Parser.parse_module (List.assoc "bell" Test_llvm_ir.fixtures) in
@@ -202,6 +224,8 @@ let suite =
   [
     Alcotest.test_case "bell via static QIR" `Quick test_bell_static;
     Alcotest.test_case "bell via dynamic QIR" `Quick test_bell_dynamic;
+    Alcotest.test_case "dynamic bell runs on a 2-qubit register" `Quick
+      test_bell_dynamic_register;
     Alcotest.test_case "paper Fig.1 executes" `Quick test_paper_fig1_text;
     Alcotest.test_case "paper Ex.4 loop executes" `Quick
       test_paper_ex4_loop_executes;

@@ -321,6 +321,68 @@ let test_admission_memory_budget () =
   check bool_t "small statevector fits" true
     (Result.is_ok (Admission.check ~budget:1024 ~backend:`Statevector (bell ())))
 
+(* The shot-branching footprint: a 26-qubit program (1 GiB per state)
+   whose qubit 0 is measured and reused three times has k = 3 branch
+   points, so 100 shots hold min(3, 6) + 1 = 4 states. Under a budget
+   that fits 2 states the job is admitted capped at the tape tier (one
+   state per shot); under one that fits 4 it is charged all 4; under one
+   that fits none it is rejected. Nothing here is executed. *)
+let branching_26q () =
+  let b = Circuit.Build.create ~num_qubits:26 ~num_clbits:4 () in
+  Circuit.Build.gate b Gate.Cx [ 0; 25 ];
+  for j = 0 to 3 do
+    Circuit.Build.gate b Gate.H [ 0 ];
+    Circuit.Build.measure b 0 j
+  done;
+  Qir_builder.build (Circuit.Build.finish b)
+
+let test_admission_branching_footprint () =
+  let m = branching_26q () in
+  let state = 1 lsl 30 in
+  let accepted_notes events =
+    List.filter_map
+      (function
+        | Service.Accepted { id; note; _ } -> Some (id, note)
+        | _ -> None)
+      events
+  in
+  (* 2 states fit: capped at tape, charged one state *)
+  let svc, events =
+    recording ~config:{ Service.default_config with Service.mem_budget = 2 * state } ()
+  in
+  let plan, _, _ = Executor.Session.plan_of (Service.session svc) m in
+  check int_t "three branch points" 3
+    (Qsim.Sampler.branch_points (Option.get plan));
+  Service.submit svc ~tenant:"t" ~id:"j1" ~shots:100 m;
+  Service.submit svc ~tenant:"t" ~id:"j2" ~shots:100 m;
+  (match accepted_notes (events ()) with
+  | [ ("j1", Some note); ("j2", Some _) ] ->
+    check bool_t "capped at the tape tier" true
+      (Astring.String.is_infix ~affix:"capped at the tape tier" note);
+    check bool_t "names the 4-state need" true
+      (Astring.String.is_infix ~affix:"needs 4 states" note)
+  | _ -> Alcotest.fail "expected two capped admissions");
+  check int_t "nothing rejected" 0 (List.length (rejections (events ())));
+  (* 4 states fit: charged all four, so a second in-flight copy is over *)
+  let svc, events =
+    recording ~config:{ Service.default_config with Service.mem_budget = 4 * state } ()
+  in
+  Service.submit svc ~tenant:"t" ~id:"k1" ~shots:100 m;
+  Service.submit svc ~tenant:"t" ~id:"k2" ~shots:100 m;
+  (match accepted_notes (events ()), rejections (events ()) with
+  | [ ("k1", None) ], [ ("k2", e, false) ] ->
+    check bool_t "tenant in-flight footprint" true
+      (Astring.String.is_infix ~affix:"in-flight" e.Qir_error.message)
+  | _ -> Alcotest.fail "expected k1 admitted uncapped, k2 rejected in flight");
+  (* one shot never branches: charged one state *)
+  Service.submit svc ~tenant:"u" ~id:"single" ~shots:1 m;
+  check int_t "single-shot job admitted" 2 (Service.stats svc).Service.accepted;
+  (* under one state: rejected *)
+  match Admission.check ~budget:(state / 2) ~backend:`Statevector m with
+  | Ok _ -> Alcotest.fail "1 GiB state admitted under 512 MiB"
+  | Error e ->
+    check int_t "overload exit code" Qir_error.exit_overload (Qir_error.exit_code e)
+
 (* Satellite fix: a proof that shows a higher peak than the declaration
    must win — admission charges max(declared, proven) and surfaces the
    discrepancy as a QR003 note. *)
@@ -702,7 +764,9 @@ let test_intern_shares_modules_across_jobs () =
   check int_t "both ran" 2 (List.length (results (events ())));
   let c = (Service.stats svc).Service.cache in
   check bool_t "second job hit the session cache" true
-    (c.Executor.Session.compile_hits >= 1);
+    (c.Executor.Session.plan_hits >= 1);
+  check int_t "batched jobs compile no bytecode" 0
+    c.Executor.Session.compile_misses;
   match Service.intern svc ~source:"not qir at all" with
   | Ok _ -> Alcotest.fail "garbage interned"
   | Error e ->
@@ -776,6 +840,8 @@ let suite =
       test_breaker_lifecycle;
     Alcotest.test_case "admission: memory budget" `Quick
       test_admission_memory_budget;
+    Alcotest.test_case "admission: branching footprint caps at tape" `Quick
+      test_admission_branching_footprint;
     Alcotest.test_case "admission: proof beats declaration (QR003)" `Quick
       test_admission_proof_beats_declaration;
     Alcotest.test_case "admission: lower bound rejects before compile" `Quick
