@@ -522,10 +522,10 @@ let a1 () =
     [ ("redundant (raw)", raw); ("peephole-optimized", optimized) ]
 
 (* ------------------------------------------------------------------ *)
-(* E9 — the high-performance statevector engine: specialized kernels,
-   gate fusion, Domain parallelism and batched shot sampling, each
-   measured against the seed's naive general-kernel engine. Results are
-   also written machine-readably to BENCH_simulator.json. *)
+(* E9 — the high-performance statevector engine: one kernel per gate
+   (unfused), gate fusion, Domain parallelism and batched shot sampling,
+   each measured against the seed's naive general-kernel engine. Results
+   are also written machine-readably to BENCH_simulator.json. *)
 
 (* E9, E14, E18 and E19 report into BENCH_simulator.json: each stores
    its fragment here and rewrites the file with whatever has run so far,
@@ -629,7 +629,7 @@ let e9 () =
     Harness.time_once (fun () ->
         ignore (Qsim.Statevector.Reference.run_circuit ~seed:1 c))
   in
-  let t_spec =
+  let t_unfused =
     Harness.time_once (fun () ->
         ignore (Qsim.Statevector.run_circuit ~seed:1 c))
   in
@@ -643,10 +643,10 @@ let e9 () =
   Harness.row "  %-36s %12s %10s@\n" "reference (seed general kernels)"
     (Harness.ns_to_string (t_ref *. 1e9))
     "1.0x";
-  Harness.row "  %-36s %12s %9.1fx@\n" "specialized kernels"
-    (Harness.ns_to_string (t_spec *. 1e9))
-    (t_ref /. t_spec);
-  Harness.row "  %-36s %12s %9.1fx@\n" "specialized + fused"
+  Harness.row "  %-36s %12s %9.1fx@\n" "unfused (one kernel per gate)"
+    (Harness.ns_to_string (t_unfused *. 1e9))
+    (t_ref /. t_unfused);
+  Harness.row "  %-36s %12s %9.1fx@\n" "fused"
     (Harness.ns_to_string (t_fused *. 1e9))
     (t_ref /. t_fused);
   Harness.row
@@ -686,10 +686,10 @@ let e9 () =
       {|  "e9_kernels": {
     "circuit": { "qubits": %d, "gates": %d, "family": "clifford+t" },
     "reference_s": %.6f,
-    "specialized_s": %.6f,
-    "specialized_fused_s": %.6f,
-    "speedup_specialized": %.2f,
-    "speedup_specialized_fused": %.2f
+    "unfused_s": %.6f,
+    "fused_s": %.6f,
+    "speedup_unfused": %.2f,
+    "speedup_fused": %.2f
   },
   "fusion_plan": {
     "ops_in": %d, "steps_out": %d,
@@ -704,7 +704,7 @@ let e9 () =
     "batched_s": %.6f,
     "speedup": %.2f
   }|}
-      n gates t_ref t_spec t_fused (t_ref /. t_spec) (t_ref /. t_fused)
+      n gates t_ref t_unfused t_fused (t_ref /. t_unfused) (t_ref /. t_fused)
       fstats.Qsim.Fusion.ops_in fstats.Qsim.Fusion.steps_out
       fstats.Qsim.Fusion.fused_1q fstats.Qsim.Fusion.absorbed_1q
       fstats.Qsim.Fusion.fused_2q fstats.Qsim.Fusion.fused_3q
@@ -734,7 +734,7 @@ let e14 () =
     Harness.time_once (fun () ->
         ignore (Qsim.Fusion.run_circuit ~seed:1 ~k c))
   in
-  let t_spec =
+  let t_unfused =
     Harness.time_once (fun () ->
         ignore (Qsim.Statevector.run_circuit ~seed:1 c))
   in
@@ -749,7 +749,7 @@ let e14 () =
       (Harness.ns_to_string (t *. 1e9))
       (gps t) (t_k2 /. t)
   in
-  show "specialized, unfused" t_spec;
+  show "unfused" t_unfused;
   show "pairwise fused (k=2)" t_k2;
   List.iter (fun (k, t) -> show (Printf.sprintf "clustered (k=%d)" k) t) t_ks;
   let best_k, best_t =
@@ -847,7 +847,7 @@ let e14 () =
     Printf.sprintf
       {|  "e14_clusters": {
     "circuit": { "qubits": %d, "gates": %d, "family": "clifford+t" },
-    "specialized_s": %.6f,
+    "unfused_s": %.6f,
     "pairwise_k2_s": %.6f,
     "clustered": { %s },
     "best_k": %d,
@@ -861,7 +861,7 @@ let e14 () =
     "qubits": %d, "gates": %d, "shots": %d, "batched": true,
     "time_s": %.6f, "shots_completed": %d, "ghz_histogram_ok": %b
   }|}
-      n gates t_spec t_k2
+      n gates t_unfused t_k2
       (String.concat ", "
          (List.map
             (fun (k, t) -> Printf.sprintf {|"k%d_s": %.6f|} k t)
@@ -1097,6 +1097,86 @@ let e19 () =
       br.Qruntime.Executor.batched br.Qruntime.Executor.completed (projected /. t_br)
   in
   add_sim_fragment "e19" fragment
+
+(* ------------------------------------------------------------------ *)
+(* E20 — per-gate cost through Statevector.apply: the per-shot tier,
+   the gate tape and the noise model run every gate this way, one
+   kernel sweep per gate. Microseconds per gate, best of 3 timed
+   batches, at 5 qubits (per-call overhead dominates), 12 qubits (the
+   state fits in cache) and 20 qubits (memory-bound). The state is
+   H and T on every qubit, so no amplitude is zero. Operands: 1-qubit
+   gates on qubit 1, 2-qubit gates on (n-1, 1), CCX on (0, n-1, 2), so
+   each gate has a low-stride operand and 2- and 3-qubit gates also
+   span the register. Written to BENCH_simulator.json. *)
+
+let e20 () =
+  Harness.section "E20" "per-gate cost through Statevector.apply";
+  let gates =
+    Gate.
+      [
+        ("x", X); ("h", H); ("t", T); ("ry", Ry 0.7); ("rx", Rx 0.7);
+        ("cx", Cx); ("cz", Cz); ("crx", Crx 0.7); ("swap", Swap);
+        ("ccx", Ccx);
+      ]
+  in
+  let operands n (g : Gate.t) =
+    match Gate.num_qubits g with
+    | 1 -> [ 1 ]
+    | 2 -> [ n - 1; 1 ]
+    | _ -> [ 0; n - 1; 2 ]
+  in
+  let per_gate n g =
+    let st = Qsim.Statevector.create n in
+    for q = 0 to n - 1 do
+      Qsim.Statevector.apply st Gate.H [ q ];
+      Qsim.Statevector.apply st Gate.T [ q ]
+    done;
+    let qs = operands n g in
+    let reps = max 8 ((1 lsl 24) lsr n) in
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      let t =
+        Harness.time_once (fun () ->
+            for _ = 1 to reps do
+              Qsim.Statevector.apply st g qs
+            done)
+      in
+      best := Float.min !best (t /. float_of_int reps)
+    done;
+    !best *. 1e6
+  in
+  let sizes = [ 5; 12; 20 ] in
+  Harness.row "  %-6s %12s %12s %12s   (us per gate, best of 3)@\n" "gate"
+    "5 qubits" "12 qubits" "20 qubits";
+  let rows =
+    List.map
+      (fun (name, g) ->
+        let us = List.map (fun n -> (n, per_gate n g)) sizes in
+        Harness.row "  %-6s %s@\n" name
+          (String.concat " "
+             (List.map (fun (_, t) -> Printf.sprintf "%12.3f" t) us));
+        (name, us))
+      gates
+  in
+  let fragment =
+    Printf.sprintf
+      {|  "e20_gates": {
+    "api": "Statevector.apply", "unit": "us_per_gate", "timing": "best_of_3",
+    "operands": { "1q": [1], "2q": ["n-1", 1], "3q": [0, "n-1", 2] },
+%s
+  }|}
+      (String.concat ",\n"
+         (List.map
+            (fun n ->
+              Printf.sprintf {|    "q%d": { %s }|} n
+                (String.concat ", "
+                   (List.map
+                      (fun (name, us) ->
+                        Printf.sprintf {|"%s": %.4f|} name (List.assoc n us))
+                      rows)))
+            sizes))
+  in
+  add_sim_fragment "e20" fragment
 
 (* ------------------------------------------------------------------ *)
 (* E15 — the multi-tenant service under mixed hot/cold load             *)
@@ -2380,4 +2460,5 @@ let () =
   run "e17" e17;
   run "e18" e18;
   run "e19" e19;
+  run "e20" e20;
   Format.printf "@\nAll benchmarks complete.@\n"

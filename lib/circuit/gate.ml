@@ -217,6 +217,28 @@ let matrix_2q = function
     invalid_arg
       (Printf.sprintf "Gate.matrix_2q: %d-qubit gate" (num_qubits g))
 
+(* Three-qubit matrices, operand 0 the most significant bit as in
+   [matrix_2q]: basis order |q0 q1 q2>. Both are transpositions: CCX
+   exchanges |110> and |111>, CSWAP |101> and |110>. *)
+let matrix_3q g =
+  let exchange a b =
+    Array.init 8 (fun r ->
+        let src = if r = a then b else if r = b then a else r in
+        Array.init 8 (fun col -> if col = src then c1 else c0))
+  in
+  match g with
+  | Ccx -> exchange 6 7
+  | Cswap -> exchange 5 6
+  | g ->
+    invalid_arg
+      (Printf.sprintf "Gate.matrix_3q: %d-qubit gate" (num_qubits g))
+
+let matrix g =
+  match num_qubits g with
+  | 1 -> matrix_1q g
+  | 2 -> matrix_2q g
+  | _ -> matrix_3q g
+
 (* ------------------------------------------------------------------ *)
 (* Names (OpenQASM spelling)                                            *)
 

@@ -61,6 +61,15 @@ val matrix_2q : t -> Complex.t array array
     (the control, for controlled gates) is the most significant bit.
     Raises [Invalid_argument] otherwise. *)
 
+val matrix_3q : t -> Complex.t array array
+(** 8x8 unitary of a three-qubit gate in the basis |q0 q1 q2> where
+    operand 0 is the most significant bit, as in {!matrix_2q}. Raises
+    [Invalid_argument] otherwise. *)
+
+val matrix : t -> Complex.t array array
+(** The unitary of any gate: {!matrix_1q}, {!matrix_2q} or {!matrix_3q}
+    by arity. *)
+
 val name : t -> string
 (** OpenQASM spelling ([h], [cx], [rz], ...). *)
 

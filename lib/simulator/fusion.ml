@@ -8,19 +8,19 @@
    pending cluster (a unitary over the union of their qubits, capped at
    [k] qubits), or flushes the clusters it touches and starts a new one.
    A merge fires only when the engine-cost model says the merged kernel
-   is no more expensive than the kernels it replaces. The model mirrors
-   the engine's specialized kernels: diagonal cluster matrices cost a
-   fraction of a sweep, monomial (permutation-with-phases) matrices —
-   any run of X/CX/SWAP/CCX/phase gates — cost one sweep regardless of
-   cluster width, and dense matrices pay 2^m multiplies per amplitude.
-   So Clifford+T runs collapse into wide one-sweep clusters, an H still
-   fuses into a neighboring CNOT (the dense 4x4 beats two sweeps), but
-   a dense matrix is never grown past what the replaced gates cost.
+   is no more expensive than the kernels it replaces: diagonal cluster
+   matrices cost a fraction of a sweep, monomial (permutation-with-
+   phases) matrices — any run of X/CX/SWAP/CCX/phase gates — cost one
+   sweep regardless of cluster width, and dense matrices pay 2^m
+   multiplies per amplitude. So Clifford+T runs collapse into wide
+   one-sweep clusters, an H still fuses into a neighboring CNOT (the
+   dense 4x4 beats two sweeps), but a dense matrix is never grown past
+   what the replaced gates cost.
 
-   Emission keeps the cheapest encoding for each flushed cluster: a
-   cluster that is still a single source gate is re-emitted as that gate
-   (preserving the engine's specialized kernel dispatch), 1- and
-   2-qubit matrices lower to Mat1/Mat2, anything wider to Cluster.
+   Every flushed cluster, a lone source gate included, leaves the
+   planner as a prepared {!Statevector.kernel} — classified once here,
+   so a cached plan never classifies again: 1-qubit matrices as Mat1,
+   2-qubit as Mat2, anything wider as Cluster.
 
    Measurements, resets, barriers and classically-conditioned
    operations are fusion barriers for the qubits they touch (a
@@ -31,12 +31,9 @@
 open Qcircuit
 
 type step =
-  | Mat1 of Complex.t array array * int
-  | Mat2 of Complex.t array array * int * int
-      (* first qubit = most significant matrix bit, as in apply_2q *)
-  | Cluster of Complex.t array array * int array
-      (* qubits ascending; matrix bit j <-> qs.(j), least significant
-         first, as in Statevector.apply_cluster *)
+  | Mat1 of Statevector.kernel
+  | Mat2 of Statevector.kernel
+  | Cluster of Statevector.kernel
   | Op of Circuit.op
 
 type stats = {
@@ -46,7 +43,7 @@ type stats = {
   absorbed_1q : int; (* 1q gates folded into a wider cluster *)
   fused_2q : int; (* 2q gates merged into a cluster *)
   fused_3q : int; (* 3q gates merged into a cluster *)
-  clusters_emitted : int; (* Cluster steps (3+ qubits) in the plan *)
+  clusters_emitted : int; (* fused Cluster steps (3+ qubits) in the plan *)
   clustered_gates : int; (* source gates inside those Cluster steps *)
   identities_dropped : int;
 }
@@ -86,12 +83,6 @@ let mat_mul a b =
           done
       done;
       Array.init n (fun j -> { Complex.re = rr.(j); im = ri.(j) }))
-
-(* Reindexes a 4x4 matrix to the basis with its two qubit roles
-   swapped: bit pattern |ab> becomes |ba> (1 <-> 2). *)
-let swap_roles (u : Complex.t array array) =
-  let perm = [| 0; 2; 1; 3 |] in
-  Array.init 4 (fun i -> Array.init 4 (fun j -> u.(perm.(i)).(perm.(j))))
 
 let is_identity (u : Complex.t array array) =
   let n = Array.length u in
@@ -177,40 +168,17 @@ let embed (u : Complex.t array array) (qs : int array) (sup : int array) =
           if rmask <> c land outmask then Complex.zero
           else ur.(Array.unsafe_get projtab c)))
 
-(* The 8x8 permutation matrix of a 3-qubit gate in the local basis of
-   [sorted] (ascending, LSB first), given its operand order [ops]. *)
-let mat3_local (g : Gate.t) (ops : int array) (sorted : int array) =
-  let pos =
-    Array.map
-      (fun q ->
-        let p = ref (-1) in
-        Array.iteri (fun i s -> if s = q then p := i) sorted;
-        !p)
-      ops
-  in
-  let u = Array.make_matrix 8 8 Complex.zero in
-  for x = 0 to 7 do
-    let bit j = (x lsr pos.(j)) land 1 in
-    let y =
-      match g with
-      | Gate.Ccx -> if bit 0 = 1 && bit 1 = 1 then x lxor (1 lsl pos.(2)) else x
-      | Gate.Cswap ->
-        if bit 0 = 1 && bit 1 <> bit 2 then
-          x lxor (1 lsl pos.(1)) lxor (1 lsl pos.(2))
-        else x
-      | _ -> assert false
-    in
-    u.(y).(x) <- Complex.one
-  done;
-  u
-
 (* ------------------------------------------------------------------ *)
 (* Engine-cost model                                                    *)
 
 (* Costs in units of one light-compute sweep over the amplitude arrays.
-   Standalone gates are priced at their specialized kernel: diagonal
-   d0=1 kernels touch half the amplitudes, CX/SWAP move half, CCX a
-   quarter, controlled-general 4x4s pay the 16-complex-multiply matvec. *)
+   These numbers are the calibration of an earlier engine that had a
+   dedicated kernel per gate shape (diagonal d0=1 kernels touching half
+   the amplitudes, CX/SWAP moving half, CCX a quarter, controlled
+   4x4s paying a 16-complex-multiply matvec). They are kept as they are
+   so plans, and therefore results, stay bit-identical; re-pricing them
+   against the one kernel family waits for measured per-class sweep
+   costs. *)
 let gate_cost (g : Gate.t) =
   match g with
   | Gate.I -> 0.0
@@ -221,18 +189,18 @@ let gate_cost (g : Gate.t) =
   | Gate.Ch | Gate.Crx _ | Gate.Cry _ | Gate.Cu _ -> 1.4
   | _ -> if Gate.num_qubits g = 1 then 1.0 else 1.4
 
-(* A pending cluster's cost if flushed as its own kernel, calibrated
-   against the engine's measured sweep costs (in units of one
-   full-array light sweep): diagonal and monomial (cycle-walking)
-   cluster sweeps cost about one sweep regardless of width; a 2-qubit
-   non-monomial matrix lowers to the hardcoded general 4x4 kernel
-   (~1.4); anything wider runs as a CSR matvec whose per-amplitude work
-   is the average row density — gather/scatter staging makes that
-   roughly 0.55 of a sweep per nonzero-per-row on top of a half-sweep
-   of fixed overhead. The effect: Clifford+T runs fold into wide
-   one-sweep clusters, a single H still fuses into its neighborhood,
-   but sparse clusters stop absorbing gates as soon as their rows
-   thicken. *)
+(* A pending cluster's cost if flushed as its own kernel, in units of
+   one full-array light sweep, from the same earlier calibration as
+   [gate_cost] (kept for the same reason): diagonal and monomial
+   (cycle-walking) cluster sweeps cost about one sweep regardless of
+   width; a 2-qubit non-monomial matrix was priced at that engine's
+   general 4x4 kernel (~1.4); anything wider runs as a CSR matvec whose
+   per-amplitude work is the average row density — gather/scatter
+   staging makes that roughly 0.55 of a sweep per nonzero-per-row on
+   top of a half-sweep of fixed overhead. The effect: Clifford+T runs
+   fold into wide one-sweep clusters, a single H still fuses into its
+   neighborhood, but sparse clusters stop absorbing gates as soon as
+   their rows thicken. *)
 let cluster_cost (u : Complex.t array array) =
   if is_diag u then 0.7
   else if is_monomial u then 1.2
@@ -257,7 +225,7 @@ type pend = {
   mutable m : Complex.t array array;
   mutable qs : int array; (* ascending; matrix bit j <-> qs.(j) *)
   mutable gates : int; (* source gates folded in *)
-  mutable src : Circuit.op option; (* the sole source op while gates = 1 *)
+  mutable src : Gate.t option; (* the sole source gate while gates = 1 *)
 }
 
 let default_k =
@@ -298,17 +266,18 @@ let plan ?k (c : Circuit.t) : step list * stats =
   let emit s = rev_steps := s :: !rev_steps in
   let lower p =
     if is_identity p.m then incr identities
-    else
-      match p.src with
-      | Some op -> emit (Op op) (* single gate: keep specialized dispatch *)
-      | None -> (
-        match Array.length p.qs with
-        | 1 -> emit (Mat1 (p.m, p.qs.(0)))
-        | 2 -> emit (Mat2 (p.m, p.qs.(1), p.qs.(0)))
-        | _ ->
+    else begin
+      let k = Statevector.kernel p.m p.qs in
+      match Array.length p.qs with
+      | 1 -> emit (Mat1 k)
+      | 2 -> emit (Mat2 k)
+      | _ ->
+        if p.src = None then begin
           incr clusters_emitted;
-          clustered_gates := !clustered_gates + p.gates;
-          emit (Cluster (p.m, Array.copy p.qs)))
+          clustered_gates := !clustered_gates + p.gates
+        end;
+        emit (Cluster k)
+    end
   in
   let flush_p p =
     Array.iter (fun q -> pending.(q) <- None) p.qs;
@@ -320,9 +289,9 @@ let plan ?k (c : Circuit.t) : step list * stats =
       flush q
     done
   in
-  let start op gqs gm =
+  let start op g gqs gm =
     if Array.length gqs <= k then
-      let p = { m = gm; qs = gqs; gates = 1; src = Some op } in
+      let p = { m = gm; qs = gqs; gates = 1; src = Some g } in
       Array.iter (fun q -> pending.(q) <- Some p) gqs
     else emit (Op op)
   in
@@ -338,7 +307,7 @@ let plan ?k (c : Circuit.t) : step list * stats =
           | _ -> acc)
         [] gqs
     in
-    if parts = [] then start op gqs gm
+    if parts = [] then start op g gqs gm
     else begin
       let union =
         let tbl = Hashtbl.create 8 in
@@ -373,9 +342,8 @@ let plan ?k (c : Circuit.t) : step list * stats =
                 acc
                 +.
                 match p.src with
-                | Some { Circuit.kind = Circuit.Gate (pg, _); _ } ->
-                  gate_cost pg
-                | _ -> cluster_cost p.m)
+                | Some pg -> gate_cost pg
+                | None -> cluster_cost p.m)
               0.0 parts
           in
           if merged_cost <= parts_cost +. gate_cost g +. 1e-9 then Some !mm
@@ -397,7 +365,7 @@ let plan ?k (c : Circuit.t) : step list * stats =
         Array.iter (fun q -> pending.(q) <- Some np) union
       | None ->
         List.iter flush_p parts;
-        start op gqs gm
+        start op g gqs gm
     end
   in
   List.iter
@@ -409,16 +377,9 @@ let plan ?k (c : Circuit.t) : step list * stats =
              && distinct_sorted (sorted_ops qs) ->
         if not (Gate.is_identity g) then begin
           let gqs = sorted_ops qs in
-          let gm =
-            match Gate.num_qubits g, qs with
-            | 1, _ -> Gate.matrix_1q g
-            | 2, [ a; b ] ->
-              (* matrix_2q's first operand is the most significant bit;
-                 the local convention is ascending, LSB first *)
-              if a > b then Gate.matrix_2q g
-              else swap_roles (Gate.matrix_2q g)
-            | _, qs -> mat3_local g (Array.of_list qs) gqs
-          in
+          (* the matrix's operand 0 is its most significant bit, so
+             the operands list its bits last to first *)
+          let gm = embed (Gate.matrix g) (Array.of_list (List.rev qs)) gqs in
           handle op g gqs gm
         end
       | Circuit.Barrier [], _ ->
@@ -452,9 +413,7 @@ let apply_plan st clbits steps =
   List.iter
     (fun step ->
       match step with
-      | Mat1 (m, q) -> Statevector.apply_1q st m q
-      | Mat2 (m, a, b) -> Statevector.apply_2q st m a b
-      | Cluster (m, qs) -> Statevector.apply_cluster st m qs
+      | Mat1 k | Mat2 k | Cluster k -> Statevector.apply_kernel st k
       | Op op ->
         if Statevector.cond_holds clbits op.Circuit.cond then (
           match op.Circuit.kind with

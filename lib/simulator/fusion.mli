@@ -15,14 +15,15 @@
     fusion barriers on the qubits they touch. *)
 
 type step =
-  | Mat1 of Complex.t array array * int
-  | Mat2 of Complex.t array array * int * int
-      (** first qubit = most significant matrix bit, as in
-          {!Statevector.apply_2q} *)
-  | Cluster of Complex.t array array * int array
-      (** qubits ascending; matrix bit [j] <-> [qs.(j)], least
-          significant first, as in {!Statevector.apply_cluster} *)
-  | Op of Qcircuit.Circuit.op  (** pass-through: not fusable *)
+  | Mat1 of Statevector.kernel  (** a 1-qubit matrix *)
+  | Mat2 of Statevector.kernel  (** a 2-qubit matrix *)
+  | Cluster of Statevector.kernel  (** a matrix over 3 or more qubits *)
+  | Op of Qcircuit.Circuit.op
+      (** pass-through: measurements, resets, barriers, conditioned
+          operations, gates wider than the cluster cap and gates with
+          malformed operands (which raise when applied) *)
+(** Every fusable gate, fused or lone, is a prepared kernel: applying a
+    plan step never classifies a matrix. *)
 
 type stats = {
   ops_in : int;
@@ -31,7 +32,8 @@ type stats = {
   absorbed_1q : int;  (** 1q gates folded into a wider cluster *)
   fused_2q : int;  (** 2q gates merged into a cluster *)
   fused_3q : int;  (** 3q gates merged into a cluster *)
-  clusters_emitted : int;  (** [Cluster] steps (3+ qubits) in the plan *)
+  clusters_emitted : int;
+      (** [Cluster] steps fused from two or more gates (3+ qubits) *)
   clustered_gates : int;  (** source gates inside those [Cluster] steps *)
   identities_dropped : int;
 }

@@ -17,29 +17,23 @@
    (the paper's Sec. IV-A).
 
    Engine layering (the hot path of the whole toolchain):
-   - every kernel enumerates only the indices with the target bit(s)
-     clear and reconstructs the full index by bit insertion, so a 1q
-     kernel visits size/2 loop iterations, a 2q kernel size/4, CCX
+   - every gate, lone or fused, is one prepared kernel: a matrix over m
+     qubits, classified once by its structure (a 2x2 block on two
+     sub-states, diagonal, monomial or sparse), whose sweep enumerates
+     only the groups of 2^m amplitudes it acts on and reconstructs each
+     group base by bit insertion — a 1q gate visits size/2 groups, CCX
      size/8 — instead of scanning all 2^n indices and filtering;
-   - structured gates get dedicated kernels: permutations (X, CNOT,
-     SWAP, CCX, CSWAP) shuffle amplitudes without arithmetic, diagonal
-     gates (Z, S, T, Rz, CZ, CP, ...) multiply phases without touching
-     index pairs, and real matrices (H, Ry) skip the imaginary halves of
-     the complex multiply; everything else falls back to the general
-     2x2 / 4x4 kernel;
-   - when the register is large enough, kernels split their index range
+   - when the register is large enough, sweeps split their group range
      across a reusable Domain pool ({!Dpool});
-   - cross-shard gates run a stride-aware shard exchange: the involved
-     bit positions are split once at the shard boundary, the high
-     positions select shard pairs, the low positions form a mask whose
-     clear-bit offsets are enumerated by mask-increment — one pass per
-     shard pair over large contiguous runs instead of an element-wise
-     two-level gather/scatter. A permutation gate whose involved bits
-     all sit at or above the boundary degenerates to swapping shard
-     references: O(1) per shard pair, no amplitude traffic at all;
-   - whole runs of fused gates execute as one pass via the cluster
-     kernel ({!apply_cluster}), with constant-work fast paths for
-     diagonal and permutation-shaped cluster matrices;
+   - cross-shard kernels run a stride-aware shard exchange: the
+     involved bit positions are split once at the shard boundary, the
+     high positions select shard groups, the low positions form a mask
+     whose clear-bit offsets are enumerated by mask-increment — one
+     pass per shard group over large contiguous runs instead of an
+     element-wise two-level gather/scatter. An exchange whose involved
+     bits all sit at or above the boundary degenerates to swapping
+     shard references: O(1) per shard pair, no amplitude traffic at
+     all;
    - the seed's full-scan general kernels survive in {!Reference}
      (re-addressed for the sharded layout, arithmetic untouched) as the
      correctness oracle for tests and the baseline for benchmarks. *)
@@ -277,1417 +271,817 @@ let copy st =
 (* Index enumeration                                                    *)
 
 (* [insert_zero x p] re-spreads [x] so that bit position [p] of the
-   result is 0: the k-th index among those with bit p clear. Composing
-   insertions in ascending position order enumerates the indices with
-   several bits clear. *)
+   result is 0: the k-th index among those with bit p clear. *)
 let insert_zero x p = ((x lsr p) lsl (p + 1)) lor (x land ((1 lsl p) - 1))
 
-let sort2 a b = if a < b then (a, b) else (b, a)
-
-let sort3 a b c =
-  let a, b = sort2 a b in
-  let a, c = sort2 a c in
-  let b, c = sort2 b c in
-  (a, b, c)
-
-(* [enum_base ps k]: the k-th smallest index among those with every
-   (ascending) bit position in [ps] clear. *)
-let enum_base ps k =
-  let b = ref k in
-  for j = 0 to Array.length ps - 1 do
-    b := insert_zero !b (Array.unsafe_get ps j)
+(* [enum_base msk k]: the k-th smallest index with every bit of [msk]
+   clear — a bit insertion at each set bit of [msk], ascending. Sweeps
+   call it once per chunk and step on by mask-increment
+   (next = ((b lor msk) + 1) land lnot msk, O(1) per group). *)
+let enum_base msk k =
+  let b = ref k and m = ref msk and p = ref 0 in
+  while !m <> 0 do
+    if !m land 1 <> 0 then b := insert_zero !b !p;
+    m := !m lsr 1;
+    incr p
   done;
   !b
 
-let mask_of ps = Array.fold_left (fun m p -> m lor (1 lsl p)) 0 ps
-
-(* Splits sorted bit positions at the shard boundary: positions below
-   [lb] stay in-shard offsets, positions at or above map (shifted down
-   by [lb]) to bits of the shard index. *)
-let split_low_high lb ps =
-  let lows = ref [] and highs = ref [] in
-  Array.iter
-    (fun p ->
-      if p < lb then lows := p :: !lows else highs := (p - lb) :: !highs)
-    ps;
-  (Array.of_list (List.rev !lows), Array.of_list (List.rev !highs))
+let popcount x =
+  let n = ref 0 and x = ref x in
+  while !x <> 0 do
+    x := !x land (!x - 1);
+    incr n
+  done;
+  !n
 
 (* ------------------------------------------------------------------ *)
-(* Stride-aware shard exchange                                          *)
+(* Prepared kernels                                                     *)
 
-(* Sharded kernels no longer re-split every global index into
-   (shard, offset): the gate's involved bit positions are split once at
-   the shard boundary. Positions at or above [lb] enumerate shard
-   groups (bit insertion over the shard index), positions below [lb]
-   form a mask whose clear-bit offsets step by mask-increment
-   (next = ((o lor mask) + 1) land lnot mask, O(1) per group) — so each
-   shard pair is swept in one pass of large contiguous runs, and the
-   per-pair arithmetic is the flat kernels' verbatim. Per-pair work is
-   independent, so the changed traversal order leaves every amplitude
-   bit-identical to the flat layout. *)
+(* Every gate, lone or fused, runs as a [2^m x 2^m] matrix over [m]
+   qubits: one pass over the amplitudes visits each group of [2^m]
+   amplitudes that differ only in those qubits (the sub-states), so a
+   1-qubit gate visits size/2 groups, CCX size/8. The matrix is
+   classified once, when the kernel is prepared, and the class picks
+   the sweep:
+   - a matrix that is the identity outside two sub-states — every gate
+     of the gate set, and every 1-qubit fusion — runs a pair sweep over
+     its 2x2 block, specialised by the block's structure: one or two
+     phases (diagonal), an exchange with or without phases (monomial;
+     a pure exchange only moves amplitudes), real or complex weights
+     (sparse);
+   - any other diagonal or monomial (permutation-with-phases) matrix —
+     every Clifford+T run without an H, for example — costs a constant
+     number of multiplies per amplitude regardless of m;
+   - everything else runs as a sparse (CSR) matvec over the matrix's
+     exact nonzeros, so the cost scales with the fused matrix's density
+     rather than its dimension.
+   The zero and unit tests are exact: gate matrices carry exact 0.0 and
+   1.0 entries, and products of structured matrices preserve them.
 
-(* [sh_pairs st ~ps ~oa ~ob body]: for every group base [i] (all bits
-   in the sorted positions [ps] clear) the gate touches the pair
-   (i lor oa, i lor ob). [body] receives the two shard slices, the two
-   in-shard offset deltas, the low-bit mask and the number of offsets
-   to enumerate, and sweeps one shard pair. *)
-let sh_pairs st ~ps ~oa ~ob body =
-  let lb = st.lb in
-  let lm = (1 lsl lb) - 1 in
-  let lows, highs = split_low_high lb ps in
-  let lmsk = mask_of lows in
-  let inner = (1 lsl lb) lsr Array.length lows in
-  let sa = oa lsr lb and sb = ob lsr lb in
-  let oal = oa land lm and obl = ob land lm in
-  let res = st.re and ims = st.im in
-  let sgroups = Array.length res lsr Array.length highs in
-  Dpool.run_tasks ~count:sgroups (fun g ->
-      let sbase = enum_base highs g in
-      let s0 = sbase lor sa and s1 = sbase lor sb in
-      body res.(s0) ims.(s0) res.(s1) ims.(s1) oal obl lmsk inner)
+   Sub-state bit [j] corresponds to the kernel's qubit [qs.(j)], least
+   significant first. Group bases start from a composed bit insertion
+   and step by mask-increment, so every derived index is in bounds by
+   construction; the sweeps use [Array1.unsafe_get/set] on that
+   strength, and {!set_checked_access} turns the proof back into
+   runtime assertions. *)
 
-(* Scales every amplitude at (group base lor off) by (zr + i*zi): the
-   diagonal-gate building block. When [off]'s bits all sit above the
-   shard boundary this is a contiguous whole-shard multiply. *)
-let sh_scale st ~ps ~off ~zr ~zi =
-  let lb = st.lb in
-  let lm = (1 lsl lb) - 1 in
-  let lows, highs = split_low_high lb ps in
-  let lmsk = mask_of lows in
-  let nmsk = lnot lmsk in
-  let inner = (1 lsl lb) lsr Array.length lows in
-  let so = off lsr lb and ol = off land lm in
-  let res = st.re and ims = st.im in
-  let checked = !checked_access_ref in
-  let sgroups = Array.length res lsr Array.length highs in
-  Dpool.run_tasks ~count:sgroups (fun g ->
-      let s = enum_base highs g lor so in
-      let re = res.(s) and im = ims.(s) in
-      let o = ref 0 in
-      for _ = 1 to inner do
-        let i = !o lor ol in
-        if checked then assert (i >= 0 && i < Ba.dim re);
-        let r = bget re i and m = bget im i in
-        bset re i ((zr *. r) -. (zi *. m));
-        bset im i ((zr *. m) +. (zi *. r));
-        o := ((!o lor lmsk) + 1) land nmsk
-      done)
+(* The 2x2 block of a pair kernel on sub-states [a] and [b]; complex
+   weights are stored as (re, im) pairs, in row-major order. *)
+type block =
+  | Phase of float array  (* amp(b) *= z; amp(a) is untouched *)
+  | Phases of float array  (* amp(a) *= za, amp(b) *= zb *)
+  | Swap  (* exchanges amp(a) and amp(b) *)
+  | Antidiag of float array  (* amp(a)' = p * amp(b), amp(b)' = q * amp(a) *)
+  | Real of float array  (* real weights aa, ab, ba, bb *)
+  | Dense of float array  (* complex weights aa, ab, ba, bb *)
 
-(* Pure permutation gates (X, CX, SWAP, CCX, CSWAP): when every
-   involved bit sits at or above the shard boundary the gate permutes
-   whole shards — swap the slice references, O(1) per shard pair, no
-   amplitude traffic (a GHZ chain's high-bit CNOTs on a 28q register
-   cost nothing per amplitude). Otherwise sweep shard pairs with the
-   swap body. *)
-let sh_perm st ~ps ~oa ~ob =
-  let lb = st.lb in
-  let lows, highs = split_low_high lb ps in
-  if Array.length lows = 0 then begin
-    let sa = oa lsr lb and sb = ob lsr lb in
-    let sgroups = Array.length st.re lsr Array.length highs in
-    for g = 0 to sgroups - 1 do
-      let sbase = enum_base highs g in
-      let s0 = sbase lor sa and s1 = sbase lor sb in
-      let tr = st.re.(s0) in
-      st.re.(s0) <- st.re.(s1);
-      st.re.(s1) <- tr;
-      let ti = st.im.(s0) in
-      st.im.(s0) <- st.im.(s1);
-      st.im.(s1) <- ti
-    done
-  end
-  else begin
-    let checked = !checked_access_ref in
-    sh_pairs st ~ps ~oa ~ob (fun r0 m0 r1 m1 oal obl lmsk inner ->
-        let nmsk = lnot lmsk in
-        let o = ref 0 in
-        for _ = 1 to inner do
-          let o0 = !o lor oal and o1 = !o lor obl in
-          if checked then assert (o0 < Ba.dim r0 && o1 < Ba.dim r1);
-          let tr = bget r0 o0 and ti = bget m0 o0 in
-          bset r0 o0 (bget r1 o1);
-          bset m0 o0 (bget m1 o1);
-          bset r1 o1 tr;
-          bset m1 o1 ti;
-          o := ((!o lor lmsk) + 1) land nmsk
-        done)
-  end
+(* A monomial matrix's permutation, compiled into a straight-line move
+   program over sub-states: scale the fixed points that carry a phase,
+   save each cycle's head, shift the remaining elements one step along
+   their cycle ([dst.(j)] <- phase * [src.(j)]), close each cycle
+   ([lasts.(w)] <- phase * saved head [w]). The walk touches every
+   sub-state once, on disjoint indices, so running all heads, then all
+   shifts, then all closes reorders only across disjoint indices: each
+   amplitude's arithmetic is that of the per-cycle walk. *)
+type moves = {
+  fix : int array;
+  heads : int array;
+  dst : int array;
+  src : int array;
+  lasts : int array;
+  phr : float array;  (* phase of each destination sub-state *)
+  phi : float array;
+  pure : bool;  (* every phase is 1: the program only moves amplitudes *)
+}
 
-(* Y-shaped exchange (Y, CY): a0' = -i*a1, a1' = i*a0. *)
-let sh_y st ~ps ~oa ~ob =
-  let checked = !checked_access_ref in
-  sh_pairs st ~ps ~oa ~ob (fun r0 m0 r1 m1 oal obl lmsk inner ->
-      let nmsk = lnot lmsk in
-      let o = ref 0 in
-      for _ = 1 to inner do
-        let o0 = !o lor oal and o1 = !o lor obl in
-        if checked then assert (o0 < Ba.dim r0 && o1 < Ba.dim r1);
-        let ar = bget r0 o0 and ai = bget m0 o0 in
-        let br = bget r1 o1 and bi = bget m1 o1 in
-        bset r0 o0 bi;
-        bset m0 o0 (-.br);
-        bset r1 o1 (-.ai);
-        bset m1 o1 ar;
-        o := ((!o lor lmsk) + 1) land nmsk
-      done)
+(* CSR over the exact nonzeros: row offsets (sub+1), column indices,
+   then re/im weights. [uniform2] marks exactly two entries per row —
+   the shape of one Hadamard-like gate fused with any number of
+   permutation/phase gates, the common non-monomial shape on
+   Clifford+T circuits — and [pairs], when present, pairs its rows
+   that read the same two columns. *)
+type sparse = {
+  rows : int array;
+  cols : int array;
+  wre : float array;
+  wim : float array;
+  uniform2 : bool;
+  pairs : (int array * int array) option;
+}
 
-(* ------------------------------------------------------------------ *)
-(* Specialized 1-qubit kernels                                          *)
+(* Matrices that touch more than two sub-states: every group is swept
+   whole. *)
+type group =
+  | Diag of float array * float array
+  | Monomial of moves
+  | Sparse of sparse
 
-(* Permutation: X swaps each (i0, i1) pair. *)
-let apply_x st q =
-  check_qubit st q;
-  if sharded st then sh_perm st ~ps:[| q |] ~oa:0 ~ob:(1 lsl q)
-  else begin
-    let bit = 1 lsl q in
-    let half = dim st / 2 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:half (fun lo hi ->
-        (* the pair index is monotone in [k]: asserting the chunk's
-           last index covers every unsafe access in the chunk *)
-        if checked && hi > lo then begin
-          let kx = hi - 1 in
-          assert (((kx lsr q) lsl (q + 1)) lor (kx land (bit - 1)) lor bit
-                  < Ba.dim re)
-        end;
-        for k = lo to hi - 1 do
-          let i0 = ((k lsr q) lsl (q + 1)) lor (k land (bit - 1)) in
-          let i1 = i0 lor bit in
-          let tr = bget re i0 and ti = bget im i0 in
-          bset re i0 (bget re i1);
-          bset im i0 (bget im i1);
-          bset re i1 tr;
-          bset im i1 ti
-        done)
-  end
+type kind = Identity | Pair of int * int * block | Group of group
 
-(* Y = [[0, -i]; [i, 0]]: a0' = -i*a1, a1' = i*a0. *)
-let apply_y st q =
-  check_qubit st q;
-  if sharded st then sh_y st ~ps:[| q |] ~oa:0 ~ob:(1 lsl q)
-  else begin
-    let bit = 1 lsl q in
-    let half = dim st / 2 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:half (fun lo hi ->
-        (* the pair index is monotone in [k]: asserting the chunk's
-           last index covers every unsafe access in the chunk *)
-        if checked && hi > lo then begin
-          let kx = hi - 1 in
-          assert (((kx lsr q) lsl (q + 1)) lor (kx land (bit - 1)) lor bit
-                  < Ba.dim re)
-        end;
-        for k = lo to hi - 1 do
-          let i0 = ((k lsr q) lsl (q + 1)) lor (k land (bit - 1)) in
-          let i1 = i0 lor bit in
-          let ar = bget re i0 and ai = bget im i0 in
-          let br = bget re i1 and bi = bget im i1 in
-          bset re i0 bi;
-          bset im i0 (-.br);
-          bset re i1 (-.ai);
-          bset im i1 ar
-        done)
-  end
+type kernel = {
+  kind : kind;
+  qs : int array;
+  msk : int;  (* the qubits' bits *)
+  offs : int array;
+      (* group kinds: index offset of sub-state x from its group base *)
+}
 
-(* Diagonal: amp(i0) *= d0, amp(i1) *= d1, no pair shuffle. The common
-   d0 = 1 case (Z, S, T, P) touches only the bit-set half. *)
-let apply_diag1 st ~d0re ~d0im ~d1re ~d1im q =
-  check_qubit st q;
-  if sharded st then begin
-    if d0re = 1.0 && d0im = 0.0 then
-      sh_scale st ~ps:[| q |] ~off:(1 lsl q) ~zr:d1re ~zi:d1im
-    else begin
-      let checked = !checked_access_ref in
-      sh_pairs st ~ps:[| q |] ~oa:0 ~ob:(1 lsl q)
-        (fun r0 m0 r1 m1 oal obl lmsk inner ->
-          let nmsk = lnot lmsk in
-          let o = ref 0 in
-          for _ = 1 to inner do
-            let o0 = !o lor oal and o1 = !o lor obl in
-            if checked then assert (o0 < Ba.dim r0 && o1 < Ba.dim r1);
-            let a = bget r0 o0 and b = bget m0 o0 in
-            bset r0 o0 ((d0re *. a) -. (d0im *. b));
-            bset m0 o0 ((d0re *. b) +. (d0im *. a));
-            let a = bget r1 o1 and b = bget m1 o1 in
-            bset r1 o1 ((d1re *. a) -. (d1im *. b));
-            bset m1 o1 ((d1re *. b) +. (d1im *. a));
-            o := ((!o lor lmsk) + 1) land nmsk
-          done)
+let zero (z : Complex.t) = z.Complex.re = 0.0 && z.Complex.im = 0.0
+let unit (z : Complex.t) = z.Complex.re = 1.0 && z.Complex.im = 0.0
+
+let block_of (u : Complex.t array array) a b =
+  let aa = u.(a).(a) and ab = u.(a).(b) and ba = u.(b).(a) and bb = u.(b).(b) in
+  let re (z : Complex.t) = z.re and im (z : Complex.t) = z.im in
+  if zero ab && zero ba then Phases [| re aa; im aa; re bb; im bb |]
+  else if zero aa && zero bb then
+    if unit ab && unit ba then Swap
+    else Antidiag [| re ab; im ab; re ba; im ba |]
+  else if im aa = 0.0 && im ab = 0.0 && im ba = 0.0 && im bb = 0.0 then
+    Real [| re aa; re ab; re ba; re bb |]
+  else Dense [| re aa; im aa; re ab; im ab; re ba; im ba; re bb; im bb |]
+
+let moves_of perm phr phi =
+  let sub = Array.length perm in
+  let fix = ref [] and heads = ref [] and mv = ref [] and lasts = ref [] in
+  let seen = Array.make sub false in
+  for r0 = 0 to sub - 1 do
+    if not seen.(r0) then begin
+      seen.(r0) <- true;
+      if perm.(r0) = r0 then begin
+        (* fixed point: a pure phase; identity phases cost nothing *)
+        if phr.(r0) <> 1.0 || phi.(r0) <> 0.0 then fix := r0 :: !fix
+      end
+      else begin
+        heads := r0 :: !heads;
+        let r = ref r0 in
+        while perm.(!r) <> r0 do
+          mv := (!r, perm.(!r)) :: !mv;
+          r := perm.(!r);
+          seen.(!r) <- true
+        done;
+        lasts := !r :: !lasts
+      end
     end
-  end
-  else begin
-    let bit = 1 lsl q in
-    let half = dim st / 2 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    if d0re = 1.0 && d0im = 0.0 then
-      Dpool.run ~size:half (fun lo hi ->
-          if checked && hi > lo then begin
-            let kx = hi - 1 in
-            assert (((kx lsr q) lsl (q + 1)) lor (kx land (bit - 1)) lor bit
-                    < Ba.dim re)
-          end;
-          for k = lo to hi - 1 do
-            let i1 = ((k lsr q) lsl (q + 1)) lor (k land (bit - 1)) lor bit in
-            let r = bget re i1 and m = bget im i1 in
-            bset re i1 ((d1re *. r) -. (d1im *. m));
-            bset im i1 ((d1re *. m) +. (d1im *. r))
-          done)
-    else
-      Dpool.run ~size:half (fun lo hi ->
-          if checked && hi > lo then begin
-            let kx = hi - 1 in
-            assert (((kx lsr q) lsl (q + 1)) lor (kx land (bit - 1)) lor bit
-                    < Ba.dim re)
-          end;
-          for k = lo to hi - 1 do
-            let i0 = ((k lsr q) lsl (q + 1)) lor (k land (bit - 1)) in
-            let i1 = i0 lor bit in
-            let r0 = bget re i0 and m0 = bget im i0 in
-            bset re i0 ((d0re *. r0) -. (d0im *. m0));
-            bset im i0 ((d0re *. m0) +. (d0im *. r0));
-            let r1 = bget re i1 and m1 = bget im i1 in
-            bset re i1 ((d1re *. r1) -. (d1im *. m1));
-            bset im i1 ((d1re *. m1) +. (d1im *. r1))
-          done)
-  end
+  done;
+  let arr l = Array.of_list (List.rev l) in
+  let mv = arr !mv in
+  {
+    fix = arr !fix;
+    heads = arr !heads;
+    dst = Array.map fst mv;
+    src = Array.map snd mv;
+    lasts = arr !lasts;
+    phr;
+    phi;
+    pure = Array.for_all2 (fun r i -> r = 1.0 && i = 0.0) phr phi;
+  }
 
-(* Anti-diagonal [[0, b]; [c, 0]]: a0' = b*a1, a1' = c*a0 (X up to
-   phases — e.g. Y, or fused X-conjugated diagonals). *)
-let apply_antidiag1 st ~bre ~bim ~cre ~cim q =
-  check_qubit st q;
-  if sharded st then begin
-    let checked = !checked_access_ref in
-    sh_pairs st ~ps:[| q |] ~oa:0 ~ob:(1 lsl q)
-      (fun r0 m0 r1 m1 oal obl lmsk inner ->
-        let nmsk = lnot lmsk in
-        let o = ref 0 in
-        for _ = 1 to inner do
-          let o0 = !o lor oal and o1 = !o lor obl in
-          if checked then assert (o0 < Ba.dim r0 && o1 < Ba.dim r1);
-          let ar = bget r0 o0 and ai = bget m0 o0 in
-          let br = bget r1 o1 and bi = bget m1 o1 in
-          bset r0 o0 ((bre *. br) -. (bim *. bi));
-          bset m0 o0 ((bre *. bi) +. (bim *. br));
-          bset r1 o1 ((cre *. ar) -. (cim *. ai));
-          bset m1 o1 ((cre *. ai) +. (cim *. ar));
-          o := ((!o lor lmsk) + 1) land nmsk
-        done)
-  end
-  else begin
-    let bit = 1 lsl q in
-    let half = dim st / 2 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:half (fun lo hi ->
-        (* the pair index is monotone in [k]: asserting the chunk's
-           last index covers every unsafe access in the chunk *)
-        if checked && hi > lo then begin
-          let kx = hi - 1 in
-          assert (((kx lsr q) lsl (q + 1)) lor (kx land (bit - 1)) lor bit
-                  < Ba.dim re)
-        end;
-        for k = lo to hi - 1 do
-          let i0 = ((k lsr q) lsl (q + 1)) lor (k land (bit - 1)) in
-          let i1 = i0 lor bit in
-          let ar = bget re i0 and ai = bget im i0 in
-          let br = bget re i1 and bi = bget im i1 in
-          bset re i0 ((bre *. br) -. (bim *. bi));
-          bset im i0 ((bre *. bi) +. (bim *. br));
-          bset re i1 ((cre *. ar) -. (cim *. ai));
-          bset im i1 ((cre *. ai) +. (cim *. ar))
-        done)
-  end
+(* Rows of a 2-sparse unitary built from 2-qubit gate products come in
+   partner pairs reading the same two columns in the same order;
+   pairing them shares the gathered loads between the two rows.
+   Detection is exact (same column sequence). *)
+let pairs_of cols sub =
+  let npair = sub / 2 in
+  let pa = Array.make npair 0 and pb = Array.make npair 0 in
+  let seen = Array.make (sub * sub) (-1) in
+  let np = ref 0 and ok = ref true in
+  for r = 0 to sub - 1 do
+    let key = (cols.(2 * r) * sub) + cols.((2 * r) + 1) in
+    let prev = seen.(key) in
+    if prev < 0 then seen.(key) <- r
+    else if prev < sub then begin
+      if !np < npair then begin
+        pa.(!np) <- prev;
+        pb.(!np) <- r;
+        incr np
+      end;
+      seen.(key) <- sub + r
+    end
+    else ok := false (* three rows on one support *)
+  done;
+  if !ok && !np = npair then Some (pa, pb) else None
 
-(* Real 2x2 matrix (H, Ry): halves the multiply count of the general
-   kernel — real and imaginary parts never mix. *)
-let apply_real1q st ~u00 ~u01 ~u10 ~u11 q =
-  check_qubit st q;
-  if sharded st then begin
-    let checked = !checked_access_ref in
-    sh_pairs st ~ps:[| q |] ~oa:0 ~ob:(1 lsl q)
-      (fun r0 m0 r1 m1 oal obl lmsk inner ->
-        let nmsk = lnot lmsk in
-        let o = ref 0 in
-        for _ = 1 to inner do
-          let o0 = !o lor oal and o1 = !o lor obl in
-          if checked then assert (o0 < Ba.dim r0 && o1 < Ba.dim r1);
-          let ar = bget r0 o0 and ai = bget m0 o0 in
-          let br = bget r1 o1 and bi = bget m1 o1 in
-          bset r0 o0 ((u00 *. ar) +. (u01 *. br));
-          bset m0 o0 ((u00 *. ai) +. (u01 *. bi));
-          bset r1 o1 ((u10 *. ar) +. (u11 *. br));
-          bset m1 o1 ((u10 *. ai) +. (u11 *. bi));
-          o := ((!o lor lmsk) + 1) land nmsk
-        done)
-  end
-  else begin
-    let bit = 1 lsl q in
-    let half = dim st / 2 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:half (fun lo hi ->
-        (* the pair index is monotone in [k]: asserting the chunk's
-           last index covers every unsafe access in the chunk *)
-        if checked && hi > lo then begin
-          let kx = hi - 1 in
-          assert (((kx lsr q) lsl (q + 1)) lor (kx land (bit - 1)) lor bit
-                  < Ba.dim re)
-        end;
-        for k = lo to hi - 1 do
-          let i0 = ((k lsr q) lsl (q + 1)) lor (k land (bit - 1)) in
-          let i1 = i0 lor bit in
-          let ar = bget re i0 and ai = bget im i0 in
-          let br = bget re i1 and bi = bget im i1 in
-          bset re i0 ((u00 *. ar) +. (u01 *. br));
-          bset im i0 ((u00 *. ai) +. (u01 *. bi));
-          bset re i1 ((u10 *. ar) +. (u11 *. br));
-          bset im i1 ((u10 *. ai) +. (u11 *. bi))
-        done)
-  end
+(* Sub-state [x] is inert when U maps |x> to |x> and nothing else onto
+   |x>: no sweep needs to touch its amplitude. *)
+let inert (u : Complex.t array array) x =
+  let ok = ref (unit u.(x).(x)) in
+  for y = 0 to Array.length u - 1 do
+    if y <> x && not (zero u.(x).(y) && zero u.(y).(x)) then ok := false
+  done;
+  !ok
 
-(* General single-qubit unitary on qubit [q]: enumerates only the
-   bit-clear half of the index space. *)
-let apply_general1q st ~u00re ~u00im ~u01re ~u01im ~u10re ~u10im ~u11re
-    ~u11im q =
-  check_qubit st q;
-  if sharded st then begin
-    let checked = !checked_access_ref in
-    sh_pairs st ~ps:[| q |] ~oa:0 ~ob:(1 lsl q)
-      (fun r0 m0 r1 m1 oal obl lmsk inner ->
-        let nmsk = lnot lmsk in
-        let o = ref 0 in
-        for _ = 1 to inner do
-          let o0 = !o lor oal and o1 = !o lor obl in
-          if checked then assert (o0 < Ba.dim r0 && o1 < Ba.dim r1);
-          let ar = bget r0 o0 and ai = bget m0 o0 in
-          let br = bget r1 o1 and bi = bget m1 o1 in
-          bset r0 o0
-            ((u00re *. ar) -. (u00im *. ai) +. (u01re *. br) -. (u01im *. bi));
-          bset m0 o0
-            ((u00re *. ai) +. (u00im *. ar) +. (u01re *. bi) +. (u01im *. br));
-          bset r1 o1
-            ((u10re *. ar) -. (u10im *. ai) +. (u11re *. br) -. (u11im *. bi));
-          bset m1 o1
-            ((u10re *. ai) +. (u10im *. ar) +. (u11re *. bi) +. (u11im *. br));
-          o := ((!o lor lmsk) + 1) land nmsk
-        done)
-  end
-  else begin
-    let bit = 1 lsl q in
-    let half = dim st / 2 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:half (fun lo hi ->
-        (* the pair index is monotone in [k]: asserting the chunk's
-           last index covers every unsafe access in the chunk *)
-        if checked && hi > lo then begin
-          let kx = hi - 1 in
-          assert (((kx lsr q) lsl (q + 1)) lor (kx land (bit - 1)) lor bit
-                  < Ba.dim re)
-        end;
-        for k = lo to hi - 1 do
-          let i0 = ((k lsr q) lsl (q + 1)) lor (k land (bit - 1)) in
-          let i1 = i0 lor bit in
-          let ar = bget re i0 and ai = bget im i0 in
-          let br = bget re i1 and bi = bget im i1 in
-          bset re i0
-            ((u00re *. ar) -. (u00im *. ai) +. (u01re *. br) -. (u01im *. bi));
-          bset im i0
-            ((u00re *. ai) +. (u00im *. ar) +. (u01re *. bi) +. (u01im *. br));
-          bset re i1
-            ((u10re *. ar) -. (u10im *. ai) +. (u11re *. br) -. (u11im *. bi));
-          bset im i1
-            ((u10re *. ai) +. (u10im *. ar) +. (u11re *. bi) +. (u11im *. br))
-        done)
-  end
-
-(* Structure dispatch for an arbitrary 2x2 matrix. The zero tests are
-   exact: gate matrices carry exact 0.0 entries and matrix products of
-   structured matrices preserve them. *)
-let apply_mat1 st (u : Complex.t array array) q =
-  let u00 = u.(0).(0) and u01 = u.(0).(1) and u10 = u.(1).(0) and u11 = u.(1).(1) in
-  let zero (z : Complex.t) = z.Complex.re = 0.0 && z.Complex.im = 0.0 in
-  let r (z : Complex.t) = z.Complex.re and i (z : Complex.t) = z.Complex.im in
-  if zero u01 && zero u10 then
-    apply_diag1 st ~d0re:(r u00) ~d0im:(i u00) ~d1re:(r u11) ~d1im:(i u11) q
-  else if zero u00 && zero u11 then
-    apply_antidiag1 st ~bre:(r u01) ~bim:(i u01) ~cre:(r u10) ~cim:(i u10) q
-  else if i u00 = 0.0 && i u01 = 0.0 && i u10 = 0.0 && i u11 = 0.0 then
-    apply_real1q st ~u00:(r u00) ~u01:(r u01) ~u10:(r u10) ~u11:(r u11) q
-  else
-    apply_general1q st ~u00re:(r u00) ~u00im:(i u00) ~u01re:(r u01)
-      ~u01im:(i u01) ~u10re:(r u10) ~u10im:(i u10) ~u11re:(r u11)
-      ~u11im:(i u11) q
-
-(* ------------------------------------------------------------------ *)
-(* Specialized 2-qubit kernels                                          *)
-
-let check_pair st qa qb =
-  check_qubit st qa;
-  check_qubit st qb;
-  if qa = qb then Sim_error.error ~op:"Statevector" "identical qubits (%d)" qa
-
-(* CNOT: for indices with control set, swap the target pair. *)
-let apply_cx st c t =
-  check_pair st c t;
-  let bc = 1 lsl c and bt = 1 lsl t in
-  let p_lo, p_hi = sort2 c t in
-  if sharded st then
-    sh_perm st ~ps:[| p_lo; p_hi |] ~oa:bc ~ob:(bc lor bt)
-  else begin
-    let quarter = dim st / 4 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:quarter (fun lo hi ->
-        (* monotone in [k]: the chunk's last index bounds every access *)
-        if checked && hi > lo then begin
-          let i = insert_zero (insert_zero (hi - 1) p_lo) p_hi in
-          assert (i lor bc lor bt < Ba.dim re)
-        end;
-        for k = lo to hi - 1 do
-          let i = insert_zero (insert_zero k p_lo) p_hi in
-          let i0 = i lor bc in
-          let i1 = i0 lor bt in
-          let tr = bget re i0 and ti = bget im i0 in
-          bset re i0 (bget re i1);
-          bset im i0 (bget im i1);
-          bset re i1 tr;
-          bset im i1 ti
-        done)
-  end
-
-let apply_cy st c t =
-  check_pair st c t;
-  let bc = 1 lsl c and bt = 1 lsl t in
-  let p_lo, p_hi = sort2 c t in
-  if sharded st then sh_y st ~ps:[| p_lo; p_hi |] ~oa:bc ~ob:(bc lor bt)
-  else begin
-    let quarter = dim st / 4 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:quarter (fun lo hi ->
-        (* monotone in [k]: the chunk's last index bounds every access *)
-        if checked && hi > lo then begin
-          let i = insert_zero (insert_zero (hi - 1) p_lo) p_hi in
-          assert (i lor bc lor bt < Ba.dim re)
-        end;
-        for k = lo to hi - 1 do
-          let i = insert_zero (insert_zero k p_lo) p_hi in
-          let i0 = i lor bc in
-          let i1 = i0 lor bt in
-          let ar = bget re i0 and ai = bget im i0 in
-          let br = bget re i1 and bi = bget im i1 in
-          bset re i0 bi;
-          bset im i0 (-.br);
-          bset re i1 (-.ai);
-          bset im i1 ar
-        done)
-  end
-
-let apply_swap st a b =
-  check_pair st a b;
-  let ba = 1 lsl a and bb = 1 lsl b in
-  let p_lo, p_hi = sort2 a b in
-  if sharded st then sh_perm st ~ps:[| p_lo; p_hi |] ~oa:ba ~ob:bb
-  else begin
-    let quarter = dim st / 4 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:quarter (fun lo hi ->
-        (* monotone in [k]: the chunk's last index bounds every access *)
-        if checked && hi > lo then begin
-          let i = insert_zero (insert_zero (hi - 1) p_lo) p_hi in
-          assert (i lor ba lor bb < Ba.dim re)
-        end;
-        for k = lo to hi - 1 do
-          let i = insert_zero (insert_zero k p_lo) p_hi in
-          let i0 = i lor ba in
-          let i1 = i lor bb in
-          let tr = bget re i0 and ti = bget im i0 in
-          bset re i0 (bget re i1);
-          bset im i0 (bget im i1);
-          bset re i1 tr;
-          bset im i1 ti
-        done)
-  end
-
-(* Diagonal 4x4: phase multiply per basis pattern, no pair shuffle.
-   [d] is indexed by the 2-bit pattern (bit of qa, bit of qb) with qa
-   the most significant — the {!Gate.matrix_2q} convention. Unit
-   entries are skipped (each sub-state's amplitudes are disjoint, so
-   the sharded per-sub-state sweeps match the flat interleaved loop
-   bit for bit). *)
-let apply_diag2 st (d : Complex.t array) qa qb =
-  check_pair st qa qb;
-  let ba = 1 lsl qa and bb = 1 lsl qb in
-  let p_lo, p_hi = sort2 qa qb in
-  let one (z : Complex.t) = z.re = 1.0 && z.im = 0.0 in
-  if sharded st then begin
-    let ps = [| p_lo; p_hi |] in
-    let offs = [| 0; bb; ba; ba lor bb |] in
-    for x = 0 to 3 do
-      if not (one d.(x)) then
-        sh_scale st ~ps ~off:offs.(x) ~zr:d.(x).Complex.re ~zi:d.(x).Complex.im
-    done
-  end
-  else begin
-    let quarter = dim st / 4 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    let mul (z : Complex.t) i =
-      if checked then assert (i < Ba.dim re);
-      let r = bget re i and m = bget im i in
-      bset re i ((z.re *. r) -. (z.im *. m));
-      bset im i ((z.re *. m) +. (z.im *. r))
+let classify (u : Complex.t array array) =
+  let sub = Array.length u in
+  (* the first two sub-states that are not inert, and how many are not *)
+  let a = ref 0 and b = ref 0 and active = ref 0 in
+  for x = 0 to sub - 1 do
+    if not (inert u x) then begin
+      if !active = 0 then a := x else b := x;
+      incr active
+    end
+  done;
+  let a = !a and b = !b in
+  match !active with
+  | 0 -> Identity
+  | 1 -> Pair (a, a, Phase [| u.(a).(a).Complex.re; u.(a).(a).Complex.im |])
+  | 2 -> Pair (a, b, block_of u a b)
+  | _ ->
+    let perm = Array.make sub 0 in
+    let monomial =
+      try
+        for r = 0 to sub - 1 do
+          let c = ref (-1) in
+          for j = 0 to sub - 1 do
+            if not (zero u.(r).(j)) then
+              if !c < 0 then c := j else raise Exit
+          done;
+          if !c < 0 then raise Exit;
+          perm.(r) <- !c
+        done;
+        let seen = Array.make sub false in
+        Array.iter
+          (fun c -> if seen.(c) then raise Exit else seen.(c) <- true)
+          perm;
+        true
+      with Exit -> false
     in
-    let s0 = one d.(0) and s1 = one d.(1) and s2 = one d.(2) and s3 = one d.(3) in
-    Dpool.run ~size:quarter (fun lo hi ->
-        for k = lo to hi - 1 do
-          let i = insert_zero (insert_zero k p_lo) p_hi in
-          if not s0 then mul d.(0) i;
-          if not s1 then mul d.(1) (i lor bb);
-          if not s2 then mul d.(2) (i lor ba);
-          if not s3 then mul d.(3) (i lor ba lor bb)
-        done)
-  end
+    if monomial then begin
+      let phr = Array.init sub (fun r -> u.(r).(perm.(r)).Complex.re) in
+      let phi = Array.init sub (fun r -> u.(r).(perm.(r)).Complex.im) in
+      let identity = Array.for_all2 ( = ) perm (Array.init sub Fun.id) in
+      Group
+        (if identity then Diag (phr, phi) else Monomial (moves_of perm phr phi))
+    end
+    else begin
+      let rows = Array.make (sub + 1) 0 in
+      let cols = ref [] and wre = ref [] and wim = ref [] in
+      let p = ref 0 in
+      for r = 0 to sub - 1 do
+        rows.(r) <- !p;
+        for c = 0 to sub - 1 do
+          if not (zero u.(r).(c)) then begin
+            cols := c :: !cols;
+            wre := u.(r).(c).Complex.re :: !wre;
+            wim := u.(r).(c).Complex.im :: !wim;
+            incr p
+          end
+        done
+      done;
+      rows.(sub) <- !p;
+      let arr l = Array.of_list (List.rev l) in
+      let cols = arr !cols in
+      let uniform2 =
+        Array.for_all2 ( = ) rows (Array.init (sub + 1) (( * ) 2))
+      in
+      Group
+        (Sparse
+           {
+             rows;
+             cols;
+             wre = arr !wre;
+             wim = arr !wim;
+             uniform2;
+             pairs = (if uniform2 then pairs_of cols sub else None);
+           })
+    end
 
-(* Stride-aware sharded general 4x4: the four sub-state slices of a
-   shard group are pinned once, then the offsets enumerate by
-   mask-increment — same gather/matvec/scatter arithmetic as the flat
-   kernel below. *)
-let sh_general2q st (u : Complex.t array array) qa qb =
-  let lb = st.lb in
-  let lm = (1 lsl lb) - 1 in
-  let ba = 1 lsl qa and bb = 1 lsl qb in
-  let p_lo, p_hi = sort2 qa qb in
-  let lows, highs = split_low_high lb [| p_lo; p_hi |] in
-  let lmsk = mask_of lows in
-  let nmsk = lnot lmsk in
-  let inner = (1 lsl lb) lsr Array.length lows in
-  let offs = [| 0; bb; ba; ba lor bb |] in
-  let sdelta = Array.map (fun o -> o lsr lb) offs in
-  let odelta = Array.map (fun o -> o land lm) offs in
-  let res = st.re and ims = st.im in
-  let checked = !checked_access_ref in
-  let sgroups = Array.length res lsr Array.length highs in
-  Dpool.run_tasks ~count:sgroups (fun g ->
-      let sbase = enum_base highs g in
-      let sre = Array.map (fun d -> res.(sbase lor d)) sdelta in
-      let sim = Array.map (fun d -> ims.(sbase lor d)) sdelta in
-      let tmp_re = Array.make 4 0.0 and tmp_im = Array.make 4 0.0 in
-      let o = ref 0 in
-      for _ = 1 to inner do
-        for row = 0 to 3 do
-          let sr = ref 0.0 and si = ref 0.0 in
-          for col = 0 to 3 do
-            let m = u.(row).(col) in
-            let j = !o lor Array.unsafe_get odelta col in
-            let slr = Array.unsafe_get sre col in
-            if checked then assert (j < Ba.dim slr);
-            let vr = bget slr j and vi = bget (Array.unsafe_get sim col) j in
-            sr := !sr +. ((m.Complex.re *. vr) -. (m.Complex.im *. vi));
-            si := !si +. ((m.Complex.re *. vi) +. (m.Complex.im *. vr))
-          done;
-          tmp_re.(row) <- !sr;
-          tmp_im.(row) <- !si
-        done;
-        for row = 0 to 3 do
-          let j = !o lor Array.unsafe_get odelta row in
-          bset (Array.unsafe_get sre row) j (Array.unsafe_get tmp_re row);
-          bset (Array.unsafe_get sim row) j (Array.unsafe_get tmp_im row)
-        done;
-        o := ((!o lor lmsk) + 1) land nmsk
-      done)
+(* Validates operands (distinct, each in [0, limit)) and returns
+   their bit mask. *)
+let[@inline] operand_mask op limit (qs : int array) =
+  let msk = ref 0 in
+  for j = 0 to Array.length qs - 1 do
+    let q = qs.(j) in
+    if q < 0 || q >= limit then
+      Sim_error.error ~op "qubit %d out of range [0, %d)" q limit;
+    if !msk land (1 lsl q) <> 0 then Sim_error.error ~op "duplicate qubit %d" q;
+    msk := !msk lor (1 lsl q)
+  done;
+  !msk
 
-(* General two-qubit unitary on qubits [qa] (most significant in the
-   matrix basis) and [qb]: enumerates the quarter of the index space
-   with both bits clear. *)
-let apply_general2q st (u : Complex.t array array) qa qb =
-  check_pair st qa qb;
-  if sharded st then sh_general2q st u qa qb
-  else begin
-    let ba = 1 lsl qa and bb = 1 lsl qb in
-    let p_lo, p_hi = sort2 qa qb in
-    let quarter = dim st / 4 in
+(* The index offset of sub-state [x] from its group base: bit [j] of
+   [x] selects qubit [qs.(j)]. *)
+let[@inline] offset (qs : int array) x =
+  let o = ref 0 in
+  for j = 0 to Array.length qs - 1 do
+    if x land (1 lsl j) <> 0 then o := !o lor (1 lsl qs.(j))
+  done;
+  !o
+
+let offsets qs = Array.init (1 lsl Array.length qs) (offset qs)
+
+let[@inline] make kind qs msk =
+  let offs = match kind with Group _ -> offsets qs | Identity | Pair _ -> [||] in
+  { kind; qs; msk; offs }
+
+let kernel (u : Complex.t array array) (qs : int array) =
+  let op = "Statevector.kernel" in
+  let m = Array.length qs in
+  if m = 0 then Sim_error.error ~op "empty qubit set";
+  if m > 8 then Sim_error.error ~op "cluster too large: %d qubits" m;
+  let msk = operand_mask op max_qubits qs in
+  let sub = 1 lsl m in
+  let square = Array.for_all (fun row -> Array.length row = sub) u in
+  if Array.length u <> sub || not square then
+    Sim_error.error ~op "%d-qubit kernel needs a %dx%d matrix, got %d rows" m
+      sub sub (Array.length u);
+  make (classify u) (Array.copy qs) msk
+
+(* ------------------------------------------------------------------ *)
+(* Pair sweeps                                                          *)
+
+(* [count] groups from the one at [base], enumerated over [msk]: the
+   block acts on the amplitude at (base lor oa) in slices (r0, m0) and
+   the one at (base lor ob) in (r1, m1). Flat states pass one slice
+   four times; sharded ones the two shards a group's pair lives in.
+   Sums drop the sparse sweep's leading [0.0 +.], which changes only
+   the sign of an exact zero. The loops call nothing and keep few
+   values live, so ocamlopt holds them all in registers. *)
+let pair_sweep blk (r0 : slice) (m0 : slice) (r1 : slice) (m1 : slice) oa ob
+    msk base count =
+  let o = ref base and n = ref count in
+  match blk with
+  | Phase z ->
+    let zr = z.(0) and zi = z.(1) in
+    while !n > 0 do
+      let i = !o lor ob in
+      let r = bget r1 i and q = bget m1 i in
+      bset r1 i ((zr *. r) -. (zi *. q));
+      bset m1 i ((zr *. q) +. (zi *. r));
+      o := ((!o lor msk) + 1) land lnot msk;
+      decr n
+    done
+  | Phases z ->
+    let ar = z.(0) and ai = z.(1) in
+    let br = z.(2) and bi = z.(3) in
+    while !n > 0 do
+      let i0 = !o lor oa and i1 = !o lor ob in
+      let r = bget r0 i0 and q = bget m0 i0 in
+      bset r0 i0 ((ar *. r) -. (ai *. q));
+      bset m0 i0 ((ar *. q) +. (ai *. r));
+      let r = bget r1 i1 and q = bget m1 i1 in
+      bset r1 i1 ((br *. r) -. (bi *. q));
+      bset m1 i1 ((br *. q) +. (bi *. r));
+      o := ((!o lor msk) + 1) land lnot msk;
+      decr n
+    done
+  | Swap ->
+    while !n > 0 do
+      let i0 = !o lor oa and i1 = !o lor ob in
+      let tr = bget r0 i0 and ti = bget m0 i0 in
+      bset r0 i0 (bget r1 i1);
+      bset m0 i0 (bget m1 i1);
+      bset r1 i1 tr;
+      bset m1 i1 ti;
+      o := ((!o lor msk) + 1) land lnot msk;
+      decr n
+    done
+  | Antidiag z ->
+    let pr = z.(0) and pi = z.(1) in
+    let qr = z.(2) and qi = z.(3) in
+    while !n > 0 do
+      let i0 = !o lor oa and i1 = !o lor ob in
+      let ar = bget r0 i0 and ai = bget m0 i0 in
+      let br = bget r1 i1 and bi = bget m1 i1 in
+      bset r0 i0 ((pr *. br) -. (pi *. bi));
+      bset m0 i0 ((pr *. bi) +. (pi *. br));
+      bset r1 i1 ((qr *. ar) -. (qi *. ai));
+      bset m1 i1 ((qr *. ai) +. (qi *. ar));
+      o := ((!o lor msk) + 1) land lnot msk;
+      decr n
+    done
+  | Real w ->
+    let w00 = w.(0) and w01 = w.(1) in
+    let w10 = w.(2) and w11 = w.(3) in
+    while !n > 0 do
+      let i0 = !o lor oa and i1 = !o lor ob in
+      let ar = bget r0 i0 and ai = bget m0 i0 in
+      let br = bget r1 i1 and bi = bget m1 i1 in
+      bset r0 i0 ((w00 *. ar) +. (w01 *. br));
+      bset m0 i0 ((w00 *. ai) +. (w01 *. bi));
+      bset r1 i1 ((w10 *. ar) +. (w11 *. br));
+      bset m1 i1 ((w10 *. ai) +. (w11 *. bi));
+      o := ((!o lor msk) + 1) land lnot msk;
+      decr n
+    done
+  | Dense u ->
+    let u00r = u.(0) and u00i = u.(1) and u01r = u.(2) and u01i = u.(3) in
+    let u10r = u.(4) and u10i = u.(5) and u11r = u.(6) and u11i = u.(7) in
+    while !n > 0 do
+      let i0 = !o lor oa and i1 = !o lor ob in
+      let ar = bget r0 i0 and ai = bget m0 i0 in
+      let br = bget r1 i1 and bi = bget m1 i1 in
+      bset r0 i0
+        (((u00r *. ar) -. (u00i *. ai)) +. ((u01r *. br) -. (u01i *. bi)));
+      bset m0 i0
+        (((u00r *. ai) +. (u00i *. ar)) +. ((u01r *. bi) +. (u01i *. br)));
+      bset r1 i1
+        (((u10r *. ar) -. (u10i *. ai)) +. ((u11r *. br) -. (u11i *. bi)));
+      bset m1 i1
+        (((u10r *. ai) +. (u10i *. ar)) +. ((u11r *. bi) +. (u11i *. br)));
+      o := ((!o lor msk) + 1) land lnot msk;
+      decr n
+    done
+
+(* The first group base of [count] groups from the [k0]-th. Indices
+   grow with the group counter, so checking the last pair covers every
+   unsafe access of the range. *)
+let[@inline] pair_base ~checked (r0 : slice) (r1 : slice) oa ob msk k0 count =
+  if checked && count > 0 then begin
+    let last = enum_base msk (k0 + count - 1) in
+    assert (last lor oa < Ba.dim r0 && last lor ob < Ba.dim r1)
+  end;
+  enum_base msk k0
+
+(* Flat states split the group range across the pool. Sharded states
+   split the kernel's bits once at the shard boundary: bits at or above
+   it select shard pairs (one pool task per group of shards), bits
+   below it enumerate in-shard offsets — one pass per shard pair over
+   large contiguous runs. An exchange whose bits all select shards
+   swaps shard references instead: O(1) per shard pair, no amplitude
+   traffic (a GHZ chain's high-bit CNOTs on a 28-qubit register cost
+   nothing per amplitude). Each pair's arithmetic is the same under
+   every layout, so results are bit-identical. *)
+let run_pair st ~checked blk msk width oa ob =
+  if not (sharded st) then begin
     let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:quarter (fun lo hi ->
-        (* per-chunk scratch: kernels may run concurrently *)
-        let tmp_re = Array.make 4 0.0 and tmp_im = Array.make 4 0.0 in
-        let idx = Array.make 4 0 in
-        for k = lo to hi - 1 do
-          let i = insert_zero (insert_zero k p_lo) p_hi in
-          idx.(0) <- i;
-          idx.(1) <- i lor bb;
-          idx.(2) <- i lor ba;
-          idx.(3) <- i lor ba lor bb;
-          if checked then assert (i lor ba lor bb < Ba.dim re);
-          for row = 0 to 3 do
-            let sr = ref 0.0 and si = ref 0.0 in
-            for col = 0 to 3 do
-              let m = u.(row).(col) in
-              let j = Array.unsafe_get idx col in
-              let vr = bget re j and vi = bget im j in
-              sr := !sr +. ((m.Complex.re *. vr) -. (m.Complex.im *. vi));
-              si := !si +. ((m.Complex.re *. vi) +. (m.Complex.im *. vr))
-            done;
-            tmp_re.(row) <- !sr;
-            tmp_im.(row) <- !si
-          done;
-          for row = 0 to 3 do
-            let j = Array.unsafe_get idx row in
-            bset re j (Array.unsafe_get tmp_re row);
-            bset im j (Array.unsafe_get tmp_im row)
-          done
-        done)
+    let size = dim st lsr width in
+    if Dpool.chunk_count ~size = 1 then
+      (* one chunk: sweep inline, without closures through the pool —
+         the per-shot and tape tiers apply gates to small registers *)
+      let base = pair_base ~checked re re oa ob msk 0 size in
+      pair_sweep blk re im re im oa ob msk base size
+    else
+      Dpool.run ~size (fun lo hi ->
+          let base = pair_base ~checked re re oa ob msk lo (hi - lo) in
+          pair_sweep blk re im re im oa ob msk base (hi - lo))
+  end
+  else begin
+    let lb = st.lb in
+    let lm = (1 lsl lb) - 1 in
+    let lows = msk land lm and highs = msk lsr lb in
+    let sa = oa lsr lb and sb = ob lsr lb in
+    let sgroups = shard_count st lsr popcount highs in
+    match blk with
+    | Swap when lows = 0 ->
+      for g = 0 to sgroups - 1 do
+        let sbase = enum_base highs g in
+        let s0 = sbase lor sa and s1 = sbase lor sb in
+        let tr = st.re.(s0) and ti = st.im.(s0) in
+        st.re.(s0) <- st.re.(s1);
+        st.im.(s0) <- st.im.(s1);
+        st.re.(s1) <- tr;
+        st.im.(s1) <- ti
+      done
+    | _ ->
+      let inner = (1 lsl lb) lsr popcount lows in
+      let oal = oa land lm and obl = ob land lm in
+      Dpool.run_tasks ~count:sgroups (fun g ->
+          let sbase = enum_base highs g in
+          let s0 = sbase lor sa and s1 = sbase lor sb in
+          let r0 = st.re.(s0) and r1 = st.re.(s1) in
+          let base = pair_base ~checked r0 r1 oal obl lows 0 inner in
+          pair_sweep blk r0 st.im.(s0) r1 st.im.(s1) oal obl lows base inner)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Cluster kernel                                                       *)
+(* Group sweeps                                                         *)
 
-(* A fused cluster is a 2^m x 2^m unitary over m qubits (m up to
-   {!Fusion}'s clustering bound). One pass over the amplitudes
-   gathers each group's 2^m-amplitude subvector, applies the matrix,
-   and scatters the result — one sweep of memory for a whole run of
-   gates. The matrix is classified once per application: diagonal and
-   monomial (permutation-with-phases) clusters — every Clifford+T run
-   without an H, for example — cost a constant number of multiplies
-   per amplitude regardless of m, and everything else runs as a sparse
-   (CSR) matvec over the matrix's exact nonzeros, so the cost scales
-   with the fused matrix's density rather than its dimension.
-
-   Sub-state bit [j] of the matrix basis corresponds to [qs.(j)]
-   (LSB first — note this is the opposite of {!apply_2q}'s operand
-   order). Group bases start from a composed bit insertion and step by
-   mask-increment, so every derived index is in bounds by construction;
-   the sweeps use [Array1.unsafe_get/set] on that strength, and
-   {!set_checked_access} turns the proof back into runtime
-   assertions. *)
-
-type cluster_kind =
-  | Cl_diag of float array * float array
-  | Cl_monomial of int array array * float array * float array
-      (* permutation as its cycles (each walked in apply order:
-         new[r] = phase[r] * old[perm r], with cycle.(t+1) = perm
-         cycle.(t)), so the sweep moves amplitudes along each cycle
-         holding a single saved pair — no staging buffers. *)
-  | Cl_sparse of int array * int array * float array * float array
-      (* CSR over the exact nonzeros: row offsets (sub+1), column
-         indices, then re/im weights. Fused Clifford+T matrices are
-         mostly zeros (a CX-and-H product has 2-4 nonzeros per 32-wide
-         row), so skipping them is the difference between a 2^m matvec
-         and a near-constant number of multiplies per amplitude. *)
-
-let classify_cluster (u : Complex.t array array) sub =
-  let zero (z : Complex.t) = z.Complex.re = 0.0 && z.Complex.im = 0.0 in
-  let perm = Array.make sub 0 in
-  let monomial =
-    try
-      for r = 0 to sub - 1 do
-        let c = ref (-1) in
-        for j = 0 to sub - 1 do
-          if not (zero u.(r).(j)) then
-            if !c < 0 then c := j else raise Exit
-        done;
-        if !c < 0 then raise Exit;
-        perm.(r) <- !c
-      done;
-      let seen = Array.make sub false in
-      Array.iter
-        (fun c -> if seen.(c) then raise Exit else seen.(c) <- true)
-        perm;
-      true
-    with Exit -> false
-  in
-  if monomial then begin
-    let phr = Array.init sub (fun r -> u.(r).(perm.(r)).Complex.re) in
-    let phi = Array.init sub (fun r -> u.(r).(perm.(r)).Complex.im) in
-    let diag = ref true in
-    Array.iteri (fun r c -> if r <> c then diag := false) perm;
-    if !diag then Cl_diag (phr, phi)
-    else begin
-      let seen = Array.make sub false in
-      let cycles = ref [] in
-      for r0 = 0 to sub - 1 do
-        if not seen.(r0) then begin
-          let cyc = ref [ r0 ] in
-          seen.(r0) <- true;
-          let r = ref perm.(r0) in
-          while !r <> r0 do
-            seen.(!r) <- true;
-            cyc := !r :: !cyc;
-            r := perm.(!r)
-          done;
-          (* reverse so that cycle.(t+1) = perm cycle.(t) *)
-          cycles := Array.of_list (List.rev !cyc) :: !cycles
-        end
-      done;
-      Cl_monomial (Array.of_list (List.rev !cycles), phr, phi)
-    end
-  end
-  else begin
-    let nnz = ref 0 in
-    for r = 0 to sub - 1 do
-      for c = 0 to sub - 1 do
-        if not (zero u.(r).(c)) then incr nnz
-      done
-    done;
-    let rows = Array.make (sub + 1) 0 in
-    let cols = Array.make !nnz 0 in
-    let wre = Array.make !nnz 0.0 and wim = Array.make !nnz 0.0 in
-    let p = ref 0 in
-    for r = 0 to sub - 1 do
-      rows.(r) <- !p;
-      for c = 0 to sub - 1 do
-        if not (zero u.(r).(c)) then begin
-          cols.(!p) <- c;
-          wre.(!p) <- u.(r).(c).Complex.re;
-          wim.(!p) <- u.(r).(c).Complex.im;
-          incr p
-        end
-      done
-    done;
-    rows.(sub) <- !p;
-    Cl_sparse (rows, cols, wre, wim)
-  end
-
-(* One pass over a flat amplitude slice for group indices [lo, hi).
-   [ps] = cluster bit positions sorted ascending, [offs.(x)] = index
-   offset of sub-state [x] relative to a group base. The group base for
-   [lo] comes from composed bit insertion; successive bases step by
-   mask-increment (O(1) per group instead of O(m)). *)
-let cluster_sweep_flat ~checked ~kind ~ps ~offs ~sub (are : slice)
-    (aim : slice) lo hi =
-  let size = Ba.dim are in
-  let msk = mask_of ps in
+(* [count] groups from the [k0]-th, enumerated over [msk]: sub-state
+   [x] of the group at base [b] is the amplitude at (b lor odelta.(x))
+   in slices (sre.(x), sim.(x)). Every [odelta.(x)] is a subset of
+   [msk], so one per-group assert covers each unsafe access. *)
+let group_sweep ~checked grp (sre : slice array) (sim : slice array) odelta
+    msk k0 count =
+  let sub = Array.length odelta in
+  let size = Ba.dim sre.(0) in
   let nmsk = lnot msk in
-  match kind with
-  | Cl_diag (dre, die) ->
-    let base = ref (enum_base ps lo) in
-    for _ = lo to hi - 1 do
+  let base = ref (enum_base msk k0) in
+  match grp with
+  | Diag (dre, die) ->
+    for _ = 1 to count do
       let b = !base in
-      (* every in-group index is b lor off with off subset of msk, so
-         one per-group assert covers each unsafe access below *)
       if checked then assert (b >= 0 && b lor msk < size);
       for x = 0 to sub - 1 do
         let dr = Array.unsafe_get dre x and di = Array.unsafe_get die x in
         if dr <> 1.0 || di <> 0.0 then begin
-          let i = b lor Array.unsafe_get offs x in
-          let r = bget are i and q = bget aim i in
-          bset are i ((dr *. r) -. (di *. q));
-          bset aim i ((dr *. q) +. (di *. r))
+          let i = b lor Array.unsafe_get odelta x in
+          let re = Array.unsafe_get sre x and im = Array.unsafe_get sim x in
+          let r = bget re i and q = bget im i in
+          bset re i ((dr *. r) -. (di *. q));
+          bset im i ((dr *. q) +. (di *. r))
         end
       done;
       base := ((b lor msk) + 1) land nmsk
     done
-  | Cl_monomial (cycles, phr, phi) ->
-    (* The cycle walk touches every sub-state exactly once, on disjoint
-       indices, so it flattens into a straight-line move program
-       compiled once per sweep: save each cycle's head, shift the
-       remaining elements one step along the cycle, close each cycle
-       from its saved head. Running all heads, then all shifts, then
-       all closes reorders only across disjoint indices — the
-       per-amplitude arithmetic (and therefore the result, bit for
-       bit) is that of the per-cycle walk, without the per-group
-       pointer chase through the cycle arrays. *)
-    let ncyc = Array.length cycles in
-    let nfix = ref 0 and nmv = ref 0 and nwalk = ref 0 in
-    for ci = 0 to ncyc - 1 do
-      let len = Array.length cycles.(ci) in
-      if len = 1 then begin
-        let r0 = cycles.(ci).(0) in
-        (* fixed point: a pure phase; identity phases cost nothing *)
-        if phr.(r0) <> 1.0 || phi.(r0) <> 0.0 then incr nfix
-      end
-      else begin
-        incr nwalk;
-        nmv := !nmv + (len - 1)
-      end
-    done;
-    let fx_off = Array.make (max 1 !nfix) 0 in
-    let fx_pr = Array.make (max 1 !nfix) 0.0 in
-    let fx_pi = Array.make (max 1 !nfix) 0.0 in
-    let hd_off = Array.make (max 1 !nwalk) 0 in
-    let cl_off = Array.make (max 1 !nwalk) 0 in
-    let cl_pr = Array.make (max 1 !nwalk) 0.0 in
-    let cl_pi = Array.make (max 1 !nwalk) 0.0 in
-    let mv_dst = Array.make (max 1 !nmv) 0 in
-    let mv_src = Array.make (max 1 !nmv) 0 in
-    let mv_pr = Array.make (max 1 !nmv) 0.0 in
-    let mv_pi = Array.make (max 1 !nmv) 0.0 in
-    let tr = Array.make (max 1 !nwalk) 0.0 in
-    let ti = Array.make (max 1 !nwalk) 0.0 in
-    let fi = ref 0 and wi = ref 0 and mi = ref 0 in
-    for ci = 0 to ncyc - 1 do
-      let cyc = cycles.(ci) in
-      let len = Array.length cyc in
-      let r0 = cyc.(0) in
-      if len = 1 then begin
-        if phr.(r0) <> 1.0 || phi.(r0) <> 0.0 then begin
-          fx_off.(!fi) <- offs.(r0);
-          fx_pr.(!fi) <- phr.(r0);
-          fx_pi.(!fi) <- phi.(r0);
-          incr fi
-        end
-      end
-      else begin
-        hd_off.(!wi) <- offs.(r0);
-        for t = 0 to len - 2 do
-          let r = cyc.(t) in
-          mv_dst.(!mi) <- offs.(r);
-          mv_src.(!mi) <- offs.(cyc.(t + 1));
-          mv_pr.(!mi) <- phr.(r);
-          mv_pi.(!mi) <- phi.(r);
-          incr mi
-        done;
-        let r = cyc.(len - 1) in
-        cl_off.(!wi) <- offs.(r);
-        cl_pr.(!wi) <- phr.(r);
-        cl_pi.(!wi) <- phi.(r);
-        incr wi
-      end
-    done;
-    let nfix = !nfix and nmv = !nmv and nwalk = !nwalk in
-    let base = ref (enum_base ps lo) in
-    for _ = lo to hi - 1 do
+  | Monomial { fix; heads; dst; src; lasts; phr; phi; pure } ->
+    let nw = Array.length heads and nmv = Array.length dst in
+    let tr = Array.make nw 0.0 and ti = Array.make nw 0.0 in
+    for _ = 1 to count do
       let b = !base in
       if checked then assert (b >= 0 && b lor msk < size);
-      for f = 0 to nfix - 1 do
-        let i = b lor Array.unsafe_get fx_off f in
-        let pr = Array.unsafe_get fx_pr f and pi = Array.unsafe_get fx_pi f in
-        let xr = bget are i and xi = bget aim i in
-        bset are i ((pr *. xr) -. (pi *. xi));
-        bset aim i ((pr *. xi) +. (pi *. xr))
+      for f = 0 to Array.length fix - 1 do
+        let x = Array.unsafe_get fix f in
+        let i = b lor Array.unsafe_get odelta x in
+        let re = Array.unsafe_get sre x and im = Array.unsafe_get sim x in
+        let pr = Array.unsafe_get phr x and pi = Array.unsafe_get phi x in
+        let xr = bget re i and xi = bget im i in
+        bset re i ((pr *. xr) -. (pi *. xi));
+        bset im i ((pr *. xi) +. (pi *. xr))
       done;
-      for w = 0 to nwalk - 1 do
-        let i = b lor Array.unsafe_get hd_off w in
-        Array.unsafe_set tr w (bget are i);
-        Array.unsafe_set ti w (bget aim i)
+      for w = 0 to nw - 1 do
+        let x = Array.unsafe_get heads w in
+        let i = b lor Array.unsafe_get odelta x in
+        Array.unsafe_set tr w (bget (Array.unsafe_get sre x) i);
+        Array.unsafe_set ti w (bget (Array.unsafe_get sim x) i)
       done;
       (* shifts read each source before any later shift overwrites it:
          the program preserves the walk order within every cycle *)
       for j = 0 to nmv - 1 do
-        let isrc = b lor Array.unsafe_get mv_src j in
-        let xr = bget are isrc and xi = bget aim isrc in
-        let pr = Array.unsafe_get mv_pr j and pi = Array.unsafe_get mv_pi j in
-        let idst = b lor Array.unsafe_get mv_dst j in
-        bset are idst ((pr *. xr) -. (pi *. xi));
-        bset aim idst ((pr *. xi) +. (pi *. xr))
+        let xs = Array.unsafe_get src j and xd = Array.unsafe_get dst j in
+        let is = b lor Array.unsafe_get odelta xs in
+        let id = b lor Array.unsafe_get odelta xd in
+        let xr = bget (Array.unsafe_get sre xs) is
+        and xi = bget (Array.unsafe_get sim xs) is in
+        if pure then begin
+          bset (Array.unsafe_get sre xd) id xr;
+          bset (Array.unsafe_get sim xd) id xi
+        end
+        else begin
+          let pr = Array.unsafe_get phr xd and pi = Array.unsafe_get phi xd in
+          bset (Array.unsafe_get sre xd) id ((pr *. xr) -. (pi *. xi));
+          bset (Array.unsafe_get sim xd) id ((pr *. xi) +. (pi *. xr))
+        end
       done;
-      for w = 0 to nwalk - 1 do
-        let i = b lor Array.unsafe_get cl_off w in
-        let pr = Array.unsafe_get cl_pr w and pi = Array.unsafe_get cl_pi w in
+      for w = 0 to nw - 1 do
+        let x = Array.unsafe_get lasts w in
+        let i = b lor Array.unsafe_get odelta x in
         let sr = Array.unsafe_get tr w and si = Array.unsafe_get ti w in
-        bset are i ((pr *. sr) -. (pi *. si));
-        bset aim i ((pr *. si) +. (pi *. sr))
+        if pure then begin
+          bset (Array.unsafe_get sre x) i sr;
+          bset (Array.unsafe_get sim x) i si
+        end
+        else begin
+          let pr = Array.unsafe_get phr x and pi = Array.unsafe_get phi x in
+          bset (Array.unsafe_get sre x) i ((pr *. sr) -. (pi *. si));
+          bset (Array.unsafe_get sim x) i ((pr *. si) +. (pi *. sr))
+        end
       done;
       base := ((b lor msk) + 1) land nmsk
     done
-  | Cl_sparse (rows, cols, wre, wim) ->
+  | Sparse { rows; cols; wre; wim; _ } ->
     let vr = Array.make sub 0.0 and vi = Array.make sub 0.0 in
-    (* Clusters built from one Hadamard-like gate and any number of
-       permutation/phase gates put exactly two entries in every row —
-       the overwhelmingly common non-monomial shape on Clifford+T
-       circuits — so that case gets a branch-free inner loop. The
-       accumulation order matches the generic CSR walk (0.0 + first
-       entry + second entry), keeping results bit-identical. *)
-    let uniform2 = ref true in
-    for r = 0 to sub do
-      if Array.unsafe_get rows r <> 2 * r then uniform2 := false
-    done;
-    if !uniform2 then begin
-      (* Blocked, row-outer schedule: a block of groups is gathered
-         into L1-resident scratch, then each row's two weights and
-         column indices are loaded ONCE and streamed across the whole
-         block — instead of six weight/column loads per row per group.
-         Writes are disjoint and every amplitude's arithmetic (and
-         accumulation order: 0.0 + first entry + second entry) is that
-         of the per-group walk, so results stay bit-identical. *)
-      let blk = max 1 (2048 / sub) in
-      let bases = Array.make blk 0 in
-      let svr = Array.make (blk * sub) 0.0 in
-      let svi = Array.make (blk * sub) 0.0 in
-      (* Rows of a 2-sparse unitary built from 2-qubit gate products
-         come in partner pairs reading the same two columns in the
-         same order; pairing them shares the scratch loads and the
-         output-base load between the two rows. Detection is exact
-         (same column sequence), with the row-at-a-time scatter kept
-         as the fallback. *)
-      let npair = sub / 2 in
-      let pa = Array.make (max npair 1) 0 and pb = Array.make (max npair 1) 0 in
-      let paired =
-        if 2 * npair <> sub then false
-        else begin
-          let seen = Array.make (sub * sub) (-1) in
-          let np = ref 0 and ok = ref true in
-          for r = 0 to sub - 1 do
-            let c0 = Array.unsafe_get cols (2 * r)
-            and c1 = Array.unsafe_get cols ((2 * r) + 1) in
-            let key = (c0 * sub) + c1 in
-            let prev = Array.unsafe_get seen key in
-            if prev < 0 then Array.unsafe_set seen key r
-            else if prev < sub then begin
-              if !np < npair then begin
-                pa.(!np) <- prev;
-                pb.(!np) <- r;
-                incr np
-              end;
-              Array.unsafe_set seen key (sub + r)
-            end
-            else ok := false (* three rows on one support *)
-          done;
-          !ok && !np = npair
-        end
-      in
+    for _ = 1 to count do
+      let b = !base in
+      if checked then assert (b >= 0 && b lor msk < size);
+      let acc = ref 0.0 in
+      for x = 0 to sub - 1 do
+        let i = b lor Array.unsafe_get odelta x in
+        let r = bget (Array.unsafe_get sre x) i
+        and q = bget (Array.unsafe_get sim x) i in
+        Array.unsafe_set vr x r;
+        Array.unsafe_set vi x q;
+        acc := !acc +. Float.abs r +. Float.abs q
+      done;
       (* All-zero groups skip the matvec outright: U x 0 = 0, so the
-         scatter would only rewrite zeros. Early sweeps of a circuit
-         run on a mostly-unpopulated register and skip nearly every
-         group; the detector costs one |v| accumulation per gathered
-         value. A skipped group keeps the stored zeros' signs where
-         the matvec could have flipped a zero's sign — invisible to
-         probabilities and measurements, and the sharded sweep applies
-         the identical per-group rule, so shard layouts stay
-         bit-identical to each other. *)
-      let skipg = Bytes.make blk '\000' in
-      let base = ref (enum_base ps lo) in
-      let g = ref lo in
-      while !g < hi do
-        let gb = min blk (hi - !g) in
-        for gi = 0 to gb - 1 do
-          let b = !base in
-          if checked then assert (b >= 0 && b lor msk < size);
-          Array.unsafe_set bases gi b;
-          let sb = gi * sub in
-          let acc = ref 0.0 in
-          for x = 0 to sub - 1 do
-            let i = b lor Array.unsafe_get offs x in
-            let r = bget are i and q = bget aim i in
-            Array.unsafe_set svr (sb + x) r;
-            Array.unsafe_set svi (sb + x) q;
-            acc := !acc +. Float.abs r +. Float.abs q
+         scatter would only rewrite zeros. Early sweeps of a circuit run
+         on a mostly-unpopulated register and skip nearly every group.
+         A skipped group keeps the stored zeros' signs where the matvec
+         could have flipped a zero's sign — invisible to probabilities
+         and measurements, and every layout applies the same per-group
+         rule, so shard layouts stay bit-identical to each other. *)
+      if !acc <> 0.0 then
+        for row = 0 to sub - 1 do
+          let sr = ref 0.0 and si = ref 0.0 in
+          for p = Array.unsafe_get rows row
+              to Array.unsafe_get rows (row + 1) - 1
+          do
+            let wr = Array.unsafe_get wre p and wi = Array.unsafe_get wim p in
+            let col = Array.unsafe_get cols p in
+            let xr = Array.unsafe_get vr col and xi = Array.unsafe_get vi col in
+            sr := !sr +. ((wr *. xr) -. (wi *. xi));
+            si := !si +. ((wr *. xi) +. (wi *. xr))
           done;
-          Bytes.unsafe_set skipg gi (if !acc = 0.0 then '\001' else '\000');
-          base := ((b lor msk) + 1) land nmsk
+          let i = b lor Array.unsafe_get odelta row in
+          bset (Array.unsafe_get sre row) i !sr;
+          bset (Array.unsafe_get sim row) i !si
         done;
-        if paired then
-          for pr = 0 to npair - 1 do
-            let ra = Array.unsafe_get pa pr and rb = Array.unsafe_get pb pr in
-            let p = 2 * ra in
-            let c0 = Array.unsafe_get cols p in
-            let c1 = Array.unsafe_get cols (p + 1) in
-            let ar0 = Array.unsafe_get wre p and ai0 = Array.unsafe_get wim p in
-            let ar1 = Array.unsafe_get wre (p + 1)
-            and ai1 = Array.unsafe_get wim (p + 1) in
-            let q = 2 * rb in
-            let br0 = Array.unsafe_get wre q and bi0 = Array.unsafe_get wim q in
-            let br1 = Array.unsafe_get wre (q + 1)
-            and bi1 = Array.unsafe_get wim (q + 1) in
-            let oa = Array.unsafe_get offs ra
-            and ob = Array.unsafe_get offs rb in
-            let sb = ref 0 in
-            for gi = 0 to gb - 1 do
-              let s = !sb in
-              if Bytes.unsafe_get skipg gi = '\000' then begin
-              let xr0 = Array.unsafe_get svr (s + c0)
-              and xi0 = Array.unsafe_get svi (s + c0) in
-              let xr1 = Array.unsafe_get svr (s + c1)
-              and xi1 = Array.unsafe_get svi (s + c1) in
-              let b = Array.unsafe_get bases gi in
-              let sra =
-                0.0 +. ((ar0 *. xr0) -. (ai0 *. xi0))
-                +. ((ar1 *. xr1) -. (ai1 *. xi1))
-              in
-              let sia =
-                0.0 +. ((ar0 *. xi0) +. (ai0 *. xr0))
-                +. ((ar1 *. xi1) +. (ai1 *. xr1))
-              in
-              let srb =
-                0.0 +. ((br0 *. xr0) -. (bi0 *. xi0))
-                +. ((br1 *. xr1) -. (bi1 *. xi1))
-              in
-              let sib =
-                0.0 +. ((br0 *. xi0) +. (bi0 *. xr0))
-                +. ((br1 *. xi1) +. (bi1 *. xr1))
-              in
-              let ia = b lor oa in
-              bset are ia sra;
-              bset aim ia sia;
-              let ib = b lor ob in
-              bset are ib srb;
-              bset aim ib sib
-              end;
-              sb := s + sub
-            done
-          done
-        else
-          for row = 0 to sub - 1 do
-            let p = 2 * row in
-            let wr0 = Array.unsafe_get wre p
-            and wi0 = Array.unsafe_get wim p in
-            let c0 = Array.unsafe_get cols p in
-            let wr1 = Array.unsafe_get wre (p + 1)
-            and wi1 = Array.unsafe_get wim (p + 1) in
-            let c1 = Array.unsafe_get cols (p + 1) in
-            let orow = Array.unsafe_get offs row in
-            let sb = ref 0 in
-            for gi = 0 to gb - 1 do
-              let s = !sb in
-              if Bytes.unsafe_get skipg gi = '\000' then begin
-                let xr0 = Array.unsafe_get svr (s + c0)
-                and xi0 = Array.unsafe_get svi (s + c0) in
-                let xr1 = Array.unsafe_get svr (s + c1)
-                and xi1 = Array.unsafe_get svi (s + c1) in
-                let sr =
-                  0.0 +. ((wr0 *. xr0) -. (wi0 *. xi0))
-                  +. ((wr1 *. xr1) -. (wi1 *. xi1))
-                in
-                let si =
-                  0.0 +. ((wr0 *. xi0) +. (wi0 *. xr0))
-                  +. ((wr1 *. xi1) +. (wi1 *. xr1))
-                in
-                let i = Array.unsafe_get bases gi lor orow in
-                bset are i sr;
-                bset aim i si
-              end;
-              sb := s + sub
-            done
-          done;
-        g := !g + gb
-      done
-    end
-    else begin
-      let base = ref (enum_base ps lo) in
-      for _ = lo to hi - 1 do
-        let b = !base in
-        if checked then assert (b >= 0 && b lor msk < size);
-        let acc = ref 0.0 in
-        for x = 0 to sub - 1 do
-          let i = b lor Array.unsafe_get offs x in
-          let r = bget are i and q = bget aim i in
-          Array.unsafe_set vr x r;
-          Array.unsafe_set vi x q;
-          acc := !acc +. Float.abs r +. Float.abs q
-        done;
-        (* all-zero groups skip the matvec; same rule as the uniform2
-           path and the sharded sweep *)
-        if !acc <> 0.0 then
-          for row = 0 to sub - 1 do
-            let sr = ref 0.0 and si = ref 0.0 in
-            for p = Array.unsafe_get rows row
-                to Array.unsafe_get rows (row + 1) - 1
-            do
-              let wr = Array.unsafe_get wre p
-              and wi = Array.unsafe_get wim p in
-              let col = Array.unsafe_get cols p in
-              let xr = Array.unsafe_get vr col
-              and xi = Array.unsafe_get vi col in
-              sr := !sr +. ((wr *. xr) -. (wi *. xi));
-              si := !si +. ((wr *. xi) +. (wi *. xr))
-            done;
-            let i = b lor Array.unsafe_get offs row in
-            bset are i !sr;
-            bset aim i !si
-          done;
-        base := ((b lor msk) + 1) land nmsk
-      done
-    end
-
-(* Stride-aware sharded cluster exchange: clusters with a bit at or
-   above the shard boundary split their positions there — the high
-   positions enumerate shard groups (one {!Dpool} task each), the
-   sub-state slices of a group are pinned once, and the low positions
-   enumerate in-shard offsets by mask-increment. Each amplitude is
-   read/written exactly once per sweep, so the result is bit-identical
-   to the flat enumeration. *)
-let cluster_sweep_sharded st ~checked ~kind ~ps ~offs ~sub =
-  let lb = st.lb in
-  let lm = (1 lsl lb) - 1 in
-  let lows, highs = split_low_high lb ps in
-  let lmsk = mask_of lows in
-  let nmsk = lnot lmsk in
-  let inner = (1 lsl lb) lsr Array.length lows in
-  let sdelta = Array.map (fun o -> o lsr lb) offs in
-  let odelta = Array.map (fun o -> o land lm) offs in
-  let res = st.re and ims = st.im in
-  let ssize = 1 lsl lb in
-  let sgroups = Array.length res lsr Array.length highs in
-  Dpool.run_tasks ~count:sgroups (fun g ->
-      let sbase = enum_base highs g in
-      let sre = Array.map (fun d -> res.(sbase lor d)) sdelta in
-      let sim = Array.map (fun d -> ims.(sbase lor d)) sdelta in
-      match kind with
-      | Cl_diag (dre, die) ->
-        let o = ref 0 in
-        for _ = 1 to inner do
-          for x = 0 to sub - 1 do
-            let dr = Array.unsafe_get dre x and di = Array.unsafe_get die x in
-            if dr <> 1.0 || di <> 0.0 then begin
-              let i = !o lor Array.unsafe_get odelta x in
-              if checked then assert (i < ssize);
-              let re = Array.unsafe_get sre x and im = Array.unsafe_get sim x in
-              let r = bget re i and q = bget im i in
-              bset re i ((dr *. r) -. (di *. q));
-              bset im i ((dr *. q) +. (di *. r))
-            end
-          done;
-          o := ((!o lor lmsk) + 1) land nmsk
-        done
-      | Cl_monomial (cycles, phr, phi) ->
-        let vr = Array.make sub 0.0 and vi = Array.make sub 0.0 in
-        let ncyc = Array.length cycles in
-        let o = ref 0 in
-        for _ = 1 to inner do
-          for x = 0 to sub - 1 do
-            let i = !o lor Array.unsafe_get odelta x in
-            if checked then assert (i < ssize);
-            Array.unsafe_set vr x (bget (Array.unsafe_get sre x) i);
-            Array.unsafe_set vi x (bget (Array.unsafe_get sim x) i)
-          done;
-          for ci = 0 to ncyc - 1 do
-            let cyc = Array.unsafe_get cycles ci in
-            let len = Array.length cyc in
-            for t = 0 to len - 1 do
-              let r = Array.unsafe_get cyc t in
-              let c = Array.unsafe_get cyc ((t + 1) mod len) in
-              let xr = Array.unsafe_get vr c and xi = Array.unsafe_get vi c in
-              let pr = Array.unsafe_get phr r and pi = Array.unsafe_get phi r in
-              let i = !o lor Array.unsafe_get odelta r in
-              bset (Array.unsafe_get sre r) i ((pr *. xr) -. (pi *. xi));
-              bset (Array.unsafe_get sim r) i ((pr *. xi) +. (pi *. xr))
-            done
-          done;
-          o := ((!o lor lmsk) + 1) land nmsk
-        done
-      | Cl_sparse (rows, cols, wre, wim) ->
-        let vr = Array.make sub 0.0 and vi = Array.make sub 0.0 in
-        let o = ref 0 in
-        for _ = 1 to inner do
-          let acc = ref 0.0 in
-          for x = 0 to sub - 1 do
-            let i = !o lor Array.unsafe_get odelta x in
-            if checked then assert (i < ssize);
-            let r = bget (Array.unsafe_get sre x) i
-            and q = bget (Array.unsafe_get sim x) i in
-            Array.unsafe_set vr x r;
-            Array.unsafe_set vi x q;
-            acc := !acc +. Float.abs r +. Float.abs q
-          done;
-          (* all-zero groups skip the matvec — the same per-group rule
-             as the flat sweep, so every shard layout makes the same
-             decision and the layouts stay bit-identical *)
-          if !acc <> 0.0 then
-            for row = 0 to sub - 1 do
-              let sr = ref 0.0 and si = ref 0.0 in
-              for p = Array.unsafe_get rows row
-                  to Array.unsafe_get rows (row + 1) - 1 do
-                let wr = Array.unsafe_get wre p
-                and wi = Array.unsafe_get wim p in
-                let col = Array.unsafe_get cols p in
-                let xr = Array.unsafe_get vr col
-                and xi = Array.unsafe_get vi col in
-                sr := !sr +. ((wr *. xr) -. (wi *. xi));
-                si := !si +. ((wr *. xi) +. (wi *. xr))
-              done;
-              let i = !o lor Array.unsafe_get odelta row in
-              bset (Array.unsafe_get sre row) i !sr;
-              bset (Array.unsafe_get sim row) i !si
-            done;
-          o := ((!o lor lmsk) + 1) land nmsk
-        done)
-
-let apply_cluster st (u : Complex.t array array) (qs : int array) =
-  let op = "Statevector.apply_cluster" in
-  let m = Array.length qs in
-  if m = 0 then Sim_error.error ~op "empty qubit set";
-  if m > 8 then Sim_error.error ~op "cluster too large: %d qubits" m;
-  Array.iter (check_qubit st) qs;
-  let sub = 1 lsl m in
-  if Array.length u <> sub then
-    Sim_error.error ~op "%d-qubit cluster needs a %dx%d matrix, got %dx%d" m
-      sub sub (Array.length u) (Array.length u);
-  let ps = Array.copy qs in
-  Array.sort compare ps;
-  for j = 0 to m - 2 do
-    if ps.(j) = ps.(j + 1) then Sim_error.error ~op "duplicate qubit %d" ps.(j)
-  done;
-  let offs = Array.make sub 0 in
-  for x = 0 to sub - 1 do
-    let o = ref 0 in
-    for j = 0 to m - 1 do
-      if x land (1 lsl j) <> 0 then o := !o lor (1 lsl qs.(j))
-    done;
-    offs.(x) <- !o
-  done;
-  let kind = classify_cluster u sub in
-  let checked = !checked_access_ref in
-  if not (sharded st) then begin
-    let groups = dim st lsr m in
-    let are = st.re.(0) and aim = st.im.(0) in
-    Dpool.run ~size:groups
-      (cluster_sweep_flat ~checked ~kind ~ps ~offs ~sub are aim)
-  end
-  else if ps.(m - 1) < st.lb then begin
-    (* all cluster bits below the shard boundary: every shard is an
-       independent lb-qubit sub-register — run the flat sweep per
-       shard, one task per shard across the pool *)
-    let lgroups = 1 lsl (st.lb - m) in
-    Dpool.run_tasks ~count:(shard_count st) (fun s ->
-        cluster_sweep_flat ~checked ~kind ~ps ~offs ~sub st.re.(s)
-          st.im.(s) 0 lgroups)
-  end
-  else cluster_sweep_sharded st ~checked ~kind ~ps ~offs ~sub
-
-let is_diag4 (u : Complex.t array array) =
-  let ok = ref true in
-  for i = 0 to 3 do
-    for j = 0 to 3 do
-      if i <> j && not (u.(i).(j).Complex.re = 0.0 && u.(i).(j).Complex.im = 0.0)
-      then ok := false
+      base := ((b lor msk) + 1) land nmsk
     done
-  done;
-  !ok
 
-let is_monomial4 (u : Complex.t array array) =
-  let zero (z : Complex.t) = z.Complex.re = 0.0 && z.Complex.im = 0.0 in
-  let ok = ref true in
-  for i = 0 to 3 do
-    let row = ref 0 and col = ref 0 in
-    for j = 0 to 3 do
-      if not (zero u.(i).(j)) then incr row;
-      if not (zero u.(j).(i)) then incr col
+(* The two-entries-per-row sparse sweep over one slice, groups [lo, hi),
+   on a blocked, row-outer schedule: a block of groups is gathered into
+   L1-resident scratch, then each row's two weights and column indices
+   are loaded once and streamed across the whole block — instead of six
+   weight/column loads per row per group. Writes are disjoint, and each
+   amplitude's arithmetic and accumulation order (0.0 + first entry +
+   second entry) and the all-zero-group rule are those of
+   [group_sweep]'s CSR walk, so results stay bit-identical. *)
+let sparse2_sweep ~checked { cols; wre; wim; pairs; _ } ~msk ~offs
+    (are : slice) (aim : slice) lo hi =
+  let size = Ba.dim are in
+  let sub = Array.length offs in
+  let nmsk = lnot msk in
+  (* scratch sized to the chunk: small registers pay no large staging *)
+  let blk = max 1 (min (2048 / sub) (hi - lo)) in
+  let bases = Array.make blk 0 in
+  let svr = Array.make (blk * sub) 0.0 in
+  let svi = Array.make (blk * sub) 0.0 in
+  let skipg = Bytes.make blk '\000' in
+  let base = ref (enum_base msk lo) in
+  let g = ref lo in
+  while !g < hi do
+    let gb = min blk (hi - !g) in
+    for gi = 0 to gb - 1 do
+      let b = !base in
+      if checked then assert (b >= 0 && b lor msk < size);
+      Array.unsafe_set bases gi b;
+      let sb = gi * sub in
+      let acc = ref 0.0 in
+      for x = 0 to sub - 1 do
+        let i = b lor Array.unsafe_get offs x in
+        let r = bget are i and q = bget aim i in
+        Array.unsafe_set svr (sb + x) r;
+        Array.unsafe_set svi (sb + x) q;
+        acc := !acc +. Float.abs r +. Float.abs q
+      done;
+      Bytes.unsafe_set skipg gi (if !acc = 0.0 then '\001' else '\000');
+      base := ((b lor msk) + 1) land nmsk
     done;
-    if !row <> 1 || !col <> 1 then ok := false
-  done;
-  !ok
+    (match pairs with
+    | Some (pa, pb) ->
+      for pr = 0 to Array.length pa - 1 do
+        let ra = Array.unsafe_get pa pr and rb = Array.unsafe_get pb pr in
+        let p = 2 * ra in
+        let c0 = Array.unsafe_get cols p in
+        let c1 = Array.unsafe_get cols (p + 1) in
+        let ar0 = Array.unsafe_get wre p and ai0 = Array.unsafe_get wim p in
+        let ar1 = Array.unsafe_get wre (p + 1)
+        and ai1 = Array.unsafe_get wim (p + 1) in
+        let q = 2 * rb in
+        let br0 = Array.unsafe_get wre q and bi0 = Array.unsafe_get wim q in
+        let br1 = Array.unsafe_get wre (q + 1)
+        and bi1 = Array.unsafe_get wim (q + 1) in
+        let oa = Array.unsafe_get offs ra and ob = Array.unsafe_get offs rb in
+        let sb = ref 0 in
+        for gi = 0 to gb - 1 do
+          let s = !sb in
+          if Bytes.unsafe_get skipg gi = '\000' then begin
+            let xr0 = Array.unsafe_get svr (s + c0)
+            and xi0 = Array.unsafe_get svi (s + c0) in
+            let xr1 = Array.unsafe_get svr (s + c1)
+            and xi1 = Array.unsafe_get svi (s + c1) in
+            let b = Array.unsafe_get bases gi in
+            let sra =
+              0.0 +. ((ar0 *. xr0) -. (ai0 *. xi0))
+              +. ((ar1 *. xr1) -. (ai1 *. xi1))
+            in
+            let sia =
+              0.0 +. ((ar0 *. xi0) +. (ai0 *. xr0))
+              +. ((ar1 *. xi1) +. (ai1 *. xr1))
+            in
+            let srb =
+              0.0 +. ((br0 *. xr0) -. (bi0 *. xi0))
+              +. ((br1 *. xr1) -. (bi1 *. xi1))
+            in
+            let sib =
+              0.0 +. ((br0 *. xi0) +. (bi0 *. xr0))
+              +. ((br1 *. xi1) +. (bi1 *. xr1))
+            in
+            let ia = b lor oa in
+            bset are ia sra;
+            bset aim ia sia;
+            let ib = b lor ob in
+            bset are ib srb;
+            bset aim ib sib
+          end;
+          sb := s + sub
+        done
+      done
+    | None ->
+      for row = 0 to sub - 1 do
+        let p = 2 * row in
+        let wr0 = Array.unsafe_get wre p and wi0 = Array.unsafe_get wim p in
+        let c0 = Array.unsafe_get cols p in
+        let wr1 = Array.unsafe_get wre (p + 1)
+        and wi1 = Array.unsafe_get wim (p + 1) in
+        let c1 = Array.unsafe_get cols (p + 1) in
+        let orow = Array.unsafe_get offs row in
+        let sb = ref 0 in
+        for gi = 0 to gb - 1 do
+          let s = !sb in
+          if Bytes.unsafe_get skipg gi = '\000' then begin
+            let xr0 = Array.unsafe_get svr (s + c0)
+            and xi0 = Array.unsafe_get svi (s + c0) in
+            let xr1 = Array.unsafe_get svr (s + c1)
+            and xi1 = Array.unsafe_get svi (s + c1) in
+            let sr =
+              0.0 +. ((wr0 *. xr0) -. (wi0 *. xi0))
+              +. ((wr1 *. xr1) -. (wi1 *. xi1))
+            in
+            let si =
+              0.0 +. ((wr0 *. xi0) +. (wi0 *. xr0))
+              +. ((wr1 *. xi1) +. (wi1 *. xr1))
+            in
+            let i = Array.unsafe_get bases gi lor orow in
+            bset are i sr;
+            bset aim i si
+          end;
+          sb := s + sub
+        done
+      done);
+    g := !g + gb
+  done
 
-let apply_mat2 st (u : Complex.t array array) qa qb =
-  if is_diag4 u then
-    apply_diag2 st [| u.(0).(0); u.(1).(1); u.(2).(2); u.(3).(3) |] qa qb
-  else if is_monomial4 u then
-    (* permutation-with-phases (fused CX/SWAP chains): 4 multiplies per
-       group via the monomial cluster path instead of the 16-complex-
-       multiply general kernel. apply_2q's first operand is the most
-       significant matrix bit; the cluster convention is LSB first. *)
-    apply_cluster st u [| qb; qa |]
-  else apply_general2q st u qa qb
-
-(* Compatibility aliases for the historical general-kernel API. *)
-let apply_1q = apply_mat1
-let apply_2q = apply_mat2
-
-(* ------------------------------------------------------------------ *)
-(* Three-qubit permutation kernels                                      *)
-
-(* Toffoli: swap the target pair where both controls are set; visits
-   size/8 loop iterations. *)
-let apply_ccx st c1 c2 tgt =
-  check_qubit st c1;
-  check_qubit st c2;
-  check_qubit st tgt;
-  if c1 = c2 || c1 = tgt || c2 = tgt then
-    Sim_error.error ~op:"Statevector.apply_ccx" "identical qubits";
-  let b1 = 1 lsl c1 and b2 = 1 lsl c2 and bt = 1 lsl tgt in
-  let p0, p1, p2 = sort3 c1 c2 tgt in
-  if sharded st then
-    sh_perm st ~ps:[| p0; p1; p2 |] ~oa:(b1 lor b2) ~ob:(b1 lor b2 lor bt)
+(* Group kernels on a flat state, or on a sharded one whose bits all
+   sit below the shard boundary (every shard is then an independent
+   sub-register, one pool task each), sweep one slice at a time; bits
+   at or above the boundary split as in [run_pair], with the group's
+   sub-state slices pinned once per shard group. *)
+let run_group st ~checked grp k =
+  let sub = Array.length k.offs in
+  let width = Array.length k.qs in
+  let sweep_slice (are : slice) aim lo hi =
+    match grp with
+    | Sparse ({ uniform2 = true; _ } as sp) ->
+      sparse2_sweep ~checked sp ~msk:k.msk ~offs:k.offs are aim lo hi
+    | _ ->
+      group_sweep ~checked grp (Array.make sub are) (Array.make sub aim) k.offs
+        k.msk lo (hi - lo)
+  in
+  if not (sharded st) then
+    Dpool.run ~size:(dim st lsr width) (sweep_slice st.re.(0) st.im.(0))
   else begin
-    let eighth = dim st / 8 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:eighth (fun lo hi ->
-        for k = lo to hi - 1 do
-          let i = insert_zero (insert_zero (insert_zero k p0) p1) p2 in
-          let i0 = i lor b1 lor b2 in
-          let i1 = i0 lor bt in
-          if checked then assert (i1 < Ba.dim re);
-          let tr = bget re i0 and ti = bget im i0 in
-          bset re i0 (bget re i1);
-          bset im i0 (bget im i1);
-          bset re i1 tr;
-          bset im i1 ti
-        done)
+    let lb = st.lb in
+    let lm = (1 lsl lb) - 1 in
+    let lows = k.msk land lm and highs = k.msk lsr lb in
+    if highs = 0 then
+      Dpool.run_tasks ~count:(shard_count st) (fun s ->
+          sweep_slice st.re.(s) st.im.(s) 0 (1 lsl (lb - width)))
+    else begin
+      let sdelta = Array.map (fun o -> o lsr lb) k.offs in
+      let odelta = Array.map (fun o -> o land lm) k.offs in
+      let inner = (1 lsl lb) lsr popcount lows in
+      Dpool.run_tasks ~count:(shard_count st lsr popcount highs) (fun g ->
+          let sbase = enum_base highs g in
+          let sre = Array.map (fun d -> st.re.(sbase lor d)) sdelta in
+          let sim = Array.map (fun d -> st.im.(sbase lor d)) sdelta in
+          group_sweep ~checked grp sre sim odelta lows 0 inner)
+    end
   end
 
-(* Fredkin: swap amplitudes of |..a=1,b=0..> and |..a=0,b=1..> when the
-   control is set. *)
-let apply_cswap st c a b =
-  check_qubit st c;
-  check_qubit st a;
-  check_qubit st b;
-  if c = a || c = b || a = b then
-    Sim_error.error ~op:"Statevector.apply_cswap" "identical qubits";
-  let bc = 1 lsl c and ba = 1 lsl a and bb = 1 lsl b in
-  let p0, p1, p2 = sort3 c a b in
-  if sharded st then
-    sh_perm st ~ps:[| p0; p1; p2 |] ~oa:(bc lor ba) ~ob:(bc lor bb)
-  else begin
-    let eighth = dim st / 8 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:eighth (fun lo hi ->
-        for k = lo to hi - 1 do
-          let i = insert_zero (insert_zero (insert_zero k p0) p1) p2 in
-          let i0 = i lor bc lor ba in
-          let i1 = i lor bc lor bb in
-          if checked then assert (i0 < Ba.dim re && i1 < Ba.dim re);
-          let tr = bget re i0 and ti = bget im i0 in
-          bset re i0 (bget re i1);
-          bset im i0 (bget im i1);
-          bset re i1 tr;
-          bset im i1 ti
-        done)
-  end
+let apply_kernel st k =
+  if k.msk lsr st.n <> 0 then
+    Sim_error.error ~op:"Statevector.apply_kernel"
+      "qubit %d out of range [0, %d)" (Array.fold_left max 0 k.qs) st.n;
+  let checked = !checked_access_ref in
+  match k.kind with
+  | Identity -> ()
+  | Pair (a, b, blk) ->
+    run_pair st ~checked blk k.msk (Array.length k.qs) (offset k.qs a)
+      (offset k.qs b)
+  | Group grp -> run_group st ~checked grp k
+
+let apply_cluster st u qs = apply_kernel st (kernel u qs)
 
 (* ------------------------------------------------------------------ *)
 (* Gate dispatch                                                        *)
 
-let expi_pair t = (cos t, sin t)
+(* The parameter-free gates are classified once, looked up in
+   roughly descending order of frequency; parametric gates classify
+   their matrix per call. *)
+let fixed_gates =
+  Gate.
+    [|
+      H; X; Cx; T; Tdg; S; Sdg; Z; Cz; Y; Swap; Sx; Sxdg; Cy; Ch; Ccx; Cswap; I;
+    |]
+
+let fixed_kinds = Array.map (fun g -> classify (Gate.matrix g)) fixed_gates
+
+let gate_kind (g : Gate.t) =
+  let n = Array.length fixed_gates in
+  let i = ref (match Gate.params g with [] -> 0 | _ :: _ -> n) in
+  while !i < n && fixed_gates.(!i) != g do
+    incr i
+  done;
+  if !i < n then fixed_kinds.(!i) else classify (Gate.matrix g)
 
 let apply st (g : Gate.t) qubits =
-  match g, qubits with
-  | Gate.I, [ q ] -> check_qubit st q
-  | Gate.X, [ q ] -> apply_x st q
-  | Gate.Y, [ q ] -> apply_y st q
-  | Gate.Z, [ q ] -> apply_diag1 st ~d0re:1.0 ~d0im:0.0 ~d1re:(-1.0) ~d1im:0.0 q
-  | Gate.S, [ q ] -> apply_diag1 st ~d0re:1.0 ~d0im:0.0 ~d1re:0.0 ~d1im:1.0 q
-  | Gate.Sdg, [ q ] ->
-    apply_diag1 st ~d0re:1.0 ~d0im:0.0 ~d1re:0.0 ~d1im:(-1.0) q
-  | Gate.T, [ q ] ->
-    let d1re, d1im = expi_pair (Float.pi /. 4.0) in
-    apply_diag1 st ~d0re:1.0 ~d0im:0.0 ~d1re ~d1im q
-  | Gate.Tdg, [ q ] ->
-    let d1re, d1im = expi_pair (-.Float.pi /. 4.0) in
-    apply_diag1 st ~d0re:1.0 ~d0im:0.0 ~d1re ~d1im q
-  | Gate.P t, [ q ] ->
-    let d1re, d1im = expi_pair t in
-    apply_diag1 st ~d0re:1.0 ~d0im:0.0 ~d1re ~d1im q
-  | Gate.Rz t, [ q ] ->
-    let d0re, d0im = expi_pair (-.t /. 2.0) in
-    let d1re, d1im = expi_pair (t /. 2.0) in
-    apply_diag1 st ~d0re ~d0im ~d1re ~d1im q
-  | Gate.H, [ q ] ->
-    let s = 1.0 /. sqrt 2.0 in
-    apply_real1q st ~u00:s ~u01:s ~u10:s ~u11:(-.s) q
-  | Gate.Ry t, [ q ] ->
-    let ct = cos (t /. 2.0) and stn = sin (t /. 2.0) in
-    apply_real1q st ~u00:ct ~u01:(-.stn) ~u10:stn ~u11:ct q
-  | (Gate.Sx | Gate.Sxdg | Gate.Rx _ | Gate.U _), [ q ] ->
-    apply_mat1 st (Gate.matrix_1q g) q
-  | Gate.Cx, [ c; t ] -> apply_cx st c t
-  | Gate.Cy, [ c; t ] -> apply_cy st c t
-  | Gate.Swap, [ a; b ] -> apply_swap st a b
-  | (Gate.Cz | Gate.Cp _ | Gate.Crz _), [ a; b ] ->
-    apply_mat2 st (Gate.matrix_2q g) a b
-  | (Gate.Ch | Gate.Crx _ | Gate.Cry _ | Gate.Cu _), [ a; b ] ->
-    apply_general2q st (Gate.matrix_2q g) a b
-  | Gate.Ccx, [ a; b; c ] -> apply_ccx st a b c
-  | Gate.Cswap, [ a; b; c ] -> apply_cswap st a b c
-  | g, qs ->
-    Sim_error.error ~op:"Statevector.apply" "%s expects %d qubits, got %d"
-      (Gate.name g) (Gate.num_qubits g) (List.length qs)
+  let op = "Statevector.apply" in
+  let m = Gate.num_qubits g in
+  (* the gate matrix's operand 0 is its most significant bit, so the
+     kernel lists the operands last to first *)
+  let qs =
+    match qubits with
+    | [ a ] when m = 1 -> [| a |]
+    | [ a; b ] when m = 2 -> [| b; a |]
+    | [ a; b; c ] when m = 3 -> [| c; b; a |]
+    | _ ->
+      Sim_error.error ~op "%s expects %d qubits, got %d" (Gate.name g) m
+        (List.length qubits)
+  in
+  let msk = operand_mask op st.n qs in
+  apply_kernel st (make (gate_kind g) qs msk)
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                          *)
@@ -1853,7 +1247,7 @@ let fidelity a b = Complex.norm2 (inner_product a b)
 
 (* The seed's naive kernels: full 2^n scans, complex matrix multiply
    for every gate, single-threaded. They are the correctness oracle for
-   the specialized/fused/clustered/sharded fast paths and the baseline
+   the kernel sweeps (per gate, fused, flat and sharded) and the baseline
    the benchmarks measure speedups against. The only change from the
    seed is the two-level [shard.{offset}] addressing (for a flat state
    the shard index is always 0); every scan, matrix product and update

@@ -7,14 +7,12 @@
 
     Registers up to {!max_local_bits} qubits live in one flat pair of
     re/im arrays; larger ones are sharded into contiguous slices that
-    the {!Dpool} Domain pool can own wholesale. Gate kernels are
-    specialized by matrix structure (permutation / diagonal / real /
-    general), enumerate only the index subspace they touch (size/2 for
-    1q gates, size/4 for 2q, size/8 for CCX), and split their ranges
-    across the pool when the register exceeds the parallel threshold;
-    {!apply_cluster} executes a whole fused gate cluster in one pass.
-    The seed's naive full-scan kernels are kept in {!Reference} as the
-    correctness oracle and benchmark baseline. *)
+    the {!Dpool} Domain pool can own wholesale. Every gate, lone or
+    fused, runs as one prepared {!kernel}: a matrix classified once by
+    its structure, swept in one pass over the amplitude groups it acts
+    on, split across the pool when the register exceeds the parallel
+    threshold. The seed's naive full-scan kernels are kept in
+    {!Reference} as the correctness oracle and benchmark baseline. *)
 
 type t
 
@@ -72,24 +70,33 @@ val copy : t -> t
     layout and measurement-RNG position. *)
 
 val apply : t -> Qcircuit.Gate.t -> int list -> unit
-(** Applies a gate to the given qubit operands via the best kernel for
-    its structure. *)
+(** Applies a gate to the given qubit operands (operand 0 first, as in
+    {!Qcircuit.Gate.matrix}) as a kernel over its matrix. The
+    parameter-free gates are classified once; parametric gates classify
+    their matrix per call. Raises [Sim_error] on a wrong operand count
+    and on duplicate, negative or out-of-range qubits. *)
 
-val apply_1q : t -> Complex.t array array -> int -> unit
-(** Applies an arbitrary 2x2 unitary, dispatching on matrix structure
-    (diagonal / anti-diagonal / real / general). *)
+type kernel
+(** A [2^m x 2^m] matrix prepared for [m] qubits: its structure class
+    (a 2x2 block on two sub-states, diagonal, monomial or sparse), the
+    index offsets of its sub-states and the class's sweep data — the
+    monomial move program, the sparse rows and their pairing — so
+    applying it never classifies or compiles anything. *)
 
-val apply_2q : t -> Complex.t array array -> int -> int -> unit
-(** Applies an arbitrary 4x4 unitary; the first qubit is the most
-    significant bit of the matrix basis. *)
+val kernel : Complex.t array array -> int array -> kernel
+(** [kernel u qs] prepares the [2^m x 2^m] matrix [u] over the [m]
+    distinct qubits [qs]. Matrix basis bit [j] corresponds to
+    [qs.(j)], least significant first (the reverse of
+    {!Qcircuit.Gate.matrix}'s operand order). Raises [Sim_error] on an
+    empty or over-8-qubit set, a matrix of the wrong size, and
+    duplicate or negative qubits or qubits at or above {!max_qubits}. *)
+
+val apply_kernel : t -> kernel -> unit
+(** One pass over the amplitudes. Raises [Sim_error], before touching
+    any amplitude, when a kernel qubit is outside the register. *)
 
 val apply_cluster : t -> Complex.t array array -> int array -> unit
-(** [apply_cluster st u qs] applies the [2^m x 2^m] unitary [u] over
-    the [m] distinct qubits [qs] in one pass over the amplitudes.
-    Matrix basis bit [j] corresponds to [qs.(j)], least significant
-    first (the opposite of {!apply_2q}'s operand convention). Diagonal
-    and monomial (permutation-with-phases) matrices take constant-work
-    fast paths; dense matrices pay the full matvec per group. *)
+(** [apply_cluster st u qs] is [apply_kernel st (kernel u qs)]. *)
 
 val prob_one : t -> int -> float
 (** Probability that measuring qubit [q] yields 1 (non-destructive).

@@ -2,12 +2,12 @@
    layout, its sharding and the cluster-fusion pass must be observably
    invisible. 100 fuzzed circuits (random and feedback workloads,
    parametric and Clifford) execute per shot under seven engine
-   configurations with identical seeds — specialized-flat,
-   reference-flat, cluster-fused flat, cluster-fused sharded,
-   specialized sharded, reference sharded (the two-level slice
-   addressing of the oracle itself) and specialized sharded with
-   checked accesses (every unsafe Bigarray index re-asserted against
-   the slice bounds) — and every histogram must match bit for bit. The
+   configurations with identical seeds — unfused flat (one kernel per
+   gate), reference-flat, cluster-fused flat, cluster-fused sharded,
+   unfused sharded, reference sharded (the two-level slice addressing
+   of the oracle itself) and unfused sharded with checked accesses
+   (every unsafe Bigarray index re-asserted against the slice bounds) —
+   and every histogram must match bit for bit. The
    shot-branching sampler must also draw bit-identical histograms from
    flat and sharded states, feedback circuits (which branch) included. A
    capstone case allocates a 28-qubit sharded register end to end
@@ -91,7 +91,7 @@ let hist_to_string h =
   String.concat ";" (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) h)
 
 (* ------------------------------------------------------------------ *)
-(* 1. fuzzed corpus under five engine configurations                     *)
+(* 1. fuzzed corpus under seven engine configurations                    *)
 
 let fuzzed_corpus () =
   for i = 0 to circuits - 1 do
@@ -117,7 +117,7 @@ let fuzzed_corpus () =
           ( "clustered-sharded",
             with_local_bits lb (fun () ->
                 histogram (Qsim.Fusion.run_circuit ~k) c seed) );
-          ( "specialized-sharded",
+          ( "unfused-sharded",
             with_local_bits lb (fun () -> histogram Sv.run_circuit c seed) );
           ( "reference-sharded",
             with_local_bits lb (fun () ->

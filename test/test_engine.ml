@@ -1,5 +1,5 @@
 (* Property tests for the high-performance statevector engine: every
-   specialized kernel, the fusion pass, the Domain-parallel paths and
+   gate kernel, the fusion pass, the Domain-parallel paths and
    the batched shot sampler are checked against the naive general-kernel
    reference ({!Qsim.Statevector.Reference}) on randomized inputs. *)
 
@@ -57,8 +57,15 @@ let with_pool ~domains ~threshold f =
       Qsim.Dpool.set_domains d0;
       Qsim.Dpool.set_threshold t0)
 
+(* Temporarily lower the shard granularity so even tiny registers split
+   into multiple shards, exercising the two-level kernels cheaply. *)
+let with_local_bits bits f =
+  let b0 = Sv.max_local_bits () in
+  Sv.set_max_local_bits bits;
+  Fun.protect f ~finally:(fun () -> Sv.set_max_local_bits b0)
+
 (* ------------------------------------------------------------------ *)
-(* 1. Every specialized kernel against the reference                     *)
+(* 1. Every gate's kernel against the reference                          *)
 
 let gates_1q =
   Gate.
@@ -74,33 +81,114 @@ let gates_2q =
       Cu (0.3, 0.7, 1.5);
     ]
 
+(* Each gate through [Sv.apply] and as a one-step fused plan, against
+   the reference applied to a flat copy: on a flat 5-qubit state, and on
+   6-qubit states sharded at 2 and 3 local bits with operands below,
+   across and above the shard boundary. *)
 let test_kernels_vs_reference () =
-  let n = 5 in
-  let try_gate seed g qs =
-    let st_fast, st_ref = prep n seed in
-    Sv.apply st_fast g qs;
+  let try_gate ~n ~lb seed g qs =
+    let _, st_ref = prep n seed in
     Ref.apply st_ref g qs;
-    let dev = max_dev st_fast st_ref in
-    if dev > 1e-12 then
-      Alcotest.failf "%s on [%s]: deviation %g" (Gate.to_string g)
-        (String.concat ";" (List.map string_of_int qs))
-        dev
+    let one_step st =
+      let c =
+        Circuit.create ~num_qubits:n ~num_clbits:0 [ Circuit.gate g qs ]
+      in
+      Qsim.Fusion.apply_plan st [||] (fst (Qsim.Fusion.plan c))
+    in
+    List.iter
+      (fun (path, run) ->
+        let st = with_local_bits lb (fun () -> fst (prep n seed)) in
+        if n > lb && Sv.shard_count st < 2 then
+          Alcotest.fail "state did not shard";
+        run st;
+        let dev = max_dev st st_ref in
+        if dev > 1e-12 then
+          Alcotest.failf
+            "%s on [%s] (%d qubits, local bits %d, %s): deviation %g"
+            (Gate.to_string g)
+            (String.concat ";" (List.map string_of_int qs))
+            n lb path dev)
+      [ ("apply", fun st -> Sv.apply st g qs); ("plan", one_step) ]
   in
-  List.iteri
-    (fun i g -> List.iter (fun q -> try_gate (31 + i) g [ q ]) [ 0; 2; n - 1 ])
-    gates_1q;
-  List.iteri
-    (fun i g ->
-      List.iter
-        (fun (a, b) -> try_gate (53 + i) g [ a; b ])
-        [ (0, 1); (1, 0); (0, n - 1); (3, 1) ])
-    gates_2q;
+  let run_all ~n ~lb ~q1 ~q2 ~ccx ~cswap =
+    List.iteri
+      (fun i g -> List.iter (fun q -> try_gate ~n ~lb (31 + i) g [ q ]) q1)
+      gates_1q;
+    List.iteri
+      (fun i g ->
+        List.iter (fun (a, b) -> try_gate ~n ~lb (53 + i) g [ a; b ]) q2)
+      gates_2q;
+    List.iter (try_gate ~n ~lb 71 Gate.Ccx) ccx;
+    List.iter (try_gate ~n ~lb 73 Gate.Cswap) cswap
+  in
+  run_all ~n:5 ~lb:(Sv.max_local_bits ()) ~q1:[ 0; 2; 4 ]
+    ~q2:[ (0, 1); (1, 0); (0, 4); (3, 1) ]
+    ~ccx:[ [ 0; 1; 2 ]; [ 2; 0; 4 ]; [ 4; 3; 1 ] ]
+    ~cswap:[ [ 0; 1; 2 ]; [ 1; 4; 0 ]; [ 3; 0; 2 ] ];
   List.iter
-    (fun qs -> try_gate 71 Gate.Ccx qs)
-    [ [ 0; 1; 2 ]; [ 2; 0; 4 ]; [ 4; 3; 1 ] ];
+    (fun lb ->
+      run_all ~n:6 ~lb ~q1:[ 0; 2; 5 ]
+        ~q2:[ (0, 1); (1, 0); (0, 5); (4, 2); (5, 3) ]
+        ~ccx:[ [ 0; 1; 2 ]; [ 2; 0; 4 ]; [ 5; 3; 4 ]; [ 4; 5; 1 ] ]
+        ~cswap:[ [ 0; 1; 2 ]; [ 1; 4; 0 ]; [ 3; 5; 4 ] ])
+    [ 2; 3 ]
+
+(* Malformed operands raise [Sim_error] — never [Invalid_argument] or an
+   unchecked access — and leave the state untouched, on flat and sharded
+   states alike; so does a kernel whose qubits lie outside the register,
+   with checked access off. *)
+let test_operand_validation () =
+  let expect_error what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Qsim.Sim_error.Error _ -> ()
+    | exception e ->
+      Alcotest.failf "%s: raised %s, not Sim_error" what (Printexc.to_string e)
+  in
+  let untouched st =
+    check bool_t "state untouched" true
+      (Complex.norm (Complex.sub (Sv.amplitude st 0) Complex.one) = 0.0)
+  in
+  let bad =
+    Gate.
+      [
+        ("wrong arity", H, [ 0; 1 ]); ("wrong arity", Cx, [ 0 ]);
+        ("wrong arity", Ccx, [ 0; 1 ]); ("no operands", X, []);
+        ("duplicate", Cx, [ 2; 2 ]); ("duplicate", Ccx, [ 0; 1; 1 ]);
+        ("duplicate", Cswap, [ 3; 1; 3 ]); ("negative", X, [ -1 ]);
+        ("negative", Cx, [ 0; -3 ]); ("out of range", H, [ 6 ]);
+        ("out of range", Cz, [ 6; 0 ]); ("out of range", Cswap, [ 0; 1; 9 ]);
+      ]
+  in
+  check bool_t "checked access off" false (Sv.checked_access ());
+  let k5 = Sv.kernel (Gate.matrix Gate.X) [| 5 |] in
   List.iter
-    (fun qs -> try_gate 73 Gate.Cswap qs)
-    [ [ 0; 1; 2 ]; [ 1; 4; 0 ]; [ 3; 0; 2 ] ]
+    (fun lb ->
+      with_local_bits lb (fun () ->
+          let st = Sv.create 6 in
+          List.iter
+            (fun (what, g, qs) ->
+              expect_error
+                (Printf.sprintf "%s: %s [%s] (local bits %d)" what (Gate.name g)
+                   (String.concat ";" (List.map string_of_int qs))
+                   lb)
+                (fun () -> Sv.apply st g qs))
+            bad;
+          untouched st;
+          let st3 = Sv.create 3 in
+          expect_error "kernel on qubit 5, 3-qubit state" (fun () ->
+              Sv.apply_kernel st3 k5);
+          untouched st3))
+    [ Sv.max_local_bits (); 2 ];
+  List.iter
+    (fun (what, u, qs) ->
+      expect_error ("kernel: " ^ what) (fun () -> ignore (Sv.kernel u qs)))
+    [
+      ("duplicate qubit", Gate.matrix Gate.Cx, [| 1; 1 |]);
+      ("negative qubit", Gate.matrix Gate.X, [| -2 |]);
+      ("no qubits", [| [| Complex.one |] |], [||]);
+      ("matrix size", Gate.matrix Gate.X, [| 0; 1 |]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* 2. Whole random circuits: fast engine == reference                    *)
@@ -434,13 +522,6 @@ let test_batched_deterministic_permutation () =
 
 (* ------------------------------------------------------------------ *)
 (* 8. Sharded storage and the cluster path: differential properties      *)
-
-(* Temporarily lower the shard granularity so even tiny registers split
-   into multiple shards, exercising the two-level kernels cheaply. *)
-let with_local_bits bits f =
-  let b0 = Sv.max_local_bits () in
-  Sv.set_max_local_bits bits;
-  Fun.protect f ~finally:(fun () -> Sv.set_max_local_bits b0)
 
 (* Cluster-fused execution on a sharded state vs the flat naive
    reference: same amplitudes (<= 1e-12) and the same classical bits,
@@ -831,8 +912,9 @@ let test_branching_hot_equals_cold () =
 
 let suite =
   [
-    Alcotest.test_case "specialized kernels vs reference" `Quick
+    Alcotest.test_case "gate kernels vs reference" `Quick
       test_kernels_vs_reference;
+    Alcotest.test_case "operand validation" `Quick test_operand_validation;
     Alcotest.test_case "random circuits vs reference" `Quick
       test_random_circuits_vs_reference;
     Alcotest.test_case "fusion vs reference" `Quick test_fusion_vs_reference;

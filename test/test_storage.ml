@@ -309,7 +309,7 @@ let prop_bigarray_sharded_vs_float_array =
    and more gates cross the shard boundary. *)
 let invariance_engines =
   [
-    ("specialized", fun ~seed c -> Statevector.run_circuit ~seed c);
+    ("unfused", fun ~seed c -> Statevector.run_circuit ~seed c);
     ("fused", fun ~seed c -> Fusion.run_circuit ~seed c);
   ]
 
