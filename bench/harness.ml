@@ -43,3 +43,14 @@ let section id title =
   Format.printf "@\n=== %s: %s ===@\n%!" id title
 
 let row fmt = Format.printf fmt
+
+(* A measurement as a BENCH file value: [v] rounded to [d] decimals,
+   the precision it carries. *)
+let fixed d v = Jsonx.Num (float_of_string (Printf.sprintf "%.*f" d v))
+
+(* Write one BENCH file: the document through {!Jsonx.pretty}. *)
+let write_json file doc =
+  let oc = open_out file in
+  output_string oc (Jsonx.pretty doc ^ "\n");
+  close_out oc;
+  row "  wrote %s@\n" file

@@ -8,6 +8,14 @@
 open Qcircuit
 open Llvm_ir
 
+(* BENCH file values (see {!Harness.fixed}). *)
+let fixed = Harness.fixed
+let int = Jsonx.int
+let str s = Jsonx.Str s
+let bool b = Jsonx.Bool b
+let obj fields = Jsonx.Obj fields
+let arr items = Jsonx.Arr items
+
 let line_count s =
   List.length
     (List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s))
@@ -527,82 +535,56 @@ let a1 () =
    each measured against the seed's naive general-kernel engine. Results
    are also written machine-readably to BENCH_simulator.json. *)
 
-(* E9, E14, E18 and E19 report into BENCH_simulator.json: each stores
-   its fragment here and rewrites the file with whatever has run so far,
-   keeping the top-level entries of the existing file that this run did
-   not regenerate — so a BENCH_ONLY subset updates its own entries and
-   leaves the others as last measured. The pool fragment is computed at
-   write time, after any domain sweeps have restored the configuration,
-   so the file records the pool the numbers were actually measured
-   with. *)
-let sim_fragments : (string * string) list ref = ref []
-
-(* The top-level entries of a file in this writer's layout, as (key,
-   text) pairs: an entry starts at a line indented by exactly two
-   spaces and runs up to the next one or the closing brace; the comma
-   separating it from the next entry is dropped. *)
-let top_level_entries text =
-  let starts line = String.length line > 3 && String.sub line 0 3 = {|  "|} in
-  let entry = function
-    | [] -> None
-    | rev_lines ->
-      let lines = List.rev rev_lines in
-      let body = String.concat "\n" lines in
-      let body =
-        if String.ends_with ~suffix:"," body then
-          String.sub body 0 (String.length body - 1)
-        else body
-      in
-      Some (List.nth (String.split_on_char '"' (List.hd lines)) 1, body)
-  in
-  let done_, cur =
-    List.fold_left
-      (fun (done_, cur) line ->
-        if starts line then (entry cur :: done_, [ line ])
-        else if cur <> [] && line <> "}" && line <> "" then (done_, line :: cur)
-        else (done_, cur))
-      ([], [])
-      (String.split_on_char '\n' text)
-  in
-  List.filter_map Fun.id (List.rev (entry cur :: done_))
+(* E9, E14, E18, E19 and E20 report into BENCH_simulator.json: each
+   stores its top-level entries here and rewrites the file with whatever
+   has run so far, keeping the top-level entries of the existing file
+   that this run did not regenerate — so a BENCH_ONLY subset updates
+   its own entries and leaves the others as last measured. The pool
+   entry is computed at write time, after any domain sweeps have
+   restored the configuration, so the file records the pool the numbers
+   were actually measured with. *)
+let sim_fragments : (string * (string * Jsonx.t) list) list ref = ref []
 
 let sim_previous =
   lazy
-    (match open_in "BENCH_simulator.json" with
-    | ic ->
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      top_level_entries text
+    (match In_channel.with_open_bin "BENCH_simulator.json" In_channel.input_all with
+    | text -> (
+      match Jsonx.parse text with Ok (Jsonx.Obj entries) -> entries | _ -> [])
     | exception Sys_error _ -> [])
 
 let write_sim_json () =
   let pool =
-    Printf.sprintf
-      {|  "pool": { "domains": %d, "cores": %d, "parallel_threshold": %d, "sequential_fallbacks": %d }|}
-      (Qsim.Dpool.domains ())
-      (Domain.recommended_domain_count ())
-      (Qsim.Dpool.threshold ())
-      (Qsim.Dpool.sequential_fallbacks ())
+    ( "pool",
+      Jsonx.Obj
+        [
+          ("domains", int (Qsim.Dpool.domains ()));
+          ("cores", int (Domain.recommended_domain_count ()));
+          ("parallel_threshold", int (Qsim.Dpool.threshold ()));
+          ("sequential_fallbacks", int (Qsim.Dpool.sequential_fallbacks ()));
+        ] )
   in
-  let fresh = List.map snd (List.rev !sim_fragments) in
-  let fresh_keys =
-    List.concat_map (fun f -> List.map fst (top_level_entries f)) fresh
-  in
+  let fresh = List.concat_map snd (List.rev !sim_fragments) in
   let kept =
-    List.filter_map
-      (fun (k, body) ->
-        if k = "pool" || List.mem k fresh_keys then None else Some body)
+    List.filter
+      (fun (k, _) -> k <> "pool" && not (List.mem_assoc k fresh))
       (Lazy.force sim_previous)
   in
-  let body = String.concat ",\n" (kept @ fresh @ [ pool ]) in
-  let oc = open_out "BENCH_simulator.json" in
-  output_string oc (Printf.sprintf "{\n%s\n}\n" body);
-  close_out oc;
-  Harness.row "  wrote BENCH_simulator.json@\n"
+  Harness.write_json "BENCH_simulator.json" (obj (kept @ fresh @ [ pool ]))
 
-let add_sim_fragment name fragment =
-  sim_fragments := (name, fragment) :: List.remove_assoc name !sim_fragments;
+let add_sim_fragment name entries =
+  sim_fragments := (name, entries) :: List.remove_assoc name !sim_fragments;
   write_sim_json ()
+
+(* Shared shapes of the simulator entries. *)
+let clifford_t ?(extra = []) n gates =
+  obj ([ ("qubits", int n); ("gates", int gates); ("family", str "clifford+t") ] @ extra)
+
+let clustered t_ks = obj (List.map (fun (k, t) -> (Printf.sprintf "k%d_s" k, fixed 6 t)) t_ks)
+
+let sharded t gates_per_sec =
+  obj
+    [ ("local_bits", int 18); ("shards", int 4); ("time_s", fixed 6 t);
+      ("gates_per_sec", fixed 0 gates_per_sec) ]
 
 let measure_all (c : Circuit.t) =
   let b =
@@ -681,38 +663,28 @@ let e9 () =
     (Harness.ns_to_string (t_batched *. 1e9))
     (t_per_shot /. t_batched);
   (* machine-readable record *)
-  let fragment =
-    Printf.sprintf
-      {|  "e9_kernels": {
-    "circuit": { "qubits": %d, "gates": %d, "family": "clifford+t" },
-    "reference_s": %.6f,
-    "unfused_s": %.6f,
-    "fused_s": %.6f,
-    "speedup_unfused": %.2f,
-    "speedup_fused": %.2f
-  },
-  "fusion_plan": {
-    "ops_in": %d, "steps_out": %d,
-    "fused_1q": %d, "absorbed_1q": %d, "fused_2q": %d, "fused_3q": %d,
-    "clusters_emitted": %d, "clustered_gates": %d,
-    "identities_dropped": %d
-  },
-  "e9_batching": {
-    "circuit": { "qubits": %d, "gates": %d },
-    "shots": %d,
-    "per_shot_s": %.6f,
-    "batched_s": %.6f,
-    "speedup": %.2f
-  }|}
-      n gates t_ref t_unfused t_fused (t_ref /. t_unfused) (t_ref /. t_fused)
-      fstats.Qsim.Fusion.ops_in fstats.Qsim.Fusion.steps_out
-      fstats.Qsim.Fusion.fused_1q fstats.Qsim.Fusion.absorbed_1q
-      fstats.Qsim.Fusion.fused_2q fstats.Qsim.Fusion.fused_3q
-      fstats.Qsim.Fusion.clusters_emitted fstats.Qsim.Fusion.clustered_gates
-      fstats.Qsim.Fusion.identities_dropped nb gb shots t_per_shot t_batched
-      (t_per_shot /. t_batched)
-  in
-  add_sim_fragment "e9" fragment
+  let f = fstats in
+  add_sim_fragment "e9"
+    [ ( "e9_kernels",
+        obj
+          [ ("circuit", clifford_t n gates); ("reference_s", fixed 6 t_ref);
+            ("unfused_s", fixed 6 t_unfused); ("fused_s", fixed 6 t_fused);
+            ("speedup_unfused", fixed 2 (t_ref /. t_unfused));
+            ("speedup_fused", fixed 2 (t_ref /. t_fused)) ] );
+      ( "fusion_plan",
+        obj
+          [ ("ops_in", int f.Qsim.Fusion.ops_in); ("steps_out", int f.steps_out);
+            ("fused_1q", int f.fused_1q); ("absorbed_1q", int f.absorbed_1q);
+            ("fused_2q", int f.fused_2q); ("fused_3q", int f.fused_3q);
+            ("clusters_emitted", int f.clusters_emitted);
+            ("clustered_gates", int f.clustered_gates);
+            ("identities_dropped", int f.identities_dropped) ] );
+      ( "e9_batching",
+        obj
+          [ ("circuit", obj [ ("qubits", int nb); ("gates", int gb) ]);
+            ("shots", int shots); ("per_shot_s", fixed 6 t_per_shot);
+            ("batched_s", fixed 6 t_batched);
+            ("speedup", fixed 2 (t_per_shot /. t_batched)) ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* E14 — cluster fusion and the sharded state: gates/sec and the qubit
@@ -843,46 +815,34 @@ let e14 () =
     (Harness.ns_to_string (t28 *. 1e9))
     (String.concat " "
        (List.map (fun (k, v) -> Printf.sprintf "%s:%d" k v) hist));
-  let fragment =
-    Printf.sprintf
-      {|  "e14_clusters": {
-    "circuit": { "qubits": %d, "gates": %d, "family": "clifford+t" },
-    "unfused_s": %.6f,
-    "pairwise_k2_s": %.6f,
-    "clustered": { %s },
-    "best_k": %d,
-    "gates_per_sec_best": %.0f,
-    "speedup_best_vs_k2": %.2f,
-    "plan_k4": { "ops_in": %d, "steps_out": %d, "clusters_emitted": %d, "clustered_gates": %d }
-  },
-  "e14_domain_sweep": { "k": %d, "cores": %d, %s },
-  "e14_sharded": { "local_bits": 18, "shards": 4, "time_s": %.6f, "gates_per_sec": %.0f },
-  "e14_qubit_ceiling": {
-    "qubits": %d, "gates": %d, "shots": %d, "batched": true,
-    "time_s": %.6f, "shots_completed": %d, "ghz_histogram_ok": %b
-  }|}
-      n gates t_unfused t_k2
-      (String.concat ", "
-         (List.map
-            (fun (k, t) -> Printf.sprintf {|"k%d_s": %.6f|} k t)
-            t_ks))
-      best_k (gps best_t) (t_k2 /. best_t) st4.Qsim.Fusion.ops_in
-      st4.Qsim.Fusion.steps_out st4.Qsim.Fusion.clusters_emitted
-      st4.Qsim.Fusion.clustered_gates best_k cores
-      (String.concat ", "
-         (List.map
-            (fun (d, t) -> Printf.sprintf {|"domains_%d_s": %.6f|} d t)
-            dtimes
-         @ List.map
-             (fun d ->
-               Printf.sprintf
-                 {|"domains_%d_skipped": "exceeds the %d detected core(s)"|}
-                 d cores)
-             dskipped))
-      t_sharded (gps t_sharded) n28 n28 shots t28 completed
-      (completed = shots && ghz_keys_only)
-  in
-  add_sim_fragment "e14" fragment
+  add_sim_fragment "e14"
+    [ ( "e14_clusters",
+        obj
+          [ ("circuit", clifford_t n gates); ("unfused_s", fixed 6 t_unfused);
+            ("pairwise_k2_s", fixed 6 t_k2); ("clustered", clustered t_ks);
+            ("best_k", int best_k); ("gates_per_sec_best", fixed 0 (gps best_t));
+            ("speedup_best_vs_k2", fixed 2 (t_k2 /. best_t));
+            ( "plan_k4",
+              obj
+                [ ("ops_in", int st4.Qsim.Fusion.ops_in); ("steps_out", int st4.steps_out);
+                  ("clusters_emitted", int st4.clusters_emitted);
+                  ("clustered_gates", int st4.clustered_gates) ] ) ] );
+      ( "e14_domain_sweep",
+        obj
+          ([ ("k", int best_k); ("cores", int cores) ]
+          @ List.map (fun (d, t) -> (Printf.sprintf "domains_%d_s" d, fixed 6 t)) dtimes
+          @ List.map
+              (fun d ->
+                ( Printf.sprintf "domains_%d_skipped" d,
+                  str (Printf.sprintf "exceeds the %d detected core(s)" cores) ))
+              dskipped) );
+      ("e14_sharded", sharded t_sharded (gps t_sharded));
+      ( "e14_qubit_ceiling",
+        obj
+          [ ("qubits", int n28); ("gates", int n28); ("shots", int shots);
+            ("batched", bool true); ("time_s", fixed 6 t28);
+            ("shots_completed", int completed);
+            ("ghz_histogram_ok", bool (completed = shots && ghz_keys_only)) ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* E18 — Bigarray storage + stride-aware shard exchange, measured
@@ -978,38 +938,24 @@ let e18 () =
     "  28-qubit GHZ end-to-end: %s vs %.1f s recorded — %.2fx@\n"
     (Harness.ns_to_string (t28 *. 1e9))
     baseline_ghz_s (baseline_ghz_s /. t28);
-  let fragment =
-    Printf.sprintf
-      {|  "e18_bigarray": {
-    "storage": "bigarray-float64-c-layout",
-    "exchange": "stride-aware",
-    "circuit": { "qubits": %d, "gates": %d, "family": "clifford+t" },
-    "timing": "best_of_%d_per_k",
-    "clustered": { %s },
-    "best_k": %d,
-    "gates_per_sec_best": %.0f,
-    "baseline_float_array_gates_per_sec": %.0f,
-    "speedup_vs_float_array": %.2f,
-    "sharded": { "local_bits": 18, "shards": 4, "time_s": %.6f, "gates_per_sec": %.0f },
-    "ghz28": {
-      "qubits": %d, "shots": %d, "batched": true,
-      "time_s": %.6f, "shots_completed": %d, "ghz_histogram_ok": %b,
-      "baseline_float_array_s": %.6f, "speedup_vs_float_array": %.2f
-    }
-  }|}
-      n gates samples_per_k
-      (String.concat ", "
-         (List.map
-            (fun (k, t) -> Printf.sprintf {|"k%d_s": %.6f|} k t)
-            t_ks))
-      best_k (gps best_t) baseline_gps
-      (gps best_t /. baseline_gps)
-      t_sharded (gps t_sharded) n28 shots t28 completed
-      (completed = shots && ghz_keys_only)
-      baseline_ghz_s
-      (baseline_ghz_s /. t28)
-  in
-  add_sim_fragment "e18" fragment
+  add_sim_fragment "e18"
+    [ ( "e18_bigarray",
+        obj
+          [ ("storage", str "bigarray-float64-c-layout"); ("exchange", str "stride-aware");
+            ("circuit", clifford_t n gates);
+            ("timing", str (Printf.sprintf "best_of_%d_per_k" samples_per_k));
+            ("clustered", clustered t_ks); ("best_k", int best_k);
+            ("gates_per_sec_best", fixed 0 (gps best_t));
+            ("baseline_float_array_gates_per_sec", fixed 0 baseline_gps);
+            ("speedup_vs_float_array", fixed 2 (gps best_t /. baseline_gps));
+            ("sharded", sharded t_sharded (gps t_sharded));
+            ( "ghz28",
+              obj
+                [ ("qubits", int n28); ("shots", int shots); ("batched", bool true);
+                  ("time_s", fixed 6 t28); ("shots_completed", int completed);
+                  ("ghz_histogram_ok", bool (completed = shots && ghz_keys_only));
+                  ("baseline_float_array_s", fixed 6 baseline_ghz_s);
+                  ("speedup_vs_float_array", fixed 2 (baseline_ghz_s /. t28)) ] ) ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* E19 — the shot-branching batched tier on a mid-circuit measurement.
@@ -1082,21 +1028,27 @@ let e19 () =
     "branching tier (1000 shots)"
     (Harness.ns_to_string (t_br *. 1e9))
     br.Qruntime.Executor.branches br.Qruntime.Executor.batched (projected /. t_br);
-  let fragment =
-    Printf.sprintf
-      {|  "e19_branching": {
-    "circuit": { "qubits": %d, "gates": %d, "family": "clifford+t", "seed": %d, "mid_measure_after_gate": %d, "mid_qubit": %d },
-    "shots": %d,
-    "terminal_only_batched_s": %.6f, "terminal_only_branches": %d,
-    "tape": { "shots": %d, "time_s": %.6f, "s_per_shot": %.6f, "tape": %b, "projected_s": %.6f },
-    "branching": { "time_s": %.6f, "branches": %d, "batched": %b, "shots_completed": %d },
-    "speedup_vs_tape": %.1f
-  }|}
-      n gates seed at mid_q shots t_floor floor.Qruntime.Executor.branches tape_shots t_tape
-      tape_per_shot tape.Qruntime.Executor.tape projected t_br br.Qruntime.Executor.branches
-      br.Qruntime.Executor.batched br.Qruntime.Executor.completed (projected /. t_br)
-  in
-  add_sim_fragment "e19" fragment
+  let module E = Qruntime.Executor in
+  add_sim_fragment "e19"
+    [ ( "e19_branching",
+        obj
+          [ ( "circuit",
+              clifford_t n gates
+                ~extra:
+                  [ ("seed", int seed); ("mid_measure_after_gate", int at);
+                    ("mid_qubit", int mid_q) ] );
+            ("shots", int shots); ("terminal_only_batched_s", fixed 6 t_floor);
+            ("terminal_only_branches", int floor.E.branches);
+            ( "tape",
+              obj
+                [ ("shots", int tape_shots); ("time_s", fixed 6 t_tape);
+                  ("s_per_shot", fixed 6 tape_per_shot); ("tape", bool tape.E.tape);
+                  ("projected_s", fixed 6 projected) ] );
+            ( "branching",
+              obj
+                [ ("time_s", fixed 6 t_br); ("branches", int br.E.branches);
+                  ("batched", bool br.E.batched); ("shots_completed", int br.E.completed) ] );
+            ("speedup_vs_tape", fixed 1 (projected /. t_br)) ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* E20 — per-gate cost through Statevector.apply: the per-shot tier,
@@ -1158,25 +1110,20 @@ let e20 () =
         (name, us))
       gates
   in
-  let fragment =
-    Printf.sprintf
-      {|  "e20_gates": {
-    "api": "Statevector.apply", "unit": "us_per_gate", "timing": "best_of_3",
-    "operands": { "1q": [1], "2q": ["n-1", 1], "3q": [0, "n-1", 2] },
-%s
-  }|}
-      (String.concat ",\n"
-         (List.map
-            (fun n ->
-              Printf.sprintf {|    "q%d": { %s }|} n
-                (String.concat ", "
-                   (List.map
-                      (fun (name, us) ->
-                        Printf.sprintf {|"%s": %.4f|} name (List.assoc n us))
-                      rows)))
-            sizes))
+  let at_size n =
+    ( Printf.sprintf "q%d" n,
+      obj (List.map (fun (name, us) -> (name, fixed 4 (List.assoc n us))) rows) )
   in
-  add_sim_fragment "e20" fragment
+  add_sim_fragment "e20"
+    [ ( "e20_gates",
+        obj
+          ([ ("api", str "Statevector.apply"); ("unit", str "us_per_gate");
+             ("timing", str "best_of_3");
+             ( "operands",
+               obj
+                 [ ("1q", arr [ int 1 ]); ("2q", arr [ str "n-1"; int 1 ]);
+                   ("3q", arr [ int 0; str "n-1"; int 2 ]) ] ) ]
+          @ List.map at_size sizes) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* E15 — the multi-tenant service under mixed hot/cold load             *)
@@ -1424,52 +1371,59 @@ let e15 () =
     "  multi-executor drain (%d jobs, %d core(s)): 1 executor %.0f \
      jobs/sec, 4 executors %.0f jobs/sec (%.2fx)@\n"
     exec_jobs cores jps_1 jps_4 (jps_4 /. jps_1);
-  let json =
-    Printf.sprintf
-      {|{
-  "e15_service": {
-    "workload": {
-      "hot": { "qubits": 12, "gates": 80, "shots": %d, "weight": 3 },
-      "cold": { "gates": 30, "shots": %d, "weight": 1, "fresh_module_per_job": true },
-      "hot_arrival_fraction": 0.33,
-      "note": "hot submits within its weighted share; cold drives the 2x overload"
-    },
-    "config": { "max_queue": %d, "overload_depth": %d, "chunk": %d },
-    "uncontended": {
-      "jobs": %d, "jobs_per_sec": %.1f,
-      "hot_p50_s": %.6f, "hot_p99_s": %.6f
-    },
-    "overloaded_2x": {
-      "submitted": %d, "completed": %d, "jobs_per_sec": %.1f,
-      "shed": %d, "rejected": %d, "degraded_results": %d,
-      "tiers": { "batched": %d, "tape": %d, "per_shot": %d, "throttled": %d },
-      "hot_p50_s": %.6f, "hot_p99_s": %.6f,
-      "hot_p99_vs_uncontended": %.2f
-    },
-    "parity_spot_check": { "sampled": %d, "divergences": %d },
-    "multi_executor": {
-      "cores": %d, "jobs": %d,
-      "executors_1_jobs_per_sec": %.1f,
-      "executors_4_jobs_per_sec": %.1f,
-      "scaling_x": %.2f,
-      "note": "executor Domains share the detected cores; scaling above 1.0 requires cores > 1"
-    }
-  }
-}
-|}
-      shots cold_shots config.Service.max_queue config.Service.overload_depth
-      config.Service.chunk (List.length rs1) base_rate base_p50 base_p99
-      s2.Service.submitted s2.Service.completed over_rate s2.Service.shed
-      (s2.Service.rejected - s2.Service.shed)
-      s2.Service.degraded_results s2.Service.batched_runs s2.Service.tape_runs
-      s2.Service.per_shot_runs s2.Service.throttled_runs over_p50 over_p99
-      (over_p99 /. base_p99) !parity_checked !divergences cores exec_jobs
-      jps_1 jps_4 (jps_4 /. jps_1)
-  in
-  let oc = open_out "BENCH_service.json" in
-  output_string oc json;
-  close_out oc;
-  Harness.row "  wrote BENCH_service.json@\n"
+  let module S = Service in
+  Harness.write_json "BENCH_service.json"
+    (obj
+       [ ( "e15_service",
+           obj
+             [ ( "workload",
+                 obj
+                   [ ( "hot",
+                       obj
+                         [ ("qubits", int 12); ("gates", int 80); ("shots", int shots);
+                           ("weight", int 3) ] );
+                     ( "cold",
+                       obj
+                         [ ("gates", int 30); ("shots", int cold_shots); ("weight", int 1);
+                           ("fresh_module_per_job", bool true) ] );
+                     ("hot_arrival_fraction", Jsonx.Num 0.33);
+                     ( "note",
+                       str "hot submits within its weighted share; cold drives the 2x overload"
+                     ) ] );
+               ( "config",
+                 obj
+                   [ ("max_queue", int config.S.max_queue);
+                     ("overload_depth", int config.S.overload_depth);
+                     ("chunk", int config.S.chunk) ] );
+               ( "uncontended",
+                 obj
+                   [ ("jobs", int (List.length rs1)); ("jobs_per_sec", fixed 1 base_rate);
+                     ("hot_p50_s", fixed 6 base_p50); ("hot_p99_s", fixed 6 base_p99) ] );
+               ( "overloaded_2x",
+                 obj
+                   [ ("submitted", int s2.S.submitted); ("completed", int s2.S.completed);
+                     ("jobs_per_sec", fixed 1 over_rate); ("shed", int s2.S.shed);
+                     ("rejected", int (s2.S.rejected - s2.S.shed));
+                     ("degraded_results", int s2.S.degraded_results);
+                     ( "tiers",
+                       obj
+                         [ ("batched", int s2.S.batched_runs); ("tape", int s2.S.tape_runs);
+                           ("per_shot", int s2.S.per_shot_runs);
+                           ("throttled", int s2.S.throttled_runs) ] );
+                     ("hot_p50_s", fixed 6 over_p50); ("hot_p99_s", fixed 6 over_p99);
+                     ("hot_p99_vs_uncontended", fixed 2 (over_p99 /. base_p99)) ] );
+               ( "parity_spot_check",
+                 obj [ ("sampled", int !parity_checked); ("divergences", int !divergences) ] );
+               ( "multi_executor",
+                 obj
+                   [ ("cores", int cores); ("jobs", int exec_jobs);
+                     ("executors_1_jobs_per_sec", fixed 1 jps_1);
+                     ("executors_4_jobs_per_sec", fixed 1 jps_4);
+                     ("scaling_x", fixed 2 (jps_4 /. jps_1));
+                     ( "note",
+                       str
+                         "executor Domains share the detected cores; scaling above 1.0 \
+                          requires cores > 1" ) ] ) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* E10 — resilience: recovery overhead vs injected fault rate           *)
@@ -1538,36 +1492,23 @@ let e10 () =
          attempts, so the sweep stops there *)
       [ 0.0; 0.001; 0.002; 0.005; 0.01 ]
   in
-  let json_rows =
-    String.concat ",\n"
-      (List.map
-         (fun (rate, t, retries, matches) ->
-           Printf.sprintf
-             {|    { "fault_rate": %g, "time_s": %.6f, "retries": %d,
-      "overhead": %.3f, "histogram_matches_fault_free": %b }|}
-             rate t retries (t /. t0) matches)
-         rows)
+  let sweep_row (rate, t, retries, matches) =
+    obj
+      [ ("fault_rate", Jsonx.Num rate); ("time_s", fixed 6 t); ("retries", int retries);
+        ("overhead", fixed 3 (t /. t0)); ("histogram_matches_fault_free", bool matches) ]
   in
-  let json =
-    Printf.sprintf
-      {|{
-  "e10_resilience": {
-    "circuit": { "qubits": %d, "gates": %d },
-    "shots": %d,
-    "policy": { "max_retries": %d, "sleep": false },
-    "fault_free_per_shot_s": %.6f,
-    "sweep": [
-%s
-    ]
-  }
-}
-|}
-      n gates shots policy.Qruntime.Resilience.max_retries t0 json_rows
-  in
-  let oc = open_out "BENCH_resilience.json" in
-  output_string oc json;
-  close_out oc;
-  Harness.row "  wrote BENCH_resilience.json@\n"
+  Harness.write_json "BENCH_resilience.json"
+    (obj
+       [ ( "e10_resilience",
+           obj
+             [ ("circuit", obj [ ("qubits", int n); ("gates", int gates) ]);
+               ("shots", int shots);
+               ( "policy",
+                 obj
+                   [ ("max_retries", int policy.Qruntime.Resilience.max_retries);
+                     ("sleep", bool false) ] );
+               ("fault_free_per_shot_s", fixed 6 t0); ("sweep", arr (List.map sweep_row rows))
+             ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* E11 — static analysis: lint cost and proved-static upgrades          *)
@@ -1656,48 +1597,23 @@ let e11 () =
         (name, r, t))
       [ (4, 50); (8, 200); (16, 800) ]
   in
-  let lint_json =
-    String.concat ",\n"
-      (List.map
-         (fun (name, instrs, t) ->
-           Printf.sprintf
-             {|      { "module": "%s", "instrs": %d, "lint_ns": %.1f, "ns_per_instr": %.2f }|}
-             name instrs t
-             (t /. float_of_int instrs))
-         lint_rows)
+  let lint_row (name, instrs, t) =
+    obj
+      [ ("module", str name); ("instrs", int instrs); ("lint_ns", fixed 1 t);
+        ("ns_per_instr", fixed 2 (t /. float_of_int instrs)) ]
   in
-  let up_json =
-    String.concat ",\n"
-      (List.map
-         (fun (name, (r : Qir.Addressing.report), t) ->
-           Printf.sprintf
-             {|      { "module": "%s", "syntactic": "%s", "proved": "%s",
-        "upgraded_args": %d, "to_static_ns": %.1f }|}
-             name
-             (style_str r.Qir.Addressing.syntactic)
-             (style_str r.Qir.Addressing.proved)
-             r.Qir.Addressing.upgraded_args t)
-         up_rows)
+  let up_row (name, (r : Qir.Addressing.report), t) =
+    obj
+      [ ("module", str name); ("syntactic", str (style_str r.syntactic));
+        ("proved", str (style_str r.proved)); ("upgraded_args", int r.upgraded_args);
+        ("to_static_ns", fixed 1 t) ]
   in
-  let json =
-    Printf.sprintf
-      {|{
-  "e11_static_analysis": {
-    "lint": [
-%s
-    ],
-    "proved_static_upgrade": [
-%s
-    ]
-  }
-}
-|}
-      lint_json up_json
-  in
-  let oc = open_out "BENCH_lint.json" in
-  output_string oc json;
-  close_out oc;
-  Harness.row "  wrote BENCH_lint.json@\n"
+  Harness.write_json "BENCH_lint.json"
+    (obj
+       [ ( "e11_static_analysis",
+           obj
+             [ ("lint", arr (List.map lint_row lint_rows));
+               ("proved_static_upgrade", arr (List.map up_row up_rows)) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* E12 — interprocedural analysis: summary cost and whole-module lint   *)
@@ -1778,34 +1694,15 @@ let e12 () =
         (name, nfuncs, instrs, t_sum, per_func, t_ipo, t_intra))
       [ (4, 4); (16, 8); (64, 8); (256, 16) ]
   in
-  let rows_json =
-    String.concat ",\n"
-      (List.map
-         (fun (name, nfuncs, instrs, t_sum, per_func, t_ipo, t_intra) ->
-           Printf.sprintf
-             {|      { "module": "%s", "functions": %d, "instrs": %d,
-        "summaries_ns": %.1f, "summary_ns_per_function": %.1f,
-        "lint_ipo_ns": %.1f, "lint_intra_ns": %.1f, "ipo_over_intra": %.2f }|}
-             name nfuncs instrs t_sum per_func t_ipo t_intra
-             (t_ipo /. t_intra))
-         rows)
+  let row_json (name, nfuncs, instrs, t_sum, per_func, t_ipo, t_intra) =
+    obj
+      [ ("module", str name); ("functions", int nfuncs); ("instrs", int instrs);
+        ("summaries_ns", fixed 1 t_sum); ("summary_ns_per_function", fixed 1 per_func);
+        ("lint_ipo_ns", fixed 1 t_ipo); ("lint_intra_ns", fixed 1 t_intra);
+        ("ipo_over_intra", fixed 2 (t_ipo /. t_intra)) ]
   in
-  let json =
-    Printf.sprintf
-      {|{
-  "e12_interprocedural": {
-    "chain_modules": [
-%s
-    ]
-  }
-}
-|}
-      rows_json
-  in
-  let oc = open_out "BENCH_callgraph.json" in
-  output_string oc json;
-  close_out oc;
-  Harness.row "  wrote BENCH_callgraph.json@\n"
+  Harness.write_json "BENCH_callgraph.json"
+    (obj [ ("e12_interprocedural", obj [ ("chain_modules", arr (List.map row_json rows)) ]) ])
 
 (* ------------------------------------------------------------------ *)
 (* E13 — execution engines: ast vs bytecode vs gate tape               *)
@@ -2053,44 +1950,29 @@ let e13 () =
     (Harness.ns_to_string t_st_tape)
     (Harness.ns_to_string t_analysis)
     (t_st_ast /. t_st_tape) diverged;
-  let json =
-    Printf.sprintf
-      {|{
-  "e13_interp": {
-    "deep_loop": {
-      "iterations": %d,
-      "ast_s": %.6f, "bytecode_s": %.6f, "compile_s": %.6f,
-      "bytecode_speedup": %.2f
-    },
-    "hybrid_feedback": {
-      "rounds": %d,
-      "ast_s": %.6f, "bytecode_s": %.6f,
-      "bytecode_speedup": %.2f
-    },
-    "static_circuit": {
-      "qubits": %d, "layers": %d, "address_chain_steps": %d, "shots": %d,
-      "ast_per_shot_s": %.6f, "bytecode_per_shot_s": %.6f, "tape_s": %.6f,
-      "analysis_once_s": %.6f,
-      "tape_speedup_vs_ast": %.2f, "tape_speedup_vs_bytecode": %.2f
-    },
-    "histogram_divergences": %b
-  }
-}
-|}
-      iters (t_deep_ast /. 1e9) (t_deep_bc /. 1e9) (t_compile /. 1e9)
-      (t_deep_ast /. t_deep_bc)
-      rounds (t_fb_ast /. 1e9) (t_fb_bc /. 1e9)
-      (t_fb_ast /. t_fb_bc)
-      qubits layers chain shots (t_st_ast /. 1e9) (t_st_bc /. 1e9)
-      (t_st_tape /. 1e9) (t_analysis /. 1e9)
-      (t_st_ast /. t_st_tape)
-      (t_st_bc /. t_st_tape)
-      diverged
-  in
-  let oc = open_out "BENCH_interp.json" in
-  output_string oc json;
-  close_out oc;
-  Harness.row "  wrote BENCH_interp.json@\n"
+  let s ns = fixed 6 (ns /. 1e9) in
+  Harness.write_json "BENCH_interp.json"
+    (obj
+       [ ( "e13_interp",
+           obj
+             [ ( "deep_loop",
+                 obj
+                   [ ("iterations", int iters); ("ast_s", s t_deep_ast);
+                     ("bytecode_s", s t_deep_bc); ("compile_s", s t_compile);
+                     ("bytecode_speedup", fixed 2 (t_deep_ast /. t_deep_bc)) ] );
+               ( "hybrid_feedback",
+                 obj
+                   [ ("rounds", int rounds); ("ast_s", s t_fb_ast); ("bytecode_s", s t_fb_bc);
+                     ("bytecode_speedup", fixed 2 (t_fb_ast /. t_fb_bc)) ] );
+               ( "static_circuit",
+                 obj
+                   [ ("qubits", int qubits); ("layers", int layers);
+                     ("address_chain_steps", int chain); ("shots", int shots);
+                     ("ast_per_shot_s", s t_st_ast); ("bytecode_per_shot_s", s t_st_bc);
+                     ("tape_s", s t_st_tape); ("analysis_once_s", s t_analysis);
+                     ("tape_speedup_vs_ast", fixed 2 (t_st_ast /. t_st_tape));
+                     ("tape_speedup_vs_bytecode", fixed 2 (t_st_bc /. t_st_tape)) ] );
+               ("histogram_divergences", bool diverged) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* E16 — value-semantics quantum optimizer: gate-count reduction and    *)
@@ -2179,41 +2061,27 @@ let e16 () =
     ga
     (100. *. float_of_int (gb - ga) /. float_of_int (max 1 gb))
     t0 t1;
-  let row_json =
-    String.concat ",\n"
-      (List.map
-         (fun (name, st, red, e0, e1, t) ->
-           Printf.sprintf
-             {|      { "module": "%s", "gates_before": %d, "gates_after": %d,
-        "reduction_pct": %.1f, "cancelled": %d, "merged": %d,
-        "releases_hoisted": %d, "promoted": %b,
-        "tape_eligible_before": %b, "tape_eligible_after": %b,
-        "optimize_ns": %.1f }|}
-             name st.s_gates_before st.s_gates_after red st.s_cancelled
-             st.s_merged st.s_hoisted (st.s_promoted > 0) e0 e1 t)
-         rows)
+  let row_json (name, st, red, e0, e1, t) =
+    obj
+      [ ("module", str name); ("gates_before", int st.s_gates_before);
+        ("gates_after", int st.s_gates_after); ("reduction_pct", fixed 1 red);
+        ("cancelled", int st.s_cancelled); ("merged", int st.s_merged);
+        ("releases_hoisted", int st.s_hoisted); ("promoted", bool (st.s_promoted > 0));
+        ("tape_eligible_before", bool e0); ("tape_eligible_after", bool e1);
+        ("optimize_ns", fixed 1 t) ]
   in
-  let json =
-    Printf.sprintf
-      {|{
-  "e16_quantum_optimizer": {
-    "modules": [
-%s
-    ],
-    "corpus": { "gates_before": %d, "gates_after": %d,
-      "reduction_pct": %.1f,
-      "tape_eligible_before": %d, "tape_eligible_after": %d }
-  }
-}
-|}
-      row_json gb ga
-      (100. *. float_of_int (gb - ga) /. float_of_int (max 1 gb))
-      t0 t1
-  in
-  let oc = open_out "BENCH_qdfo.json" in
-  output_string oc json;
-  close_out oc;
-  Harness.row "  wrote BENCH_qdfo.json@\n"
+  Harness.write_json "BENCH_qdfo.json"
+    (obj
+       [ ( "e16_quantum_optimizer",
+           obj
+             [ ("modules", arr (List.map row_json rows));
+               ( "corpus",
+                 obj
+                   [ ("gates_before", int gb); ("gates_after", int ga);
+                     ( "reduction_pct",
+                       fixed 1 (100. *. float_of_int (gb - ga) /. float_of_int (max 1 gb)) );
+                     ("tape_eligible_before", int t0); ("tape_eligible_after", int t1) ] ) ]
+         ) ])
 
 (* ------------------------------------------------------------------ *)
 (* E17 — resource certification: cost, early rejection, cost fairness  *)
@@ -2382,48 +2250,42 @@ let e17 () =
     (Harness.ns_to_string (jf_p50 *. 1e9))
     (Harness.ns_to_string (jf_p99 *. 1e9))
     (jf_p99 /. cf_p99);
-  let cert_json =
-    String.concat ",\n"
-      (List.map
-         (fun (name, instrs, t) ->
-           Printf.sprintf
-             {|      { "module": "%s", "instrs": %d, "certify_ns": %.1f, "ns_per_instr": %.2f }|}
-             name instrs t
-             (t /. float_of_int instrs))
-         cert_rows)
+  let cert_row (name, instrs, t) =
+    obj
+      [ ("module", str name); ("instrs", int instrs); ("certify_ns", fixed 1 t);
+        ("ns_per_instr", fixed 2 (t /. float_of_int instrs)) ]
   in
-  let json =
-    Printf.sprintf
-      {|{
-  "e17_resources": {
-    "certify": [
-%s
-    ],
-    "rejection_28q_2000g_1gib": {
-      "certificate_ns": %.1f,
-      "certificate_cached_ns": %.1f,
-      "tape_compile_ns": %.1f,
-      "tape_vs_cached": %.1f
-    },
-    "cost_fair_scheduling": {
-      "workload": { "heavy": { "gates": 80, "qubits": 12, "shots": 50, "jobs": 10 },
-        "light": { "gates": 10, "qubits": 4, "shots": 1, "jobs": 40 },
-        "weights": "equal" },
-      "cost_fair": { "light_p50_s": %.6f, "light_p99_s": %.6f,
-        "served_cost": { "light": %.0f, "heavy": %.0f } },
-      "job_fair": { "light_p50_s": %.6f, "light_p99_s": %.6f },
-      "job_fair_p99_vs_cost_fair": %.2f
-    }
-  }
-}
-|}
-      cert_json t_cert t_cached t_tape (t_tape /. t_cached) cf_p50 cf_p99
-      cf_light_cost cf_heavy_cost jf_p50 jf_p99 (jf_p99 /. cf_p99)
+  let workload gates qubits shots jobs =
+    obj [ ("gates", int gates); ("qubits", int qubits); ("shots", int shots); ("jobs", int jobs) ]
   in
-  let oc = open_out "BENCH_resources.json" in
-  output_string oc json;
-  close_out oc;
-  Harness.row "  wrote BENCH_resources.json@\n"
+  Harness.write_json "BENCH_resources.json"
+    (obj
+       [ ( "e17_resources",
+           obj
+             [ ("certify", arr (List.map cert_row cert_rows));
+               ( "rejection_28q_2000g_1gib",
+                 obj
+                   [ ("certificate_ns", fixed 1 t_cert);
+                     ("certificate_cached_ns", fixed 1 t_cached);
+                     ("tape_compile_ns", fixed 1 t_tape);
+                     ("tape_vs_cached", fixed 1 (t_tape /. t_cached)) ] );
+               ( "cost_fair_scheduling",
+                 obj
+                   [ ( "workload",
+                       obj
+                         [ ("heavy", workload 80 12 50 10); ("light", workload 10 4 1 40);
+                           ("weights", str "equal") ] );
+                     ( "cost_fair",
+                       obj
+                         [ ("light_p50_s", fixed 6 cf_p50); ("light_p99_s", fixed 6 cf_p99);
+                           ( "served_cost",
+                             obj
+                               [ ("light", fixed 0 cf_light_cost);
+                                 ("heavy", fixed 0 cf_heavy_cost) ] ) ] );
+                     ( "job_fair",
+                       obj [ ("light_p50_s", fixed 6 jf_p50); ("light_p99_s", fixed 6 jf_p99) ]
+                     );
+                     ("job_fair_p99_vs_cost_fair", fixed 2 (jf_p99 /. cf_p99)) ] ) ] ) ])
 
 (* BENCH_ONLY=e13 (comma-separated names) restricts the run to a subset of
    experiments — handy for iterating on one benchmark without paying for

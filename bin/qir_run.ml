@@ -11,6 +11,10 @@
 
 open Cmdliner
 
+(* One "label: {...}" line of machine-readable output under --stats. *)
+let print_json_line label fields =
+  Printf.printf "%s: %s\n" label (Jsonx.to_string (Jsonx.Obj fields))
+
 let run input shots seed backend no_batch stats timeout shot_timeout
     retries domains local_bits mem_budget opt_quantum =
   Cli_common.protect @@ fun () ->
@@ -46,15 +50,15 @@ let run input shots seed backend no_batch stats timeout shot_timeout
   let print_opt_stats () =
     Option.iter
       (fun (st : Qir_analysis.Qdf_opt.stats) ->
-        Printf.printf
-          "opt: {\"gates_before\": %d, \"gates_after\": %d, \
-           \"cancelled\": %d, \"merged\": %d, \"releases_hoisted\": %d, \
-           \"promoted\": %b}\n"
-          st.Qir_analysis.Qdf_opt.s_gates_before
-          st.Qir_analysis.Qdf_opt.s_gates_after
-          st.Qir_analysis.Qdf_opt.s_cancelled st.Qir_analysis.Qdf_opt.s_merged
-          st.Qir_analysis.Qdf_opt.s_hoisted
-          (st.Qir_analysis.Qdf_opt.s_promoted > 0))
+        print_json_line "opt"
+          [
+            ("gates_before", Jsonx.int st.Qir_analysis.Qdf_opt.s_gates_before);
+            ("gates_after", Jsonx.int st.Qir_analysis.Qdf_opt.s_gates_after);
+            ("cancelled", Jsonx.int st.Qir_analysis.Qdf_opt.s_cancelled);
+            ("merged", Jsonx.int st.Qir_analysis.Qdf_opt.s_merged);
+            ("releases_hoisted", Jsonx.int st.Qir_analysis.Qdf_opt.s_hoisted);
+            ("promoted", Jsonx.Bool (st.Qir_analysis.Qdf_opt.s_promoted > 0));
+          ])
       opt_stats
   in
   (* The service tier's admission check, exposed standalone: certify
@@ -96,10 +100,15 @@ let run input shots seed backend no_batch stats timeout shot_timeout
       Float.max 0.
         (total_s -. parse_s -. analysis_s -. !resource_s -. compile_s)
     in
-    Printf.printf
-      "timings: {\"parse_s\": %.6f, \"analysis_s\": %.6f, \"resource_s\": \
-       %.6f, \"compile_s\": %.6f, \"execute_s\": %.6f, \"total_s\": %.6f}\n"
-      parse_s analysis_s !resource_s compile_s execute_s total_s
+    print_json_line "timings"
+      [
+        ("parse_s", Jsonx.Num parse_s);
+        ("analysis_s", Jsonx.Num analysis_s);
+        ("resource_s", Jsonx.Num !resource_s);
+        ("compile_s", Jsonx.Num compile_s);
+        ("execute_s", Jsonx.Num execute_s);
+        ("total_s", Jsonx.Num total_s);
+      ]
   in
   let policy =
     {
@@ -149,26 +158,11 @@ let run input shots seed backend no_batch stats timeout shot_timeout
         r.Qruntime.Executor.tape r.Qruntime.Executor.branches;
       (* Machine-readable mirror of the line above, plus the session
          cache counters — stable keys, like the timings line. *)
-      let c =
-        Qruntime.Executor.Session.cache_stats Qruntime.Executor.Session.default
-      in
-      Printf.printf
-        "stats: {\"completed\": %d, \"requested\": %d, \"retries\": %d, \
-         \"batched\": %b, \"batch_fallback\": %b, \"pool_fallbacks\": %d, \
-         \"tape\": %b, \"branches\": %d, \"compile_cache_hits\": %d, \
-         \"compile_cache_misses\": %d, \"tape_cache_hits\": %d, \
-         \"tape_cache_misses\": %d, \"plan_cache_hits\": %d, \
-         \"plan_cache_misses\": %d}\n"
-        r.Qruntime.Executor.completed r.Qruntime.Executor.requested
-        r.Qruntime.Executor.retries r.Qruntime.Executor.batched
-        r.Qruntime.Executor.batch_fallback r.Qruntime.Executor.pool_fallbacks
-        r.Qruntime.Executor.tape r.Qruntime.Executor.branches
-        c.Qruntime.Executor.Session.compile_hits
-        c.Qruntime.Executor.Session.compile_misses
-        c.Qruntime.Executor.Session.tape_hits
-        c.Qruntime.Executor.Session.tape_misses
-        c.Qruntime.Executor.Session.plan_hits
-        c.Qruntime.Executor.Session.plan_misses;
+      print_json_line "stats"
+        (Qruntime.Executor.shots_result_fields r
+        @ Qruntime.Executor.Session.cache_stats_fields
+            (Qruntime.Executor.Session.cache_stats
+               Qruntime.Executor.Session.default));
       print_opt_stats ();
       print_timings ~compile_s:r.Qruntime.Executor.compile_s
         ~analysis_s:r.Qruntime.Executor.analysis_s

@@ -220,24 +220,26 @@ let render_text ppf t =
     (named (List.filter (fun f -> is_recursive t f) t.defined));
   Format.fprintf ppf "  unreachable: %s@." (named (unreachable_defined t))
 
-let render_json ppf t =
-  let str s = "\"" ^ Diagnostic.json_escape s ^ "\"" in
-  let list items = "[" ^ String.concat "," items ^ "]" in
-  let bool b = if b then "true" else "false" in
+let to_json t =
+  let strs fs = Jsonx.Arr (List.map (fun f -> Jsonx.Str f) fs) in
   let func f =
-    Printf.sprintf
-      "    {\"name\":%s,\"callees\":%s,\"external_callees\":%s,\"recursive\":%s,\"reachable\":%s}"
-      (str f)
-      (list (List.map str (callees t f)))
-      (list (List.map str (external_callees t f)))
-      (bool (is_recursive t f))
-      (bool (t.entry = None || is_reachable t f))
+    Jsonx.Obj
+      [
+        ("name", Jsonx.Str f);
+        ("callees", strs (callees t f));
+        ("external_callees", strs (external_callees t f));
+        ("recursive", Jsonx.Bool (is_recursive t f));
+        ("reachable", Jsonx.Bool (t.entry = None || is_reachable t f));
+      ]
   in
-  Format.fprintf ppf "{@\n  \"schema_version\": %d,@\n" Diagnostic.schema_version;
-  Format.fprintf ppf "  \"module\": %s,@\n" (str t.m.Ir_module.source_name);
-  Format.fprintf ppf "  \"entry\": %s,@\n"
-    (match t.entry with Some e -> str e | None -> "null");
-  Format.fprintf ppf "  \"functions\": [@\n%s@\n  ],@\n"
-    (String.concat ",\n" (List.map func t.defined));
-  Format.fprintf ppf "  \"sccs\": %s@\n}@."
-    (list (List.map (fun scc -> list (List.map str scc)) t.sccs))
+  Jsonx.Obj
+    [
+      ("schema_version", Jsonx.int Diagnostic.schema_version);
+      ("module", Jsonx.Str t.m.Ir_module.source_name);
+      ( "entry",
+        match t.entry with Some e -> Jsonx.Str e | None -> Jsonx.Null );
+      ("functions", Jsonx.Arr (List.map func t.defined));
+      ("sccs", Jsonx.Arr (List.map strs t.sccs));
+    ]
+
+let render_json ppf t = Format.fprintf ppf "%s@." (Jsonx.pretty (to_json t))

@@ -1,8 +1,7 @@
 (* Structured lint diagnostics: a stable rule id, a severity, a location
    string ("@func %block") and a message. Rendering is shared by the
-   qir-lint CLI (text and JSON) and by qirc --lint; the JSON printer is
-   hand-rolled (the toolchain carries no JSON dependency) and escapes
-   strings per RFC 8259. *)
+   qir-lint CLI (text and JSON) and by qirc --lint; JSON documents are
+   built as {!Jsonx.t} values and printed by {!Jsonx.pretty}. *)
 
 type severity = Error | Warning | Note
 
@@ -51,39 +50,32 @@ let render_text ppf ds =
 (* ------------------------------------------------------------------ *)
 (* JSON rendering.                                                      *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* One finding; [module_name] is stamped on every finding, and on the
+   envelope, so that concatenated or merged outputs stay attributable. *)
+let to_json ~module_name d =
+  Jsonx.Obj
+    [
+      ("rule", Jsonx.Str d.rule);
+      ("severity", Jsonx.Str (severity_name d.severity));
+      ("module", Jsonx.Str module_name);
+      ("where", Jsonx.Str d.where);
+      ("message", Jsonx.Str d.message);
+    ]
 
-(* [module_name] is stamped on the envelope and on every finding so that
-   concatenated or merged outputs stay attributable. *)
-let render_json ?(module_name = "") ppf ds =
-  let field k v = Printf.sprintf "\"%s\":\"%s\"" k (json_escape v) in
-  let obj d =
-    Printf.sprintf "    {%s,%s,%s,%s,%s}" (field "rule" d.rule)
-      (field "severity" (severity_name d.severity))
-      (field "module" module_name) (field "where" d.where)
-      (field "message" d.message)
-  in
-  Format.fprintf ppf "{@\n  \"schema_version\": %d,@\n  %s,@\n" schema_version
-    (field "module" module_name);
-  (match ds with
-  | [] -> Format.fprintf ppf "  \"diagnostics\": [],@\n"
-  | ds ->
-    Format.fprintf ppf "  \"diagnostics\": [@\n%s@\n  ],@\n"
-      (String.concat ",\n" (List.map obj ds)));
-  Format.fprintf ppf
-    "  \"summary\": {\"errors\": %d, \"warnings\": %d, \"notes\": %d}@\n}@."
-    (errors ds) (warnings ds) (notes ds)
+let json_document ?(module_name = "") ds =
+  Jsonx.Obj
+    [
+      ("schema_version", Jsonx.int schema_version);
+      ("module", Jsonx.Str module_name);
+      ("diagnostics", Jsonx.Arr (List.map (to_json ~module_name) ds));
+      ( "summary",
+        Jsonx.Obj
+          [
+            ("errors", Jsonx.int (errors ds));
+            ("warnings", Jsonx.int (warnings ds));
+            ("notes", Jsonx.int (notes ds));
+          ] );
+    ]
+
+let render_json ?module_name ppf ds =
+  Format.fprintf ppf "%s@." (Jsonx.pretty (json_document ?module_name ds))

@@ -971,68 +971,70 @@ let pp_text ppf cert =
     Format.fprintf ppf "@?"
 
 let json_iv v =
-  Printf.sprintf "{\"lo\": %d, \"hi\": %s}" v.lo
-    (match v.hi with Fin n -> string_of_int n | Inf -> "null")
+  Jsonx.Obj
+    [
+      ("lo", Jsonx.int v.lo);
+      ("hi", match v.hi with Fin n -> Jsonx.int n | Inf -> Jsonx.Null);
+    ]
 
 (* The versioned JSON certificate ({!Diagnostic.schema_version} governs
    the shape; [hi: null] encodes an unbounded upper bound). Optional
    [diagnostics] embeds QR findings so one document carries both the
    bounds and their verdicts. *)
-let render_json ?(diagnostics = []) ppf cert =
-  let esc = Diagnostic.json_escape in
-  Format.fprintf ppf "{@\n  \"schema_version\": %d,@\n" schema_version;
-  Format.fprintf ppf "  \"certificate\": {@\n";
-  Format.fprintf ppf "    \"module\": \"%s\",@\n" (esc cert.module_name);
-  Format.fprintf ppf "    \"entry\": %s,@\n"
-    (match cert.entry with
-    | Some e -> Printf.sprintf "\"%s\"" (esc e)
-    | None -> "null");
-  Format.fprintf ppf "    \"declared_qubits\": %d,@\n" cert.declared;
-  Format.fprintf ppf "    \"opaque\": %b,@\n" cert.opaque;
-  Format.fprintf ppf "    \"bounds\": {@\n";
-  Format.fprintf ppf "      \"qubits\": %s,@\n" (json_iv cert.qubits);
-  Format.fprintf ppf "      \"gates\": %s,@\n" (json_iv cert.gates);
-  Format.fprintf ppf "      \"t_count\": %s,@\n" (json_iv cert.t_count);
-  Format.fprintf ppf "      \"measures\": %s,@\n" (json_iv cert.measures);
-  Format.fprintf ppf "      \"depth\": %s@\n" (json_iv cert.depth);
-  Format.fprintf ppf "    },@\n";
-  (match cert.loops with
-  | [] -> Format.fprintf ppf "    \"loops\": [],@\n"
-  | loops ->
-    let one l =
-      Printf.sprintf
-        "      {\"function\": \"%s\", \"header\": \"%s\", \"trip\": %s, \
-         \"quantum\": %b}"
-        (esc l.l_func) (esc l.l_header) (json_iv l.l_trip) l.l_quantum
-    in
-    Format.fprintf ppf "    \"loops\": [@\n%s@\n    ],@\n"
-      (String.concat ",\n" (List.map one loops)));
-  let one_fn s =
-    Printf.sprintf
-      "      {\"name\": \"%s\", \"opaque\": %b, \"gates\": %s, \"t_count\": \
-       %s, \"measures\": %s, \"depth\": %s, \"q_grow\": %s, \"q_need\": %s}"
-      (esc s.fname) s.opaque (json_iv s.cost.gates) (json_iv s.cost.t_count)
-      (json_iv s.cost.measures) (json_iv s.cost.depth) (json_iv s.cost.q_grow)
-      (json_iv s.cost.q_need)
+let to_json ?(diagnostics = []) cert =
+  let loop l =
+    Jsonx.Obj
+      [
+        ("function", Jsonx.Str l.l_func);
+        ("header", Jsonx.Str l.l_header);
+        ("trip", json_iv l.l_trip);
+        ("quantum", Jsonx.Bool l.l_quantum);
+      ]
   in
-  (match cert.functions with
-  | [] -> Format.fprintf ppf "    \"functions\": []@\n"
-  | fns ->
-    Format.fprintf ppf "    \"functions\": [@\n%s@\n    ]@\n"
-      (String.concat ",\n" (List.map one_fn fns)));
-  Format.fprintf ppf "  },@\n";
-  let one_d (d : Diagnostic.t) =
-    Printf.sprintf
-      "    {\"rule\": \"%s\", \"severity\": \"%s\", \"where\": \"%s\", \
-       \"message\": \"%s\"}"
-      (esc d.Diagnostic.rule)
-      (Diagnostic.severity_name d.Diagnostic.severity)
-      (esc d.Diagnostic.where)
-      (esc d.Diagnostic.message)
+  let func s =
+    Jsonx.Obj
+      [
+        ("name", Jsonx.Str s.fname);
+        ("opaque", Jsonx.Bool s.opaque);
+        ("gates", json_iv s.cost.gates);
+        ("t_count", json_iv s.cost.t_count);
+        ("measures", json_iv s.cost.measures);
+        ("depth", json_iv s.cost.depth);
+        ("q_grow", json_iv s.cost.q_grow);
+        ("q_need", json_iv s.cost.q_need);
+      ]
   in
-  (match diagnostics with
-  | [] -> Format.fprintf ppf "  \"diagnostics\": []@\n"
-  | ds ->
-    Format.fprintf ppf "  \"diagnostics\": [@\n%s@\n  ]@\n"
-      (String.concat ",\n" (List.map one_d ds)));
-  Format.fprintf ppf "}@."
+  let certificate =
+    Jsonx.Obj
+      [
+        ("module", Jsonx.Str cert.module_name);
+        ( "entry",
+          match cert.entry with Some e -> Jsonx.Str e | None -> Jsonx.Null );
+        ("declared_qubits", Jsonx.int cert.declared);
+        ("opaque", Jsonx.Bool cert.opaque);
+        ( "bounds",
+          Jsonx.Obj
+            [
+              ("qubits", json_iv cert.qubits);
+              ("gates", json_iv cert.gates);
+              ("t_count", json_iv cert.t_count);
+              ("measures", json_iv cert.measures);
+              ("depth", json_iv cert.depth);
+            ] );
+        ("loops", Jsonx.Arr (List.map loop cert.loops));
+        ("functions", Jsonx.Arr (List.map func cert.functions));
+      ]
+  in
+  Jsonx.Obj
+    [
+      ("schema_version", Jsonx.int schema_version);
+      ("certificate", certificate);
+      ( "diagnostics",
+        Jsonx.Arr
+          (List.map
+             (Diagnostic.to_json ~module_name:cert.module_name)
+             diagnostics) );
+    ]
+
+let render_json ?diagnostics ppf cert =
+  Format.fprintf ppf "%s@." (Jsonx.pretty (to_json ?diagnostics cert))

@@ -1,9 +1,11 @@
-(* A small self-contained JSON layer for the service protocol: the
-   toolchain ships no JSON dependency, and the newline-delimited
-   protocol needs both directions (the existing renderers in
-   lib/analysis only print). Values round-trip through [parse] and
-   [to_string]; the printer emits compact one-line JSON, which is
-   exactly what a newline-delimited protocol wants. *)
+(* The toolchain's one JSON layer: every machine-readable output (lint
+   diagnostics, resource certificates, call graphs, the NDJSON service
+   protocol, qir-run's stats lines and the BENCH files) is built as a
+   [t] and printed here, and the service protocol parses its requests
+   here. The toolchain ships no JSON dependency. Values round-trip
+   through [parse] and either printer: [to_string] emits compact
+   one-line JSON, which is what a newline-delimited protocol wants, and
+   [pretty] lays out multi-line documents by one rule (see [width]). *)
 
 type t =
   | Null
@@ -12,6 +14,8 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+
+let int n = Num (float_of_int n)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                             *)
@@ -34,9 +38,20 @@ let escape_string b s =
     s;
   Buffer.add_char b '"'
 
+(* JSON has no NaN or infinity; a non-finite number (a ratio over a zero
+   denominator, say) prints as [null] rather than as invalid JSON. A
+   finite one prints with the fewest of 12, 15 or 17 significant digits
+   that reads back as the same float. *)
 let number_to_string v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.12g" v
+  let rec shortest = function
+    | [] -> Printf.sprintf "%.17g" v
+    | digits :: more ->
+      let s = Printf.sprintf "%.*g" digits v in
+      if float_of_string s = v then s else shortest more
+  in
+  if not (Float.is_finite v) then "null"
+  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else shortest [ 12; 15 ]
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"
@@ -65,6 +80,51 @@ let rec write b = function
 let to_string v =
   let b = Buffer.create 128 in
   write b v;
+  Buffer.contents b
+
+(* The one layout rule of [pretty]: a container stays on one line, in
+   its [to_string] form, when that line (indent and key included) fits
+   in [width] columns; otherwise each member goes on a line of its own,
+   indented two spaces deeper than the container. *)
+let width = 100
+
+(* A non-empty container's brackets and members (keyed in an object). *)
+let container = function
+  | Arr (_ :: _ as items) -> Some ('[', ']', List.map (fun v -> (None, v)) items)
+  | Obj (_ :: _ as fields) ->
+    Some ('{', '}', List.map (fun (k, v) -> (Some k, v)) fields)
+  | _ -> None
+
+let pretty v =
+  let b = Buffer.create 1024 in
+  let line_start = ref 0 in
+  let newline indent =
+    Buffer.add_char b '\n';
+    line_start := Buffer.length b;
+    Buffer.add_string b (String.make indent ' ')
+  in
+  let rec go indent v =
+    let column = Buffer.length b - !line_start in
+    match container v with
+    | Some (opening, closing, members)
+      when column + String.length (to_string v) > width ->
+      Buffer.add_char b opening;
+      List.iteri
+        (fun i (key, member) ->
+          if i > 0 then Buffer.add_char b ',';
+          newline (indent + 2);
+          Option.iter
+            (fun k ->
+              escape_string b k;
+              Buffer.add_string b ": ")
+            key;
+          go (indent + 2) member)
+        members;
+      newline indent;
+      Buffer.add_char b closing
+    | _ -> write b v
+  in
+  go 0 v;
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -102,20 +162,41 @@ let literal cur word value =
   end
   else error cur (Printf.sprintf "expected '%s'" word)
 
-(* Encode one Unicode scalar value as UTF-8 (BMP is enough for the
-   protocol; lone surrogates become U+FFFD). *)
+(* Encode one Unicode scalar value as UTF-8; a lone surrogate becomes
+   U+FFFD. *)
 let add_utf8 b cp =
   let cp = if cp >= 0xD800 && cp <= 0xDFFF then 0xFFFD else cp in
-  if cp < 0x80 then Buffer.add_char b (Char.chr cp)
-  else if cp < 0x800 then begin
-    Buffer.add_char b (Char.chr (0xC0 lor (cp lsr 6)));
-    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
+  Buffer.add_utf_8_uchar b (Uchar.of_int cp)
+
+(* The four hex digits of a \u escape at [cur.pos], consumed. *)
+let hex4 cur =
+  if cur.pos + 4 > String.length cur.src then error cur "bad \\u escape";
+  let hex = String.sub cur.src cur.pos 4 in
+  cur.pos <- cur.pos + 4;
+  match int_of_string_opt ("0x" ^ hex) with
+  | Some cp -> cp
+  | None -> error cur "bad \\u escape"
+
+(* A high surrogate followed by a \u-escaped low surrogate is one
+   non-BMP character (how Python's json.dumps writes them by default). *)
+let unicode_escape cur =
+  let cp = hex4 cur in
+  let src = cur.src and pos = cur.pos in
+  if
+    cp >= 0xD800 && cp <= 0xDBFF
+    && pos + 6 <= String.length src
+    && src.[pos] = '\\' && src.[pos + 1] = 'u'
+  then begin
+    cur.pos <- pos + 2;
+    let lo = hex4 cur in
+    if lo >= 0xDC00 && lo <= 0xDFFF then
+      0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+    else begin
+      cur.pos <- pos;
+      cp
+    end
   end
-  else begin
-    Buffer.add_char b (Char.chr (0xE0 lor (cp lsr 12)));
-    Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-  end
+  else cp
 
 let parse_string cur =
   expect cur '"';
@@ -139,16 +220,7 @@ let parse_string cur =
        | 'r' -> Buffer.add_char b '\r'
        | 'b' -> Buffer.add_char b '\b'
        | 'f' -> Buffer.add_char b '\012'
-       | 'u' ->
-         if cur.pos + 4 > String.length cur.src then error cur "bad \\u escape";
-         let hex = String.sub cur.src cur.pos 4 in
-         cur.pos <- cur.pos + 4;
-         let cp =
-           match int_of_string_opt ("0x" ^ hex) with
-           | Some cp -> cp
-           | None -> error cur "bad \\u escape"
-         in
-         add_utf8 b cp
+       | 'u' -> add_utf8 b (unicode_escape cur)
        | _ -> error cur "unknown escape");
       go ()
     | c when Char.code c < 0x20 -> error cur "control character in string"

@@ -185,45 +185,43 @@ module Session = struct
     plan_misses : int;
   }
 
-  (* A plan-cache entry. [warm] is set once an execution (not just an
-     admission check) asked for the plan. *)
-  type plan_entry = { plan : Qsim.Sampler.plan option; mutable warm : bool }
+  (* One cache entry: the module (compared by identity), the value
+     computed from it, the seconds computing it took, and whether an
+     execution, not just an admission check, has asked for it. *)
+  type 'a entry = {
+    key : Ir_module.t;
+    value : 'a;
+    seconds : float;
+    mutable warm : bool;
+  }
+
+  (* One LRU memo, newest entry first, with its hit/miss counters. *)
+  type 'a memo = {
+    mutable entries : 'a entry list;
+    mutable hits : int;
+    mutable misses : int;
+  }
 
   type t = {
     lock : Mutex.t;
     limit : int;
-    mutable compile_cache : (Ir_module.t * Bytecode.program * float) list;
-    mutable tape_cache : (Ir_module.t * Gate_tape.t option * float) list;
-    mutable cert_cache : (Ir_module.t * Qir_analysis.Resource.t * float) list;
-    mutable plan_cache : (Ir_module.t * plan_entry * float) list;
-    mutable compile_hits : int;
-    mutable compile_misses : int;
-    mutable tape_hits : int;
-    mutable tape_misses : int;
-    mutable cert_hits : int;
-    mutable cert_misses : int;
-    mutable plan_hits : int;
-    mutable plan_misses : int;
+    compile_cache : Bytecode.program memo;
+    tape_cache : Gate_tape.t option memo;
+    cert_cache : Qir_analysis.Resource.t memo;
+    plan_cache : Qsim.Sampler.plan option memo;
   }
 
   let create ?(cache_limit = 8) () =
     if cache_limit < 1 then
       invalid_arg "Executor.Session.create: need a positive cache limit";
+    let memo () = { entries = []; hits = 0; misses = 0 } in
     {
       lock = Mutex.create ();
       limit = cache_limit;
-      compile_cache = [];
-      tape_cache = [];
-      cert_cache = [];
-      plan_cache = [];
-      compile_hits = 0;
-      compile_misses = 0;
-      tape_hits = 0;
-      tape_misses = 0;
-      cert_hits = 0;
-      cert_misses = 0;
-      plan_hits = 0;
-      plan_misses = 0;
+      compile_cache = memo ();
+      tape_cache = memo ();
+      cert_cache = memo ();
+      plan_cache = memo ();
     }
 
   (* The process-wide session behind the session-less API. *)
@@ -247,110 +245,85 @@ module Session = struct
      ones.  Move-to-front keeps entries ordered by recency so the
      run-once modules evict each other instead. *)
   let touch m entries =
-    List.find_opt (fun (m', _, _) -> m' == m) entries
+    List.find_opt (fun e -> e.key == m) entries
     |> Option.map (fun hit ->
-           (hit, hit :: List.filter (fun (m', _, _) -> m' != m) entries))
+           (hit, hit :: List.filter (fun e -> e.key != m) entries))
 
-  let compiled s (m : Ir_module.t) : Bytecode.program * float * bool =
+  (* Look [m] up in [memo], or compute, time and insert it: the value,
+     its compute seconds (the original computation's on a hit), and
+     whether it was a hit. [warm] marks the entry warm for
+     {!is_cached}. *)
+  let lookup ?(warm = true) s memo compute (m : Ir_module.t) =
     locked s (fun () ->
-        match touch m s.compile_cache with
-        | Some ((_, prog, dt), reordered) ->
-          s.compile_cache <- reordered;
-          s.compile_hits <- s.compile_hits + 1;
-          (prog, dt, true)
+        match touch m memo.entries with
+        | Some (e, reordered) ->
+          memo.entries <- reordered;
+          memo.hits <- memo.hits + 1;
+          if warm then e.warm <- true;
+          (e.value, e.seconds, true)
         | None ->
           let t0 = Unix.gettimeofday () in
-          let prog = Bytecode.compile m in
-          let dt = Unix.gettimeofday () -. t0 in
-          s.compile_cache <- (m, prog, dt) :: trim s.limit s.compile_cache;
-          s.compile_misses <- s.compile_misses + 1;
-          (prog, dt, false))
+          let value = compute m in
+          let seconds = Unix.gettimeofday () -. t0 in
+          memo.entries <-
+            { key = m; value; seconds; warm } :: trim s.limit memo.entries;
+          memo.misses <- memo.misses + 1;
+          (value, seconds, false))
 
-  let tape_of s (m : Ir_module.t) : Gate_tape.t option * float * bool =
-    locked s (fun () ->
-        match touch m s.tape_cache with
-        | Some ((_, tape, dt), reordered) ->
-          s.tape_cache <- reordered;
-          s.tape_hits <- s.tape_hits + 1;
-          (tape, dt, true)
-        | None ->
-          let t0 = Unix.gettimeofday () in
-          let tape = Gate_tape.extract m in
-          let dt = Unix.gettimeofday () -. t0 in
-          s.tape_cache <- (m, tape, dt) :: trim s.limit s.tape_cache;
-          s.tape_misses <- s.tape_misses + 1;
-          (tape, dt, false))
+  let compiled s m = lookup s s.compile_cache Bytecode.compile m
+  let tape_of s m = lookup s s.tape_cache Gate_tape.extract m
 
-  (* The resource-certificate cache, third sibling of the compile and
-     tape caches: the certificate ({!Qir_analysis.Resource}) is what
-     admission control and the cost-fair scheduler charge, so a hot
-     module is certified once, not per submission. *)
-  let cert_of s (m : Ir_module.t) : Qir_analysis.Resource.t * float * bool =
-    locked s (fun () ->
-        match touch m s.cert_cache with
-        | Some ((_, cert, dt), reordered) ->
-          s.cert_cache <- reordered;
-          s.cert_hits <- s.cert_hits + 1;
-          (cert, dt, true)
-        | None ->
-          let t0 = Unix.gettimeofday () in
-          let cert = Qir_analysis.Resource.certify m in
-          let dt = Unix.gettimeofday () -. t0 in
-          s.cert_cache <- (m, cert, dt) :: trim s.limit s.cert_cache;
-          s.cert_misses <- s.cert_misses + 1;
-          (cert, dt, false))
+  (* The certificate ({!Qir_analysis.Resource}) is what admission
+     control and the cost-fair scheduler charge, so a hot module is
+     certified once, not per submission. *)
+  let cert_of s m = lookup s s.cert_cache Qir_analysis.Resource.certify m
 
-  (* The sampling-plan cache, fourth sibling: the QIR-to-circuit parse,
-     output-order remap and fusion plan behind the batched tier, or the
-     proved [None], so hot runs skip all three. Admission control asks
-     for the plan with [~warm:false] (it needs the branch-point count
-     before anything runs); only an execution's lookup warms the entry
-     for {!is_cached}. *)
-  let plan_of ?(warm = true) s (m : Ir_module.t) :
-      Qsim.Sampler.plan option * float * bool =
-    locked s (fun () ->
-        match touch m s.plan_cache with
-        | Some ((_, entry, dt), reordered) ->
-          s.plan_cache <- reordered;
-          s.plan_hits <- s.plan_hits + 1;
-          if warm then entry.warm <- true;
-          (entry.plan, dt, true)
-        | None ->
-          let t0 = Unix.gettimeofday () in
-          let plan = sampling_plan m in
-          let dt = Unix.gettimeofday () -. t0 in
-          s.plan_cache <- (m, { plan; warm }, dt) :: trim s.limit s.plan_cache;
-          s.plan_misses <- s.plan_misses + 1;
-          (plan, dt, false))
+  (* The QIR-to-circuit parse, output-order remap and fusion plan
+     behind the batched tier, or the proved [None], so hot runs skip
+     all three. Admission control asks for the plan with [~warm:false]
+     (it needs the branch-point count before anything runs); only an
+     execution's lookup warms the entry for {!is_cached}. *)
+  let plan_of ?warm s m = lookup ?warm s s.plan_cache sampling_plan m
 
   let cache_stats s =
     locked s (fun () ->
         {
-          compile_hits = s.compile_hits;
-          compile_misses = s.compile_misses;
-          tape_hits = s.tape_hits;
-          tape_misses = s.tape_misses;
-          cert_hits = s.cert_hits;
-          cert_misses = s.cert_misses;
-          plan_hits = s.plan_hits;
-          plan_misses = s.plan_misses;
+          compile_hits = s.compile_cache.hits;
+          compile_misses = s.compile_cache.misses;
+          tape_hits = s.tape_cache.hits;
+          tape_misses = s.tape_cache.misses;
+          cert_hits = s.cert_cache.hits;
+          cert_misses = s.cert_cache.misses;
+          plan_hits = s.plan_cache.hits;
+          plan_misses = s.plan_cache.misses;
         })
+
+  let cache_stats_fields c =
+    [
+      ("compile_cache_hits", Jsonx.int c.compile_hits);
+      ("compile_cache_misses", Jsonx.int c.compile_misses);
+      ("tape_cache_hits", Jsonx.int c.tape_hits);
+      ("tape_cache_misses", Jsonx.int c.tape_misses);
+      ("cert_cache_hits", Jsonx.int c.cert_hits);
+      ("cert_cache_misses", Jsonx.int c.cert_misses);
+      ("plan_cache_hits", Jsonx.int c.plan_hits);
+      ("plan_cache_misses", Jsonx.int c.plan_misses);
+    ]
 
   (* Has an execution warmed this module — compiled it, analysed its
      tape, or sampled from its plan? Admission control and the
      load-shedding policy treat cache-hot jobs as nearly free. *)
   let is_cached s (m : Ir_module.t) =
+    let warm memo = List.exists (fun e -> e.key == m && e.warm) memo.entries in
     locked s (fun () ->
-        List.exists (fun (m', _, _) -> m' == m) s.compile_cache
-        || List.exists (fun (m', _, _) -> m' == m) s.tape_cache
-        || List.exists (fun (m', e, _) -> m' == m && e.warm) s.plan_cache)
+        warm s.compile_cache || warm s.tape_cache || warm s.plan_cache)
 
   (* The cached tape verdict, if the analysis already ran — a peek that
      never triggers the (expensive) analysis itself. *)
   let cached_tape s (m : Ir_module.t) =
     locked s (fun () ->
-        match List.find_opt (fun (m', _, _) -> m' == m) s.tape_cache with
-        | Some (_, tape, _) -> tape
+        match List.find_opt (fun e -> e.key == m) s.tape_cache.entries with
+        | Some e -> e.value
         | None -> None)
 end
 
@@ -474,6 +447,21 @@ type shots_result = {
   analysis_s : float; (* tape-eligibility static analysis time *)
   branches : int; (* fused simulations the batched tier ran; 0 off it *)
 }
+
+(* The run counters of a shots result, as the JSON fields both
+   qir-run's stats line and the service's result event carry. *)
+let shots_result_fields r =
+  [
+    ("completed", Jsonx.int r.completed);
+    ("requested", Jsonx.int r.requested);
+    ("retries", Jsonx.int r.retries);
+    ("batched", Jsonx.Bool r.batched);
+    ("batch_fallback", Jsonx.Bool r.batch_fallback);
+    ("pool_fallbacks", Jsonx.int r.pool_fallbacks);
+    ("tape", Jsonx.Bool r.tape);
+    ("branches", Jsonx.int r.branches);
+    ("degraded", Jsonx.Bool r.degraded);
+  ]
 
 (* Test hook: raised inside the batched path to exercise the
    batch -> per-shot fallback without a contrived failing circuit. *)

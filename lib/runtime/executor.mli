@@ -68,6 +68,10 @@ module Session : sig
 
   val cache_stats : t -> cache_stats
 
+  val cache_stats_fields : cache_stats -> (string * Jsonx.t) list
+  (** The counters as JSON fields ([compile_cache_hits], ...), shared by
+      qir-run's stats line and the service's stats event. *)
+
   val is_cached : t -> Llvm_ir.Ir_module.t -> bool
   (** Has an execution warmed the module — is it in the compile or tape
       cache, or in the plan cache with a warm entry? Admission control
@@ -175,6 +179,14 @@ type shots_result = {
           measurement-branch tree; 1 for terminal-measurement programs),
           0 when another tier answered *)
 }
+
+val shots_result_fields : shots_result -> (string * Jsonx.t) list
+(** The run counters (every field but the histogram and the timings) as
+    JSON fields, shared by qir-run's stats line and the service's result
+    event. *)
+
+val sorted_histogram : (string, int) Hashtbl.t -> (string * int) list
+(** A histogram table as (outcome, count) pairs sorted by outcome. *)
 
 val run_shots_resilient :
   ?session:Session.t ->

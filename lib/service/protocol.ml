@@ -113,12 +113,12 @@ let error_fields (e : Qir_error.t) =
   [
     ("kind", Jsonx.Str (Qir_error.kind_name e.Qir_error.kind));
     ("layer", Jsonx.Str (Qir_error.layer_name e.Qir_error.layer));
-    ("exit_code", Jsonx.Num (float_of_int (Qir_error.exit_code e)));
+    ("exit_code", Jsonx.int (Qir_error.exit_code e));
     ("message", Jsonx.Str e.Qir_error.message);
   ]
 
 let histogram_json hist =
-  Jsonx.Obj (List.map (fun (k, n) -> (k, Jsonx.Num (float_of_int n))) hist)
+  Jsonx.Obj (List.map (fun (k, n) -> (k, Jsonx.int n)) hist)
 
 let event_json (ev : Service.event) =
   let base event id tenant rest =
@@ -136,56 +136,39 @@ let event_json (ev : Service.event) =
     base "rejected" id tenant (("shed", Jsonx.Bool shed) :: error_fields error)
   | Service.Progress { id; tenant; completed; requested } ->
     base "progress" id tenant
-      [
-        ("completed", Jsonx.Num (float_of_int completed));
-        ("requested", Jsonx.Num (float_of_int requested));
-      ]
+      [ ("completed", Jsonx.int completed); ("requested", Jsonx.int requested) ]
   | Service.Result { id; tenant; result = r; tier; wait_s; run_s } ->
     base "result" id tenant
-      [
-        ("tier", Jsonx.Str (Executor.tier_name tier));
-        ("completed", Jsonx.Num (float_of_int r.Executor.completed));
-        ("requested", Jsonx.Num (float_of_int r.Executor.requested));
-        ("degraded", Jsonx.Bool r.Executor.degraded);
-        ("retries", Jsonx.Num (float_of_int r.Executor.retries));
-        ("tape", Jsonx.Bool r.Executor.tape);
-        ("batched", Jsonx.Bool r.Executor.batched);
-        ("branches", Jsonx.Num (float_of_int r.Executor.branches));
-        ("pool_fallbacks", Jsonx.Num (float_of_int r.Executor.pool_fallbacks));
-        ("wait_s", Jsonx.Num wait_s);
-        ("run_s", Jsonx.Num run_s);
-        ("histogram", histogram_json r.Executor.histogram);
-      ]
+      ((("tier", Jsonx.Str (Executor.tier_name tier))
+       :: Executor.shots_result_fields r)
+      @ [
+          ("wait_s", Jsonx.Num wait_s);
+          ("run_s", Jsonx.Num run_s);
+          ("histogram", histogram_json r.Executor.histogram);
+        ])
   | Service.Failed { id; tenant; error } ->
     base "failed" id tenant (error_fields error)
 
 let stats_json (s : Service.stats) =
-  let n name v = (name, Jsonx.Num (float_of_int v)) in
+  let n name v = (name, Jsonx.int v) in
   Jsonx.Obj
-    [
-      ("event", Jsonx.Str "stats");
-      n "submitted" s.Service.submitted;
-      n "accepted" s.Service.accepted;
-      n "rejected" s.Service.rejected;
-      n "shed" s.Service.shed;
-      n "completed" s.Service.completed;
-      n "failed" s.Service.failed;
-      n "degraded_results" s.Service.degraded_results;
-      n "batched_runs" s.Service.batched_runs;
-      n "tape_runs" s.Service.tape_runs;
-      n "per_shot_runs" s.Service.per_shot_runs;
-      n "throttled_runs" s.Service.throttled_runs;
-      n "breaker_trips" s.Service.breaker_trips;
-      n "queue_depth" s.Service.queue_depth;
-      n "compile_cache_hits" s.Service.cache.Executor.Session.compile_hits;
-      n "compile_cache_misses" s.Service.cache.Executor.Session.compile_misses;
-      n "tape_cache_hits" s.Service.cache.Executor.Session.tape_hits;
-      n "tape_cache_misses" s.Service.cache.Executor.Session.tape_misses;
-      n "cert_cache_hits" s.Service.cache.Executor.Session.cert_hits;
-      n "cert_cache_misses" s.Service.cache.Executor.Session.cert_misses;
-      n "plan_cache_hits" s.Service.cache.Executor.Session.plan_hits;
-      n "plan_cache_misses" s.Service.cache.Executor.Session.plan_misses;
-    ]
+    ([
+       ("event", Jsonx.Str "stats");
+       n "submitted" s.Service.submitted;
+       n "accepted" s.Service.accepted;
+       n "rejected" s.Service.rejected;
+       n "shed" s.Service.shed;
+       n "completed" s.Service.completed;
+       n "failed" s.Service.failed;
+       n "degraded_results" s.Service.degraded_results;
+       n "batched_runs" s.Service.batched_runs;
+       n "tape_runs" s.Service.tape_runs;
+       n "per_shot_runs" s.Service.per_shot_runs;
+       n "throttled_runs" s.Service.throttled_runs;
+       n "breaker_trips" s.Service.breaker_trips;
+       n "queue_depth" s.Service.queue_depth;
+     ]
+    @ Executor.Session.cache_stats_fields s.Service.cache)
 
 (* A protocol-level error (unparsable line, missing field) as an event
    line of its own, tied to no job. *)

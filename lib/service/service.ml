@@ -430,10 +430,6 @@ let policy_for t rem =
     sleep = t.config.sleep;
   }
 
-let sorted_histogram tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let merge_histogram tbl hist =
   List.iter
     (fun (k, v) ->
@@ -559,7 +555,7 @@ let run_job t (job : job) =
       done;
       let result : Executor.shots_result =
         {
-          histogram = sorted_histogram tbl;
+          histogram = Executor.sorted_histogram tbl;
           completed = !completed;
           requested = job.shots;
           degraded = !degraded;

@@ -15,6 +15,9 @@
    4. embedded seeded-bug fixtures, intraprocedural and cross-call —
       each must trigger its rule.
 
+   Each example's JSON documents (diagnostics, call graph, resource
+   certificate) must also parse and carry the schema version.
+
    Used by CI:  dune exec test/smoke/lint_smoke.exe *)
 
 open Qcircuit
@@ -44,6 +47,25 @@ let expected_bad =
     ("recursive_bad.ll", [ "QP001" ]);
   ]
 
+(* The three --format json documents of one example — diagnostics,
+   call graph, resource certificate — must parse and carry the schema
+   version. *)
+let json_documents_parse path m ds =
+  let check what pp x =
+    match Jsonx.parse (Format.asprintf "%a" pp x) with
+    | Error e -> fail "%s: %s JSON does not parse: %s" path what e
+    | Ok doc ->
+      if Jsonx.mem_int "schema_version" doc
+         <> Some Qir_analysis.Diagnostic.schema_version
+      then fail "%s: %s JSON lacks schema_version" path what
+  in
+  check "diagnostics" (Qir_analysis.Diagnostic.render_json ~module_name:path) ds;
+  check "call-graph" Qir_analysis.Call_graph.render_json
+    (Qir_analysis.Call_graph.build m);
+  check "certificate"
+    (Qir_analysis.Resource.render_json ~diagnostics:ds)
+    (Qir_analysis.Resource.certify m)
+
 let lint_examples dir =
   let files =
     try
@@ -60,6 +82,7 @@ let lint_examples dir =
         let src = In_channel.with_open_text path In_channel.input_all in
         let m = Llvm_ir.Parser.parse_module ~source_name:path src in
         let ds = Qir_analysis.Lint.run m in
+        json_documents_parse path m ds;
         match List.assoc_opt f expected_bad with
         | Some required ->
           List.iter

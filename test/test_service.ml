@@ -76,14 +76,27 @@ let test_jsonx_roundtrip () =
         ("shots", Jsonx.Num 100.);
         ("nested", Jsonx.Arr [ Jsonx.Bool true; Jsonx.Null; Jsonx.Num 2.5 ]);
         ("esc", Jsonx.Str "line\n\"quote\"\tunicode \xc3\xa9");
+        ( "floats",
+          Jsonx.Arr [ Jsonx.Num (1. /. 3.); Jsonx.Num 0.1234567890123456 ] );
       ]
   in
-  match Jsonx.parse (Jsonx.to_string v) with
+  (match Jsonx.parse (Jsonx.to_string v) with
   | Error e -> Alcotest.fail ("round-trip failed: " ^ e)
   | Ok v' ->
     check bool_t "round-trips" true (v = v');
     check (Alcotest.option int_t) "int accessor" (Some 100)
-      (Jsonx.mem_int "shots" v')
+      (Jsonx.mem_int "shots" v'));
+  (* JSON has no NaN or infinity: they print as null, so the output
+     stays parsable. *)
+  let non_finite =
+    Jsonx.Arr
+      (List.map (fun f -> Jsonx.Num f)
+         [ Float.nan; Float.infinity; Float.neg_infinity ])
+  in
+  check string_t "non-finite prints null" "[null, null, null]"
+    (Jsonx.to_string non_finite);
+  check bool_t "1e400 re-prints as null" true
+    (Result.map Jsonx.to_string (Jsonx.parse "1e400") = Ok "null")
 
 let test_jsonx_rejects_garbage () =
   let bad s =
@@ -93,7 +106,129 @@ let test_jsonx_rejects_garbage () =
   check bool_t "unterminated string" true (bad "\"abc");
   check bool_t "bare word" true (bad "flse");
   check bool_t "unicode escape parses" true
-    (Jsonx.parse "\"\\u00e9\"" = Ok (Jsonx.Str "\xc3\xa9"))
+    (Jsonx.parse "\"\\u00e9\"" = Ok (Jsonx.Str "\xc3\xa9"));
+  (* a surrogate pair, as Python's json.dumps escapes non-BMP text, is
+     one 4-byte character; a lone surrogate becomes U+FFFD *)
+  let str s = Jsonx.parse ("\"" ^ s ^ "\"") in
+  check bool_t "surrogate pair -> U+1F600" true
+    (str "\\ud83d\\ude00" = Ok (Jsonx.Str "\xf0\x9f\x98\x80"));
+  check bool_t "lone high surrogate" true
+    (str "\\ud83dx" = Ok (Jsonx.Str "\xef\xbf\xbdx"));
+  check bool_t "high surrogate before a non-surrogate escape" true
+    (str "\\ud83d\\u0041" = Ok (Jsonx.Str "\xef\xbf\xbdA"));
+  check bool_t "lone low surrogate" true
+    (str "\\ude00" = Ok (Jsonx.Str "\xef\xbf\xbd"))
+
+(* The one layout rule: a container stays on one line when it fits in
+   [Jsonx.width] columns, else one member per line. *)
+let test_jsonx_pretty () =
+  let small = Jsonx.Obj [ ("a", Jsonx.int 1); ("b", Jsonx.Arr []) ] in
+  check string_t "fits: one line" (Jsonx.to_string small) (Jsonx.pretty small);
+  let long = Jsonx.Str (String.make Jsonx.width 'x') in
+  let doc = Jsonx.Obj [ ("small", small); ("long", Jsonx.Arr [ long; Jsonx.Null ]) ] in
+  check string_t "too wide: broken"
+    (String.concat "\n"
+       [
+         "{";
+         "  \"small\": {\"a\": 1, \"b\": []},";
+         "  \"long\": [";
+         "    " ^ Jsonx.to_string long ^ ",";
+         "    null";
+         "  ]";
+         "}";
+       ])
+    (Jsonx.pretty doc);
+  check bool_t "pretty round-trips" true (Jsonx.parse (Jsonx.pretty doc) = Ok doc)
+
+(* The checked-in BENCH files, and BENCHMARK.json (only read), are
+   JSON [Jsonx] accepts. *)
+let test_bench_files_parse () =
+  let files =
+    Sys.readdir ".." |> Array.to_list
+    |> List.filter (fun f ->
+           f = "BENCHMARK.json"
+           || (String.starts_with ~prefix:"BENCH_" f
+              && Filename.check_suffix f ".json"))
+  in
+  check bool_t "found the BENCH files" true (List.length files >= 9);
+  List.iter
+    (fun f ->
+      let text = In_channel.with_open_bin (Filename.concat ".." f) In_channel.input_all in
+      match Jsonx.parse text with
+      | Ok (Jsonx.Obj (_ :: _)) -> ()
+      | Ok _ -> Alcotest.fail (f ^ ": not a JSON object")
+      | Error e -> Alcotest.fail (f ^ ": " ^ e))
+    files
+
+(* Every document the toolchain emits parses back to the value it was
+   built from: lint diagnostics, the call graph, the resource
+   certificate, qir-run's stats line and each protocol event. *)
+let test_emitted_documents_parse () =
+  let parses name text v =
+    match Jsonx.parse text with
+    | Ok v' -> check bool_t (name ^ " parses to its value") true (v = v')
+    | Error e -> Alcotest.fail (name ^ ": " ^ e)
+  in
+  let rendered pp x = Format.asprintf "%a" pp x in
+  let m =
+    parse
+      "define void @main() \"entry_point\" {\nentry:\n  %q = call ptr \
+       @__quantum__rt__qubit_allocate()\n  call void \
+       @__quantum__rt__qubit_release(ptr %q)\n  call void \
+       @__quantum__qis__h__body(ptr %q)\n  call void @helper()\n  ret \
+       void\n}\ndefine void @helper() {\nentry:\n  ret void\n}\ndeclare ptr \
+       @__quantum__rt__qubit_allocate()\ndeclare void \
+       @__quantum__rt__qubit_release(ptr)\ndeclare void \
+       @__quantum__qis__h__body(ptr)"
+  in
+  let open Qir_analysis in
+  let ds = Lint.run m in
+  check bool_t "the module has findings" true (ds <> []);
+  parses "diagnostics"
+    (rendered (Diagnostic.render_json ~module_name:"m \"quoted\".ll") ds)
+    (Diagnostic.json_document ~module_name:"m \"quoted\".ll" ds);
+  let cg = Call_graph.build m in
+  parses "call graph" (rendered Call_graph.render_json cg) (Call_graph.to_json cg);
+  let cert = Resource.certify m in
+  parses "certificate"
+    (rendered (Resource.render_json ~diagnostics:ds) cert)
+    (Resource.to_json ~diagnostics:ds cert);
+  let session = Executor.Session.create () in
+  let r = Executor.run_shots_resilient ~session ~shots:20 (bell ()) in
+  let stats_line =
+    Jsonx.Obj
+      (Executor.shots_result_fields r
+      @ Executor.Session.cache_stats_fields (Executor.Session.cache_stats session))
+  in
+  parses "stats line" (Jsonx.to_string stats_line) stats_line;
+  let error =
+    Qir_error.make ~kind:Qir_error.Overload ~layer:Qir_error.L_service
+      "over budget: \"x\"\n"
+  in
+  List.iter
+    (fun ev ->
+      parses "event" (Protocol.event_line ev) (Protocol.event_json ev))
+    [
+      Service.Accepted { id = "a"; tenant = "t"; note = None };
+      Service.Accepted { id = "a"; tenant = "t"; note = Some "capped" };
+      Service.Rejected { id = "b"; tenant = "t"; error; shed = true };
+      Service.Progress { id = "a"; tenant = "t"; completed = 5; requested = 20 };
+      Service.Result
+        {
+          id = "a";
+          tenant = "t";
+          result = r;
+          tier = `Batched;
+          wait_s = 0.1234567890123456;
+          run_s = 1e-7;
+        };
+      Service.Failed { id = "c"; tenant = "t"; error };
+    ];
+  let svc, _ = recording () in
+  parses "stats event"
+    (Protocol.stats_line (Service.stats svc))
+    (Protocol.stats_json (Service.stats svc));
+  parses "error event" (Protocol.error_line error) (Protocol.error_json error)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                             *)
@@ -818,6 +953,11 @@ let suite =
     Alcotest.test_case "jsonx: round-trip" `Quick test_jsonx_roundtrip;
     Alcotest.test_case "jsonx: rejects garbage" `Quick
       test_jsonx_rejects_garbage;
+    Alcotest.test_case "jsonx: pretty layout rule" `Quick test_jsonx_pretty;
+    Alcotest.test_case "jsonx: every emitted document parses" `Quick
+      test_emitted_documents_parse;
+    Alcotest.test_case "jsonx: checked-in BENCH files parse" `Quick
+      test_bench_files_parse;
     Alcotest.test_case "protocol: malformed shots/seed are usage errors"
       `Quick test_protocol_rejects_bad_ints;
     Alcotest.test_case "protocol: integer shots/seed, unknown keys ignored"
