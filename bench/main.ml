@@ -1129,7 +1129,7 @@ let e20 () =
 (* E15 — the multi-tenant service under mixed hot/cold load             *)
 
 (* Two tenants share one qir-serve core: "hot" resubmits the same
-   physical module (cache-hot after the first job, weight 2), "cold"
+   physical module (cache-hot after the first job, weight 3), "cold"
    submits a fresh fuzzed module every time (every job pays parse-free
    but compile/analysis-cold execution, weight 1). Phase 1 measures the
    uncontended baseline — submit one job, drain, repeat. Phase 2
@@ -1259,8 +1259,8 @@ let e15 () =
     Hashtbl.create 256
   in
   (* 6 arrivals per wave against 3 services: a sustained 2x overload.
-     The hot tenant submits within its weighted share (weight 2 of 3
-     buys it 2 of each wave's 3 services), so the overload pressure —
+     The hot tenant submits within its weighted share (weight 3 of 4
+     buys it 2.25 of each wave's 3 services), so the overload pressure —
      and therefore the shedding and tier degradation — lands on the
      cold tenant, which is the service's contract: weighted fair
      queuing protects the well-behaved tenant's latency.  Cold modules

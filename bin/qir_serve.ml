@@ -368,8 +368,8 @@ let overload_depth =
 
 let chunk =
   Arg.(value & opt int 64 & info [ "chunk" ] ~docv:"SHOTS"
-         ~doc:"Streamed shots per scheduling quantum for non-batched \
-               jobs; each chunk emits a progress event.")
+         ~doc:"Tape and per-shot jobs emit a progress event every SHOTS \
+               completed shots (a quarter of that under critical load).")
 
 let weights =
   Arg.(value & opt_all weight_conv [] & info [ "weight" ] ~docv:"TENANT=N"

@@ -421,8 +421,8 @@ let shot_key r =
    gate sequence replayed per shot), [`Per_shot] (full interpretation
    per shot). Capping the tier walks the ladder downward — the service
    tier degrades under overload by capping cold or contended jobs at
-   [`Tape] or [`Per_shot], which chunk and stream cleanly, instead of
-   letting one monolithic batched run monopolize the scheduler. *)
+   [`Tape] or [`Per_shot], whose shot loop reports progress as it runs
+   (see [run_shots_resilient]'s [progress]). *)
 type tier = [ `Batched | `Tape | `Per_shot ]
 
 let tier_name : tier -> string = function
@@ -477,30 +477,30 @@ exception Deadline_hit
 let run_shots_resilient ?(session = Session.default)
     ?(policy = Resilience.default) ?(seed = 1)
     ?(backend : backend_kind = `Statevector) ?(max_tier : tier = `Batched)
-    ~shots (m : Ir_module.t) : shots_result =
-  let allow_batched = max_tier = `Batched in
-  let allow_tape = match max_tier with `Batched | `Tape -> true | `Per_shot -> false in
+    ?(progress = fun (_ : int) -> ()) ~shots (m : Ir_module.t) : shots_result =
   let total_deadline = Resilience.Deadline.after policy.total_timeout in
+  let expired () = Resilience.Deadline.expired total_deadline in
   let pool_fallbacks0 = Qsim.Dpool.sequential_fallbacks () in
-  let retries = ref 0 in
-  let compile_s = ref 0. in
-  let analysis_s = ref 0. in
-  let tape_hit = ref false in
-  let finish ?(branches = 0) ~histogram ~completed ~degraded ~batched
-      ~batch_fallback () =
+  let finish r =
     {
-      histogram;
-      completed;
-      requested = shots;
-      degraded;
-      retries = !retries;
-      batched;
-      batch_fallback;
+      r with
       pool_fallbacks = Qsim.Dpool.sequential_fallbacks () - pool_fallbacks0;
-      tape = !tape_hit;
-      compile_s = !compile_s;
-      analysis_s = !analysis_s;
-      branches;
+    }
+  in
+  let empty =
+    {
+      histogram = [];
+      completed = 0;
+      requested = shots;
+      degraded = false;
+      retries = 0;
+      batched = false;
+      batch_fallback = false;
+      pool_fallbacks = 0;
+      tape = false;
+      compile_s = 0.;
+      analysis_s = 0.;
+      branches = 0;
     }
   in
   (* The batched tier applies only to the plain statevector backend: the
@@ -510,17 +510,15 @@ let run_shots_resilient ?(session = Session.default)
      deadline that expires at a branch point ends the run with no shots
      (a partial branching run would be a biased sample). *)
   let batched_attempt =
-    if Resilience.Deadline.expired total_deadline then
-      (* already over budget: let the per-shot loop record degradation *)
-      `Not_batchable
-    else if allow_batched && shots > 1 && backend = `Statevector then
+    if max_tier = `Batched && shots > 1 && backend = `Statevector
+       && not (expired ())
+    then
       match Session.plan_of session m with
       | None, _, _ -> `Not_batchable
       | Some plan, _, _ -> (
-        let stop () = Resilience.Deadline.expired total_deadline in
         try
           !batch_sabotage ();
-          `Batched (Qsim.Sampler.run ~seed ~stop ~shots plan)
+          `Batched (Qsim.Sampler.run ~seed ~stop:expired ~shots plan)
         with
         | Qsim.Sampler.Stopped -> `Stopped
         | e when Qir_error.of_exn e <> None -> `Fallback)
@@ -528,74 +526,65 @@ let run_shots_resilient ?(session = Session.default)
   in
   match batched_attempt with
   | `Batched (histogram, stats) ->
-    finish ~branches:stats.Qsim.Sampler.branches ~histogram ~completed:shots
-      ~degraded:false ~batched:true ~batch_fallback:false ()
-  | `Stopped ->
-    finish ~histogram:[] ~completed:0 ~degraded:true ~batched:true
-      ~batch_fallback:false ()
-  | (`Not_batchable | `Fallback) as outcome -> (
-    let batch_fallback = outcome = `Fallback in
-    (* The gate-tape tier: when the cap allows it and the analyses prove
-       the entry is straight-line static quantum code, replay the
-       extracted tape per shot instead of interpreting. Fuel and
-       per-shot timeouts are interpreter concepts, so any policy that
-       sets them keeps the interpreter in the loop. *)
-    let tape_attempt =
-      if
-        allow_tape && shots > 1
-        && (backend = `Statevector || backend = `Stabilizer)
-        && policy.Resilience.fuel = None
-        && policy.Resilience.shot_timeout = None
-        && not (Resilience.Deadline.expired total_deadline)
-      then begin
-        let tape, dt, cache_hit = Session.tape_of session m in
-        analysis_s := (if cache_hit then 0. else dt);
-        tape
-      end
-      else None
-    in
-    match tape_attempt with
-    | Some tape ->
-      tape_hit := true;
+    finish
+      {
+        empty with
+        histogram;
+        completed = shots;
+        batched = true;
+        branches = stats.Qsim.Sampler.branches;
+      }
+  | `Stopped -> finish { empty with degraded = true; batched = true }
+  | (`Not_batchable | `Fallback) as outcome ->
+    let r = { empty with batch_fallback = outcome = `Fallback } in
+    (* Over budget before the first shot: no tape analysis, no compile. *)
+    if expired () then finish { r with degraded = true }
+    else begin
+      (* Pick the one-shot function once. The gate-tape tier: when the
+         cap allows it and the analyses prove the entry is straight-line
+         static quantum code, replay the extracted tape instead of
+         interpreting. Fuel and per-shot timeouts are interpreter
+         concepts, so any policy that sets them keeps the interpreter in
+         the loop. Otherwise compile once (and time it); every retry and
+         shot below hits the cache. *)
+      let tape, analysis_s =
+        if
+          max_tier <> `Per_shot && shots > 1
+          && (backend = `Statevector || backend = `Stabilizer)
+          && policy.Resilience.fuel = None
+          && policy.Resilience.shot_timeout = None
+        then
+          let tape, dt, cache_hit = Session.tape_of session m in
+          (tape, if cache_hit then 0. else dt)
+        else (None, 0.)
+      in
+      let one_shot, compile_s =
+        match tape with
+        | Some tape ->
+          let qubits = declared_qubits m in
+          ( (fun ~seed ~deadline:_ ~attempt ->
+              Gate_tape.replay tape
+                (backend_of_kind ~seed ~attempt backend qubits)),
+            0. )
+        | None ->
+          let _, dt, cached = Session.compiled session m in
+          let qubits = initial_qubits m in
+          ( (fun ~seed ~deadline ~attempt ->
+              shot_key
+                (run_bytecode ~session ~seed ~backend
+                   ?fuel:policy.Resilience.fuel ?deadline ~attempt ~qubits m)),
+            if cached then 0. else dt )
+      in
+      (* The one shot loop: shot [i] runs with seed [seed + i*7919]. *)
       let tbl = Hashtbl.create 16 in
       let completed = ref 0 in
-      let degraded = ref false in
-      (try
-         for shot = 0 to shots - 1 do
-           if Resilience.Deadline.expired total_deadline then begin
-             degraded := true;
-             raise Deadline_hit
-           end;
-           let inst =
-             backend_of_kind
-               ~seed:(seed + (shot * 7919))
-               backend (declared_qubits m)
-           in
-           let key = Gate_tape.replay tape inst in
-           Hashtbl.replace tbl key
-             (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key));
-           incr completed
-         done
-       with Deadline_hit -> ());
-      finish ~histogram:(sorted_histogram tbl) ~completed:!completed
-        ~degraded:!degraded ~batched:false ~batch_fallback ()
-    | None ->
-      (* Compile once (and time it); every retry and shot below hits the
-         cache. *)
-      (let _, dt, cached = Session.compiled session m in
-       compile_s := if cached then 0. else dt);
-      let qubits = initial_qubits m in
-      let tbl = Hashtbl.create 16 in
-      let completed = ref 0 in
+      let retries = ref 0 in
       let degraded = ref false in
       let rng = Qcircuit.Rng.create (seed lxor 0x27d4eb2d) in
       (try
          for shot = 0 to shots - 1 do
-           if Resilience.Deadline.expired total_deadline then begin
-             degraded := true;
-             raise Deadline_hit
-           end;
-           let shot_deadline =
+           if expired () then raise Deadline_hit;
+           let deadline =
              Resilience.Deadline.(
                earliest total_deadline (after policy.shot_timeout))
            in
@@ -603,27 +592,32 @@ let run_shots_resilient ?(session = Session.default)
              Resilience.with_retries
                ~on_retry:(fun _ ~attempt:_ -> incr retries)
                policy rng
-               (fun ~attempt ->
-                 run_bytecode ~session
-                   ~seed:(seed + (shot * 7919))
-                   ~backend ?fuel:policy.Resilience.fuel
-                   ?deadline:shot_deadline ~attempt ~qubits m)
+               (one_shot ~seed:(seed + (shot * 7919)) ~deadline)
            with
-           | Ok (r, _) ->
-             let key = shot_key r in
+           | Ok (key, _) ->
              Hashtbl.replace tbl key
                (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key));
-             incr completed
+             incr completed;
+             progress !completed
            | Error (e, _) when e.Qir_error.kind = Qir_error.Timeout ->
              (* deadline expiry keeps completed shots instead of losing
                 them *)
-             degraded := true;
              raise Deadline_hit
            | Error (e, _) -> raise (Qir_error.Error e)
          done
-       with Deadline_hit -> ());
-      finish ~histogram:(sorted_histogram tbl) ~completed:!completed
-        ~degraded:!degraded ~batched:false ~batch_fallback ())
+       with Deadline_hit -> degraded := true);
+      finish
+        {
+          r with
+          histogram = sorted_histogram tbl;
+          completed = !completed;
+          degraded = !degraded;
+          retries = !retries;
+          tape = tape <> None;
+          compile_s;
+          analysis_s;
+        }
+    end
 
 let pp_histogram ppf hist =
   List.iter

@@ -185,29 +185,34 @@ val shots_result_fields : shots_result -> (string * Jsonx.t) list
     JSON fields, shared by qir-run's stats line and the service's result
     event. *)
 
-val sorted_histogram : (string, int) Hashtbl.t -> (string * int) list
-(** A histogram table as (outcome, count) pairs sorted by outcome. *)
-
 val run_shots_resilient :
   ?session:Session.t ->
   ?policy:Resilience.policy ->
   ?seed:int ->
   ?backend:backend_kind ->
   ?max_tier:tier ->
+  ?progress:(int -> unit) ->
   shots:int ->
   Llvm_ir.Ir_module.t ->
   shots_result
 (** Histogram over [shots] runs under a {!Resilience.policy}, keyed by
     the recorded output (or, when the program records nothing, by all
-    results in address order), sorted by key.
+    results in address order), sorted by key. This is the one shot loop:
+    the tape and per-shot tiers share it, shot [i] running with seed
+    [seed + i * 7919].
 
     Per shot, transient backend faults are retried with backoff; each
     retry re-runs the shot with the identical quantum seed but a fresh
     fault stream, so a recovered run's histogram equals the fault-free
     one exactly. Expiry of the per-shot or total deadline stops the
-    loop and returns the completed shots with [degraded = true].
-    Permanent errors (and exhausted retry budgets) raise
-    {!Qir_error.Error}.
+    loop and returns the completed shots with [degraded = true]; a
+    total deadline already expired when the call starts returns no
+    shots without analysing or compiling anything. Permanent errors
+    (and exhausted retry budgets) raise {!Qir_error.Error}.
+
+    [progress] is called with the count of completed shots after every
+    shot of the tape and per-shot tiers; the batched tier never calls
+    it.
 
     The batched tier is shot-branching sampling ({!Qsim.Sampler}) over
     the session's cached plan ({!Session.plan_of}): every program the
@@ -228,13 +233,12 @@ val run_shots_resilient :
     and replayed per shot ([tape = true]) with bit-identical
     histograms. The eligibility verdict is cached per module identity
     ([analysis_s] is 0 on a hit), mirroring the bytecode compile cache,
-    which the loop fills up front.
+    which the per-shot tier fills before its first shot.
 
     [max_tier] (default [`Batched]) caps the ladder explicitly:
-    [`Tape] skips the batched sampler but keeps gate-tape replay —
-    per-shot seeding is identical to the per-shot tier, so chunked
-    runs with per-chunk seed offsets merge into bit-identical
-    histograms; [`Per_shot] forces full interpretation. *)
+    [`Tape] skips the batched sampler but keeps gate-tape replay, whose
+    per-shot seeding is identical to the per-shot tier's;
+    [`Per_shot] forces full interpretation. *)
 
 val pp_histogram : Format.formatter -> (string * int) list -> unit
 

@@ -110,13 +110,6 @@ let evaluate ?tape ?cert ~(backend : Qruntime.Executor.backend_kind)
     v_capped = None;
   }
 
-let required_qubits ?tape ?cert (m : Llvm_ir.Ir_module.t) =
-  (evaluate ?tape ?cert ~backend:`Statevector m).v_qubits
-
-let footprint_bytes ?tape ?cert ~(backend : Qruntime.Executor.backend_kind)
-    (m : Llvm_ir.Ir_module.t) =
-  (evaluate ?tape ?cert ~backend m).v_bytes
-
 let pp_bytes ppf bytes =
   let b = float_of_int bytes in
   if b < 1024. then Format.fprintf ppf "%d B" bytes

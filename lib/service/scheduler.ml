@@ -40,7 +40,6 @@ type 'a t = {
 let create () = { tenants = []; vtime = 0.0; seq = 0; queued = 0 }
 
 let length t = t.queued
-let tenants t = List.map (fun tq -> tq.name) t.tenants
 
 let tenant_queue t ~tenant ~weight =
   match List.find_opt (fun tq -> tq.name = tenant) t.tenants with
@@ -115,10 +114,6 @@ let pop t =
     tq.served <- tq.served + 1;
     tq.served_cost <- tq.served_cost +. cost;
     Some (tq.name, job)
-
-let iter t f =
-  List.iter (fun tq -> Queue.iter (fun (_, _, job) -> f tq.name job) tq.jobs)
-    t.tenants
 
 (* Remove and return the newest queued job satisfying [pred] (the
    highest sequence number across all tenants) — the shedding victim. *)

@@ -1,6 +1,6 @@
 (* The multi-tenant QIR execution service: admission control, per-tenant
    quotas and circuit breakers, weighted fair scheduling, streaming
-   chunked execution and graceful overload degradation, over the
+   execution and graceful overload degradation, over the
    session-based {!Qruntime.Executor}.
 
    The paper's Ex. 5 argues QIR's value is a stable execution boundary
@@ -24,15 +24,19 @@
      with cache-hot jobs (whose compiled module / tape verdict are
      nearly free) kept on the tape tier, throttles the Domain pool to
      sequential sweeps, and sheds queued load cache-coldest-first;
-   - {b streaming}: chunked jobs emit progress events between chunks,
-     and a deadline that expires mid-job yields the completed shots as
-     a degraded-but-correct partial result instead of losing them.
+   - {b streaming}: tape and per-shot jobs emit a progress event every
+     [chunk] shots, and a deadline that expires mid-job yields the
+     completed shots as a degraded-but-correct partial result instead
+     of losing them.
 
-   Correctness contract: chunk c covering shots [lo, hi) runs with seed
-   [seed + lo * 7919], the executor's own per-shot seeding formula, so
-   the merged histogram of a chunked job is bit-identical to one direct
-   [Executor.run_shots_resilient] call at the same tier cap — degraded
-   jobs return fewer shots, never different ones.
+   Correctness contract: a job is exactly one
+   [Executor.run_shots_resilient] call — the service chooses the tier
+   cap, the Domain-pool throttle and the progress cadence, nothing
+   else. Its histogram is therefore bit-identical to a direct call at
+   the tier reported in its [Result] event (the tier whose flag the
+   result carries, which is below the cap when a tier falls back), and
+   a degraded job returns a prefix of that run's shots, never
+   different ones.
 
    The core is deterministic and Domain-safe: every piece of mutable
    service state (scheduler, breakers, in-flight accounting, counters,
@@ -69,7 +73,7 @@ type config = {
   breaker_threshold : int; (* consecutive failures that trip *)
   breaker_cooldown : float; (* seconds open before a probe *)
   overload_depth : int; (* queue depth where degradation starts *)
-  chunk : int; (* streamed shots per scheduling quantum *)
+  chunk : int; (* shots between progress events *)
   tenant_weights : (string * int) list; (* default weight 1 *)
   module_cache_limit : int; (* interned program texts *)
   sleep : bool; (* wait out retry backoff? (off in tests) *)
@@ -112,7 +116,7 @@ type event =
       id : string;
       tenant : string;
       result : Executor.shots_result;
-      tier : Executor.tier; (* the cap the job ran under *)
+      tier : Executor.tier; (* the tier that answered: [result]'s flag *)
       wait_s : float; (* queue wait *)
       run_s : float; (* execution wall clock *)
     }
@@ -430,15 +434,9 @@ let policy_for t rem =
     sleep = t.config.sleep;
   }
 
-let merge_histogram tbl hist =
-  List.iter
-    (fun (k, v) ->
-      Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    hist
-
 (* Run one popped job to completion (or degradation), streaming
    progress. Bookkeeping and event emission take the service lock;
-   the executor calls themselves run with the lock released, so other
+   the executor call itself runs with the lock released, so other
    drain loops keep claiming and running jobs concurrently. *)
 let run_job t (job : job) =
   let start = Resilience.Deadline.now () in
@@ -451,11 +449,11 @@ let run_job t (job : job) =
      the hot path down would only deepen the queue (this is the same
      principle as shedding cache-coldest-first). Cold jobs walk the
      ladder: Elevated caps them at the tape tier — tape and per-shot
-     chunk and stream cleanly, so no cold job monopolizes the
-     scheduler for a whole batched run — and Critical drops them to
-     per-shot interpretation while the Domain pool runs sequentially.
-     Admission's own cap (a branching footprint over the memory budget)
-     is the ceiling at every level. *)
+     runs stream progress, so no cold job runs silently for a whole
+     batched run — and Critical drops them to per-shot interpretation
+     while the Domain pool runs sequentially. Admission's own cap (a
+     branching footprint over the memory budget) is the ceiling at
+     every level. *)
   let cap : Executor.tier =
     match hot, level with
     | false, Elevated -> `Tape
@@ -470,8 +468,30 @@ let run_job t (job : job) =
     | Normal | Elevated -> t.config.chunk
     | Critical -> max 1 (t.config.chunk / 4)
   in
-  let pool_fallbacks0 = Qsim.Dpool.sequential_fallbacks () in
-  let finish result tier =
+  let progress completed =
+    if completed mod chunk_size = 0 && completed < job.shots then
+      locked t (fun () ->
+          t.emit
+            (Progress
+               {
+                 id = job.id;
+                 tenant = job.tenant;
+                 completed;
+                 requested = job.shots;
+               }))
+  in
+  try
+    let result =
+      Executor.run_shots_resilient ~session:t.session
+        ~policy:(policy_for t (remaining_of job))
+        ~seed:job.seed ~backend:job.backend ~max_tier:cap ~progress
+        ~shots:job.shots job.m
+    in
+    let tier : Executor.tier =
+      if result.Executor.batched then `Batched
+      else if result.Executor.tape then `Tape
+      else `Per_shot
+    in
     let run_s = Resilience.Deadline.now () -. start in
     locked t @@ fun () ->
     release t job;
@@ -485,93 +505,6 @@ let run_job t (job : job) =
     Breaker.record_success (breaker t job.tenant);
     t.emit
       (Result { id = job.id; tenant = job.tenant; result; tier; wait_s; run_s })
-  in
-  let batchable =
-    job.shots > 1 && job.backend = `Statevector && cap = `Batched
-    && (match Executor.Session.plan_of t.session job.m with
-       | Some _, _, _ -> true
-       | None, _, _ -> false)
-  in
-  try
-    if batchable then begin
-      let r =
-        Executor.run_shots_resilient ~session:t.session
-          ~policy:(policy_for t (remaining_of job))
-          ~seed:job.seed ~backend:job.backend ~shots:job.shots job.m
-      in
-      finish r `Batched
-    end
-    else begin
-      (* Chunked streaming execution. Chunk c covering [lo, hi) runs
-         with seed + lo*7919 — the executor's own per-shot seeding —
-         so the merged histogram is bit-identical to one direct call
-         at the same tier cap. *)
-      let cap = (if cap = `Batched then `Tape else cap : Executor.tier) in
-      let tbl = Hashtbl.create 16 in
-      let completed = ref 0 in
-      let retries = ref 0 in
-      let degraded = ref false in
-      let tape_used = ref false in
-      let compile_s = ref 0. in
-      let analysis_s = ref 0. in
-      let lo = ref 0 in
-      let stop = ref false in
-      while (not !stop) && !lo < job.shots do
-        match remaining_of job with
-        | Some r when r <= 0. ->
-          degraded := true;
-          stop := true
-        | rem ->
-          let n = min chunk_size (job.shots - !lo) in
-          let r =
-            Executor.run_shots_resilient ~session:t.session
-              ~policy:(policy_for t rem)
-              ~seed:(job.seed + (!lo * 7919))
-              ~backend:job.backend ~max_tier:cap ~shots:n job.m
-          in
-          merge_histogram tbl r.Executor.histogram;
-          completed := !completed + r.Executor.completed;
-          retries := !retries + r.Executor.retries;
-          tape_used := !tape_used || r.Executor.tape;
-          compile_s := !compile_s +. r.Executor.compile_s;
-          analysis_s := !analysis_s +. r.Executor.analysis_s;
-          if r.Executor.degraded then begin
-            degraded := true;
-            stop := true
-          end
-          else begin
-            lo := !lo + n;
-            if !lo < job.shots then
-              locked t (fun () ->
-                  t.emit
-                    (Progress
-                       {
-                         id = job.id;
-                         tenant = job.tenant;
-                         completed = !completed;
-                         requested = job.shots;
-                       }))
-          end
-      done;
-      let result : Executor.shots_result =
-        {
-          histogram = Executor.sorted_histogram tbl;
-          completed = !completed;
-          requested = job.shots;
-          degraded = !degraded;
-          retries = !retries;
-          batched = false;
-          batch_fallback = false;
-          pool_fallbacks =
-            Qsim.Dpool.sequential_fallbacks () - pool_fallbacks0;
-          tape = !tape_used;
-          compile_s = !compile_s;
-          analysis_s = !analysis_s;
-          branches = 0;
-        }
-      in
-      finish result (if !tape_used then `Tape else `Per_shot)
-    end
   with e ->
     let error = Qir_error.wrap_exn e in
     locked t (fun () ->

@@ -12,7 +12,7 @@
      taxonomy exit code (2..8);
    - zero histogram divergences: every completed, non-degraded result
      from a deterministic tenant is re-executed directly against the
-     Executor at the same tier cap and must match bit for bit —
+     Executor at the tier its result reports and must match bit for bit —
      degradation may defer or shed work, never corrupt it;
    - bookkeeping closes: accepted = completed + failed + shed, and
      rejections happened (the run is actually overloaded);

@@ -130,13 +130,27 @@ let test_exhausted_budget_raises () =
 (* ------------------------------------------------------------------ *)
 (* (b) deadlines: expiry yields partial results with degraded = true   *)
 
+(* An already-expired budget does no work at any tier cap: no plan,
+   tape or compile lookup reaches the session. *)
 let test_total_deadline_already_expired () =
   let m = bell () in
   let p = { (policy ()) with Resilience.total_timeout = Some 0.0 } in
-  let r = Executor.run_shots_resilient ~policy:p ~shots:50 m in
-  check bool_t "degraded" true r.Executor.degraded;
-  check int_t "no shots completed" 0 r.Executor.completed;
-  check int_t "requested preserved" 50 r.Executor.requested
+  List.iter
+    (fun max_tier ->
+      let session = Executor.Session.create () in
+      let r =
+        Executor.run_shots_resilient ~session ~policy:p ~max_tier ~shots:50 m
+      in
+      let name = Executor.tier_name max_tier in
+      check bool_t (name ^ ": degraded") true r.Executor.degraded;
+      check int_t (name ^ ": no shots completed") 0 r.Executor.completed;
+      check int_t (name ^ ": requested preserved") 50 r.Executor.requested;
+      let c = Executor.Session.cache_stats session in
+      check int_t (name ^ ": no compile") 0 c.Executor.Session.compile_misses;
+      check int_t (name ^ ": no tape analysis") 0
+        c.Executor.Session.tape_misses;
+      check int_t (name ^ ": no plan") 0 c.Executor.Session.plan_misses)
+    [ `Batched; `Tape; `Per_shot ]
 
 let test_shot_deadline_stops_spinning_program () =
   let m = Llvm_ir.Parser.parse_module spin_src in

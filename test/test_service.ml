@@ -2,11 +2,10 @@
    stride scheduler's weighted fairness, admission control against the
    memory budget, per-tenant circuit breakers, deadline handling
    (queue-expiry shedding and mid-run partial results), the graceful
-   degradation ladder, cache-coldest-first load shedding — and the
-   central correctness property: a chunked, degraded service run merges
-   into a histogram *bit-identical* to one direct Executor call at the
-   same tier cap, because chunk [lo, hi) runs with seed + lo*7919, the
-   executor's own per-shot seeding formula. *)
+   degradation ladder, cache-coldest-first load shedding, progress
+   streaming — and the central correctness property: a job is one
+   executor call, so its histogram is *bit-identical* to a direct
+   Executor call at the tier its result reports, at every load level. *)
 
 open Qcircuit
 open Qir
@@ -444,7 +443,8 @@ let test_breaker_lifecycle () =
 
 let test_admission_memory_budget () =
   let m = parse big_src in
-  check int_t "declared qubits" 28 (Admission.required_qubits m);
+  check int_t "declared qubits" 28
+    (Admission.evaluate ~backend:`Statevector m).Admission.v_qubits;
   (match Admission.check ~budget:(1 lsl 30) ~backend:`Statevector m with
   | Ok _ -> Alcotest.fail "4 GiB statevector admitted under a 1 GiB budget"
   | Error e ->
@@ -801,6 +801,68 @@ let test_parity_tape_chunked () =
       direct.Executor.histogram r.Executor.histogram
   | [] -> Alcotest.fail "expected results"
 
+(* A batchable job whose batched attempt falls back reports the tier
+   that answered, not the batched cap it ran under, and a direct run at
+   that tier reproduces its histogram. *)
+let test_batch_fallback_reports_answering_tier () =
+  let m = bell () in
+  let svc, events = recording () in
+  Executor.set_batch_sabotage (fun () ->
+      Qsim.Sim_error.error ~op:"test" "sabotaged batch path");
+  Fun.protect
+    ~finally:(fun () -> Executor.set_batch_sabotage (fun () -> ()))
+    (fun () ->
+      Service.submit svc ~tenant:"t" ~shots:40 ~seed:8 m;
+      Service.drain svc);
+  match results (events ()) with
+  | [ (_, r, tier) ] ->
+    check bool_t "batched attempt fell back" true r.Executor.batch_fallback;
+    check bool_t "not reported batched" true (tier <> `Batched);
+    check int_t "not counted as a batched run" 0
+      (Service.stats svc).Service.batched_runs;
+    let direct =
+      Executor.run_shots_resilient
+        ~session:(Executor.Session.create ())
+        ~seed:8 ~max_tier:tier ~shots:40 m
+    in
+    check hist_t "direct run at the reported tier" direct.Executor.histogram
+      r.Executor.histogram
+  | evs -> Alcotest.failf "expected one result, saw %d" (List.length evs)
+
+(* Tape and per-shot jobs stream a progress event every [chunk] shots,
+   then one result; a batched job streams none. *)
+let test_progress_cadence () =
+  let m = bell () in
+  let svc, events =
+    recording
+      ~config:
+        { Service.default_config with Service.overload_depth = 1; chunk = 7 }
+      ()
+  in
+  Service.submit svc ~tenant:"t" ~id:"tape" ~shots:23 ~seed:11 m;
+  Service.submit svc ~tenant:"filler" ~shots:2 m;
+  Service.drain svc;
+  Service.submit svc ~tenant:"t" ~id:"batched" ~shots:23 ~seed:11 m;
+  Service.drain svc;
+  let stream id =
+    List.filter_map
+      (function
+        | Service.Progress { id = i; completed; requested; _ } when i = id ->
+          check int_t "progress carries the requested shots" 23 requested;
+          Some (Printf.sprintf "progress %d" completed)
+        | Service.Result { id = i; result; tier; _ } when i = id ->
+          Some
+            (Printf.sprintf "%s result %d" (Executor.tier_name tier)
+               result.Executor.completed)
+        | _ -> None)
+      (events ())
+  in
+  check Alcotest.(list string) "tape job streams every 7 shots"
+    [ "progress 7"; "progress 14"; "progress 21"; "tape result 23" ]
+    (stream "tape");
+  check Alcotest.(list string) "batched job streams no progress"
+    [ "batched result 23" ] (stream "batched")
+
 (* Critical load drops cold jobs to per-shot interpretation (and
    throttles the pool); parity must still be exact. *)
 let test_parity_per_shot_critical () =
@@ -1006,6 +1068,10 @@ let suite =
       test_parity_tape_chunked;
     Alcotest.test_case "service: per-shot parity under critical load" `Quick
       test_parity_per_shot_critical;
+    Alcotest.test_case "service: batch fallback reports the answering tier"
+      `Quick test_batch_fallback_reports_answering_tier;
+    Alcotest.test_case "service: progress every chunk, none when batched"
+      `Quick test_progress_cadence;
     Alcotest.test_case "service: sheds cache-coldest first" `Quick
       test_service_sheds_cache_coldest_first;
     Alcotest.test_case "service: interning shares session caches" `Quick
