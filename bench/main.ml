@@ -2287,6 +2287,105 @@ let e17 () =
                      );
                      ("job_fair_p99_vs_cost_fair", fixed 2 (jf_p99 /. cf_p99)) ] ) ] ) ])
 
+(* ------------------------------------------------------------------ *)
+(* E21 — the cold path layer by layer: what a fresh program pays before
+   and while its first histogram is drawn. Two seeded corpora shaped
+   like the benchmark workloads, their gates from [Generate.random]:
+   60 adaptive programs (5-7 qubits, 56-64 gates, one mid-circuit
+   measurement of a re-used qubit, every second one with classical
+   feedback, every third dynamically addressed, 64 shots) and 20 batch
+   programs (14-17 qubits, 120-200 gates, terminal measurements, 1000
+   shots). Per program, in µs: the
+   lexer alone (tokens to EOF), the whole LLVM-IR parse (lexing
+   included), QIR -> circuit, the fusion plan (k = 4) and the
+   branching run from a prepared plan. Each layer is timed over whole
+   passes of its corpus; the best of 7 passes is reported. Written to
+   BENCH_layers.json with the parser's MB/s and the core count. *)
+
+let e21 () =
+  Harness.section "E21" "cold path layer by layer";
+  let rng = Rng.create 21 in
+  let gates ~width n = (Generate.random ~seed:(Rng.int rng 1_000_000) ~gates:n width).Circuit.ops in
+  let measured width ops =
+    Circuit.create ~num_qubits:width ~num_clbits:(width + 1)
+      (ops @ List.init width (fun q -> Circuit.measure q q))
+  in
+  let adaptive i =
+    let width = 5 + Rng.int rng 3 in
+    let body = gates ~width (56 + Rng.int rng 9) in
+    let m = Rng.int rng width and half = List.length body / 2 in
+    let fb =
+      if i mod 2 = 1 then
+        [ Circuit.gate ~cond:{ Circuit.cbits = [ width ]; value = 1 } Gate.X
+            [ (m + 1) mod width ] ]
+      else []
+    in
+    let c =
+      measured width
+        (List.filteri (fun j _ -> j < half) body
+        @ [ Circuit.measure m width; Circuit.gate Gate.H [ m ] ]
+        @ fb
+        @ List.filteri (fun j _ -> j >= half) body)
+    in
+    (Qir.Qir_builder.to_string ~addressing:(if i mod 3 = 2 then `Dynamic else `Static) c, 64)
+  in
+  let batch _ =
+    let width = 14 + Rng.int rng 4 in
+    (Qir.Qir_builder.to_string (measured width (gates ~width (120 + Rng.int rng 81))), 1000)
+  in
+  let passes = 7 in
+  (* best of [passes] timed passes of [f] over [items], µs per item *)
+  let per_item items f =
+    let best = ref infinity in
+    for _ = 1 to passes do
+      best := Float.min !best (Harness.time_once (fun () -> Array.iter f items))
+    done;
+    !best *. 1e6 /. float_of_int (Array.length items)
+  in
+  let layers name programs =
+    let texts = Array.map fst programs in
+    let bytes = Array.fold_left (fun a t -> a + String.length t) 0 texts in
+    let lex text =
+      let lx = Lexer.create text in
+      while match Lexer.next lx with Lexer.EOF -> false | _ -> true do () done
+    in
+    let modules = Array.map Parser.parse_module texts in
+    let circuits = Array.map Qir.Qir_parser.parse modules in
+    let plans = Array.map Qsim.Sampler.prepare circuits in
+    let runs = Array.mapi (fun i p -> (p, snd programs.(i))) plans in
+    let t_lex = per_item texts lex in
+    let t_parse = per_item texts (fun t -> ignore (Parser.parse_module t)) in
+    let t_qir = per_item modules (fun m -> ignore (Qir.Qir_parser.parse m)) in
+    let t_plan = per_item circuits (fun c -> ignore (Qsim.Fusion.plan ~k:4 c)) in
+    let t_run =
+      per_item runs (fun (p, shots) -> ignore (Qsim.Sampler.run ~seed:1 ~shots p))
+    in
+    let mb_per_s =
+      float_of_int bytes /. 1e6 /. (t_parse *. 1e-6 *. float_of_int (Array.length texts))
+    in
+    Harness.row
+      "  %-13s %3d programs, %4.1f KB each: lex %6.1f  parse %6.1f  qir_parser %6.1f  plan %6.1f  run %8.1f us; parser %.1f MB/s@\n"
+      name (Array.length texts)
+      (float_of_int bytes /. 1e3 /. float_of_int (Array.length texts))
+      t_lex t_parse t_qir t_plan t_run mb_per_s;
+    ( name,
+      obj
+        [ ("programs", int (Array.length texts)); ("bytes", int bytes);
+          ( "us_per_program",
+            obj
+              [ ("lex", fixed 2 t_lex); ("parse", fixed 2 t_parse);
+                ("qir_parser", fixed 2 t_qir); ("plan_k4", fixed 2 t_plan);
+                ("branching_run", fixed 2 t_run) ] );
+          ("parser_mb_per_s", fixed 2 mb_per_s) ] )
+  in
+  let adaptive_layers = layers "qir-adaptive" (Array.init 60 adaptive) in
+  let batch_layers = layers "qir-batch" (Array.init 20 batch) in
+  Harness.write_json "BENCH_layers.json"
+    (obj
+       [ ("experiment", str "e21"); ("cores", int (Domain.recommended_domain_count ()));
+         ("passes", int passes); ("statistic", str "best pass, us per program");
+         ("corpora", obj [ adaptive_layers; batch_layers ]) ])
+
 (* BENCH_ONLY=e13 (comma-separated names) restricts the run to a subset of
    experiments — handy for iterating on one benchmark without paying for
    the full suite, and for re-running a single experiment on a quiet
@@ -2323,4 +2422,5 @@ let () =
   run "e18" e18;
   run "e19" e19;
   run "e20" e20;
+  run "e21" e21;
   Format.printf "@\nAll benchmarks complete.@\n"

@@ -35,8 +35,13 @@ let create src =
     group_refs = [];
   }
 
+(* [is p tok]: the current token is the punctuation token [tok]. Every
+   token without a payload is an immediate, so physical equality decides
+   it without a polymorphic comparison; [tok] must be one of those. *)
+let[@inline] is p (tok : Lexer.token) = p.tok == tok
+
 let expect p tok =
-  if p.tok = tok then advance p
+  if is p tok then advance p
   else
     error p "expected '%s', found '%s'" (Lexer.string_of_token tok)
       (Lexer.string_of_token p.tok)
@@ -57,25 +62,33 @@ let eat_word p w =
 (* ------------------------------------------------------------------ *)
 (* Attribute-like noise words that may be skipped wherever they occur.  *)
 
-let linkage_words =
-  [ "private"; "internal"; "external"; "linkonce"; "weak"; "common";
-    "appending"; "extern_weak"; "linkonce_odr"; "weak_odr"; "dso_local";
-    "dso_preemptable"; "hidden"; "protected"; "default"; "local_unnamed_addr";
-    "unnamed_addr" ]
+let linkage_word = function
+  | "private" | "internal" | "external" | "linkonce" | "weak" | "common"
+  | "appending" | "extern_weak" | "linkonce_odr" | "weak_odr" | "dso_local"
+  | "dso_preemptable" | "hidden" | "protected" | "default" | "local_unnamed_addr"
+  | "unnamed_addr" ->
+    true
+  | _ -> false
 
-let param_attr_words =
-  [ "writeonly"; "readonly"; "readnone"; "nocapture"; "noundef"; "immarg";
-    "nonnull"; "noalias"; "signext"; "zeroext"; "inreg"; "returned";
-    "dereferenceable"; "align"; "captures" ]
+let param_attr_word = function
+  | "writeonly" | "readonly" | "readnone" | "nocapture" | "noundef" | "immarg"
+  | "nonnull" | "noalias" | "signext" | "zeroext" | "inreg" | "returned"
+  | "dereferenceable" | "align" | "captures" ->
+    true
+  | _ -> false
 
-let fn_attr_words =
-  [ "nounwind"; "willreturn"; "norecurse"; "nosync"; "nofree"; "mustprogress";
-    "alwaysinline"; "noinline"; "optnone"; "memory"; "speculatable"; "cold";
-    "hot"; "uwtable" ]
+let fn_attr_word = function
+  | "nounwind" | "willreturn" | "norecurse" | "nosync" | "nofree" | "mustprogress"
+  | "alwaysinline" | "noinline" | "optnone" | "memory" | "speculatable" | "cold"
+  | "hot" | "uwtable" ->
+    true
+  | _ -> false
 
-let flag_words =
-  [ "nuw"; "nsw"; "exact"; "inbounds"; "disjoint"; "volatile"; "fast"; "nnan";
-    "ninf"; "nsz"; "arcp"; "contract"; "afn"; "reassoc"; "nneg"; "samesign" ]
+let flag_word = function
+  | "nuw" | "nsw" | "exact" | "inbounds" | "disjoint" | "volatile" | "fast" | "nnan"
+  | "ninf" | "nsz" | "arcp" | "contract" | "afn" | "reassoc" | "nneg" | "samesign" ->
+    true
+  | _ -> false
 
 let rec skip_balanced_parens p =
   match p.tok with
@@ -98,16 +111,16 @@ let rec skip_balanced_parens p =
     skip_balanced_parens p
   | _ -> ()
 
-let rec skip_words p words =
+let rec skip_words p is_word =
   match p.tok with
-  | Lexer.WORD w when List.mem w words ->
+  | Lexer.WORD w when is_word w ->
     advance p;
     (* [align 8], [dereferenceable(16)], [memory(none)] carry an argument *)
     (match p.tok with
     | Lexer.INT _ when String.equal w "align" -> advance p
     | Lexer.LPAREN -> skip_balanced_parens p
     | _ -> ());
-    skip_words p words
+    skip_words p is_word
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -167,13 +180,13 @@ let rec parse_ty p =
     | Lexer.LBRACE ->
       advance p;
       let rec fields acc =
-        if p.tok = Lexer.RBRACE then begin
+        if is p Lexer.RBRACE then begin
           advance p;
           List.rev acc
         end
         else begin
           let f = parse_ty p in
-          if p.tok = Lexer.COMMA then advance p;
+          if is p Lexer.COMMA then advance p;
           fields (f :: acc)
         end
       in
@@ -200,7 +213,7 @@ and parse_ty_suffix p base =
         args acc true
       | _ ->
         let a = parse_ty p in
-        if p.tok = Lexer.COMMA then advance p;
+        if is p Lexer.COMMA then advance p;
         args (a :: acc) vararg
     in
     let params, vararg = args [] false in
@@ -266,7 +279,7 @@ let rec parse_const p ty =
     let base_ty = parse_ty p in
     let base = parse_const p base_ty in
     let rec rest () =
-      if p.tok = Lexer.COMMA then begin
+      if is p Lexer.COMMA then begin
         advance p;
         let ity = parse_ty p in
         let _ = parse_const p ity in
@@ -279,14 +292,14 @@ let rec parse_const p ty =
   | Lexer.LBRACKET ->
     advance p;
     let rec elems acc elt_ty =
-      if p.tok = Lexer.RBRACKET then begin
+      if is p Lexer.RBRACKET then begin
         advance p;
         (List.rev acc, elt_ty)
       end
       else begin
         let ety = parse_ty p in
         let c = parse_const p ety in
-        if p.tok = Lexer.COMMA then advance p;
+        if is p Lexer.COMMA then advance p;
         elems (c :: acc) ety
       end
     in
@@ -305,7 +318,7 @@ let parse_operand p ty =
 
 let parse_typed_operand p =
   let ty = parse_ty p in
-  skip_words p param_attr_words;
+  skip_words p param_attr_word;
   let v = parse_operand p ty in
   Operand.typed ty v
 
@@ -400,13 +413,13 @@ let cast_of_word = function
 let parse_call_args p =
   expect p Lexer.LPAREN;
   let rec args acc =
-    if p.tok = Lexer.RPAREN then begin
+    if is p Lexer.RPAREN then begin
       advance p;
       List.rev acc
     end
     else begin
       let a = parse_typed_operand p in
-      if p.tok = Lexer.COMMA then advance p;
+      if is p Lexer.COMMA then advance p;
       args (a :: acc)
     end
   in
@@ -416,7 +429,7 @@ let parse_call_args p =
 let parse_op p word =
   match binop_of_word word with
   | Some b ->
-    skip_words p flag_words;
+    skip_words p flag_word;
     let ty = parse_ty p in
     let x = parse_operand p ty in
     expect p Lexer.COMMA;
@@ -425,7 +438,7 @@ let parse_op p word =
   | None ->
   match fbinop_of_word word with
   | Some b ->
-    skip_words p flag_words;
+    skip_words p flag_word;
     let ty = parse_ty p in
     let x = parse_operand p ty in
     expect p Lexer.COMMA;
@@ -434,7 +447,7 @@ let parse_op p word =
   | None ->
   match cast_of_word word with
   | Some c ->
-    skip_words p flag_words;
+    skip_words p flag_word;
     let src = parse_typed_operand p in
     expect_word p "to";
     let ty = parse_ty p in
@@ -442,7 +455,7 @@ let parse_op p word =
   | None ->
   match word with
   | "icmp" ->
-    skip_words p flag_words;
+    skip_words p flag_word;
     let pred =
       match p.tok with
       | Lexer.WORD w ->
@@ -456,7 +469,7 @@ let parse_op p word =
     let y = parse_operand p ty in
     Instr.Icmp (pred, ty, x, y)
   | "fcmp" ->
-    skip_words p flag_words;
+    skip_words p flag_word;
     let pred =
       match p.tok with
       | Lexer.WORD w ->
@@ -493,7 +506,7 @@ let parse_op p word =
     suffix ();
     Instr.Alloca !ty
   | "load" ->
-    skip_words p flag_words;
+    skip_words p flag_word;
     let ty = parse_ty p in
     expect p Lexer.COMMA;
     let pty = parse_ty p in
@@ -502,17 +515,17 @@ let parse_op p word =
     skip_alignment p;
     Instr.Load (ty, ptr)
   | "store" ->
-    skip_words p flag_words;
+    skip_words p flag_word;
     let v = parse_typed_operand p in
     expect p Lexer.COMMA;
     let pty = parse_ty p in
     if not (Ty.equal pty Ty.Ptr) then error p "store expects a pointer operand";
-    skip_words p param_attr_words;
+    skip_words p param_attr_word;
     let ptr = parse_operand p Ty.Ptr in
     skip_alignment p;
     Instr.Store (v, ptr)
   | "getelementptr" ->
-    skip_words p flag_words;
+    skip_words p flag_word;
     let ty = parse_ty p in
     expect p Lexer.COMMA;
     let pty = parse_ty p in
@@ -520,7 +533,7 @@ let parse_op p word =
       error p "getelementptr expects a pointer operand";
     let base = parse_operand p Ty.Ptr in
     let rec idxs acc =
-      if p.tok = Lexer.COMMA then begin
+      if is p Lexer.COMMA then begin
         advance p;
         let i = parse_typed_operand p in
         idxs (i :: acc)
@@ -529,7 +542,7 @@ let parse_op p word =
     in
     Instr.Gep (ty, base, idxs [])
   | "call" ->
-    skip_words p flag_words;
+    skip_words p flag_word;
     let ret_ty = parse_ty p in
     (* A function-typed callee spelling like [void (ptr)* @f] collapses to
        ptr; the return type we keep is the one parsed first. *)
@@ -542,7 +555,7 @@ let parse_op p word =
     | Lexer.GLOBAL callee ->
       advance p;
       let args = parse_call_args p in
-      skip_words p fn_attr_words;
+      skip_words p fn_attr_word;
       (match p.tok with
       | Lexer.ATTR_REF _ -> advance p
       | _ -> ());
@@ -558,7 +571,7 @@ let parse_op p word =
     let b = parse_typed_operand p in
     Instr.Select (c, a, b)
   | "phi" ->
-    skip_words p flag_words;
+    skip_words p flag_word;
     let ty = parse_ty p in
     let rec incoming acc =
       expect p Lexer.LBRACKET;
@@ -573,7 +586,7 @@ let parse_op p word =
       in
       expect p Lexer.RBRACKET;
       let acc = (v, l) :: acc in
-      if p.tok = Lexer.COMMA && p.tok2 = Lexer.LBRACKET then begin
+      if is p Lexer.COMMA && p.tok2 == Lexer.LBRACKET then begin
         advance p;
         incoming acc
       end
@@ -617,7 +630,7 @@ let parse_term p word =
     let d = parse_label_operand p in
     expect p Lexer.LBRACKET;
     let rec cases acc =
-      if p.tok = Lexer.RBRACKET then begin
+      if is p Lexer.RBRACKET then begin
         advance p;
         List.rev acc
       end
@@ -680,14 +693,14 @@ let parse_body p =
       List.rev !blocks
     | Lexer.WORD w, Lexer.COLON ->
       (* label definition *)
-      if !current <> None then
+      if Option.is_some !current then
         error p "label '%s' begins before previous block is terminated" w;
       advance p;
       advance p;
       start_block w;
       go ()
     | Lexer.INT n, Lexer.COLON ->
-      if !current <> None then
+      if Option.is_some !current then
         error p "label '%Ld' begins before previous block is terminated" n;
       advance p;
       advance p;
@@ -746,7 +759,7 @@ let parse_fn_attrs p =
       go ()
     | Lexer.STRING k ->
       advance p;
-      if p.tok = Lexer.EQUALS then begin
+      if is p Lexer.EQUALS then begin
         advance p;
         match p.tok with
         | Lexer.STRING v ->
@@ -759,7 +772,7 @@ let parse_fn_attrs p =
         attrs := (k, "") :: !attrs;
         go ()
       end
-    | Lexer.WORD w when List.mem w fn_attr_words ->
+    | Lexer.WORD w when fn_attr_word w ->
       advance p;
       (match p.tok with
       | Lexer.LPAREN -> skip_balanced_parens p
@@ -784,7 +797,7 @@ let parse_params p ~with_names =
       List.rev acc
     | _ ->
       let pty = parse_ty p in
-      skip_words p param_attr_words;
+      skip_words p param_attr_word;
       let pname =
         match p.tok with
         | Lexer.LOCAL name ->
@@ -797,13 +810,13 @@ let parse_params p ~with_names =
             Printf.sprintf "arg%d" (!counter - 1)
           end
       in
-      if p.tok = Lexer.COMMA then advance p;
+      if is p Lexer.COMMA then advance p;
       go ({ Func.pty; pname } :: acc)
   in
   go []
 
 let parse_function p ~is_define =
-  skip_words p linkage_words;
+  skip_words p linkage_word;
   let ret_ty = parse_ty p in
   let name =
     match p.tok with
@@ -838,7 +851,7 @@ let parse_attr_group p =
     | Lexer.RBRACE -> advance p
     | Lexer.STRING k ->
       advance p;
-      if p.tok = Lexer.EQUALS then begin
+      if is p Lexer.EQUALS then begin
         advance p;
         match p.tok with
         | Lexer.STRING v ->
@@ -902,7 +915,7 @@ let skip_metadata_def p =
 
 let parse_global_def p name =
   expect p Lexer.EQUALS;
-  skip_words p linkage_words;
+  skip_words p linkage_word;
   if eat_word p "external" then begin
     let _ = eat_word p "global" || eat_word p "constant" in
     let gty = parse_ty p in

@@ -35,8 +35,11 @@ let qis_mz = qis "mz"
 let qis_m = qis "m"
 let qis_reset = qis "reset"
 
-let is_qis name = String.length name > 16 && String.sub name 0 16 = qis_prefix
-let is_rt name = String.length name > 15 && String.sub name 0 15 = rt_prefix
+let is_qis name =
+  String.length name > String.length qis_prefix && String.starts_with ~prefix:qis_prefix name
+
+let is_rt name =
+  String.length name > String.length rt_prefix && String.starts_with ~prefix:rt_prefix name
 let is_quantum name = is_qis name || is_rt name
 
 (* ------------------------------------------------------------------ *)

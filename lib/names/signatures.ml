@@ -21,58 +21,40 @@ let gate_sig ~doubles ~qubits =
       @ List.init qubits (fun _ -> Qubit);
   }
 
-let find name : signature option =
+(* Every known function's signature, keyed by name: built once and read
+   only afterwards, so lookups from several domains share it. *)
+let table : (string, signature) Hashtbl.t =
   let open Names in
-  if String.equal name (qis "h") || String.equal name (qis "x")
-     || String.equal name (qis "y") || String.equal name (qis "z")
-     || String.equal name (qis "s") || String.equal name (qis "t")
-     || String.equal name (qis_adj "s") || String.equal name (qis_adj "t")
-     || String.equal name (qis "sx") || String.equal name (qis "reset")
-  then Some (gate_sig ~doubles:0 ~qubits:1)
-  else if String.equal name (qis "rx") || String.equal name (qis "ry")
-          || String.equal name (qis "rz")
-  then Some (gate_sig ~doubles:1 ~qubits:1)
-  else if String.equal name (qis "cnot") || String.equal name (qis "cz")
-          || String.equal name (qis "cy") || String.equal name (qis "swap")
-  then Some (gate_sig ~doubles:0 ~qubits:2)
-  else if String.equal name (qis "ccx") then Some (gate_sig ~doubles:0 ~qubits:3)
-  else if String.equal name qis_mz then
-    Some { ret = Ty.Void; args = [ Qubit; Result ] }
-  else if String.equal name qis_m then Some { ret = Ty.Ptr; args = [ Qubit ] }
-  else if String.equal name rt_read_result then
-    Some { ret = Ty.I1; args = [ Result ] }
-  else if String.equal name rt_qubit_allocate then
-    Some { ret = Ty.Ptr; args = [] }
-  else if String.equal name rt_qubit_allocate_array then
-    Some { ret = Ty.Ptr; args = [ Int_arg Ty.I64 ] }
-  else if String.equal name rt_qubit_release then
-    Some { ret = Ty.Void; args = [ Qubit ] }
-  else if String.equal name rt_qubit_release_array then
-    Some { ret = Ty.Void; args = [ Ptr_arg ] }
-  else if String.equal name rt_array_create_1d then
-    Some { ret = Ty.Ptr; args = [ Int_arg Ty.I32; Int_arg Ty.I64 ] }
-  else if String.equal name rt_array_get_element_ptr_1d then
-    Some { ret = Ty.Ptr; args = [ Ptr_arg; Int_arg Ty.I64 ] }
-  else if String.equal name rt_array_get_size_1d then
-    Some { ret = Ty.I64; args = [ Ptr_arg ] }
-  else if String.equal name rt_array_update_reference_count
-          || String.equal name rt_result_update_reference_count
-  then Some { ret = Ty.Void; args = [ Ptr_arg; Int_arg Ty.I32 ] }
-  else if String.equal name rt_result_get_one || String.equal name rt_result_get_zero
-  then Some { ret = Ty.Ptr; args = [] }
-  else if String.equal name rt_result_equal then
-    Some { ret = Ty.I1; args = [ Result; Result ] }
-  else if String.equal name rt_result_record_output then
-    Some { ret = Ty.Void; args = [ Result; Ptr_arg ] }
-  else if String.equal name rt_array_record_output then
-    Some { ret = Ty.Void; args = [ Int_arg Ty.I64; Ptr_arg ] }
-  else if String.equal name rt_initialize then
-    Some { ret = Ty.Void; args = [ Ptr_arg ] }
-  else if String.equal name rt_message then
-    Some { ret = Ty.Void; args = [ Ptr_arg ] }
-  else if String.equal name rt_fail then
-    Some { ret = Ty.Void; args = [ Ptr_arg ] }
-  else None
+  let tbl = Hashtbl.create 64 in
+  let add names s = List.iter (fun n -> Hashtbl.replace tbl n s) names in
+  add
+    [ qis "h"; qis "x"; qis "y"; qis "z"; qis "s"; qis "t"; qis_adj "s"; qis_adj "t";
+      qis "sx"; qis "reset" ]
+    (gate_sig ~doubles:0 ~qubits:1);
+  add [ qis "rx"; qis "ry"; qis "rz" ] (gate_sig ~doubles:1 ~qubits:1);
+  add [ qis "cnot"; qis "cz"; qis "cy"; qis "swap" ] (gate_sig ~doubles:0 ~qubits:2);
+  add [ qis "ccx" ] (gate_sig ~doubles:0 ~qubits:3);
+  add [ qis_mz ] { ret = Ty.Void; args = [ Qubit; Result ] };
+  add [ qis_m ] { ret = Ty.Ptr; args = [ Qubit ] };
+  add [ rt_read_result ] { ret = Ty.I1; args = [ Result ] };
+  add [ rt_qubit_allocate ] { ret = Ty.Ptr; args = [] };
+  add [ rt_qubit_allocate_array ] { ret = Ty.Ptr; args = [ Int_arg Ty.I64 ] };
+  add [ rt_qubit_release ] { ret = Ty.Void; args = [ Qubit ] };
+  add [ rt_qubit_release_array ] { ret = Ty.Void; args = [ Ptr_arg ] };
+  add [ rt_array_create_1d ] { ret = Ty.Ptr; args = [ Int_arg Ty.I32; Int_arg Ty.I64 ] };
+  add [ rt_array_get_element_ptr_1d ] { ret = Ty.Ptr; args = [ Ptr_arg; Int_arg Ty.I64 ] };
+  add [ rt_array_get_size_1d ] { ret = Ty.I64; args = [ Ptr_arg ] };
+  add
+    [ rt_array_update_reference_count; rt_result_update_reference_count ]
+    { ret = Ty.Void; args = [ Ptr_arg; Int_arg Ty.I32 ] };
+  add [ rt_result_get_one; rt_result_get_zero ] { ret = Ty.Ptr; args = [] };
+  add [ rt_result_equal ] { ret = Ty.I1; args = [ Result; Result ] };
+  add [ rt_result_record_output ] { ret = Ty.Void; args = [ Result; Ptr_arg ] };
+  add [ rt_array_record_output ] { ret = Ty.Void; args = [ Int_arg Ty.I64; Ptr_arg ] };
+  add [ rt_initialize; rt_message; rt_fail ] { ret = Ty.Void; args = [ Ptr_arg ] };
+  tbl
+
+let find name : signature option = Hashtbl.find_opt table name
 
 let declaration name =
   match find name with

@@ -17,10 +17,21 @@
    dense 4x4 beats two sweeps), but a dense matrix is never grown past
    what the replaced gates cost.
 
+   A pending cluster is a flat matrix (two unboxed float arrays) with
+   its cost computed once, when it forms. A gate joins it by a direct
+   product on its bit positions: the gate's left product with the first
+   cluster it touches, then right products with any further ones —
+   never a gate embedded into a full-width matrix for a general
+   product. Each entry still receives its nonzero terms in ascending k,
+   summed from 0.0, so plans are float-for-float those of a dense
+   product of the embedded matrices. Parameter-free gate matrices are
+   built once per operand order.
+
    Every flushed cluster, a lone source gate included, leaves the
-   planner as a prepared {!Statevector.kernel} — classified once here,
-   so a cached plan never classifies again: 1-qubit matrices as Mat1,
-   2-qubit as Mat2, anything wider as Cluster.
+   planner as a prepared {!Statevector.kernel} — boxed into the layout
+   [Statevector.kernel] classifies once per emitted step, so a cached
+   plan never classifies again: 1-qubit matrices as Mat1, 2-qubit as
+   Mat2, anything wider as Cluster.
 
    Measurements, resets, barriers and classically-conditioned
    operations are fusion barriers for the qubits they touch (a
@@ -49,124 +60,151 @@ type stats = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Small complex matrix algebra                                         *)
+(* Flat complex matrices                                                *)
 
-(* Product [a x b], skipping exact zeros of both factors: gate and
-   fused-cluster matrices are mostly zeros, so this runs near
-   O(nnz(a) * row-density(b)) instead of O(n^3) — the difference
-   between a negligible and a dominant planning cost at 32x32+. *)
-let mat_mul a b =
-  let n = Array.length a in
-  (* Accumulate each row in unboxed float arrays and box once per
-     entry: [Complex.add]/[Complex.mul] in the inner loop allocate two
-     boxed values per nonzero product, and at 64x64 the planner runs
-     enough products that the allocation churn dominates planning
-     time. The additions happen in the same k-ascending order as the
-     boxed walk, so the resulting matrices are bit-identical. *)
-  let rr = Array.make n 0.0 and ri = Array.make n 0.0 in
-  Array.init n (fun i ->
-      Array.fill rr 0 n 0.0;
-      Array.fill ri 0 n 0.0;
-      for k = 0 to n - 1 do
-        let aik = a.(i).(k) in
-        let ar = aik.Complex.re and ai = aik.Complex.im in
-        if ar <> 0.0 || ai <> 0.0 then
-          for j = 0 to n - 1 do
-            let bkj = Array.unsafe_get (Array.unsafe_get b k) j in
-            let br = bkj.Complex.re and bi = bkj.Complex.im in
-            if br <> 0.0 || bi <> 0.0 then begin
-              Array.unsafe_set rr j
-                (Array.unsafe_get rr j +. ((ar *. br) -. (ai *. bi)));
-              Array.unsafe_set ri j
-                (Array.unsafe_get ri j +. ((ar *. bi) +. (ai *. br)))
-            end
-          done
-      done;
-      Array.init n (fun j -> { Complex.re = rr.(j); im = ri.(j) }))
+(* A [d x d] complex matrix as two unboxed row-major float arrays:
+   entry (r, c) is [re.(r * d + c)] + i [im.(r * d + c)]. *)
+type mat = { d : int; re : float array; im : float array }
 
-let is_identity (u : Complex.t array array) =
-  let n = Array.length u in
+(* The boxed layout {!Statevector.kernel} classifies. *)
+let to_boxed m =
+  Array.init m.d (fun r ->
+      Array.init m.d (fun c ->
+          let re = m.re.((r * m.d) + c) and im = m.im.((r * m.d) + c) in
+          (* share the constant for exact +0 entries, the bulk of a
+             sparse matrix *)
+          if Int64.bits_of_float re = 0L && Int64.bits_of_float im = 0L then Complex.zero
+          else { Complex.re; im }))
+
+(* Where a sub-register sits in a register (qubit arrays, both
+   ascending, [sub] a subset of [sup]): [offs.(t)] scatters the bits of
+   a sub-register index [t] to the sub-register's positions in [sup],
+   [proj.(x)] gathers them back out of a register index [x], and [out]
+   masks the other positions. The positions ascend, so [offs] ascends:
+   walking [t] upward walks the register indices [base lor offs.(t)]
+   upward. *)
+type place = { offs : int array; proj : int array; out : int }
+
+(* The place of the positions [pmask] in an [n]-qubit register. *)
+let place_of_mask n pmask =
+  let dsup = 1 lsl n in
+  (* the subsets of [pmask] in ascending order *)
+  let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1)) in
+  let offs = Array.make (1 lsl popcount pmask) 0 in
+  for t = 1 to Array.length offs - 1 do
+    offs.(t) <- ((offs.(t - 1) lor lnot pmask) + 1) land pmask
+  done;
+  let proj = Array.make dsup 0 in
+  Array.iteri (fun t x -> proj.(x) <- t) offs;
+  for x = 0 to dsup - 1 do
+    proj.(x) <- proj.(x land pmask)
+  done;
+  { offs; proj; out = (dsup - 1) land lnot pmask }
+
+(* Every place in registers of up to 6 qubits (the widest cluster),
+   built once: read only afterwards, so planners on several domains
+   share it. *)
+let places = Array.init 7 (fun n -> Array.init (1 lsl n) (place_of_mask n))
+
+let place (sub : int array) (sup : int array) =
+  (* the sub-register's positions in [sup], as a mask *)
+  let pmask = ref 0 and j = ref 0 in
+  for p = 0 to Array.length sup - 1 do
+    if !j < Array.length sub && sub.(!j) = sup.(p) then begin
+      pmask := !pmask lor (1 lsl p);
+      incr j
+    end
+  done;
+  places.(Array.length sup).(!pmask)
+
+(* The products below write into a caller's buffer [dst] (capacity at
+   least d * d) and give every entry exactly what a general product
+   [a x b] of the embedded matrices gives: the sum, from [0.0], of the
+   products a(i,k) b(k,j) over ascending k, skipping each term with an
+   exact-zero factor. An embedded factor is zero off its sub-register's
+   structure, so only the k and j the place tables enumerate can
+   contribute, and each entry still receives its terms in ascending k.
+   Plans built from these matrices are therefore float-for-float those
+   of a dense product walk. *)
+
+(* Unchecked indexing: every index below is in range by construction
+   (sub-register indices under [d], register indices under [d * d]).
+   Concrete-typed and fully applied, so the float accesses compile to
+   unboxed loads and stores. *)
+let[@inline] ( .!() ) (a : float array) i = Array.unsafe_get a i
+let[@inline] ( .!()<- ) (a : float array) i (v : float) = Array.unsafe_set a i v
+let[@inline] ( .%() ) (a : int array) i = Array.unsafe_get a i
+
+let clear dst d =
+  Array.fill dst.re 0 (d * d) 0.0;
+  Array.fill dst.im 0 (d * d) 0.0;
+  { dst with d }
+
+(* Both products add (ar + i ai) times row [k] of embed(p at [pp]) into
+   row [i] of [dst], for each nonzero (ar, ai) of the left factor. The
+   inner loop is written out in each: as a function taking [ar] and
+   [ai] it would box both floats per call. *)
+
+(* [g] at [pg] applied after [p] at [pp], both sub-registers of a
+   [d]-dimensional register: the left product embed(g) x embed(p). *)
+let left_apply dst d g pg p pp =
+  let dst = clear dst d in
+  for i = 0 to d - 1 do
+    let grow = pg.proj.%(i) * g.d and io = i land pg.out in
+    for t = 0 to g.d - 1 do
+      let ar = g.re.!(grow + t) and ai = g.im.!(grow + t) in
+      if ar <> 0.0 || ai <> 0.0 then begin
+        let k = io lor pg.offs.%(t) in
+        let prow = pp.proj.%(k) * p.d and ko = k land pp.out in
+        for s = 0 to p.d - 1 do
+          let br = p.re.!(prow + s) and bi = p.im.!(prow + s) in
+          if br <> 0.0 || bi <> 0.0 then begin
+            let o = (i * d) + (ko lor pp.offs.%(s)) in
+            dst.re.!(o) <- dst.re.!(o) +. ((ar *. br) -. (ai *. bi));
+            dst.im.!(o) <- dst.im.!(o) +. ((ar *. bi) +. (ai *. br))
+          end
+        done
+      end
+    done
+  done;
+  dst
+
+(* [m] applied after [p] at [pp]: the right product m x embed(p). *)
+let right_apply dst m p pp =
+  let d = m.d in
+  let dst = clear dst d in
+  for i = 0 to d - 1 do
+    for k = 0 to d - 1 do
+      let ar = m.re.!((i * d) + k) and ai = m.im.!((i * d) + k) in
+      if ar <> 0.0 || ai <> 0.0 then begin
+        let prow = pp.proj.%(k) * p.d and ko = k land pp.out in
+        for s = 0 to p.d - 1 do
+          let br = p.re.!(prow + s) and bi = p.im.!(prow + s) in
+          if br <> 0.0 || bi <> 0.0 then begin
+            let o = (i * d) + (ko lor pp.offs.%(s)) in
+            dst.re.!(o) <- dst.re.!(o) +. ((ar *. br) -. (ai *. bi));
+            dst.im.!(o) <- dst.im.!(o) +. ((ar *. bi) +. (ai *. br))
+          end
+        done
+      end
+    done
+  done;
+  dst
+
+let is_identity m =
   (* max-deviation < t iff no entry deviates by >= t, so bail on the
      first offender: almost every matrix the planner probes is not an
      identity, and the planner probes one per flush. *)
   try
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        let expect = if i = j then Complex.one else Complex.zero in
-        if Complex.norm (Complex.sub u.(i).(j) expect) >= 1e-14 then
-          raise Exit
+    for r = 0 to m.d - 1 do
+      for c = 0 to m.d - 1 do
+        let z = { Complex.re = m.re.((r * m.d) + c); im = m.im.((r * m.d) + c) } in
+        let expect = if r = c then Complex.one else Complex.zero in
+        if Complex.norm (Complex.sub z expect) >= 1e-14 then raise Exit
       done
     done;
     true
   with Exit -> false
-
-(* Structure tests (exact zeros: gate matrices carry them, and products
-   of structured matrices preserve them). The engine has cheap kernels
-   for diagonal and permutation-shaped matrices, so the cost model must
-   know a cluster's structure, not just its width. *)
-let zero (z : Complex.t) = z.Complex.re = 0.0 && z.Complex.im = 0.0
-
-let is_diag (u : Complex.t array array) =
-  let n = Array.length u in
-  try
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        if i <> j && not (zero u.(i).(j)) then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
-
-(* One nonzero per row and per column: a permutation with phases.
-   These matrices (any product of X, CX, SWAP, CCX and phase gates)
-   take the engine's constant-work-per-amplitude cluster path. *)
-let is_monomial (u : Complex.t array array) =
-  let n = Array.length u in
-  (* Bail as soon as a row or column count leaves 1: the expensive
-     rejections (2-sparse cluster candidates) fail on the first row. *)
-  try
-    for i = 0 to n - 1 do
-      let row = ref 0 and col = ref 0 in
-      for j = 0 to n - 1 do
-        if not (zero u.(i).(j)) then incr row;
-        if not (zero u.(j).(i)) then incr col
-      done;
-      if !row <> 1 || !col <> 1 then raise Exit
-    done;
-    true
-  with Exit -> false
-
-(* Lifts [u] over qubits [qs] (matrix bit j <-> qs.(j)) to the superset
-   [sup] (ascending), acting as identity on the extra qubits.
-   O(4^|sup|) — cluster widths are small. *)
-let embed (u : Complex.t array array) (qs : int array) (sup : int array) =
-  let pos =
-    Array.map
-      (fun q ->
-        let p = ref (-1) in
-        Array.iteri (fun i s -> if s = q then p := i) sup;
-        assert (!p >= 0);
-        !p)
-      qs
-  in
-  let big = 1 lsl Array.length sup in
-  let inmask = Array.fold_left (fun acc p -> acc lor (1 lsl p)) 0 pos in
-  let outmask = (big - 1) land lnot inmask in
-  let proj x =
-    let s = ref 0 in
-    Array.iteri (fun j p -> s := !s lor (((x lsr p) land 1) lsl j)) pos;
-    !s
-  in
-  (* [proj] is pure in [x]: tabulating it once turns the 4^|sup| fill
-     into table lookups instead of recomputing the bit scatter for
-     every (row, column) pair. *)
-  let projtab = Array.init big proj in
-  Array.init big (fun r ->
-      let ur = u.(Array.unsafe_get projtab r) in
-      let rmask = r land outmask in
-      Array.init big (fun c ->
-          if rmask <> c land outmask then Complex.zero
-          else ur.(Array.unsafe_get projtab c)))
 
 (* ------------------------------------------------------------------ *)
 (* Engine-cost model                                                    *)
@@ -201,31 +239,44 @@ let gate_cost (g : Gate.t) =
    fold into wide one-sweep clusters, a single H still fuses into its
    neighborhood, but sparse clusters stop absorbing gates as soon as
    their rows thicken. *)
-let cluster_cost (u : Complex.t array array) =
-  if is_diag u then 0.7
-  else if is_monomial u then 1.2
-  else begin
-    let n = Array.length u in
-    if n <= 4 then 1.4
-    else begin
-      let nnz = ref 0 in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if not (zero u.(i).(j)) then incr nnz
-        done
-      done;
-      0.5 +. (0.55 *. float_of_int !nnz /. float_of_int n)
-    end
-  end
+let cluster_cost m =
+  (* exact zeros are structure: gate matrices carry them, and products
+     of structured matrices preserve them *)
+  let d = m.d in
+  let nnz = ref 0 and diag = ref true and rows1 = ref true in
+  for r = 0 to d - 1 do
+    let row = ref 0 in
+    for c = 0 to d - 1 do
+      if m.re.!((r * d) + c) <> 0.0 || m.im.!((r * d) + c) <> 0.0 then begin
+        incr row;
+        if r <> c then diag := false
+      end
+    done;
+    if !row <> 1 then rows1 := false;
+    nnz := !nnz + !row
+  done;
+  let monomial () =
+    (* one nonzero per row; per column too? *)
+    let col = Array.make d 0 in
+    for i = 0 to (d * d) - 1 do
+      if m.re.!(i) <> 0.0 || m.im.!(i) <> 0.0 then col.(i mod d) <- col.(i mod d) + 1
+    done;
+    Array.for_all (( = ) 1) col
+  in
+  if !diag then 0.7
+  else if !rows1 && monomial () then 1.2
+  else if d <= 4 then 1.4
+  else 0.5 +. (0.55 *. float_of_int !nnz /. float_of_int d)
 
 (* ------------------------------------------------------------------ *)
 (* The clustering walk                                                  *)
 
 type pend = {
-  mutable m : Complex.t array array;
-  mutable qs : int array; (* ascending; matrix bit j <-> qs.(j) *)
-  mutable gates : int; (* source gates folded in *)
-  mutable src : Gate.t option; (* the sole source gate while gates = 1 *)
+  m : mat;
+  qs : int array; (* ascending; matrix bit j <-> qs.(j) *)
+  gates : int; (* source gates folded in *)
+  src : Gate.t option; (* the sole source gate while gates = 1 *)
+  cost : float; (* gate_cost of [src], else cluster_cost of [m] *)
 }
 
 let default_k =
@@ -237,17 +288,97 @@ let default_k =
       | None -> 4)
     | None -> 4)
 
-let sorted_ops qs =
-  let a = Array.of_list qs in
-  Array.sort compare a;
-  a
+(* A gate's matrix over its operands in ascending order: matrix bit j
+   of [Gate.matrix] belongs to the operand whose rank among the sorted
+   operands is [ranks.(j)] ([Gate.matrix]'s operand 0 is its most
+   significant bit, so the operands list its bits last to first). *)
+let local_of g ranks =
+  let u = Gate.matrix g in
+  let d = Array.length u in
+  let proj =
+    Array.init d (fun x ->
+        let t = ref 0 in
+        Array.iteri (fun j r -> t := !t lor (((x lsr r) land 1) lsl j)) ranks;
+        !t)
+  in
+  let re = Array.make (d * d) 0.0 and im = Array.make (d * d) 0.0 in
+  for r = 0 to d - 1 do
+    let row = u.(proj.(r)) in
+    for c = 0 to d - 1 do
+      let z = row.(proj.(c)) in
+      re.((r * d) + c) <- z.Complex.re;
+      im.((r * d) + c) <- z.Complex.im
+    done
+  done;
+  { d; re; im }
 
-let distinct_sorted a =
+(* The operand ranks of [qs], last operand first. *)
+let ranks_of qs =
+  let rank q = List.fold_left (fun n q' -> if q' < q then n + 1 else n) 0 qs in
+  Array.of_list (List.rev_map rank qs)
+
+(* The parameter-free gates, each built once in every operand order:
+   read only after initialization, so planners on several domains
+   share the table. *)
+let fixed_local =
+  let rec perms = function
+    | [] -> [ [] ]
+    | l ->
+      List.concat_map
+        (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) l)))
+        l
+  in
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun ranks ->
+          let ranks = Array.of_list ranks in
+          Hashtbl.replace tbl (g, ranks) (local_of g ranks))
+        (perms (List.init (Gate.num_qubits g) Fun.id)))
+    Gate.[ H; X; Y; Z; S; Sdg; T; Tdg; Sx; Sxdg; Cx; Cy; Cz; Ch; Swap; Ccx; Cswap ];
+  tbl
+
+let local_matrix g qs =
+  let ranks = ranks_of qs in
+  match Hashtbl.find_opt fixed_local (g, ranks) with
+  | Some m -> m
+  | None -> local_of g ranks
+
+(* Sorted, duplicate-free operands, or [None]. *)
+let sorted_operands qs =
+  let a = Array.of_list qs in
+  Array.sort Int.compare a;
   let ok = ref true in
   for i = 0 to Array.length a - 2 do
     if a.(i) = a.(i + 1) then ok := false
   done;
-  !ok
+  if !ok then Some a else None
+
+(* The ascending union of two ascending qubit arrays. *)
+let merge a b =
+  let out = Array.make (Array.length a + Array.length b) 0 in
+  let i = ref 0 and j = ref 0 and n = ref 0 in
+  while !i < Array.length a || !j < Array.length b do
+    let q =
+      if !j >= Array.length b || (!i < Array.length a && a.(!i) < b.(!j)) then begin
+        incr i;
+        a.(!i - 1)
+      end
+      else if !i < Array.length a && a.(!i) = b.(!j) then begin
+        incr i;
+        incr j;
+        a.(!i - 1)
+      end
+      else begin
+        incr j;
+        b.(!j - 1)
+      end
+    in
+    out.(!n) <- q;
+    incr n
+  done;
+  Array.sub out 0 !n
 
 let plan ?k (c : Circuit.t) : step list * stats =
   let k =
@@ -264,10 +395,14 @@ let plan ?k (c : Circuit.t) : step list * stats =
   and clustered_gates = ref 0
   and identities = ref 0 in
   let emit s = rev_steps := s :: !rev_steps in
+  (* two product buffers, big enough for any cluster of this plan *)
+  let cap = 1 lsl (2 * min k nq) in
+  let buffer () = { d = 0; re = Array.make cap 0.0; im = Array.make cap 0.0 } in
+  let ws_a = buffer () and ws_b = buffer () in
   let lower p =
     if is_identity p.m then incr identities
     else begin
-      let k = Statevector.kernel p.m p.qs in
+      let k = Statevector.kernel (to_boxed p.m) p.qs in
       match Array.length p.qs with
       | 1 -> emit (Mat1 k)
       | 2 -> emit (Mat2 k)
@@ -291,7 +426,7 @@ let plan ?k (c : Circuit.t) : step list * stats =
   in
   let start op g gqs gm =
     if Array.length gqs <= k then
-      let p = { m = gm; qs = gqs; gates = 1; src = Some g } in
+      let p = { m = gm; qs = gqs; gates = 1; src = Some g; cost = gate_cost g } in
       Array.iter (fun q -> pending.(q) <- Some p) gqs
     else emit (Op op)
   in
@@ -307,58 +442,42 @@ let plan ?k (c : Circuit.t) : step list * stats =
           | _ -> acc)
         [] gqs
     in
-    if parts = [] then start op g gqs gm
-    else begin
-      let union =
-        let tbl = Hashtbl.create 8 in
-        Array.iter (fun q -> Hashtbl.replace tbl q ()) gqs;
-        List.iter
-          (fun p -> Array.iter (fun q -> Hashtbl.replace tbl q ()) p.qs)
-          parts;
-        let a = Array.of_seq (Hashtbl.to_seq_keys tbl) in
-        Array.sort compare a;
-        a
-      in
+    match parts with
+    | [] -> start op g gqs gm
+    | first :: rest ->
+      let union = List.fold_left (fun u p -> merge u p.qs) gqs parts in
       let merged =
         if Array.length union > k then None
         else begin
           (* the gate applies after the pending clusters; clusters on
              disjoint qubits commute, so their product order is free *)
-          let mm = ref (embed gm gqs union) in
-          List.iter
-            (fun p ->
-              (* p.qs is a subset of union, so equal lengths mean the
-                 cluster already lives on the union support. *)
-              let pm =
-                if Array.length p.qs = Array.length union then p.m
-                else embed p.m p.qs union
-              in
-              mm := mat_mul !mm pm)
-            parts;
-          let merged_cost = cluster_cost !mm in
-          let parts_cost =
+          let d = 1 lsl Array.length union in
+          let mm =
             List.fold_left
-              (fun acc p ->
-                acc
-                +.
-                match p.src with
-                | Some pg -> gate_cost pg
-                | None -> cluster_cost p.m)
-              0.0 parts
+              (fun mm p ->
+                let dst = if mm.re == ws_a.re then ws_b else ws_a in
+                right_apply dst mm p.m (place p.qs union))
+              (left_apply ws_a d gm (place gqs union) first.m (place first.qs union))
+              rest
           in
-          if merged_cost <= parts_cost +. gate_cost g +. 1e-9 then Some !mm
+          let merged_cost = cluster_cost mm in
+          let parts_cost = List.fold_left (fun acc p -> acc +. p.cost) 0.0 parts in
+          if merged_cost <= parts_cost +. gate_cost g +. 1e-9 then
+            Some
+              ( { d; re = Array.sub mm.re 0 (d * d); im = Array.sub mm.im 0 (d * d) },
+                merged_cost )
           else None
         end
       in
       match merged with
-      | Some mm ->
+      | Some (mm, cost) ->
         (match Gate.num_qubits g, Array.length union with
         | 1, 1 -> incr fused_1q
         | 1, _ -> incr absorbed_1q
         | 2, _ -> incr fused_2q
         | _ -> incr fused_3q);
         let gates = List.fold_left (fun acc p -> acc + p.gates) 1 parts in
-        let np = { m = mm; qs = union; gates; src = None } in
+        let np = { m = mm; qs = union; gates; src = None; cost } in
         List.iter
           (fun p -> Array.iter (fun q -> pending.(q) <- None) p.qs)
           parts;
@@ -366,22 +485,18 @@ let plan ?k (c : Circuit.t) : step list * stats =
       | None ->
         List.iter flush_p parts;
         start op g gqs gm
-    end
   in
   List.iter
     (fun (op : Circuit.op) ->
       match op.Circuit.kind, op.Circuit.cond with
       | Circuit.Gate (g, qs), None
-        when Gate.num_qubits g = List.length qs
-             && Gate.num_qubits g <= 3
-             && distinct_sorted (sorted_ops qs) ->
-        if not (Gate.is_identity g) then begin
-          let gqs = sorted_ops qs in
-          (* the matrix's operand 0 is its most significant bit, so
-             the operands list its bits last to first *)
-          let gm = embed (Gate.matrix g) (Array.of_list (List.rev qs)) gqs in
-          handle op g gqs gm
-        end
+        when Gate.num_qubits g = List.length qs && Gate.num_qubits g <= 3 -> (
+        match sorted_operands qs with
+        | Some gqs ->
+          if not (Gate.is_identity g) then handle op g gqs (local_matrix g qs)
+        | None ->
+          List.iter flush (Circuit.op_qubits op);
+          emit (Op op))
       | Circuit.Barrier [], _ ->
         flush_all ();
         emit (Op op)

@@ -4,6 +4,11 @@
    Transient faults must all be absorbed by the retry policy; any
    non-transient failure (or an exhausted retry budget) fails the run.
 
+   Then 2000 seeded text mutations of those programs' QIR — a flipped
+   byte, a truncation, an inserted "-", "e", "0x" or 20-digit run, a
+   duplicated line — go through [Parser.parse_module_result], which
+   must answer [Ok] or [Error] for each: any exception fails the run.
+
    Used by CI as a cheap end-to-end robustness gate:
      dune exec test/smoke/fault_smoke.exe *)
 
@@ -11,6 +16,7 @@ open Qcircuit
 
 let circuits = 200
 let shots = 3
+let mutations = 2000
 
 (* Terminal measurements on every qubit so execution produces output. *)
 let with_measurements (c : Circuit.t) =
@@ -29,6 +35,45 @@ let with_measurements (c : Circuit.t) =
   done;
   Circuit.Build.finish b
 
+(* One seeded mutation of [text]. *)
+let mutate rng text =
+  let n = String.length text in
+  let at = Rng.int rng (n + 1) in
+  let insert s = String.sub text 0 at ^ s ^ String.sub text at (n - at) in
+  match Rng.int rng 5 with
+  | 0 ->
+    let b = Bytes.of_string text in
+    if n > 0 then Bytes.set b (min at (n - 1)) (Char.chr (Rng.int rng 256));
+    Bytes.to_string b
+  | 1 -> String.sub text 0 at
+  | 2 -> insert [| "-"; " - "; "e"; "0x"; "-x" |].(Rng.int rng 5)
+  | 3 -> insert (String.init 20 (fun _ -> Char.chr (Char.code '1' + Rng.int rng 9)))
+  | _ ->
+    let lines = String.split_on_char '\n' text in
+    let k = Rng.int rng (List.length lines) in
+    String.concat "\n"
+      (List.concat (List.mapi (fun i l -> if i = k then [ l; l ] else [ l ]) lines))
+
+(* Every mutation must parse or fail with a parse error; returns how
+   many raised anything else. *)
+let mutate_texts texts =
+  let texts = Array.of_list texts in
+  let rng = Rng.create 2024 in
+  let ok = ref 0 and rejected = ref 0 and raised = ref 0 in
+  for i = 0 to mutations - 1 do
+    let text = mutate rng texts.(i mod Array.length texts) in
+    match Llvm_ir.Parser.parse_module_result text with
+    | Ok _ -> incr ok
+    | Error _ -> incr rejected
+    | exception e ->
+      incr raised;
+      if !raised <= 5 then
+        Printf.eprintf "mutation %d: %s\n" i (Printexc.to_string e)
+  done;
+  Printf.printf "text fuzz: %d mutations, %d parsed, %d parse errors, %d raised\n"
+    mutations !ok !rejected !raised;
+  !raised
+
 let () =
   let spec =
     match Qsim.Faulty.spec_of_string "0.01" with
@@ -44,6 +89,7 @@ let () =
   in
   let failures = ref 0 in
   let total_retries = ref 0 in
+  let texts = ref [] in
   for i = 0 to circuits - 1 do
     let seed = 1000 + i in
     let n = 2 + (i mod 5) in
@@ -55,6 +101,7 @@ let () =
       in
       (* full pipeline: build -> print -> parse -> optimize -> execute *)
       let text = Qir.Qir_builder.to_string c in
+      texts := text :: !texts;
       let m = Llvm_ir.Parser.parse_module text in
       let m = Passes.Pipeline.optimize m in
       let r =
@@ -83,4 +130,5 @@ let () =
     circuits shots
     (Qsim.Faulty.injected ())
     !total_retries !failures;
-  if !failures > 0 then exit 1
+  let raised = mutate_texts (List.rev !texts) in
+  if !failures > 0 || raised > 0 then exit 1

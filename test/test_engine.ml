@@ -823,6 +823,86 @@ let test_terminal_histograms_pinned () =
         (histogram_digest (Qsim.Sampler.sample ~seed ~shots c)))
     (List.combine (terminal_corpus ()) pinned_terminal_digests)
 
+(* Seeded circuits shaped like the three benchmark corpora: terminal
+   14-17 qubits x 120-200 gates, 5-7 qubits x 56-64 gates around one
+   mid-circuit measurement (odd ones with feedback), and terminal 5-8
+   qubits x 40 gates. *)
+let plan_corpus () =
+  let measured width ops =
+    Circuit.create ~num_qubits:width ~num_clbits:(width + 1)
+      (ops @ List.init width (fun q -> Circuit.measure q q))
+  in
+  List.init 9 (fun i ->
+      let rng = Rng.create (500 + i) in
+      let body width gates = (Generate.random ~seed:(600 + i) ~gates width).Circuit.ops in
+      match i mod 3 with
+      | 0 ->
+        let width = 14 + Rng.int rng 4 in
+        measured width (body width (120 + Rng.int rng 81))
+      | 1 ->
+        let width = 5 + Rng.int rng 3 in
+        let body = body width (56 + Rng.int rng 9) in
+        let m = Rng.int rng width and half = List.length body / 2 in
+        let fb =
+          if i mod 2 = 1 then
+            [ Circuit.gate ~cond:{ Circuit.cbits = [ width ]; value = 1 } Gate.X
+                [ (m + 1) mod width ] ]
+          else []
+        in
+        measured width
+          (List.filteri (fun j _ -> j < half) body
+          @ [ Circuit.measure m width; Circuit.gate Gate.H [ m ] ]
+          @ fb
+          @ List.filteri (fun j _ -> j >= half) body)
+      | _ ->
+        let width = 5 + Rng.int rng 4 in
+        measured width (body width 40))
+
+(* Fusion.stats and the bits of every amplitude and clbit after the
+   k-plan runs from |0...0>: equal digests mean float-for-float equal
+   plans. Recorded before the planner moved to flat matrices. *)
+let plan_digest c k =
+  let steps, s = Qsim.Fusion.plan ~k c in
+  let st = Sv.create ~seed:1 c.Circuit.num_qubits in
+  let clbits = Array.make c.Circuit.num_clbits false in
+  Qsim.Fusion.apply_plan st clbits steps;
+  let b = Buffer.create (16 * Sv.dim st) in
+  List.iter
+    (fun v -> Buffer.add_string b (string_of_int v ^ ","))
+    Qsim.Fusion.
+      [
+        s.ops_in; s.steps_out; s.fused_1q; s.absorbed_1q; s.fused_2q; s.fused_3q;
+        s.clusters_emitted; s.clustered_gates; s.identities_dropped;
+      ];
+  Array.iter (fun v -> Buffer.add_char b (if v then '1' else '0')) clbits;
+  for i = 0 to Sv.dim st - 1 do
+    let z = Sv.amplitude st i in
+    Buffer.add_int64_le b (Int64.bits_of_float z.Complex.re);
+    Buffer.add_int64_le b (Int64.bits_of_float z.Complex.im)
+  done;
+  String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 16
+
+(* one row per circuit, k = 2..6 *)
+let pinned_plan_digests =
+  [
+    [ "8307f0e833cddecd"; "51cbe22d48c7bff1"; "d8b15472de3869fd"; "7068d9fc78d9f912"; "7984482202d7765a" ];
+    [ "6f9feadba622a8ca"; "f93764b4d96bc9b6"; "62384e06f0022edd"; "8f13cd1bb9b4b469"; "8f13cd1bb9b4b469" ];
+    [ "b7be6cdcc4448bdb"; "437e20479d648374"; "437e20479d648374"; "d1eb9288e2448414"; "d1eb9288e2448414" ];
+    [ "f54aceb86aeb77cf"; "9c7e8ae54559f068"; "08345cfd5d09356d"; "0c9917ae0e376f9b"; "b73023da24e38e7f" ];
+    [ "9e8a4cdf7ff9a13d"; "c307d812eaab9a4a"; "b22ccd44b3a242a5"; "eb20ae590f550699"; "eb20ae590f550699" ];
+    [ "b607972c2f3c3175"; "fc69d2b8fae4196b"; "0addca4d3f8bf682"; "f125a01bd2a39ce3"; "f125a01bd2a39ce3" ];
+    [ "a19e14de31623932"; "c6ea7f126fa08feb"; "3d1ad4495d4b06e5"; "32fb0bdf558f7c5a"; "e5da642ff206e5dd" ];
+    [ "293485fb67f5b788"; "0d3166a7d043510d"; "93cce303f0442d44"; "29ae65813c83bd9e"; "c9a8762a927d8206" ];
+    [ "5e09fd84980b3bd5"; "4fd7fc22601f9933"; "d4f05f31d70e0292"; "deb9998ffacd7c8f"; "deb9998ffacd7c8f" ];
+  ]
+
+let test_plan_digests_pinned () =
+  List.iteri
+    (fun i (c, pinned) ->
+      check (Alcotest.list Alcotest.string) (Printf.sprintf "circuit %d" i) pinned
+        (List.map (plan_digest c) [ 2; 3; 4; 5; 6 ]))
+    (List.combine (plan_corpus ()) pinned_plan_digests)
+
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
 (* The walker's own counters: at most min(2^k, shots) leaves and
@@ -953,6 +1033,8 @@ let suite =
       test_branching_exact;
     Alcotest.test_case "terminal histograms pinned (k = 0)" `Quick
       test_terminal_histograms_pinned;
+    Alcotest.test_case "fusion plans pinned (k = 2..6)" `Quick
+      test_plan_digests_pinned;
     Alcotest.test_case "branching live-state bound" `Quick
       test_branching_live_states;
     Alcotest.test_case "branching: hot run equals cold" `Quick

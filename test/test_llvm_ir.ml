@@ -247,6 +247,120 @@ let roundtrip name src () =
   let p2 = Printer.module_to_string m2 in
   check string_t (name ^ ": print . parse . print is stable") p1 p2
 
+(* Every examples/*.ll file and builder output with static and dynamic
+   addressing. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let corpus_sources () =
+  let examples =
+    Sys.readdir "../examples" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ll")
+    |> List.sort String.compare
+    |> List.map (fun f -> (f, read_file (Filename.concat "../examples" f)))
+  in
+  let circuits =
+    Qcircuit.
+      [
+        ("qft4", Generate.qft 4);
+        ("random5", Generate.random ~seed:3 ~gates:30 5);
+        ("feedback4", Generate.feedback_rounds ~rounds:3 4);
+      ]
+  in
+  examples
+  @ List.concat_map
+      (fun (tag, addressing) ->
+        List.map
+          (fun (name, c) -> (name ^ tag, Qir.Qir_builder.to_string ~addressing c))
+          circuits)
+      [ ("/static", `Static); ("/dynamic", `Dynamic) ]
+
+let test_roundtrip_corpus () =
+  List.iter (fun (name, src) -> roundtrip name src ()) (corpus_sources ())
+
+(* Each token with the line:col the lexer stands at after it (floats by
+   their bits): a digest pinned from the option-per-character lexer the
+   index scan replaced. *)
+let token_trace src =
+  let lx = Lexer.create src in
+  let b = Buffer.create 4096 in
+  let rec go () =
+    let tok = Lexer.next lx in
+    Printf.bprintf b "%d:%d %s\n" lx.Lexer.line (Lexer.col lx)
+      (match tok with
+      | Lexer.FLOAT f -> Printf.sprintf "%Lx" (Int64.bits_of_float f)
+      | t -> Lexer.string_of_token t);
+    if tok <> Lexer.EOF then go ()
+  in
+  go ();
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_token_traces =
+  [
+    ("bell_dynamic.ll", "3a5b2b87b82edcfb816153dd13240cb6");
+    ("bell_static.ll", "ac03fb45810d43810a3266e515b55827");
+    ("phi_addr.ll", "a4ce67f0ead6a148182c3fdda66a6ed9");
+    ("recursive_bad.ll", "ca7e0937da8a48b3a9260f5bd7b42e4c");
+    ("teleport_helpers.ll", "65aae75790dc824fbc9262ae51c5f667");
+    ("qft4/static", "0de245ea985a85e9049865e1c15780d5");
+    ("random5/static", "ec4408eeeb7cfbc13febad1456807898");
+    ("feedback4/static", "3a21ccc9de969f2d8539dada9d4b523a");
+    ("qft4/dynamic", "69d036565a725dd7d3532d7a7a301976");
+    ("random5/dynamic", "71757ebef4ab51e42442504d9160381a");
+    ("feedback4/dynamic", "98ba36ec1b898b0213ce941aa4ee09da");
+  ]
+
+let test_token_traces_pinned () =
+  let sources = corpus_sources () in
+  check (Alcotest.list string_t) "corpus" (List.map fst pinned_token_traces)
+    (List.map fst sources);
+  List.iter
+    (fun (name, src) ->
+      check string_t name (List.assoc name pinned_token_traces) (token_trace src))
+    sources
+
+(* Malformed inputs and the error each one reports, line:col included,
+   as the option-per-character lexer reported them — except malformed
+   numeric literals, which it let escape as a bare [Failure]. *)
+let malformed =
+  [
+    ("define void @f() {\n  bogus_opcode\n}", "3:2: unknown instruction 'bogus_opcode'");
+    ("@s = global [3 x i8] c\"ab", "1:26: unterminated string literal");
+    ("@s = global [3 x i8] c\"a\\zq\"", "1:28: invalid hex digit 'q' in string escape");
+    ("@s = constant [2 x i8] c\"\n\\", "2:2: unterminated string escape");
+    ("attributes # = { }", "1:13: expected attribute group number");
+    ("define void @f() {\nentry:\n  ret void ^\n}", "3:12: unexpected character '^'");
+    ("declare void @g(i64 . )", "1:21: unexpected '.'");
+    ("define void @f() {\nentry:\n  %", "3:4: expected name after sigil");
+    ("\r\n; comment\r\n\tdefine void @f( {", "3:19: expected type, found '<eof>'");
+    ( "define i64 @f() {\nentry:\n  %x = add i64 1 2\n  ret i64 %x\n}",
+      "4:6: expected ',', found '2'" );
+    ("define void @f() {\nentry:\n  call void @g(ptr null\n}", "4:2: expected type, found '}'");
+    ("@x = global i64 \"str\"", "1:22: expected constant of type i64, found '\"str\"'");
+    ("source_filename = 42", "1:21: expected string after source_filename");
+    ("define void @f() { \195\169 }", "1:20: unexpected character '\\195'");
+    ( "define void @f() {\nentry:\n  %a = fadd double 1.5, 0x3FF\n  ret void",
+      "4:11: unexpected token '<eof>' in function body" );
+    ("define void @f() #1x {\n}", "1:23: expected '{', found 'x'");
+    (* malformed numeric literals: at the literal's first character *)
+    ("define i64 @f() {\nentry:\n  %x = add i64 -, 1\n  ret i64 %x\n}", "3:16: malformed number '-'");
+    ("define i64 @f() {\nentry:\n  %x = add i64 -x, 1\n  ret i64 %x\n}", "3:16: malformed number '-'");
+    ("@g = global double 0x", "1:20: malformed number '0x'");
+    ("@g = global double -0x1234567890abcdef0", "1:20: malformed number '-0x1234567890abcdef0'");
+    ("@g = global double 1.5e\n", "1:20: malformed number '1.5e'");
+    ("@g = global i64 99999999999999999999", "1:17: malformed number '99999999999999999999'");
+    ( "define void @f() #99999999999999999999 {\nentry:\n  ret void\n}",
+      "1:18: malformed attribute group number '#99999999999999999999'" );
+  ]
+
+let test_malformed_positions () =
+  List.iter
+    (fun (src, expected) ->
+      match Parser.parse_module_result src with
+      | Ok _ -> Alcotest.failf "accepted: %S" src
+      | Error msg ->
+        check string_t (String.escaped src) expected msg)
+    malformed
+
 let test_verifier_catches_undefined_value () =
   let src = "define i64 @f() {\nentry:\n  %r = add i64 %nope, 1\n  ret i64 %r\n}" in
   let m = parse src in
@@ -733,6 +847,11 @@ let suite =
     Alcotest.test_case "cfg: diamond" `Quick test_cfg_diamond;
     Alcotest.test_case "dom: diamond" `Quick test_dom_diamond;
     Alcotest.test_case "cfg: unreachable blocks" `Quick test_unreachable_blocks;
+    Alcotest.test_case "roundtrip: examples and builder output" `Quick
+      test_roundtrip_corpus;
+    Alcotest.test_case "lexer: token traces pinned" `Quick test_token_traces_pinned;
+    Alcotest.test_case "parser: malformed-input positions" `Quick
+      test_malformed_positions;
   ]
   @ props
 

@@ -970,6 +970,33 @@ let test_intern_shares_modules_across_jobs () =
     check int_t "parse-kind taxonomy error" Qir_error.exit_parse
       (Qir_error.exit_code e)
 
+(* Malformed numeric literals in submitted text are parse-coded
+   rejections, never an exception out of the service: the next job
+   still completes. *)
+let test_malformed_literal_rejected () =
+  let svc, events = recording () in
+  List.iter
+    (fun lit ->
+      let src =
+        Printf.sprintf "define void @main() {\nentry:\n  %%x = add i64 %s, 1\n  ret void\n}\n"
+          lit
+      in
+      match Service.intern svc ~source:src with
+      | Ok _ -> Alcotest.failf "%s: interned" lit
+      | Error e ->
+        check int_t (lit ^ ": parse exit code") Qir_error.exit_parse (Qir_error.exit_code e)
+      | exception e -> Alcotest.failf "%s: intern raised %s" lit (Printexc.to_string e))
+    [ "-"; "-x"; "1.5e"; "0x"; "0x11112222333344445"; "99999999999999999999" ];
+  (match Service.intern svc ~source:"attributes #99999999999999999999 = { }" with
+  | Error e -> check int_t "attribute group: parse exit code" Qir_error.exit_parse (Qir_error.exit_code e)
+  | Ok _ -> Alcotest.fail "attribute group: interned");
+  match Service.intern svc ~source:(Llvm_ir.Printer.module_to_string (bell ())) with
+  | Error e -> Alcotest.fail (Qir_error.to_string e)
+  | Ok m ->
+    Service.submit svc ~tenant:"a" ~shots:8 m;
+    Service.drain svc;
+    check int_t "the next job completed" 1 (List.length (results (events ())))
+
 (* N concurrent drain loops vs 1: the loops claim jobs from the shared
    stride scheduler in a nondeterministic order, but seeding is
    per-job, so every job's histogram must be bit-identical either
@@ -1074,6 +1101,8 @@ let suite =
       `Quick test_progress_cadence;
     Alcotest.test_case "service: sheds cache-coldest first" `Quick
       test_service_sheds_cache_coldest_first;
+    Alcotest.test_case "service: malformed literal is a parse rejection" `Quick
+      test_malformed_literal_rejected;
     Alcotest.test_case "service: interning shares session caches" `Quick
       test_intern_shares_modules_across_jobs;
     Alcotest.test_case "service: multi-executor drain parity" `Quick
