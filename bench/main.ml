@@ -82,36 +82,25 @@ let reconstruct_by_interpretation (m : Ir_module.t) =
     | Interp.VPtr a | Interp.VInt (_, a) -> Int64.to_int a
     | Interp.VFloat _ | Interp.VVoid -> failwith "bad qubit"
   in
-  let gate g args =
-    (match args with
-    | [ q ] -> Circuit.Build.gate build g [ qubit_of q ]
-    | [ a; b ] -> Circuit.Build.gate build g [ qubit_of a; qubit_of b ]
-    | _ -> failwith "bad gate arity");
-    Interp.VVoid
-  in
-  let rot mk args =
-    match args with
-    | [ Interp.VFloat t; q ] ->
-      Circuit.Build.gate build (mk t) [ qubit_of q ];
-      Interp.VVoid
+  let angle = function
+    | Interp.VFloat t -> t
     | _ -> failwith "bad rotation"
   in
+  let gate shape doubles args =
+    let angles, qubits = Names.split_gate_args doubles args in
+    Circuit.Build.gate build
+      (Names.instantiate shape (List.map angle angles))
+      (List.map qubit_of qubits);
+    Interp.VVoid
+  in
   let externals =
-    [
-      (Names.qis "h", gate Gate.H);
-      (Names.qis "x", gate Gate.X);
-      (Names.qis "y", gate Gate.Y);
-      (Names.qis "z", gate Gate.Z);
-      (Names.qis "s", gate Gate.S);
-      (Names.qis_adj "s", gate Gate.Sdg);
-      (Names.qis "t", gate Gate.T);
-      (Names.qis_adj "t", gate Gate.Tdg);
-      (Names.qis "rx", rot (fun t -> Gate.Rx t));
-      (Names.qis "ry", rot (fun t -> Gate.Ry t));
-      (Names.qis "rz", rot (fun t -> Gate.Rz t));
-      (Names.qis "cnot", gate Gate.Cx);
-      (Names.qis "cz", gate Gate.Cz);
-      (Names.qis "swap", gate Gate.Swap);
+    List.filter_map
+      (fun (name, call) ->
+        match call with
+        | Names.Gate { shape; doubles; _ } -> Some (name, gate shape doubles)
+        | _ -> None)
+      Names.symbols
+    @ [
       ( Names.qis_mz,
         fun args ->
           (match args with

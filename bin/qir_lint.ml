@@ -58,25 +58,28 @@ let run input format werror notes ipo call_graph resources qubit_cap deadline
           }
       else None
     in
-    let ds = Qir_analysis.Lint.run ~notes ~ipo ?resources:ropts m in
-    (if resources then
-       let cert = Qir_analysis.Resource.certify m in
-       match format with
-       | `Text ->
-         Format.printf "%a" Qir_analysis.Diagnostic.render_text ds;
-         Format.printf "%a" Qir_analysis.Resource.pp_text cert
-       | `Json ->
-         Format.printf "%a"
-           (Qir_analysis.Resource.render_json ~diagnostics:ds)
-           cert
-     else
-       match format with
-       | `Text -> Format.printf "%a" Qir_analysis.Diagnostic.render_text ds
-       | `Json ->
-         Format.printf "%a"
-           (Qir_analysis.Diagnostic.render_json
-              ~module_name:m.Llvm_ir.Ir_module.source_name)
-           ds);
+    (* certification assumes verifier-clean input: a QV001 module gets
+       its findings and no certificate *)
+    let cert =
+      if resources && Qir_analysis.Lint.verifier_findings m = [] then
+        Some (Qir_analysis.Resource.certify m)
+      else None
+    in
+    let ds = Qir_analysis.Lint.run ~notes ~ipo ?resources:ropts ?cert m in
+    (match cert, format with
+    | Some cert, `Text ->
+      Format.printf "%a" Qir_analysis.Diagnostic.render_text ds;
+      Format.printf "%a" Qir_analysis.Resource.pp_text cert
+    | Some cert, `Json ->
+      Format.printf "%a"
+        (Qir_analysis.Resource.render_json ~diagnostics:ds)
+        cert
+    | None, `Text -> Format.printf "%a" Qir_analysis.Diagnostic.render_text ds
+    | None, `Json ->
+      Format.printf "%a"
+        (Qir_analysis.Diagnostic.render_json
+           ~module_name:m.Llvm_ir.Ir_module.source_name)
+        ds);
     let failing =
       Qir_analysis.Diagnostic.errors ds > 0
       || (werror && Qir_analysis.Diagnostic.warnings ds > 0)

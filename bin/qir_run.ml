@@ -34,6 +34,7 @@ let run input shots seed backend no_batch stats timeout shot_timeout
     local_bits;
   let t0 = Unix.gettimeofday () in
   let m = Cli_common.parse_qir_file input in
+  Llvm_ir.Verifier.verify_exn m;
   let parse_s = Unix.gettimeofday () -. t0 in
   (* Value-semantics quantum optimizer, before admission and execution;
      the opt: line under --stats reports what it proved and rewrote.

@@ -354,19 +354,17 @@ let fold_quantum_args ?module_facts (m : Ir_module.t) init k =
               List.fold_left
                 (fun acc (i : Instr.t) ->
                   match i.Instr.op with
-                  | Instr.Call (_, callee, args) when Names.is_quantum callee
-                    -> (
-                    match Signatures.find callee with
-                    | Some s
-                      when List.length s.Signatures.args = List.length args ->
+                  | Instr.Call (_, callee, args) -> (
+                    match Signatures.arg_kinds callee args with
+                    | Some kinds ->
                       List.fold_left2
                         (fun acc kind (a : Operand.typed) ->
                           match kind with
                           | Signatures.Qubit | Signatures.Result ->
                             k acc facts f b i a
                           | _ -> acc)
-                        acc s.Signatures.args args
-                    | _ -> acc)
+                        acc kinds args
+                    | None -> acc)
                   | _ -> acc)
                 acc b.Block.instrs)
           acc f.Func.blocks
@@ -406,12 +404,9 @@ let rewrite (m : Ir_module.t) : Ir_module.t * int =
                     List.map
                       (fun (i : Instr.t) ->
                         match i.Instr.op with
-                        | Instr.Call (ret, callee, args)
-                          when Names.is_quantum callee -> (
-                          match Signatures.find callee with
-                          | Some s
-                            when List.length s.Signatures.args
-                                 = List.length args ->
+                        | Instr.Call (ret, callee, args) -> (
+                          match Signatures.arg_kinds callee args with
+                          | Some kinds ->
                             let args =
                               List.map2
                                 (fun kind (a : Operand.typed) ->
@@ -423,10 +418,10 @@ let rewrite (m : Ir_module.t) : Ir_module.t * int =
                                       { a with Operand.v = Operand.Const c }
                                     | None -> a)
                                   | _ -> a)
-                                s.Signatures.args args
+                                kinds args
                             in
                             { i with Instr.op = Instr.Call (ret, callee, args) }
-                          | _ -> i)
+                          | None -> i)
                         | _ -> i)
                       b.Block.instrs
                   in

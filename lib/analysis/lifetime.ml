@@ -140,56 +140,30 @@ let measure (fact : Fact.t) (r : Value_track.rref) =
 
 let transfer_call ctx label (fact : Fact.t) id callee
     (args : Operand.typed list) : Fact.t =
-  let open Names in
-  let kinds =
-    match Signatures.find callee with
-    | Some s when List.length s.Signatures.args = List.length args ->
-      List.combine s.Signatures.args args
-    | _ -> []
-  in
-  let qubit_args =
-    List.filter_map
-      (fun (k, (a : Operand.typed)) ->
-        match k with
-        | Signatures.Qubit -> Some (Value_track.qubit_of ctx.vt a.Operand.v)
-        | _ -> None)
-      kinds
-  in
-  let result_args =
-    List.filter_map
-      (fun (k, (a : Operand.typed)) ->
-        match k with
-        | Signatures.Result -> Some (Value_track.result_of ctx.vt a.Operand.v)
-        | _ -> None)
-      kinds
-  in
+  let qubit_args = Summary.qubit_args_of ctx.vt callee args in
+  let result_args = Summary.result_args_of ctx.vt callee args in
+  let call = Names.decode callee in
   (* every qubit consumed by a quantum call is a use — except by the
      release itself, which gets the sharper QL002 below *)
-  if
-    not
-      (String.equal callee rt_qubit_release
-      || String.equal callee rt_qubit_release_array)
-  then List.iter (check_qubit_use ctx label callee fact) qubit_args;
-  if
-    String.equal callee rt_qubit_allocate
-    || String.equal callee rt_qubit_allocate_array
-  then begin
+  (match call with
+  | Names.Qubit_release | Names.Qubit_release_array -> ()
+  | _ -> List.iter (check_qubit_use ctx label callee fact) qubit_args);
+  match call with
+  | Names.Qubit_allocate | Names.Qubit_allocate_array -> (
     match id with
     | Some id -> (
       match Hashtbl.find_opt ctx.vt.Value_track.site_of_def id with
       | Some s -> { fact with Fact.q = TMap.add s Live fact.Fact.q }
       | None -> fact)
-    | None -> fact
-  end
-  else if String.equal callee rt_qubit_release then begin
+    | None -> fact)
+  | Names.Qubit_release -> (
     match qubit_args with
     | [ q ] -> (
       match site_token q with
       | Some s -> release ctx label callee fact s
       | None -> fact)
-    | _ -> fact
-  end
-  else if String.equal callee rt_qubit_release_array then begin
+    | _ -> fact)
+  | Names.Qubit_release_array -> (
     match args with
     | [ a ] -> (
       match Value_track.qarray_of ctx.vt a.Operand.v with
@@ -198,25 +172,16 @@ let transfer_call ctx label (fact : Fact.t) id callee
         match Value_track.param_of ctx.vt a.Operand.v with
         | Some p -> release ctx label callee fact (Summary.param_token p)
         | None -> fact))
-    | _ -> fact
-  end
-  else if String.equal callee qis_mz then begin
-    match result_args with [ r ] -> measure fact r | _ -> fact
-  end
-  else if String.equal callee qis_m then begin
+    | _ -> fact)
+  | Names.Mz -> ( match result_args with [ r ] -> measure fact r | _ -> fact)
+  | Names.M -> (
     match id with
     | Some id -> measure fact (Value_track.RMeas id)
-    | None -> fact
-  end
-  else if
-    String.equal callee rt_read_result
-    || String.equal callee rt_result_equal
-    || String.equal callee rt_result_record_output
-  then begin
+    | None -> fact)
+  | Names.Read_result | Names.Result_equal | Names.Result_record_output ->
     List.iter (check_result_read ctx label callee fact) result_args;
     fact
-  end
-  else fact
+  | _ -> fact
 
 (* A call to a defined function, interpreted through its summary. *)
 let transfer_summarized ctx label (fact : Fact.t) id callee

@@ -39,14 +39,15 @@ let verifier_findings (m : Ir_module.t) : Diagnostic.t list =
         ~where:v.Verifier.where "%s" v.Verifier.what)
     (Verifier.check_module m)
 
-let run ?(notes = true) ?(ipo = true) ?resources (m : Ir_module.t) :
+(* [cert], when given, is [m]'s certificate, computed by the caller. *)
+let run ?(notes = true) ?(ipo = true) ?resources ?cert (m : Ir_module.t) :
     Diagnostic.t list =
-  let resource_findings cert_opt =
+  let resource_findings () =
     match resources with
     | None -> []
     | Some opts ->
       let cert =
-        match cert_opt with Some c -> c | None -> Resource.certify m
+        match cert with Some c -> c | None -> Resource.certify m
       in
       Resource_lint.check ~opts cert
   in
@@ -61,7 +62,7 @@ let run ?(notes = true) ?(ipo = true) ?resources (m : Ir_module.t) :
       @ Quantum_dce.findings ~summaries m
       @ (if notes then Const_addr.notes m else [])
       @ (if notes then Qdf_opt.notes m else [])
-      @ resource_findings None
+      @ resource_findings ()
     end
     else begin
       (* entry point only, every call opaque: the pre-interprocedural
@@ -77,7 +78,7 @@ let run ?(notes = true) ?(ipo = true) ?resources (m : Ir_module.t) :
       @ Quantum_dce.findings ~summaries:no_summaries m
       @ (if notes then Const_addr.notes m else [])
       @ (if notes then Qdf_opt.notes m else [])
-      @ resource_findings None
+      @ resource_findings ()
     end
 
 let has_errors ds = Diagnostic.errors ds > 0

@@ -126,98 +126,74 @@ let resolve_double facts (o : Operand.t) : float option =
 
 (* Calls that observe or retire only classical state (results, arrays'
    bookkeeping, output records): gates flow past them freely. *)
-let classically_transparent callee =
-  let open Names in
-  String.equal callee rt_array_create_1d
-  || String.equal callee rt_array_get_element_ptr_1d
-  || String.equal callee rt_array_get_size_1d
-  || String.equal callee rt_array_update_reference_count
-  || String.equal callee rt_result_update_reference_count
-  || String.equal callee rt_result_get_one
-  || String.equal callee rt_result_get_zero
-  || String.equal callee rt_result_equal
-  || String.equal callee rt_read_result
-  || String.equal callee rt_result_record_output
-  || String.equal callee rt_array_record_output
-  || String.equal callee rt_initialize
-  || String.equal callee rt_message
+let classically_transparent (call : Names.call) =
+  match call with
+  | Names.Array_create_1d | Names.Array_get_element_ptr_1d
+  | Names.Array_get_size_1d | Names.Array_update_reference_count
+  | Names.Result_update_reference_count | Names.Result_get_one
+  | Names.Result_get_zero | Names.Result_equal | Names.Read_result
+  | Names.Result_record_output | Names.Array_record_output | Names.Initialize
+  | Names.Message ->
+    true
+  | Names.Gate _ | Names.Mz | Names.M | Names.Reset | Names.Qubit_allocate
+  | Names.Qubit_allocate_array | Names.Qubit_release
+  | Names.Qubit_release_array | Names.Fail | Names.Unknown ->
+    false
+
+(* A gate call's identity with every angle proved constant ([None] when
+   one is not) and its resolved qubit operands; [None] altogether when
+   the call does not pass the gate's arity. *)
+let gate_operands vt facts ~shape ~doubles ~qubits (args : Operand.typed list) =
+  if List.compare_length_with args (doubles + qubits) <> 0 then None
+  else
+    let angles, qargs = Names.split_gate_args doubles args in
+    let angles =
+      List.map (fun (a : Operand.typed) -> resolve_double facts a.Operand.v) angles
+    in
+    let wires =
+      List.map (fun (a : Operand.typed) -> resolve_qubit vt facts a.Operand.v) qargs
+    in
+    let exact =
+      if List.for_all Option.is_some angles then
+        Some (Names.instantiate shape (List.map Option.get angles))
+      else None
+    in
+    Some (exact, wires)
 
 let classify_call vt facts (args : Operand.typed list) callee : ekind =
-  let open Names in
-  let wire o =
-    match resolve_qubit vt facts o with Some w -> Some w | None -> None
-  in
   let one_wire () =
     match args with
-    | [ a ] -> wire a.Operand.v
+    | [ a ] -> resolve_qubit vt facts a.Operand.v
     | _ -> None
   in
-  if String.equal callee rt_qubit_allocate
-     || String.equal callee rt_qubit_allocate_array
-  then EAlloc
-  else if String.equal callee rt_qubit_release then (
+  match Names.decode callee with
+  | Names.Qubit_allocate | Names.Qubit_allocate_array -> EAlloc
+  | Names.Qubit_release -> (
     match one_wire () with Some w -> ERelease w | None -> EBarrier)
-  else if String.equal callee rt_qubit_release_array then (
+  | Names.Qubit_release_array -> (
     match args with
     | [ a ] -> (
       match Value_track.qarray_of vt a.Operand.v with
       | Some s -> ERelease_array s
       | None -> EBarrier)
     | _ -> EBarrier)
-  else if String.equal callee qis_mz then (
+  | Names.Mz -> (
     match args with
     | [ q; _r ] -> (
-      match wire q.Operand.v with Some w -> EMeasure w | None -> EBarrier)
+      match resolve_qubit vt facts q.Operand.v with
+      | Some w -> EMeasure w
+      | None -> EBarrier)
     | _ -> EBarrier)
-  else if String.equal callee qis_m then (
+  | Names.M -> (
     match one_wire () with Some w -> EMeasure w | None -> EBarrier)
-  else if String.equal callee qis_reset then (
+  | Names.Reset -> (
     match one_wire () with Some w -> EReset w | None -> EBarrier)
-  else if classically_transparent callee then EClassical
-  else if String.equal callee rt_fail then EBarrier
-  else
-    match Signatures.find callee with
-    | Some s
-      when s.Signatures.ret = Ty.Void
-           && List.length s.Signatures.args = List.length args
-           && List.for_all
-                (fun k ->
-                  match k with
-                  | Signatures.Double_arg | Signatures.Qubit -> true
-                  | _ -> false)
-                s.Signatures.args -> (
-      (* a gate call: doubles first, then qubits *)
-      let kinds = List.combine s.Signatures.args args in
-      let wires =
-        List.filter_map
-          (fun (k, (a : Operand.typed)) ->
-            match k with Signatures.Qubit -> Some (wire a.Operand.v) | _ -> None)
-          kinds
-      in
-      let doubles =
-        List.filter_map
-          (fun (k, (a : Operand.typed)) ->
-            match k with
-            | Signatures.Double_arg -> Some (resolve_double facts a.Operand.v)
-            | _ -> None)
-          kinds
-      in
-      if List.exists Option.is_none wires then EBarrier
-      else
-        let wires = List.map Option.get wires in
-        let shape =
-          Names.gate_of_qis callee (List.map (fun _ -> 0.0) doubles)
-        in
-        let exact =
-          if List.for_all Option.is_some doubles then
-            Names.gate_of_qis callee (List.map Option.get doubles)
-          else None
-        in
-        match shape with
-        | Some shape when Gate.num_qubits shape = List.length wires ->
-          EGate { callee; shape; exact; wires }
-        | _ -> EBarrier)
-    | _ -> EBarrier
+  | Names.Gate { shape; doubles; qubits } -> (
+    match gate_operands vt facts ~shape ~doubles ~qubits args with
+    | Some (exact, wires) when List.for_all Option.is_some wires ->
+      EGate { callee; shape; exact; wires = List.map Option.get wires }
+    | _ -> EBarrier)
+  | call -> if classically_transparent call then EClassical else EBarrier
 
 let classify vt facts (i : Instr.t) : ekind =
   match i.Instr.op with

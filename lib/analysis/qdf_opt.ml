@@ -48,16 +48,7 @@ type stats = {
 (* Gate counting (the benchmark metric)                                 *)
 
 let is_gate_call callee =
-  Names.is_qis callee
-  &&
-  match Signatures.find callee with
-  | Some s ->
-    let doubles =
-      List.length
-        (List.filter (fun k -> k = Signatures.Double_arg) s.Signatures.args)
-    in
-    Names.gate_of_qis callee (List.init doubles (fun _ -> 0.0)) <> None
-  | None -> false
+  match Names.decode callee with Names.Gate _ -> true | _ -> false
 
 let gate_count (m : Ir_module.t) =
   List.fold_left
@@ -482,11 +473,12 @@ let promote (m : Ir_module.t) : (Ir_module.t * int) option =
           ||
           match i.Instr.op with
           | Instr.Alloca _ | Instr.Load _ | Instr.Store _ -> true
-          | Instr.Call (_, c, _) ->
-            String.equal c Names.rt_qubit_allocate
-            || String.equal c Names.rt_qubit_allocate_array
-            || String.equal c Names.rt_array_create_1d
-            || String.equal c Names.rt_array_get_element_ptr_1d
+          | Instr.Call (_, c, _) -> (
+            match Names.decode c with
+            | Names.Qubit_allocate | Names.Qubit_allocate_array
+            | Names.Array_create_1d | Names.Array_get_element_ptr_1d ->
+              true
+            | _ -> false)
           | _ -> false)
     in
     if not dynamic then None
@@ -524,25 +516,18 @@ let promote (m : Ir_module.t) : (Ir_module.t * int) option =
         let max_rstatic = ref (-1L) in
         Func.iter_instrs entry (fun (i : Instr.t) ->
             match i.Instr.op with
-            | Instr.Call (_, callee, args) -> (
-              match Signatures.find callee with
-              | Some s when List.length s.Signatures.args = List.length args
-                ->
-                List.iter2
-                  (fun k (a : Operand.typed) ->
-                    match k with
-                    | Signatures.Result -> (
-                      match syn_addr a.Operand.v with
-                      | Some r when r > !max_rstatic -> max_rstatic := r
-                      | Some _ -> ()
-                      | None -> (
-                        match Value_track.result_of vt a.Operand.v with
-                        | Value_track.RStatic r when r > !max_rstatic ->
-                          max_rstatic := r
-                        | _ -> ()))
-                    | _ -> ())
-                  s.Signatures.args args
-              | _ -> ())
+            | Instr.Call (_, callee, args) ->
+              List.iter
+                (fun (a : Operand.typed) ->
+                  match syn_addr a.Operand.v with
+                  | Some r when r > !max_rstatic -> max_rstatic := r
+                  | Some _ -> ()
+                  | None -> (
+                    match Value_track.result_of vt a.Operand.v with
+                    | Value_track.RStatic r when r > !max_rstatic ->
+                      max_rstatic := r
+                    | _ -> ()))
+                (Signatures.args_of_kind Signatures.Result callee args)
             | _ -> ());
         let size = ref 0L in
         let next_result = ref (Int64.add !max_rstatic 1L) in
@@ -613,99 +598,91 @@ let promote (m : Ir_module.t) : (Ir_module.t * int) option =
             | Value_track.RUnknown ->
               raise Refuse)
         in
+        (* every qubit/result operand in its promoted constant spelling *)
+        let promote_operands (i : Instr.t) rty callee args =
+          match Signatures.arg_kinds callee args with
+          | Some kinds ->
+            let promote addr (a : Operand.typed) =
+              let a' = Operand.qubit_ptr (addr a.Operand.v) in
+              if not (Operand.equal_typed a a') then incr rewrites;
+              a'
+            in
+            let args' =
+              List.map2
+                (fun k (a : Operand.typed) ->
+                  match k with
+                  | Signatures.Qubit -> promote qubit_addr a
+                  | Signatures.Result -> promote result_addr a
+                  | Signatures.Double_arg | Signatures.Int_arg _
+                  | Signatures.Ptr_arg ->
+                    a)
+                kinds args
+            in
+            Some (Instr.mk ?id:i.Instr.id (Instr.Call (rty, callee, args')))
+          | None -> raise Refuse
+        in
         let promote_instr (i : Instr.t) : Instr.t option =
           match i.Instr.op with
-          | Instr.Call (_, c, _) when String.equal c Names.rt_qubit_allocate
-            ->
-            let id, s = site_of i in
-            Hashtbl.replace qbase s !size;
-            grow (Int64.add !size 1L);
-            Hashtbl.replace deleted id ();
-            incr rewrites;
-            None
-          | Instr.Call (_, c, args)
-            when String.equal c Names.rt_qubit_allocate_array ->
-            let id, s = site_of i in
-            let count =
+          | Instr.Call (rty, callee, args) -> (
+            match Names.decode callee with
+            | Names.Qubit_allocate ->
+              let id, s = site_of i in
+              Hashtbl.replace qbase s !size;
+              grow (Int64.add !size 1L);
+              Hashtbl.replace deleted id ();
+              incr rewrites;
+              None
+            | Names.Qubit_allocate_array ->
+              let id, s = site_of i in
+              let count =
+                match args with
+                | [ a ] -> (
+                  match resolve_int a.Operand.v with
+                  | Some a when a >= 0L -> a
+                  | _ -> raise Refuse)
+                | _ -> raise Refuse
+              in
+              Hashtbl.replace qbase s !size;
+              Hashtbl.replace qcount s count;
+              grow (Int64.add !size count);
+              Hashtbl.replace deleted id ();
+              incr rewrites;
+              None
+            | Names.Array_create_1d ->
+              let id, s = site_of i in
+              let count =
+                match args with
+                | [ _; a ] -> (
+                  match resolve_int a.Operand.v with
+                  | Some a when a >= 0L -> a
+                  | _ -> raise Refuse)
+                | _ -> raise Refuse
+              in
+              Hashtbl.replace rbase s !next_result;
+              Hashtbl.replace rcount s count;
+              next_result := Int64.add !next_result count;
+              Hashtbl.replace deleted id ();
+              incr rewrites;
+              None
+            | Names.Array_get_element_ptr_1d ->
+              (match i.Instr.id with
+              | Some id -> Hashtbl.replace deleted id ()
+              | None -> ());
+              incr rewrites;
+              None
+            | Names.Qubit_release | Names.Qubit_release_array ->
+              incr rewrites;
+              None
+            | Names.Array_update_reference_count
+            | Names.Result_update_reference_count -> (
+              (* bookkeeping on a tracked array: drop with its array *)
               match args with
-              | [ a ] -> (
-                match resolve_int a.Operand.v with
-                | Some a when a >= 0L -> a
-                | _ -> raise Refuse)
-              | _ -> raise Refuse
-            in
-            Hashtbl.replace qbase s !size;
-            Hashtbl.replace qcount s count;
-            grow (Int64.add !size count);
-            Hashtbl.replace deleted id ();
-            incr rewrites;
-            None
-          | Instr.Call (_, c, args)
-            when String.equal c Names.rt_array_create_1d ->
-            let id, s = site_of i in
-            let count =
-              match args with
-              | [ _; a ] -> (
-                match resolve_int a.Operand.v with
-                | Some a when a >= 0L -> a
-                | _ -> raise Refuse)
-              | _ -> raise Refuse
-            in
-            Hashtbl.replace rbase s !next_result;
-            Hashtbl.replace rcount s count;
-            next_result := Int64.add !next_result count;
-            Hashtbl.replace deleted id ();
-            incr rewrites;
-            None
-          | Instr.Call (_, c, _)
-            when String.equal c Names.rt_array_get_element_ptr_1d ->
-            (match i.Instr.id with
-            | Some id -> Hashtbl.replace deleted id ()
-            | None -> ());
-            incr rewrites;
-            None
-          | Instr.Call (_, c, _)
-            when String.equal c Names.rt_qubit_release
-                 || String.equal c Names.rt_qubit_release_array ->
-            incr rewrites;
-            None
-          | Instr.Call (_, c, args)
-            when String.equal c Names.rt_array_update_reference_count
-                 || String.equal c Names.rt_result_update_reference_count
-            -> (
-            (* bookkeeping on a tracked array: drop with its array *)
-            match args with
-            | a :: _ -> (
-              match a.Operand.v with
-              | Operand.Local id when Hashtbl.mem deleted id ->
+              | { Operand.v = Operand.Local id; _ } :: _
+                when Hashtbl.mem deleted id ->
                 incr rewrites;
                 None
               | _ -> Some i)
-            | [] -> Some i)
-          | Instr.Call (rty, callee, args) when Names.is_quantum callee -> (
-            match Signatures.find callee with
-            | Some s when List.length s.Signatures.args = List.length args
-              ->
-              let args' =
-                List.map2
-                  (fun k (a : Operand.typed) ->
-                    match k with
-                    | Signatures.Qubit ->
-                      let a' = Operand.qubit_ptr (qubit_addr a.Operand.v) in
-                      if not (Operand.equal_typed a a') then incr rewrites;
-                      a'
-                    | Signatures.Result ->
-                      let a' = Operand.qubit_ptr (result_addr a.Operand.v) in
-                      if not (Operand.equal_typed a a') then incr rewrites;
-                      a'
-                    | Signatures.Double_arg | Signatures.Int_arg _
-                    | Signatures.Ptr_arg ->
-                      a)
-                  s.Signatures.args args
-              in
-              Some (Instr.mk ?id:i.Instr.id (Instr.Call (rty, callee, args')))
-            | _ -> raise Refuse)
-          | Instr.Call _ -> raise Refuse
+            | _ -> promote_operands i rty callee args)
           | Instr.Alloca _ -> (
             match i.Instr.id with
             | Some id -> (

@@ -62,28 +62,6 @@ let any_live qs (fact : Fact.t) =
   | Fact.All -> true
   | Fact.Qs s -> List.exists (fun q -> QSet.mem q s) qs
 
-(* Quantum calls that neither touch qubit state nor observe it. *)
-let is_bookkeeping callee =
-  let open Names in
-  String.equal callee rt_array_update_reference_count
-  || String.equal callee rt_result_update_reference_count
-  || String.equal callee rt_result_record_output
-  || String.equal callee rt_array_record_output
-  || String.equal callee rt_result_get_one
-  || String.equal callee rt_result_get_zero
-  || String.equal callee rt_result_equal
-  || String.equal callee rt_read_result
-  || String.equal callee rt_initialize
-  || String.equal callee rt_message
-  || String.equal callee rt_qubit_allocate
-  || String.equal callee rt_qubit_allocate_array
-  || String.equal callee rt_qubit_release
-  || String.equal callee rt_qubit_release_array
-  || String.equal callee rt_array_create_1d
-  || String.equal callee rt_array_get_element_ptr_1d
-  || String.equal callee rt_array_get_size_1d
-  || String.equal callee rt_fail
-
 (* A summarized callee that only applies unitaries to qubits we can
    attribute — removable when all of them are dead at the call. *)
 let removable_unitary (s : Summary.t) =
@@ -125,22 +103,12 @@ let step ~summaries ~used vt (i : Instr.t) (fact : Fact.t) :
   in
   match i.Instr.op with
   | Instr.Call (_, callee, args) when Names.is_quantum callee -> (
-    let open Names in
-    let qubit_args =
-      match Signatures.find callee with
-      | Some s when List.length s.Signatures.args = List.length args ->
-        List.filter_map
-          (fun (kind, (a : Operand.typed)) ->
-            match kind with
-            | Signatures.Qubit -> Some (Value_track.qubit_of vt a.Operand.v)
-            | _ -> None)
-          (List.combine s.Signatures.args args)
-      | _ -> []
-    in
+    let qubit_args = Summary.qubit_args_of vt callee args in
     let unresolved = List.mem Value_track.QUnknown qubit_args in
-    if String.equal callee qis_mz || String.equal callee qis_m then
+    match Names.decode callee with
+    | Names.Mz | Names.M ->
       (`Keep, if unresolved then Fact.All else add_all qubit_args fact)
-    else if String.equal callee (qis "reset") then begin
+    | Names.Reset -> (
       match qubit_args with
       | [ q ] when q <> Value_track.QUnknown ->
         if any_live [ q ] fact then
@@ -149,17 +117,13 @@ let step ~summaries ~used vt (i : Instr.t) (fact : Fact.t) :
             | Fact.All -> Fact.All
             | Fact.Qs s -> Fact.Qs (QSet.remove q s) )
         else (`Dead, fact)
-      | _ -> (`Keep, Fact.All)
-    end
-    else if is_bookkeeping callee then (`Keep, fact)
-    else if Names.is_qis callee && Signatures.find callee <> None then begin
-      (* a pure gate from the QIS vocabulary (mz/m/reset/read_result are
-         handled above, everything else in the table is unitary) *)
+      | _ -> (`Keep, Fact.All))
+    | Names.Gate _ ->
       if unresolved || qubit_args = [] then (`Keep, Fact.All)
       else if any_live qubit_args fact then (`Keep, add_all qubit_args fact)
       else (`Dead, fact)
-    end
-    else (`Keep, Fact.All) (* unknown quantum function *))
+    | Names.Unknown -> (`Keep, Fact.All) (* unknown quantum function *)
+    | _ -> (`Keep, fact) (* bookkeeping: neither touches nor observes qubits *))
   | Instr.Call (_, callee, args) -> (
     match Summary.find summaries callee with
     | None ->

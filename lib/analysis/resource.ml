@@ -424,49 +424,6 @@ let wire_floor fl w (wire : Qdf.wire option) =
     (* an unresolved address may name any static qubit *)
     add w { zero_cost with q_need = { lo = 0; hi = Inf } }
 
-(* A gate call's (shape, exact, wires), mirroring {!Qdf.classify_call}
-   but keeping the gate identity even when wires stay unresolved — the
-   count is knowable even when the wire is not. *)
-let gate_call vt facts callee (args : Operand.typed list) =
-  match Signatures.find callee with
-  | Some s
-    when s.Signatures.ret = Ty.Void
-         && List.length s.Signatures.args = List.length args
-         && List.for_all
-              (fun k ->
-                match k with
-                | Signatures.Double_arg | Signatures.Qubit -> true
-                | _ -> false)
-              s.Signatures.args -> (
-    let kinds = List.combine s.Signatures.args args in
-    let wires =
-      List.filter_map
-        (fun (k, (a : Operand.typed)) ->
-          match k with
-          | Signatures.Qubit -> Some (Qdf.resolve_qubit vt facts a.Operand.v)
-          | _ -> None)
-        kinds
-    in
-    let doubles =
-      List.filter_map
-        (fun (k, (a : Operand.typed)) ->
-          match k with
-          | Signatures.Double_arg -> Some (Qdf.resolve_double facts a.Operand.v)
-          | _ -> None)
-        kinds
-    in
-    let shape = Names.gate_of_qis callee (List.map (fun _ -> 0.0) doubles) in
-    let exact =
-      if List.for_all Option.is_some doubles then
-        Names.gate_of_qis callee (List.map Option.get doubles)
-      else None
-    in
-    match shape with
-    | Some shape when Gate.num_qubits shape = List.length wires ->
-      Some (shape, exact, wires)
-    | _ -> None)
-  | _ -> None
-
 let alloc_array_count facts (args : Operand.typed list) =
   match args with
   | [ a ] -> (
@@ -483,40 +440,35 @@ let alloc_array_count facts (args : Operand.typed list) =
 
 let instr_cost env vt facts fl w (i : Instr.t) =
   match i.Instr.op with
-  | Instr.Call (_, callee, args) when Names.is_quantum callee ->
-    let open Names in
-    if String.equal callee rt_qubit_allocate then
-      add w { zero_cost with q_grow = exactly 1 }
-    else if String.equal callee rt_qubit_allocate_array then (
+  | Instr.Call (_, callee, args) when Names.is_quantum callee -> (
+    let first_wire () =
+      match args with
+      | (a : Operand.typed) :: _ -> Qdf.resolve_qubit vt facts a.Operand.v
+      | [] -> None
+    in
+    match Names.decode callee with
+    | Names.Qubit_allocate -> add w { zero_cost with q_grow = exactly 1 }
+    | Names.Qubit_allocate_array -> (
       match alloc_array_count facts args with
       | Some n -> add w { zero_cost with q_grow = exactly n }
       | None -> add w { zero_cost with q_grow = unbounded })
-    else if
-      String.equal callee rt_qubit_release
-      || String.equal callee rt_qubit_release_array
-    then () (* releases are no-ops: the register never shrinks *)
-    else if String.equal callee qis_mz || String.equal callee qis_m then (
-      let q =
-        match args with
-        | (a : Operand.typed) :: _ -> Qdf.resolve_qubit vt facts a.Operand.v
-        | [] -> None
-      in
+    | Names.Qubit_release | Names.Qubit_release_array ->
+      () (* releases are no-ops: the register never shrinks *)
+    | Names.Mz | Names.M ->
+      let q = first_wire () in
       wire_floor fl w q;
       advance w [ q ];
-      add w { zero_cost with measures = exactly 1 })
-    else if String.equal callee qis_reset then (
-      let q =
-        match args with
-        | (a : Operand.typed) :: _ -> Qdf.resolve_qubit vt facts a.Operand.v
-        | [] -> None
-      in
+      add w { zero_cost with measures = exactly 1 }
+    | Names.Reset ->
+      let q = first_wire () in
       wire_floor fl w q;
-      advance w [ q ])
-    else if Qdf.classically_transparent callee then ()
-    else if String.equal callee rt_fail then ()
-    else (
-      match gate_call vt facts callee args with
-      | Some (_shape, exact, wires) ->
+      advance w [ q ]
+    | Names.Fail -> ()
+    | Names.Gate { shape; doubles; qubits } -> (
+      (* unlike {!Qdf.classify_call}, keep the gate even when its wires
+         stay unresolved: the count is knowable when the wire is not *)
+      match Qdf.gate_operands vt facts ~shape ~doubles ~qubits args with
+      | Some (exact, wires) ->
         List.iter (wire_floor fl w) wires;
         advance w wires;
         let t_iv =
@@ -525,7 +477,10 @@ let instr_cost env vt facts fl w (i : Instr.t) =
           | None -> { lo = 0; hi = Fin 1 } (* unproven angle: maybe T *)
         in
         add w { zero_cost with gates = exactly 1; t_count = t_iv }
-      | None -> fl.unknown <- true (* unknown quantum operation *))
+      | None -> fl.unknown <- true)
+    | call ->
+      if not (Qdf.classically_transparent call) then
+        fl.unknown <- true (* unknown quantum operation *))
   | Instr.Call (_, callee, args) -> (
     (* defined or foreign classical callee: splice its summary *)
     flush w;

@@ -158,47 +158,27 @@ let controller_instr_ok (table : table) (i : Instr.t) =
   | Instr.Cast _ -> false
   | Instr.Phi _ -> true
   | Instr.Call (_, callee, _) -> (
-    String.equal callee Names.rt_read_result
-    || String.equal callee Names.rt_result_equal
-    ||
-    match find table callee with
-    | Some s -> s.controller_ok
-    | None -> false)
+    match Names.decode callee with
+    | Names.Read_result | Names.Result_equal -> true
+    | _ -> (
+      match find table callee with
+      | Some s -> s.controller_ok
+      | None -> false))
   | Instr.Fbinop _ | Instr.Fcmp _ | Instr.Alloca _ | Instr.Load _
   | Instr.Store _ | Instr.Gep _ ->
     false
 
-(* Vocabulary calls with no effect on quantum or classical state. *)
-let effect_free_vocab callee =
-  let open Names in
-  String.equal callee rt_read_result
-  || String.equal callee rt_result_equal
-  || String.equal callee rt_result_get_one
-  || String.equal callee rt_result_get_zero
-  || String.equal callee rt_array_get_size_1d
-  || String.equal callee rt_array_get_element_ptr_1d
-
+(* A quantum call's qubit and result operands, resolved; [] for an
+   unknown callee or an arity mismatch. *)
 let qubit_args_of vt callee (args : Operand.typed list) =
-  match Signatures.find callee with
-  | Some s when List.length s.Signatures.args = List.length args ->
-    List.filter_map
-      (fun (kind, (a : Operand.typed)) ->
-        match kind with
-        | Signatures.Qubit -> Some (Value_track.qubit_of vt a.Operand.v)
-        | _ -> None)
-      (List.combine s.Signatures.args args)
-  | _ -> []
+  List.map
+    (fun (a : Operand.typed) -> Value_track.qubit_of vt a.Operand.v)
+    (Signatures.args_of_kind Signatures.Qubit callee args)
 
 let result_args_of vt callee (args : Operand.typed list) =
-  match Signatures.find callee with
-  | Some s when List.length s.Signatures.args = List.length args ->
-    List.filter_map
-      (fun (kind, (a : Operand.typed)) ->
-        match kind with
-        | Signatures.Result -> Some (Value_track.result_of vt a.Operand.v)
-        | _ -> None)
-      (List.combine s.Signatures.args args)
-  | _ -> []
+  List.map
+    (fun (a : Operand.typed) -> Value_track.result_of vt a.Operand.v)
+    (Signatures.args_of_kind Signatures.Result callee args)
 
 let record_touch fl (q : Value_track.qref) =
   match q with
@@ -228,22 +208,16 @@ let pass_a (table : table) vt (f : Func.t) : flags =
   Func.iter_instrs f (fun (i : Instr.t) ->
       if not (controller_instr_ok table i) then fl.a_controller <- false;
       match i.Instr.op with
-      | Instr.Call (_, callee, args) when Names.is_quantum callee ->
-        let open Names in
+      | Instr.Call (_, callee, args) when Names.is_quantum callee -> (
         let quse = qubit_args_of vt callee args in
-        if String.equal callee qis_mz || String.equal callee qis_m then begin
+        match Names.decode callee with
+        | Names.Mz | Names.M ->
           fl.a_measures <- true;
           List.iter (record_touch fl) quse
-        end
-        else if
-          String.equal callee rt_qubit_allocate
-          || String.equal callee rt_qubit_allocate_array
-          || String.equal callee rt_array_create_1d
-        then fl.a_allocates <- true
-        else if
-          String.equal callee rt_qubit_release
-          || String.equal callee rt_qubit_release_array
-        then begin
+        | Names.Qubit_allocate | Names.Qubit_allocate_array
+        | Names.Array_create_1d ->
+          fl.a_allocates <- true
+        | Names.Qubit_release | Names.Qubit_release_array ->
           let token =
             match args with
             | [ a ] -> (
@@ -254,18 +228,19 @@ let pass_a (table : table) vt (f : Func.t) : flags =
             | _ -> None
           in
           if token = None then fl.a_rel_unknown <- true
-        end
-        else if effect_free_vocab callee then ()
-        else if Names.is_qis callee && Signatures.find callee <> None then begin
-          (* a unitary gate or reset from the vocabulary *)
+        | Names.Read_result | Names.Result_equal | Names.Result_get_one
+        | Names.Result_get_zero | Names.Array_get_size_1d
+        | Names.Array_get_element_ptr_1d ->
+          () (* no effect on quantum or classical state *)
+        | Names.Gate _ | Names.Reset ->
           fl.a_gates <- true;
           List.iter (record_touch fl) quse
-        end
-        else if Signatures.find callee <> None then
-          (* remaining rt bookkeeping: refcounts, output recording,
-             initialize, message, fail *)
+        | Names.Array_update_reference_count
+        | Names.Result_update_reference_count | Names.Result_record_output
+        | Names.Array_record_output | Names.Initialize | Names.Message
+        | Names.Fail ->
           fl.a_sef <- false
-        else fl.a_opaque <- true (* unknown quantum function *)
+        | Names.Unknown -> fl.a_opaque <- true (* unknown quantum function *))
       | Instr.Call (_, callee, args) -> (
         match find table callee with
         | None -> fl.a_opaque <- true (* external classical code *)
@@ -369,29 +344,24 @@ let is_measured (fact : Fact.t) (r : Value_track.rref) =
 let transfer_b (table : table) vt ~on_read (i : Instr.t) (fact : Fact.t) :
     Fact.t =
   match i.Instr.op with
-  | Instr.Call (_, callee, args) when Names.is_quantum callee ->
-    let open Names in
-    if
-      String.equal callee rt_qubit_allocate
-      || String.equal callee rt_qubit_allocate_array
-      || String.equal callee rt_array_create_1d
-    then begin
+  | Instr.Call (_, callee, args) when Names.is_quantum callee -> (
+    match Names.decode callee with
+    | Names.Qubit_allocate | Names.Qubit_allocate_array | Names.Array_create_1d
+      -> (
       match i.Instr.id with
       | Some id -> (
         match Hashtbl.find_opt vt.Value_track.site_of_def id with
         | Some s -> { fact with Fact.q = TMap.add s Live fact.Fact.q }
         | None -> fact)
-      | None -> fact
-    end
-    else if String.equal callee rt_qubit_release then begin
+      | None -> fact)
+    | Names.Qubit_release -> (
       match qubit_args_of vt callee args with
       | [ q ] -> (
         match qref_token q with
         | Some t -> set_released fact t
         | None -> fact)
-      | _ -> fact
-    end
-    else if String.equal callee rt_qubit_release_array then begin
+      | _ -> fact)
+    | Names.Qubit_release_array -> (
       match args with
       | [ a ] -> (
         match Value_track.qarray_of vt a.Operand.v with
@@ -400,29 +370,21 @@ let transfer_b (table : table) vt ~on_read (i : Instr.t) (fact : Fact.t) :
           match Value_track.param_of vt a.Operand.v with
           | Some p -> set_released fact (param_token p)
           | None -> fact))
-      | _ -> fact
-    end
-    else if String.equal callee qis_mz then begin
+      | _ -> fact)
+    | Names.Mz -> (
       match result_args_of vt callee args with
       | [ r ] -> measure fact r
-      | _ -> fact
-    end
-    else if String.equal callee qis_m then begin
+      | _ -> fact)
+    | Names.M -> (
       match i.Instr.id with
       | Some id -> measure fact (Value_track.RMeas id)
-      | None -> fact
-    end
-    else if
-      String.equal callee rt_read_result
-      || String.equal callee rt_result_equal
-      || String.equal callee rt_result_record_output
-    then begin
+      | None -> fact)
+    | Names.Read_result | Names.Result_equal | Names.Result_record_output ->
       List.iter
         (fun r -> if not (is_measured fact r) then on_read r)
         (result_args_of vt callee args);
       fact
-    end
-    else fact
+    | _ -> fact)
   | Instr.Call (_, callee, args) -> (
     match find table callee with
     | None ->

@@ -87,17 +87,13 @@ let collect_sites ?(fresh_fns = fun _ -> false) (f : Func.t) =
             | None -> ()
           in
           match i.Instr.op with
-          | Instr.Call (_, c, _) when String.equal c Names.rt_qubit_allocate ->
-            add Qubit_site
-          | Instr.Call (_, c, _)
-            when String.equal c Names.rt_qubit_allocate_array ->
-            add Qubit_array_site
-          | Instr.Call (_, c, _) when String.equal c Names.rt_array_create_1d
-            ->
-            add Result_array_site
-          | Instr.Call (_, c, _) when (not (Names.is_quantum c)) && fresh_fns c
-            ->
-            add Qubit_site
+          | Instr.Call (_, c, _) -> (
+            match Names.decode c with
+            | Names.Qubit_allocate -> add Qubit_site
+            | Names.Qubit_allocate_array -> add Qubit_array_site
+            | Names.Array_create_1d -> add Result_array_site
+            | _ when (not (Names.is_quantum c)) && fresh_fns c -> add Qubit_site
+            | _ -> ())
           | _ -> ())
         b.Block.instrs)
     f.Func.blocks;
@@ -144,26 +140,17 @@ let round ?(fresh_fns = fun _ -> false) t (f : Func.t) =
       List.iter
         (fun (i : Instr.t) ->
           match i.Instr.op with
-          | Instr.Call (_, c, _) when String.equal c Names.rt_qubit_allocate
-            -> (
-            match i.Instr.id with
-            | Some id ->
-              set i.Instr.id (VQubit (Alloc (Hashtbl.find t.site_of_def id)))
-            | None -> ())
-          | Instr.Call (_, c, _)
-            when String.equal c Names.rt_qubit_allocate_array -> (
-            match i.Instr.id with
-            | Some id -> set i.Instr.id (VQArray (Hashtbl.find t.site_of_def id))
-            | None -> ())
-          | Instr.Call (_, c, _) when String.equal c Names.rt_array_create_1d
-            -> (
-            match i.Instr.id with
-            | Some id -> set i.Instr.id (VRArray (Hashtbl.find t.site_of_def id))
-            | None -> ())
-          | Instr.Call (_, c, args)
-            when String.equal c Names.rt_array_get_element_ptr_1d -> (
-            match args with
-            | [ arr; idx ] -> (
+          | Instr.Call (_, c, args) -> (
+            let def v =
+              match i.Instr.id with
+              | Some id -> set i.Instr.id (v (Hashtbl.find t.site_of_def id))
+              | None -> ()
+            in
+            match Names.decode c, args with
+            | Names.Qubit_allocate, _ -> def (fun s -> VQubit (Alloc s))
+            | Names.Qubit_allocate_array, _ -> def (fun s -> VQArray s)
+            | Names.Array_create_1d, _ -> def (fun s -> VRArray s)
+            | Names.Array_get_element_ptr_1d, [ arr; idx ] -> (
               let idx =
                 match operand_value t idx.Operand.v with
                 | Some (VInt n) -> Some n
@@ -175,20 +162,14 @@ let round ?(fresh_fns = fun _ -> false) t (f : Func.t) =
                 set i.Instr.id (VResult (RElem (s, n)))
               | Some VOther, _ | _, None -> set i.Instr.id VOther
               | _ -> ())
+            | Names.Array_get_element_ptr_1d, _ -> set i.Instr.id VOther
+            | Names.M, _ ->
+              (* the returned result is fresh per call site; key it by the
+                 defining id so reads of it resolve *)
+              Option.iter (fun id -> set i.Instr.id (VResult (RMeas id))) i.Instr.id
+            | _ when (not (Names.is_quantum c)) && fresh_fns c ->
+              def (fun s -> VQubit (Alloc s))
             | _ -> set i.Instr.id VOther)
-          | Instr.Call (_, c, _) when String.equal c Names.qis_m ->
-            (* the returned result is fresh per call site; key it by the
-               defining id so reads of it resolve *)
-            (match i.Instr.id with
-            | Some id -> set i.Instr.id (VResult (RMeas id))
-            | None -> ())
-          | Instr.Call (_, c, _) when (not (Names.is_quantum c)) && fresh_fns c
-            -> (
-            match i.Instr.id with
-            | Some id ->
-              set i.Instr.id (VQubit (Alloc (Hashtbl.find t.site_of_def id)))
-            | None -> ())
-          | Instr.Call _ -> set i.Instr.id VOther
           | Instr.Alloca _ -> (
             match i.Instr.id with
             | Some id -> set i.Instr.id (VSlot id)

@@ -78,8 +78,13 @@ let validate t =
         if List.length qs <> Gate.num_qubits g then
           bad "op %d: %s expects %d qubits, got %d" i (Gate.name g)
             (Gate.num_qubits g) (List.length qs);
-        if List.length (List.sort_uniq compare qs) <> List.length qs then
-          bad "op %d: duplicate qubit operands" i
+        let duplicate =
+          match qs with
+          | [ a; b ] -> a = b
+          | [ a; b; c ] -> a = b || a = c || b = c
+          | _ -> false (* a gate has at most 3 operands *)
+        in
+        if duplicate then bad "op %d: duplicate qubit operands" i
       | Measure _ | Reset _ | Barrier _ -> ());
       List.iter
         (fun q ->

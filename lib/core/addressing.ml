@@ -58,15 +58,13 @@ let scan (m : Ir_module.t) : report =
               List.iter
                 (fun (i : Instr.t) ->
                   match i.Instr.op with
-                  | Instr.Call (_, callee, args) when Names.is_quantum callee
-                    -> (
-                    if
-                      String.equal callee Names.rt_qubit_allocate
-                      || String.equal callee Names.rt_qubit_allocate_array
-                    then syn_dynamic := true;
-                    match Signatures.find callee with
-                    | Some s
-                      when List.length s.Signatures.args = List.length args ->
+                  | Instr.Call (_, callee, args) -> (
+                    (match Names.decode callee with
+                    | Names.Qubit_allocate | Names.Qubit_allocate_array ->
+                      syn_dynamic := true
+                    | _ -> ());
+                    match Signatures.arg_kinds callee args with
+                    | Some kinds ->
                       List.iter2
                         (fun kind (a : Operand.typed) ->
                           match kind with
@@ -84,8 +82,8 @@ let scan (m : Ir_module.t) : report =
                           | Signatures.Double_arg | Signatures.Int_arg _
                           | Signatures.Ptr_arg ->
                             ())
-                        s.Signatures.args args
-                    | _ -> ())
+                        kinds args
+                    | None -> ())
                   | _ -> ())
                 b.Block.instrs)
           f.Func.blocks

@@ -65,14 +65,13 @@ let check_base acc (f : Func.t) =
               violate acc "base:calls" where
                 "call to non-quantum function @%s" callee
             else begin
-              (match Signatures.find callee with
-              | None ->
+              let call = Names.decode callee in
+              if call = Names.Unknown then
                 violate acc "base:vocabulary" where
-                  "unknown quantum function @%s" callee
-              | Some s ->
-                (* qubit and result operands must be static addresses *)
-                let kinds = s.Signatures.args in
-                if List.length kinds = List.length args then
+                  "unknown quantum function @%s" callee;
+              (* qubit and result operands must be static addresses *)
+              Option.iter
+                (fun kinds ->
                   List.iter2
                     (fun kind (a : Operand.typed) ->
                       match kind with
@@ -89,15 +88,16 @@ let check_base acc (f : Func.t) =
                       | Signatures.Double_arg | Signatures.Int_arg _
                       | Signatures.Ptr_arg ->
                         ())
-                    kinds args);
-              if String.equal callee Names.rt_qubit_allocate
-                 || String.equal callee Names.rt_qubit_allocate_array
-              then
+                    kinds args)
+                (Signatures.arg_kinds callee args);
+              match call with
+              | Names.Qubit_allocate | Names.Qubit_allocate_array ->
                 violate acc "base:no-allocation" where
-                  "dynamic qubit allocation (@%s) is not allowed" callee;
-              if String.equal callee Names.rt_read_result then
+                  "dynamic qubit allocation (@%s) is not allowed" callee
+              | Names.Read_result ->
                 violate acc "base:no-feedback" where
                   "reading measurement results (@%s) is not allowed" callee
+              | _ -> ()
             end
           | Instr.Alloca _ | Instr.Load _ | Instr.Store _ | Instr.Gep _ ->
             violate acc "base:no-memory" where
@@ -137,7 +137,7 @@ let check_adaptive_func acc (cg : Qir_analysis.Call_graph.t) (f : Func.t) =
           match i.Instr.op with
           | Instr.Call (_, callee, _) ->
             if Names.is_quantum callee then begin
-              if Signatures.find callee = None then
+              if Names.decode callee = Names.Unknown then
                 violate acc "adaptive:vocabulary" where
                   "unknown quantum function @%s" callee
             end

@@ -81,7 +81,7 @@ let emit_measure st q c =
   Hashtbl.replace st.clbit_result c r;
   call st Names.qis_mz [ qubit_arg st q; result_arg st r ]
 
-let emit_reset st q = call st (Names.qis "reset") [ qubit_arg st q ]
+let emit_reset st q = call st Names.qis_reset [ qubit_arg st q ]
 
 let emit_kind st (kind : Circuit.kind) =
   match kind with

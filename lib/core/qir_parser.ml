@@ -122,147 +122,85 @@ let lin_of v =
 (* ------------------------------------------------------------------ *)
 (* Calls                                                                *)
 
-let resolve_call_args st callee (args : Operand.typed list) =
-  let signature =
-    match Signatures.find callee with
-    | Some s -> s
-    | None -> fail "call to unknown quantum function @%s" callee
+let exec_call st ~cond id callee (args : Operand.typed list) =
+  let call = Names.decode callee in
+  if call = Names.Unknown then fail "call to unknown quantum function @%s" callee;
+  if List.compare_length_with args (Signatures.arity call) <> 0 then
+    fail "@%s called with %d arguments" callee (List.length args);
+  let size v what =
+    let n = Int64.to_int (as_int v) in
+    if n < 0 then fail "%s: negative size %d" what n;
+    n
   in
-  (try
-     List.combine signature.Signatures.args args
-   with Invalid_argument _ ->
-     fail "@%s called with %d arguments" callee (List.length args))
-  |> List.map (fun (kind, (a : Operand.typed)) ->
-         (kind, avalue_of_operand st a.Operand.v))
-
-let exec_call st ~cond id callee args =
-  let open Names in
-  if String.equal callee rt_qubit_allocate_array then begin
-    let n =
-      match args with
-      | [ (_, v) ] -> Int64.to_int (as_int v)
-      | _ -> fail "qubit_allocate_array: bad arguments"
-    in
+  let vs = List.map (fun (a : Operand.typed) -> avalue_of_operand st a.Operand.v) args in
+  match call, vs with
+  | Names.Qubit_allocate_array, [ v ] ->
+    let n = size v "qubit_allocate_array" in
     let base = st.next_qubit in
     st.next_qubit <- base + n;
     note_qubit st (base + n - 1);
     define st id (AQubitArray { base; size = n })
-  end
-  else if String.equal callee rt_qubit_allocate then begin
+  | Names.Qubit_allocate, [] ->
     let q = st.next_qubit in
     st.next_qubit <- q + 1;
     note_qubit st q;
     define st id (AQubit q)
-  end
-  else if String.equal callee rt_array_create_1d then begin
-    let n =
-      match args with
-      | [ _; (_, v) ] -> Int64.to_int (as_int v)
-      | _ -> fail "array_create_1d: bad arguments"
-    in
+  | Names.Array_create_1d, [ _; v ] ->
+    let n = size v "array_create_1d" in
     let base = st.next_result in
     st.next_result <- base + n;
     define st id (AResultArray { base; size = n })
-  end
-  else if String.equal callee rt_array_get_element_ptr_1d then begin
-    match args with
-    | [ (_, arr); (_, idx) ] -> (
-      let i = Int64.to_int (as_int idx) in
-      match arr with
-      | AQubitArray { base; size } ->
-        if i < 0 || i >= size then fail "qubit array index %d out of range" i;
-        define st id (AQubit (base + i))
-      | AResultArray { base; size } ->
-        if i < 0 || i >= size then fail "result array index %d out of range" i;
-        define st id (AResult (base + i))
-      | _ -> fail "array_get_element_ptr_1d on a non-array value")
-    | _ -> fail "array_get_element_ptr_1d: bad arguments"
-  end
-  else if String.equal callee rt_result_get_one then define st id AOne
-  else if String.equal callee rt_result_get_zero then define st id AZero
-  else if String.equal callee rt_result_equal then begin
-    match args with
-    | [ (_, a); (_, b) ] -> (
-      match a, b with
-      | AResult r, AOne | AOne, AResult r -> define st id (ABit (r, false))
-      | AResult r, AZero | AZero, AResult r -> define st id (ABit (r, true))
-      | _ -> fail "result_equal: unsupported operand shape")
-    | _ -> fail "result_equal: bad arguments"
-  end
-  else if String.equal callee rt_read_result then begin
-    match args with
-    | [ (_, r) ] -> define st id (ABit (as_result st r, false))
-    | _ -> fail "read_result: bad arguments"
-  end
-  else if String.equal callee qis_mz then begin
-    match args with
-    | [ (_, q); (_, r) ] ->
-      let q = as_qubit st q and r = as_result st r in
-      note_qubit st q;
-      if r >= st.next_result then st.next_result <- r + 1;
-      Circuit.Build.measure ?cond st.build q r
-    | _ -> fail "mz: bad arguments"
-  end
-  else if String.equal callee qis_m then begin
-    match args with
-    | [ (_, q) ] ->
-      let q = as_qubit st q in
-      note_qubit st q;
-      let r = st.next_result in
-      st.next_result <- r + 1;
-      Circuit.Build.measure ?cond st.build q r;
-      define st id (AResult r)
-    | _ -> fail "m: bad arguments"
-  end
-  else if String.equal callee (qis "reset") then begin
-    match args with
-    | [ (_, q) ] ->
-      let q = as_qubit st q in
-      note_qubit st q;
-      Circuit.Build.reset ?cond st.build q
-    | _ -> fail "reset: bad arguments"
-  end
-  else if String.equal callee rt_result_record_output then begin
+  | Names.Array_get_element_ptr_1d, [ arr; idx ] -> (
+    let i = Int64.to_int (as_int idx) in
+    match arr with
+    | AQubitArray { base; size } ->
+      if i < 0 || i >= size then fail "qubit array index %d out of range" i;
+      define st id (AQubit (base + i))
+    | AResultArray { base; size } ->
+      if i < 0 || i >= size then fail "result array index %d out of range" i;
+      define st id (AResult (base + i))
+    | _ -> fail "array_get_element_ptr_1d on a non-array value")
+  | Names.Result_get_one, [] -> define st id AOne
+  | Names.Result_get_zero, [] -> define st id AZero
+  | Names.Result_equal, [ a; b ] -> (
+    match a, b with
+    | AResult r, AOne | AOne, AResult r -> define st id (ABit (r, false))
+    | AResult r, AZero | AZero, AResult r -> define st id (ABit (r, true))
+    | _ -> fail "result_equal: unsupported operand shape")
+  | Names.Read_result, [ r ] -> define st id (ABit (as_result st r, false))
+  | Names.Mz, [ q; r ] ->
+    let q = as_qubit st q and r = as_result st r in
+    note_qubit st q;
+    if r >= st.next_result then st.next_result <- r + 1;
+    Circuit.Build.measure ?cond st.build q r
+  | Names.M, [ q ] ->
+    let q = as_qubit st q in
+    note_qubit st q;
+    let r = st.next_result in
+    st.next_result <- r + 1;
+    Circuit.Build.measure ?cond st.build q r;
+    define st id (AResult r)
+  | Names.Reset, [ q ] ->
+    let q = as_qubit st q in
+    note_qubit st q;
+    Circuit.Build.reset ?cond st.build q
+  | Names.Result_record_output, r :: _ ->
     (* no circuit semantics, but the call order defines the program's
        output bit order — keep it for consumers that need output-
        compatible sampling (the executor's batched fast path) *)
-    match args with
-    | (_, r) :: _ -> st.recorded <- as_result st r :: st.recorded
-    | [] -> fail "result_record_output: bad arguments"
-  end
-  else if
-    String.equal callee rt_array_update_reference_count
-    || String.equal callee rt_result_update_reference_count
-    || String.equal callee rt_qubit_release
-    || String.equal callee rt_qubit_release_array
-    || String.equal callee rt_array_record_output
-    || String.equal callee rt_initialize
-    || String.equal callee rt_message
-  then () (* bookkeeping calls carry no circuit semantics *)
-  else begin
-    (* a gate *)
-    let doubles =
-      List.filter_map
-        (fun (kind, v) ->
-          match kind with
-          | Signatures.Double_arg -> Some (as_float v)
-          | _ -> None)
-        args
-    in
-    let qubits =
-      List.filter_map
-        (fun (kind, v) ->
-          match kind with
-          | Signatures.Qubit -> Some (as_qubit st v)
-          | _ -> None)
-        args
-    in
-    match Names.gate_of_qis callee doubles with
-    | Some g ->
-      List.iter (note_qubit st) qubits;
-      Circuit.Build.gate ?cond st.build g qubits
-    | None -> fail "unsupported quantum function @%s" callee
-  end
+    st.recorded <- as_result st r :: st.recorded
+  | ( ( Names.Array_update_reference_count | Names.Result_update_reference_count
+      | Names.Qubit_release | Names.Qubit_release_array | Names.Array_record_output
+      | Names.Initialize | Names.Message ),
+      _ ) ->
+    () (* bookkeeping calls carry no circuit semantics *)
+  | Names.Gate { shape; doubles; _ }, vs ->
+    let angles, qubits = Names.split_gate_args doubles vs in
+    let angles = List.map as_float angles in
+    let qubits = List.map (as_qubit st) qubits in
+    List.iter (note_qubit st) qubits;
+    Circuit.Build.gate ?cond st.build (Names.instantiate shape angles) qubits
+  | _ -> fail "unsupported quantum function @%s" callee
 
 (* ------------------------------------------------------------------ *)
 (* Instructions                                                         *)
@@ -270,8 +208,7 @@ let exec_call st ~cond id callee args =
 let exec_instr st ~cond (i : Instr.t) =
   match i.Instr.op with
   | Instr.Call (_, callee, args) ->
-    if Names.is_quantum callee then
-      exec_call st ~cond i.Instr.id callee (resolve_call_args st callee args)
+    if Names.is_quantum callee then exec_call st ~cond i.Instr.id callee args
     else fail "call to non-quantum function @%s (inline/lower first)" callee
   | Instr.Alloca Ty.Ptr | Instr.Alloca (Ty.I1 | Ty.I8 | Ty.I32 | Ty.I64) ->
     let s = st.next_slot in
@@ -355,11 +292,16 @@ let cond_of_avalue v : Circuit.cond =
     { Circuit.cbits = bits; value = Int64.to_int value }
   | _ -> fail "branch condition does not derive from measurement results"
 
+let find_block f label =
+  match Func.find_block f label with
+  | Some b -> b
+  | None -> fail "branch to undefined label %%%s" label
+
 let rec exec_block st (f : Func.t) label =
   if List.mem label st.visited then
     fail "the program contains a loop; lower (unroll) first";
   st.visited <- label :: st.visited;
-  let b = Func.find_block_exn f label in
+  let b = find_block f label in
   List.iter (exec_instr st ~cond:None) b.Block.instrs;
   match b.Block.term with
   | Instr.Ret None -> ()
@@ -368,7 +310,7 @@ let rec exec_block st (f : Func.t) label =
   | Instr.Cond_br (c, then_label, else_label) ->
     let cond = cond_of_avalue (avalue_of_operand st c) in
     (* shape: then-block is straight-line and rejoins at else_label *)
-    let then_block = Func.find_block_exn f then_label in
+    let then_block = find_block f then_label in
     (match then_block.Block.term with
     | Instr.Br join when String.equal join else_label ->
       List.iter (exec_instr st ~cond:(Some cond)) then_block.Block.instrs;
@@ -412,7 +354,10 @@ let parse_with_output_exn (m : Ir_module.t) : Circuit.t * int list =
   | None -> ());
   if st.max_qubit >= 0 then Circuit.Build.touch_qubit st.build st.max_qubit;
   if st.next_result > 0 then Circuit.Build.touch_clbit st.build (st.next_result - 1);
-  (Circuit.Build.finish st.build, List.rev st.recorded)
+  let circuit =
+    try Circuit.Build.finish st.build with Circuit.Invalid msg -> fail "%s" msg
+  in
+  (circuit, List.rev st.recorded)
 
 let parse m = fst (parse_with_output_exn m)
 

@@ -20,14 +20,12 @@ type instr_class =
 let classify_instr ?(summaries : Qir_analysis.Summary.table option)
     (i : Instr.t) : instr_class =
   match i.Instr.op with
-  | Instr.Call (_, callee, _) ->
-    if Names.is_qis callee then
-      if String.equal callee Names.rt_read_result then Result_read
-      else Quantum
-    else if Names.is_rt callee then
-      if String.equal callee Names.rt_result_equal then Result_read
-      else Runtime_bookkeeping
-    else begin
+  | Instr.Call (_, callee, _) -> (
+    match Names.decode callee with
+    | Names.Read_result | Names.Result_equal -> Result_read
+    | _ when Names.is_qis callee -> Quantum
+    | _ when Names.is_rt callee -> Runtime_bookkeeping
+    | _ -> (
       match
         Option.bind summaries (fun t -> Qir_analysis.Summary.find t callee)
       with
@@ -39,8 +37,7 @@ let classify_instr ?(summaries : Qir_analysis.Summary.table option)
                   s.Qir_analysis.Summary.arg_fx ->
         Result_read
       | Some s when s.Qir_analysis.Summary.side_effect_free -> Classical
-      | Some _ | None -> Call_classical
-    end
+      | Some _ | None -> Call_classical))
   | Instr.Alloca _ | Instr.Load _ | Instr.Store _ | Instr.Gep _ -> Memory
   | Instr.Binop _ | Instr.Fbinop _ | Instr.Icmp _ | Instr.Fcmp _
   | Instr.Select _ | Instr.Cast _ | Instr.Phi _ | Instr.Freeze _ ->

@@ -43,16 +43,16 @@ let controller_supports ?(summaries : Qir_analysis.Summary.table option)
   | Instr.Phi _ -> true
   | Instr.Call (_, callee, _) -> (
     (* result reads happen at the controller by construction *)
-    String.equal callee Names.rt_read_result
-    || String.equal callee Names.rt_result_equal
-    ||
-    (* a summarized callee whose body is itself controller-expressible
-       is conceptually inlinable into the controller program *)
-    match
-      Option.bind summaries (fun t -> Qir_analysis.Summary.find t callee)
-    with
-    | Some s -> s.Qir_analysis.Summary.controller_ok
-    | None -> false)
+    match Names.decode callee with
+    | Names.Read_result | Names.Result_equal -> true
+    | _ -> (
+      (* a summarized callee whose body is itself controller-expressible
+         is conceptually inlinable into the controller program *)
+      match
+        Option.bind summaries (fun t -> Qir_analysis.Summary.find t callee)
+      with
+      | Some s -> s.Qir_analysis.Summary.controller_ok
+      | None -> false))
   | Instr.Fbinop _ | Instr.Fcmp _ | Instr.Alloca _ | Instr.Load _
   | Instr.Store _ | Instr.Gep _ ->
     false

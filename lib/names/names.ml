@@ -1,5 +1,6 @@
 (* The QIR symbol vocabulary: quantum instruction set (QIS) functions and
-   runtime (RT) functions, as named by the QIR specification. *)
+   runtime (RT) functions, as named by the QIR specification, and the one
+   table that decodes a callee name into the operation it performs. *)
 
 open Qcircuit
 
@@ -8,31 +9,20 @@ let rt_prefix = "__quantum__rt__"
 
 let qis name = qis_prefix ^ name ^ "__body"
 let qis_adj name = qis_prefix ^ name ^ "__adj"
+let rt name = rt_prefix ^ name
 
-(* Runtime functions used by this toolchain. *)
-let rt_qubit_allocate = rt_prefix ^ "qubit_allocate"
-let rt_qubit_allocate_array = rt_prefix ^ "qubit_allocate_array"
-let rt_qubit_release = rt_prefix ^ "qubit_release"
-let rt_qubit_release_array = rt_prefix ^ "qubit_release_array"
-let rt_array_create_1d = rt_prefix ^ "array_create_1d"
-let rt_array_get_element_ptr_1d = rt_prefix ^ "array_get_element_ptr_1d"
-let rt_array_get_size_1d = rt_prefix ^ "array_get_size_1d"
-let rt_array_update_reference_count = rt_prefix ^ "array_update_reference_count"
-let rt_result_get_one = rt_prefix ^ "result_get_one"
-let rt_result_get_zero = rt_prefix ^ "result_get_zero"
-let rt_result_equal = rt_prefix ^ "result_equal"
-let rt_result_update_reference_count = rt_prefix ^ "result_update_reference_count"
-let rt_read_result = qis_prefix ^ "read_result__body"
+(* The names the emitters spell out; {!symbols} lists every one. *)
+let rt_qubit_allocate = rt "qubit_allocate"
+let rt_qubit_allocate_array = rt "qubit_allocate_array"
+let rt_qubit_release_array = rt "qubit_release_array"
+let rt_array_create_1d = rt "array_create_1d"
+let rt_array_get_element_ptr_1d = rt "array_get_element_ptr_1d"
+let rt_result_record_output = rt "result_record_output"
+let rt_array_record_output = rt "array_record_output"
+let rt_read_result = qis "read_result"
 (* the adaptive profile reads results through a qis function *)
 
-let rt_result_record_output = rt_prefix ^ "result_record_output"
-let rt_array_record_output = rt_prefix ^ "array_record_output"
-let rt_initialize = rt_prefix ^ "initialize"
-let rt_message = rt_prefix ^ "message"
-let rt_fail = rt_prefix ^ "fail"
-
 let qis_mz = qis "mz"
-let qis_m = qis "m"
 let qis_reset = qis "reset"
 
 let is_qis name =
@@ -43,69 +33,116 @@ let is_rt name =
 let is_quantum name = is_qis name || is_rt name
 
 (* ------------------------------------------------------------------ *)
-(* Gate <-> QIS name                                                    *)
+(* The decoded call table                                               *)
 
-(* The gates the QIR base gate set supports directly; everything else is
-   legalized by {!Qir_gateset} first. [qis_of_gate] returns the symbol and
-   the double parameters that precede the qubit arguments. *)
+type call =
+  | Gate of { shape : Gate.t; doubles : int; qubits : int }
+  | Mz
+  | M
+  | Reset
+  | Read_result
+  | Qubit_allocate
+  | Qubit_allocate_array
+  | Qubit_release
+  | Qubit_release_array
+  | Array_create_1d
+  | Array_get_element_ptr_1d
+  | Array_get_size_1d
+  | Array_update_reference_count
+  | Result_get_one
+  | Result_get_zero
+  | Result_equal
+  | Result_update_reference_count
+  | Result_record_output
+  | Array_record_output
+  | Initialize
+  | Message
+  | Fail
+  | Unknown
+
+let gate shape =
+  Gate
+    { shape; doubles = List.length (Gate.params shape); qubits = Gate.num_qubits shape }
+
+(* Every known function, in declaration order. Rotation shapes carry 0.0
+   for their angle; {!instantiate} fills it in. *)
+let symbols =
+  [
+    (qis "h", gate Gate.H);
+    (qis "x", gate Gate.X);
+    (qis "y", gate Gate.Y);
+    (qis "z", gate Gate.Z);
+    (qis "s", gate Gate.S);
+    (qis_adj "s", gate Gate.Sdg);
+    (qis "t", gate Gate.T);
+    (qis_adj "t", gate Gate.Tdg);
+    (qis "sx", gate Gate.Sx);
+    (qis "rx", gate (Gate.Rx 0.0));
+    (qis "ry", gate (Gate.Ry 0.0));
+    (qis "rz", gate (Gate.Rz 0.0));
+    (qis "cnot", gate Gate.Cx);
+    (qis "cz", gate Gate.Cz);
+    (qis "cy", gate Gate.Cy);
+    (qis "swap", gate Gate.Swap);
+    (qis "ccx", gate Gate.Ccx);
+    (qis_mz, Mz);
+    (qis "m", M);
+    (qis_reset, Reset);
+    (rt_read_result, Read_result);
+    (rt_qubit_allocate, Qubit_allocate);
+    (rt_qubit_allocate_array, Qubit_allocate_array);
+    (rt "qubit_release", Qubit_release);
+    (rt_qubit_release_array, Qubit_release_array);
+    (rt_array_create_1d, Array_create_1d);
+    (rt_array_get_element_ptr_1d, Array_get_element_ptr_1d);
+    (rt "array_get_size_1d", Array_get_size_1d);
+    (rt "array_update_reference_count", Array_update_reference_count);
+    (rt "result_get_one", Result_get_one);
+    (rt "result_get_zero", Result_get_zero);
+    (rt "result_equal", Result_equal);
+    (rt "result_update_reference_count", Result_update_reference_count);
+    (rt_result_record_output, Result_record_output);
+    (rt_array_record_output, Array_record_output);
+    (rt "initialize", Initialize);
+    (rt "message", Message);
+    (rt "fail", Fail);
+  ]
+
+(* Built once and read only afterwards, so lookups from several domains
+   share it. *)
+let table : (string, call) Hashtbl.t =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun (name, call) -> Hashtbl.replace tbl name call) symbols;
+  tbl
+
+let decode name =
+  match Hashtbl.find_opt table name with Some call -> call | None -> Unknown
+
+let instantiate (shape : Gate.t) angles =
+  match shape, angles with
+  | Gate.Rx _, [ t ] -> Gate.Rx t
+  | Gate.Ry _, [ t ] -> Gate.Ry t
+  | Gate.Rz _, [ t ] -> Gate.Rz t
+  | g, [] -> g
+  | _ -> invalid_arg ("Names.instantiate: " ^ Gate.name shape)
+
+let split_gate_args doubles args =
+  if doubles = 0 then ([], args)
+  else (List.filteri (fun k _ -> k < doubles) args, List.filteri (fun k _ -> k >= doubles) args)
+
+(* Emission reads the same table backwards, keyed by the gate's name. *)
+let symbol_of_gate : (string, string) Hashtbl.t =
+  let tbl = Hashtbl.create 32 in
+  List.iter
+    (function
+      | name, Gate { shape; _ } -> Hashtbl.replace tbl (Gate.name shape) name
+      | _ -> ())
+    symbols;
+  tbl
+
 let qis_of_gate (g : Gate.t) : (string * float list) option =
   match g with
-  | Gate.I -> None (* emitted as nothing *)
-  | Gate.H -> Some (qis "h", [])
-  | Gate.X -> Some (qis "x", [])
-  | Gate.Y -> Some (qis "y", [])
-  | Gate.Z -> Some (qis "z", [])
-  | Gate.S -> Some (qis "s", [])
-  | Gate.Sdg -> Some (qis_adj "s", [])
-  | Gate.T -> Some (qis "t", [])
-  | Gate.Tdg -> Some (qis_adj "t", [])
-  | Gate.Rx t -> Some (qis "rx", [ t ])
-  | Gate.Ry t -> Some (qis "ry", [ t ])
-  | Gate.Rz t -> Some (qis "rz", [ t ])
-  | Gate.Cx -> Some (qis "cnot", [])
-  | Gate.Cz -> Some (qis "cz", [])
-  | Gate.Swap -> Some (qis "swap", [])
-  | Gate.Ccx -> Some (qis "ccx", [])
-  | Gate.Sx | Gate.Sxdg | Gate.P _ | Gate.U _ | Gate.Cy | Gate.Ch | Gate.Crx _
-  | Gate.Cry _ | Gate.Crz _ | Gate.Cp _ | Gate.Cu _ | Gate.Cswap ->
-    None
-
-(* Inverse mapping for the parser; accepts both our spellings and common
-   alternates (cnot/cx, ccx/ccnot/toffoli). *)
-let gate_of_qis name (params : float list) : Gate.t option =
-  let base =
-    if is_qis name then
-      let rest = String.sub name 16 (String.length name - 16) in
-      match String.rindex_opt rest '_' with
-      | Some _ when Filename.check_suffix rest "__body" ->
-        Some (String.sub rest 0 (String.length rest - 6), false)
-      | Some _ when Filename.check_suffix rest "__adj" ->
-        Some (String.sub rest 0 (String.length rest - 5), true)
-      | _ -> None
-    else None
-  in
-  match base with
-  | None -> None
-  | Some (op, adj) -> (
-    let g =
-      match op, params with
-      | "h", [] -> Some Gate.H
-      | "x", [] -> Some Gate.X
-      | "y", [] -> Some Gate.Y
-      | "z", [] -> Some Gate.Z
-      | "s", [] -> Some Gate.S
-      | "t", [] -> Some Gate.T
-      | "sx", [] -> Some Gate.Sx
-      | "rx", [ t ] -> Some (Gate.Rx t)
-      | "ry", [ t ] -> Some (Gate.Ry t)
-      | "rz", [ t ] -> Some (Gate.Rz t)
-      | ("cnot" | "cx"), [] -> Some Gate.Cx
-      | "cy", [] -> Some Gate.Cy
-      | "cz", [] -> Some Gate.Cz
-      | "swap", [] -> Some Gate.Swap
-      | ("ccx" | "ccnot" | "toffoli"), [] -> Some Gate.Ccx
-      | _ -> None
-    in
-    match g with
-    | Some g when adj -> Some (Gate.inverse g)
-    | g -> g)
+  | Gate.Sx | Gate.Cy -> None (* decoded, but legalized before emission *)
+  | g ->
+    Option.map (fun name -> (name, Gate.params g))
+      (Hashtbl.find_opt symbol_of_gate (Gate.name g))

@@ -21,40 +21,53 @@ let gate_sig ~doubles ~qubits =
       @ List.init qubits (fun _ -> Qubit);
   }
 
-(* Every known function's signature, keyed by name: built once and read
-   only afterwards, so lookups from several domains share it. *)
+let of_call : Names.call -> signature = function
+  | Names.Gate { doubles; qubits; _ } -> gate_sig ~doubles ~qubits
+  | Names.Reset -> gate_sig ~doubles:0 ~qubits:1
+  | Names.Mz -> { ret = Ty.Void; args = [ Qubit; Result ] }
+  | Names.M -> { ret = Ty.Ptr; args = [ Qubit ] }
+  | Names.Read_result -> { ret = Ty.I1; args = [ Result ] }
+  | Names.Qubit_allocate | Names.Result_get_one | Names.Result_get_zero ->
+    { ret = Ty.Ptr; args = [] }
+  | Names.Qubit_allocate_array -> { ret = Ty.Ptr; args = [ Int_arg Ty.I64 ] }
+  | Names.Qubit_release -> { ret = Ty.Void; args = [ Qubit ] }
+  | Names.Qubit_release_array | Names.Initialize | Names.Message | Names.Fail ->
+    { ret = Ty.Void; args = [ Ptr_arg ] }
+  | Names.Array_create_1d -> { ret = Ty.Ptr; args = [ Int_arg Ty.I32; Int_arg Ty.I64 ] }
+  | Names.Array_get_element_ptr_1d -> { ret = Ty.Ptr; args = [ Ptr_arg; Int_arg Ty.I64 ] }
+  | Names.Array_get_size_1d -> { ret = Ty.I64; args = [ Ptr_arg ] }
+  | Names.Array_update_reference_count | Names.Result_update_reference_count ->
+    { ret = Ty.Void; args = [ Ptr_arg; Int_arg Ty.I32 ] }
+  | Names.Result_equal -> { ret = Ty.I1; args = [ Result; Result ] }
+  | Names.Result_record_output -> { ret = Ty.Void; args = [ Result; Ptr_arg ] }
+  | Names.Array_record_output -> { ret = Ty.Void; args = [ Int_arg Ty.I64; Ptr_arg ] }
+  | Names.Unknown -> invalid_arg "Signatures.of_call: unknown function"
+
+(* Every known function's signature, keyed by name and derived from
+   {!Names.symbols}: built once and read only afterwards, so lookups from
+   several domains share it. *)
 let table : (string, signature) Hashtbl.t =
-  let open Names in
   let tbl = Hashtbl.create 64 in
-  let add names s = List.iter (fun n -> Hashtbl.replace tbl n s) names in
-  add
-    [ qis "h"; qis "x"; qis "y"; qis "z"; qis "s"; qis "t"; qis_adj "s"; qis_adj "t";
-      qis "sx"; qis "reset" ]
-    (gate_sig ~doubles:0 ~qubits:1);
-  add [ qis "rx"; qis "ry"; qis "rz" ] (gate_sig ~doubles:1 ~qubits:1);
-  add [ qis "cnot"; qis "cz"; qis "cy"; qis "swap" ] (gate_sig ~doubles:0 ~qubits:2);
-  add [ qis "ccx" ] (gate_sig ~doubles:0 ~qubits:3);
-  add [ qis_mz ] { ret = Ty.Void; args = [ Qubit; Result ] };
-  add [ qis_m ] { ret = Ty.Ptr; args = [ Qubit ] };
-  add [ rt_read_result ] { ret = Ty.I1; args = [ Result ] };
-  add [ rt_qubit_allocate ] { ret = Ty.Ptr; args = [] };
-  add [ rt_qubit_allocate_array ] { ret = Ty.Ptr; args = [ Int_arg Ty.I64 ] };
-  add [ rt_qubit_release ] { ret = Ty.Void; args = [ Qubit ] };
-  add [ rt_qubit_release_array ] { ret = Ty.Void; args = [ Ptr_arg ] };
-  add [ rt_array_create_1d ] { ret = Ty.Ptr; args = [ Int_arg Ty.I32; Int_arg Ty.I64 ] };
-  add [ rt_array_get_element_ptr_1d ] { ret = Ty.Ptr; args = [ Ptr_arg; Int_arg Ty.I64 ] };
-  add [ rt_array_get_size_1d ] { ret = Ty.I64; args = [ Ptr_arg ] };
-  add
-    [ rt_array_update_reference_count; rt_result_update_reference_count ]
-    { ret = Ty.Void; args = [ Ptr_arg; Int_arg Ty.I32 ] };
-  add [ rt_result_get_one; rt_result_get_zero ] { ret = Ty.Ptr; args = [] };
-  add [ rt_result_equal ] { ret = Ty.I1; args = [ Result; Result ] };
-  add [ rt_result_record_output ] { ret = Ty.Void; args = [ Result; Ptr_arg ] };
-  add [ rt_array_record_output ] { ret = Ty.Void; args = [ Int_arg Ty.I64; Ptr_arg ] };
-  add [ rt_initialize; rt_message; rt_fail ] { ret = Ty.Void; args = [ Ptr_arg ] };
+  List.iter (fun (name, call) -> Hashtbl.replace tbl name (of_call call)) Names.symbols;
   tbl
 
 let find name : signature option = Hashtbl.find_opt table name
+
+let arity = function
+  | Names.Gate { doubles; qubits; _ } -> doubles + qubits
+  | call -> List.length (of_call call).args
+
+let arg_kinds name args =
+  match find name with
+  | Some s when List.compare_lengths s.args args = 0 -> Some s.args
+  | _ -> None
+
+let args_of_kind kind name args =
+  match arg_kinds name args with
+  | Some kinds ->
+    List.combine kinds args
+    |> List.filter_map (fun (k, a) -> if k = kind then Some a else None)
+  | None -> []
 
 let declaration name =
   match find name with

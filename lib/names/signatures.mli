@@ -12,8 +12,20 @@ type signature = { ret : Llvm_ir.Ty.t; args : arg_kind list }
 
 val ty_of_kind : arg_kind -> Llvm_ir.Ty.t
 
+val arity : Names.call -> int
+(** The number of arguments of a decoded call, without building its
+    signature; raises [Invalid_argument] on [Unknown]. *)
+
 val find : string -> signature option
 (** The signature of a known QIS/RT function name. *)
+
+val arg_kinds : string -> 'a list -> arg_kind list option
+(** The kinds of a call's arguments, when the callee is known and the
+    call passes exactly its arity. *)
+
+val args_of_kind : arg_kind -> string -> 'a list -> 'a list
+(** The arguments of a call at positions of the given kind, in order;
+    [[]] when {!arg_kinds} is [None]. *)
 
 val declaration : string -> Llvm_ir.Func.t
 (** A declaration for a known function; raises [Invalid_argument] on

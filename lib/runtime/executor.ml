@@ -46,20 +46,16 @@ let addressing (m : Ir_module.t) =
             (fun (i : Instr.t) ->
               match i.Instr.op with
               | Instr.Call (_, callee, args) -> (
-                if
-                  String.equal callee Names.rt_qubit_allocate
-                  || String.equal callee Names.rt_qubit_allocate_array
-                then dynamic := true
-                else
-                  match Signatures.find callee with
-                  | Some sg when List.length sg.Signatures.args = List.length args ->
-                    List.iter2
-                      (fun kind (a : Operand.typed) ->
-                        match kind, a.Operand.v with
-                        | Signatures.Qubit, Operand.Const _ -> static := true
-                        | _ -> ())
-                      sg.Signatures.args args
-                  | _ -> ())
+                match Names.decode callee with
+                | Names.Qubit_allocate | Names.Qubit_allocate_array ->
+                  dynamic := true
+                | _ ->
+                  List.iter
+                    (fun (a : Operand.typed) ->
+                      match a.Operand.v with
+                      | Operand.Const _ -> static := true
+                      | Operand.Local _ -> ())
+                    (Signatures.args_of_kind Signatures.Qubit callee args))
               | _ -> ())
             b.Block.instrs)
         f.Func.blocks)

@@ -115,36 +115,6 @@ let evaluable m facts (a : Operand.typed) =
     | Some c -> ok_const c ~syntactic:false
     | None -> false)
 
-(* The gate vocabulary, mirroring Runtime's external table. *)
-let gate_specs : (string * (Gate.t * int * int)) list =
-  let open Names in
-  [
-    (qis "h", (Gate.H, 0, 1));
-    (qis "x", (Gate.X, 0, 1));
-    (qis "y", (Gate.Y, 0, 1));
-    (qis "z", (Gate.Z, 0, 1));
-    (qis "s", (Gate.S, 0, 1));
-    (qis_adj "s", (Gate.Sdg, 0, 1));
-    (qis "t", (Gate.T, 0, 1));
-    (qis_adj "t", (Gate.Tdg, 0, 1));
-    (qis "sx", (Gate.Sx, 0, 1));
-    (qis "rx", (Gate.Rx 0.0, 1, 1));
-    (qis "ry", (Gate.Ry 0.0, 1, 1));
-    (qis "rz", (Gate.Rz 0.0, 1, 1));
-    (qis "cnot", (Gate.Cx, 0, 2));
-    (qis "cz", (Gate.Cz, 0, 2));
-    (qis "cy", (Gate.Cy, 0, 2));
-    (qis "swap", (Gate.Swap, 0, 2));
-    (qis "ccx", (Gate.Ccx, 0, 3));
-  ]
-
-let with_angle g t =
-  match g with
-  | Gate.Rx _ -> Gate.Rx t
-  | Gate.Ry _ -> Gate.Ry t
-  | Gate.Rz _ -> Gate.Rz t
-  | _ -> raise Not_static
-
 (* The straight-line block chain from the entry, or Not_static. *)
 let block_chain (f : Func.t) =
   let labels = Func.label_table f in
@@ -166,75 +136,54 @@ let block_chain (f : Func.t) =
 
 let extract_call m facts measured emit (callee : string)
     (args : Operand.typed list) =
-  let open Names in
-  let resolve_result (o : Operand.t) =
-    let addr = addr_of facts o in
-    addr
-  in
-  match List.assoc_opt callee gate_specs with
-  | Some (g, doubles, qubits) ->
-    if List.length args <> doubles + qubits then raise Not_static;
-    let dargs = List.filteri (fun i _ -> i < doubles) args in
-    let qargs = List.filteri (fun i _ -> i >= doubles) args in
+  match Names.decode callee with
+  | Names.Gate { shape; doubles; qubits } ->
+    if List.compare_length_with args (doubles + qubits) <> 0 then
+      raise Not_static;
+    let angles, qargs = Names.split_gate_args doubles args in
     let g =
-      match dargs with
-      | [] -> g
-      | [ d ] -> with_angle g (double_of facts d.Operand.v)
-      | _ -> raise Not_static
+      Names.instantiate shape
+        (List.map (fun (d : Operand.typed) -> double_of facts d.Operand.v) angles)
     in
     let qs =
       Array.of_list
         (List.map (fun (q : Operand.typed) -> qubit_of facts q.Operand.v) qargs)
     in
     emit (Gate (g, qs))
-  | None ->
-    if String.equal callee qis_mz then begin
-      match args with
-      | [ q; r ] ->
-        let qubit = qubit_of facts q.Operand.v in
-        let raddr = resolve_result r.Operand.v in
-        Hashtbl.replace measured raddr ();
-        emit (Measure (qubit, raddr))
-      | _ -> raise Not_static
-    end
-    else if String.equal callee qis_reset then begin
-      match args with
-      | [ q ] -> emit (Reset (qubit_of facts q.Operand.v))
-      | _ -> raise Not_static
-    end
-    else if String.equal callee rt_result_record_output then begin
-      match args with
-      | [ r; label ] ->
-        let raddr = resolve_result r.Operand.v in
-        (* record-before-measure faults in the runtime; leave it to the
-           interpreter rather than replicating the failure *)
-        if not (Hashtbl.mem measured raddr) then raise Not_static;
-        if not (evaluable m facts label) then raise Not_static;
-        emit (Record raddr)
-      | _ -> raise Not_static
-    end
-    else if
-      String.equal callee rt_initialize
-      || String.equal callee rt_message
-    then begin
-      if not (List.for_all (evaluable m facts) args) then raise Not_static
-    end
-    else if String.equal callee rt_array_record_output then begin
-      match args with
-      | [ n; label ] ->
-        if not (evaluable m facts n && evaluable m facts label) then
-          raise Not_static
-      | _ -> raise Not_static
-    end
-    else if
-      String.equal callee rt_qubit_release
-      || String.equal callee rt_qubit_release_array
-    then begin
-      (* the runtime implements both releases as exact no-ops: a tape
-         can skip them outright, provided the operand itself is benign *)
-      if not (List.for_all (evaluable m facts) args) then raise Not_static
-    end
-    else raise Not_static (* incl. m, read_result, result_equal, alloc *)
+  | Names.Mz -> (
+    match args with
+    | [ q; r ] ->
+      let qubit = qubit_of facts q.Operand.v in
+      let raddr = addr_of facts r.Operand.v in
+      Hashtbl.replace measured raddr ();
+      emit (Measure (qubit, raddr))
+    | _ -> raise Not_static)
+  | Names.Reset -> (
+    match args with
+    | [ q ] -> emit (Reset (qubit_of facts q.Operand.v))
+    | _ -> raise Not_static)
+  | Names.Result_record_output -> (
+    match args with
+    | [ r; label ] ->
+      let raddr = addr_of facts r.Operand.v in
+      (* record-before-measure faults in the runtime; leave it to the
+         interpreter rather than replicating the failure *)
+      if not (Hashtbl.mem measured raddr) then raise Not_static;
+      if not (evaluable m facts label) then raise Not_static;
+      emit (Record raddr)
+    | _ -> raise Not_static)
+  | Names.Array_record_output -> (
+    match args with
+    | [ n; label ] ->
+      if not (evaluable m facts n && evaluable m facts label) then
+        raise Not_static
+    | _ -> raise Not_static)
+  | Names.Initialize | Names.Message | Names.Qubit_release
+  | Names.Qubit_release_array ->
+    (* the runtime implements the releases as exact no-ops: a tape can
+       skip them outright, provided the operand itself is benign *)
+    if not (List.for_all (evaluable m facts) args) then raise Not_static
+  | _ -> raise Not_static (* incl. m, read_result, result_equal, alloc *)
 
 let extract (m : Ir_module.t) : t option =
   match Ir_module.entry_point m with

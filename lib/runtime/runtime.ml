@@ -151,196 +151,153 @@ let int_arg (v : Interp.value) =
 let unit_value = Interp.VVoid
 
 let gate_fn rt g ~doubles ~qubits args =
-  let rec split k acc rest =
-    if k = 0 then (List.rev acc, rest)
-    else
-      match rest with
-      | x :: rest -> split (k - 1) (x :: acc) rest
-      | [] -> fail "%s: not enough arguments" (Gate.name g)
-  in
-  let dargs, qargs = split doubles [] args in
+  let dargs, qargs = Names.split_gate_args doubles args in
+  if List.compare_length_with dargs doubles < 0 then
+    fail "%s: not enough arguments" (Gate.name g);
   if List.length qargs <> qubits then
     fail "%s: expected %d qubit arguments" (Gate.name g) qubits;
-  let g =
-    match g, List.map double_arg dargs with
-    | Gate.Rx _, [ t ] -> Gate.Rx t
-    | Gate.Ry _, [ t ] -> Gate.Ry t
-    | Gate.Rz _, [ t ] -> Gate.Rz t
-    | g, [] -> g
-    | _ -> fail "%s: unexpected parameters" (Gate.name g)
-  in
+  let g = Names.instantiate g (List.map double_arg dargs) in
   let qs = List.map (qubit_arg rt) qargs in
   rt.stats.gate_calls <- rt.stats.gate_calls + 1;
   rt.ops.apply g qs;
   unit_value
 
-let externals rt : (string * (Interp.value list -> Interp.value)) list =
-  let open Names in
+(* The implementation of one decoded call. Runtime functions count in
+   [rt_calls]; gates, measurements, resets and result reads do not. *)
+let implement rt (call : Names.call) : Interp.value list -> Interp.value =
   let rt_fn f args =
     rt.stats.rt_calls <- rt.stats.rt_calls + 1;
     f args
   in
-  let gate name g ~doubles ~qubits =
-    (name, fun args -> gate_fn rt g ~doubles ~qubits args)
-  in
-  [
-    (* --- gates --- *)
-    gate (qis "h") Gate.H ~doubles:0 ~qubits:1;
-    gate (qis "x") Gate.X ~doubles:0 ~qubits:1;
-    gate (qis "y") Gate.Y ~doubles:0 ~qubits:1;
-    gate (qis "z") Gate.Z ~doubles:0 ~qubits:1;
-    gate (qis "s") Gate.S ~doubles:0 ~qubits:1;
-    gate (qis_adj "s") Gate.Sdg ~doubles:0 ~qubits:1;
-    gate (qis "t") Gate.T ~doubles:0 ~qubits:1;
-    gate (qis_adj "t") Gate.Tdg ~doubles:0 ~qubits:1;
-    gate (qis "sx") Gate.Sx ~doubles:0 ~qubits:1;
-    gate (qis "rx") (Gate.Rx 0.0) ~doubles:1 ~qubits:1;
-    gate (qis "ry") (Gate.Ry 0.0) ~doubles:1 ~qubits:1;
-    gate (qis "rz") (Gate.Rz 0.0) ~doubles:1 ~qubits:1;
-    gate (qis "cnot") Gate.Cx ~doubles:0 ~qubits:2;
-    gate (qis "cz") Gate.Cz ~doubles:0 ~qubits:2;
-    gate (qis "cy") Gate.Cy ~doubles:0 ~qubits:2;
-    gate (qis "swap") Gate.Swap ~doubles:0 ~qubits:2;
-    gate (qis "ccx") Gate.Ccx ~doubles:0 ~qubits:3;
-    ( qis "reset",
-      fun args ->
-        match args with
-        | [ q ] ->
-          rt.stats.resets <- rt.stats.resets + 1;
-          rt.ops.breset (qubit_arg rt q);
-          unit_value
-        | _ -> fail "reset: bad arguments" );
-    ( qis_mz,
-      fun args ->
-        match args with
-        | [ q; r ] ->
-          rt.stats.measurements <- rt.stats.measurements + 1;
-          let outcome = rt.ops.bmeasure (qubit_arg rt q) in
-          Hashtbl.replace rt.results (result_addr_of_value r) outcome;
-          unit_value
-        | _ -> fail "mz: bad arguments" );
-    ( qis_m,
-      fun args ->
-        match args with
-        | [ q ] ->
-          rt.stats.measurements <- rt.stats.measurements + 1;
-          let outcome = rt.ops.bmeasure (qubit_arg rt q) in
-          (* a fresh result cell in the array address space *)
-          let addr = rt.next_array in
-          rt.next_array <- Int64.add rt.next_array 8L;
-          Hashtbl.replace rt.results addr outcome;
-          Interp.VPtr addr
-        | _ -> fail "m: bad arguments" );
-    ( rt_read_result,
-      fun args ->
-        match args with
-        | [ r ] -> (
-          let addr = result_addr_of_value r in
-          match Hashtbl.find_opt rt.results addr with
-          | Some b -> Interp.VInt (Ty.I1, if b then 1L else 0L)
-          | None -> fail "read_result before measurement (0x%Lx)" addr)
-        | _ -> fail "read_result: bad arguments" );
-    (* --- runtime --- *)
-    ( rt_qubit_allocate,
-      rt_fn (fun args ->
-          match args with
-          | [] ->
-            let q = fresh_sim_qubit rt in
-            let addr = rt.next_dynamic in
-            rt.next_dynamic <- Int64.add rt.next_dynamic 8L;
-            Hashtbl.replace rt.qubit_of_addr addr q;
-            Interp.VPtr addr
-          | _ -> fail "qubit_allocate: bad arguments") );
-    ( rt_qubit_allocate_array,
-      rt_fn (fun args ->
-          match args with
-          | [ n ] ->
-            let count = Int64.to_int (int_arg n) in
-            if count < 0 then fail "qubit_allocate_array: negative size";
-            let qubit_base = rt.ops.bnum_qubits () in
-            rt.ops.ensure (qubit_base + count);
-            let handle = rt.next_array in
-            let elem_base = Int64.add handle 8L in
-            rt.next_array <-
-              Int64.add rt.next_array (Int64.of_int (8 * (count + 1)));
-            Hashtbl.replace rt.arrays handle
-              { elem_base; count; qubit_base = Some qubit_base };
-            Interp.VPtr handle
-          | _ -> fail "qubit_allocate_array: bad arguments") );
-    ( rt_array_create_1d,
-      rt_fn (fun args ->
-          match args with
-          | [ _elem_size; n ] ->
-            let count = Int64.to_int (int_arg n) in
-            if count < 0 then fail "array_create_1d: negative size";
-            let handle = rt.next_array in
-            let elem_base = Int64.add handle 8L in
-            rt.next_array <-
-              Int64.add rt.next_array (Int64.of_int (8 * (count + 1)));
-            Hashtbl.replace rt.arrays handle
-              { elem_base; count; qubit_base = None };
-            Interp.VPtr handle
-          | _ -> fail "array_create_1d: bad arguments") );
-    ( rt_array_get_element_ptr_1d,
-      rt_fn (fun args ->
-          match args with
-          | [ h; i ] -> (
-            let handle = result_addr_of_value h in
-            let idx = Int64.to_int (int_arg i) in
-            match Hashtbl.find_opt rt.arrays handle with
-            | Some info ->
-              if idx < 0 || idx >= info.count then
-                fail "array index %d out of range [0, %d)" idx info.count;
-              Interp.VPtr (Int64.add info.elem_base (Int64.of_int (8 * idx)))
-            | None -> fail "array_get_element_ptr_1d: unknown array 0x%Lx" handle)
-          | _ -> fail "array_get_element_ptr_1d: bad arguments") );
-    ( rt_array_get_size_1d,
-      rt_fn (fun args ->
-          match args with
-          | [ h ] -> (
-            match Hashtbl.find_opt rt.arrays (result_addr_of_value h) with
-            | Some info -> Interp.VInt (Ty.I64, Int64.of_int info.count)
-            | None -> fail "array_get_size_1d: unknown array")
-          | _ -> fail "array_get_size_1d: bad arguments") );
-    (rt_qubit_release, rt_fn (fun _ -> unit_value));
-    (rt_qubit_release_array, rt_fn (fun _ -> unit_value));
-    (rt_array_update_reference_count, rt_fn (fun _ -> unit_value));
-    (rt_result_update_reference_count, rt_fn (fun _ -> unit_value));
-    (rt_result_get_one, rt_fn (fun _ -> Interp.VPtr one_result_addr));
-    (rt_result_get_zero, rt_fn (fun _ -> Interp.VPtr zero_result_addr));
-    ( rt_result_equal,
-      rt_fn (fun args ->
-          match args with
-          | [ a; b ] ->
-            let interpret v =
-              let addr = result_addr_of_value v in
-              if Int64.equal addr one_result_addr then true
-              else if Int64.equal addr zero_result_addr then false
-              else
-                match Hashtbl.find_opt rt.results addr with
-                | Some b -> b
-                | None -> fail "result_equal before measurement"
-            in
-            Interp.VInt (Ty.I1, if interpret a = interpret b then 1L else 0L)
-          | _ -> fail "result_equal: bad arguments") );
-    ( rt_result_record_output,
-      rt_fn (fun args ->
-          match args with
-          | [ r; _label ] -> (
-            let addr = result_addr_of_value r in
+  match call with
+  | Names.Gate { shape; doubles; qubits } -> gate_fn rt shape ~doubles ~qubits
+  | Names.Reset -> (
+    function
+    | [ q ] ->
+      rt.stats.resets <- rt.stats.resets + 1;
+      rt.ops.breset (qubit_arg rt q);
+      unit_value
+    | _ -> fail "reset: bad arguments")
+  | Names.Mz -> (
+    function
+    | [ q; r ] ->
+      rt.stats.measurements <- rt.stats.measurements + 1;
+      let outcome = rt.ops.bmeasure (qubit_arg rt q) in
+      Hashtbl.replace rt.results (result_addr_of_value r) outcome;
+      unit_value
+    | _ -> fail "mz: bad arguments")
+  | Names.M -> (
+    function
+    | [ q ] ->
+      rt.stats.measurements <- rt.stats.measurements + 1;
+      let outcome = rt.ops.bmeasure (qubit_arg rt q) in
+      (* a fresh result cell in the array address space *)
+      let addr = rt.next_array in
+      rt.next_array <- Int64.add rt.next_array 8L;
+      Hashtbl.replace rt.results addr outcome;
+      Interp.VPtr addr
+    | _ -> fail "m: bad arguments")
+  | Names.Read_result -> (
+    function
+    | [ r ] -> (
+      let addr = result_addr_of_value r in
+      match Hashtbl.find_opt rt.results addr with
+      | Some b -> Interp.VInt (Ty.I1, if b then 1L else 0L)
+      | None -> fail "read_result before measurement (0x%Lx)" addr)
+    | _ -> fail "read_result: bad arguments")
+  | Names.Qubit_allocate ->
+    rt_fn (function
+      | [] ->
+        let q = fresh_sim_qubit rt in
+        let addr = rt.next_dynamic in
+        rt.next_dynamic <- Int64.add rt.next_dynamic 8L;
+        Hashtbl.replace rt.qubit_of_addr addr q;
+        Interp.VPtr addr
+      | _ -> fail "qubit_allocate: bad arguments")
+  | Names.Qubit_allocate_array ->
+    rt_fn (function
+      | [ n ] ->
+        let count = Int64.to_int (int_arg n) in
+        if count < 0 then fail "qubit_allocate_array: negative size";
+        let qubit_base = rt.ops.bnum_qubits () in
+        rt.ops.ensure (qubit_base + count);
+        let handle = rt.next_array in
+        let elem_base = Int64.add handle 8L in
+        rt.next_array <-
+          Int64.add rt.next_array (Int64.of_int (8 * (count + 1)));
+        Hashtbl.replace rt.arrays handle
+          { elem_base; count; qubit_base = Some qubit_base };
+        Interp.VPtr handle
+      | _ -> fail "qubit_allocate_array: bad arguments")
+  | Names.Array_create_1d ->
+    rt_fn (function
+      | [ _elem_size; n ] ->
+        let count = Int64.to_int (int_arg n) in
+        if count < 0 then fail "array_create_1d: negative size";
+        let handle = rt.next_array in
+        let elem_base = Int64.add handle 8L in
+        rt.next_array <-
+          Int64.add rt.next_array (Int64.of_int (8 * (count + 1)));
+        Hashtbl.replace rt.arrays handle
+          { elem_base; count; qubit_base = None };
+        Interp.VPtr handle
+      | _ -> fail "array_create_1d: bad arguments")
+  | Names.Array_get_element_ptr_1d ->
+    rt_fn (function
+      | [ h; i ] -> (
+        let handle = result_addr_of_value h in
+        let idx = Int64.to_int (int_arg i) in
+        match Hashtbl.find_opt rt.arrays handle with
+        | Some info ->
+          if idx < 0 || idx >= info.count then
+            fail "array index %d out of range [0, %d)" idx info.count;
+          Interp.VPtr (Int64.add info.elem_base (Int64.of_int (8 * idx)))
+        | None -> fail "array_get_element_ptr_1d: unknown array 0x%Lx" handle)
+      | _ -> fail "array_get_element_ptr_1d: bad arguments")
+  | Names.Array_get_size_1d ->
+    rt_fn (function
+      | [ h ] -> (
+        match Hashtbl.find_opt rt.arrays (result_addr_of_value h) with
+        | Some info -> Interp.VInt (Ty.I64, Int64.of_int info.count)
+        | None -> fail "array_get_size_1d: unknown array")
+      | _ -> fail "array_get_size_1d: bad arguments")
+  | Names.Qubit_release | Names.Qubit_release_array
+  | Names.Array_update_reference_count | Names.Result_update_reference_count
+  | Names.Initialize | Names.Message ->
+    rt_fn (fun _ -> unit_value)
+  | Names.Result_get_one -> rt_fn (fun _ -> Interp.VPtr one_result_addr)
+  | Names.Result_get_zero -> rt_fn (fun _ -> Interp.VPtr zero_result_addr)
+  | Names.Result_equal ->
+    rt_fn (function
+      | [ a; b ] ->
+        let interpret v =
+          let addr = result_addr_of_value v in
+          if Int64.equal addr one_result_addr then true
+          else if Int64.equal addr zero_result_addr then false
+          else
             match Hashtbl.find_opt rt.results addr with
-            | Some b ->
-              Buffer.add_string rt.output (if b then "1" else "0");
-              unit_value
-            | None -> fail "result_record_output before measurement")
-          | _ -> fail "result_record_output: bad arguments") );
-    ( rt_array_record_output,
-      rt_fn (fun args ->
-          match args with
-          | [ _n; _label ] -> unit_value
-          | _ -> fail "array_record_output: bad arguments") );
-    (rt_initialize, rt_fn (fun _ -> unit_value));
-    (rt_message, rt_fn (fun _ -> unit_value));
-    ( rt_fail,
-      rt_fn (fun _ -> fail "program called __quantum__rt__fail") );
-  ]
+            | Some b -> b
+            | None -> fail "result_equal before measurement"
+        in
+        Interp.VInt (Ty.I1, if interpret a = interpret b then 1L else 0L)
+      | _ -> fail "result_equal: bad arguments")
+  | Names.Result_record_output ->
+    rt_fn (function
+      | [ r; _label ] -> (
+        let addr = result_addr_of_value r in
+        match Hashtbl.find_opt rt.results addr with
+        | Some b ->
+          Buffer.add_string rt.output (if b then "1" else "0");
+          unit_value
+        | None -> fail "result_record_output before measurement")
+      | _ -> fail "result_record_output: bad arguments")
+  | Names.Array_record_output ->
+    rt_fn (function
+      | [ _n; _label ] -> unit_value
+      | _ -> fail "array_record_output: bad arguments")
+  | Names.Fail -> rt_fn (fun _ -> fail "program called __quantum__rt__fail")
+  | Names.Unknown -> invalid_arg "Runtime.implement: unknown function"
+
+(* Every function of {!Names.symbols}, bound to its implementation. *)
+let externals rt : (string * (Interp.value list -> Interp.value)) list =
+  List.map (fun (name, call) -> (name, implement rt call)) Names.symbols

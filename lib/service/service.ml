@@ -250,7 +250,8 @@ let stats t =
 (* Program interning: identical program text resubmitted by any tenant
    maps to the *same* Ir_module.t value, so the session's
    identity-keyed compile/tape caches actually hit across jobs — the
-   compile-once contract at service granularity. Bounded FIFO. *)
+   compile-once contract at service granularity. Bounded FIFO. A miss
+   parses and verifies the text; only verifier-clean modules are kept. *)
 
 let intern t ~source : (Llvm_ir.Ir_module.t, Qir_error.t) result =
   locked t @@ fun () ->
@@ -261,18 +262,23 @@ let intern t ~source : (Llvm_ir.Ir_module.t, Qir_error.t) result =
     match Llvm_ir.Parser.parse_module_result ~source_name:"<job>" source with
     | Error msg ->
       Error (Qir_error.make ~kind:Qir_error.Parse ~layer:Qir_error.L_parser msg)
-    | Ok m ->
-      if List.length t.module_order >= t.config.module_cache_limit then begin
-        match List.rev t.module_order with
-        | oldest :: _ ->
-          Hashtbl.remove t.modules oldest;
-          t.module_order <-
-            List.filter (fun k -> k <> oldest) t.module_order
-        | [] -> ()
-      end;
-      Hashtbl.add t.modules key m;
-      t.module_order <- key :: t.module_order;
-      Ok m)
+    | Ok m -> (
+      match Llvm_ir.Verifier.check_module m with
+      | v :: _ ->
+        (* the analyses behind admission assume verifier-clean input *)
+        Error (Qir_error.of_verifier_violation v)
+      | [] ->
+        if List.length t.module_order >= t.config.module_cache_limit then begin
+          match List.rev t.module_order with
+          | oldest :: _ ->
+            Hashtbl.remove t.modules oldest;
+            t.module_order <-
+              List.filter (fun k -> k <> oldest) t.module_order
+          | [] -> ()
+        end;
+        Hashtbl.add t.modules key m;
+        t.module_order <- key :: t.module_order;
+        Ok m))
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                            *)

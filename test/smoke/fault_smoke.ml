@@ -7,7 +7,9 @@
    Then 2000 seeded text mutations of those programs' QIR — a flipped
    byte, a truncation, an inserted "-", "e", "0x" or 20-digit run, a
    duplicated line — go through [Parser.parse_module_result], which
-   must answer [Ok] or [Error] for each: any exception fails the run.
+   must answer [Ok] or [Error] for each. Every mutation that parses and
+   verifies then goes through [Qir_parser.parse_with_output], which must
+   likewise answer [Ok] or [Error]: any exception fails the run.
 
    Used by CI as a cheap end-to-end robustness gate:
      dune exec test/smoke/fault_smoke.exe *)
@@ -60,18 +62,31 @@ let mutate_texts texts =
   let texts = Array.of_list texts in
   let rng = Rng.create 2024 in
   let ok = ref 0 and rejected = ref 0 and raised = ref 0 in
+  let verified = ref 0 and circuits = ref 0 and refused = ref 0 in
+  let report i e =
+    incr raised;
+    if !raised <= 5 then
+      Printf.eprintf "mutation %d: %s\n" i (Printexc.to_string e)
+  in
   for i = 0 to mutations - 1 do
     let text = mutate rng texts.(i mod Array.length texts) in
     match Llvm_ir.Parser.parse_module_result text with
-    | Ok _ -> incr ok
+    | Ok m -> (
+      incr ok;
+      if Llvm_ir.Verifier.check_module m = [] then begin
+        incr verified;
+        match Qir.Qir_parser.parse_with_output m with
+        | Ok _ -> incr circuits
+        | Error _ -> incr refused
+        | exception e -> report i e
+      end)
     | Error _ -> incr rejected
-    | exception e ->
-      incr raised;
-      if !raised <= 5 then
-        Printf.eprintf "mutation %d: %s\n" i (Printexc.to_string e)
+    | exception e -> report i e
   done;
   Printf.printf "text fuzz: %d mutations, %d parsed, %d parse errors, %d raised\n"
     mutations !ok !rejected !raised;
+  Printf.printf "qir parse: %d verified, %d circuits, %d refused\n" !verified
+    !circuits !refused;
   !raised
 
 let () =

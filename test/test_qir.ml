@@ -366,6 +366,165 @@ let test_mlir_from_qir_module () =
   check bool_t "has measures" true
     (Astring.String.is_infix ~affix:"quantum.measure" text)
 
+(* ------------------------------------------------------------------ *)
+(* The decoded call table                                               *)
+
+(* Every gate constructor, parametric ones at a non-zero angle. *)
+let all_gates =
+  Gate.
+    [
+      I; H; X; Y; Z; S; Sdg; T; Tdg; Sx; Sxdg; Rx 0.3; Ry 0.3; Rz 0.3; P 0.3;
+      U (0.1, 0.2, 0.3); Cx; Cy; Cz; Ch; Swap; Crx 0.3; Cry 0.3; Crz 0.3;
+      Cp 0.3; Cu (0.1, 0.2, 0.3); Ccx; Cswap;
+    ]
+
+(* A one-call entry point on constant operands: [doubles] angles of 0.3,
+   then qubits 0, 1, 2, ... *)
+let one_call_module name ~doubles ~qubits =
+  let params =
+    List.init doubles (fun _ -> "double") @ List.init qubits (fun _ -> "ptr")
+  in
+  let args =
+    List.init doubles (fun _ -> "double 0.3")
+    @ List.init qubits (fun q ->
+          if q = 0 then "ptr null"
+          else Printf.sprintf "ptr inttoptr (i64 %d to ptr)" q)
+  in
+  Parser.parse_module
+    (Printf.sprintf
+       "declare void @%s(%s)
+
+        define void @main() #0 {
+        entry:
+       \  call void @%s(%s)
+       \  ret void
+        }
+
+        attributes #0 = { \"entry_point\" }\n"
+       name (String.concat ", " params) name (String.concat ", " args))
+
+let test_emitted_gates_decode_back () =
+  List.iter
+    (fun g ->
+      match Names.qis_of_gate g with
+      | None -> ()
+      | Some (name, angles) -> (
+        match Names.decode name with
+        | Names.Gate { shape; doubles; qubits } ->
+          check bool_t (name ^ " instantiates back") true
+            (Gate.equal g (Names.instantiate shape angles));
+          check int_t (name ^ " doubles") (List.length angles) doubles;
+          check int_t (name ^ " qubits") (Gate.num_qubits g) qubits;
+          let s = Option.get (Signatures.find name) in
+          check bool_t (name ^ " signature arity") true
+            (s.Signatures.args
+            = List.init doubles (fun _ -> Signatures.Double_arg)
+              @ List.init qubits (fun _ -> Signatures.Qubit))
+        | _ -> Alcotest.failf "%s does not decode to a gate" name))
+    all_gates;
+  check int_t "gates the base set emits" 15
+    (List.length (List.filter_map Names.qis_of_gate all_gates))
+
+let test_decoded_gates_are_bound_and_taped () =
+  let rt = Qruntime.Runtime.create (Qsim.Backend.create_instance ~seed:1 `Statevector 0) in
+  let externals = Qruntime.Runtime.externals rt in
+  check int_t "one external per symbol" (List.length Names.symbols)
+    (List.length externals);
+  List.iter
+    (fun (name, call) ->
+      check bool_t (name ^ " has a signature") true (Signatures.find name <> None);
+      check bool_t (name ^ " bound by the runtime") true
+        (List.mem_assoc name externals);
+      match call with
+      | Names.Gate { shape; doubles; qubits } -> (
+        let m = one_call_module name ~doubles ~qubits in
+        let expected =
+          Names.instantiate shape (List.init doubles (fun _ -> 0.3))
+        in
+        match Qruntime.Gate_tape.extract m with
+        | Some { Qruntime.Gate_tape.ops = [| Qruntime.Gate_tape.Gate (g, qs) |]; _ } ->
+          check bool_t (name ^ " taped as its gate") true (Gate.equal g expected);
+          check bool_t (name ^ " taped operands") true
+            (qs = Array.init qubits Fun.id)
+        | _ -> Alcotest.failf "%s: the tape refused a one-gate program" name)
+      | _ -> ())
+    Names.symbols
+
+let test_alternate_spellings_are_unknown () =
+  List.iter
+    (fun name ->
+      check bool_t (name ^ " is not decoded") true (Names.decode name = Names.Unknown))
+    [
+      "__quantum__qis__cx__body"; "__quantum__qis__ccnot__body";
+      "__quantum__qis__toffoli__body"; "__quantum__qis__h__adj";
+      "__quantum__qis__x__adj"; "h"; "";
+    ];
+  let m = one_call_module "__quantum__qis__cx__body" ~doubles:0 ~qubits:2 in
+  match Qir_parser.parse_result m with
+  | Error msg ->
+    check Alcotest.string "rejected as unknown"
+      "call to unknown quantum function @__quantum__qis__cx__body" msg
+  | Ok _ -> Alcotest.fail "cx spelling accepted"
+
+(* Malformed programs the verifier may or may not catch: the parser
+   answers [Error] and never raises. *)
+let test_parser_never_raises () =
+  let program body =
+    Parser.parse_module
+      (Printf.sprintf
+         "declare ptr @__quantum__rt__qubit_allocate_array(i64)
+          declare ptr @__quantum__rt__qubit_allocate()
+          declare ptr @__quantum__rt__array_create_1d(i32, i64)
+          declare void @__quantum__qis__h__body(ptr)
+          declare void @__quantum__qis__cnot__body(ptr, ptr)
+
+          define void @main() #0 {
+          entry:
+          %s
+          }
+
+          attributes #0 = { \"entry_point\" }\n"
+         body)
+  in
+  List.iter
+    (fun (what, body, expected) ->
+      match Qir_parser.parse_with_output (program body) with
+      | Error msg -> check Alcotest.string what expected msg
+      | Ok _ -> Alcotest.failf "%s: parsed" what
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+    [
+      ( "negative qubit array",
+        "  %a = call ptr @__quantum__rt__qubit_allocate_array(i64 -3)
+        \  %q = call ptr @__quantum__rt__qubit_allocate()
+        \  call void @__quantum__qis__h__body(ptr %q)
+        \  ret void",
+        "qubit_allocate_array: negative size -3" );
+      ( "negative result array",
+        "  %a = call ptr @__quantum__rt__array_create_1d(i32 1, i64 -2)
+        \  ret void",
+        "array_create_1d: negative size -2" );
+      ( "missing block",
+        "  call void @__quantum__qis__h__body(ptr null)
+  br label %nowhere",
+        "branch to undefined label %nowhere" );
+      ( "duplicate operands",
+        "  call void @__quantum__qis__cnot__body(ptr null, ptr null)
+  ret void",
+        "op 0: duplicate qubit operands" );
+    ]
+
+let names_suite =
+  [
+    Alcotest.test_case "names: emitted gates decode back" `Quick
+      test_emitted_gates_decode_back;
+    Alcotest.test_case "names: decoded gates are bound and taped" `Quick
+      test_decoded_gates_are_bound_and_taped;
+    Alcotest.test_case "names: alternate spellings are unknown" `Quick
+      test_alternate_spellings_are_unknown;
+    Alcotest.test_case "parser: malformed programs are errors" `Quick
+      test_parser_never_raises;
+  ]
+
 let mlir_suite =
   [
     Alcotest.test_case "mlir: Bell shape" `Quick test_mlir_bell;
@@ -377,4 +536,4 @@ let mlir_suite =
       test_mlir_from_qir_module;
   ]
 
-let suite = suite @ mlir_suite
+let suite = suite @ names_suite @ mlir_suite

@@ -997,6 +997,56 @@ let test_malformed_literal_rejected () =
     Service.drain svc;
     check int_t "the next job completed" 1 (List.length (results (events ())))
 
+(* Malformed programs at intake: verifier violations are rejected with
+   the verify exit code before any analysis runs, a verifier-clean
+   program the runtime refuses fails with a taxonomy code, and neither
+   stops the service from completing the next job. *)
+let test_malformed_programs_keep_serving () =
+  let svc, events = recording () in
+  let program body =
+    "declare ptr @__quantum__rt__qubit_allocate_array(i64)\n\
+     declare ptr @__quantum__rt__qubit_allocate()\n\
+     declare void @__quantum__qis__h__body(ptr)\n\
+     define void @main() #0 {\nentry:\n" ^ body
+    ^ "\n}\nattributes #0 = { \"entry_point\" }\n"
+  in
+  List.iter
+    (fun (what, body) ->
+      match Service.intern svc ~source:(program body) with
+      | Ok _ -> Alcotest.failf "%s: interned" what
+      | Error e ->
+        check int_t (what ^ ": verify exit code") Qir_error.exit_verify
+          (Qir_error.exit_code e))
+    [
+      ("missing block", "  call void @__quantum__qis__h__body(ptr null)\n  br label %nowhere");
+      ( "missing branch target",
+        "  %c = icmp eq i64 1, 1\n  br i1 %c, label %nowhere, label %done\ndone:\n  ret void" );
+    ];
+  (match
+     Service.intern svc
+       ~source:
+         (program
+            "  %a = call ptr @__quantum__rt__qubit_allocate_array(i64 -3)\n\
+            \  %q = call ptr @__quantum__rt__qubit_allocate()\n\
+            \  call void @__quantum__qis__h__body(ptr %q)\n  ret void")
+   with
+  | Error e -> Alcotest.fail (Qir_error.to_string e)
+  | Ok m -> Service.submit svc ~tenant:"a" ~id:"neg" ~shots:4 m);
+  (match Service.intern svc ~source:(Llvm_ir.Printer.module_to_string (bell ())) with
+  | Error e -> Alcotest.fail (Qir_error.to_string e)
+  | Ok m -> Service.submit svc ~tenant:"a" ~id:"good" ~shots:8 m);
+  Service.drain svc;
+  let failed =
+    List.filter_map
+      (function
+        | Service.Failed { id; error; _ } -> Some (id, Qir_error.exit_code error)
+        | _ -> None)
+      (events ())
+  in
+  check Alcotest.(list (pair string int)) "negative size fails at run time"
+    [ ("neg", Qir_error.exit_exec) ] failed;
+  check int_t "the next job completed" 1 (List.length (results (events ())))
+
 (* N concurrent drain loops vs 1: the loops claim jobs from the shared
    stride scheduler in a nondeterministic order, but seeding is
    per-job, so every job's histogram must be bit-identical either
@@ -1103,6 +1153,8 @@ let suite =
       test_service_sheds_cache_coldest_first;
     Alcotest.test_case "service: malformed literal is a parse rejection" `Quick
       test_malformed_literal_rejected;
+    Alcotest.test_case "service: malformed programs keep it serving" `Quick
+      test_malformed_programs_keep_serving;
     Alcotest.test_case "service: interning shares session caches" `Quick
       test_intern_shares_modules_across_jobs;
     Alcotest.test_case "service: multi-executor drain parity" `Quick
