@@ -53,3 +53,14 @@ let parse_qir_file path =
 let or_die = function
   | Ok v -> v
   | Error msg -> die ~code:Qruntime.Qir_error.exit_parse "%s" msg
+
+(* The IR verifier's findings, one taxonomy line each on stderr, then
+   exit with the first one's code (verify, 3). Passes and the QIR
+   parser assume a verified module, so tools run this after loading. *)
+let verify_or_exit m =
+  match Llvm_ir.Verifier.check_module m with
+  | [] -> ()
+  | vs ->
+    let errs = List.map Qruntime.Qir_error.of_verifier_violation vs in
+    List.iter (fun e -> Printf.eprintf "%s: %s\n" prog (Qruntime.Qir_error.to_string e)) errs;
+    exit (Qruntime.Qir_error.exit_code (List.hd errs))

@@ -9,12 +9,15 @@ let run input qasm3 lower output =
   Cli_common.protect @@ fun () ->
   let m = Cli_common.parse_qir_file input in
   let circuit =
-    if lower then
+    if lower then begin
+      (* the lowering passes assume a verified module *)
+      Cli_common.verify_or_exit m;
       match Qir.Lowering.lower_to_circuit m with
       | Ok c -> c
       | Error e ->
         Cli_common.die ~code:Qruntime.Qir_error.exit_exec "%s"
           (Format.asprintf "%a" Qir.Lowering.pp_error e)
+    end
     else
       match Qir.Qir_parser.parse_result m with
       | Ok c -> c

@@ -17,6 +17,8 @@ let run input passes lower optimize opt_quantum check addressing emit verify
     lint resources werror output =
   Cli_common.protect @@ fun () ->
   let m = Cli_common.parse_qir_file input in
+  (* 0. the passes assume a verified module *)
+  Cli_common.verify_or_exit m;
   (* 1. individual passes, in order *)
   let m =
     List.fold_left
@@ -43,18 +45,10 @@ let run input passes lower optimize opt_quantum check addressing emit verify
     | Some `Static -> Qir.Addressing.to_static m
     | Some `Dynamic -> Qir.Addressing.to_dynamic m
   in
-  (* 4. verification — violations are reported and exit through the
-     unified error taxonomy (Verify kind, exit 3) *)
-  if verify then begin
-    match Llvm_ir.Verifier.check_module m with
-    | [] -> ()
-    | vs ->
-      let errs = List.map Qruntime.Qir_error.of_verifier_violation vs in
-      List.iter
-        (fun e -> Format.eprintf "%s@\n" (Qruntime.Qir_error.to_string e))
-        errs;
-      exit (Qruntime.Qir_error.exit_code (List.hd errs))
-  end;
+  (* 4. verification of the transformed module — violations are
+     reported and exit through the unified error taxonomy (Verify kind,
+     exit 3) *)
+  if verify then Cli_common.verify_or_exit m;
   (* 5. lint *)
   if lint then begin
     let ds = Qir_analysis.Lint.run m in
@@ -165,8 +159,9 @@ let emit =
          ~doc:"Output format: qir (default), qasm2, qasm3, circuit, mlir, none.")
 
 let verify =
-  Arg.(value & flag & info [ "verify" ] ~doc:"Run the IR verifier and fail \
-                                              on violations.")
+  Arg.(value & flag & info [ "verify" ]
+         ~doc:"Run the IR verifier again after the transformations and \
+               fail on violations (the input is always verified).")
 
 let lint =
   Arg.(value & flag & info [ "lint" ]

@@ -140,104 +140,95 @@ let cnegi = c 0.0 (-1.0)
 let expi t = c (cos t) (sin t)
 let inv_sqrt2 = 1.0 /. sqrt 2.0
 
-(* u3(theta, phi, lambda) in the OpenQASM convention. *)
-let u3_matrix theta phi lambda =
-  let ct = cos (theta /. 2.0) and st = sin (theta /. 2.0) in
-  [|
-    [| c ct 0.0; Complex.neg (Complex.mul (expi lambda) (c st 0.0)) |];
-    [|
-      Complex.mul (expi phi) (c st 0.0);
-      Complex.mul (expi (phi +. lambda)) (c ct 0.0);
-    |];
-  |]
-
-let matrix_1q = function
-  | I -> [| [| c1; c0 |]; [| c0; c1 |] |]
-  | H ->
-    [|
-      [| c inv_sqrt2 0.0; c inv_sqrt2 0.0 |];
-      [| c inv_sqrt2 0.0; c (-.inv_sqrt2) 0.0 |];
-    |]
-  | X -> [| [| c0; c1 |]; [| c1; c0 |] |]
-  | Y -> [| [| c0; cnegi |]; [| ci; c0 |] |]
-  | Z -> [| [| c1; c0 |]; [| c0; cneg1 |] |]
-  | S -> [| [| c1; c0 |]; [| c0; ci |] |]
-  | Sdg -> [| [| c1; c0 |]; [| c0; cnegi |] |]
-  | T -> [| [| c1; c0 |]; [| c0; expi (Float.pi /. 4.0) |] |]
-  | Tdg -> [| [| c1; c0 |]; [| c0; expi (-.Float.pi /. 4.0) |] |]
+(* The 2x2 entries of a single-qubit gate, row-major; u3(theta, phi,
+   lambda) in the OpenQASM convention. *)
+let entries_1q = function
+  | I -> (c1, c0, c0, c1)
+  | H -> (c inv_sqrt2 0.0, c inv_sqrt2 0.0, c inv_sqrt2 0.0, c (-.inv_sqrt2) 0.0)
+  | X -> (c0, c1, c1, c0)
+  | Y -> (c0, cnegi, ci, c0)
+  | Z -> (c1, c0, c0, cneg1)
+  | S -> (c1, c0, c0, ci)
+  | Sdg -> (c1, c0, c0, cnegi)
+  | T -> (c1, c0, c0, expi (Float.pi /. 4.0))
+  | Tdg -> (c1, c0, c0, expi (-.Float.pi /. 4.0))
   | Sx ->
     let a = c 0.5 0.5 and b = c 0.5 (-0.5) in
-    [| [| a; b |]; [| b; a |] |]
+    (a, b, b, a)
   | Sxdg ->
     let a = c 0.5 (-0.5) and b = c 0.5 0.5 in
-    [| [| a; b |]; [| b; a |] |]
+    (a, b, b, a)
   | Rx t ->
     let ct = cos (t /. 2.0) and st = sin (t /. 2.0) in
-    [| [| c ct 0.0; c 0.0 (-.st) |]; [| c 0.0 (-.st); c ct 0.0 |] |]
+    (c ct 0.0, c 0.0 (-.st), c 0.0 (-.st), c ct 0.0)
   | Ry t ->
     let ct = cos (t /. 2.0) and st = sin (t /. 2.0) in
-    [| [| c ct 0.0; c (-.st) 0.0 |]; [| c st 0.0; c ct 0.0 |] |]
-  | Rz t ->
-    [| [| expi (-.t /. 2.0); c0 |]; [| c0; expi (t /. 2.0) |] |]
-  | P t -> [| [| c1; c0 |]; [| c0; expi t |] |]
-  | U (a, b, cc) -> u3_matrix a b cc
-  | g ->
-    invalid_arg
-      (Printf.sprintf "Gate.matrix_1q: %d-qubit gate" (num_qubits g))
+    (c ct 0.0, c (-.st) 0.0, c st 0.0, c ct 0.0)
+  | Rz t -> (expi (-.t /. 2.0), c0, c0, expi (t /. 2.0))
+  | P t -> (c1, c0, c0, expi t)
+  | U (theta, phi, lambda) ->
+    let ct = cos (theta /. 2.0) and st = sin (theta /. 2.0) in
+    ( c ct 0.0,
+      Complex.neg (Complex.mul (expi lambda) (c st 0.0)),
+      Complex.mul (expi phi) (c st 0.0),
+      Complex.mul (expi (phi +. lambda)) (c ct 0.0) )
+  | Cx | Cy | Cz | Ch | Swap | Crx _ | Cry _ | Crz _ | Cp _ | Cu _ | Ccx | Cswap ->
+    assert false
 
-(* Two-qubit matrices in the convention that qubit operand 0 (the control
-   for controlled gates) indexes the *most significant* bit of the 2-bit
-   basis state: basis order |q0 q1> = 00, 01, 10, 11. *)
-let controlled u =
-  [|
-    [| c1; c0; c0; c0 |];
-    [| c0; c1; c0; c0 |];
-    [| c0; c0; u.(0).(0); u.(0).(1) |];
-    [| c0; c0; u.(1).(0); u.(1).(1) |];
-  |]
-
-let matrix_2q = function
-  | Cx -> controlled (matrix_1q X)
-  | Cy -> controlled (matrix_1q Y)
-  | Cz -> controlled (matrix_1q Z)
-  | Ch -> controlled (matrix_1q H)
-  | Crx t -> controlled (matrix_1q (Rx t))
-  | Cry t -> controlled (matrix_1q (Ry t))
-  | Crz t -> controlled (matrix_1q (Rz t))
-  | Cp t -> controlled (matrix_1q (P t))
-  | Cu (a, b, cc) -> controlled (u3_matrix a b cc)
-  | Swap ->
-    [|
-      [| c1; c0; c0; c0 |];
-      [| c0; c0; c1; c0 |];
-      [| c0; c1; c0; c0 |];
-      [| c0; c0; c0; c1 |];
-    |]
-  | g ->
-    invalid_arg
-      (Printf.sprintf "Gate.matrix_2q: %d-qubit gate" (num_qubits g))
-
-(* Three-qubit matrices, operand 0 the most significant bit as in
-   [matrix_2q]: basis order |q0 q1 q2>. Both are transpositions: CCX
-   exchanges |110> and |111>, CSWAP |101> and |110>. *)
-let matrix_3q g =
-  let exchange a b =
-    Array.init 8 (fun r ->
-        let src = if r = a then b else if r = b then a else r in
-        Array.init 8 (fun col -> if col = src then c1 else c0))
+(* Multi-qubit matrices put operand 0 (the control, for controlled
+   gates) on the *most significant* bit of the basis index: basis order
+   |q0 q1> = 00, 01, 10, 11, and |q0 q1 q2> for three qubits. A
+   controlled gate is the identity on |00>, |01> and its target's 2x2
+   block on |10>, |11>; SWAP, CCX and CSWAP are permutations (CCX
+   exchanges |110> and |111>, CSWAP |101> and |110>). *)
+let flat_matrix g =
+  let d = 1 lsl num_qubits g in
+  let re = Array.make (d * d) 0.0 and im = Array.make (d * d) 0.0 in
+  let set r col (z : Complex.t) =
+    re.((r * d) + col) <- z.re;
+    im.((r * d) + col) <- z.im
   in
-  match g with
+  let controlled target =
+    let a, b, cc, e = entries_1q target in
+    set 0 0 c1;
+    set 1 1 c1;
+    set 2 2 a;
+    set 2 3 b;
+    set 3 2 cc;
+    set 3 3 e
+  in
+  let exchange a b =
+    for r = 0 to d - 1 do
+      set r (if r = a then b else if r = b then a else r) c1
+    done
+  in
+  (match g with
+  | Cx -> controlled X
+  | Cy -> controlled Y
+  | Cz -> controlled Z
+  | Ch -> controlled H
+  | Crx t -> controlled (Rx t)
+  | Cry t -> controlled (Ry t)
+  | Crz t -> controlled (Rz t)
+  | Cp t -> controlled (P t)
+  | Cu (a, b, cc) -> controlled (U (a, b, cc))
+  | Swap -> exchange 1 2
   | Ccx -> exchange 6 7
   | Cswap -> exchange 5 6
-  | g ->
-    invalid_arg
-      (Printf.sprintf "Gate.matrix_3q: %d-qubit gate" (num_qubits g))
+  | I | H | X | Y | Z | S | Sdg | T | Tdg | Sx | Sxdg | Rx _ | Ry _ | Rz _ | P _
+  | U _ ->
+    let a, b, cc, e = entries_1q g in
+    set 0 0 a;
+    set 0 1 b;
+    set 1 0 cc;
+    set 1 1 e);
+  (re, im)
 
 let matrix g =
-  match num_qubits g with
-  | 1 -> matrix_1q g
-  | 2 -> matrix_2q g
-  | _ -> matrix_3q g
+  let re, im = flat_matrix g in
+  let d = 1 lsl num_qubits g in
+  Array.init d (fun r ->
+      Array.init d (fun col -> { Complex.re = re.((r * d) + col); im = im.((r * d) + col) }))
 
 (* ------------------------------------------------------------------ *)
 (* Names (OpenQASM spelling)                                            *)

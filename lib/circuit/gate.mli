@@ -52,23 +52,16 @@ val is_identity : ?eps:float -> t -> bool
 (** Whether the gate acts as the identity (up to global phase), e.g. a
     rotation by a multiple of 4*pi. *)
 
-val matrix_1q : t -> Complex.t array array
-(** 2x2 unitary of a single-qubit gate. Raises [Invalid_argument] on
-    multi-qubit gates. *)
-
-val matrix_2q : t -> Complex.t array array
-(** 4x4 unitary of a two-qubit gate in the basis |q0 q1> where operand 0
-    (the control, for controlled gates) is the most significant bit.
-    Raises [Invalid_argument] otherwise. *)
-
-val matrix_3q : t -> Complex.t array array
-(** 8x8 unitary of a three-qubit gate in the basis |q0 q1 q2> where
-    operand 0 is the most significant bit, as in {!matrix_2q}. Raises
-    [Invalid_argument] otherwise. *)
+val flat_matrix : t -> float array * float array
+(** The unitary of any gate as row-major real and imaginary parts: entry
+    (r, c) of the [2^n x 2^n] matrix is [re.(r * 2^n + c)] +
+    i [im.(r * 2^n + c)]. The basis index puts operand 0 (the control,
+    for controlled gates) on its most significant bit: |q0 q1> for two
+    qubits, |q0 q1 q2> for three. Fresh arrays on every call. *)
 
 val matrix : t -> Complex.t array array
-(** The unitary of any gate: {!matrix_1q}, {!matrix_2q} or {!matrix_3q}
-    by arity. *)
+(** {!flat_matrix} as rows of complex entries, for the reference
+    engines and tests. *)
 
 val name : t -> string
 (** OpenQASM spelling ([h], [cx], [rz], ...). *)

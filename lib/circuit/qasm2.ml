@@ -7,6 +7,7 @@
    [barrier] and [if (creg == n)] conditions. *)
 
 exception Error of int * string
+exception Unsupported of string
 
 let error line fmt =
   Format.kasprintf (fun msg -> raise (Error (line, msg))) fmt
@@ -512,7 +513,85 @@ let pp_angle ppf t =
   end
   else Format.fprintf ppf "%.17g" t
 
+(* OpenQASM 2 conditions read a whole register. A condition on a run
+   of consecutive bits of one register (LSB first) that is not a whole
+   register becomes expressible by splitting registers: every register
+   is cut where such a run starts and ends, and each piece declared in
+   order as a register of its own, named [<register>_<first bit>].
+   Pieces declared in order keep every bit's flat index, so a reader
+   maps each bit back to the same classical bit. *)
+let split_cregs (t : Circuit.t) =
+  let cuts = Hashtbl.create 8 in
+  let unsupported cbits =
+    raise
+      (Unsupported
+         (Printf.sprintf
+            "OpenQASM 2 cannot condition on classical bits [%s]: not a run of one register"
+            (String.concat "; " (List.map string_of_int cbits))))
+  in
+  List.iter
+    (fun (op : Circuit.op) ->
+      match op.cond with
+      | Some { cbits = first :: _ as cbits; _ }
+        when creg_covering t.cregs cbits = None -> (
+        let w = List.length cbits in
+        if not (List.equal Int.equal cbits (List.init w (fun i -> first + i))) then
+          unsupported cbits;
+        match
+          List.find_opt
+            (fun (r : Circuit.register) ->
+              first >= r.roffset && first + w <= r.roffset + r.rsize)
+            t.cregs
+        with
+        | Some _ ->
+          Hashtbl.replace cuts first ();
+          Hashtbl.replace cuts (first + w) ()
+        | None -> unsupported cbits)
+      | _ -> ())
+    t.ops;
+  let taken = Hashtbl.create 8 in
+  List.iter (fun (r : Circuit.register) -> Hashtbl.replace taken r.rname ()) t.cregs;
+  let rec fresh name =
+    if Hashtbl.mem taken name then fresh (name ^ "_")
+    else begin
+      Hashtbl.replace taken name ();
+      name
+    end
+  in
+  let cregs =
+    List.concat_map
+      (fun (r : Circuit.register) ->
+        let stop = r.roffset + r.rsize in
+        let inside = ref [] in
+        for i = stop - 1 downto r.roffset + 1 do
+          if Hashtbl.mem cuts i then inside := i :: !inside
+        done;
+        if !inside = [] then [ r ]
+        else
+          let starts = r.roffset :: !inside in
+          List.mapi
+            (fun j a ->
+              let b = match List.nth_opt starts (j + 1) with Some b -> b | None -> stop in
+              {
+                Circuit.rname = fresh (Printf.sprintf "%s_%d" r.rname (a - r.roffset));
+                roffset = a;
+                rsize = b - a;
+              })
+            starts)
+      t.cregs
+  in
+  (* every condition now reads a whole register, unless two runs
+     overlap without coinciding and split each other *)
+  List.iter
+    (fun (op : Circuit.op) ->
+      match op.cond with
+      | Some { cbits; _ } when creg_covering cregs cbits = None -> unsupported cbits
+      | _ -> ())
+    t.ops;
+  cregs
+
 let to_string (t : Circuit.t) =
+  let cregs = split_cregs t in
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
   Format.fprintf ppf "OPENQASM 2.0;@\ninclude \"qelib1.inc\";@\n";
@@ -535,16 +614,14 @@ let to_string (t : Circuit.t) =
   List.iter
     (fun (r : Circuit.register) ->
       Format.fprintf ppf "creg %s[%d];@\n" r.rname r.rsize)
-    t.cregs;
+    cregs;
   List.iter
     (fun (op : Circuit.op) ->
       (match op.cond with
       | Some { cbits; value } -> (
-        match creg_covering t.cregs cbits with
+        match creg_covering cregs cbits with
         | Some r -> Format.fprintf ppf "if (%s == %d) " r.rname value
-        | None ->
-          invalid_arg
-            "Qasm2.to_string: condition does not cover a whole register")
+        | None -> assert false (* split_cregs covers every condition *))
       | None -> ());
       match op.kind with
       | Circuit.Gate (g, qs) ->
@@ -561,7 +638,7 @@ let to_string (t : Circuit.t) =
             (String.concat ", " (List.map (ref_in t.qregs) qs))
       | Circuit.Measure (q, c) ->
         Format.fprintf ppf "measure %s -> %s;@\n" (ref_in t.qregs q)
-          (ref_in t.cregs c)
+          (ref_in cregs c)
       | Circuit.Reset q -> Format.fprintf ppf "reset %s;@\n" (ref_in t.qregs q)
       | Circuit.Barrier qs ->
         Format.fprintf ppf "barrier %s;@\n"

@@ -9,6 +9,9 @@
 exception Error of int * string
 (** Parse error with its source line. *)
 
+exception Unsupported of string
+(** A circuit OpenQASM 2 cannot express. *)
+
 val builtin : string -> float list -> Gate.t option
 (** [builtin name params] resolves a built-in / qelib1 gate name applied
     to evaluated parameters. Exposed for reuse by the OpenQASM 3 subset
@@ -21,9 +24,12 @@ val parse_result : string -> (Circuit.t, string) result
 
 val to_string : Circuit.t -> string
 (** Prints a circuit as OpenQASM 2.0. Gates outside qelib1 get a
-    definition in the prologue. Raises [Invalid_argument] when a
-    condition does not cover a whole classical register (OpenQASM 2
-    cannot express single-bit conditions). *)
+    definition in the prologue. OpenQASM 2 conditions read a whole
+    register, so a condition on consecutive bits of one register (a
+    single bit, say) splits that register into pieces declared in
+    order, which keeps every bit's flat index. Raises {!Unsupported}
+    when a condition's bits are not such a run, or when two runs
+    overlap without coinciding. *)
 
 (**/**)
 

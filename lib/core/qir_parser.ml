@@ -41,9 +41,15 @@ type avalue =
   | ALin of (int * int) list * int64 (* sum of result-bits * weight + const *)
   | ACmp of (int * int) list * int64 (* linear combo == value *)
 
+(* SSA names that are plain numbers below 4096 ([%0], [%17]: LLVM
+   numbers every unnamed temporary) index [nums] directly, which grows
+   to at most 4096 slots; any other name goes through [named]. *)
+module Names_tbl = Hashtbl.Make (String)
+
 type t = {
   m : Ir_module.t;
-  env : (string, avalue) Hashtbl.t;
+  mutable nums : avalue option array;
+  named : avalue Names_tbl.t;
   mem : (int, avalue) Hashtbl.t;
   build : Circuit.Build.t;
   mutable next_qubit : int;
@@ -52,17 +58,50 @@ type t = {
   mutable max_qubit : int; (* highest qubit index seen (static or dynamic) *)
   mutable visited : string list;
   mutable recorded : int list; (* result ids record_output'd, reversed *)
+  args : avalue array; (* the current call's operand values *)
 }
+
+(* The most operands any known call takes. *)
+let max_arity =
+  List.fold_left (fun n (_, call) -> max n (Signatures.arity call)) 0 Names.symbols
+
+(* The number below 4096 a name spells in decimal without leading
+   zeros, or -1. *)
+let number name =
+  let len = String.length name in
+  if len = 0 || len > 4 || (len > 1 && name.[0] = '0') then -1
+  else begin
+    let n = ref 0 and i = ref 0 in
+    while !i < len && name.[!i] >= '0' && name.[!i] <= '9' do
+      n := (!n * 10) + Char.code name.[!i] - 48;
+      incr i
+    done;
+    if !i = len && !n < 4096 then !n else -1
+  end
 
 let define st id v =
   match id with
-  | Some id -> Hashtbl.replace st.env id v
+  | Some id ->
+    let n = number id in
+    if n < 0 then Names_tbl.replace st.named id v
+    else begin
+      if n >= Array.length st.nums then begin
+        let grown = Array.make (min 4096 (max (n + 1) (2 * Array.length st.nums))) None in
+        Array.blit st.nums 0 grown 0 (Array.length st.nums);
+        st.nums <- grown
+      end;
+      st.nums.(n) <- Some v
+    end
   | None -> ()
 
 let lookup st name =
-  match Hashtbl.find_opt st.env name with
-  | Some v -> v
-  | None -> fail "use of untracked value %%%s" name
+  let n = number name in
+  let v =
+    if n < 0 then Names_tbl.find_opt st.named name
+    else if n < Array.length st.nums then st.nums.(n)
+    else None
+  in
+  match v with Some v -> v | None -> fail "use of untracked value %%%s" name
 
 let avalue_of_operand st (o : Operand.t) =
   match o with
@@ -122,37 +161,44 @@ let lin_of v =
 (* ------------------------------------------------------------------ *)
 (* Calls                                                                *)
 
-let exec_call st ~cond id callee (args : Operand.typed list) =
-  let call = Names.decode callee in
-  if call = Names.Unknown then fail "call to unknown quantum function @%s" callee;
+(* Evaluates a call's operands in order into [st.args]. *)
+let rec eval_args st i = function
+  | [] -> ()
+  | (a : Operand.typed) :: rest ->
+    st.args.(i) <- avalue_of_operand st a.Operand.v;
+    eval_args st (i + 1) rest
+
+let exec_call st ~cond id callee call (args : Operand.typed list) =
   if List.compare_length_with args (Signatures.arity call) <> 0 then
     fail "@%s called with %d arguments" callee (List.length args);
+  (* every operand is evaluated before the call's own checks *)
+  eval_args st 0 args;
+  let v = st.args in
   let size v what =
     let n = Int64.to_int (as_int v) in
     if n < 0 then fail "%s: negative size %d" what n;
     n
   in
-  let vs = List.map (fun (a : Operand.typed) -> avalue_of_operand st a.Operand.v) args in
-  match call, vs with
-  | Names.Qubit_allocate_array, [ v ] ->
-    let n = size v "qubit_allocate_array" in
+  match call with
+  | Names.Qubit_allocate_array ->
+    let n = size v.(0) "qubit_allocate_array" in
     let base = st.next_qubit in
     st.next_qubit <- base + n;
     note_qubit st (base + n - 1);
     define st id (AQubitArray { base; size = n })
-  | Names.Qubit_allocate, [] ->
+  | Names.Qubit_allocate ->
     let q = st.next_qubit in
     st.next_qubit <- q + 1;
     note_qubit st q;
     define st id (AQubit q)
-  | Names.Array_create_1d, [ _; v ] ->
-    let n = size v "array_create_1d" in
+  | Names.Array_create_1d ->
+    let n = size v.(1) "array_create_1d" in
     let base = st.next_result in
     st.next_result <- base + n;
     define st id (AResultArray { base; size = n })
-  | Names.Array_get_element_ptr_1d, [ arr; idx ] -> (
-    let i = Int64.to_int (as_int idx) in
-    match arr with
+  | Names.Array_get_element_ptr_1d -> (
+    let i = Int64.to_int (as_int v.(1)) in
+    match v.(0) with
     | AQubitArray { base; size } ->
       if i < 0 || i >= size then fail "qubit array index %d out of range" i;
       define st id (AQubit (base + i))
@@ -160,56 +206,61 @@ let exec_call st ~cond id callee (args : Operand.typed list) =
       if i < 0 || i >= size then fail "result array index %d out of range" i;
       define st id (AResult (base + i))
     | _ -> fail "array_get_element_ptr_1d on a non-array value")
-  | Names.Result_get_one, [] -> define st id AOne
-  | Names.Result_get_zero, [] -> define st id AZero
-  | Names.Result_equal, [ a; b ] -> (
-    match a, b with
+  | Names.Result_get_one -> define st id AOne
+  | Names.Result_get_zero -> define st id AZero
+  | Names.Result_equal -> (
+    match v.(0), v.(1) with
     | AResult r, AOne | AOne, AResult r -> define st id (ABit (r, false))
     | AResult r, AZero | AZero, AResult r -> define st id (ABit (r, true))
     | _ -> fail "result_equal: unsupported operand shape")
-  | Names.Read_result, [ r ] -> define st id (ABit (as_result st r, false))
-  | Names.Mz, [ q; r ] ->
-    let q = as_qubit st q and r = as_result st r in
+  | Names.Read_result -> define st id (ABit (as_result st v.(0), false))
+  | Names.Mz ->
+    let q = as_qubit st v.(0) and r = as_result st v.(1) in
     note_qubit st q;
     if r >= st.next_result then st.next_result <- r + 1;
     Circuit.Build.measure ?cond st.build q r
-  | Names.M, [ q ] ->
-    let q = as_qubit st q in
+  | Names.M ->
+    let q = as_qubit st v.(0) in
     note_qubit st q;
     let r = st.next_result in
     st.next_result <- r + 1;
     Circuit.Build.measure ?cond st.build q r;
     define st id (AResult r)
-  | Names.Reset, [ q ] ->
-    let q = as_qubit st q in
+  | Names.Reset ->
+    let q = as_qubit st v.(0) in
     note_qubit st q;
     Circuit.Build.reset ?cond st.build q
-  | Names.Result_record_output, r :: _ ->
+  | Names.Result_record_output ->
     (* no circuit semantics, but the call order defines the program's
        output bit order — keep it for consumers that need output-
        compatible sampling (the executor's batched fast path) *)
-    st.recorded <- as_result st r :: st.recorded
-  | ( ( Names.Array_update_reference_count | Names.Result_update_reference_count
-      | Names.Qubit_release | Names.Qubit_release_array | Names.Array_record_output
-      | Names.Initialize | Names.Message ),
-      _ ) ->
+    st.recorded <- as_result st v.(0) :: st.recorded
+  | Names.Array_update_reference_count | Names.Result_update_reference_count
+  | Names.Qubit_release | Names.Qubit_release_array | Names.Array_record_output
+  | Names.Initialize | Names.Message ->
     () (* bookkeeping calls carry no circuit semantics *)
-  | Names.Gate { shape; doubles; _ }, vs ->
-    let angles, qubits = Names.split_gate_args doubles vs in
-    let angles = List.map as_float angles in
-    let qubits = List.map (as_qubit st) qubits in
+  | Names.Gate { shape; doubles; qubits } ->
+    let gate =
+      if doubles = 0 then shape
+      else Names.instantiate shape (List.init doubles (fun j -> as_float v.(j)))
+    in
+    let qubits = List.init qubits (fun j -> as_qubit st v.(doubles + j)) in
     List.iter (note_qubit st) qubits;
-    Circuit.Build.gate ?cond st.build (Names.instantiate shape angles) qubits
-  | _ -> fail "unsupported quantum function @%s" callee
+    Circuit.Build.gate ?cond st.build gate qubits
+  | Names.Array_get_size_1d | Names.Fail | Names.Unknown ->
+    fail "unsupported quantum function @%s" callee
 
 (* ------------------------------------------------------------------ *)
 (* Instructions                                                         *)
 
 let exec_instr st ~cond (i : Instr.t) =
   match i.Instr.op with
-  | Instr.Call (_, callee, args) ->
-    if Names.is_quantum callee then exec_call st ~cond i.Instr.id callee args
-    else fail "call to non-quantum function @%s (inline/lower first)" callee
+  | Instr.Call (_, callee, args) -> (
+    match Names.decode callee with
+    | Names.Unknown ->
+      if Names.is_quantum callee then fail "call to unknown quantum function @%s" callee
+      else fail "call to non-quantum function @%s (inline/lower first)" callee
+    | call -> exec_call st ~cond i.Instr.id callee call args)
   | Instr.Alloca Ty.Ptr | Instr.Alloca (Ty.I1 | Ty.I8 | Ty.I32 | Ty.I64) ->
     let s = st.next_slot in
     st.next_slot <- s + 1;
@@ -298,7 +349,7 @@ let find_block f label =
   | None -> fail "branch to undefined label %%%s" label
 
 let rec exec_block st (f : Func.t) label =
-  if List.mem label st.visited then
+  if List.exists (String.equal label) st.visited then
     fail "the program contains a loop; lower (unroll) first";
   st.visited <- label :: st.visited;
   let b = find_block f label in
@@ -333,7 +384,8 @@ let parse_with_output_exn (m : Ir_module.t) : Circuit.t * int list =
   let st =
     {
       m;
-      env = Hashtbl.create 64;
+      nums = Array.make 64 None;
+      named = Names_tbl.create 16;
       mem = Hashtbl.create 16;
       build = Circuit.Build.create ();
       next_qubit = 0;
@@ -342,6 +394,7 @@ let parse_with_output_exn (m : Ir_module.t) : Circuit.t * int list =
       max_qubit = -1;
       visited = [];
       recorded = [];
+      args = Array.make max_arity AZero;
     }
   in
   exec_block st entry (Func.entry entry).Block.label;

@@ -121,6 +121,7 @@ let of_exn = function
     Some (make ~kind:Verify ~layer:L_verifier msg)
   | Qir.Qir_parser.Unsupported msg ->
     Some (make ~kind:Parse ~layer:L_parser msg)
+  | Qcircuit.Qasm2.Unsupported msg -> Some (make ~kind:Exec ~layer:L_cli msg)
   | Llvm_ir.Ir_error.Exec_error msg ->
     Some (make ~kind:Exec ~layer:L_interp msg)
   | Llvm_ir.Ir_error.Timeout_error msg ->

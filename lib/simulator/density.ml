@@ -74,7 +74,7 @@ let apply_matrix st (u : Complex.t array array) qs =
   let d = dim st in
   let bits = Array.of_list qs in
   (* matrix-basis bit (k-1-j) pairs with qubit bits.(j): operand 0 is the
-     most significant sub-index bit, matching Gate.matrix_2q *)
+     most significant sub-index bit, matching Gate.matrix *)
   let masks = Array.init k (fun j -> 1 lsl bits.(j)) in
   let expand base subidx =
     let idx = ref base in
@@ -141,8 +141,8 @@ let apply_matrix st (u : Complex.t array array) qs =
 
 let rec apply st (g : Gate.t) qs =
   match Gate.num_qubits g, qs with
-  | 1, [ _ ] -> apply_matrix st (Gate.matrix_1q g) qs
-  | 2, [ _; _ ] -> apply_matrix st (Gate.matrix_2q g) qs
+  | 1, [ _ ] -> apply_matrix st (Gate.matrix g) qs
+  | 2, [ _; _ ] -> apply_matrix st (Gate.matrix g) qs
   | 3, [ a; b; c ] ->
     (* decompose 3q gates into the base set *)
     List.iter

@@ -24,14 +24,16 @@
    never a gate embedded into a full-width matrix for a general
    product. Each entry still receives its nonzero terms in ascending k,
    summed from 0.0, so plans are float-for-float those of a dense
-   product of the embedded matrices. Parameter-free gate matrices are
-   built once per operand order.
+   product of the embedded matrices. Parameter-free gate matrices come
+   from a table built once, indexed by gate and operand order; a
+   merge's last product lands in the exact-size matrix the new cluster
+   keeps, and its cost is one allocation-free scan.
 
    Every flushed cluster, a lone source gate included, leaves the
-   planner as a prepared {!Statevector.kernel} — boxed into the layout
-   [Statevector.kernel] classifies once per emitted step, so a cached
-   plan never classifies again: 1-qubit matrices as Mat1, 2-qubit as
-   Mat2, anything wider as Cluster.
+   planner as a prepared {!Statevector.kernel}, classified straight
+   from its flat matrix once per emitted step, so a cached plan never
+   classifies again: 1-qubit matrices as Mat1, 2-qubit as Mat2,
+   anything wider as Cluster.
 
    Measurements, resets, barriers and classically-conditioned
    operations are fusion barriers for the qubits they touch (a
@@ -65,16 +67,6 @@ type stats = {
 (* A [d x d] complex matrix as two unboxed row-major float arrays:
    entry (r, c) is [re.(r * d + c)] + i [im.(r * d + c)]. *)
 type mat = { d : int; re : float array; im : float array }
-
-(* The boxed layout {!Statevector.kernel} classifies. *)
-let to_boxed m =
-  Array.init m.d (fun r ->
-      Array.init m.d (fun c ->
-          let re = m.re.((r * m.d) + c) and im = m.im.((r * m.d) + c) in
-          (* share the constant for exact +0 entries, the bulk of a
-             sparse matrix *)
-          if Int64.bits_of_float re = 0L && Int64.bits_of_float im = 0L then Complex.zero
-          else { Complex.re; im }))
 
 (* Where a sub-register sits in a register (qubit arrays, both
    ascending, [sub] a subset of [sup]): [offs.(t)] scatters the bits of
@@ -194,13 +186,14 @@ let right_apply dst m p pp =
 let is_identity m =
   (* max-deviation < t iff no entry deviates by >= t, so bail on the
      first offender: almost every matrix the planner probes is not an
-     identity, and the planner probes one per flush. *)
+     identity, and the planner probes one per flush. The deviation is
+     [Complex.norm], a hypot. *)
   try
     for r = 0 to m.d - 1 do
       for c = 0 to m.d - 1 do
-        let z = { Complex.re = m.re.((r * m.d) + c); im = m.im.((r * m.d) + c) } in
-        let expect = if r = c then Complex.one else Complex.zero in
-        if Complex.norm (Complex.sub z expect) >= 1e-14 then raise Exit
+        let i = (r * m.d) + c in
+        let expect = if r = c then 1.0 else 0.0 in
+        if Float.hypot (m.re.!(i) -. expect) m.im.!(i) >= 1e-14 then raise Exit
       done
     done;
     true
@@ -241,30 +234,33 @@ let gate_cost (g : Gate.t) =
    their rows thicken. *)
 let cluster_cost m =
   (* exact zeros are structure: gate matrices carry them, and products
-     of structured matrices preserve them *)
+     of structured matrices preserve them. One scan: a matrix is
+     monomial when every row has one nonzero and no two rows share its
+     column (then every column has exactly one); the columns seen so
+     far are a bit set over two ints, as d <= 64. *)
   let d = m.d in
   let nnz = ref 0 and diag = ref true and rows1 = ref true in
+  let lo = ref 0 and hi = ref 0 and distinct = ref true in
   for r = 0 to d - 1 do
-    let row = ref 0 in
+    let row = ref 0 and last = ref 0 in
     for c = 0 to d - 1 do
       if m.re.!((r * d) + c) <> 0.0 || m.im.!((r * d) + c) <> 0.0 then begin
         incr row;
+        last := c;
         if r <> c then diag := false
       end
     done;
-    if !row <> 1 then rows1 := false;
+    if !row <> 1 then rows1 := false
+    else begin
+      let set = if !last < 32 then lo else hi in
+      let bit = 1 lsl (!last land 31) in
+      if !set land bit <> 0 then distinct := false;
+      set := !set lor bit
+    end;
     nnz := !nnz + !row
   done;
-  let monomial () =
-    (* one nonzero per row; per column too? *)
-    let col = Array.make d 0 in
-    for i = 0 to (d * d) - 1 do
-      if m.re.!(i) <> 0.0 || m.im.!(i) <> 0.0 then col.(i mod d) <- col.(i mod d) + 1
-    done;
-    Array.for_all (( = ) 1) col
-  in
   if !diag then 0.7
-  else if !rows1 && monomial () then 1.2
+  else if !rows1 && !distinct then 1.2
   else if d <= 4 then 1.4
   else 0.5 +. (0.55 *. float_of_int !nnz /. float_of_int d)
 
@@ -272,11 +268,10 @@ let cluster_cost m =
 (* The clustering walk                                                  *)
 
 type pend = {
-  m : mat;
+  m : mat; (* [re] and [im] hold exactly d * d entries *)
   qs : int array; (* ascending; matrix bit j <-> qs.(j) *)
   gates : int; (* source gates folded in *)
-  src : Gate.t option; (* the sole source gate while gates = 1 *)
-  cost : float; (* gate_cost of [src], else cluster_cost of [m] *)
+  cost : float; (* gate_cost of the lone source gate, else cluster_cost of [m] *)
 }
 
 let default_k =
@@ -288,72 +283,73 @@ let default_k =
       | None -> 4)
     | None -> 4)
 
-(* A gate's matrix over its operands in ascending order: matrix bit j
-   of [Gate.matrix] belongs to the operand whose rank among the sorted
-   operands is [ranks.(j)] ([Gate.matrix]'s operand 0 is its most
-   significant bit, so the operands list its bits last to first). *)
-let local_of g ranks =
-  let u = Gate.matrix g in
-  let d = Array.length u in
-  let proj =
-    Array.init d (fun x ->
-        let t = ref 0 in
-        Array.iteri (fun j r -> t := !t lor (((x lsr r) land 1) lsl j)) ranks;
-        !t)
-  in
-  let re = Array.make (d * d) 0.0 and im = Array.make (d * d) 0.0 in
-  for r = 0 to d - 1 do
-    let row = u.(proj.(r)) in
-    for c = 0 to d - 1 do
-      let z = row.(proj.(c)) in
-      re.((r * d) + c) <- z.Complex.re;
-      im.((r * d) + c) <- z.Complex.im
-    done
-  done;
-  { d; re; im }
+(* An operand order as a code: base-4 digits, operand 0 most
+   significant, each the operand's rank among the sorted operands. *)
+let rec below (q : int) = function [] -> 0 | q' :: r -> Bool.to_int (q' < q) + below q r
 
-(* The operand ranks of [qs], last operand first. *)
-let ranks_of qs =
-  let rank q = List.fold_left (fun n q' -> if q' < q then n + 1 else n) 0 qs in
-  Array.of_list (List.rev_map rank qs)
+let rec code_of all code = function
+  | [] -> code
+  | q :: rest -> code_of all ((code * 4) + below q all) rest
 
-(* The parameter-free gates, each built once in every operand order:
-   read only after initialization, so planners on several domains
-   share the table. *)
+let order_code qs = code_of qs 0 qs
+
+(* A gate's matrix over its operands in ascending order: local bit j is
+   the operand of rank j. [Gate.flat_matrix]'s bit j is operand
+   [m - 1 - j], whose rank is digit j of [code]; operands in descending
+   order (code 0, 4 or 36) leave every bit in place. *)
+let local_of g code =
+  let gre, gim = Gate.flat_matrix g in
+  let m = Gate.num_qubits g in
+  let d = 1 lsl m in
+  if code = (match m with 1 -> 0 | 2 -> 4 | _ -> 36) then { d; re = gre; im = gim }
+  else begin
+    let proj x =
+      let t = ref 0 in
+      for j = 0 to m - 1 do
+        t := !t lor (((x lsr ((code lsr (2 * j)) land 3)) land 1) lsl j)
+      done;
+      !t
+    in
+    let re = Array.make (d * d) 0.0 and im = Array.make (d * d) 0.0 in
+    for r = 0 to d - 1 do
+      for c = 0 to d - 1 do
+        let src = (proj r * d) + proj c in
+        re.((r * d) + c) <- gre.(src);
+        im.((r * d) + c) <- gim.(src)
+      done
+    done;
+    { d; re; im }
+  end
+
+(* The parameter-free gates, each built once in every operand order
+   ([fixed_local.(i).(order_code qs)] for [fixed.(i)]): read only after
+   initialization, so planners on several domains share the table. *)
+let fixed = Gate.[| H; X; Y; Z; S; Sdg; T; Tdg; Sx; Sxdg; Cx; Cy; Cz; Ch; Swap; Ccx; Cswap |]
+
 let fixed_local =
-  let rec perms = function
-    | [] -> [ [] ]
-    | l ->
-      List.concat_map
-        (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) l)))
-        l
+  let orders = function
+    | 1 -> [ [ 0 ] ]
+    | 2 -> [ [ 0; 1 ]; [ 1; 0 ] ]
+    | _ -> [ [ 0; 1; 2 ]; [ 0; 2; 1 ]; [ 1; 0; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ]; [ 2; 1; 0 ] ]
   in
-  let tbl = Hashtbl.create 64 in
-  List.iter
+  Array.map
     (fun g ->
+      let tbl = Array.make 64 { d = 0; re = [||]; im = [||] } in
       List.iter
-        (fun ranks ->
-          let ranks = Array.of_list ranks in
-          Hashtbl.replace tbl (g, ranks) (local_of g ranks))
-        (perms (List.init (Gate.num_qubits g) Fun.id)))
-    Gate.[ H; X; Y; Z; S; Sdg; T; Tdg; Sx; Sxdg; Cx; Cy; Cz; Ch; Swap; Ccx; Cswap ];
-  tbl
+        (fun qs -> tbl.(order_code qs) <- local_of g (order_code qs))
+        (orders (Gate.num_qubits g));
+      tbl)
+    fixed
 
 let local_matrix g qs =
-  let ranks = ranks_of qs in
-  match Hashtbl.find_opt fixed_local (g, ranks) with
-  | Some m -> m
-  | None -> local_of g ranks
-
-(* Sorted, duplicate-free operands, or [None]. *)
-let sorted_operands qs =
-  let a = Array.of_list qs in
-  Array.sort Int.compare a;
-  let ok = ref true in
-  for i = 0 to Array.length a - 2 do
-    if a.(i) = a.(i + 1) then ok := false
+  (* parameter-free gates are constant constructors: physical equality
+     finds them, and no parametric gate matches *)
+  let i = ref 0 in
+  while !i < Array.length fixed && fixed.(!i) != g do
+    incr i
   done;
-  if !ok then Some a else None
+  if !i < Array.length fixed then fixed_local.(!i).(order_code qs)
+  else local_of g (order_code qs)
 
 (* The ascending union of two ascending qubit arrays. *)
 let merge a b =
@@ -380,6 +376,19 @@ let merge a b =
   done;
   Array.sub out 0 !n
 
+(* Sorted operands, or [||] when two coincide. *)
+let sorted_operands = function
+  | [ a ] -> [| a |]
+  | [ a; b ] -> if a < b then [| a; b |] else if b < a then [| b; a |] else [||]
+  | qs ->
+    let a = Array.of_list qs in
+    Array.sort Int.compare a;
+    let ok = ref true in
+    for i = 0 to Array.length a - 2 do
+      if a.(i) = a.(i + 1) then ok := false
+    done;
+    if !ok then a else [||]
+
 let plan ?k (c : Circuit.t) : step list * stats =
   let k =
     match k with Some v -> max 2 (min 6 v) | None -> Lazy.force default_k
@@ -395,19 +404,23 @@ let plan ?k (c : Circuit.t) : step list * stats =
   and clustered_gates = ref 0
   and identities = ref 0 in
   let emit s = rev_steps := s :: !rev_steps in
-  (* two product buffers, big enough for any cluster of this plan *)
+  (* two buffers for the intermediate products, big enough for any
+     cluster of this plan *)
   let cap = 1 lsl (2 * min k nq) in
   let buffer () = { d = 0; re = Array.make cap 0.0; im = Array.make cap 0.0 } in
   let ws_a = buffer () and ws_b = buffer () in
+  (* a merge's last product lands in an exact-size matrix that the new
+     cluster keeps *)
+  let result d = { d; re = Array.create_float (d * d); im = Array.create_float (d * d) } in
   let lower p =
     if is_identity p.m then incr identities
     else begin
-      let k = Statevector.kernel (to_boxed p.m) p.qs in
+      let k = Statevector.kernel p.m.re p.m.im p.qs in
       match Array.length p.qs with
       | 1 -> emit (Mat1 k)
       | 2 -> emit (Mat2 k)
       | _ ->
-        if p.src = None then begin
+        if p.gates > 1 then begin
           incr clusters_emitted;
           clustered_gates := !clustered_gates + p.gates
         end;
@@ -426,8 +439,8 @@ let plan ?k (c : Circuit.t) : step list * stats =
   in
   let start op g gqs gm =
     if Array.length gqs <= k then
-      let p = { m = gm; qs = gqs; gates = 1; src = Some g; cost = gate_cost g } in
-      Array.iter (fun q -> pending.(q) <- Some p) gqs
+      let p = Some { m = gm; qs = gqs; gates = 1; cost = gate_cost g } in
+      Array.iter (fun q -> pending.(q) <- p) gqs
     else emit (Op op)
   in
   (* A gate arrives as its local matrix [gm] over sorted qubits [gqs]:
@@ -450,38 +463,37 @@ let plan ?k (c : Circuit.t) : step list * stats =
         if Array.length union > k then None
         else begin
           (* the gate applies after the pending clusters; clusters on
-             disjoint qubits commute, so their product order is free *)
+             disjoint qubits commute, so their product order is free.
+             The last product lands in an exact-size matrix, which the
+             new cluster keeps. *)
           let d = 1 lsl Array.length union in
+          let dst last mm = if last then result d else if mm.re == ws_a.re then ws_b else ws_a in
+          let rec product mm = function
+            | [] -> mm
+            | p :: more -> product (right_apply (dst (more = []) mm) mm p.m (place p.qs union)) more
+          in
           let mm =
-            List.fold_left
-              (fun mm p ->
-                let dst = if mm.re == ws_a.re then ws_b else ws_a in
-                right_apply dst mm p.m (place p.qs union))
-              (left_apply ws_a d gm (place gqs union) first.m (place first.qs union))
+            product
+              (left_apply (dst (rest = []) ws_b) d gm (place gqs union) first.m (place first.qs union))
               rest
           in
           let merged_cost = cluster_cost mm in
           let parts_cost = List.fold_left (fun acc p -> acc +. p.cost) 0.0 parts in
-          if merged_cost <= parts_cost +. gate_cost g +. 1e-9 then
-            Some
-              ( { d; re = Array.sub mm.re 0 (d * d); im = Array.sub mm.im 0 (d * d) },
-                merged_cost )
+          if merged_cost <= parts_cost +. gate_cost g +. 1e-9 then Some (mm, merged_cost)
           else None
         end
       in
       match merged with
-      | Some (mm, cost) ->
+      | Some (m, cost) ->
         (match Gate.num_qubits g, Array.length union with
         | 1, 1 -> incr fused_1q
         | 1, _ -> incr absorbed_1q
         | 2, _ -> incr fused_2q
         | _ -> incr fused_3q);
         let gates = List.fold_left (fun acc p -> acc + p.gates) 1 parts in
-        let np = { m = mm; qs = union; gates; src = None; cost } in
-        List.iter
-          (fun p -> Array.iter (fun q -> pending.(q) <- None) p.qs)
-          parts;
-        Array.iter (fun q -> pending.(q) <- Some np) union
+        let np = Some { m; qs = union; gates; cost } in
+        List.iter (fun p -> Array.iter (fun q -> pending.(q) <- None) p.qs) parts;
+        Array.iter (fun q -> pending.(q) <- np) union
       | None ->
         List.iter flush_p parts;
         start op g gqs gm
@@ -490,13 +502,13 @@ let plan ?k (c : Circuit.t) : step list * stats =
     (fun (op : Circuit.op) ->
       match op.Circuit.kind, op.Circuit.cond with
       | Circuit.Gate (g, qs), None
-        when Gate.num_qubits g = List.length qs && Gate.num_qubits g <= 3 -> (
-        match sorted_operands qs with
-        | Some gqs ->
-          if not (Gate.is_identity g) then handle op g gqs (local_matrix g qs)
-        | None ->
+        when Gate.num_qubits g = List.length qs && Gate.num_qubits g <= 3 ->
+        let gqs = sorted_operands qs in
+        if Array.length gqs = 0 then begin
           List.iter flush (Circuit.op_qubits op);
-          emit (Op op))
+          emit (Op op)
+        end
+        else if not (Gate.is_identity g) then handle op g gqs (local_matrix g qs)
       | Circuit.Barrier [], _ ->
         flush_all ();
         emit (Op op)

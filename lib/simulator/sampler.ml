@@ -10,8 +10,8 @@
    count between the two outcomes with the seeded RNG, and continues
    each non-empty branch depth-first with its clbits fixed, so
    classically conditioned operations resolve per branch. At each leaf
-   it marginalizes the state onto the terminal-measured qubits and
-   draws that leaf's shots.
+   it draws that leaf's shots from the distribution of the
+   terminal-measured qubits.
 
    Cost: at most min(2^k, shots) fused simulations for k branch points.
    A state is copied only when both children have shots; the smaller
@@ -135,50 +135,104 @@ let binomial rng shots p =
 
 exception Stopped
 
-(* Draws a leaf's [shots] outcomes into [counts]: the marginal
-   distribution over the terminal qubits, cumulative sums with the last
-   entry forced to 1 (so a draw of ~1.0 cannot fall off the end), one
-   binary search per shot. *)
-let draw_leaf p rng st clbits shots counts =
-  let probs = Statevector.marginal st p.terminal_qubits in
-  let outcomes = Array.length probs in
-  let hits = Array.make outcomes 0 in
-  if outcomes = 1 then hits.(0) <- shots
-  else begin
-    let cumulative = Array.make outcomes 0.0 in
-    let acc = ref 0.0 in
-    for o = 0 to outcomes - 1 do
-      acc := !acc +. probs.(o);
-      cumulative.(o) <- !acc
+let[@inline] ( .!() ) (a : float array) i = Array.unsafe_get a i
+let[@inline] ( .!()<- ) (a : float array) i (v : float) = Array.unsafe_set a i v
+
+(* Ascending in-place sort of uniforms in [0, 1): a counting pass over
+   [n] buckets of equal width, a scatter, then one insertion pass that
+   orders each bucket (about one element). Linear in expectation and
+   specialised to floats: no comparison closure, few mispredicted
+   branches — a comparison sort of fresh uniforms pays one per
+   comparison. Bucketing is monotone in [u], so the buckets ascend. *)
+let sort_uniforms (a : float array) =
+  let n = Array.length a in
+  let scale = float_of_int n in
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    let b = min (n - 1) (int_of_float (a.!(i) *. scale)) in
+    start.(b + 1) <- start.(b + 1) + 1
+  done;
+  for b = 1 to n do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  let src = Array.copy a in
+  for i = 0 to n - 1 do
+    let u = src.!(i) in
+    let b = min (n - 1) (int_of_float (u *. scale)) in
+    a.!(start.(b)) <- u;
+    start.(b) <- start.(b) + 1
+  done;
+  for i = 1 to n - 1 do
+    let v = a.!(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.!(!j) > v do
+      a.!(!j + 1) <- a.!(!j);
+      decr j
     done;
-    cumulative.(outcomes - 1) <- 1.0;
+    a.!(!j + 1) <- v
+  done
+
+(* Draws a leaf's [shots] outcomes into [counts], one uniform per shot
+   from the branch's RNG stream (none when the terminal qubits have a
+   single outcome); each uniform selects the first outcome whose
+   cumulative probability, with the last forced to 1 (so a draw of
+   ~1.0 cannot fall off the end), is >= it. When the terminal qubits
+   are the whole register in order, the uniforms are sorted and counted
+   in one walk over the amplitudes ({!Statevector.count_sorted}), with
+   no [2^n] array; any other map binary-searches the marginal's
+   cumulative sums per shot. Both give every outcome the same count. *)
+let draw_leaf p rng st clbits shots counts =
+  let add o n =
+    if n > 0 then begin
+      let key =
+        String.init (Array.length p.key) (fun j ->
+            let bit =
+              match p.key.(j) with
+              | Either.Left r -> o land (1 lsl r) <> 0
+              | Either.Right cl -> clbits.(cl)
+            in
+            if bit then '1' else '0')
+      in
+      Hashtbl.replace counts key (n + Option.value ~default:0 (Hashtbl.find_opt counts key))
+    end
+  in
+  let qs = p.terminal_qubits in
+  let m = Array.length qs in
+  let whole =
+    let ok = ref (m = Statevector.num_qubits st) in
+    Array.iteri (fun j q -> if q <> j then ok := false) qs;
+    !ok
+  in
+  if m = 0 then add 0 shots
+  else if whole then begin
+    let us = Array.create_float shots in
+    for s = 0 to shots - 1 do
+      us.!(s) <- Rng.float rng
+    done;
+    sort_uniforms us;
+    Statevector.count_sorted st us add
+  end
+  else begin
+    (* the marginal, summed in place into cumulative sums *)
+    let cumulative = Statevector.marginal st qs in
+    let outcomes = Array.length cumulative in
+    for o = 1 to outcomes - 1 do
+      cumulative.!(o) <- cumulative.!(o - 1) +. cumulative.!(o)
+    done;
+    cumulative.!(outcomes - 1) <- 1.0;
+    let hits = Array.make outcomes 0 in
     for _ = 1 to shots do
       let u = Rng.float rng in
       (* first outcome with cumulative >= u *)
       let lo = ref 0 and hi = ref (outcomes - 1) in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        if cumulative.(mid) < u then lo := mid + 1 else hi := mid
+        if cumulative.!(mid) < u then lo := mid + 1 else hi := mid
       done;
       hits.(!lo) <- hits.(!lo) + 1
-    done
-  end;
-  Array.iteri
-    (fun o n ->
-      if n > 0 then begin
-        let key =
-          String.init (Array.length p.key) (fun j ->
-              let bit =
-                match p.key.(j) with
-                | Either.Left r -> o land (1 lsl r) <> 0
-                | Either.Right cl -> clbits.(cl)
-              in
-              if bit then '1' else '0')
-        in
-        Hashtbl.replace counts key
-          (n + Option.value ~default:0 (Hashtbl.find_opt counts key))
-      end)
-    hits
+    done;
+    Array.iteri add hits
+  end
 
 let run ?(seed = 1) ?(stop = fun () -> false) ~shots p =
   if shots < 0 then

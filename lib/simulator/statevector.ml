@@ -219,6 +219,35 @@ let marginal st (qs : int array) =
   done;
   out
 
+(* Basis state [o] takes the uniforms [u] with [prev < u <= sum]:
+   [sum] the running probability sum in ascending index order, [prev]
+   the one before, and the last state's sum forced to 1 so a draw of
+   ~1.0 cannot fall off the end — the first state whose sum is >= u, as
+   a binary search over the cumulative sums would find it. [us] ascend,
+   so one walk over the amplitudes counts them all; each probability
+   is [(re * re) + (im * im)], the float {!marginal} gives. *)
+let count_sorted st (us : float array) f =
+  let shots = Array.length us in
+  let last = dim st - 1 in
+  let i = ref 0 and acc = ref 0.0 in
+  let shard_size = 1 lsl st.lb in
+  for s = 0 to shard_count st - 1 do
+    let re = st.re.(s) and im = st.im.(s) in
+    let base = s lsl st.lb in
+    for j = 0 to shard_size - 1 do
+      if !i < shots then begin
+        let r = bget re j and m = bget im j in
+        acc := !acc +. ((r *. r) +. (m *. m));
+        let sum = if base + j = last then 1.0 else !acc in
+        let start = !i in
+        while !i < shots && not (sum < Array.unsafe_get us !i) do
+          incr i
+        done;
+        if !i > start then f (base + j) (!i - start)
+      end
+    done
+  done
+
 (* Tensors |0> onto the high end of the register. While the register
    fits in one shard this doubles the flat slices (as before); once it
    crosses [max_local_bits] growth appends zero shards — no copy of the
@@ -387,20 +416,6 @@ type kernel = {
       (* group kinds: index offset of sub-state x from its group base *)
 }
 
-let zero (z : Complex.t) = z.Complex.re = 0.0 && z.Complex.im = 0.0
-let unit (z : Complex.t) = z.Complex.re = 1.0 && z.Complex.im = 0.0
-
-let block_of (u : Complex.t array array) a b =
-  let aa = u.(a).(a) and ab = u.(a).(b) and ba = u.(b).(a) and bb = u.(b).(b) in
-  let re (z : Complex.t) = z.re and im (z : Complex.t) = z.im in
-  if zero ab && zero ba then Phases [| re aa; im aa; re bb; im bb |]
-  else if zero aa && zero bb then
-    if unit ab && unit ba then Swap
-    else Antidiag [| re ab; im ab; re ba; im ba |]
-  else if im aa = 0.0 && im ab = 0.0 && im ba = 0.0 && im bb = 0.0 then
-    Real [| re aa; re ab; re ba; re bb |]
-  else Dense [| re aa; im aa; re ab; im ab; re ba; im ba; re bb; im bb |]
-
 let moves_of perm phr phi =
   let sub = Array.length perm in
   let fix = ref [] and heads = ref [] and mv = ref [] and lasts = ref [] in
@@ -462,88 +477,104 @@ let pairs_of cols sub =
   done;
   if !ok && !np = npair then Some (pa, pb) else None
 
-(* Sub-state [x] is inert when U maps |x> to |x> and nothing else onto
-   |x>: no sweep needs to touch its amplitude. *)
-let inert (u : Complex.t array array) x =
-  let ok = ref (unit u.(x).(x)) in
-  for y = 0 to Array.length u - 1 do
-    if y <> x && not (zero u.(x).(y) && zero u.(y).(x)) then ok := false
-  done;
-  !ok
+(* Unchecked float-array access for the classifier: every index is
+   under [sub * sub] by construction. Concrete-typed and fully applied,
+   so the loads compile unboxed. *)
+let[@inline] ( .!() ) (a : float array) i = Array.unsafe_get a i
 
-let classify (u : Complex.t array array) =
-  let sub = Array.length u in
+(* Classifies the [sub x sub] matrix with entry (r, c) at [re]/[im]
+   index [r * sub + c]. One scan over the entries gathers what every
+   class needs: the running nonzero count at each row's end (the CSR row
+   offsets), the column of each row's last nonzero, and the sub-states
+   an off-diagonal nonzero touches. Sub-state [x] is inert when U maps
+   |x> to |x> and nothing else onto |x> — a unit diagonal entry and no
+   off-diagonal nonzero in its row or column — so no sweep needs to
+   touch its amplitude. *)
+let classify sub (re : float array) (im : float array) =
+  let rows = Array.make (sub + 1) 0 and col = Array.make sub 0 in
+  let touched = Bytes.make sub '\000' in
+  let nnz = ref 0 in
+  for r = 0 to sub - 1 do
+    let base = r * sub in
+    for c = 0 to sub - 1 do
+      if re.!(base + c) <> 0.0 || im.!(base + c) <> 0.0 then begin
+        incr nnz;
+        Array.unsafe_set col r c;
+        if c <> r then begin
+          Bytes.unsafe_set touched r '\001';
+          Bytes.unsafe_set touched c '\001'
+        end
+      end
+    done;
+    Array.unsafe_set rows (r + 1) !nnz
+  done;
   (* the first two sub-states that are not inert, and how many are not *)
   let a = ref 0 and b = ref 0 and active = ref 0 in
   for x = 0 to sub - 1 do
-    if not (inert u x) then begin
+    let xx = (x * sub) + x in
+    if Bytes.unsafe_get touched x <> '\000' || re.!(xx) <> 1.0 || im.!(xx) <> 0.0
+    then begin
       if !active = 0 then a := x else b := x;
       incr active
     end
   done;
   let a = !a and b = !b in
+  let ent i j = (i * sub) + j in
   match !active with
   | 0 -> Identity
-  | 1 -> Pair (a, a, Phase [| u.(a).(a).Complex.re; u.(a).(a).Complex.im |])
-  | 2 -> Pair (a, b, block_of u a b)
+  | 1 -> Pair (a, a, Phase [| re.(ent a a); im.(ent a a) |])
+  | 2 ->
+    let aa = ent a a and ab = ent a b and ba = ent b a and bb = ent b b in
+    let zero i = re.(i) = 0.0 && im.(i) = 0.0 in
+    Pair
+      ( a,
+        b,
+        if zero ab && zero ba then Phases [| re.(aa); im.(aa); re.(bb); im.(bb) |]
+        else if zero aa && zero bb then
+          if re.(ab) = 1.0 && im.(ab) = 0.0 && re.(ba) = 1.0 && im.(ba) = 0.0 then Swap
+          else Antidiag [| re.(ab); im.(ab); re.(ba); im.(ba) |]
+        else if im.(aa) = 0.0 && im.(ab) = 0.0 && im.(ba) = 0.0 && im.(bb) = 0.0 then
+          Real [| re.(aa); re.(ab); re.(ba); re.(bb) |]
+        else
+          Dense [| re.(aa); im.(aa); re.(ab); im.(ab); re.(ba); im.(ba); re.(bb); im.(bb) |]
+      )
   | _ ->
-    let perm = Array.make sub 0 in
-    let monomial =
-      try
-        for r = 0 to sub - 1 do
-          let c = ref (-1) in
-          for j = 0 to sub - 1 do
-            if not (zero u.(r).(j)) then
-              if !c < 0 then c := j else raise Exit
-          done;
-          if !c < 0 then raise Exit;
-          perm.(r) <- !c
-        done;
-        let seen = Array.make sub false in
-        Array.iter
-          (fun c -> if seen.(c) then raise Exit else seen.(c) <- true)
-          perm;
-        true
-      with Exit -> false
-    in
-    if monomial then begin
-      let phr = Array.init sub (fun r -> u.(r).(perm.(r)).Complex.re) in
-      let phi = Array.init sub (fun r -> u.(r).(perm.(r)).Complex.im) in
-      let identity = Array.for_all2 ( = ) perm (Array.init sub Fun.id) in
-      Group
-        (if identity then Diag (phr, phi) else Monomial (moves_of perm phr phi))
+    (* monomial: one nonzero per row, no column hit twice *)
+    let monomial = ref (!nnz = sub) in
+    if !monomial then begin
+      let seen = Bytes.make sub '\000' in
+      for r = 0 to sub - 1 do
+        if rows.(r + 1) <> r + 1 || Bytes.get seen col.(r) <> '\000' then
+          monomial := false
+        else Bytes.set seen col.(r) '\001'
+      done
+    end;
+    if !monomial then begin
+      let phr = Array.init sub (fun r -> re.(ent r col.(r))) in
+      let phi = Array.init sub (fun r -> im.(ent r col.(r))) in
+      let identity = ref true in
+      Array.iteri (fun r c -> if r <> c then identity := false) col;
+      Group (if !identity then Diag (phr, phi) else Monomial (moves_of col phr phi))
     end
     else begin
-      let rows = Array.make (sub + 1) 0 in
-      let cols = ref [] and wre = ref [] and wim = ref [] in
+      (* CSR over the exact nonzeros, in the scan's order *)
+      let cols = Array.make !nnz 0 in
+      let wre = Array.make !nnz 0.0 and wim = Array.make !nnz 0.0 in
       let p = ref 0 in
-      for r = 0 to sub - 1 do
-        rows.(r) <- !p;
-        for c = 0 to sub - 1 do
-          if not (zero u.(r).(c)) then begin
-            cols := c :: !cols;
-            wre := u.(r).(c).Complex.re :: !wre;
-            wim := u.(r).(c).Complex.im :: !wim;
-            incr p
-          end
-        done
+      for i = 0 to (sub * sub) - 1 do
+        if re.!(i) <> 0.0 || im.!(i) <> 0.0 then begin
+          cols.(!p) <- i land (sub - 1);
+          wre.(!p) <- re.!(i);
+          wim.(!p) <- im.!(i);
+          incr p
+        end
       done;
-      rows.(sub) <- !p;
-      let arr l = Array.of_list (List.rev l) in
-      let cols = arr !cols in
-      let uniform2 =
-        Array.for_all2 ( = ) rows (Array.init (sub + 1) (( * ) 2))
-      in
+      let uniform2 = ref true in
+      Array.iteri (fun r o -> if o <> 2 * r then uniform2 := false) rows;
+      let uniform2 = !uniform2 in
       Group
         (Sparse
-           {
-             rows;
-             cols;
-             wre = arr !wre;
-             wim = arr !wim;
-             uniform2;
-             pairs = (if uniform2 then pairs_of cols sub else None);
-           })
+           { rows; cols; wre; wim; uniform2; pairs = (if uniform2 then pairs_of cols sub else None) })
     end
 
 (* Validates operands (distinct, each in [0, limit)) and returns
@@ -574,18 +605,17 @@ let[@inline] make kind qs msk =
   let offs = match kind with Group _ -> offsets qs | Identity | Pair _ -> [||] in
   { kind; qs; msk; offs }
 
-let kernel (u : Complex.t array array) (qs : int array) =
+let kernel (re : float array) (im : float array) (qs : int array) =
   let op = "Statevector.kernel" in
   let m = Array.length qs in
   if m = 0 then Sim_error.error ~op "empty qubit set";
   if m > 8 then Sim_error.error ~op "cluster too large: %d qubits" m;
   let msk = operand_mask op max_qubits qs in
   let sub = 1 lsl m in
-  let square = Array.for_all (fun row -> Array.length row = sub) u in
-  if Array.length u <> sub || not square then
-    Sim_error.error ~op "%d-qubit kernel needs a %dx%d matrix, got %d rows" m
-      sub sub (Array.length u);
-  make (classify u) (Array.copy qs) msk
+  if Array.length re <> sub * sub || Array.length im <> sub * sub then
+    Sim_error.error ~op "%d-qubit kernel needs %d matrix entries, got %d" m (sub * sub)
+      (Array.length re);
+  make (classify sub re im) (Array.copy qs) msk
 
 (* ------------------------------------------------------------------ *)
 (* Pair sweeps                                                          *)
@@ -1042,8 +1072,6 @@ let apply_kernel st k =
       (offset k.qs b)
   | Group grp -> run_group st ~checked grp k
 
-let apply_cluster st u qs = apply_kernel st (kernel u qs)
-
 (* ------------------------------------------------------------------ *)
 (* Gate dispatch                                                        *)
 
@@ -1056,7 +1084,11 @@ let fixed_gates =
       H; X; Cx; T; Tdg; S; Sdg; Z; Cz; Y; Swap; Sx; Sxdg; Cy; Ch; Ccx; Cswap; I;
     |]
 
-let fixed_kinds = Array.map (fun g -> classify (Gate.matrix g)) fixed_gates
+let gate_class g =
+  let re, im = Gate.flat_matrix g in
+  classify (1 lsl Gate.num_qubits g) re im
+
+let fixed_kinds = Array.map gate_class fixed_gates
 
 let gate_kind (g : Gate.t) =
   let n = Array.length fixed_gates in
@@ -1064,7 +1096,7 @@ let gate_kind (g : Gate.t) =
   while !i < n && fixed_gates.(!i) != g do
     incr i
   done;
-  if !i < n then fixed_kinds.(!i) else classify (Gate.matrix g)
+  if !i < n then fixed_kinds.(!i) else gate_class g
 
 let apply st (g : Gate.t) qubits =
   let op = "Statevector.apply" in
@@ -1468,8 +1500,8 @@ module Reference = struct
 
   let apply st (g : Gate.t) qubits =
     match Gate.num_qubits g, qubits with
-    | 1, [ q ] -> apply_1q st (Gate.matrix_1q g) q
-    | 2, [ a; b ] -> apply_2q st (Gate.matrix_2q g) a b
+    | 1, [ q ] -> apply_1q st (Gate.matrix g) q
+    | 2, [ a; b ] -> apply_2q st (Gate.matrix g) a b
     | 3, [ a; b; c ] -> (
       match g with
       | Gate.Ccx -> apply_ccx st a b c

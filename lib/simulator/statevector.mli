@@ -8,10 +8,11 @@
     Registers up to {!max_local_bits} qubits live in one flat pair of
     re/im arrays; larger ones are sharded into contiguous slices that
     the {!Dpool} Domain pool can own wholesale. Every gate, lone or
-    fused, runs as one prepared {!kernel}: a matrix classified once by
-    its structure, swept in one pass over the amplitude groups it acts
-    on, split across the pool when the register exceeds the parallel
-    threshold. The seed's naive full-scan kernels are kept in
+    fused, runs as one prepared {!kernel}: a flat re/im matrix
+    classified once by its structure, swept in one pass over the
+    amplitude groups it acts on, split across the pool when the
+    register exceeds the parallel threshold. No boxed [Complex.t]
+    matrix reaches a kernel; those stay with {!Reference}. The seed's naive full-scan kernels are kept in
     {!Reference} as the correctness oracle and benchmark baseline. *)
 
 type t
@@ -59,6 +60,14 @@ val marginal : t -> int array -> float array
     outcome's probability is summed in ascending basis-index order, so
     the result is bit-identical for flat and sharded states. *)
 
+val count_sorted : t -> float array -> (int -> int -> unit) -> unit
+(** [count_sorted st us f] sorts the ascending uniforms [us] (each in
+    [0, 1)) into basis states: [u] selects the first state whose running
+    probability sum, in ascending index order and with the last sum
+    forced to 1, is >= [u]. Calls [f o n] once per state [o] that
+    [n > 0] uniforms select, in ascending [o]. One walk over the
+    amplitudes, with no [2^n] array. *)
+
 val add_qubit : t -> unit
 (** Tensors |0> onto the high end of the register. *)
 
@@ -71,7 +80,7 @@ val copy : t -> t
 
 val apply : t -> Qcircuit.Gate.t -> int list -> unit
 (** Applies a gate to the given qubit operands (operand 0 first, as in
-    {!Qcircuit.Gate.matrix}) as a kernel over its matrix. The
+    {!Qcircuit.Gate.flat_matrix}) as a kernel over its matrix. The
     parameter-free gates are classified once; parametric gates classify
     their matrix per call. Raises [Sim_error] on a wrong operand count
     and on duplicate, negative or out-of-range qubits. *)
@@ -83,20 +92,20 @@ type kernel
     monomial move program, the sparse rows and their pairing — so
     applying it never classifies or compiles anything. *)
 
-val kernel : Complex.t array array -> int array -> kernel
-(** [kernel u qs] prepares the [2^m x 2^m] matrix [u] over the [m]
-    distinct qubits [qs]. Matrix basis bit [j] corresponds to
-    [qs.(j)], least significant first (the reverse of
-    {!Qcircuit.Gate.matrix}'s operand order). Raises [Sim_error] on an
-    empty or over-8-qubit set, a matrix of the wrong size, and
-    duplicate or negative qubits or qubits at or above {!max_qubits}. *)
+val kernel : float array -> float array -> int array -> kernel
+(** [kernel re im qs] prepares the [2^m x 2^m] matrix over the [m]
+    distinct qubits [qs], given as row-major real and imaginary parts:
+    entry (r, c) is [re.(r * 2^m + c)] + i [im.(r * 2^m + c)] (the
+    layout of {!Qcircuit.Gate.flat_matrix}). Matrix basis bit [j]
+    corresponds to [qs.(j)], least significant first (the reverse of
+    {!Qcircuit.Gate.flat_matrix}'s operand order). The kernel keeps
+    nothing of [re] and [im]. Raises [Sim_error] on an empty or
+    over-8-qubit set, arrays of the wrong length, and duplicate or
+    negative qubits or qubits at or above {!max_qubits}. *)
 
 val apply_kernel : t -> kernel -> unit
 (** One pass over the amplitudes. Raises [Sim_error], before touching
     any amplitude, when a kernel qubit is outside the register. *)
-
-val apply_cluster : t -> Complex.t array array -> int array -> unit
-(** [apply_cluster st u qs] is [apply_kernel st (kernel u qs)]. *)
 
 val prob_one : t -> int -> float
 (** Probability that measuring qubit [q] yields 1 (non-destructive).

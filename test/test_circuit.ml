@@ -168,13 +168,35 @@ let test_qasm2_roundtrip_generated () =
       Generate.sequential_workers ~workers:3 ~span:4 2;
     ]
 
-let test_qasm2_rejects_bit_condition () =
-  (* single-bit conditions are not expressible in OpenQASM 2 (only whole
-     registers can be compared); the printer must refuse rather than emit
-     a wrong program *)
-  match Qasm2.to_string (Generate.feedback_rounds ~rounds:3 3) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
+let test_qasm2_splits_bit_condition () =
+  (* OpenQASM 2 compares whole registers only: each single-bit
+     condition reads a 1-bit register of its own, and the pieces keep
+     every bit's flat index, so the program reads back unchanged *)
+  let c = Generate.feedback_rounds ~rounds:3 3 in
+  let c' = Qasm2.parse (Qasm2.to_string c) in
+  check int_t "three 1-bit registers" 3 (List.length c'.Circuit.cregs);
+  check bool_t "same ops" true (c.Circuit.ops = c'.Circuit.ops);
+  List.iter
+    (fun seed ->
+      let _, bits = Qsim.Statevector.run_circuit ~seed c in
+      let _, bits' = Qsim.Statevector.run_circuit ~seed c' in
+      check (Alcotest.array bool_t) "clbits" bits bits')
+    [ 1; 2; 3; 4; 5 ]
+
+let test_qasm2_rejects_scattered_condition () =
+  (* bits that are no run of one register, and runs that overlap
+     without coinciding, have no OpenQASM 2 spelling *)
+  let cond cbits = Circuit.gate ~cond:{ Circuit.cbits; value = 1 } Gate.X [ 0 ] in
+  List.iter
+    (fun conds ->
+      let c =
+        Circuit.create ~num_qubits:1 ~num_clbits:3
+          (List.init 3 (fun cl -> Circuit.measure 0 cl) @ List.map cond conds)
+      in
+      match Qasm2.to_string c with
+      | exception Qasm2.Unsupported _ -> ()
+      | _ -> Alcotest.fail "expected Qasm2.Unsupported")
+    [ [ [ 0; 2 ] ]; [ [ 1; 0 ] ]; [ [ 0; 1 ]; [ 1; 2 ] ] ]
 
 let test_qasm3_accepts_bit_condition () =
   let c = Generate.feedback_rounds ~rounds:3 3 in
@@ -406,8 +428,10 @@ let suite =
       test_qasm2_roundtrip_bell;
     Alcotest.test_case "qasm2: generated round-trips" `Quick
       test_qasm2_roundtrip_generated;
-    Alcotest.test_case "qasm2: bit condition rejected" `Quick
-      test_qasm2_rejects_bit_condition;
+    Alcotest.test_case "qasm2: bit condition splits register" `Quick
+      test_qasm2_splits_bit_condition;
+    Alcotest.test_case "qasm2: scattered condition rejected" `Quick
+      test_qasm2_rejects_scattered_condition;
     Alcotest.test_case "qasm3: bit condition round-trips" `Quick
       test_qasm3_accepts_bit_condition;
     Alcotest.test_case "qasm3: Bell" `Quick test_qasm3_bell;

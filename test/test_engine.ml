@@ -161,7 +161,10 @@ let test_operand_validation () =
       ]
   in
   check bool_t "checked access off" false (Sv.checked_access ());
-  let k5 = Sv.kernel (Gate.matrix Gate.X) [| 5 |] in
+  let k5 =
+    let re, im = Gate.flat_matrix Gate.X in
+    Sv.kernel re im [| 5 |]
+  in
   List.iter
     (fun lb ->
       with_local_bits lb (fun () ->
@@ -182,12 +185,15 @@ let test_operand_validation () =
     [ Sv.max_local_bits (); 2 ];
   List.iter
     (fun (what, u, qs) ->
-      expect_error ("kernel: " ^ what) (fun () -> ignore (Sv.kernel u qs)))
+      expect_error ("kernel: " ^ what) (fun () ->
+          let re, im = u in
+          ignore (Sv.kernel re im qs)))
     [
-      ("duplicate qubit", Gate.matrix Gate.Cx, [| 1; 1 |]);
-      ("negative qubit", Gate.matrix Gate.X, [| -2 |]);
-      ("no qubits", [| [| Complex.one |] |], [||]);
-      ("matrix size", Gate.matrix Gate.X, [| 0; 1 |]);
+      ("duplicate qubit", Gate.flat_matrix Gate.Cx, [| 1; 1 |]);
+      ("negative qubit", Gate.flat_matrix Gate.X, [| -2 |]);
+      ("no qubits", ([| 1.0 |], [| 0.0 |]), [||]);
+      ("matrix size", Gate.flat_matrix Gate.X, [| 0; 1 |]);
+      ("imaginary part size", (fst (Gate.flat_matrix Gate.Cx), [| 0.0 |]), [| 0; 1 |]);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -589,11 +595,8 @@ let test_shard_straddling_gates () =
   if dev > 1e-12 then
     Alcotest.failf "straddling-gate deviation %g" dev;
   (* a cluster spanning more qubits than the shard width *)
-  let u =
-    Array.init 8 (fun r ->
-        Array.init 8 (fun c -> if c = 7 - r then Complex.one else Complex.zero))
-  in
-  Sv.apply_cluster st_sh u [| 1; 3; 5 |];
+  let u = Array.init 64 (fun i -> if i mod 8 = 7 - (i / 8) then 1.0 else 0.0) in
+  Sv.apply_kernel st_sh (Sv.kernel u (Array.make 64 0.0) [| 1; 3; 5 |]);
   List.iter
     (fun (g, qs) -> Ref.apply st_ref g qs)
     [ (Gate.X, [ 1 ]); (Gate.X, [ 3 ]); (Gate.X, [ 5 ]) ];
@@ -903,6 +906,145 @@ let test_plan_digests_pinned () =
         (List.map (plan_digest c) [ 2; 3; 4; 5; 6 ]))
     (List.combine (plan_corpus ()) pinned_plan_digests)
 
+(* Marshal digests of the kernels the planner prepares: every fixed and
+   parametric gate as a lone plan step at every operand order over
+   qubits {0, 2, 3}, fused clusters of each class (2x2 block, diagonal,
+   monomial with and without phases, 2-sparse with paired rows, general
+   CSR) and seeded circuits at k = 2..6. Pinned from the classifier
+   that read boxed [Complex.t] rows: equal digests mean the same
+   class, offsets and weights, bit for bit. *)
+let steps_marshal ~k n ops =
+  let steps, _ = Qsim.Fusion.plan ~k (Circuit.create ~num_qubits:n ~num_clbits:0 ops) in
+  Marshal.to_string steps [ Marshal.No_sharing ]
+
+let digest16 s = String.sub (Digest.to_hex (Digest.string s)) 0 16
+
+let kernel_digests () =
+  let rec perms = function
+    | [] -> [ [] ]
+    | l ->
+      List.concat_map
+        (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) l)))
+        l
+  in
+  let rec choose n l =
+    if n = 0 then [ [] ]
+    else
+      match l with
+      | [] -> []
+      | x :: r -> List.map (fun c -> x :: c) (choose (n - 1) r) @ choose n r
+  in
+  let orders n = List.concat_map perms (choose n [ 0; 2; 3 ]) in
+  let angles = [ 0.3; -1.7; Float.pi; 2.5; Float.pi /. 2.0 ] in
+  let triples = [ (0.3, -1.7, 2.5); (Float.pi, 0.0, 0.0); (Float.pi /. 2.0, 0.25, -0.5) ] in
+  let families =
+    Gate.(
+      List.map
+        (fun g -> (name g, [ g ]))
+        [ H; X; Y; Z; S; Sdg; T; Tdg; Sx; Sxdg; Cx; Cy; Cz; Ch; Swap; Ccx; Cswap ]
+      @ List.map
+          (fun (nm, f) -> (nm, List.map f angles))
+          [
+            ("rx", fun t -> Rx t); ("ry", fun t -> Ry t); ("rz", fun t -> Rz t);
+            ("p", fun t -> P t); ("crx", fun t -> Crx t); ("cry", fun t -> Cry t);
+            ("crz", fun t -> Crz t); ("cp", fun t -> Cp t);
+          ]
+      @ List.map
+          (fun (nm, f) -> (nm, List.map f triples))
+          [ ("u3", fun (a, b, c) -> U (a, b, c)); ("cu3", fun (a, b, c) -> Cu (a, b, c)) ])
+  in
+  let gate_digest gs =
+    digest16
+      (String.concat ""
+         (List.concat_map
+            (fun g ->
+              List.map
+                (fun qs -> steps_marshal ~k:4 4 [ Circuit.gate g qs ])
+                (orders (Gate.num_qubits g)))
+            gs))
+  in
+  let g = Circuit.gate in
+  let clusters =
+    Gate.
+      [
+        ("1q dense", 2, 4, [ g H [ 0 ]; g T [ 0 ]; g Sx [ 0 ] ]);
+        ("2q diagonal", 2, 4, [ g T [ 0 ]; g Cz [ 0; 1 ]; g (Rz 0.4) [ 1 ] ]);
+        ("3q diagonal", 3, 3, [ g Cz [ 0; 1 ]; g Cz [ 1; 2 ]; g T [ 2 ] ]);
+        ("3q monomial", 3, 3, [ g Ccx [ 0; 1; 2 ]; g X [ 0 ]; g S [ 1 ] ]);
+        ("3q permutation", 3, 3, [ g Ccx [ 0; 1; 2 ]; g X [ 0 ] ]);
+        ("4q monomial", 4, 4, [ g Ccx [ 0; 1; 2 ]; g X [ 0 ]; g Ccx [ 1; 2; 3 ]; g T [ 3 ] ]);
+        ("2q sparse-2", 2, 4, [ g H [ 0 ]; g Cx [ 0; 1 ] ]);
+        ("3q sparse-2", 3, 4, [ g H [ 0 ]; g Cx [ 0; 1 ]; g Cx [ 1; 2 ] ]);
+        ("2q csr", 2, 4, [ g (Ry 0.3) [ 0 ]; g (Ry 1.1) [ 1 ]; g Cx [ 0; 1 ] ]);
+        ("3q csr", 3, 3, [ g Ch [ 0; 1 ]; g Cx [ 1; 2 ] ]);
+      ]
+  in
+  let random i =
+    let n = 3 + (i mod 5) in
+    let c = Generate.random ~seed:(900 + i) ~gates:(10 * n) ~parametric:(i mod 2 = 0) n in
+    ( Printf.sprintf "random %d" i,
+      digest16
+        (String.concat ""
+           (List.map (fun k -> steps_marshal ~k n c.Circuit.ops) [ 2; 3; 4; 5; 6 ])) )
+  in
+  List.map (fun (nm, gs) -> (nm, gate_digest gs)) families
+  @ List.map (fun (nm, n, k, ops) -> (nm, digest16 (steps_marshal ~k n ops))) clusters
+  @ List.init 8 random
+
+let pinned_kernel_digests =
+  [
+    ("h", "9d2b293738494374");
+    ("x", "40679e1723b0d6fb");
+    ("y", "71b18a91d2c293a9");
+    ("z", "5efc2670a113064a");
+    ("s", "66e94b53efca97bc");
+    ("sdg", "68eba8127b3229b7");
+    ("t", "f580d1f7314cd8ab");
+    ("tdg", "c1e016f484577a7d");
+    ("sx", "fd59998a45b072e5");
+    ("sxdg", "cd6bed75b6ad7307");
+    ("cx", "f594d69807b4e688");
+    ("cy", "929ccebc3dc1f2ef");
+    ("cz", "e0206a80874be57b");
+    ("ch", "2bf69655144ef24f");
+    ("swap", "869830e0703c8a3e");
+    ("ccx", "003abeb385d42e22");
+    ("cswap", "4e8ced573091e3e2");
+    ("rx", "77302b5ecc7fdcc5");
+    ("ry", "4ba691e70169526e");
+    ("rz", "0e20874d7ab90adc");
+    ("p", "96d13450106f9ca2");
+    ("crx", "12ddf478c9b4e99d");
+    ("cry", "d209933e75f81351");
+    ("crz", "eed1461f29e9c4a4");
+    ("cp", "af486bdf85aa22fb");
+    ("u3", "954ed6f9170714bc");
+    ("cu3", "398ba62485f8fbf4");
+    ("1q dense", "d6a45eb3f80426ea");
+    ("2q diagonal", "a4cf0d91679fa5db");
+    ("3q diagonal", "c894b8543929387c");
+    ("3q monomial", "a0334831a4c5b14c");
+    ("3q permutation", "6f819e0584ffb885");
+    ("4q monomial", "05d86dd9b632081d");
+    ("2q sparse-2", "246aec09be36aebe");
+    ("3q sparse-2", "5ce0e07d91c195a3");
+    ("2q csr", "091291dcf8cb82d0");
+    ("3q csr", "5fefd9ff1cf4c107");
+    ("random 0", "2cab27c3434e10f4");
+    ("random 1", "84e0e03ba2c5c35f");
+    ("random 2", "2a4236bd2c1b98d6");
+    ("random 3", "5d0268486a6f91b6");
+    ("random 4", "5fbb8a27c87ee137");
+    ("random 5", "c118161ddab47d51");
+    ("random 6", "c45b8ae03e28a617");
+    ("random 7", "432e3a0362e64be1");
+  ]
+
+let test_kernel_digests_pinned () =
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "kernels" pinned_kernel_digests (kernel_digests ())
+
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
 (* The walker's own counters: at most min(2^k, shots) leaves and
@@ -1035,6 +1177,8 @@ let suite =
       test_terminal_histograms_pinned;
     Alcotest.test_case "fusion plans pinned (k = 2..6)" `Quick
       test_plan_digests_pinned;
+    Alcotest.test_case "prepared kernels pinned (Marshal)" `Quick
+      test_kernel_digests_pinned;
     Alcotest.test_case "branching live-state bound" `Quick
       test_branching_live_states;
     Alcotest.test_case "branching: hot run equals cold" `Quick

@@ -156,6 +156,43 @@ let test_roundtrip_feedback () =
   check bool_t "static adaptive" true (Circuit.equal c (roundtrip_static c));
   check bool_t "dynamic adaptive" true (Circuit.equal c (roundtrip_dynamic c))
 
+(* The parser keys small numbered values ([%0], [%17]) apart from every
+   other name: renaming the numbered values of a dynamically addressed
+   feedback program to large numbers, words or zero-padded digits must
+   parse to the same circuit. *)
+let test_roundtrip_ssa_names () =
+  let c = Qir_gateset.legalize (Generate.feedback_rounds ~rounds:3 3) in
+  let text = Qir_builder.to_string ~addressing:`Dynamic c in
+  let rename f =
+    let b = Buffer.create (String.length text) in
+    let n = String.length text in
+    let i = ref 0 in
+    while !i < n do
+      let is_digit k = k < n && text.[k] >= '0' && text.[k] <= '9' in
+      if text.[!i] = '%' && is_digit (!i + 1) then begin
+        let j = ref (!i + 1) in
+        while is_digit !j do incr j done;
+        Buffer.add_string b ("%" ^ f (int_of_string (String.sub text (!i + 1) (!j - !i - 1))));
+        i := !j
+      end
+      else begin
+        Buffer.add_char b text.[!i];
+        incr i
+      end
+    done;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (what, f) ->
+      let c' = Qir_parser.parse_string (rename f) in
+      check bool_t what true (Circuit.equal c c'))
+    [
+      ("numbered", string_of_int);
+      ("past the direct slots", fun k -> string_of_int (4096 + k));
+      ("words", Printf.sprintf "v%d");
+      ("zero-padded", Printf.sprintf "0%d");
+    ]
+
 let prop_roundtrip_random =
   QCheck2.Test.make ~count:50 ~name:"build/parse round-trip (random circuits)"
     QCheck2.Gen.(pair (int_range 0 100000) (int_range 2 6))
@@ -297,6 +334,8 @@ let suite =
       test_parse_respects_declared_qubits;
     Alcotest.test_case "roundtrip: GHZ" `Quick test_roundtrip_ghz;
     Alcotest.test_case "roundtrip: feedback" `Quick test_roundtrip_feedback;
+    Alcotest.test_case "roundtrip: SSA names of every form" `Quick
+      test_roundtrip_ssa_names;
     Alcotest.test_case "profile: base conformance" `Quick
       test_profile_base_conforms;
     Alcotest.test_case "profile: dynamic violates base" `Quick

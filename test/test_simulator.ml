@@ -164,7 +164,7 @@ let gen_gate_1q =
 
 let prop_1q_matrices_unitary =
   QCheck2.Test.make ~count:100 ~name:"1q gate matrices are unitary" gen_gate_1q
-    (fun g -> is_unitary (Gate.matrix_1q g))
+    (fun g -> is_unitary (Gate.matrix g))
 
 let prop_2q_matrices_unitary =
   let gen =
@@ -177,7 +177,7 @@ let prop_2q_matrices_unitary =
       ]
   in
   QCheck2.Test.make ~count:100 ~name:"2q gate matrices are unitary" gen
-    (fun g -> is_unitary (Gate.matrix_2q g))
+    (fun g -> is_unitary (Gate.matrix g))
 
 let prop_gate_inverse_is_inverse =
   QCheck2.Test.make ~count:100 ~name:"g . inverse g = identity on the state"

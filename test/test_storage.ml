@@ -137,8 +137,8 @@ module Oracle = struct
 
   let apply st (g : Gate.t) qubits =
     match Gate.num_qubits g, qubits with
-    | 1, [ q ] -> apply_1q st (Gate.matrix_1q g) q
-    | 2, [ a; b ] -> apply_2q st (Gate.matrix_2q g) a b
+    | 1, [ q ] -> apply_1q st (Gate.matrix g) q
+    | 2, [ a; b ] -> apply_2q st (Gate.matrix g) a b
     | 3, [ a; b; c ] -> (
       match g with
       | Gate.Ccx -> apply_ccx st a b c
