@@ -212,7 +212,7 @@ let e3 () =
   (* ablation: unrolling without mem2reg cannot fire (the induction
      variable lives in an alloca slot) *)
   let m = Parser.parse_module (forloop_qir 10) in
-  let unroll_only = Passes.Pipeline.run_pass "loop-unroll" m in
+  let unroll_only = Qir_analysis.Pass_table.run "loop-unroll" m in
   let blocks m = List.length (Ir_module.find_func_exn m "main").Func.blocks in
   Harness.row
     "@\n\
@@ -452,38 +452,36 @@ let e8 () =
         | Instr.Call (_, c, _) when Names.is_qis c -> acc + 1
         | _ -> acc)
   in
-  let peepholed, stats = Circuit_opt.optimize_fixpoint redundant in
+  let peepholed, stats = Commute_opt.optimize_fixpoint redundant in
   Harness.row
     "  B. quantum redundancy (4x [H H; Rz Rz; CX]):@\n\
     \     QIR pipeline:      %d gate calls -> %d (opaque quantum calls \
      survive)@\n\
     \     circuit peephole:  %d gates -> %d (%d cancelled, %d merged)@\n"
     (gate_calls m_red) (gate_calls after_qir) (Circuit.size redundant)
-    (Circuit.size peepholed) stats.Circuit_opt.cancelled
-    stats.Circuit_opt.merged;
+    (Circuit.size peepholed) stats.Commute_opt.cancelled
+    stats.Commute_opt.merged;
   let t_pipeline =
     Harness.time_ns "pipeline" (fun () ->
         ignore (Passes.Pipeline.optimize m_red))
   in
   let t_peephole =
     Harness.time_ns "peephole" (fun () ->
-        ignore (Circuit_opt.optimize_fixpoint redundant))
+        ignore (Commute_opt.optimize_fixpoint redundant))
   in
   Harness.row "     times: QIR pipeline %s, circuit peephole %s@\n"
     (Harness.ns_to_string t_pipeline)
     (Harness.ns_to_string t_peephole);
-  (* adjacent-only vs commutation-aware circuit optimization *)
+  (* the circuit optimizer on random circuits *)
   Harness.row
     "@\n  C. circuit optimizer strength on random circuits (gates left):@\n";
-  Harness.row "  %-10s %10s %12s %14s@\n" "seed" "input" "adjacent"
-    "commuting";
+  Harness.row "  %-10s %10s %12s@\n" "seed" "input" "optimized";
   List.iter
     (fun seed ->
       let c = Generate.random ~seed ~gates:200 4 in
-      let adj, _ = Circuit_opt.optimize_fixpoint c in
-      let com, _ = Commute_opt.optimize_fixpoint c in
-      Harness.row "  %-10d %10d %12d %14d@\n" seed (Circuit.size c)
-        (Circuit.size adj) (Circuit.size com))
+      let opt, _ = Commute_opt.optimize_fixpoint c in
+      Harness.row "  %-10d %10d %12d@\n" seed (Circuit.size c)
+        (Circuit.size opt))
     [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
@@ -505,7 +503,7 @@ let a1 () =
     Circuit.Build.gate b Gate.Cx [ 2; 3 ]
   done;
   let raw = Circuit.Build.finish b in
-  let optimized, _ = Circuit_opt.optimize_fixpoint raw in
+  let optimized, _ = Commute_opt.optimize_fixpoint raw in
   Harness.row "  %-24s %8s %14s@\n" "circuit" "gates" "avg fidelity";
   List.iter
     (fun (name, c) ->

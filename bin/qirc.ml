@@ -9,10 +9,6 @@
 
 open Cmdliner
 
-(* Make the analysis layer's passes available to --pass. *)
-let () = Qir_analysis.Quantum_dce.register ()
-let () = Qir_analysis.Qdf_opt.register ()
-
 let run input passes lower optimize opt_quantum check addressing emit verify
     lint resources werror output =
   Cli_common.protect @@ fun () ->
@@ -23,14 +19,12 @@ let run input passes lower optimize opt_quantum check addressing emit verify
   let m =
     List.fold_left
       (fun m name ->
-        if
-          Passes.Pipeline.find_pass name <> None
-          || Passes.Pipeline.find_module_pass name <> None
-        then Passes.Pipeline.run_pass name m
-        else
+        match Qir_analysis.Pass_table.find name with
+        | Some p -> fst (p.Passes.Pass.mrun m)
+        | None ->
           Cli_common.die ~code:Qruntime.Qir_error.exit_usage
             "unknown pass %s (available: %s)" name
-            (String.concat ", " (Passes.Pipeline.pass_names ())))
+            (String.concat ", " Qir_analysis.Pass_table.names))
       m passes
   in
   (* 2. preset pipelines *)

@@ -72,7 +72,7 @@ let () =
       (fun m stage ->
         let m' =
           if String.equal stage "input" then m
-          else Passes.Pipeline.run_pass stage m
+          else Qir_analysis.Pass_table.run stage m
         in
         Format.printf "  %-12s %4d instructions, %d blocks@\n" stage (count m')
           (List.length (Ir_module.find_func_exn m' "main").Func.blocks);

@@ -199,7 +199,8 @@ let scan_block (qdf : Qdf.t) ~fname ~min_pos ~emit counters (b : Block.t) :
             match kind.(j) with
             | Qdf.EGate { exact = Some g2; wires = w2; _ }
               when wires_equal_list wires w2 -> (
-              if Gate.equal g2 (Gate.inverse g) then begin
+              match Qcircuit.Commute_opt.combine g g2 with
+              | Some Qcircuit.Commute_opt.Cancel ->
                 alive.(i) <- false;
                 alive.(j) <- false;
                 counters.cancelled <- counters.cancelled + 1;
@@ -207,35 +208,32 @@ let scan_block (qdf : Qdf.t) ~fname ~min_pos ~emit counters (b : Block.t) :
                 note "QO001" "cancellable pair: %s then %s on %s cancel"
                   (Gate.to_string g) (Gate.to_string g2)
                   (Qdf.wire_to_string (List.hd wires))
-              end
-              else
-                match Gate.merge g g2 with
-                | Some mg when Gate.is_identity mg ->
+              | Some Qcircuit.Commute_opt.Identity ->
+                alive.(i) <- false;
+                alive.(j) <- false;
+                counters.merged <- counters.merged + 1;
+                changed := true;
+                note "QO002"
+                  "mergeable rotations: %s then %s on %s combine to identity"
+                  (Gate.to_string g) (Gate.to_string g2)
+                  (Qdf.wire_to_string (List.hd wires))
+              | Some (Qcircuit.Commute_opt.Merged mg) -> (
+                match rebuild_gate_call mg instr.(j) with
+                | Some (callee', instr') ->
                   alive.(i) <- false;
-                  alive.(j) <- false;
+                  instr.(j) <- instr';
+                  kind.(j) <-
+                    Qdf.EGate
+                      { callee = callee'; shape = mg; exact = Some mg;
+                        wires = w2 };
                   counters.merged <- counters.merged + 1;
                   changed := true;
-                  note "QO002"
-                    "mergeable rotations: %s then %s on %s combine to identity"
+                  note "QO002" "mergeable rotations: %s then %s on %s -> %s"
                     (Gate.to_string g) (Gate.to_string g2)
                     (Qdf.wire_to_string (List.hd wires))
-                | Some mg -> (
-                  match rebuild_gate_call mg instr.(j) with
-                  | Some (callee', instr') ->
-                    alive.(i) <- false;
-                    instr.(j) <- instr';
-                    kind.(j) <-
-                      Qdf.EGate
-                        { callee = callee'; shape = mg; exact = Some mg;
-                          wires = w2 };
-                    counters.merged <- counters.merged + 1;
-                    changed := true;
-                    note "QO002" "mergeable rotations: %s then %s on %s -> %s"
-                      (Gate.to_string g) (Gate.to_string g2)
-                      (Qdf.wire_to_string (List.hd wires))
-                      (Gate.to_string mg)
-                  | None -> commute_or_stop ())
+                    (Gate.to_string mg)
                 | None -> commute_or_stop ())
+              | None -> commute_or_stop ())
             | _ -> commute_or_stop ()
       in
       scan (i + 1)
@@ -837,4 +835,3 @@ let mrun (m : Ir_module.t) =
     || st.s_promoted > 0 )
 
 let pass = { Passes.Pass.mname = "quantum-opt"; mrun }
-let register () = Passes.Pipeline.register_module_pass pass

@@ -279,5 +279,3 @@ let mrun (m : Ir_module.t) : Ir_module.t * bool =
     ({ m with Ir_module.funcs }, true)
 
 let pass = { Passes.Pass.mname = "quantum-dce"; mrun }
-
-let register () = Passes.Pipeline.register_module_pass pass

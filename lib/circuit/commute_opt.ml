@@ -1,14 +1,16 @@
-(* Commutation-aware gate cancellation: two inverse (or mergeable) gates
-   separated by operations they commute with are still combined, e.g.
+(* The circuit optimizer: identity gates are dropped, and two inverse
+   (or mergeable) gates on the same qubits are combined when they are
+   adjacent or separated only by operations they commute with, e.g.
 
      x q1; cx q0, q1; x q1      ->  cx q0, q1
      rz q0; cx q0, q1; rz q0    ->  cx q0, q1; rz(sum) q0
 
-   This extends {!Circuit_opt} (which only combines directly adjacent
-   gates) using a conservative commutation table: diagonal gates commute
+   The commutation table is conservative: diagonal gates commute
    through control roles and with each other; X-axis gates commute
    through CX targets. Conditioned operations, measurements, resets and
-   barriers never commute with anything. *)
+   barriers never commute with anything. This is the circuit-level
+   counterpart of the classical optimizations QIR inherits from LLVM
+   (benchmark E8 contrasts the two). *)
 
 (* Diagonal in the computational basis. *)
 let is_diagonal (g : Gate.t) =
@@ -81,13 +83,36 @@ let commutes (g : Gate.t) qs (op : Circuit.op) =
   | None, (Circuit.Measure _ | Circuit.Reset _ | Circuit.Barrier _) ->
     false
 
-type stats = { cancelled : int; merged : int }
+type combined = Cancel | Identity | Merged of Gate.t
+
+(* The one combine rule, shared with the QIR dataflow optimizer. *)
+let combine (g : Gate.t) (g2 : Gate.t) =
+  if Gate.equal g2 (Gate.inverse g) then Some Cancel
+  else
+    match Gate.merge g g2 with
+    | Some m when Gate.is_identity m -> Some Identity
+    | Some m -> Some (Merged m)
+    | None -> None
+
+type stats = { cancelled : int; merged : int; removed_identities : int }
+
+let no_stats = { cancelled = 0; merged = 0; removed_identities = 0 }
 
 let optimize (c : Circuit.t) : Circuit.t * stats =
   let ops = Array.of_list c.Circuit.ops in
   let n = Array.length ops in
   let alive = Array.make n true in
-  let current = Array.map (fun op -> op) ops in
+  let current = Array.copy ops in
+  let cancelled = ref 0 and merged = ref 0 and removed = ref 0 in
+  (* lone identities go first, so they block no pair *)
+  Array.iteri
+    (fun i (op : Circuit.op) ->
+      match op.Circuit.kind, op.Circuit.cond with
+      | Circuit.Gate (g, _), None when Gate.is_identity g ->
+        alive.(i) <- false;
+        incr removed
+      | _ -> ())
+    ops;
   (* per-qubit list of op indices, in order *)
   let by_qubit = Array.make (max c.Circuit.num_qubits 1) [] in
   Array.iteri
@@ -95,7 +120,6 @@ let optimize (c : Circuit.t) : Circuit.t * stats =
       List.iter (fun q -> by_qubit.(q) <- i :: by_qubit.(q)) (Circuit.op_qubits op))
     ops;
   Array.iteri (fun q l -> by_qubit.(q) <- List.rev l) by_qubit;
-  let cancelled = ref 0 and merged = ref 0 in
   (* indices after [i] of live ops touching any qubit of [qs], in order *)
   let later_touching i qs =
     let lists = List.map (fun q -> by_qubit.(q)) qs in
@@ -111,24 +135,21 @@ let optimize (c : Circuit.t) : Circuit.t * stats =
           match current.(j) with
           | { Circuit.kind = Circuit.Gate (g2, qs2); cond = None }
             when qs2 = qs -> (
-            if Gate.equal g2 (Gate.inverse g) then begin
+            match combine g g2 with
+            | Some Cancel ->
               alive.(i) <- false;
               alive.(j) <- false;
               incr cancelled
-            end
-            else
-              match Gate.merge g g2 with
-              | Some m ->
-                alive.(i) <- false;
-                incr merged;
-                if Gate.is_identity m then begin
-                  alive.(j) <- false;
-                  incr cancelled
-                end
-                else
-                  current.(j) <-
-                    { Circuit.kind = Circuit.Gate (m, qs); cond = None }
-              | None -> if commutes g qs current.(j) then scan rest)
+            | Some Identity ->
+              alive.(i) <- false;
+              alive.(j) <- false;
+              incr merged;
+              incr removed
+            | Some (Merged m) ->
+              alive.(i) <- false;
+              incr merged;
+              current.(j) <- { Circuit.kind = Circuit.Gate (m, qs); cond = None }
+            | None -> if commutes g qs current.(j) then scan rest)
           | op when commutes g qs op -> scan rest
           | _ -> ())
       in
@@ -143,19 +164,20 @@ let optimize (c : Circuit.t) : Circuit.t * stats =
     if alive.(i) then remaining := current.(i) :: !remaining
   done;
   ( { c with Circuit.ops = !remaining },
-    { cancelled = !cancelled; merged = !merged } )
+    { cancelled = !cancelled; merged = !merged; removed_identities = !removed } )
 
-let optimize_fixpoint ?(max_rounds = 8) c =
+let optimize_fixpoint ?(max_rounds = 16) c =
   let rec go c acc round =
     if round >= max_rounds then (c, acc)
     else begin
       let c', s = optimize c in
-      if s.cancelled = 0 && s.merged = 0 then (c, acc)
+      if s = no_stats then (c, acc)
       else
         go c'
           { cancelled = acc.cancelled + s.cancelled;
-            merged = acc.merged + s.merged }
+            merged = acc.merged + s.merged;
+            removed_identities = acc.removed_identities + s.removed_identities }
           (round + 1)
     end
   in
-  go c { cancelled = 0; merged = 0 } 0
+  go c no_stats 0

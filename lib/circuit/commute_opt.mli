@@ -1,7 +1,9 @@
-(** Commutation-aware gate cancellation: inverse (or mergeable) gate
-    pairs separated by operations they provably commute with are still
-    combined — e.g. [x q1; cx q0,q1; x q1] reduces to the CX alone.
-    Extends {!Circuit_opt}, which only combines directly adjacent gates.
+(** The circuit optimizer: identity gates (e.g. [rz(0)]) are removed,
+    and inverse (or mergeable) gate pairs on the same qubits are
+    combined when adjacent or separated only by operations they
+    provably commute with — e.g. [x q1; cx q0,q1; x q1] reduces to the
+    CX alone. The circuit-level counterpart of the classical
+    optimizations QIR inherits from LLVM (benchmark E8).
 
     The commutation table is conservative: diagonal gates commute with
     each other and through control roles; X-axis gates commute through CX
@@ -17,7 +19,25 @@ val commutes : Gate.t -> int list -> Circuit.op -> bool
 (** [commutes g qs op]: {!gate_commutes} against a gate [op]; false for
     conditioned operations, measurements, resets and barriers. *)
 
-type stats = { cancelled : int; merged : int }
+type combined =
+  | Cancel  (** the two gates are inverses *)
+  | Identity  (** they merge into an identity *)
+  | Merged of Gate.t  (** they merge into this gate *)
+
+val combine : Gate.t -> Gate.t -> combined option
+(** [combine g g2]: what [g] then [g2] on the same qubits become; [None]
+    when they neither cancel nor merge. The one rule, shared with the
+    QIR dataflow optimizer. *)
+
+type stats = {
+  cancelled : int;  (** inverse pairs removed *)
+  merged : int;  (** pairs merged into one gate or an identity *)
+  removed_identities : int;  (** lone identities and identity merges *)
+}
 
 val optimize : Circuit.t -> Circuit.t * stats
+(** One pass over the circuit. *)
+
 val optimize_fixpoint : ?max_rounds:int -> Circuit.t -> Circuit.t * stats
+(** Iterates {!optimize} until no further reduction (or [max_rounds],
+    default 16). *)

@@ -427,7 +427,10 @@ let parse_statement ps =
 
 let parse src : Circuit.t =
   let lx = Qasm_lexer.create src in
-  let st = { Qasm_expr.P.tok = Qasm_lexer.next lx; lx } in
+  let tok0 =
+    try Qasm_lexer.next lx with Qasm_lexer.Error (l, m) -> error l "%s" m
+  in
+  let st = { Qasm_expr.P.tok = tok0; lx } in
   let ps =
     {
       st;

@@ -113,7 +113,14 @@ let number lx =
     ()
   | Some _ | None -> ());
   let text = String.sub lx.src start (lx.pos - start) in
-  if !is_real then REAL (float_of_string text) else INT (int_of_string text)
+  if !is_real then
+    match float_of_string_opt text with
+    | Some f -> REAL f
+    | None -> error lx "malformed number %s" text
+  else
+    match int_of_string_opt text with
+    | Some n -> INT n
+    | None -> error lx "integer literal %s out of range" text
 
 let next lx =
   skip_trivia lx;

@@ -14,6 +14,8 @@ open Qcircuit
 
 type addressing = [ `Static | `Dynamic ]
 
+exception Unsupported of string
+
 let ptr = Ty.Ptr
 let void = Ty.Void
 let i64 = Ty.I64
@@ -100,10 +102,12 @@ let emit_register_read st cbits =
           match Hashtbl.find_opt st.clbit_result c with
           | Some r -> r
           | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Qir_builder: condition reads clbit %d before any measurement"
-                 c)
+            raise
+              (Unsupported
+                 (Printf.sprintf
+                    "Qir_builder: condition reads clbit %d before any \
+                     measurement"
+                    c))
         in
         let bit = call_i1 st Names.rt_read_result [ result_arg st r ] in
         let wide =

@@ -17,6 +17,10 @@
 
 type addressing = [ `Dynamic | `Static ]
 
+exception Unsupported of string
+(** Raised by {!build} for a circuit with no QIR form here: a condition
+    that reads a classical bit before any measurement has written it. *)
+
 val profile_name : Qcircuit.Circuit.t -> string
 (** ["base_profile"] or ["adaptive_profile"], by presence of conditions. *)
 

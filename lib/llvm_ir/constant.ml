@@ -42,8 +42,11 @@ let rec pp ppf = function
   | Int n -> Format.fprintf ppf "%Ld" n
   | Float f ->
     (* print with enough digits to round-trip exactly: %.1f is exact for
-       integer-valued doubles below 2^53, %.17g for everything else *)
-    if Float.is_integer f && Float.abs f < 9e15 then
+       integer-valued doubles below 2^53, %.17g for other finite ones,
+       and LLVM's hex IEEE bits for infinities and NaNs *)
+    if not (Float.is_finite f) then
+      Format.fprintf ppf "0x%016LX" (Int64.bits_of_float f)
+    else if Float.is_integer f && Float.abs f < 9e15 then
       Format.fprintf ppf "%.1f" f
     else Format.fprintf ppf "%.17g" f
   | Bool true -> Format.pp_print_string ppf "true"

@@ -1,63 +1,5 @@
 (* Preset pass pipelines. *)
 
-open Llvm_ir
-
-let all_passes : Pass.func_pass list =
-  [
-    Mem2reg.pass;
-    Const_fold.pass;
-    Sccp.pass;
-    Instcombine.pass;
-    Cse.pass;
-    Dce.pass;
-    Simplify_cfg.pass;
-    Unroll.pass;
-    Inline.pass;
-  ]
-
-(* Passes contributed by higher layers (e.g. the analysis library's
-   quantum-dce), registered at tool startup. *)
-let extra_passes : Pass.func_pass list ref = ref []
-
-let register_pass (p : Pass.func_pass) =
-  if
-    not
-      (List.exists
-         (fun (q : Pass.func_pass) -> String.equal q.Pass.name p.Pass.name)
-         !extra_passes)
-  then extra_passes := !extra_passes @ [ p ]
-
-let registered () = all_passes @ !extra_passes
-
-(* Whole-module passes contributed by higher layers (the analysis
-   library's quantum-dce removes unreachable functions, which no
-   func_pass can express). *)
-let extra_module_passes : Pass.module_pass list ref = ref []
-
-let register_module_pass (p : Pass.module_pass) =
-  if
-    not
-      (List.exists
-         (fun (q : Pass.module_pass) -> String.equal q.Pass.mname p.Pass.mname)
-         !extra_module_passes)
-  then extra_module_passes := !extra_module_passes @ [ p ]
-
-let registered_module () = !extra_module_passes
-
-let find_pass name =
-  List.find_opt (fun (p : Pass.func_pass) -> String.equal p.Pass.name name)
-    (registered ())
-
-let find_module_pass name =
-  List.find_opt
-    (fun (p : Pass.module_pass) -> String.equal p.Pass.mname name)
-    !extra_module_passes
-
-(* Every runnable pass name: func passes first, then module passes. *)
-let pass_names () =
-  List.map (fun (p : Pass.func_pass) -> p.Pass.name) (registered ())
-  @ List.map (fun (p : Pass.module_pass) -> p.Pass.mname) !extra_module_passes
-
 (* The cleanup pipeline: SSA construction plus the classical scalar
    optimizations the paper names in Sec. II-B. *)
 let standard : Pass.module_pass list =
@@ -90,17 +32,3 @@ let optimize ?(max_rounds = 8) m =
 
 let lower ?(max_rounds = 8) m =
   Pass.run_until_fixpoint ~max_rounds lowering m
-
-(* Runs a single named pass once; [Invalid_argument] on unknown names.
-   Module passes are looked up after func passes. *)
-let run_pass name (m : Ir_module.t) =
-  match find_pass name with
-  | Some p -> fst ((Pass.of_func_pass p).Pass.mrun m)
-  | None -> (
-    match find_module_pass name with
-    | Some p -> fst (p.Pass.mrun m)
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Pipeline.run_pass: unknown pass %s (registered: %s)"
-           name
-           (String.concat ", " (pass_names ()))))

@@ -2,30 +2,6 @@
 
 open Llvm_ir
 
-val all_passes : Pass.func_pass list
-(** mem2reg, const-fold, sccp, instcombine, cse, dce, simplify-cfg,
-    loop-unroll, inline. *)
-
-val register_pass : Pass.func_pass -> unit
-(** Adds a pass contributed by a higher layer (e.g. quantum-dce from the
-    analysis library) to the name lookup; idempotent per name. *)
-
-val registered : unit -> Pass.func_pass list
-(** {!all_passes} plus everything {!register_pass}ed, in order. *)
-
-val find_pass : string -> Pass.func_pass option
-
-val register_module_pass : Pass.module_pass -> unit
-(** Adds a whole-module pass contributed by a higher layer (e.g. the
-    analysis library's quantum-dce, which removes unreachable
-    functions); idempotent per name. *)
-
-val registered_module : unit -> Pass.module_pass list
-val find_module_pass : string -> Pass.module_pass option
-
-val pass_names : unit -> string list
-(** Every name {!run_pass} accepts: func passes, then module passes. *)
-
 val standard : Pass.module_pass list
 (** SSA construction plus the classical scalar optimizations the paper
     names in Sec. II-B (mem2reg, SCCP, CFG simplification, DCE). *)
@@ -36,7 +12,3 @@ val lowering : Pass.module_pass list
 
 val optimize : ?max_rounds:int -> Ir_module.t -> Ir_module.t
 val lower : ?max_rounds:int -> Ir_module.t -> Ir_module.t
-
-val run_pass : string -> Ir_module.t -> Ir_module.t
-(** Runs one named pass once; raises [Invalid_argument] on unknown
-    names. *)

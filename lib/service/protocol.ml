@@ -6,9 +6,10 @@
    Requests:
      {"op":"submit","tenant":"alice","program":"<QIR text>", ...}
      {"op":"submit","tenant":"alice","file":"bell.ll", ...}
-       optional: "id", "shots" and "seed" (integers), "backend"
-       ("statevector" | "stabilizer" | "faulty:<spec>"), "timeout"
-       (seconds); unknown keys are ignored
+       optional: "id" (a string), "shots" and "seed" (integers),
+       "backend" ("statevector" | "stabilizer" | "faulty:<spec>"),
+       "timeout" (finite seconds >= 0); a known key of the wrong type
+       is a usage error, unknown keys are ignored
      {"op":"stats"}
      {"op":"quit"}
 
@@ -44,20 +45,27 @@ let parse_backend = function
     | Error msg -> Error (usage (Printf.sprintf "bad faulty backend spec: %s" msg)))
   | s -> Error (usage (Printf.sprintf "unknown backend %S" s))
 
-(* An optional integer field: absent gives [default]; present but not
-   an exactly representable integer is the client's error, never a
-   silent default. *)
-let int_field key ~default v =
+(* An optional field: absent is [None]; present but not what [decode]
+   accepts is the client's error, never a silent default. *)
+let field key ~what decode v =
   match Jsonx.member key v with
-  | None -> Ok default
-  | Some n -> (
-    match Jsonx.int_opt n with
-    | Some i -> Ok i
-    | None ->
-      Error
-        (usage
-           (Printf.sprintf "%S must be an integer of magnitude at most 2^53"
-              key)))
+  | None -> Ok None
+  | Some x -> (
+    match decode x with
+    | Some y -> Ok (Some y)
+    | None -> Error (usage (Printf.sprintf "%S must be %s" key what)))
+
+let str_field key v = field key ~what:"a string" Jsonx.str_opt v
+
+let int_field key ~default v =
+  Result.map
+    (Option.value ~default)
+    (field key ~what:"an integer of magnitude at most 2^53" Jsonx.int_opt v)
+
+let timeout_of x =
+  match Jsonx.num_opt x with
+  | Some t when Float.is_finite t && t >= 0.0 -> Some t
+  | _ -> None
 
 (* [parse_request line] decodes one protocol line. Errors are
    [Usage]-kind taxonomy values: a malformed request is the client's
@@ -77,8 +85,10 @@ let parse_request line : (request, Qir_error.t) result =
         | Some t when t <> "" -> Ok t
         | _ -> Error (usage "submit needs a non-empty \"tenant\" field")
       in
+      let* inline = str_field "program" v in
+      let* file = str_field "file" v in
       let* program =
-        match (Jsonx.mem_str "program" v, Jsonx.mem_str "file" v) with
+        match (inline, file) with
         | Some p, None -> Ok (`Inline p)
         | None, Some f -> Ok (`File f)
         | Some _, Some _ ->
@@ -86,24 +96,19 @@ let parse_request line : (request, Qir_error.t) result =
         | None, None ->
           Error (usage "submit needs a \"program\" or \"file\" field")
       in
+      let* backend = str_field "backend" v in
       let* backend =
-        match Jsonx.mem_str "backend" v with
+        match backend with
         | None -> Ok `Statevector
         | Some s -> parse_backend s
       in
       let* shots = int_field "shots" ~default:1 v in
       let* seed = int_field "seed" ~default:1 v in
-      Ok
-        (Submit
-           {
-             id = Jsonx.mem_str "id" v;
-             tenant;
-             program;
-             shots;
-             seed;
-             backend;
-             timeout = Jsonx.mem_num "timeout" v;
-           }))
+      let* id = str_field "id" v in
+      let* timeout =
+        field "timeout" ~what:"a finite number of seconds >= 0" timeout_of v
+      in
+      Ok (Submit { id; tenant; program; shots; seed; backend; timeout }))
     | Some op -> Error (usage (Printf.sprintf "unknown op %S" op)))
 
 (* ------------------------------------------------------------------ *)

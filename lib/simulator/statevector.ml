@@ -165,8 +165,12 @@ let check_qubit st q =
    each outcome's float sum is reproducible. An identity prefix
    ([qs.(j) = j]) masks the index; any other mapping assembles the
    outcome from one 256-entry table per index byte rather than testing
-   [m] bits per amplitude. The outcome of a shard's base index and of an
-   offset inside the shard occupy disjoint bits, so they combine by [lor]. *)
+   [m] bits per amplitude: the lowest byte's table for every amplitude,
+   the tables of the higher bytes that hold a qubit of [qs] once per 256
+   amplitudes (other bytes add no outcome bit). A table entry is the
+   entry without its highest bit [lor] that bit's outcome bits, so a
+   table fills in 256 steps. Outcomes of disjoint index bits combine by
+   [lor]. *)
 let marginal st (qs : int array) =
   Array.iter (check_qubit st) qs;
   let m = Array.length qs in
@@ -177,26 +181,39 @@ let marginal st (qs : int array) =
     Array.iteri (fun j q -> if q <> j then ok := false) qs;
     !ok
   in
-  let bytes = (st.n + 7) / 8 in
-  let tables =
-    Array.init bytes (fun b ->
-        Array.init 256 (fun v ->
-            let o = ref 0 in
-            Array.iteri
-              (fun j q ->
-                if q lsr 3 = b && v land (1 lsl (q land 7)) <> 0 then
-                  o := !o lor (1 lsl j))
-              qs;
-            !o))
+  (* the outcome bits of each index bit *)
+  let bytes = max 1 ((st.n + 7) / 8) in
+  let bits = Array.make (8 * bytes) 0 in
+  Array.iteri (fun j q -> bits.(q) <- bits.(q) lor (1 lsl j)) qs;
+  let table b =
+    let t = Array.make 256 0 in
+    for i = 0 to 7 do
+      let h = 1 lsl i and o = bits.((8 * b) + i) in
+      for v = h to (2 * h) - 1 do
+        Array.unsafe_set t v (Array.unsafe_get t (v - h) lor o)
+      done
+    done;
+    t
   in
-  let outcome i =
+  let low = table 0 in
+  let high =
+    List.filter
+      (fun b -> Array.exists (fun q -> q lsr 3 = b) qs)
+      (List.init (bytes - 1) (fun b -> b + 1))
+  in
+  let shifts = Array.of_list (List.map (fun b -> 8 * b) high) in
+  let tables = Array.of_list (List.map table high) in
+  let outcome_high i =
     let o = ref 0 in
-    for b = 0 to bytes - 1 do
-      o := !o lor Array.unsafe_get tables.(b) ((i lsr (8 * b)) land 255)
+    for k = 0 to Array.length tables - 1 do
+      o :=
+        !o
+        lor Array.unsafe_get tables.(k) ((i lsr Array.unsafe_get shifts k) land 255)
     done;
     !o
   in
   let mask = (1 lsl m) - 1 in
+  let run = min shard_size 256 in
   for s = 0 to shard_count st - 1 do
     let re = st.re.(s) and im = st.im.(s) in
     let base = s lsl st.lb in
@@ -208,12 +225,16 @@ let marginal st (qs : int array) =
           (Array.unsafe_get out o +. ((r *. r) +. (mi *. mi)))
       done
     else begin
-      let hi = outcome base in
-      for j = 0 to shard_size - 1 do
-        let r = bget re j and mi = bget im j in
-        let o = hi lor outcome j in
-        Array.unsafe_set out o
-          (Array.unsafe_get out o +. ((r *. r) +. (mi *. mi)))
+      let hi = low.(base land 255) lor outcome_high base in
+      for c = 0 to (shard_size / run) - 1 do
+        let h = hi lor outcome_high (c * run) in
+        for v = 0 to run - 1 do
+          let j = (c * run) + v in
+          let r = bget re j and mi = bget im j in
+          let o = h lor Array.unsafe_get low v in
+          Array.unsafe_set out o
+            (Array.unsafe_get out o +. ((r *. r) +. (mi *. mi)))
+        done
       done
     end
   done;

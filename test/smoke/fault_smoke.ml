@@ -11,6 +11,12 @@
    verifies then goes through [Qir_parser.parse_with_output], which must
    likewise answer [Ok] or [Error]: any exception fails the run.
 
+   Last, 2000 seeded mutations of an OpenQASM 2 corpus (Bell, GHZ, a
+   conditioned gate after a measurement) go through [Qasm2.parse] and
+   [Qir_builder.build]: each must build or raise an exception the error
+   taxonomy classifies ([Qir_error.of_exn]); any other exception fails
+   the run.
+
    Used by CI as a cheap end-to-end robustness gate:
      dune exec test/smoke/fault_smoke.exe *)
 
@@ -89,6 +95,41 @@ let mutate_texts texts =
     !circuits !refused;
   !raised
 
+let qasm_corpus =
+  [
+    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\nh q[0];\n\
+     cx q[0],q[1];\nmeasure q -> c;\n";
+    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\ncreg c[4];\nh q[0];\n\
+     cx q[0],q[1];\ncx q[1],q[2];\ncx q[2],q[3];\nrz(pi/4) q[3];\n\
+     measure q -> c;\n";
+    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg m[1];\n\
+     creg c[2];\nh q[0];\nmeasure q[0] -> m[0];\nif(m==1) x q[1];\n\
+     u3(0.1,0.2,0.3) q[1];\nmeasure q -> c;\n";
+  ]
+
+(* Every OpenQASM 2 mutation must build or raise a taxonomy-classified
+   error; returns how many raised anything else. *)
+let mutate_qasm () =
+  let texts = Array.of_list qasm_corpus in
+  let rng = Rng.create 2025 in
+  let built = ref 0 and classified = ref 0 and raised = ref 0 in
+  for i = 0 to mutations - 1 do
+    let text = mutate rng texts.(i mod Array.length texts) in
+    match Qir.Qir_builder.build (Qasm2.parse text) with
+    | _ -> incr built
+    | exception e -> (
+      match Qruntime.Qir_error.of_exn e with
+      | Some _ -> incr classified
+      | None ->
+        incr raised;
+        if !raised <= 5 then
+          Printf.eprintf "qasm2 mutation %d: %s\n%s\n" i (Printexc.to_string e)
+            text)
+  done;
+  Printf.printf "qasm2 fuzz: %d mutations, %d built, %d classified errors, %d raised\n"
+    mutations !built !classified !raised;
+  !raised
+
 let () =
   let spec =
     match Qsim.Faulty.spec_of_string "0.01" with
@@ -146,4 +187,5 @@ let () =
     (Qsim.Faulty.injected ())
     !total_retries !failures;
   let raised = mutate_texts (List.rev !texts) in
-  if !failures > 0 || raised > 0 then exit 1
+  let qasm_raised = mutate_qasm () in
+  if !failures > 0 || raised > 0 || qasm_raised > 0 then exit 1

@@ -255,8 +255,6 @@ let test_builder_output_is_clean () =
 (* ------------------------------------------------------------------ *)
 (* Dead-quantum-code analysis / quantum-dce pass                        *)
 
-let () = Quantum_dce.register ()
-
 let deadgate_src =
   prelude
   ^ {|
@@ -272,7 +270,7 @@ entry:
 let test_quantum_dce_removes_dead_gate () =
   let m = parse deadgate_src in
   check bool_t "QD001 reported" true (has_rule "QD001" (Lint.run m));
-  let m' = Passes.Pipeline.run_pass "quantum-dce" m in
+  let m' = Pass_table.run "quantum-dce" m in
   check int_t "x removed" 0 (count_calls_to m' Names.(qis "x"));
   check int_t "h kept" 1 (count_calls_to m' Names.(qis "h"));
   (* removing the dead gate does not change the output distribution *)
@@ -297,7 +295,7 @@ entry:
   (* h acts on an unmeasured qubit, but its effect reaches the measured
      one through the cnot: nothing is removable *)
   check bool_t "nothing dead" false (has_rule "QD001" (Lint.run m));
-  let m' = Passes.Pipeline.run_pass "quantum-dce" m in
+  let m' = Pass_table.run "quantum-dce" m in
   check int_t "h kept" 1 (count_calls_to m' Names.(qis "h"));
   check int_t "cnot kept" 1 (count_calls_to m' Names.(qis "cnot"))
 
@@ -767,7 +765,7 @@ entry:
 let test_quantum_dce_drops_unreachable_function () =
   let m = parse diamond_with_orphan in
   check bool_t "QC001 before the pass" true (has_rule "QC001" (Lint.run m));
-  let m' = Passes.Pipeline.run_pass "quantum-dce" m in
+  let m' = Pass_table.run "quantum-dce" m in
   check bool_t "orphan dropped" true
     (Ir_module.find_func m' "orphan" = None);
   check bool_t "reachable helpers kept" true
@@ -892,8 +890,6 @@ let test_classify_with_summaries () =
 (* ------------------------------------------------------------------ *)
 (* Value-semantics quantum optimizer (qdf / qdf_opt)                    *)
 
-let () = Qdf_opt.register ()
-
 let opt_prelude =
   prelude
   ^ {|
@@ -902,7 +898,7 @@ declare void @__quantum__qis__cnot__body(ptr, ptr)
 declare i64 @choose()
 |}
 
-let run_opt = Passes.Pipeline.run_pass "quantum-opt"
+let run_opt = Pass_table.run "quantum-opt"
 
 (* Bit-identical histograms, per-shot sampling: the batched sampler
    draws in a different order, so exact equality needs the per-shot tier. *)

@@ -313,31 +313,31 @@ let test_opt_cancels_hh () =
   let b = Circuit.Build.create ~num_qubits:1 () in
   Circuit.Build.gate b Gate.H [ 0 ];
   Circuit.Build.gate b Gate.H [ 0 ];
-  let c, stats = Circuit_opt.optimize (Circuit.Build.finish b) in
+  let c, stats = Commute_opt.optimize (Circuit.Build.finish b) in
   check int_t "empty" 0 (Circuit.size c);
-  check int_t "one cancellation" 1 stats.Circuit_opt.cancelled
+  check int_t "one cancellation" 1 stats.Commute_opt.cancelled
 
 let test_opt_cancels_cx_pair () =
   let b = Circuit.Build.create ~num_qubits:2 () in
   Circuit.Build.gate b Gate.Cx [ 0; 1 ];
   Circuit.Build.gate b Gate.Cx [ 0; 1 ];
-  let c, _ = Circuit_opt.optimize (Circuit.Build.finish b) in
+  let c, _ = Commute_opt.optimize (Circuit.Build.finish b) in
   check int_t "empty" 0 (Circuit.size c)
 
 let test_opt_does_not_cancel_reversed_cx () =
   let b = Circuit.Build.create ~num_qubits:2 () in
   Circuit.Build.gate b Gate.Cx [ 0; 1 ];
   Circuit.Build.gate b Gate.Cx [ 1; 0 ];
-  let c, _ = Circuit_opt.optimize (Circuit.Build.finish b) in
+  let c, _ = Commute_opt.optimize (Circuit.Build.finish b) in
   check int_t "both kept" 2 (Circuit.size c)
 
 let test_opt_merges_rotations () =
   let b = Circuit.Build.create ~num_qubits:1 () in
   Circuit.Build.gate b (Gate.Rz 0.3) [ 0 ];
   Circuit.Build.gate b (Gate.Rz 0.4) [ 0 ];
-  let c, stats = Circuit_opt.optimize (Circuit.Build.finish b) in
+  let c, stats = Commute_opt.optimize (Circuit.Build.finish b) in
   check int_t "merged to one" 1 (Circuit.size c);
-  check int_t "one merge" 1 stats.Circuit_opt.merged;
+  check int_t "one merge" 1 stats.Commute_opt.merged;
   match (List.hd c.Circuit.ops).Circuit.kind with
   | Circuit.Gate (Gate.Rz t, _) -> check (Alcotest.float 1e-12) "sum" 0.7 t
   | _ -> Alcotest.fail "expected rz"
@@ -346,7 +346,7 @@ let test_opt_t_t_becomes_s () =
   let b = Circuit.Build.create ~num_qubits:1 () in
   Circuit.Build.gate b Gate.T [ 0 ];
   Circuit.Build.gate b Gate.T [ 0 ];
-  let c, _ = Circuit_opt.optimize (Circuit.Build.finish b) in
+  let c, _ = Commute_opt.optimize (Circuit.Build.finish b) in
   match List.map (fun (o : Circuit.op) -> o.Circuit.kind) c.Circuit.ops with
   | [ Circuit.Gate (Gate.S, [ 0 ]) ] -> ()
   | _ -> Alcotest.fail "expected a single s gate"
@@ -356,7 +356,7 @@ let test_opt_blocked_by_intervening_op () =
   Circuit.Build.gate b Gate.H [ 0 ];
   Circuit.Build.gate b Gate.Cx [ 0; 1 ];
   Circuit.Build.gate b Gate.H [ 0 ];
-  let c, _ = Circuit_opt.optimize (Circuit.Build.finish b) in
+  let c, _ = Commute_opt.optimize (Circuit.Build.finish b) in
   check int_t "nothing cancelled" 3 (Circuit.size c)
 
 let test_opt_blocked_by_measure () =
@@ -364,7 +364,7 @@ let test_opt_blocked_by_measure () =
   Circuit.Build.gate b Gate.X [ 0 ];
   Circuit.Build.measure b 0 0;
   Circuit.Build.gate b Gate.X [ 0 ];
-  let c, _ = Circuit_opt.optimize (Circuit.Build.finish b) in
+  let c, _ = Commute_opt.optimize (Circuit.Build.finish b) in
   check int_t "nothing cancelled" 3 (Circuit.size c)
 
 let test_opt_conditions_block () =
@@ -372,16 +372,16 @@ let test_opt_conditions_block () =
   let cond = { Circuit.cbits = [ 0 ]; value = 1 } in
   Circuit.Build.gate b Gate.X [ 0 ];
   Circuit.Build.gate b ~cond Gate.X [ 0 ];
-  let c, _ = Circuit_opt.optimize (Circuit.Build.finish b) in
+  let c, _ = Commute_opt.optimize (Circuit.Build.finish b) in
   check int_t "conditioned op not cancelled" 2 (Circuit.size c)
 
 let test_opt_removes_identity_rotation () =
   let b = Circuit.Build.create ~num_qubits:1 () in
   Circuit.Build.gate b (Gate.Rz 0.0) [ 0 ];
   Circuit.Build.gate b Gate.X [ 0 ];
-  let c, stats = Circuit_opt.optimize (Circuit.Build.finish b) in
+  let c, stats = Commute_opt.optimize (Circuit.Build.finish b) in
   check int_t "one left" 1 (Circuit.size c);
-  check int_t "identity removed" 1 stats.Circuit_opt.removed_identities
+  check int_t "identity removed" 1 stats.Commute_opt.removed_identities
 
 (* Property: peephole optimization preserves the state (up to global
    phase, hence fidelity) on measurement-free random circuits. *)
@@ -390,7 +390,7 @@ let prop_opt_preserves_state =
     QCheck2.Gen.(pair (int_range 0 10000) (int_range 2 5))
     (fun (seed, n) ->
       let c = Generate.random ~seed ~gates:60 n in
-      let c', _ = Circuit_opt.optimize_fixpoint c in
+      let c', _ = Commute_opt.optimize_fixpoint c in
       let st, _ = Qsim.Statevector.run_circuit c in
       let st', _ = Qsim.Statevector.run_circuit c' in
       Float.abs (Qsim.Statevector.fidelity st st' -. 1.0) < 1e-9)

@@ -106,24 +106,7 @@ let prop_preserves_state =
       let st', _ = Qsim.Statevector.run_circuit c' in
       Float.abs (Qsim.Statevector.fidelity st st' -. 1.0) < 1e-9)
 
-(* Never grows the circuit, and composing it after the adjacent-only
-   optimizer can only shrink further (both sound and state-preserving). *)
-let prop_at_least_adjacent =
-  QCheck2.Test.make ~count:60 ~name:"composition with adjacent-only shrinks"
-    QCheck2.Gen.(pair (int_range 0 100000) (int_range 2 5))
-    (fun (seed, n) ->
-      let c = Generate.random ~seed ~gates:50 n in
-      let adjacent, _ = Circuit_opt.optimize_fixpoint c in
-      let both, _ = Commute_opt.optimize_fixpoint adjacent in
-      Circuit.size both <= Circuit.size adjacent
-      &&
-      let st, _ = Qsim.Statevector.run_circuit c in
-      let st', _ = Qsim.Statevector.run_circuit both in
-      Float.abs (Qsim.Statevector.fidelity st st' -. 1.0) < 1e-9)
-
-let props =
-  List.map QCheck_alcotest.to_alcotest
-    [ prop_preserves_state; prop_at_least_adjacent ]
+let props = List.map QCheck_alcotest.to_alcotest [ prop_preserves_state ]
 
 let suite =
   [

@@ -826,6 +826,38 @@ let test_terminal_histograms_pinned () =
         (histogram_digest (Qsim.Sampler.sample ~seed ~shots c)))
     (List.combine (terminal_corpus ()) pinned_terminal_digests)
 
+(* The marginal of any qubit map, flat or sharded, is bit-for-bit the
+   per-amplitude sum in ascending index order: multi-byte indices
+   (17 qubits), shards smaller than a byte's 256 indices, and maps that
+   skip whole index bytes. *)
+let test_marginal_exact_order () =
+  List.iter
+    (fun (n, lb, qs) ->
+      let st =
+        with_local_bits lb (fun () ->
+            fst (Sv.run_circuit (Generate.random ~seed:n ~gates:(3 * n) n)))
+      in
+      let expect = Array.make (1 lsl Array.length qs) 0.0 in
+      Array.iteri
+        (fun i p ->
+          let o = ref 0 in
+          Array.iteri (fun j q -> if i land (1 lsl q) <> 0 then o := !o lor (1 lsl j)) qs;
+          expect.(!o) <- expect.(!o) +. p)
+        (Sv.probabilities st);
+      let got = Sv.marginal st qs in
+      Array.iteri
+        (fun o e ->
+          if not (Int64.equal (Int64.bits_of_float e) (Int64.bits_of_float got.(o)))
+          then Alcotest.failf "n=%d lb=%d outcome %d: %h vs %h" n lb o got.(o) e)
+        expect)
+    [
+      (5, 24, [| 4; 3; 2; 1; 0 |]);
+      (11, 4, [| 10; 0; 7 |]);
+      (17, 24, Array.init 17 (fun j -> 16 - j));
+      (17, 9, [| 16; 2; 9 |]);
+      (17, 24, [| 1; 16 |]);
+    ]
+
 (* Seeded circuits shaped like the three benchmark corpora: terminal
    14-17 qubits x 120-200 gates, 5-7 qubits x 56-64 gates around one
    mid-circuit measurement (odd ones with feedback), and terminal 5-8
@@ -1173,6 +1205,8 @@ let suite =
     Alcotest.test_case "checked-access mode" `Quick test_checked_access_path;
     Alcotest.test_case "branching sampler vs exact enumeration" `Quick
       test_branching_exact;
+    Alcotest.test_case "marginal sums in index order" `Quick
+      test_marginal_exact_order;
     Alcotest.test_case "terminal histograms pinned (k = 0)" `Quick
       test_terminal_histograms_pinned;
     Alcotest.test_case "fusion plans pinned (k = 2..6)" `Quick

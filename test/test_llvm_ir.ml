@@ -761,7 +761,8 @@ let prop_interp_matches_reference =
       | Interp.VInt (_, n) -> Int64.equal n expected
       | _ -> false)
 
-(* Float constants round-trip through print + parse bit-exactly. *)
+(* Float constants, infinities and NaNs included, round-trip through
+   print + parse bit-exactly. *)
 let prop_float_roundtrip =
   let gen =
     let open QCheck2.Gen in
@@ -772,11 +773,13 @@ let prop_float_roundtrip =
         float_range (-10.0) 10.0;
         return Float.pi;
         return 1234567891.0;
+        return Float.infinity;
+        return Float.neg_infinity;
+        return Float.nan;
       ]
   in
   QCheck2.Test.make ~count:200 ~name:"float constants round-trip exactly" gen
     (fun f ->
-      QCheck2.assume (Float.is_finite f);
       let src =
         Format.asprintf
           "declare void @g(double)\ndefine void @f() {\nentry:\n  call void \

@@ -52,7 +52,7 @@ let test_optimization_improves_fidelity () =
   done;
   Circuit.Build.gate b Gate.Cx [ 1; 2 ];
   let c = Circuit.Build.finish b in
-  let optimized, _ = Circuit_opt.optimize_fixpoint c in
+  let optimized, _ = Commute_opt.optimize_fixpoint c in
   check bool_t "optimizer shrank the circuit" true
     (Circuit.size optimized < Circuit.size c / 3);
   let params = { Noise.default with Noise.p1 = 0.01; p2 = 0.03 } in

@@ -33,7 +33,7 @@ let test_bell_dynamic () =
    allocations: examples/bell_dynamic.ll (required_num_qubits = 2,
    qubit_allocate_array(2)) simulates 2 qubits, not 4, on every tier
    and on the oracle. *)
-let test_bell_dynamic_register () =
+let test_bell_dynamic_grows () =
   let ch = open_in_bin "../examples/bell_dynamic.ll" in
   let text = really_input_string ch (in_channel_length ch) in
   close_in ch;
@@ -225,7 +225,7 @@ let suite =
     Alcotest.test_case "bell via static QIR" `Quick test_bell_static;
     Alcotest.test_case "bell via dynamic QIR" `Quick test_bell_dynamic;
     Alcotest.test_case "dynamic bell runs on a 2-qubit register" `Quick
-      test_bell_dynamic_register;
+      test_bell_dynamic_grows;
     Alcotest.test_case "paper Fig.1 executes" `Quick test_paper_fig1_text;
     Alcotest.test_case "paper Ex.4 loop executes" `Quick
       test_paper_ex4_loop_executes;

@@ -252,6 +252,26 @@ let test_protocol_rejects_bad_ints () =
       ",\"seed\":\"7\""; ",\"seed\":0.5"; ",\"seed\":9007199254740994";
     ]
 
+(* A present field of the wrong type is a usage error (exit code 7),
+   never a silent default: no deadline, the statevector backend or an
+   auto id. *)
+let test_protocol_rejects_mistyped_fields () =
+  List.iter
+    (fun fields ->
+      match Protocol.parse_request (submit_line fields) with
+      | Ok _ -> Alcotest.failf "accepted %s" fields
+      | Error e ->
+        check int_t (fields ^ ": exit code") 7 (Qir_error.exit_code e))
+    [
+      ",\"timeout\":\"5\""; ",\"timeout\":-1"; ",\"timeout\":1e999";
+      ",\"timeout\":null"; ",\"backend\":3"; ",\"id\":5";
+      ",\"file\":true";
+    ];
+  match Protocol.parse_request (submit_line ",\"id\":\"j\",\"timeout\":0") with
+  | Ok (Protocol.Submit { id = Some "j"; timeout = Some 0.0; _ }) -> ()
+  | Ok _ -> Alcotest.fail "id or timeout lost"
+  | Error e -> Alcotest.fail e.Qir_error.message
+
 let test_protocol_reads_ints () =
   let shots_seed fields =
     match Protocol.parse_request (submit_line fields) with
@@ -1099,6 +1119,8 @@ let suite =
       test_bench_files_parse;
     Alcotest.test_case "protocol: malformed shots/seed are usage errors"
       `Quick test_protocol_rejects_bad_ints;
+    Alcotest.test_case "protocol: mistyped fields are usage errors" `Quick
+      test_protocol_rejects_mistyped_fields;
     Alcotest.test_case "protocol: integer shots/seed, unknown keys ignored"
       `Quick test_protocol_reads_ints;
     Alcotest.test_case "scheduler: weighted fairness" `Quick
