@@ -85,7 +85,7 @@ type event = { pos : int; instr : Instr.t; kind : ekind }
 type t = {
   func : Func.t;
   vt : Value_track.t;
-  facts : Const_addr.facts;
+  facts : Passes.Sccp.solution;
   events : (string * event array) list;  (* per block, program order *)
   qubit_alloc_sites : int;  (* qubit allocate/allocate_array sites *)
 }
@@ -119,7 +119,7 @@ let resolve_double facts (o : Operand.t) : float option =
   | Operand.Const (Constant.Int n) -> Some (Int64.to_float n)
   | Operand.Const _ -> None
   | Operand.Local id -> (
-    match Const_addr.const_of facts id with
+    match Passes.Sccp.const_of facts id with
     | Some (Constant.Float f) -> Some f
     | Some (Constant.Int n) -> Some (Int64.to_float n)
     | _ -> None)
@@ -208,7 +208,7 @@ let classify vt facts (i : Instr.t) : ekind =
 
 let of_func (f : Func.t) : t =
   let vt = Value_track.of_func f in
-  let facts = Const_addr.analyze f in
+  let facts = Passes.Sccp.solve f in
   let events =
     List.map
       (fun (b : Block.t) ->

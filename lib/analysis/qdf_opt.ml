@@ -497,7 +497,7 @@ let promote (m : Ir_module.t) : (Ir_module.t * int) option =
           | None -> raise Refuse
         in
         let vt = Value_track.of_func entry in
-        let facts = Const_addr.analyze entry in
+        let facts = Passes.Sccp.solve entry in
         let syn_addr (o : Operand.t) =
           match o with
           | Operand.Const Constant.Null -> Some 0L
@@ -551,7 +551,7 @@ let promote (m : Ir_module.t) : (Ir_module.t * int) option =
           match o with
           | Operand.Const (Constant.Int a) -> Some a
           | Operand.Local id -> (
-            match Const_addr.const_of facts id with
+            match Passes.Sccp.const_of facts id with
             | Some (Constant.Int a) -> Some a
             | _ -> None)
           | _ -> None

@@ -430,7 +430,7 @@ let alloc_array_count facts (args : Operand.typed list) =
     let const =
       match a.Operand.v with
       | Operand.Const c -> Some c
-      | Operand.Local id -> Const_addr.const_of facts id
+      | Operand.Local id -> Passes.Sccp.const_of facts id
     in
     match Option.bind const Passes.Const_fold.int_of_const with
     | Some n when n >= 0L && n <= Int64.of_int max_trip_search ->

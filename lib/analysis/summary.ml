@@ -83,7 +83,7 @@ type t = {
   controller_ok : bool;  (* expressible in controller operations *)
   recursive : bool;
   opaque : bool;  (* recursive or calls code we cannot summarize *)
-  const_params : Const_addr.clat array;
+  const_params : Passes.Sccp.lattice array;
       (* interprocedural constant-address lattice each parameter settled
          at: [Cst c] = provably that constant at every reached call site *)
 }
@@ -108,7 +108,7 @@ let opaque_summary ?(recursive = false) fname nparams =
     controller_ok = false;
     recursive;
     opaque = true;
-    const_params = Array.make nparams Const_addr.Varying;
+    const_params = Array.make nparams Passes.Sccp.Varying;
   }
 
 (* No quantum effect whatsoever: removable (when also side-effect-free
@@ -575,7 +575,7 @@ let summarize_func (table : table) (f : Func.t) : t =
       controller_ok = fl.a_controller;
       recursive = false;
       opaque = false;
-      const_params = Array.make nparams Const_addr.Varying;
+      const_params = Array.make nparams Passes.Sccp.Varying;
     }
   end
 

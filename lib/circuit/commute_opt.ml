@@ -113,25 +113,49 @@ let optimize (c : Circuit.t) : Circuit.t * stats =
         incr removed
       | _ -> ())
     ops;
-  (* per-qubit list of op indices, in order *)
+  (* per-qubit op indices, ascending *)
   let by_qubit = Array.make (max c.Circuit.num_qubits 1) [] in
   Array.iteri
     (fun i op ->
       List.iter (fun q -> by_qubit.(q) <- i :: by_qubit.(q)) (Circuit.op_qubits op))
     ops;
-  Array.iteri (fun q l -> by_qubit.(q) <- List.rev l) by_qubit;
-  (* indices after [i] of live ops touching any qubit of [qs], in order *)
-  let later_touching i qs =
-    let lists = List.map (fun q -> by_qubit.(q)) qs in
-    let merged_list = List.sort_uniq compare (List.concat lists) in
-    List.filter (fun j -> j > i && alive.(j)) merged_list
+  let by_qubit = Array.map (fun l -> Array.of_list (List.rev l)) by_qubit in
+  (* first slot of the ascending array [a] holding an index > i *)
+  let after (a : int array) i =
+    let lo = ref 0 and hi = ref (Array.length a) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if a.(mid) <= i then lo := mid + 1 else hi := mid
+    done;
+    !lo
   in
   let try_combine i =
     match current.(i) with
     | { Circuit.kind = Circuit.Gate (g, qs); cond = None } ->
-      let rec scan = function
-        | [] -> ()
-        | j :: rest -> (
+      let lists = Array.of_list (List.map (fun q -> by_qubit.(q)) qs) in
+      let pos = Array.map (fun a -> after a i) lists in
+      (* the next live op after [i] touching a qubit of [qs]: a merge of
+         the per-qubit arrays, advanced only as far as the scan reads *)
+      let rec next () =
+        let j = ref max_int in
+        Array.iteri
+          (fun k (a : int array) ->
+            if pos.(k) < Array.length a && a.(pos.(k)) < !j then j := a.(pos.(k)))
+          lists;
+        if !j = max_int then None
+        else begin
+          Array.iteri
+            (fun k (a : int array) ->
+              if pos.(k) < Array.length a && a.(pos.(k)) = !j then
+                pos.(k) <- pos.(k) + 1)
+            lists;
+          if alive.(!j) then Some !j else next ()
+        end
+      in
+      let rec scan () =
+        match next () with
+        | None -> ()
+        | Some j -> (
           match current.(j) with
           | { Circuit.kind = Circuit.Gate (g2, qs2); cond = None }
             when qs2 = qs -> (
@@ -149,11 +173,11 @@ let optimize (c : Circuit.t) : Circuit.t * stats =
               alive.(i) <- false;
               incr merged;
               current.(j) <- { Circuit.kind = Circuit.Gate (m, qs); cond = None }
-            | None -> if commutes g qs current.(j) then scan rest)
-          | op when commutes g qs op -> scan rest
+            | None -> if commutes g qs current.(j) then scan ())
+          | op when commutes g qs op -> scan ()
           | _ -> ())
       in
-      scan (later_touching i qs)
+      scan ()
     | _ -> ()
   in
   for i = 0 to n - 1 do

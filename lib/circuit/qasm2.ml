@@ -511,9 +511,13 @@ let pp_angle ppf t =
     if Float.equal k 0.0 then Format.pp_print_string ppf "0"
     else if Float.equal k 1.0 then Format.pp_print_string ppf "pi"
     else if Float.equal k (-1.0) then Format.pp_print_string ppf "-pi"
-    else if Float.is_integer k then Format.fprintf ppf "%g*pi" k
     else Format.fprintf ppf "%g*pi" k
   end
+  (* non-finite angles as expressions every OpenQASM reader evaluates *)
+  else if Float.is_nan t then Format.pp_print_string ppf "0/0"
+  else if Float.equal t Float.infinity then Format.pp_print_string ppf "1/0"
+  else if Float.equal t Float.neg_infinity then
+    Format.pp_print_string ppf "-1/0"
   else Format.fprintf ppf "%.17g" t
 
 (* OpenQASM 2 conditions read a whole register. A condition on a run

@@ -54,7 +54,7 @@ let scan (m : Ir_module.t) : report =
         let facts = Const_addr.func_facts mf f.Func.name in
         List.iter
           (fun (b : Block.t) ->
-            if Const_addr.block_reached facts b.Block.label then
+            if Passes.Sccp.reached facts b.Block.label then
               List.iter
                 (fun (i : Instr.t) ->
                   match i.Instr.op with

@@ -48,7 +48,7 @@ let check_entry_point acc (m : Ir_module.t) =
    violation (it is a QA001 lint note instead). *)
 let check_base acc (f : Func.t) =
   let where = "@" ^ f.Func.name in
-  let facts = Qir_analysis.Const_addr.analyze f in
+  let facts = Passes.Sccp.solve f in
   (match f.Func.blocks with
   | [ _ ] -> ()
   | blocks ->

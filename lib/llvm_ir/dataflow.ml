@@ -1,9 +1,11 @@
 (* The generic dataflow engine. Both solvers are chaotic iteration over
    the CFG in (reverse) postorder with a dirty set standing in for a
    priority worklist: a round visits every dirty block in order and
-   re-queues the blocks whose input changed; the loop ends when a round
-   leaves nothing dirty. Facts only move up the client's lattice, so
-   fixpoints are reached in height * blocks rounds at worst.
+   re-queues the blocks whose input changed, so a block dirtied by an
+   earlier one in the same round is visited in that round (a chain of
+   blocks takes one round, not one per block); the loop ends when a
+   round leaves nothing dirty. Facts only move up the client's lattice,
+   so fixpoints are reached in height * blocks rounds at worst.
 
    The forward solver keys facts by *edge*, not by block: a block's
    in-fact is the join over the facts pushed along its reached incoming
@@ -34,7 +36,8 @@ module Forward (L : LATTICE) = struct
   module EMap = Map.Make (struct
     type t = string * string
 
-    let compare = compare
+    let compare (a1, b1) (a2, b2) =
+      match String.compare a1 a2 with 0 -> String.compare b1 b2 | c -> c
   end)
 
   type result = {
@@ -58,11 +61,10 @@ module Forward (L : LATTICE) = struct
     in
     let dirty = ref (SSet.singleton cfg.Cfg.entry) in
     while not (SSet.is_empty !dirty) do
-      let round = !dirty in
-      dirty := SSet.empty;
       List.iter
         (fun label ->
-          if SSet.mem label round && SSet.mem label !reached then begin
+          if SSet.mem label !dirty && SSet.mem label !reached then begin
+            dirty := SSet.remove label !dirty;
             let b = Cfg.block cfg label in
             let fact =
               List.fold_left

@@ -130,8 +130,7 @@ let fold_cast op (src : Operand.typed) c target_ty =
     Option.map (fun f -> Constant.Int (truncate target_ty (Int64.of_float f)))
       (float_of_const c)
 
-(* Attempts to fold one instruction to a constant. *)
-let fold_instr (op : Instr.op) : Constant.t option =
+let fold_op (op : Instr.op) : Constant.t option =
   match op with
   | Instr.Binop (b, ty, x, y) -> (
     match const_of_operand x, const_of_operand y with
@@ -188,6 +187,12 @@ let fold_instr (op : Instr.op) : Constant.t option =
   | Instr.Alloca _ | Instr.Load _ | Instr.Store _ | Instr.Gep _ | Instr.Call _
   | Instr.Freeze _ ->
     None
+
+(* Attempts to fold one instruction to a constant. An operation whose
+   type the shared evaluators refuse (a verified [icmp] on a struct
+   type, say) folds to nothing. *)
+let fold_instr (op : Instr.op) : Constant.t option =
+  try fold_op op with Ir_error.Exec_error _ -> None
 
 let run (_m : Ir_module.t) (f : Func.t) : Func.t * bool =
   let changed = ref false in

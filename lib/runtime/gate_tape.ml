@@ -6,7 +6,7 @@
    backend, skipping instruction dispatch entirely.
 
    This is the batched sampler's eligibility tier derived from the
-   analyses (Const_addr constant propagation + Lifetime discipline +
+   analyses (Sccp constant propagation + Lifetime discipline +
    call-graph reachability) instead of syntax, so it also covers
    programs the circuit re-parser refuses: mid-circuit resets,
    measurements feeding later recorded output, proved-but-not-spelled
@@ -60,7 +60,7 @@ exception Not_static
 let resolve_const facts (o : Operand.t) : Constant.t option =
   match o with
   | Operand.Const c -> Some c
-  | Operand.Local id -> Qir_analysis.Const_addr.const_of facts id
+  | Operand.Local id -> Passes.Sccp.const_of facts id
 
 (* Address of a qubit/result pointer operand. Syntactic constants admit
    only the shapes the interpreter evaluates without trapping at ptr
@@ -208,7 +208,7 @@ let extract (m : Ir_module.t) : t option =
             d.Qir_analysis.Diagnostic.severity = Qir_analysis.Diagnostic.Error)
           lifetime
       then raise Not_static;
-      let facts = Qir_analysis.Const_addr.analyze entry in
+      let facts = Passes.Sccp.solve entry in
       let blocks = block_chain entry in
       let ops = ref [] and nrecords = ref 0 in
       let measured = Hashtbl.create 16 in

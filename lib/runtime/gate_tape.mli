@@ -1,4 +1,4 @@
-(** The gate-tape fast path: when {!Qir_analysis.Const_addr},
+(** The gate-tape fast path: when {!Passes.Sccp},
     {!Qir_analysis.Lifetime} and call-graph reachability prove the entry
     point is straight-line quantum code on constant addresses — no
     classical control flow, no dynamic allocation, no classical

@@ -9,7 +9,10 @@
    duplicated line — go through [Parser.parse_module_result], which
    must answer [Ok] or [Error] for each. Every mutation that parses and
    verifies then goes through [Qir_parser.parse_with_output], which must
-   likewise answer [Ok] or [Error]: any exception fails the run.
+   likewise answer [Ok] or [Error], and through the sccp pass, whose
+   output must verify: any exception fails the run. 2000 more mutations
+   of a small classical corpus (loop, phi, select, GEP, switch) give
+   sccp something to fold, under the same rule.
 
    Last, 2000 seeded mutations of an OpenQASM 2 corpus (Bell, GHZ, a
    conditioned gate after a measurement) go through [Qasm2.parse] and
@@ -62,13 +65,25 @@ let mutate rng text =
     String.concat "\n"
       (List.concat (List.mapi (fun i l -> if i = k then [ l; l ] else [ l ]) lines))
 
-(* Every mutation must parse or fail with a parse error; returns how
-   many raised anything else. *)
+let sccp = Passes.Pass.of_func_pass Passes.Sccp.pass
+
+(* Runs sccp on a verified module: whether it folded anything; raises
+   [Failure] when its output does not verify. *)
+let sccp_folds m =
+  let m', changed = sccp.Passes.Pass.mrun m in
+  if Llvm_ir.Verifier.check_module m' <> [] then
+    failwith "sccp output does not verify";
+  changed
+
+(* Every mutation must parse or fail with a parse error, and every one
+   that verifies must convert to a circuit or be refused, and come out
+   of sccp verified; returns how many raised anything else. *)
 let mutate_texts texts =
   let texts = Array.of_list texts in
   let rng = Rng.create 2024 in
   let ok = ref 0 and rejected = ref 0 and raised = ref 0 in
   let verified = ref 0 and circuits = ref 0 and refused = ref 0 in
+  let folded = ref 0 in
   let report i e =
     incr raised;
     if !raised <= 5 then
@@ -81,9 +96,12 @@ let mutate_texts texts =
       incr ok;
       if Llvm_ir.Verifier.check_module m = [] then begin
         incr verified;
-        match Qir.Qir_parser.parse_with_output m with
+        (match Qir.Qir_parser.parse_with_output m with
         | Ok _ -> incr circuits
         | Error _ -> incr refused
+        | exception e -> report i e);
+        match sccp_folds m with
+        | changed -> if changed then incr folded
         | exception e -> report i e
       end)
     | Error _ -> incr rejected
@@ -93,6 +111,60 @@ let mutate_texts texts =
     mutations !ok !rejected !raised;
   Printf.printf "qir parse: %d verified, %d circuits, %d refused\n" !verified
     !circuits !refused;
+  Printf.printf "sccp: %d verified mutations, %d folded\n" !verified !folded;
+  !raised
+
+(* Classical control flow, where sccp has something to fold: a counted
+   loop with a constant bound, a phi behind a constant branch, a select
+   whose arms agree, a byte GEP and a switch. *)
+let classical_corpus =
+  [
+    "declare void @__quantum__qis__h__body(ptr)\n\n\
+     define void @main() \"entry_point\" {\nentry:\n\
+    \  %k = add i32 1, 2\n  br label %header\nheader:\n\
+    \  %i = phi i32 [ 0, %entry ], [ %next, %body ]\n\
+    \  %cond = icmp slt i32 %i, %k\n\
+    \  br i1 %cond, label %body, label %exit\nbody:\n\
+    \  %idx = sext i32 %i to i64\n  %qb = inttoptr i64 %idx to ptr\n\
+    \  call void @__quantum__qis__h__body(ptr %qb)\n\
+    \  %next = add nsw i32 %i, 1\n  br label %header\nexit:\n\
+    \  ret void\n}\n";
+    "declare void @__quantum__qis__x__body(ptr)\n\n\
+     define i64 @f(i1 %p, i64 %n) {\nentry:\n  %c = icmp eq i64 1, 1\n\
+    \  br i1 %c, label %t, label %e\nt:\n  br label %join\ne:\n\
+    \  br label %join\njoin:\n  %x = phi i64 [ 5, %t ], [ 99, %e ]\n\
+    \  %s = select i1 %p, i64 %x, i64 5\n\
+    \  %g = getelementptr i8, ptr null, i64 %s\n\
+    \  call void @__quantum__qis__x__body(ptr %g)\n\
+    \  switch i64 %s, label %d [ i64 5, label %five ]\nfive:\n\
+    \  %y = mul i64 %s, %n\n  ret i64 %y\nd:\n  ret i64 0\n}\n";
+  ]
+
+(* Every mutation of the classical corpus must parse or fail with a
+   parse error, and every one that verifies must come out of sccp
+   verified; returns how many raised. *)
+let mutate_classical () =
+  let texts = Array.of_list classical_corpus in
+  let rng = Rng.create 2026 in
+  let verified = ref 0 and folded = ref 0 and raised = ref 0 in
+  let report i e =
+    incr raised;
+    if !raised <= 5 then
+      Printf.eprintf "classical mutation %d: %s\n" i (Printexc.to_string e)
+  in
+  for i = 0 to mutations - 1 do
+    let text = mutate rng texts.(i mod Array.length texts) in
+    match Llvm_ir.Parser.parse_module_result text with
+    | Ok m when Llvm_ir.Verifier.check_module m = [] -> (
+      incr verified;
+      match sccp_folds m with
+      | changed -> if changed then incr folded
+      | exception e -> report i e)
+    | Ok _ | Error _ -> ()
+    | exception e -> report i e
+  done;
+  Printf.printf "sccp fuzz: %d mutations, %d verified, %d folded, %d raised\n"
+    mutations !verified !folded !raised;
   !raised
 
 let qasm_corpus =
@@ -187,5 +259,7 @@ let () =
     (Qsim.Faulty.injected ())
     !total_retries !failures;
   let raised = mutate_texts (List.rev !texts) in
+  let sccp_raised = mutate_classical () in
   let qasm_raised = mutate_qasm () in
-  if !failures > 0 || raised > 0 || qasm_raised > 0 then exit 1
+  if !failures > 0 || raised > 0 || sccp_raised > 0 || qasm_raised > 0 then
+    exit 1

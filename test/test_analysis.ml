@@ -827,6 +827,64 @@ let test_to_static_through_calls () =
   check bool_t "p(01) close" true
     (Float.abs (frac hist "01" -. frac hist' "01") < 0.15)
 
+let test_const_addr_dead_branch_phi () =
+  (* only the %t edge is feasible, so the phi is 5 even though the dead
+     arm disagrees, and the gate operand is proved qubit 5 *)
+  let m =
+    parse
+      (prelude
+     ^ {|
+define void @main() "entry_point" {
+entry:
+  %c = icmp eq i64 1, 1
+  br i1 %c, label %t, label %e
+t:
+  br label %join
+e:
+  br label %join
+join:
+  %x = phi i64 [ 5, %t ], [ 99, %e ]
+  %q = inttoptr i64 %x to ptr
+  call void @__quantum__qis__h__body(ptr %q)
+  ret void
+}|})
+  in
+  let facts = Const_addr.func_facts (Const_addr.analyze_module m) "main" in
+  check bool_t "proved qubit 5" true
+    (match Const_addr.proved_address facts (Operand.Local "q") with
+    | Some (Constant.Inttoptr n) -> Int64.equal n 5L
+    | Some _ | None -> false)
+
+let gep_src =
+  prelude
+  ^ {|
+define void @main() "entry_point" {
+entry:
+  %g = getelementptr i8, ptr null, i64 1
+  call void @__quantum__qis__x__body(ptr %g)
+  call void @__quantum__qis__x__body(ptr inttoptr (i64 1 to ptr))
+  call void @__quantum__qis__mz__body(ptr inttoptr (i64 1 to ptr), ptr null)
+  ret void
+}|}
+
+let test_to_static_gep_address () =
+  (* the engines scale GEP offsets by the 8-byte cell: the first x acts
+     on qubit 8, and the conversion must say so *)
+  let m' = Addressing.to_static ~record_output:false (parse gep_src) in
+  let x_operands =
+    List.concat_map
+      (fun (f : Func.t) ->
+        Func.fold_instrs f [] (fun acc (i : Instr.t) ->
+            match i.Instr.op with
+            | Instr.Call (_, c, [ a ]) when String.equal c Names.(qis "x") ->
+              Operand.to_string a.Operand.v :: acc
+            | _ -> acc))
+      m'.Ir_module.funcs
+  in
+  check (Alcotest.list Alcotest.string) "x on qubits 8 and 1"
+    [ "inttoptr (i64 1 to ptr)"; "inttoptr (i64 8 to ptr)" ]
+    (List.sort String.compare x_operands)
+
 let test_adaptive_profile_interprocedural () =
   (* calls to defined conforming helpers are fine under adaptive... *)
   let ok =
@@ -1172,6 +1230,10 @@ let suite =
       test_const_addr_through_calls;
     Alcotest.test_case "addressing: to_static through calls" `Quick
       test_to_static_through_calls;
+    Alcotest.test_case "const-addr: dead-branch phi" `Quick
+      test_const_addr_dead_branch_phi;
+    Alcotest.test_case "addressing: to_static GEP is qubit 8" `Quick
+      test_to_static_gep_address;
     Alcotest.test_case "profile-check: adaptive interprocedural" `Quick
       test_adaptive_profile_interprocedural;
     Alcotest.test_case "classify: summaries reveal callee effects" `Quick

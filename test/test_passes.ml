@@ -242,6 +242,48 @@ join:
   verify m'';
   check int_t "single block" 1 (block_count m'' "f")
 
+let test_sccp_select_agreeing_arms () =
+  (* the condition is a parameter, but both arms are 3: the select is 3
+     whichever way it goes *)
+  let src =
+    {|
+define i64 @f(i1 %p) {
+entry:
+  %s = select i1 %p, i64 3, i64 3
+  %y = add i64 %s, 1
+  ret i64 %y
+}
+|}
+  in
+  let m = parse src in
+  let m', changed = (Pass.of_func_pass Sccp.pass).Pass.mrun m in
+  check bool_t "changed" true changed;
+  verify m';
+  check int_t "folded to return of 4" 0 (count_instrs m' "f");
+  check bool_t "result" true
+    (match Interp.run m' "f" [ Interp.VInt (Ty.I1, 0L) ] with
+    | Interp.VInt (_, n) -> Int64.equal n 4L
+    | _ -> false)
+
+let test_sccp_refused_type_does_not_raise () =
+  (* the verifier accepts an icmp typed as a struct; folding it must not
+     raise, it stays unfolded *)
+  let src =
+    {|
+define i1 @f() {
+entry:
+  %k = add i32 1, 2
+  %c = icmp slt { } 0, %k
+  ret i1 %c
+}
+|}
+  in
+  let m = parse src in
+  verify m;
+  let m', _ = (Pass.of_func_pass Sccp.pass).Pass.mrun m in
+  verify m';
+  check int_t "icmp kept" 1 (count_instrs m' "f")
+
 let test_dce_removes_unused () =
   let src =
     {|
@@ -926,6 +968,10 @@ let suite =
     Alcotest.test_case "sccp: constants through branches" `Quick
       test_sccp_through_branch;
     Alcotest.test_case "sccp: ignores dead arms" `Quick test_sccp_dead_branch;
+    Alcotest.test_case "sccp: select with agreeing arms" `Quick
+      test_sccp_select_agreeing_arms;
+    Alcotest.test_case "sccp: unfoldable type does not raise" `Quick
+      test_sccp_refused_type_does_not_raise;
     Alcotest.test_case "dce: removes dead code" `Quick test_dce_removes_unused;
     Alcotest.test_case "simplify-cfg: merges chains" `Quick
       test_simplify_cfg_merges_chain;
