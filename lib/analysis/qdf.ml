@@ -46,7 +46,7 @@ let may_alias (a : wire) (b : wire) =
     | WStatic n, (WAlloc _ | WElem _) | (WAlloc _ | WElem _), WStatic n ->
       (* a constant address in the runtime's dynamic range may name any
          allocation; below it, static and dynamic qubits are disjoint *)
-      n >= 0x2000_0000L
+      n >= Names.dynamic_base
     | _ -> true
 
 let pp_wire ppf = function
@@ -254,7 +254,7 @@ let site_may_contain s (w : wire) =
   match w with
   | WElem (s', _) -> s = s'
   | WAlloc _ -> false
-  | WStatic n -> n >= 0x2000_0000L (* hardcoded dynamic-range address *)
+  | WStatic n -> n >= Names.dynamic_base (* hardcoded dynamic-range address *)
   | WParam _ | WVal _ -> true
 
 let wire_hits_touch (w : wire) (t : touch) =

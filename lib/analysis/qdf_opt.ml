@@ -67,28 +67,6 @@ let gate_count (m : Ir_module.t) =
 let wires_equal_list w1 w2 =
   List.length w1 = List.length w2 && List.for_all2 Qdf.wire_equal w1 w2
 
-(* The straight-line block chain from the entry, if the CFG is one. *)
-let straight_chain (f : Func.t) : Block.t list option =
-  if Func.is_declaration f then None
-  else
-    let labels = Func.label_table f in
-    let visited = Hashtbl.create 8 in
-    let rec go acc (b : Block.t) =
-      if Hashtbl.mem visited b.Block.label then None
-      else begin
-        Hashtbl.replace visited b.Block.label ();
-        let acc = b :: acc in
-        match b.Block.term with
-        | Instr.Ret _ -> Some (List.rev acc)
-        | Instr.Br l -> (
-          match Hashtbl.find_opt labels l with
-          | Some b' -> go acc b'
-          | None -> None)
-        | Instr.Cond_br _ | Instr.Switch _ | Instr.Unreachable -> None
-      end
-    in
-    go [] (Func.entry f)
-
 let dangerous (k : Qdf.ekind) =
   match k with
   | Qdf.EAlloc | Qdf.EBarrier -> true
@@ -110,7 +88,7 @@ let rewrite_thresholds (qdf : Qdf.t) ~is_entry (f : Func.t) :
             if dangerous e.Qdf.kind then Some e.Qdf.pos else acc)
           None evs
     in
-    match straight_chain f with
+    match Func.straight_chain f with
     | Some chain -> (
       let last =
         List.fold_left
@@ -451,9 +429,6 @@ let optimize_func ~emit ~is_entry counters (f : Func.t) : Func.t =
 
 exception Refuse
 
-let max_static = 4096L
-let dynamic_base = 0x2000_0000L
-
 (* Lower a straight-line dynamic entry to static addressing by replaying
    the runtime allocator's index assignment in program order; [None] if
    anything is unprovable. The rewritten module addresses exactly the
@@ -492,7 +467,7 @@ let promote (m : Ir_module.t) : (Ir_module.t * int) option =
             (Lifetime.check_module m)
         then raise Refuse;
         let chain =
-          match straight_chain entry with
+          match Func.straight_chain entry with
           | Some c -> c
           | None -> raise Refuse
         in
@@ -536,7 +511,7 @@ let promote (m : Ir_module.t) : (Ir_module.t * int) option =
         let deleted = Hashtbl.create 32 in
         let rewrites = ref 0 in
         let grow upto =
-          if upto > max_static then raise Refuse;
+          if upto > Int64.of_int Names.max_static_qubit then raise Refuse;
           if upto > !size then size := upto
         in
         let site_of (i : Instr.t) =
@@ -557,8 +532,8 @@ let promote (m : Ir_module.t) : (Ir_module.t * int) option =
           | _ -> None
         in
         let static_qubit a =
-          if a < 0L || a >= dynamic_base then raise Refuse;
-          if a >= max_static then raise Refuse;
+          if a < 0L || a >= Names.dynamic_base then raise Refuse;
+          if a >= Int64.of_int Names.max_static_qubit then raise Refuse;
           grow (Int64.add a 1L);
           a
         in
@@ -586,7 +561,7 @@ let promote (m : Ir_module.t) : (Ir_module.t * int) option =
           | None -> (
             match Value_track.result_of vt o with
             | Value_track.RStatic a ->
-              if a < 0L || a >= dynamic_base then raise Refuse;
+              if a < 0L || a >= Names.dynamic_base then raise Refuse;
               a
             | Value_track.RElem (s, i) -> (
               match Hashtbl.find_opt rbase s, Hashtbl.find_opt rcount s with

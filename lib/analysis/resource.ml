@@ -18,7 +18,7 @@
        element: no execution uses more, or we refuse to claim a bound.
 
    Soundness model for qubits. The runtime ({!Qruntime.Runtime}) maps a
-   static address [a < dynamic_base] to simulator qubit [a], growing
+   static address [a < Names.dynamic_base] to simulator qubit [a], growing
    the register to [a+1] on demand; [rt_qubit_allocate] appends a fresh
    index at the current register size; and both release entry points
    are no-ops — the register never shrinks and indices are never
@@ -224,133 +224,16 @@ let opaque_fsum name nparams =
 (* ------------------------------------------------------------------ *)
 (* Loop trip counts                                                    *)
 
-(* Mirrors the shape {!Passes.Unroll} recognizes, but only counts —
-   certification never clones blocks, so the search cap is generous. *)
+(* {!Passes.Unroll}'s recognizer, counting only — certification never
+   clones blocks, so the search cap is generous. *)
 let max_trip_search = 1 lsl 20
 
-let find_op_in_loop (f : Func.t) (body : Passes.Loop.SSet.t) id =
-  List.find_map
-    (fun (b : Block.t) ->
-      if Passes.Loop.SSet.mem b.Block.label body then
-        List.find_map
-          (fun (i : Instr.t) ->
-            match i.Instr.id with
-            | Some id' when String.equal id id' -> Some i.Instr.op
-            | _ -> None)
-          b.Block.instrs
-      else None)
-    f.Func.blocks
-
-let rec affine_of f body phi_id (o : Operand.t) =
-  match o with
-  | Operand.Const c ->
-    Option.map (fun n -> (0L, n)) (Passes.Const_fold.int_of_const c)
-  | Operand.Local id when String.equal id phi_id -> Some (1L, 0L)
-  | Operand.Local id -> (
-    match find_op_in_loop f body id with
-    | Some (Instr.Binop (Instr.Add, _, x, y)) -> (
-      match (affine_of f body phi_id x, affine_of f body phi_id y) with
-      | Some (mx, ox), Some (my, oy) -> Some (Int64.add mx my, Int64.add ox oy)
-      | _ -> None)
-    | Some (Instr.Binop (Instr.Sub, _, x, y)) -> (
-      match (affine_of f body phi_id x, affine_of f body phi_id y) with
-      | Some (mx, ox), Some (my, oy) -> Some (Int64.sub mx my, Int64.sub ox oy)
-      | _ -> None)
-    | Some (Instr.Cast ((Instr.Sext | Instr.Zext), src, _)) ->
-      affine_of f body phi_id src.Operand.v
-    | _ -> None)
-
 let trip_count (f : Func.t) cfg (loop : Passes.Loop.t) : int option =
-  match loop.Passes.Loop.latches with
-  | [ latch ] -> (
-    if not (Cfg.is_reachable cfg loop.Passes.Loop.header) then None
-    else
-      let header = Cfg.block cfg loop.Passes.Loop.header in
-      match Passes.Loop.exits cfg loop with
-      | [ (from, exit) ] when String.equal from loop.Passes.Loop.header -> (
-        match header.Block.term with
-        | Instr.Cond_br (Operand.Local cond_id, t, e) -> (
-          let cond_is_continue = not (String.equal t exit) in
-          ignore e;
-          let phis_ok = ref true in
-          let header_phis =
-            List.filter_map
-              (fun (i : Instr.t) ->
-                match (i.Instr.id, i.Instr.op) with
-                | Some id, Instr.Phi (_, incoming) -> (
-                  let from_latch, from_outside =
-                    List.partition
-                      (fun (_, l) -> String.equal l latch)
-                      incoming
-                  in
-                  match (from_latch, from_outside) with
-                  | [ (next, _) ], [ (init, _) ] -> Some (id, init, next)
-                  | _ ->
-                    phis_ok := false;
-                    None)
-                | _ -> None)
-              header.Block.instrs
-          in
-          if not !phis_ok then None
-          else
-            let cond_op =
-              List.find_map
-                (fun (i : Instr.t) ->
-                  match i.Instr.id with
-                  | Some id when String.equal id cond_id -> Some i.Instr.op
-                  | _ -> None)
-                header.Block.instrs
-            in
-            match cond_op with
-            | Some (Instr.Icmp (pred, ty, lhs, rhs)) ->
-              let body = loop.Passes.Loop.body in
-              let try_phi (phi_id, init, next) =
-                match
-                  ( (match init with
-                    | Operand.Const c -> Passes.Const_fold.int_of_const c
-                    | Operand.Local _ -> None),
-                    affine_of f body phi_id next )
-                with
-                | Some init_v, Some (1L, step) when not (Int64.equal step 0L)
-                  -> (
-                  match
-                    (affine_of f body phi_id lhs, affine_of f body phi_id rhs)
-                  with
-                  | Some la, Some ra ->
-                    let eval iv (m, o) = Int64.add (Int64.mul m iv) o in
-                    let continue iv =
-                      let c =
-                        match
-                          Passes.Const_fold.fold_icmp pred ty (eval iv la)
-                            (eval iv ra)
-                        with
-                        | Constant.Bool b -> b
-                        | _ -> false
-                      in
-                      if cond_is_continue then c else not c
-                    in
-                    let rec count iv k =
-                      if k > max_trip_search then None
-                      else if continue iv then count (Int64.add iv step) (k + 1)
-                      else Some k
-                    in
-                    count init_v 0
-                  | _ -> None)
-                | _ -> None
-              in
-              List.find_map try_phi header_phis
-            | _ -> None)
-        | _ -> None)
-      | _ -> None)
-  | _ -> None
+  if not (Cfg.is_reachable cfg loop.Passes.Loop.header) then None
+  else Passes.Unroll.trip_count ~max_trip:max_trip_search f cfg loop
 
 (* ------------------------------------------------------------------ *)
 (* Per-block costs                                                     *)
-
-(* Static addresses below this are simulator indices 1:1; constants in
-   the dynamic range name runtime allocations (mirrors {!Qdf.may_alias}
-   and {!Qruntime.Runtime.dynamic_base}). *)
-let dynamic_base = 0x2000_0000L
 
 type flags = { mutable unknown : bool; mutable qp_used : bool array }
 
@@ -415,7 +298,7 @@ let add w c = w.acc <- seq w.acc c
 (* The register-size floor a wire forces when an event executes on it. *)
 let wire_floor fl w (wire : Qdf.wire option) =
   match wire with
-  | Some (Qdf.WStatic n) when n >= 0L && n < dynamic_base ->
+  | Some (Qdf.WStatic n) when n >= 0L && n < Names.dynamic_base ->
     add w { zero_cost with q_need = exactly (Int64.to_int n + 1) }
   | Some (Qdf.WStatic _) -> () (* dynamic-range constant: no new growth *)
   | Some (Qdf.WAlloc _ | Qdf.WElem _) -> () (* counted at the alloc site *)
@@ -495,7 +378,7 @@ let instr_cost env vt facts fl w (i : Instr.t) =
       (fun pos (a : Operand.typed) ->
         if a.Operand.ty = Ty.Ptr && used pos then
           match Qdf.resolve_qubit vt facts a.Operand.v with
-          | Some (Qdf.WStatic n) when n >= 0L && n < dynamic_base ->
+          | Some (Qdf.WStatic n) when n >= 0L && n < Names.dynamic_base ->
             (* the callee gates this address: upper-bound floor only —
                nothing proves the gate is reached on every path *)
             add w

@@ -21,7 +21,11 @@
    report-driving flag set to false — consumers stay silent rather than
    guess. Clients: {!Lifetime} (cross-call QL001/QL002/QL003/QL004),
    {!Quantum_dce} (QD002 dead calls), {!Qhybrid.Classify}/[Partition]
-   and {!Qir.Profile_check}. *)
+   and {!Qir.Profile_check}.
+
+   Two passes build a summary: pass A folds the order-insensitive flags;
+   pass B is the module's qubit-lifetime dataflow, which {!Lifetime}
+   reuses with its own hooks. *)
 
 open Llvm_ir
 module TMap = Map.Make (Int)
@@ -282,9 +286,19 @@ let pass_a (table : table) vt (f : Func.t) : flags =
   fl
 
 (* ------------------------------------------------------------------ *)
-(* Pass B: order-sensitive facts — parameter release states at returns,
-   may-measured sets, reads not preceded by a measurement — via the same
-   forward dataflow shape as {!Lifetime}, kept silent.                  *)
+(* Pass B: the qubit-lifetime dataflow, the one analysis of what is
+   live, released and measured where. Facts track, per allocation-site
+   token (parameters included), whether it is definitely live,
+   definitely released or released on only some paths, plus the
+   may-measured set of results. A call to a defined function applies its
+   summary; an opaque callee untracks whatever flows in and may measure
+   anything, so every report stays definite.
+
+   {!replay} solves a function forward on {!Dataflow.Forward}, then
+   walks the fixpoint once with a set of {!hooks} and a callback at each
+   [ret]: {!summarize_func} records the reads not preceded by a
+   measurement and the facts at each [ret]; {!Lifetime} reports
+   QL001/QL002/QL004 from the hooks and QL003 at each [ret].            *)
 
 module RSet = Set.Make (struct
   type t = Value_track.rref
@@ -310,6 +324,8 @@ module Fact = struct
     && RSet.equal a.measured b.measured
     && a.all_measured = b.all_measured
 
+  (* Pointwise join; a token absent on one side keeps the other side's
+     state (the site is simply not allocated on that path). *)
   let join a b =
     {
       q = TMap.union (fun _ sa sb -> Some (join_qstate sa sb)) a.q b.q;
@@ -320,55 +336,135 @@ end
 
 module Engine = Dataflow.Forward (Fact)
 
-let set_released (fact : Fact.t) token =
-  { fact with Fact.q = TMap.add token Released fact.Fact.q }
+(* What the replay reports, each with the block label and the callee: a
+   quantum use of a qubit whose token is released on every path here; a
+   release of such a token; a read of a result measured on no path
+   here. Without a [use_released] hook the transfer does not resolve the
+   qubits a quantum call consumes at all. *)
+type hooks = {
+  use_released : (string -> string -> Value_track.qref -> unit) option;
+  double_release : string -> string -> int -> unit;
+  unmeasured_read : string -> string -> Value_track.rref -> unit;
+}
 
-let set_maybe_released (fact : Fact.t) token =
+let silent =
+  {
+    use_released = None;
+    double_release = (fun _ _ _ -> ());
+    unmeasured_read = (fun _ _ _ -> ());
+  }
+
+let released (fact : Fact.t) token =
   match TMap.find_opt token fact.Fact.q with
-  | Some Released -> fact (* already certainly released *)
-  | _ -> { fact with Fact.q = TMap.add token Maybe_released fact.Fact.q }
+  | Some Released -> true
+  | Some (Live | Maybe_released) | None -> false
 
-let untrack (fact : Fact.t) token =
-  { fact with Fact.q = TMap.remove token fact.Fact.q }
+let live_site vt id (fact : Fact.t) =
+  match Option.bind id (Hashtbl.find_opt vt.Value_track.site_of_def) with
+  | Some s -> { fact with Fact.q = TMap.add s Live fact.Fact.q }
+  | None -> fact
+
+let use h label callee fact (q : Value_track.qref) =
+  match h.use_released, qref_token q with
+  | Some report, Some t when released fact t -> report label callee q
+  | _ -> ()
+
+let release h label callee (fact : Fact.t) token =
+  if released fact token then h.double_release label callee token;
+  { fact with Fact.q = TMap.add token Released fact.Fact.q }
 
 let measure (fact : Fact.t) (r : Value_track.rref) =
   match r with
   | Value_track.RUnknown -> { fact with Fact.all_measured = true }
   | r -> { fact with Fact.measured = RSet.add r fact.Fact.measured }
 
-let is_measured (fact : Fact.t) (r : Value_track.rref) =
-  fact.Fact.all_measured || RSet.mem r fact.Fact.measured
+let read h label callee (fact : Fact.t) (r : Value_track.rref) =
+  if not (fact.Fact.all_measured || RSet.mem r fact.Fact.measured) then
+    h.unmeasured_read label callee r
 
-(* The pass-B transfer. [on_read r] fires for every result read whose
-   result is not measured on any path here (the recording hook). *)
-let transfer_b (table : table) vt ~on_read (i : Instr.t) (fact : Fact.t) :
+(* A call to a defined function, interpreted through its summary. *)
+let transfer_summarized vt h label callee id (sg : t) args (fact : Fact.t) =
+  if sg.opaque then
+    (* no model of the callee: whatever flows in may be released or
+       measured over there — untrack it and satisfy every later read *)
+    let fact =
+      List.fold_left
+        (fun (fact : Fact.t) (a : Operand.typed) ->
+          match qref_token (Value_track.qubit_of vt a.Operand.v) with
+          | Some t -> { fact with Fact.q = TMap.remove t fact.Fact.q }
+          | None -> fact)
+        fact args
+    in
+    { fact with Fact.all_measured = true }
+  else begin
+    let fact =
+      if sg.measures_unknown then { fact with Fact.all_measured = true }
+      else fact
+    in
+    let fact =
+      List.fold_left
+        (fun fact n -> measure fact (Value_track.RStatic n))
+        fact sg.measured_statics
+    in
+    (* reads the callee performs on whole-program static results *)
+    List.iter
+      (fun n -> read h label callee fact (Value_track.RStatic n))
+      sg.reads_statics;
+    let step (fact : Fact.t) j (a : Operand.typed) =
+      if j >= Array.length sg.arg_fx then fact
+      else begin
+        let fx = sg.arg_fx.(j) in
+        let q = Value_track.qubit_of vt a.Operand.v in
+        let r () = Value_track.result_of vt a.Operand.v in
+        (* a consumed argument must not be already released here *)
+        if fx.fx_used then use h label callee fact q;
+        if fx.fx_reads then read h label callee fact (r ());
+        let fact = if fx.fx_measures then measure fact (r ()) else fact in
+        match qref_token q with
+        | None -> fact
+        | Some t ->
+          if fx.fx_released then release h label callee fact t
+          else if fx.fx_may_release && not (released fact t) then
+            { fact with Fact.q = TMap.add t Maybe_released fact.Fact.q }
+          else fact
+      end
+    in
+    let _, fact =
+      List.fold_left (fun (j, fact) a -> (j + 1, step fact j a)) (0, fact) args
+    in
+    (* the returned fresh qubit is a new allocation site here *)
+    if sg.returns_fresh_qubit then live_site vt id fact else fact
+  end
+
+let transfer (table : table) vt h label (i : Instr.t) (fact : Fact.t) :
     Fact.t =
   match i.Instr.op with
   | Instr.Call (_, callee, args) when Names.is_quantum callee -> (
-    match Names.decode callee with
-    | Names.Qubit_allocate | Names.Qubit_allocate_array | Names.Array_create_1d
-      -> (
-      match i.Instr.id with
-      | Some id -> (
-        match Hashtbl.find_opt vt.Value_track.site_of_def id with
-        | Some s -> { fact with Fact.q = TMap.add s Live fact.Fact.q }
-        | None -> fact)
-      | None -> fact)
+    let call = Names.decode callee in
+    (* every qubit a quantum call consumes is a use — except by a
+       release, which reports a double release instead *)
+    (match h.use_released, call with
+    | None, _ | _, (Names.Qubit_release | Names.Qubit_release_array) -> ()
+    | Some _, _ ->
+      List.iter (use h label callee fact) (qubit_args_of vt callee args));
+    match call with
+    | Names.Qubit_allocate | Names.Qubit_allocate_array ->
+      live_site vt i.Instr.id fact
     | Names.Qubit_release -> (
       match qubit_args_of vt callee args with
       | [ q ] -> (
         match qref_token q with
-        | Some t -> set_released fact t
+        | Some t -> release h label callee fact t
         | None -> fact)
       | _ -> fact)
     | Names.Qubit_release_array -> (
       match args with
       | [ a ] -> (
         match Value_track.qarray_of vt a.Operand.v with
-        | Some s -> set_released fact s
+        | Some s -> release h label callee fact s
         | None -> (
           match Value_track.param_of vt a.Operand.v with
-          | Some p -> set_released fact (param_token p)
+          | Some p -> release h label callee fact (param_token p)
           | None -> fact))
       | _ -> fact)
     | Names.Mz -> (
@@ -380,75 +476,50 @@ let transfer_b (table : table) vt ~on_read (i : Instr.t) (fact : Fact.t) :
       | Some id -> measure fact (Value_track.RMeas id)
       | None -> fact)
     | Names.Read_result | Names.Result_equal | Names.Result_record_output ->
-      List.iter
-        (fun r -> if not (is_measured fact r) then on_read r)
-        (result_args_of vt callee args);
+      List.iter (read h label callee fact) (result_args_of vt callee args);
       fact
     | _ -> fact)
   | Instr.Call (_, callee, args) -> (
     match find table callee with
-    | None ->
-      (* external classical code: inert for qubit state, like the
-         intraprocedural analysis always treated it *)
-      fact
-    | Some sg when sg.opaque ->
-      (* untrack whatever flowed in; assume anything may be measured *)
-      let fact =
-        List.fold_left
-          (fun fact (a : Operand.typed) ->
-            match qref_token (Value_track.qubit_of vt a.Operand.v) with
-            | Some t -> untrack fact t
-            | None -> fact)
-          fact args
-      in
-      { fact with Fact.all_measured = true }
-    | Some sg ->
-      let fact =
-        if sg.measures_unknown then { fact with Fact.all_measured = true }
-        else fact
-      in
-      let fact =
-        List.fold_left
-          (fun fact n -> measure fact (Value_track.RStatic n))
-          fact sg.measured_statics
-      in
-      List.iter
-        (fun n ->
-          let r = Value_track.RStatic n in
-          if not (is_measured fact r) then on_read r)
-        sg.reads_statics;
-      let step fact j (a : Operand.typed) =
-        if j >= Array.length sg.arg_fx then fact
-        else begin
-          let fx = sg.arg_fx.(j) in
-          let fact =
-            if fx.fx_reads then begin
-              let r = Value_track.result_of vt a.Operand.v in
-              (match r with
-              | Value_track.RUnknown | Value_track.RMeas _ -> ()
-              | r -> if not (is_measured fact r) then on_read r);
-              fact
-            end
-            else fact
-          in
-          let fact =
-            if fx.fx_measures then
-              measure fact (Value_track.result_of vt a.Operand.v)
-            else fact
-          in
-          match qref_token (Value_track.qubit_of vt a.Operand.v) with
-          | None -> fact
-          | Some t ->
-            if fx.fx_released then set_released fact t
-            else if fx.fx_may_release then set_maybe_released fact t
-            else fact
-        end
-      in
-      List.fold_left
-        (fun (j, fact) a -> (j + 1, step fact j a))
-        (0, fact) args
-      |> snd)
+    | Some sg -> transfer_summarized vt h label callee i.Instr.id sg args fact
+    | None -> fact (* external classical code: inert for qubit state *))
   | _ -> fact
+
+(* Solves [f]'s lifetime dataflow silently — caller-owned pointer
+   parameters start out live — then replays every reached block in
+   reverse postorder over the fixpoint with [hooks], handing
+   [at_ret label fact v] the fact at each reached [ret v]. *)
+let replay (table : table) vt hooks ~at_ret (f : Func.t) =
+  let cfg = Cfg.of_func f in
+  let init =
+    List.fold_left
+      (fun (i, fact) (p : Func.param) ->
+        ( i + 1,
+          if Ty.equal p.Func.pty Ty.Ptr then
+            { fact with Fact.q = TMap.add (param_token i) Live fact.Fact.q }
+          else fact ))
+      (0, Fact.bottom) f.Func.params
+    |> snd
+  in
+  let tf =
+    { Engine.instr = transfer table vt silent; Engine.term = Engine.uniform_term }
+  in
+  let res = Engine.solve ~init cfg tf in
+  List.iter
+    (fun label ->
+      if Engine.reached res label then begin
+        let b = Cfg.block cfg label in
+        let fact =
+          List.fold_left
+            (fun fact i -> transfer table vt hooks label i fact)
+            (Engine.block_in res label)
+            b.Block.instrs
+        in
+        match b.Block.term with
+        | Instr.Ret v -> at_ret label fact v
+        | _ -> ()
+      end)
+    cfg.Cfg.rpo
 
 (* ------------------------------------------------------------------ *)
 
@@ -458,48 +529,13 @@ let summarize_func (table : table) (f : Func.t) : t =
   let fl = pass_a table vt f in
   if fl.a_opaque then opaque_summary f.Func.name nparams
   else begin
-    let reads = ref RSet.empty in
-    (* solving iterates the transfer to a fixpoint; only record reads on
-       the replay below, where facts are final *)
-    let recording = ref false in
-    let on_read r = if !recording then reads := RSet.add r !reads in
-    let cfg = Cfg.of_func f in
-    let init =
-      List.fold_left
-        (fun (i, fact) (p : Func.param) ->
-          ( i + 1,
-            if Ty.equal p.Func.pty Ty.Ptr then
-              { fact with Fact.q = TMap.add (param_token i) Live fact.Fact.q }
-            else fact ))
-        (0, Fact.bottom) f.Func.params
-      |> snd
+    let reads = ref RSet.empty and rets = ref [] and ret_vals = ref [] in
+    let hooks =
+      { silent with unmeasured_read = (fun _ _ r -> reads := RSet.add r !reads) }
     in
-    let tf =
-      {
-        Engine.instr = (fun _label i fact -> transfer_b table vt ~on_read i fact);
-        Engine.term = Engine.uniform_term;
-      }
-    in
-    let res = Engine.solve ~init cfg tf in
-    recording := true;
-    let rets = ref [] and ret_vals = ref [] in
-    List.iter
-      (fun label ->
-        if Engine.reached res label then begin
-          let b = Cfg.block cfg label in
-          let fact =
-            List.fold_left
-              (fun fact i -> transfer_b table vt ~on_read i fact)
-              (Engine.block_in res label)
-              b.Block.instrs
-          in
-          match b.Block.term with
-          | Instr.Ret v ->
-            rets := fact :: !rets;
-            ret_vals := v :: !ret_vals
-          | _ -> ()
-        end)
-      cfg.Cfg.rpo;
+    replay table vt hooks f ~at_ret:(fun _ fact v ->
+        rets := fact :: !rets;
+        ret_vals := v :: !ret_vals);
     let arg_fx =
       Array.init nparams (fun i ->
           let tok = param_token i in

@@ -36,6 +36,11 @@ val label_table : t -> (string, Block.t) Hashtbl.t
 (** One-shot label → block table for O(1) branching (duplicate labels
     keep the first occurrence, like {!find_block}). *)
 
+val straight_chain : t -> Block.t list option
+(** The blocks from the entry to a [ret] when the function is one
+    straight line of unconditional branches; [None] for declarations and
+    for any branching, looping or [unreachable]-ended control flow. *)
+
 val has_attr : t -> string -> bool
 val attr : t -> string -> string option
 

@@ -48,6 +48,25 @@ let check_func (m : Ir_module.t) (f : Func.t) =
               then err fname "unnamed instruction with a result in %%%s" b.label)
           b.instrs)
       f.blocks;
+    (* integer arithmetic, compares and width casts are typed with an
+       integer type (compares may also order pointers) *)
+    let check_int_types where (op : Instr.op) =
+      let not_int what ty =
+        err where "%s on %s, not an integer type" what (Ty.to_string ty)
+      in
+      match op with
+      | Instr.Binop (b, ty, _, _) when not (Ty.is_integer ty) ->
+        not_int (Instr.string_of_binop b) ty
+      | Instr.Icmp (_, ty, _, _)
+        when not (Ty.is_integer ty || Ty.equal ty Ty.Ptr) ->
+        not_int "icmp" ty
+      | Instr.Cast (((Instr.Trunc | Instr.Zext | Instr.Sext) as c), src, dst) ->
+        List.iter
+          (fun ty ->
+            if not (Ty.is_integer ty) then not_int (Instr.string_of_cast c) ty)
+          [ src.Operand.ty; dst ]
+      | _ -> ()
+    in
     (* every use refers to a defined value; terminator targets exist;
        phis lead their block and match predecessors *)
     let cfg = Cfg.of_func f in
@@ -120,8 +139,14 @@ let check_func (m : Ir_module.t) (f : Func.t) =
                     (Ty.to_string decl.Func.ret_ty)
               | None -> err where "call to undeclared function @%s" callee)
             | _ -> saw_non_phi := true);
+            check_int_types where i.op;
             List.iter check_operand (Instr.operands i.op))
           b.instrs;
+        (match b.term with
+        | Instr.Switch (v, _, _) when not (Ty.is_integer v.Operand.ty) ->
+          err where "switch on %s, not an integer type"
+            (Ty.to_string v.Operand.ty)
+        | _ -> ());
         List.iter check_operand (Instr.term_operands b.term);
         List.iter
           (fun target ->

@@ -1,6 +1,8 @@
 (** Structural well-formedness checks: unique labels and definitions,
     defined uses, valid branch targets, phi/predecessor agreement, call
-    arities against declarations, entry block without predecessors. *)
+    arities against declarations, entry block without predecessors,
+    integer types on integer arithmetic, compares, width casts and
+    switches. *)
 
 type violation = { where : string; what : string }
 

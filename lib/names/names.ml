@@ -146,3 +146,6 @@ let qis_of_gate (g : Gate.t) : (string * float list) option =
   | g ->
     Option.map (fun name -> (name, Gate.params g))
       (Hashtbl.find_opt symbol_of_gate (Gate.name g))
+
+let dynamic_base = 0x2000_0000L
+let max_static_qubit = 4096

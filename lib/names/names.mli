@@ -87,3 +87,15 @@ val qis_of_gate : Qcircuit.Gate.t -> (string * float list) option
     base gate set, read from {!symbols}; [None] for gates that
     {!Qir_gateset.legalize} must decompose first (and for [I], which
     emits nothing). *)
+
+(** {1 Address map}
+
+    How the runtime reads a qubit pointer: addresses below
+    {!dynamic_base} are static qubits (qubit index = address); dynamic
+    allocations are numbered from {!dynamic_base} up. *)
+
+val dynamic_base : int64
+
+val max_static_qubit : int
+(** The static qubit indices a tape or a static promotion may commit a
+    simulator to: [0 .. max_static_qubit - 1]. *)

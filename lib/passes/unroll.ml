@@ -73,7 +73,9 @@ let rec affine_of f body phi_id (o : Operand.t) =
       affine_of f body phi_id src.Operand.v
     | _ -> None)
 
-let analyze (f : Func.t) cfg (loop : Loop.t) limits : counted_loop option =
+(* The counted-loop recognizer: the loop's shape and its trip count, if
+   the exit condition releases it within [max_trip] iterations. *)
+let recognize ~max_trip (f : Func.t) cfg (loop : Loop.t) : counted_loop option =
   match loop.Loop.latches with
   | [ latch ] -> (
     let header = Cfg.block cfg loop.Loop.header in
@@ -144,7 +146,7 @@ let analyze (f : Func.t) cfg (loop : Loop.t) limits : counted_loop option =
                     if cond_is_continue then c else not c
                   in
                   let rec count iv k =
-                    if k > limits.max_trip then None
+                    if k > max_trip then None
                     else if continue iv then count (Int64.add iv step) (k + 1)
                     else Some k
                   in
@@ -152,32 +154,30 @@ let analyze (f : Func.t) cfg (loop : Loop.t) limits : counted_loop option =
                 | _ -> None)
               | _ -> None
             in
-            let trip = List.find_map try_phi header_phis in
-            Option.bind trip (fun trip ->
-                let loop_size =
-                  List.fold_left
-                    (fun acc (b : Block.t) ->
-                      if SSet.mem b.Block.label loop.Loop.body then
-                        acc + List.length b.Block.instrs + 1
-                      else acc)
-                    0 f.Func.blocks
-                in
-                if trip * loop_size > limits.max_instrs then None
-                else
-                  Some
-                    {
-                      loop;
-                      latch;
-                      inside;
-                      exit;
-                      cond_is_continue;
-                      trip;
-                      header_phis;
-                    })
+            Option.map
+              (fun trip ->
+                { loop; latch; inside; exit; cond_is_continue; trip; header_phis })
+              (List.find_map try_phi header_phis)
           | _ -> None)
       | _ -> None)
     | _ -> None)
   | _ -> None
+
+let trip_count ~max_trip f cfg loop =
+  Option.map (fun cl -> cl.trip) (recognize ~max_trip f cfg loop)
+
+(* A recognized loop whose unrolled copy stays within [limits.max_instrs]. *)
+let analyze (f : Func.t) cfg (loop : Loop.t) limits : counted_loop option =
+  Option.bind (recognize ~max_trip:limits.max_trip f cfg loop) (fun cl ->
+      let loop_size =
+        List.fold_left
+          (fun acc (b : Block.t) ->
+            if SSet.mem b.Block.label loop.Loop.body then
+              acc + List.length b.Block.instrs + 1
+            else acc)
+          0 f.Func.blocks
+      in
+      if cl.trip * loop_size > limits.max_instrs then None else Some cl)
 
 (* Clones the loop [cl.trip] times. Returns the rewritten function. *)
 let apply (f : Func.t) (cl : counted_loop) : Func.t =

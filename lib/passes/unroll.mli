@@ -14,6 +14,11 @@ type limits = { max_trip : int; max_instrs : int }
 val default_limits : limits
 (** 4096 iterations / 262144 emitted instructions. *)
 
+val trip_count : max_trip:int -> Func.t -> Cfg.t -> Loop.t -> int option
+(** The recognizer alone: the trip count of a loop of the shape above,
+    if it exits within [max_trip] iterations. The header must be
+    reachable in the {!Cfg.t}. *)
+
 val run : ?limits:limits -> Ir_module.t -> Func.t -> Func.t * bool
 (** Unrolls every eligible loop (innermost first) to a fixed point. *)
 

@@ -46,12 +46,6 @@ let qubits tape =
       | Record _ -> acc)
     0 tape.ops
 
-(* Static qubit addresses map 1:1 to simulator qubits below the dynamic
-   range (Runtime.qubit_of_address); cap absurd indices so the tape
-   never commits the backend to an allocation the analysis can't
-   justify. *)
-let max_static_qubit = 4096
-
 (* ------------------------------------------------------------------ *)
 (* Extraction                                                           *)
 
@@ -77,8 +71,11 @@ let addr_of facts (o : Operand.t) : int64 =
 let qubit_of facts (o : Operand.t) : int =
   let addr = addr_of facts o in
   if
-    Int64.unsigned_compare addr Runtime.dynamic_base < 0
-    && Int64.compare addr (Int64.of_int max_static_qubit) < 0
+    (* static addresses map 1:1 to simulator qubits; cap absurd indices
+       so the tape never commits the backend to an allocation the
+       analysis can't justify *)
+    Int64.unsigned_compare addr Names.dynamic_base < 0
+    && Int64.compare addr (Int64.of_int Names.max_static_qubit) < 0
   then Int64.to_int addr
   else raise Not_static
 
@@ -114,25 +111,6 @@ let evaluable m facts (a : Operand.typed) =
     match resolve_const facts a.Operand.v with
     | Some c -> ok_const c ~syntactic:false
     | None -> false)
-
-(* The straight-line block chain from the entry, or Not_static. *)
-let block_chain (f : Func.t) =
-  let labels = Func.label_table f in
-  let visited = Hashtbl.create 8 in
-  let rec go acc (b : Block.t) =
-    if Hashtbl.mem visited b.Block.label then raise Not_static;
-    Hashtbl.replace visited b.Block.label ();
-    let acc = b :: acc in
-    match b.Block.term with
-    | Instr.Ret _ -> List.rev acc
-    | Instr.Br l -> (
-      match Hashtbl.find_opt labels l with
-      | Some b' -> go acc b'
-      | None -> raise Not_static)
-    | Instr.Cond_br _ | Instr.Switch _ | Instr.Unreachable ->
-      raise Not_static
-  in
-  go [] (Func.entry f)
 
 let extract_call m facts measured emit (callee : string)
     (args : Operand.typed list) =
@@ -209,7 +187,11 @@ let extract (m : Ir_module.t) : t option =
           lifetime
       then raise Not_static;
       let facts = Passes.Sccp.solve entry in
-      let blocks = block_chain entry in
+      let blocks =
+        match Func.straight_chain entry with
+        | Some blocks -> blocks
+        | None -> raise Not_static
+      in
       let ops = ref [] and nrecords = ref 0 in
       let measured = Hashtbl.create 16 in
       let emit op =

@@ -7,7 +7,8 @@
 
    Address model (matching {!Llvm_ir.Interp}'s value model):
    - static qubit/result addresses are small integers (Ex. 6);
-   - dynamically allocated qubits get addresses from [dynamic_base] up;
+   - dynamically allocated qubits get addresses from
+     [Names.dynamic_base] up;
    - runtime arrays get handle and element addresses from [array_base] up;
    - the canonical one/zero Result constants live at dedicated addresses.
 
@@ -18,7 +19,6 @@
 open Llvm_ir
 open Qcircuit
 
-let dynamic_base = 0x2000_0000L
 let array_base = 0x3000_0000L
 let one_result_addr = 0x4000_0001L
 let zero_result_addr = 0x4000_0002L
@@ -77,7 +77,7 @@ let create (inst : Qsim.Backend.instance) =
     arrays = Hashtbl.create 8;
     results = Hashtbl.create 32;
     output = Buffer.create 64;
-    next_dynamic = dynamic_base;
+    next_dynamic = Names.dynamic_base;
     next_array = array_base;
     stats = { gate_calls = 0; measurements = 0; resets = 0; rt_calls = 0 };
   }
@@ -114,7 +114,7 @@ let qubit_of_address rt addr =
     match qubit_array_lookup rt addr with
     | Some q -> q
     | None ->
-      if Int64.unsigned_compare addr dynamic_base < 0 then begin
+      if Int64.unsigned_compare addr Names.dynamic_base < 0 then begin
         (* static address: qubit index = address, growing on demand *)
         let q = Int64.to_int addr in
         rt.ops.ensure (q + 1);

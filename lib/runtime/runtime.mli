@@ -7,14 +7,10 @@
     Address model: static qubit/result addresses are small integers
     (Ex. 6) and map to simulator qubits 1:1, growing the register on
     demand (the Sec. IV-A "allocate on the fly" strategy); dynamically
-    allocated qubits and runtime arrays live in dedicated high address
-    ranges. *)
+    allocated qubits (from {!Names.dynamic_base} up) and runtime arrays
+    live in dedicated high address ranges. *)
 
 exception Runtime_error of string
-
-val dynamic_base : int64
-(** Addresses below this are static (qubit index = address); dynamic
-    qubit allocations start here. *)
 
 type stats = {
   mutable gate_calls : int;

@@ -9,10 +9,12 @@
    duplicated line — go through [Parser.parse_module_result], which
    must answer [Ok] or [Error] for each. Every mutation that parses and
    verifies then goes through [Qir_parser.parse_with_output], which must
-   likewise answer [Ok] or [Error], and through the sccp pass, whose
-   output must verify: any exception fails the run. 2000 more mutations
-   of a small classical corpus (loop, phi, select, GEP, switch) give
-   sccp something to fold, under the same rule.
+   likewise answer [Ok] or [Error], through the sccp pass, whose output
+   must verify, and through the whole-module lifetime check
+   ([Lifetime.check_module], which builds every function's [Summary]
+   on the same dataflow): any exception fails the run. 2000 more
+   mutations of a small classical corpus (loop, phi, select, GEP,
+   switch) give sccp something to fold, under the same rule.
 
    Last, 2000 seeded mutations of an OpenQASM 2 corpus (Bell, GHZ, a
    conditioned gate after a measurement) go through [Qasm2.parse] and
@@ -75,15 +77,20 @@ let sccp_folds m =
     failwith "sccp output does not verify";
   changed
 
+(* Runs the lifetime check (and so every summary) on a verified module:
+   whether it reported anything. *)
+let lifetime_finds m = Qir_analysis.Lifetime.check_module m <> []
+
 (* Every mutation must parse or fail with a parse error, and every one
-   that verifies must convert to a circuit or be refused, and come out
-   of sccp verified; returns how many raised anything else. *)
+   that verifies must convert to a circuit or be refused, come out of
+   sccp verified and through the lifetime check; returns how many raised
+   anything else. *)
 let mutate_texts texts =
   let texts = Array.of_list texts in
   let rng = Rng.create 2024 in
   let ok = ref 0 and rejected = ref 0 and raised = ref 0 in
   let verified = ref 0 and circuits = ref 0 and refused = ref 0 in
-  let folded = ref 0 in
+  let folded = ref 0 and found = ref 0 in
   let report i e =
     incr raised;
     if !raised <= 5 then
@@ -100,8 +107,11 @@ let mutate_texts texts =
         | Ok _ -> incr circuits
         | Error _ -> incr refused
         | exception e -> report i e);
-        match sccp_folds m with
+        (match sccp_folds m with
         | changed -> if changed then incr folded
+        | exception e -> report i e);
+        match lifetime_finds m with
+        | finds -> if finds then incr found
         | exception e -> report i e
       end)
     | Error _ -> incr rejected
@@ -112,6 +122,8 @@ let mutate_texts texts =
   Printf.printf "qir parse: %d verified, %d circuits, %d refused\n" !verified
     !circuits !refused;
   Printf.printf "sccp: %d verified mutations, %d folded\n" !verified !folded;
+  Printf.printf "lifetime: %d verified mutations, %d with findings\n" !verified
+    !found;
   !raised
 
 (* Classical control flow, where sccp has something to fold: a counted
@@ -142,7 +154,7 @@ let classical_corpus =
 
 (* Every mutation of the classical corpus must parse or fail with a
    parse error, and every one that verifies must come out of sccp
-   verified; returns how many raised. *)
+   verified and through the lifetime check; returns how many raised. *)
 let mutate_classical () =
   let texts = Array.of_list classical_corpus in
   let rng = Rng.create 2026 in
@@ -157,8 +169,11 @@ let mutate_classical () =
     match Llvm_ir.Parser.parse_module_result text with
     | Ok m when Llvm_ir.Verifier.check_module m = [] -> (
       incr verified;
-      match sccp_folds m with
+      (match sccp_folds m with
       | changed -> if changed then incr folded
+      | exception e -> report i e);
+      match lifetime_finds m with
+      | _ -> ()
       | exception e -> report i e)
     | Ok _ | Error _ -> ()
     | exception e -> report i e

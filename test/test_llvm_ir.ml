@@ -441,6 +441,39 @@ let test_verifier_accepts_matching_call () =
   in
   check int_t "matching call is clean" 0 (List.length (Verifier.check_module m))
 
+(* Integer arithmetic, compares, width casts and switches must be typed
+   with integer types (a compare may also order pointers). *)
+let test_verifier_integer_types () =
+  let body instrs term =
+    parse
+      (Printf.sprintf
+         "define void @f(ptr %%p, double %%d) {\nentry:\n%s  %s\nx:\n  ret void\n}"
+         instrs term)
+  in
+  let what m =
+    List.map (fun (v : Verifier.violation) -> v.Verifier.what)
+      (Verifier.check_module m)
+  in
+  List.iter
+    (fun (instrs, term, expected) ->
+      check (Alcotest.list string_t) (instrs ^ term) expected
+        (what (body instrs term)))
+    [
+      ("  %a = add double %d, %d\n", "br label %x",
+       [ "add on double, not an integer type" ]);
+      ("  %c = icmp slt { } 0, 1\n", "br label %x",
+       [ "icmp on {  }, not an integer type" ]);
+      ("  %c = icmp eq ptr %p, null\n", "br label %x", []);
+      ("  %t = trunc double %d to i32\n", "br label %x",
+       [ "trunc on double, not an integer type" ]);
+      ("  %z = zext i32 7 to ptr\n", "br label %x",
+       [ "zext on ptr, not an integer type" ]);
+      ("  %s = sext i8 1 to i64\n", "br label %x", []);
+      ("", "switch double %d, label %x [ double 0.0, label %x ]",
+       [ "switch on double, not an integer type" ]);
+      ("", "switch i32 3, label %x [ i32 0, label %x ]", []);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Interpreter                                                          *)
 
@@ -855,6 +888,8 @@ let suite =
     Alcotest.test_case "lexer: token traces pinned" `Quick test_token_traces_pinned;
     Alcotest.test_case "parser: malformed-input positions" `Quick
       test_malformed_positions;
+    Alcotest.test_case "verifier: integer instructions need integer types"
+      `Quick test_verifier_integer_types;
   ]
   @ props
 

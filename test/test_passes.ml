@@ -266,8 +266,8 @@ entry:
     | _ -> false)
 
 let test_sccp_refused_type_does_not_raise () =
-  (* the verifier accepts an icmp typed as a struct; folding it must not
-     raise, it stays unfolded *)
+  (* an icmp typed as a struct: the verifier rejects it, and folding it
+     anyway must not raise — it stays unfolded *)
   let src =
     {|
 define i1 @f() {
@@ -279,9 +279,15 @@ entry:
 |}
   in
   let m = parse src in
-  verify m;
+  let violations m =
+    List.map (Format.asprintf "%a" Verifier.pp_violation)
+      (Verifier.check_module m)
+  in
+  check Alcotest.(list string) "rejected"
+    [ "@f %entry: icmp on {  }, not an integer type" ]
+    (violations m);
   let m', _ = (Pass.of_func_pass Sccp.pass).Pass.mrun m in
-  verify m';
+  check Alcotest.(list string) "still the only violation" (violations m) (violations m');
   check int_t "icmp kept" 1 (count_instrs m' "f")
 
 let test_dce_removes_unused () =
