@@ -5,8 +5,12 @@
    touching the same qubit — using the syntactic address, [Const_addr]
    proofs and [Value_track] allocation-site resolution, in that order.
    Instructions become *events* classified by their effect on the
-   quantum state; the per-block event arrays are the def-use chains an
-   SSA form would make explicit, and the substrate [Qdf_opt] rewrites.
+   quantum state. A block's [index] numbers its distinct wires and
+   lists, per event, the wires it names and every wire it may touch;
+   the per-wire event lists built from that are the def-use chains an
+   SSA form would make explicit. [Qdf_opt] runs the one commute-or-stop
+   scan ([Commute_opt.scan]) over them and hoists releases with
+   [may_interfere].
 
    Everything here is proof-carrying in the sense of the paper's
    "static by analysis" tier: a wire is only produced when the analysis
@@ -83,9 +87,6 @@ type ekind =
 type event = { pos : int; instr : Instr.t; kind : ekind }
 
 type t = {
-  func : Func.t;
-  vt : Value_track.t;
-  facts : Passes.Sccp.solution;
   events : (string * event array) list;  (* per block, program order *)
   qubit_alloc_sites : int;  (* qubit allocate/allocate_array sites *)
 }
@@ -229,25 +230,12 @@ let of_func (f : Func.t) : t =
            | Value_track.Result_array_site -> false)
          (Value_track.sites vt))
   in
-  { func = f; vt; facts; events; qubit_alloc_sites }
+  { events; qubit_alloc_sites }
 
 let block_events t label = List.assoc_opt label t.events
 
 (* ------------------------------------------------------------------ *)
-(* Wire touch sets and commutation                                     *)
-
-(* The set of qubits an event may touch: named wires plus whole array
-   sites (release_array retires every element of its site). [None] means
-   "anything" (allocation, barrier). *)
-type touch = { t_wires : wire list; t_sites : int list }
-
-let touched (k : ekind) : touch option =
-  match k with
-  | EGate { wires; _ } -> Some { t_wires = wires; t_sites = [] }
-  | EMeasure w | EReset w | ERelease w -> Some { t_wires = [ w ]; t_sites = [] }
-  | ERelease_array s -> Some { t_wires = []; t_sites = [ s ] }
-  | EClassical -> Some { t_wires = []; t_sites = [] }
-  | EAlloc | EBarrier -> None
+(* The per-block wire index                                            *)
 
 (* May an element of array site [s] be the qubit [w] names? *)
 let site_may_contain s (w : wire) =
@@ -257,71 +245,81 @@ let site_may_contain s (w : wire) =
   | WStatic n -> n >= Names.dynamic_base (* hardcoded dynamic-range address *)
   | WParam _ | WVal _ -> true
 
-let wire_hits_touch (w : wire) (t : touch) =
-  List.exists (may_alias w) t.t_wires
-  || List.exists (fun s -> site_may_contain s w) t.t_sites
+(* A block's distinct wires, numbered in order of first appearance.
+   [own.(j)] are the wires event [j] names; [on.(j)] every wire it may
+   touch, ascending: all of them for an allocation or a barrier, none
+   for a classical event, the site's possible members for a
+   release_array. [kinds] starts as the events' kinds and takes the
+   rewrites made while scanning. *)
+type index = {
+  kinds : ekind array;
+  wires : wire array;  (* by number *)
+  own : int list array;
+  on : int list array;
+  alias : int list array;  (* per wire: the wires it may alias *)
+}
 
-let event_may_touch (k : ekind) (w : wire) =
-  match touched k with None -> true | Some t -> wire_hits_touch w t
-
-(* Conservative: may the two events touch a common qubit? *)
-let may_interfere (k1 : ekind) (k2 : ekind) =
-  match touched k1, touched k2 with
-  | None, _ | _, None -> true
-  | Some t1, Some t2 ->
-    List.exists (fun w -> wire_hits_touch w t2) t1.t_wires
-    || List.exists (fun s -> List.mem s t2.t_sites) t1.t_sites
-    || List.exists
-         (fun s -> List.exists (fun w -> site_may_contain s w) t2.t_wires)
-         t1.t_sites
-
-(* Tokenize the wires of two gates into small ints when every cross
-   pair is decided (provably equal or provably distinct); [None] when
-   any pair is a "maybe", or a gate uses one wire twice. *)
-let tokenize (w1 : wire list) (w2 : wire list) :
-    (int list * int list) option =
-  let all = w1 @ w2 in
-  let decided =
-    List.for_all
-      (fun a ->
-        List.for_all (fun b -> wire_equal a b || not (may_alias a b)) all)
-      all
+let index (events : event array) : index =
+  let kinds = Array.map (fun e -> e.kind) events in
+  let number = Hashtbl.create 16 and wires = ref [] in
+  let num w =
+    match Hashtbl.find_opt number w with
+    | Some k -> k
+    | None ->
+      let k = Hashtbl.length number in
+      Hashtbl.add number w k;
+      wires := w :: !wires;
+      k
   in
-  if not decided then None
-  else
-    let reps = ref [] in
-    let token w =
-      match
-        List.find_opt (fun (w', _) -> wire_equal w w') !reps
-      with
-      | Some (_, i) -> i
-      | None ->
-        let i = List.length !reps in
-        reps := (w, i) :: !reps;
-        i
-    in
-    let t1 = List.map token w1 and t2 = List.map token w2 in
-    let distinct l = List.length (List.sort_uniq compare l) = List.length l in
-    if distinct t1 && distinct t2 then Some (t1, t2) else None
+  let own =
+    Array.map
+      (function
+        | EGate { wires; _ } -> List.map num wires
+        | EMeasure w | EReset w | ERelease w -> [ num w ]
+        | ERelease_array _ | EAlloc | EClassical | EBarrier -> [])
+      kinds
+  in
+  let wires = Array.of_list (List.rev !wires) in
+  let all = List.init (Array.length wires) Fun.id in
+  let alias =
+    Array.map (fun a -> List.filter (fun b -> may_alias a wires.(b)) all) wires
+  in
+  let on =
+    Array.mapi
+      (fun j k ->
+        match k, own.(j) with
+        | (EAlloc | EBarrier), _ -> all
+        | ERelease_array s, _ ->
+          List.filter (fun b -> site_may_contain s wires.(b)) all
+        | _, [ a ] -> alias.(a)
+        | _, ws ->
+          List.sort_uniq Int.compare (List.concat_map (fun a -> alias.(a)) ws))
+      kinds
+  in
+  { kinds; wires; own; on; alias }
 
-(* Does the gate [shape] on [wires] commute past event [k]? *)
-let gate_commutes_past (shape : Gate.t) (wires : wire list) (k : ekind) =
-  match k with
-  | EClassical -> true
-  | EAlloc | EBarrier -> false
-  | EMeasure w | EReset w | ERelease w ->
-    not (List.exists (fun wi -> may_alias wi w) wires)
-  | ERelease_array _ -> not (List.exists (event_may_touch k) wires)
-  | EGate { shape = shape2; wires = wires2; _ } -> (
-    if
-      List.for_all
-        (fun wi -> List.for_all (fun wj -> not (may_alias wi wj)) wires2)
-        wires
-    then true (* provably disjoint supports *)
-    else
-      (* every pair is decided and one may alias, so the tokenized
-         supports overlap: the gate-level table applies as is *)
-      match tokenize wires wires2 with
-      | Some (t1, t2) ->
-        Qcircuit.Commute_opt.gate_commutes shape t1 shape2 t2
-      | None -> false)
+(* Conservative: may events [a] and [b] touch a common qubit? *)
+let may_interfere ix a b =
+  let hits x y = List.exists (fun w -> List.mem w ix.on.(y)) ix.own.(x) in
+  match ix.kinds.(a), ix.kinds.(b) with
+  | (EAlloc | EBarrier), _ | _, (EAlloc | EBarrier) -> true
+  | ERelease_array s, ERelease_array s' when s = s' -> true
+  | _ -> hits a b || hits b a
+
+(* Does gate [g] on the wires [qs] commute past event [j], which may
+   touch one of them? Only a gate can, and only when every pair of the
+   two gates' wires is provably equal or distinct and neither names a
+   wire twice: the wire numbers then serve the gate-level table as
+   qubits. *)
+let commutes ix g qs j =
+  match ix.kinds.(j) with
+  | EGate { shape; _ } ->
+    let qs2 = ix.own.(j) in
+    let all = qs @ qs2 in
+    let distinct l = List.length (List.sort_uniq Int.compare l) = List.length l in
+    List.for_all
+      (fun a -> List.for_all (fun b -> a = b || not (List.mem b ix.alias.(a))) all)
+      all
+    && distinct qs && distinct qs2
+    && Qcircuit.Commute_opt.gate_commutes g qs shape qs2
+  | _ -> false

@@ -28,6 +28,7 @@
 
 open Llvm_ir
 module Gate = Qcircuit.Gate
+module Commute_opt = Qcircuit.Commute_opt
 
 type counters = {
   mutable cancelled : int;  (* inverse pairs removed *)
@@ -63,9 +64,6 @@ let gate_count (m : Ir_module.t) =
 
 (* ------------------------------------------------------------------ *)
 (* Shared helpers                                                       *)
-
-let wires_equal_list w1 w2 =
-  List.length w1 = List.length w2 && List.for_all2 Qdf.wire_equal w1 w2
 
 let dangerous (k : Qdf.ekind) =
   match k with
@@ -153,118 +151,76 @@ let scan_block (qdf : Qdf.t) ~fname ~min_pos ~emit counters (b : Block.t) :
   match Qdf.block_events qdf b.Block.label with
   | None -> None
   | Some events ->
-    let n = Array.length events in
-    let alive = Array.make n true in
-    let kind = Array.map (fun (e : Qdf.event) -> e.Qdf.kind) events in
+    let ix = Qdf.index events in
     let instr = Array.map (fun (e : Qdf.event) -> e.Qdf.instr) events in
-    let changed = ref false in
+    let alive = Array.make (Array.length events) true in
     let where = Printf.sprintf "@%s %%%s" fname b.Block.label in
-    let note rule fmt =
-      Format.kasprintf
-        (fun msg ->
-          emit
-            (Diagnostic.make ~rule ~severity:Diagnostic.Note ~where "%s" msg))
-        fmt
+    let note i g g2 c =
+      let g = Gate.to_string g and g2 = Gate.to_string g2 in
+      let on = Qdf.wire_to_string ix.Qdf.wires.(List.hd ix.Qdf.own.(i)) in
+      let make rule = Diagnostic.make ~rule ~severity:Diagnostic.Note ~where in
+      emit
+        (match c with
+        | Commute_opt.Cancel ->
+          make "QO001" "cancellable pair: %s then %s on %s cancel" g g2 on
+        | Commute_opt.Identity ->
+          make "QO002" "mergeable rotations: %s then %s on %s combine to identity"
+            g g2 on
+        | Commute_opt.Merged mg ->
+          make "QO002" "mergeable rotations: %s then %s on %s -> %s" g g2 on
+            (Gate.to_string mg))
     in
-    let combine_from i g shape wires =
-      let rec scan j =
-        if j < n then
-          if not alive.(j) then scan (j + 1)
-          else
-            let commute_or_stop () =
-              if Qdf.gate_commutes_past shape wires kind.(j) then scan (j + 1)
-            in
-            match kind.(j) with
-            | Qdf.EGate { exact = Some g2; wires = w2; _ }
-              when wires_equal_list wires w2 -> (
-              match Qcircuit.Commute_opt.combine g g2 with
-              | Some Qcircuit.Commute_opt.Cancel ->
-                alive.(i) <- false;
-                alive.(j) <- false;
-                counters.cancelled <- counters.cancelled + 1;
-                changed := true;
-                note "QO001" "cancellable pair: %s then %s on %s cancel"
-                  (Gate.to_string g) (Gate.to_string g2)
-                  (Qdf.wire_to_string (List.hd wires))
-              | Some Qcircuit.Commute_opt.Identity ->
-                alive.(i) <- false;
-                alive.(j) <- false;
-                counters.merged <- counters.merged + 1;
-                changed := true;
-                note "QO002"
-                  "mergeable rotations: %s then %s on %s combine to identity"
-                  (Gate.to_string g) (Gate.to_string g2)
-                  (Qdf.wire_to_string (List.hd wires))
-              | Some (Qcircuit.Commute_opt.Merged mg) -> (
-                match rebuild_gate_call mg instr.(j) with
-                | Some (callee', instr') ->
-                  alive.(i) <- false;
-                  instr.(j) <- instr';
-                  kind.(j) <-
-                    Qdf.EGate
-                      { callee = callee'; shape = mg; exact = Some mg;
-                        wires = w2 };
-                  counters.merged <- counters.merged + 1;
-                  changed := true;
-                  note "QO002" "mergeable rotations: %s then %s on %s -> %s"
-                    (Gate.to_string g) (Gate.to_string g2)
-                    (Qdf.wire_to_string (List.hd wires))
-                    (Gate.to_string mg)
-                | None -> commute_or_stop ())
-              | None -> commute_or_stop ())
-            | _ -> commute_or_stop ()
-      in
-      scan (i + 1)
+    let start i =
+      match ix.Qdf.kinds.(i) with
+      | Qdf.EGate { exact; _ } when i >= min_pos -> exact
+      | _ -> None
     in
-    for i = 0 to n - 1 do
-      if i >= min_pos && alive.(i) then
-        match kind.(i) with
-        | Qdf.EGate { exact = Some g; shape; wires; _ } ->
-          combine_from i g shape wires
-        | _ -> ()
-    done;
-    if not !changed then None
-    else begin
-      let instrs = ref [] in
-      for idx = n - 1 downto 0 do
-        if alive.(idx) then instrs := instr.(idx) :: !instrs
-      done;
-      Some (Block.mk b.Block.label !instrs b.Block.term)
-    end
+    (* a merged gate needs a QIR spelling *)
+    let write j mg =
+      match rebuild_gate_call mg instr.(j), ix.Qdf.kinds.(j) with
+      | Some (callee, instr'), Qdf.EGate { wires; _ } ->
+        instr.(j) <- instr';
+        ix.Qdf.kinds.(j) <-
+          Qdf.EGate { callee; shape = mg; exact = Some mg; wires };
+        true
+      | _ -> false
+    in
+    let s =
+      Commute_opt.scan ~note ~wires:(Array.length ix.Qdf.wires)
+        ~own:ix.Qdf.own ~start ~commutes:(Qdf.commutes ix) ~write alive
+        ix.Qdf.on
+    in
+    counters.cancelled <- counters.cancelled + s.Commute_opt.cancelled;
+    counters.merged <- counters.merged + s.Commute_opt.merged;
+    if Array.for_all Fun.id alive then None
+    else
+      Some
+        (Block.mk b.Block.label
+           (List.filteri (fun k _ -> alive.(k)) (Array.to_list instr))
+           b.Block.term)
 
 (* ------------------------------------------------------------------ *)
 (* Early release hoisting                                               *)
 
 let use_counts (f : Func.t) =
   let h = Hashtbl.create 64 in
-  let bump (o : Operand.t) =
-    match o with
-    | Operand.Local id ->
-      Hashtbl.replace h id (1 + Option.value ~default:0 (Hashtbl.find_opt h id))
-    | Operand.Const _ -> ()
-  in
-  List.iter
-    (fun (b : Block.t) ->
-      List.iter
-        (fun (i : Instr.t) ->
-          List.iter
-            (fun (o : Operand.typed) -> bump o.Operand.v)
-            (Instr.operands i.Instr.op))
-        b.Block.instrs;
-      List.iter
-        (fun (o : Operand.typed) -> bump o.Operand.v)
-        (Instr.term_operands b.Block.term))
-    f.Func.blocks;
+  Func.iter_uses f (fun id ->
+      Hashtbl.replace h id (1 + Option.value ~default:0 (Hashtbl.find_opt h id)));
   h
 
 let hoist_block (qdf : Qdf.t) ~fname ~uses ~emit counters (b : Block.t) :
     Block.t option =
+  let is_release (e : Qdf.event) =
+    match e.Qdf.kind with
+    | Qdf.ERelease _ | Qdf.ERelease_array _ -> true
+    | _ -> false
+  in
   match Qdf.block_events qdf b.Block.label with
-  | None -> None
-  | Some events ->
+  | Some events when Array.exists is_release events ->
     let n = Array.length events in
     let instr = Array.map (fun (e : Qdf.event) -> e.Qdf.instr) events in
-    let kind = Array.map (fun (e : Qdf.event) -> e.Qdf.kind) events in
+    let ix = Qdf.index events in
+    let kind = ix.Qdf.kinds in
     let def_index = Hashtbl.create 16 in
     Array.iteri
       (fun idx (i : Instr.t) ->
@@ -324,7 +280,7 @@ let hoist_block (qdf : Qdf.t) ~fname ~uses ~emit counters (b : Block.t) :
            for k = gmin - 1 downto 0 do
              let stop =
                dangerous kind.(k)
-               || Qdf.may_interfere rk kind.(k)
+               || Qdf.may_interfere ix jj k
                || (group_has_load
                   &&
                   match instr.(k).Instr.op with
@@ -372,6 +328,7 @@ let hoist_block (qdf : Qdf.t) ~fname ~uses ~emit counters (b : Block.t) :
       incr j
     done;
     !result
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Per-function driver                                                  *)
@@ -718,23 +675,8 @@ let promote (m : Ir_module.t) : (Ir_module.t * int) option =
         in
         let entry' = Func.replace_blocks entry blocks in
         (* proof-carrying guard: no surviving use of a deleted def *)
-        let check_op (o : Operand.t) =
-          match o with
-          | Operand.Local id when Hashtbl.mem deleted id -> raise Refuse
-          | _ -> ()
-        in
-        List.iter
-          (fun (b : Block.t) ->
-            List.iter
-              (fun (i : Instr.t) ->
-                List.iter
-                  (fun (o : Operand.typed) -> check_op o.Operand.v)
-                  (Instr.operands i.Instr.op))
-              b.Block.instrs;
-            List.iter
-              (fun (o : Operand.typed) -> check_op o.Operand.v)
-              (Instr.term_operands b.Block.term))
-          entry'.Func.blocks;
+        Func.iter_uses entry' (fun id ->
+            if Hashtbl.mem deleted id then raise Refuse);
         if !rewrites = 0 then None
         else Some (Ir_module.replace_func m entry', !rewrites)
       with Refuse -> None)

@@ -152,23 +152,6 @@ let step ~summaries ~used vt (i : Instr.t) (fact : Fact.t) :
       end)
   | _ -> (`Keep, fact)
 
-let used_names (f : Func.t) : SSet.t =
-  List.fold_left
-    (fun acc (b : Block.t) ->
-      let add acc (o : Operand.typed) =
-        match o.Operand.v with
-        | Operand.Local id -> SSet.add id acc
-        | Operand.Const _ -> acc
-      in
-      let acc =
-        List.fold_left
-          (fun acc (i : Instr.t) ->
-            List.fold_left add acc (Instr.operands i.Instr.op))
-          acc b.Block.instrs
-      in
-      List.fold_left add acc (Instr.term_operands b.Block.term))
-    SSet.empty f.Func.blocks
-
 type result = {
   dead : (string * Instr.t) list;  (* (block label, instruction) *)
 }
@@ -180,7 +163,9 @@ let analyze_func ?(summaries : Summary.table = Hashtbl.create 0) (f : Func.t) :
     let vt =
       Value_track.of_func ~fresh_fns:(Summary.fresh_fns_of summaries) f
     in
-    let used = used_names f in
+    let used = ref SSet.empty in
+    Func.iter_uses f (fun id -> used := SSet.add id !used);
+    let used = !used in
     let cfg = Cfg.of_func f in
     let tf =
       {

@@ -411,8 +411,7 @@ let block_cost env vt facts fl (b : Block.t) : cost =
 exception Bail
 
 let analyze_func env (f : Func.t) : fsum =
-  let qv = Qdf.of_func f in
-  let vt = qv.Qdf.vt and facts = qv.Qdf.facts in
+  let vt = Value_track.of_func f and facts = Passes.Sccp.solve f in
   let cfg = Cfg.of_func f in
   let fl =
     { unknown = false; qp_used = Array.make (List.length f.Func.params) false }

@@ -10,7 +10,9 @@
    through CX targets. Conditioned operations, measurements, resets and
    barriers never commute with anything. This is the circuit-level
    counterpart of the classical optimizations QIR inherits from LLVM
-   (benchmark E8 contrasts the two). *)
+   (benchmark E8 contrasts the two). [scan] is the one commute-or-stop
+   loop: [optimize] runs it over qubits, the QIR dataflow optimizer
+   ([Qdf_opt]) over each block's numbered wires. *)
 
 (* Diagonal in the computational basis. *)
 let is_diagonal (g : Gate.t) =
@@ -69,7 +71,8 @@ let commutes_2q (g : Gate.t) qs (g2 : Gate.t) qs2 =
   | _ -> false
 
 (* The one commutation table, over bare (gate, qubits) pairs; the QIR
-   dataflow optimizer ({!Qir_analysis.Qdf}) shares it. *)
+   dataflow optimizer ({!Qir_analysis.Qdf}) asks it with wire numbers
+   for qubits. *)
 let gate_commutes (g : Gate.t) qs (g2 : Gate.t) qs2 =
   match qs with
   | [ q ] -> commutes_1q g q g2 qs2
@@ -98,97 +101,105 @@ type stats = { cancelled : int; merged : int; removed_identities : int }
 
 let no_stats = { cancelled = 0; merged = 0; removed_identities = 0 }
 
-let optimize (c : Circuit.t) : Circuit.t * stats =
-  let ops = Array.of_list c.Circuit.ops in
-  let n = Array.length ops in
-  let alive = Array.make n true in
-  let current = Array.copy ops in
-  let cancelled = ref 0 and merged = ref 0 and removed = ref 0 in
-  (* lone identities go first, so they block no pair *)
-  Array.iteri
-    (fun i (op : Circuit.op) ->
-      match op.Circuit.kind, op.Circuit.cond with
-      | Circuit.Gate (g, _), None when Gate.is_identity g ->
-        alive.(i) <- false;
-        incr removed
-      | _ -> ())
-    ops;
-  (* per-qubit op indices, ascending *)
-  let by_qubit = Array.make (max c.Circuit.num_qubits 1) [] in
-  Array.iteri
-    (fun i op ->
-      List.iter (fun q -> by_qubit.(q) <- i :: by_qubit.(q)) (Circuit.op_qubits op))
-    ops;
-  let by_qubit = Array.map (fun l -> Array.of_list (List.rev l)) by_qubit in
-  (* first slot of the ascending array [a] holding an index > i *)
-  let after (a : int array) i =
-    let lo = ref 0 and hi = ref (Array.length a) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if a.(mid) <= i then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  let try_combine i =
-    match current.(i) with
-    | { Circuit.kind = Circuit.Gate (g, qs); cond = None } ->
-      let lists = Array.of_list (List.map (fun q -> by_qubit.(q)) qs) in
-      let pos = Array.map (fun a -> after a i) lists in
-      (* the next live op after [i] touching a qubit of [qs]: a merge of
-         the per-qubit arrays, advanced only as far as the scan reads *)
-      let rec next () =
-        let j = ref max_int in
-        Array.iteri
-          (fun k (a : int array) ->
-            if pos.(k) < Array.length a && a.(pos.(k)) < !j then j := a.(pos.(k)))
-          lists;
-        if !j = max_int then None
-        else begin
-          Array.iteri
-            (fun k (a : int array) ->
-              if pos.(k) < Array.length a && a.(pos.(k)) = !j then
-                pos.(k) <- pos.(k) + 1)
-            lists;
-          if alive.(!j) then Some !j else next ()
-        end
-      in
-      let rec scan () =
-        match next () with
-        | None -> ()
-        | Some j -> (
-          match current.(j) with
-          | { Circuit.kind = Circuit.Gate (g2, qs2); cond = None }
-            when qs2 = qs -> (
-            match combine g g2 with
-            | Some Cancel ->
-              alive.(i) <- false;
-              alive.(j) <- false;
-              incr cancelled
-            | Some Identity ->
-              alive.(i) <- false;
-              alive.(j) <- false;
-              incr merged;
-              incr removed
-            | Some (Merged m) ->
-              alive.(i) <- false;
-              incr merged;
-              current.(j) <- { Circuit.kind = Circuit.Gate (m, qs); cond = None }
-            | None -> if commutes g qs current.(j) then scan ())
-          | op when commutes g qs op -> scan ()
-          | _ -> ())
-      in
-      scan ()
-    | _ -> ()
-  in
-  for i = 0 to n - 1 do
-    if alive.(i) then try_combine i
+(* The one commute-or-stop scan (see the interface). [by_wire.(w)] is
+   the ascending list of ops that may touch wire [w]: the forward
+   def-use edges. *)
+let scan ?(note = fun _ _ _ _ -> ()) ~wires ~own ~start ~commutes ~write alive
+    (on : int list array) =
+  let by_wire = Array.make (max wires 1) [] in
+  for j = Array.length on - 1 downto 0 do
+    List.iter (fun w -> by_wire.(w) <- j :: by_wire.(w)) on.(j)
   done;
+  let by_wire = Array.map Array.of_list by_wire in
+  (* per wire, the first slot past the current start op *)
+  let cursor = Array.make (max wires 1) 0 in
+  let cancelled = ref 0 and merged = ref 0 and identities = ref 0 in
+  let scan_from i g =
+    let qs = own.(i) in
+    let ws = Array.of_list qs in
+    let pos =
+      Array.map
+        (fun q ->
+          let a = by_wire.(q) in
+          while cursor.(q) < Array.length a && a.(cursor.(q)) <= i do
+            cursor.(q) <- cursor.(q) + 1
+          done;
+          cursor.(q))
+        ws
+    in
+    let walking = ref true in
+    while !walking do
+      (* the next op after [i] on a wire of [qs]: a merge of the
+         per-wire arrays, advanced only as far as the walk reads *)
+      let j = ref max_int in
+      for k = 0 to Array.length ws - 1 do
+        let a = by_wire.(ws.(k)) in
+        if pos.(k) < Array.length a && a.(pos.(k)) < !j then j := a.(pos.(k))
+      done;
+      let j = !j in
+      for k = 0 to Array.length ws - 1 do
+        let a = by_wire.(ws.(k)) in
+        if pos.(k) < Array.length a && a.(pos.(k)) = j then pos.(k) <- pos.(k) + 1
+      done;
+      if j = max_int then walking := false
+      else if alive.(j) then
+        match start j with
+        | Some g2 when own.(j) = qs -> (
+          match combine g g2 with
+          | Some ((Cancel | Identity) as c) ->
+            alive.(i) <- false;
+            alive.(j) <- false;
+            if c = Cancel then incr cancelled else (incr merged; incr identities);
+            note i g g2 c;
+            walking := false
+          | Some (Merged m as c) when write j m ->
+            alive.(i) <- false;
+            incr merged;
+            note i g g2 c;
+            walking := false
+          | Some (Merged _) | None -> walking := commutes g qs j)
+        | _ -> walking := commutes g qs j
+    done
+  in
+  for i = 0 to Array.length on - 1 do
+    if alive.(i) then
+      match start i with Some g -> scan_from i g | None -> ()
+  done;
+  { cancelled = !cancelled; merged = !merged; removed_identities = !identities }
+
+let optimize (c : Circuit.t) : Circuit.t * stats =
+  let current = Array.of_list c.Circuit.ops in
+  (* lone identities go first, so they block no pair *)
+  let alive =
+    Array.map
+      (fun (op : Circuit.op) ->
+        match op.Circuit.kind, op.Circuit.cond with
+        | Circuit.Gate (g, _), None -> not (Gate.is_identity g)
+        | _ -> true)
+      current
+  in
+  let lone = Array.fold_left (fun k a -> if a then k else k + 1) 0 alive in
+  let start j =
+    match current.(j) with
+    | { Circuit.kind = Circuit.Gate (g, _); cond = None } -> Some g
+    | _ -> None
+  in
+  let qubits = Array.map Circuit.op_qubits current in
+  let write j m =
+    current.(j) <- Circuit.gate m qubits.(j);
+    true
+  in
+  let s =
+    scan ~wires:c.Circuit.num_qubits ~own:qubits ~start
+      ~commutes:(fun g qs j -> commutes g qs current.(j))
+      ~write alive qubits
+  in
   let remaining = ref [] in
-  for i = n - 1 downto 0 do
+  for i = Array.length current - 1 downto 0 do
     if alive.(i) then remaining := current.(i) :: !remaining
   done;
   ( { c with Circuit.ops = !remaining },
-    { cancelled = !cancelled; merged = !merged; removed_identities = !removed } )
+    { s with removed_identities = lone + s.removed_identities } )
 
 let optimize_fixpoint ?(max_rounds = 16) c =
   let rec go c acc round =

@@ -1,9 +1,11 @@
-(** The circuit optimizer: identity gates (e.g. [rz(0)]) are removed,
-    and inverse (or mergeable) gate pairs on the same qubits are
-    combined when adjacent or separated only by operations they
-    provably commute with — e.g. [x q1; cx q0,q1; x q1] reduces to the
-    CX alone. The circuit-level counterpart of the classical
-    optimizations QIR inherits from LLVM (benchmark E8).
+(** The one commute-or-stop scan and the circuit optimizer built on it.
+    Identity gates (e.g. [rz(0)]) are removed, and inverse (or
+    mergeable) gate pairs on the same qubits are combined when adjacent
+    or separated only by operations they provably commute with — e.g.
+    [x q1; cx q0,q1; x q1] reduces to the CX alone. The circuit-level
+    counterpart of the classical optimizations QIR inherits from LLVM
+    (benchmark E8). The QIR dataflow optimizer ([Qdf_opt]) runs the
+    same {!scan} over its per-block wire index.
 
     The commutation table is conservative: diagonal gates commute with
     each other and through control roles; X-axis gates commute through CX
@@ -34,6 +36,28 @@ type stats = {
   merged : int;  (** pairs merged into one gate or an identity *)
   removed_identities : int;  (** lone identities and identity merges *)
 }
+
+val scan :
+  ?note:(int -> Gate.t -> Gate.t -> combined -> unit) ->
+  wires:int ->
+  own:int list array ->
+  start:(int -> Gate.t option) ->
+  commutes:(Gate.t -> int list -> int -> bool) ->
+  write:(int -> Gate.t -> bool) ->
+  bool array ->
+  int list array ->
+  stats
+(** [scan ~wires ~own ~start ~commutes ~write alive on]: the one
+    commute-or-stop loop over ops [0 .. Array.length on - 1]; [own.(j)]
+    lists the wires (below [wires]) op [j] names, [on.(j)] every wire it
+    may touch. Each op [i] still [alive] that [start] gives an exact
+    gate [g] walks in order the later live ops on its wires [qs]. An op
+    [j] that [start] accepts on exactly [qs] combines with [i] by
+    {!combine}:
+    a cancel or an identity kills both, a merge kills [i] once
+    [write j m] took the merged gate. Any other op is stepped past when
+    [commutes g qs j] and stops the walk when not. [note i g g2 c] hears
+    of each combination; [removed_identities] counts identity merges. *)
 
 val optimize : Circuit.t -> Circuit.t * stats
 (** One pass over the circuit. *)

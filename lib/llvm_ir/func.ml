@@ -82,6 +82,20 @@ let fold_instrs f init g =
     (fun acc b -> List.fold_left g acc b.Block.instrs)
     init f.blocks
 
+(* The one use walk: every local operand of every instruction and
+   terminator, in block order. *)
+let iter_uses f g =
+  let use (o : Operand.typed) =
+    match o.Operand.v with Operand.Local id -> g id | Operand.Const _ -> ()
+  in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun i -> List.iter use (Instr.operands i.Instr.op))
+        b.Block.instrs;
+      List.iter use (Instr.term_operands b.Block.term))
+    f.blocks
+
 (* Number of instructions, a cheap size metric used by benches and the
    inliner's budget. *)
 let size f =

@@ -48,6 +48,10 @@ val replace_blocks : t -> Block.t list -> t
 val iter_instrs : t -> (Instr.t -> unit) -> unit
 val fold_instrs : t -> 'a -> ('a -> Instr.t -> 'a) -> 'a
 
+val iter_uses : t -> (string -> unit) -> unit
+(** [iter_uses f g] calls [g id] for every [Local id] operand of every
+    instruction and terminator, in block order, once per use. *)
+
 val size : t -> int
 (** Instruction count plus one per terminator — the size metric used by
     benches and the inliner's budget. *)

@@ -4,31 +4,11 @@
 open Llvm_ir
 module SSet = Set.Make (String)
 
-let used_locals (f : Func.t) =
-  let used = ref SSet.empty in
-  let add (o : Operand.t) =
-    match o with
-    | Operand.Local name -> used := SSet.add name !used
-    | Operand.Const _ -> ()
-  in
-  List.iter
-    (fun (b : Block.t) ->
-      List.iter
-        (fun (i : Instr.t) ->
-          List.iter
-            (fun (o : Operand.typed) -> add o.Operand.v)
-            (Instr.operands i.Instr.op))
-        b.Block.instrs;
-      List.iter
-        (fun (o : Operand.typed) -> add o.Operand.v)
-        (Instr.term_operands b.Block.term))
-    f.Func.blocks;
-  !used
-
 let run (_m : Ir_module.t) (f : Func.t) : Func.t * bool =
   let changed = ref false in
   let rec fixpoint f =
-    let used = used_locals f in
+    let used = ref SSet.empty in
+    Func.iter_uses f (fun id -> used := SSet.add id !used);
     let died = ref false in
     let blocks =
       List.map
@@ -40,7 +20,7 @@ let run (_m : Ir_module.t) (f : Func.t) : Func.t * bool =
                   Instr.has_side_effect i.Instr.op
                   ||
                   match i.Instr.id with
-                  | Some id -> SSet.mem id used
+                  | Some id -> SSet.mem id !used
                   | None -> true
                 in
                 if not keep then died := true;

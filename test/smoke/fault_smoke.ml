@@ -10,17 +10,24 @@
    must answer [Ok] or [Error] for each. Every mutation that parses and
    verifies then goes through [Qir_parser.parse_with_output], which must
    likewise answer [Ok] or [Error], through the sccp pass, whose output
-   must verify, and through the whole-module lifetime check
+   must verify, through the whole-module lifetime check
    ([Lifetime.check_module], which builds every function's [Summary]
-   on the same dataflow): any exception fails the run. 2000 more
-   mutations of a small classical corpus (loop, phi, select, GEP,
-   switch) give sccp something to fold, under the same rule.
+   on the same dataflow), and through the quantum optimizer
+   ([Qdf_opt.optimize], whose output must verify, and [Qdf_opt.notes],
+   both running the one commute-or-stop scan): any exception fails the
+   run. 2000 more mutations of a small classical corpus (loop, phi,
+   select, GEP, switch) give sccp something to fold, under the same
+   rule.
 
    Last, 2000 seeded mutations of an OpenQASM 2 corpus (Bell, GHZ, a
    conditioned gate after a measurement) go through [Qasm2.parse] and
    [Qir_builder.build]: each must build or raise an exception the error
    taxonomy classifies ([Qir_error.of_exn]); any other exception fails
    the run.
+
+   Then 2000 seeded mutations of NDJSON request lines (submit, stats,
+   quit) go through [Protocol.parse_request], which must answer [Ok] or
+   [Error] for each, as it must for a line of 10^6 nested "[".
 
    Used by CI as a cheap end-to-end robustness gate:
      dune exec test/smoke/fault_smoke.exe *)
@@ -81,16 +88,26 @@ let sccp_folds m =
    whether it reported anything. *)
 let lifetime_finds m = Qir_analysis.Lifetime.check_module m <> []
 
+(* Runs the quantum optimizer and its lint notes on a verified module:
+   whether it changed anything; raises [Failure] when its output does
+   not verify. *)
+let quantum_opt_changes m =
+  let m', changed = Qir_analysis.Qdf_opt.pass.Passes.Pass.mrun m in
+  if Llvm_ir.Verifier.check_module m' <> [] then
+    failwith "quantum-opt output does not verify";
+  ignore (Qir_analysis.Qdf_opt.notes m);
+  changed
+
 (* Every mutation must parse or fail with a parse error, and every one
    that verifies must convert to a circuit or be refused, come out of
-   sccp verified and through the lifetime check; returns how many raised
-   anything else. *)
+   sccp and the quantum optimizer verified and through the lifetime
+   check; returns how many raised anything else. *)
 let mutate_texts texts =
   let texts = Array.of_list texts in
   let rng = Rng.create 2024 in
   let ok = ref 0 and rejected = ref 0 and raised = ref 0 in
   let verified = ref 0 and circuits = ref 0 and refused = ref 0 in
-  let folded = ref 0 and found = ref 0 in
+  let folded = ref 0 and found = ref 0 and optimized = ref 0 in
   let report i e =
     incr raised;
     if !raised <= 5 then
@@ -110,8 +127,11 @@ let mutate_texts texts =
         (match sccp_folds m with
         | changed -> if changed then incr folded
         | exception e -> report i e);
-        match lifetime_finds m with
+        (match lifetime_finds m with
         | finds -> if finds then incr found
+        | exception e -> report i e);
+        match quantum_opt_changes m with
+        | changed -> if changed then incr optimized
         | exception e -> report i e
       end)
     | Error _ -> incr rejected
@@ -124,6 +144,8 @@ let mutate_texts texts =
   Printf.printf "sccp: %d verified mutations, %d folded\n" !verified !folded;
   Printf.printf "lifetime: %d verified mutations, %d with findings\n" !verified
     !found;
+  Printf.printf "quantum-opt: %d verified mutations, %d changed\n" !verified
+    !optimized;
   !raised
 
 (* Classical control flow, where sccp has something to fold: a counted
@@ -217,6 +239,41 @@ let mutate_qasm () =
     mutations !built !classified !raised;
   !raised
 
+let request_corpus =
+  [
+    {|{"op":"submit","tenant":"hot","program":"define void @main() {\nentry:\n  ret void\n}","shots":100,"seed":7,"id":"j1"}|};
+    {|{"op":"submit","tenant":"cold","file":"examples/bell_static.ll","backend":"faulty:0.05","timeout":2.5}|};
+    {|{"op":"submit","tenant":"t","program":"p","backend":"stabilizer","shots":1e3,"seed":-1}|};
+    {|{"op":"stats"}|};
+    {|{"op":"quit"}|};
+  ]
+
+(* Every request mutation, and a line of 10^6 nested "[", must answer
+   [Ok] or [Error]; returns how many raised (or, for the nested line,
+   answered [Ok]). *)
+let mutate_requests () =
+  let texts = Array.of_list request_corpus in
+  let rng = Rng.create 2027 in
+  let ok = ref 0 and errors = ref 0 and raised = ref 0 in
+  let report what e =
+    incr raised;
+    if !raised <= 5 then Printf.eprintf "%s: %s\n" what (Printexc.to_string e)
+  in
+  for i = 0 to mutations - 1 do
+    let line = mutate rng texts.(i mod Array.length texts) in
+    match Qservice.Protocol.parse_request line with
+    | Ok _ -> incr ok
+    | Error _ -> incr errors
+    | exception e -> report (Printf.sprintf "request mutation %d" i) e
+  done;
+  (match Qservice.Protocol.parse_request (String.make 1_000_000 '[') with
+  | Error _ -> ()
+  | Ok _ -> report "nested request" (Failure "answered Ok")
+  | exception e -> report "nested request" e);
+  Printf.printf "request fuzz: %d mutations, %d ok, %d errors, %d raised\n"
+    mutations !ok !errors !raised;
+  !raised
+
 let () =
   let spec =
     match Qsim.Faulty.spec_of_string "0.01" with
@@ -276,5 +333,8 @@ let () =
   let raised = mutate_texts (List.rev !texts) in
   let sccp_raised = mutate_classical () in
   let qasm_raised = mutate_qasm () in
-  if !failures > 0 || raised > 0 || sccp_raised > 0 || qasm_raised > 0 then
-    exit 1
+  let request_raised = mutate_requests () in
+  if
+    !failures > 0 || raised > 0 || sccp_raised > 0 || qasm_raised > 0
+    || request_raised > 0
+  then exit 1

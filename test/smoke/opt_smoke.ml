@@ -12,7 +12,10 @@
       (dynamic builder output is ineligible until promotion proves it
       static);
    4. robustness — any exception anywhere in the pipeline is a failure;
-      there is no error taxonomy for an optimizer crash.
+      there is no error taxonomy for an optimizer crash;
+   5. agreement — the gate list quantum-opt leaves equals the one the
+      circuit optimizer ([Commute_opt.optimize_fixpoint]) leaves on the
+      source's parsed circuit: both run the one commute-or-stop scan.
 
    Used by CI:  dune exec test/smoke/opt_smoke.exe *)
 
@@ -51,6 +54,12 @@ let circuit ~redundant ~seed n =
   done;
   Circuit.Build.finish b
 
+let gates (c : Circuit.t) =
+  List.filter
+    (fun (op : Circuit.op) ->
+      match op.Circuit.kind with Circuit.Gate _ -> true | _ -> false)
+    c.Circuit.ops
+
 let eligible m = Qruntime.Gate_tape.extract m <> None
 
 let run_histogram ~seed m =
@@ -63,6 +72,7 @@ let () =
   let gates_after = ref 0 in
   let eligible_before = ref 0 in
   let eligible_after = ref 0 in
+  let agree = ref 0 in
   for i = 0 to 29 do
     let seed = 7000 + i in
     let n = 2 + (i mod 4) in
@@ -95,13 +105,18 @@ let () =
               if e0 && not e1 then
                 fail "%s: optimizer lost gate-tape eligibility" tag;
               if run_histogram ~seed m <> run_histogram ~seed m' then
-                fail "%s: histogram not bit-identical" tag
+                fail "%s: histogram not bit-identical" tag;
+              let c, _ = Commute_opt.optimize_fixpoint (Qir.Qir_parser.parse m) in
+              if gates (Qir.Qir_parser.parse m') = gates c then incr agree
+              else fail "%s: quantum-opt and the circuit optimizer disagree" tag
             with e -> fail "%s: exception %s" tag (Printexc.to_string e))
           [ false; true ])
       [ `Static; `Dynamic ]
   done;
   Printf.printf "opt smoke: %d modules, gates %d -> %d, tape-eligible %d -> %d\n"
     !total !gates_before !gates_after !eligible_before !eligible_after;
+  Printf.printf "opt smoke: quantum-opt and the circuit optimizer agree on %d/%d\n"
+    !agree !total;
   if !gates_after >= !gates_before then
     fail "corpus: no gate-count reduction (%d -> %d)" !gates_before !gates_after;
   if !eligible_after <= !eligible_before then
