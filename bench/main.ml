@@ -1552,7 +1552,7 @@ let e11 () =
             let name = Printf.sprintf "%dq/%dg %s" n gates style in
             let t =
               Harness.time_ns name (fun () ->
-                  ignore (Qir_analysis.Lint.run ~notes:false m))
+                  ignore (Qir_analysis.Lint.run ~notes:false (Qir_analysis.Analyses.of_module m)))
             in
             Harness.row "  %-28s %8d %12s %12s@\n" name instrs
               (Harness.ns_to_string t)
@@ -1660,16 +1660,16 @@ let e12 () =
         let name = Printf.sprintf "%df/%dq" nfuncs qubits in
         let t_sum =
           Harness.time_ns (name ^ " summaries") (fun () ->
-              let cg = Qir_analysis.Call_graph.build m in
-              ignore (Qir_analysis.Summary.of_module ~call_graph:cg m))
+              ignore
+                Qir_analysis.(Analyses.summaries (Analyses.of_module m)))
         in
         let t_ipo =
           Harness.time_ns (name ^ " ipo") (fun () ->
-              ignore (Qir_analysis.Lint.run ~notes:false ~ipo:true m))
+              ignore (Qir_analysis.Lint.run ~notes:false ~ipo:true (Qir_analysis.Analyses.of_module m)))
         in
         let t_intra =
           Harness.time_ns (name ^ " intra") (fun () ->
-              ignore (Qir_analysis.Lint.run ~notes:false ~ipo:false m))
+              ignore (Qir_analysis.Lint.run ~notes:false ~ipo:false (Qir_analysis.Analyses.of_module m)))
         in
         let per_func = t_sum /. float_of_int nfuncs in
         Harness.row "  %-14s %8d %12s %10s %12s %12s %6.1fx@\n" name instrs
@@ -2130,7 +2130,7 @@ let e17 () =
             let name = Printf.sprintf "%dq/%dg %s" n gates style in
             let t =
               Harness.time_ns name (fun () ->
-                  ignore (Qir_analysis.Resource.certify m))
+                  ignore Qir_analysis.(Resource.certify (Analyses.of_module m)))
             in
             Harness.row "  %-28s %8d %12s %12s@\n" name instrs
               (Harness.ns_to_string t)
@@ -2145,7 +2145,7 @@ let e17 () =
   let rejected = function Error _ -> () | Ok _ -> assert false in
   let t_cert =
     Harness.time_ns "cert-reject" (fun () ->
-        let cert = Qir_analysis.Resource.certify tall in
+        let cert = Qir_analysis.(Resource.certify (Analyses.of_module tall)) in
         rejected
           (Qservice.Admission.check ~cert ~budget ~backend:`Statevector tall))
   in

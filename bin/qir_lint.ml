@@ -60,12 +60,13 @@ let run input format werror notes ipo call_graph resources qubit_cap deadline
     in
     (* certification assumes verifier-clean input: a QV001 module gets
        its findings and no certificate *)
+    let analyses = Qir_analysis.Analyses.of_module m in
     let cert =
       if resources && Qir_analysis.Lint.verifier_findings m = [] then
-        Some (Qir_analysis.Resource.certify m)
+        Some (Qir_analysis.Resource.certify analyses)
       else None
     in
-    let ds = Qir_analysis.Lint.run ~notes ~ipo ?resources:ropts ?cert m in
+    let ds = Qir_analysis.Lint.run ~notes ~ipo ?resources:ropts analyses in
     (match cert, format with
     | Some cert, `Text ->
       Format.printf "%a" Qir_analysis.Diagnostic.render_text ds;

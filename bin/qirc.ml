@@ -43,9 +43,10 @@ let run input passes lower optimize opt_quantum check addressing emit verify
      reported and exit through the unified error taxonomy (Verify kind,
      exit 3) *)
   if verify then Cli_common.verify_or_exit m;
+  let analyses = Qir_analysis.Analyses.of_module m in
   (* 5. lint *)
   if lint then begin
-    let ds = Qir_analysis.Lint.run m in
+    let ds = Qir_analysis.Lint.run analyses in
     Format.eprintf "%a" Qir_analysis.Diagnostic.render_text ds;
     let failing =
       List.exists
@@ -66,7 +67,7 @@ let run input passes lower optimize opt_quantum check addressing emit verify
      emitted program on stdout stays clean. Errors (QR001 with a
      proven bound over the cap) fail like --lint. *)
   if resources then begin
-    let cert = Qir_analysis.Resource.certify m in
+    let cert = Qir_analysis.Resource.certify analyses in
     let opts =
       {
         Qir_analysis.Resource_lint.default_opts with

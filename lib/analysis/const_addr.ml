@@ -16,16 +16,13 @@ module Sccp = Passes.Sccp
    terminates; the round bound guards pathological inputs. A function
    whose parameters are still Unknown at the fixpoint has no reached
    call site — it is re-solved with Varying parameters so its facts
-   never rest on optimism nobody justified. *)
+   never rest on optimism nobody justified. Each function is solved once
+   per seed array it reaches. *)
 
-type module_facts = {
-  per_func : (string, Sccp.solution) Hashtbl.t;
-  param_lats : (string, Sccp.lattice array) Hashtbl.t;
-}
+(* Each function's last seeds and their solution. *)
+type module_facts = (string, Sccp.lattice array * Sccp.solution) Hashtbl.t
 
-let func_facts (mf : module_facts) name = Hashtbl.find mf.per_func name
-let param_lattices (mf : module_facts) name =
-  Hashtbl.find_opt mf.param_lats name
+let func_facts (mf : module_facts) name = snd (Hashtbl.find mf name)
 
 (* [k acc b i callee args] over every call in a reached block of [f]. *)
 let fold_calls sol (f : Func.t) init k =
@@ -49,7 +46,10 @@ let call_args (f : Func.t) sol =
         let lat (a : Operand.typed) = Sccp.lattice_of sol a.Operand.v in
         (callee, List.map lat args) :: acc)
 
-let analyze_module (m : Ir_module.t) : module_facts =
+(* [plain f] is [f]'s solve with every parameter Varying: the seeds of a
+   root, and of any function whose seeds all went Varying. *)
+let analyze_module (plain : Func.t -> Sccp.solution) (m : Ir_module.t) :
+    module_facts =
   let defined = Ir_module.defined_funcs m in
   let entry =
     match Ir_module.entry_point m with
@@ -70,9 +70,16 @@ let analyze_module (m : Ir_module.t) : module_facts =
     defined;
   let per_func = Hashtbl.create 8 in
   let resolve (f : Func.t) =
-    let sol = Sccp.solve ~params:(Hashtbl.find param_lats f.Func.name) f in
-    Hashtbl.replace per_func f.Func.name sol;
-    sol
+    let seeds = Hashtbl.find param_lats f.Func.name in
+    match Hashtbl.find_opt per_func f.Func.name with
+    | Some (solved, sol) when Array.for_all2 Sccp.equal solved seeds -> sol
+    | _ ->
+      let sol =
+        if Array.for_all (Sccp.equal Sccp.Varying) seeds then plain f
+        else Sccp.solve ~params:seeds f
+      in
+      Hashtbl.replace per_func f.Func.name (Array.copy seeds, sol);
+      sol
   in
   let changed = ref true and rounds = ref 0 in
   let bound = (3 * List.length defined) + 3 in
@@ -107,7 +114,7 @@ let analyze_module (m : Ir_module.t) : module_facts =
         ignore (resolve f)
       end)
     defined;
-  { per_func; param_lats }
+  per_func
 
 (* Is this operand, used at a qubit/result position, a proved-constant
    address that is *not* already spelled as one? *)
@@ -131,10 +138,7 @@ type summary = {
   dynamic : int;
 }
 
-let fold_quantum_args ?module_facts (m : Ir_module.t) init k =
-  let mf =
-    match module_facts with Some mf -> mf | None -> analyze_module m
-  in
+let fold_quantum_args mf (m : Ir_module.t) init k =
   List.fold_left
     (fun acc (f : Func.t) ->
       if Func.is_declaration f then acc
@@ -152,8 +156,8 @@ let fold_quantum_args ?module_facts (m : Ir_module.t) init k =
             | None -> acc))
     init m.Ir_module.funcs
 
-let summarize ?module_facts (m : Ir_module.t) : summary =
-  fold_quantum_args ?module_facts m
+let summarize mf (m : Ir_module.t) : summary =
+  fold_quantum_args mf m
     { total_args = 0; syntactic_static = 0; proved_static = 0; dynamic = 0 }
     (fun acc facts _f _b _i (a : Operand.typed) ->
       let acc = { acc with total_args = acc.total_args + 1 } in
@@ -168,9 +172,8 @@ let summarize ?module_facts (m : Ir_module.t) : summary =
 (* Rewrites every proved-constant qubit/result operand into its constant
    spelling. Returns the module and the number of upgraded operands; the
    address computations left behind are dead and fall to plain DCE. *)
-let rewrite (m : Ir_module.t) : Ir_module.t * int =
+let rewrite mf (m : Ir_module.t) : Ir_module.t * int =
   let upgraded = ref 0 in
-  let mf = analyze_module m in
   let upgrade facts (i : Instr.t) =
     match i.Instr.op with
     | Instr.Call (ret, callee, args) -> (
@@ -205,9 +208,9 @@ let rewrite (m : Ir_module.t) : Ir_module.t * int =
 
 (* QA001 notes for the lint driver: addresses that look dynamic but are
    proved static. *)
-let notes ?module_facts (m : Ir_module.t) : Diagnostic.t list =
+let notes mf (m : Ir_module.t) : Diagnostic.t list =
   List.rev
-    (fold_quantum_args ?module_facts m []
+    (fold_quantum_args mf m []
        (fun acc facts f b i (a : Operand.typed) ->
          match proved_address facts a.Operand.v with
          | Some c ->

@@ -39,47 +39,30 @@ let verifier_findings (m : Ir_module.t) : Diagnostic.t list =
         ~where:v.Verifier.where "%s" v.Verifier.what)
     (Verifier.check_module m)
 
-(* [cert], when given, is [m]'s certificate, computed by the caller. *)
-let run ?(notes = true) ?(ipo = true) ?resources ?cert (m : Ir_module.t) :
+let run ?(notes = true) ?(ipo = true) ?resources (a : Analyses.t) :
     Diagnostic.t list =
+  let m = Analyses.ir a in
+  let notes_of () =
+    if notes then Const_addr.notes (Analyses.const_facts a) m @ Qdf_opt.notes a
+    else []
+  in
   let resource_findings () =
     match resources with
     | None -> []
-    | Some opts ->
-      let cert =
-        match cert with Some c -> c | None -> Resource.certify m
-      in
-      Resource_lint.check ~opts cert
+    | Some opts -> Resource_lint.check ~opts (Resource.certify a)
   in
   match verifier_findings m with
   | _ :: _ as structural -> structural
   | [] ->
-    if ipo then begin
-      let cg = Call_graph.build m in
-      let summaries = Summary.of_module ~call_graph:cg m in
-      Call_graph.findings cg
-      @ Lifetime.check_module ~summaries m
-      @ Quantum_dce.findings ~summaries m
-      @ (if notes then Const_addr.notes m else [])
-      @ (if notes then Qdf_opt.notes m else [])
+    if ipo then
+      Call_graph.findings (Analyses.call_graph a)
+      @ Lifetime.check_module a
+      @ Quantum_dce.findings a ~ipo:true
+      @ notes_of ()
       @ resource_findings ()
-    end
-    else begin
+    else
       (* entry point only, every call opaque: the pre-interprocedural
          behavior *)
-      let no_summaries : Summary.table = Hashtbl.create 0 in
-      let entry =
-        match Ir_module.entry_point m with
-        | Some f when not (Func.is_declaration f) ->
-          Lifetime.check_func ~summaries:no_summaries ~is_entry:true f
-        | _ -> []
-      in
-      entry
-      @ Quantum_dce.findings ~summaries:no_summaries m
-      @ (if notes then Const_addr.notes m else [])
-      @ (if notes then Qdf_opt.notes m else [])
-      @ resource_findings ()
-    end
-
-let has_errors ds = Diagnostic.errors ds > 0
-let has_findings ds = ds <> []
+      Lifetime.check_entry a
+      @ Quantum_dce.findings a ~ipo:false
+      @ notes_of () @ resource_findings ()

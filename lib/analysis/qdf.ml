@@ -207,9 +207,9 @@ let classify vt facts (i : Instr.t) : ekind =
 (* ------------------------------------------------------------------ *)
 (* View construction                                                   *)
 
-let of_func (f : Func.t) : t =
-  let vt = Value_track.of_func f in
-  let facts = Passes.Sccp.solve f in
+(* [vt] and [facts] are [f]'s solves, or those of a function [f] was
+   rewritten from without changing any SSA value. *)
+let of_func vt facts (f : Func.t) : t =
   let events =
     List.map
       (fun (b : Block.t) ->

@@ -333,12 +333,15 @@ let hoist_block (qdf : Qdf.t) ~fname ~uses ~emit counters (b : Block.t) :
 (* ------------------------------------------------------------------ *)
 (* Per-function driver                                                  *)
 
-let optimize_func ~emit ~is_entry counters (f : Func.t) : Func.t =
-  let rec rounds n f =
+(* Rounds delete, merge and move void calls only, so every round keeps
+   [f]'s solves: only the events are classified again. *)
+let optimize_func (a : Analyses.t) ~emit ~is_entry counters (f : Func.t) :
+    Func.t =
+  let rec rounds vt facts n f =
     if n = 0 then f
     else begin
       let changed = ref false in
-      let qdf = Qdf.of_func f in
+      let qdf = Qdf.of_func vt facts f in
       let f =
         match rewrite_thresholds qdf ~is_entry f with
         | None -> f
@@ -361,7 +364,7 @@ let optimize_func ~emit ~is_entry counters (f : Func.t) : Func.t =
           in
           Func.replace_blocks f blocks
       in
-      let qdf = Qdf.of_func f in
+      let qdf = Qdf.of_func vt facts f in
       let uses = use_counts f in
       let blocks =
         List.map
@@ -376,10 +379,11 @@ let optimize_func ~emit ~is_entry counters (f : Func.t) : Func.t =
           f.Func.blocks
       in
       let f = Func.replace_blocks f blocks in
-      if !changed then rounds (n - 1) f else f
+      if !changed then rounds vt facts (n - 1) f else f
     end
   in
-  if Func.is_declaration f then f else rounds 8 f
+  if Func.is_declaration f then f
+  else rounds (Analyses.value_track a f) (Analyses.sccp a f) 8 f
 
 (* ------------------------------------------------------------------ *)
 (* Static promotion                                                     *)
@@ -390,8 +394,10 @@ exception Refuse
    the runtime allocator's index assignment in program order; [None] if
    anything is unprovable. The rewritten module addresses exactly the
    sim qubits the dynamic one did, so every shot histogram is
-   bit-identical — and the result is gate-tape eligible. *)
-let promote (m : Ir_module.t) : (Ir_module.t * int) option =
+   bit-identical — and the result is gate-tape eligible. [m] is [a]'s
+   module or the rounds' rewrite of it, which keeps every SSA value of
+   the entry: [a]'s solves of the entry answer for it. *)
+let promote (a : Analyses.t) (m : Ir_module.t) : (Ir_module.t * int) option =
   match Ir_module.entry_point m with
   | None -> None
   | Some entry when Func.is_declaration entry || entry.Func.params <> [] ->
@@ -414,22 +420,21 @@ let promote (m : Ir_module.t) : (Ir_module.t * int) option =
     if not dynamic then None
     else (
       try
-        let cg = Call_graph.build m in
+        let cg = Analyses.call_graph a in
         if Call_graph.callees cg entry.Func.name <> [] then raise Refuse;
         if Call_graph.is_recursive cg entry.Func.name then raise Refuse;
-        if
-          List.exists
-            (fun (d : Diagnostic.t) ->
-              d.Diagnostic.severity = Diagnostic.Error)
-            (Lifetime.check_module m)
-        then raise Refuse;
+        let solved =
+          match Ir_module.entry_point (Analyses.ir a) with
+          | Some f -> f
+          | None -> raise Refuse
+        in
+        let vt = Analyses.value_track a solved in
+        let facts = Analyses.sccp a solved in
         let chain =
           match Func.straight_chain entry with
           | Some c -> c
           | None -> raise Refuse
         in
-        let vt = Value_track.of_func entry in
-        let facts = Passes.Sccp.solve entry in
         let syn_addr (o : Operand.t) =
           match o with
           | Operand.Const Constant.Null -> Some 0L
@@ -677,31 +682,41 @@ let promote (m : Ir_module.t) : (Ir_module.t * int) option =
         (* proof-carrying guard: no surviving use of a deleted def *)
         Func.iter_uses entry' (fun id ->
             if Hashtbl.mem deleted id then raise Refuse);
-        if !rewrites = 0 then None
+        if !rewrites = 0 then raise Refuse;
+        (* a definite qubit/result misuse in the entry would fault at
+           runtime, whatever its addressing *)
+        if
+          List.exists
+            (fun (d : Diagnostic.t) ->
+              d.Diagnostic.severity = Diagnostic.Error)
+            (if entry == solved then Lifetime.check_entry a
+             else Lifetime.check_func vt entry)
+        then None
         else Some (Ir_module.replace_func m entry', !rewrites)
       with Refuse -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Module pass                                                          *)
 
-let null_emit (_ : Diagnostic.t) = ()
-
-let optimize (m : Ir_module.t) : Ir_module.t * stats =
-  let gates_before = gate_count m in
+(* Every function's rounds over [a]'s module, and what they did. *)
+let run (a : Analyses.t) ~emit =
   let counters = { cancelled = 0; merged = 0; hoisted = 0 } in
   let entry_name =
-    match Ir_module.entry_point m with
-    | Some f -> Some f.Func.name
-    | None -> None
+    Option.map (fun (f : Func.t) -> f.Func.name)
+      (Ir_module.entry_point (Analyses.ir a))
   in
   let m =
-    Ir_module.map_funcs m (fun f ->
-        optimize_func ~emit:null_emit
-          ~is_entry:(entry_name = Some f.Func.name)
+    Ir_module.map_funcs (Analyses.ir a) (fun f ->
+        optimize_func a ~emit ~is_entry:(entry_name = Some f.Func.name)
           counters f)
   in
+  (m, counters)
+
+let optimize (m : Ir_module.t) : Ir_module.t * stats =
+  let a = Analyses.of_module m in
+  let m, counters = run a ~emit:(fun _ -> ()) in
   let m, promoted =
-    match promote m with Some (m', np) -> (m', np) | None -> (m, 0)
+    match promote a m with Some (m', np) -> (m', np) | None -> (m, 0)
   in
   let m = Signatures.add_missing_declarations m in
   ( m,
@@ -710,39 +725,27 @@ let optimize (m : Ir_module.t) : Ir_module.t * stats =
       s_merged = counters.merged;
       s_hoisted = counters.hoisted;
       s_promoted = promoted;
-      s_gates_before = gates_before;
+      s_gates_before = gate_count (Analyses.ir a);
       s_gates_after = gate_count m;
     } )
 
-(* Lint integration: the same machinery in dry-run, emitting QO notes. *)
-let notes (m : Ir_module.t) : Diagnostic.t list =
+(* Lint integration: the same machinery in dry-run, emitting QO notes;
+   promotion is judged on the module as written. *)
+let notes (a : Analyses.t) : Diagnostic.t list =
   let acc = ref [] in
   let emit d = acc := d :: !acc in
-  let counters = { cancelled = 0; merged = 0; hoisted = 0 } in
-  let entry_name =
-    match Ir_module.entry_point m with
-    | Some f -> Some f.Func.name
-    | None -> None
-  in
-  ignore
-    (Ir_module.map_funcs m (fun f ->
-         optimize_func ~emit ~is_entry:(entry_name = Some f.Func.name)
-           counters f));
-  (match promote m with
-  | Some (_, np) -> (
-    match Ir_module.entry_point m with
-    | Some entry when not (Func.is_declaration entry) ->
-      let where =
-        Printf.sprintf "@%s %%%s" entry.Func.name
-          (Func.entry entry).Block.label
-      in
-      emit
-        (Diagnostic.make ~rule:"QO004" ~severity:Diagnostic.Note ~where
-           "entry point provably lowers to static addressing (%d dynamic \
-            operand(s)/instruction(s) rewritten)"
-           np)
-    | _ -> ())
-  | None -> ());
+  ignore (run a ~emit);
+  (match promote a (Analyses.ir a), Ir_module.entry_point (Analyses.ir a) with
+  | Some (_, np), Some entry when not (Func.is_declaration entry) ->
+    let where =
+      Printf.sprintf "@%s %%%s" entry.Func.name (Func.entry entry).Block.label
+    in
+    emit
+      (Diagnostic.make ~rule:"QO004" ~severity:Diagnostic.Note ~where
+         "entry point provably lowers to static addressing (%d dynamic \
+          operand(s)/instruction(s) rewritten)"
+         np)
+  | _ -> ());
   List.rev !acc
 
 let mrun (m : Ir_module.t) =

@@ -156,13 +156,10 @@ type result = {
   dead : (string * Instr.t) list;  (* (block label, instruction) *)
 }
 
-let analyze_func ?(summaries : Summary.table = Hashtbl.create 0) (f : Func.t) :
-    result =
+(* [vt] must see the fresh-qubit callees [summaries] knows of. *)
+let analyze_func (summaries : Summary.table) vt (f : Func.t) : result =
   if Func.is_declaration f then { dead = [] }
   else begin
-    let vt =
-      Value_track.of_func ~fresh_fns:(Summary.fresh_fns_of summaries) f
-    in
     let used = ref SSet.empty in
     Func.iter_uses f (fun id -> used := SSet.add id !used);
     let used = !used in
@@ -191,17 +188,20 @@ let analyze_func ?(summaries : Summary.table = Hashtbl.create 0) (f : Func.t) :
     { dead = !dead }
   end
 
-let analyze ?summaries (m : Ir_module.t) : result =
-  let summaries =
-    match summaries with Some s -> s | None -> Summary.of_module m
-  in
-  match Ir_module.entry_point m with
-  | Some f when not (Func.is_declaration f) -> analyze_func ~summaries f
+(* The entry point's dead instructions; [~ipo:false] sees every call to
+   a defined function as external code. *)
+let analyze (a : Analyses.t) ~ipo : result =
+  match Ir_module.entry_point (Analyses.ir a) with
+  | Some f when not (Func.is_declaration f) ->
+    if ipo then
+      analyze_func (Analyses.summaries a)
+        (Analyses.lifetime a f.Func.name).Analyses.vt f
+    else analyze_func (Hashtbl.create 0) (Analyses.value_track a f) f
   | _ -> { dead = [] }
 
-let findings ?summaries (m : Ir_module.t) : Diagnostic.t list =
+let findings (a : Analyses.t) ~ipo : Diagnostic.t list =
   let entry_name =
-    match Ir_module.entry_point m with
+    match Ir_module.entry_point (Analyses.ir a) with
     | Some f -> f.Func.name
     | None -> "main"
   in
@@ -217,7 +217,7 @@ let findings ?summaries (m : Ir_module.t) : Diagnostic.t list =
         Diagnostic.make ~rule:"QD001" ~severity:Diagnostic.Warning ~where
           "'%s' affects no measured or recorded qubit"
           (Printer.instr_to_string i))
-    (analyze ?summaries m).dead
+    (analyze a ~ipo).dead
 
 (* ------------------------------------------------------------------ *)
 (* The quantum-dce pass: dead entry instructions plus defined functions
@@ -242,12 +242,12 @@ let remove_dead_instrs (f : Func.t) (dead : (string * Instr.t) list) : Func.t =
   Func.replace_blocks f blocks
 
 let mrun (m : Ir_module.t) : Ir_module.t * bool =
-  let cg = Call_graph.build m in
-  let summaries = Summary.of_module ~call_graph:cg m in
+  let a = Analyses.of_module m in
+  let cg = Analyses.call_graph a in
   let m, changed_funcs =
     match Ir_module.entry_point m with
     | Some f when not (Func.is_declaration f) -> (
-      match (analyze_func ~summaries f).dead with
+      match (analyze a ~ipo:true).dead with
       | [] -> (m, false)
       | dead -> (Ir_module.replace_func m (remove_dead_instrs f dead), true))
     | _ -> (m, false)

@@ -410,8 +410,8 @@ let block_cost env vt facts fl (b : Block.t) : cost =
 
 exception Bail
 
-let analyze_func env (f : Func.t) : fsum =
-  let vt = Value_track.of_func f and facts = Passes.Sccp.solve f in
+let analyze_func a env (f : Func.t) : fsum =
+  let vt = Analyses.value_track a f and facts = Analyses.sccp a f in
   let cfg = Cfg.of_func f in
   let fl =
     { unknown = false; qp_used = Array.make (List.length f.Func.params) false }
@@ -650,13 +650,11 @@ let analyze_func env (f : Func.t) : fsum =
 (* ------------------------------------------------------------------ *)
 (* Interprocedural driver                                              *)
 
-(* Bottom-up over the call-graph condensation, exactly like
-   {!Summary.of_module}: non-recursive functions see their callees'
-   finished summaries; recursive SCCs get the opaque top. *)
-let summarize ?call_graph (m : Ir_module.t) : fsum SMap.t =
-  let cg =
-    match call_graph with Some cg -> cg | None -> Call_graph.build m
-  in
+(* Bottom-up over the call-graph condensation, like the lifetime
+   summaries: non-recursive functions see their callees' finished
+   summaries; recursive SCCs get the opaque top. *)
+let summarize (a : Analyses.t) : fsum SMap.t =
+  let m = Analyses.ir a and cg = Analyses.call_graph a in
   List.fold_left
     (fun env scc ->
       let recursive =
@@ -671,7 +669,7 @@ let summarize ?call_graph (m : Ir_module.t) : fsum SMap.t =
             let s =
               if recursive then
                 opaque_fsum fname (List.length f.Func.params)
-              else analyze_func env f
+              else analyze_func a env f
             in
             SMap.add fname s env
           | Some _ | None -> env)
@@ -718,11 +716,9 @@ let normalize (m : Ir_module.t) : Ir_module.t =
     ]
     m
 
-let certify ?call_graph (m : Ir_module.t) : t =
-  let source_name = m.Ir_module.source_name in
-  let m = normalize m in
-  let m = { m with Ir_module.source_name } in
-  let table = summarize ?call_graph m in
+let certify (a : Analyses.t) : t =
+  let m = normalize (Analyses.ir a) in
+  let table = summarize (Analyses.with_module a m) in
   let entry = Ir_module.entry_point m in
   let declared = match entry with Some f -> declared_qubits f | None -> 0 in
   let esum =

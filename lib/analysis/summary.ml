@@ -13,22 +13,23 @@
    - whether every return hands the caller a freshly allocated qubit
      (the call site then becomes an allocation site in the caller).
 
-   Summaries are computed in the bottom-up SCC order of the call graph,
-   so a callee's summary is always ready when its callers are
+   {!Analyses} solves functions in the bottom-up SCC order of the call
+   graph, so a callee's summary is always ready when its callers are
    summarized. Functions in recursive components, and functions calling
    external classical code we cannot see, get the [opaque] summary:
    every may-effect set to true, every must-effect and every
    report-driving flag set to false — consumers stay silent rather than
    guess. Clients: {!Lifetime} (cross-call QL001/QL002/QL003/QL004),
-   {!Quantum_dce} (QD002 dead calls), {!Qhybrid.Classify}/[Partition]
-   and {!Qir.Profile_check}.
+   {!Quantum_dce} (QD002 dead calls) and {!Qhybrid.Classify}/[Partition].
 
    Two passes build a summary: pass A folds the order-insensitive flags;
-   pass B is the module's qubit-lifetime dataflow, which {!Lifetime}
-   reuses with its own hooks. *)
+   pass B is the module's qubit-lifetime dataflow. {!solve_func} replays
+   pass B once per function, recording the summary and reporting the
+   lifetime findings from the same walk, so both share one solve. *)
 
 open Llvm_ir
 module TMap = Map.Make (Int)
+module ISet = Set.Make (Int)
 module I64Set = Set.Make (Int64)
 
 (* Allocation-site tokens: non-negative ids are the function's own
@@ -87,9 +88,6 @@ type t = {
   controller_ok : bool;  (* expressible in controller operations *)
   recursive : bool;
   opaque : bool;  (* recursive or calls code we cannot summarize *)
-  const_params : Passes.Sccp.lattice array;
-      (* interprocedural constant-address lattice each parameter settled
-         at: [Cst c] = provably that constant at every reached call site *)
 }
 
 let opaque_summary ?(recursive = false) fname nparams =
@@ -112,7 +110,6 @@ let opaque_summary ?(recursive = false) fname nparams =
     controller_ok = false;
     recursive;
     opaque = true;
-    const_params = Array.make nparams Passes.Sccp.Varying;
   }
 
 (* No quantum effect whatsoever: removable (when also side-effect-free
@@ -295,10 +292,10 @@ let pass_a (table : table) vt (f : Func.t) : flags =
    anything, so every report stays definite.
 
    {!replay} solves a function forward on {!Dataflow.Forward}, then
-   walks the fixpoint once with a set of {!hooks} and a callback at each
-   [ret]: {!summarize_func} records the reads not preceded by a
-   measurement and the facts at each [ret]; {!Lifetime} reports
-   QL001/QL002/QL004 from the hooks and QL003 at each [ret].            *)
+   walks the fixpoint once, handing each {!event} and the fact at each
+   [ret] to {!solve_func}: it records the reads not preceded by a
+   measurement and the facts at each [ret], reports QL001/QL002/QL004
+   from the events and QL003 at each [ret].                             *)
 
 module RSet = Set.Make (struct
   type t = Value_track.rref
@@ -336,23 +333,13 @@ end
 
 module Engine = Dataflow.Forward (Fact)
 
-(* What the replay reports, each with the block label and the callee: a
-   quantum use of a qubit whose token is released on every path here; a
-   release of such a token; a read of a result measured on no path
-   here. Without a [use_released] hook the transfer does not resolve the
-   qubits a quantum call consumes at all. *)
-type hooks = {
-  use_released : (string -> string -> Value_track.qref -> unit) option;
-  double_release : string -> string -> int -> unit;
-  unmeasured_read : string -> string -> Value_track.rref -> unit;
-}
-
-let silent =
-  {
-    use_released = None;
-    double_release = (fun _ _ _ -> ());
-    unmeasured_read = (fun _ _ _ -> ());
-  }
+(* What the replay reports to its handler, with the block label and the
+   callee. While solving there is no handler ([None]), and the transfer
+   does not resolve the qubits a quantum call consumes at all. *)
+type event =
+  | Use_released of Value_track.qref  (* released on every path here *)
+  | Double_release of int  (* of a token released on every path here *)
+  | Unmeasured_read of Value_track.rref  (* measured on no path here *)
 
 let released (fact : Fact.t) token =
   match TMap.find_opt token fact.Fact.q with
@@ -365,12 +352,14 @@ let live_site vt id (fact : Fact.t) =
   | None -> fact
 
 let use h label callee fact (q : Value_track.qref) =
-  match h.use_released, qref_token q with
-  | Some report, Some t when released fact t -> report label callee q
+  match h, qref_token q with
+  | Some h, Some t when released fact t -> h label callee (Use_released q)
   | _ -> ()
 
 let release h label callee (fact : Fact.t) token =
-  if released fact token then h.double_release label callee token;
+  (match h with
+  | Some h when released fact token -> h label callee (Double_release token)
+  | _ -> ());
   { fact with Fact.q = TMap.add token Released fact.Fact.q }
 
 let measure (fact : Fact.t) (r : Value_track.rref) =
@@ -379,8 +368,11 @@ let measure (fact : Fact.t) (r : Value_track.rref) =
   | r -> { fact with Fact.measured = RSet.add r fact.Fact.measured }
 
 let read h label callee (fact : Fact.t) (r : Value_track.rref) =
-  if not (fact.Fact.all_measured || RSet.mem r fact.Fact.measured) then
-    h.unmeasured_read label callee r
+  match h with
+  | Some h when not (fact.Fact.all_measured || RSet.mem r fact.Fact.measured)
+    ->
+    h label callee (Unmeasured_read r)
+  | _ -> ()
 
 (* A call to a defined function, interpreted through its summary. *)
 let transfer_summarized vt h label callee id (sg : t) args (fact : Fact.t) =
@@ -443,7 +435,7 @@ let transfer (table : table) vt h label (i : Instr.t) (fact : Fact.t) :
     let call = Names.decode callee in
     (* every qubit a quantum call consumes is a use — except by a
        release, which reports a double release instead *)
-    (match h.use_released, call with
+    (match h, call with
     | None, _ | _, (Names.Qubit_release | Names.Qubit_release_array) -> ()
     | Some _, _ ->
       List.iter (use h label callee fact) (qubit_args_of vt callee args));
@@ -485,11 +477,15 @@ let transfer (table : table) vt h label (i : Instr.t) (fact : Fact.t) :
     | None -> fact (* external classical code: inert for qubit state *))
   | _ -> fact
 
+(* Lifetime solves so far, in every Domain: one per {!replay}. *)
+let solves = Atomic.make 0
+
 (* Solves [f]'s lifetime dataflow silently — caller-owned pointer
    parameters start out live — then replays every reached block in
-   reverse postorder over the fixpoint with [hooks], handing
-   [at_ret label fact v] the fact at each reached [ret v]. *)
-let replay (table : table) vt hooks ~at_ret (f : Func.t) =
+   reverse postorder over the fixpoint, handing each event to [report]
+   and [at_ret label fact v] the fact at each reached [ret v]. *)
+let replay (table : table) vt ~report ~at_ret (f : Func.t) =
+  Atomic.incr solves;
   let cfg = Cfg.of_func f in
   let init =
     List.fold_left
@@ -502,7 +498,7 @@ let replay (table : table) vt hooks ~at_ret (f : Func.t) =
     |> snd
   in
   let tf =
-    { Engine.instr = transfer table vt silent; Engine.term = Engine.uniform_term }
+    { Engine.instr = transfer table vt None; Engine.term = Engine.uniform_term }
   in
   let res = Engine.solve ~init cfg tf in
   List.iter
@@ -511,7 +507,7 @@ let replay (table : table) vt hooks ~at_ret (f : Func.t) =
         let b = Cfg.block cfg label in
         let fact =
           List.fold_left
-            (fun fact i -> transfer table vt hooks label i fact)
+            (fun fact i -> transfer table vt (Some report) label i fact)
             (Engine.block_in res label)
             b.Block.instrs
         in
@@ -522,138 +518,199 @@ let replay (table : table) vt hooks ~at_ret (f : Func.t) =
     cfg.Cfg.rpo
 
 (* ------------------------------------------------------------------ *)
+(* Lifetime findings, reported by the same replay that summarizes:
 
-let summarize_func (table : table) (f : Func.t) : t =
-  let nparams = List.length f.Func.params in
-  let vt = Value_track.of_func ~fresh_fns:(fresh_fns_of table) f in
-  let fl = pass_a table vt f in
-  if fl.a_opaque then opaque_summary f.Func.name nparams
-  else begin
-    let reads = ref RSet.empty and rets = ref [] and ret_vals = ref [] in
-    let hooks =
-      { silent with unmeasured_read = (fun _ _ r -> reads := RSet.add r !reads) }
-    in
-    replay table vt hooks f ~at_ret:(fun _ fact v ->
-        rets := fact :: !rets;
-        ret_vals := v :: !ret_vals);
-    let arg_fx =
-      Array.init nparams (fun i ->
-          let tok = param_token i in
-          let states =
-            List.map
-              (fun (fact : Fact.t) ->
-                Option.value ~default:Live (TMap.find_opt tok fact.Fact.q))
-              !rets
+     QL001 use-after-release   a quantum call consumes a qubit whose
+                               site is released on every path here
+     QL002 double-release      release of an already-released site
+     QL003 qubit-leak          a site still (possibly) live at ret
+     QL004 read-before-measure a result is read (read_result,
+                               result_equal, result_record_output) but
+                               measured on no path to the read
+
+   Joins demote facts to "maybe" states that silence QL001/QL002, QL004
+   uses a may-measure set, and opaque callees untrack what flows into
+   them, so reports stay definite. Static results are whole-program
+   state: only the entry sees their full measurement history.          *)
+
+let token_desc s =
+  if is_param_token s then Printf.sprintf "(qubit argument %d)" (-s - 1)
+  else Printf.sprintf "(allocation site %d)" s
+
+let report_event ~where ~is_entry emit label callee = function
+  | Use_released q ->
+    emit
+      (Diagnostic.make ~rule:"QL001" ~severity:Diagnostic.Error
+         ~where:(where label) "@%s uses a released qubit (%a)" callee
+         Value_track.pp_qref q)
+  | Double_release token ->
+    emit
+      (Diagnostic.make ~rule:"QL002" ~severity:Diagnostic.Error
+         ~where:(where label) "@%s releases an already-released qubit %s"
+         callee (token_desc token))
+  | Unmeasured_read
+      (Value_track.RUnknown | Value_track.RMeas _ | Value_track.RParam _) ->
+    (* a parameter: the caller may have measured it; the function's
+       summary exposes the read (fx_reads) so the caller's check fires
+       when warranted *)
+    ()
+  | Unmeasured_read (Value_track.RStatic _) when not is_entry -> ()
+  | Unmeasured_read r ->
+    emit
+      (Diagnostic.make ~rule:"QL004" ~severity:Diagnostic.Error
+         ~where:(where label) "@%s reads %a, which is measured on no path here"
+         callee Value_track.pp_rref r)
+
+(* Sites a [ret] hands back to the caller: their lifetime is the
+   caller's. *)
+let returned_sites vt (f : Func.t) =
+  List.fold_left
+    (fun acc (b : Block.t) ->
+      match b.Block.term with
+      | Instr.Ret (Some v) -> (
+        match qref_token (Value_track.qubit_of vt v.Operand.v) with
+        | Some s when s >= 0 -> ISet.add s acc
+        | _ -> (
+          match Value_track.qarray_of vt v.Operand.v with
+          | Some s -> ISet.add s acc
+          | None -> acc))
+      | _ -> acc)
+    ISet.empty f.Func.blocks
+
+(* QL003: a site of this function's own, not handed back to the caller,
+   still (possibly) live at a ret. *)
+let report_leaks ~where vt returned emit label (fact : Fact.t) =
+  TMap.iter
+    (fun s st ->
+      if is_param_token s || ISet.mem s returned then ()
+      else
+        match st with
+        | Released -> ()
+        | Live | Maybe_released ->
+          let qualifier = match st with Live -> "" | _ -> " on some paths" in
+          let kind =
+            match
+              List.find_opt
+                (fun (site : Value_track.site) -> site.Value_track.site_id = s)
+                (Value_track.sites vt)
+            with
+            | Some { Value_track.site_kind = Value_track.Qubit_array_site; _ }
+              ->
+              "qubit array"
+            | _ -> "qubit"
           in
-          let released = states <> [] && List.for_all (( = ) Released) states in
-          let may_release =
-            List.exists (fun s -> s = Released || s = Maybe_released) states
-          in
-          let measured_any =
-            List.exists
-              (fun (fact : Fact.t) ->
-                RSet.mem (Value_track.RParam i) fact.Fact.measured)
-              !rets
-          in
-          {
-            fx_used = fl.a_used.(i);
-            fx_released = released;
-            fx_may_release = may_release;
-            fx_measures = measured_any;
-            fx_reads = RSet.mem (Value_track.RParam i) !reads;
-          })
-    in
-    let measured_statics =
-      List.fold_left
-        (fun acc (fact : Fact.t) ->
-          RSet.fold
-            (fun r acc ->
-              match r with
-              | Value_track.RStatic n -> I64Set.add n acc
-              | _ -> acc)
-            fact.Fact.measured acc)
-        I64Set.empty !rets
-    in
-    let reads_statics =
-      RSet.fold
-        (fun r acc ->
-          match r with Value_track.RStatic n -> I64Set.add n acc | _ -> acc)
-        !reads I64Set.empty
-    in
-    let returns_fresh_qubit =
-      !ret_vals <> []
-      && List.for_all
-           (fun (v : Operand.typed option) ->
-             match v with
-             | Some v -> (
-               match Value_track.qubit_of vt v.Operand.v with
-               | Value_track.Alloc _ -> true
-               | _ -> false)
-             | None -> false)
-           !ret_vals
-    in
-    {
-      fname = f.Func.name;
-      nparams;
-      arg_fx;
-      gates = fl.a_gates;
-      measures = fl.a_measures;
-      allocates = fl.a_allocates;
-      touched_statics = I64Set.elements fl.a_statics;
-      touches_local = fl.a_local;
-      touches_unknown = fl.a_unknown;
-      releases_unknown = fl.a_rel_unknown;
-      measured_statics = I64Set.elements measured_statics;
-      measures_unknown = fl.a_meas_unknown;
-      reads_statics = I64Set.elements reads_statics;
-      returns_fresh_qubit;
-      side_effect_free = fl.a_sef;
-      controller_ok = fl.a_controller;
-      recursive = false;
-      opaque = false;
-      const_params = Array.make nparams Passes.Sccp.Varying;
-    }
-  end
+          emit
+            (Diagnostic.make ~rule:"QL003" ~severity:Diagnostic.Warning
+               ~where:(where label)
+               "%s allocated at site %d is never released%s" kind s qualifier))
+    fact.Fact.q
 
 (* ------------------------------------------------------------------ *)
 
-let of_module ?call_graph ?const_facts (m : Ir_module.t) : table =
-  let cg =
-    match call_graph with Some cg -> cg | None -> Call_graph.build m
+(* One lifetime solve of [f] against the summaries of its callees in
+   [table]: [f]'s summary — opaque when [recursive] or when pass A meets
+   code it cannot see — and its lifetime findings, both from one replay.
+   [vt] must see the fresh-qubit callees [table] knows of. *)
+let solve_func (table : table) vt ~recursive ~is_entry (f : Func.t) :
+    t * Diagnostic.t list =
+  let nparams = List.length f.Func.params in
+  let where label = Printf.sprintf "@%s %%%s" f.Func.name label in
+  let out = ref [] in
+  let emit d = out := d :: !out in
+  let returned = returned_sites vt f in
+  let reads = ref RSet.empty and rets = ref [] and ret_vals = ref [] in
+  let report label callee event =
+    (match event with
+    | Unmeasured_read r -> reads := RSet.add r !reads
+    | Use_released _ | Double_release _ -> ());
+    report_event ~where ~is_entry emit label callee event
   in
-  let table : table = Hashtbl.create 16 in
-  List.iter
-    (fun scc ->
-      let recursive =
-        match scc with
-        | [ fname ] -> Call_graph.is_recursive cg fname
-        | _ -> true
-      in
-      List.iter
-        (fun fname ->
-          match Ir_module.find_func m fname with
-          | Some f when not (Func.is_declaration f) ->
-            let s =
-              if recursive then
-                opaque_summary ~recursive:true fname
-                  (List.length f.Func.params)
-              else summarize_func table f
+  replay table vt ~report f ~at_ret:(fun label fact v ->
+      report_leaks ~where vt returned emit label fact;
+      rets := fact :: !rets;
+      ret_vals := v :: !ret_vals);
+  let summary =
+    match if recursive then None else Some (pass_a table vt f) with
+    | None | Some { a_opaque = true; _ } ->
+      opaque_summary ~recursive f.Func.name nparams
+    | Some fl ->
+      let arg_fx =
+        Array.init nparams (fun i ->
+            let tok = param_token i in
+            let states =
+              List.map
+                (fun (fact : Fact.t) ->
+                  Option.value ~default:Live (TMap.find_opt tok fact.Fact.q))
+                !rets
             in
-            Hashtbl.replace table fname s
-          | Some _ | None -> ())
-        scc)
-    (Call_graph.sccs_bottom_up cg);
-  (* stamp the interprocedural constant-address verdicts *)
-  let mf =
-    match const_facts with
-    | Some mf -> mf
-    | None -> Const_addr.analyze_module m
+            let released =
+              states <> [] && List.for_all (( = ) Released) states
+            in
+            let may_release =
+              List.exists (fun s -> s = Released || s = Maybe_released) states
+            in
+            let measured_any =
+              List.exists
+                (fun (fact : Fact.t) ->
+                  RSet.mem (Value_track.RParam i) fact.Fact.measured)
+                !rets
+            in
+            {
+              fx_used = fl.a_used.(i);
+              fx_released = released;
+              fx_may_release = may_release;
+              fx_measures = measured_any;
+              fx_reads = RSet.mem (Value_track.RParam i) !reads;
+            })
+      in
+      let measured_statics =
+        List.fold_left
+          (fun acc (fact : Fact.t) ->
+            RSet.fold
+              (fun r acc ->
+                match r with
+                | Value_track.RStatic n -> I64Set.add n acc
+                | _ -> acc)
+              fact.Fact.measured acc)
+          I64Set.empty !rets
+      in
+      let reads_statics =
+        RSet.fold
+          (fun r acc ->
+            match r with Value_track.RStatic n -> I64Set.add n acc | _ -> acc)
+          !reads I64Set.empty
+      in
+      let returns_fresh_qubit =
+        !ret_vals <> []
+        && List.for_all
+             (fun (v : Operand.typed option) ->
+               match v with
+               | Some v -> (
+                 match Value_track.qubit_of vt v.Operand.v with
+                 | Value_track.Alloc _ -> true
+                 | _ -> false)
+               | None -> false)
+             !ret_vals
+      in
+      {
+        fname = f.Func.name;
+        nparams;
+        arg_fx;
+        gates = fl.a_gates;
+        measures = fl.a_measures;
+        allocates = fl.a_allocates;
+        touched_statics = I64Set.elements fl.a_statics;
+        touches_local = fl.a_local;
+        touches_unknown = fl.a_unknown;
+        releases_unknown = fl.a_rel_unknown;
+        measured_statics = I64Set.elements measured_statics;
+        measures_unknown = fl.a_meas_unknown;
+        reads_statics = I64Set.elements reads_statics;
+        returns_fresh_qubit;
+        side_effect_free = fl.a_sef;
+        controller_ok = fl.a_controller;
+        recursive = false;
+        opaque = false;
+      }
   in
-  List.iter
-    (fun (name, s) ->
-      match Const_addr.param_lattices mf name with
-      | Some lats when Array.length lats = s.nparams ->
-        Hashtbl.replace table name { s with const_params = lats }
-      | Some _ | None -> ())
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []);
-  table
+  (summary, List.rev !out)

@@ -219,7 +219,11 @@ let round ?(fresh_fns = fun _ -> false) t (f : Func.t) =
     f.Func.blocks;
   !changed
 
+(* Solves so far, in every Domain: one per {!of_func}. *)
+let solves = Atomic.make 0
+
 let of_func ?fresh_fns (f : Func.t) : t =
+  Atomic.incr solves;
   let sites, site_of_def = collect_sites ?fresh_fns f in
   let t =
     {

@@ -47,7 +47,7 @@ let scan (m : Ir_module.t) : report =
   let proved_args = ref 0 and unproved_args = ref 0 in
   (* interprocedural constant propagation: an address that is constant
      at every call site counts as proved inside the callee too *)
-  let mf = Const_addr.analyze_module m in
+  let mf = Qir_analysis.(Analyses.const_facts (Analyses.of_module m)) in
   List.iter
     (fun (f : Func.t) ->
       if not (Func.is_declaration f) then begin
@@ -107,9 +107,14 @@ let detect_proved = scan
    addresses into their literal spelling, let DCE and CFG cleanup sweep
    the now-dead address computation (phi chains, branches over folded
    conditions), and retry — the path that converts the programs the
-   seed refused. *)
+   seed refused. Returns the circuit and the recorded result order. *)
 let parse_with_upgrade (m : Ir_module.t) =
-  try Qir_parser.parse m
+  let parse m =
+    match Qir_parser.parse_with_output m with
+    | Ok parsed -> parsed
+    | Error msg -> raise (Qir_parser.Unsupported msg)
+  in
+  try parse m
   with Qir_parser.Unsupported _ as first -> (
     (* a multi-function module first gets flattened: inlining turns a
        constant address threaded through a call into a local constant
@@ -119,18 +124,38 @@ let parse_with_upgrade (m : Ir_module.t) =
       | _ :: _ :: _ -> Passes.Pipeline.lower m
       | _ -> m
     in
-    try Qir_parser.parse m
+    try parse m
     with Qir_parser.Unsupported _ -> (
-      let m', upgraded = Const_addr.rewrite m in
+      let m', upgraded =
+        Const_addr.rewrite
+          Qir_analysis.(Analyses.const_facts (Analyses.of_module m))
+          m
+      in
       if upgraded = 0 then raise first
       else
         let m' = Passes.Pipeline.optimize m' in
-        try Qir_parser.parse m' with Qir_parser.Unsupported _ -> raise first))
+        try parse m' with Qir_parser.Unsupported _ -> raise first))
 
-let to_static ?record_output (m : Ir_module.t) =
-  let circuit = parse_with_upgrade m in
-  Qir_builder.build ~addressing:`Static ?record_output circuit
+(* The builder records every measured clbit once, in clbit order: the
+   recorded order is carried by renumbering the clbits to it, and a
+   program that records a result twice, or leaves a measured one out,
+   is refused rather than re-emitted with a different output. *)
+let convert ~addressing ?(record_output = true) (m : Ir_module.t) =
+  let circuit, output = parse_with_upgrade m in
+  let circuit =
+    if output = [] || not record_output then circuit
+    else
+      match Qir_parser.remap_output_order circuit output with
+      | Some c when c.Qcircuit.Circuit.num_clbits = List.length output -> c
+      | Some _ | None ->
+        raise
+          (Qir_parser.Unsupported
+             (Printf.sprintf
+                "recorded output (results %s) is not each measured result \
+                 once; the circuit form cannot keep it"
+                (String.concat ", " (List.map string_of_int output))))
+  in
+  Qir_builder.build ~addressing ~record_output circuit
 
-let to_dynamic ?record_output (m : Ir_module.t) =
-  let circuit = parse_with_upgrade m in
-  Qir_builder.build ~addressing:`Dynamic ?record_output circuit
+let to_static ?record_output m = convert ~addressing:`Static ?record_output m
+let to_dynamic ?record_output m = convert ~addressing:`Dynamic ?record_output m

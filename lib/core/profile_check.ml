@@ -46,9 +46,8 @@ let check_entry_point acc (m : Ir_module.t) =
    static-addresses rule consults the constant-address analysis: an
    operand that is dynamically shaped but proved constant is not a
    violation (it is a QA001 lint note instead). *)
-let check_base acc (f : Func.t) =
+let check_base acc facts (f : Func.t) =
   let where = "@" ^ f.Func.name in
-  let facts = Passes.Sccp.solve f in
   (match f.Func.blocks with
   | [ _ ] -> ()
   | blocks ->
@@ -170,8 +169,7 @@ let check_adaptive_func acc (cg : Qir_analysis.Call_graph.t) (f : Func.t) =
 
 (* The adaptive check is whole-program: every defined function reachable
    from the entry point must conform, since it will execute there. *)
-let check_adaptive acc (m : Ir_module.t) =
-  let cg = Qir_analysis.Call_graph.build m in
+let check_adaptive acc (m : Ir_module.t) cg =
   List.iter
     (fun name ->
       match Ir_module.find_func m name with
@@ -179,21 +177,25 @@ let check_adaptive acc (m : Ir_module.t) =
       | Some _ | None -> ())
     (Qir_analysis.Call_graph.reachable_defined cg)
 
-let check (profile : Profile.t) (m : Ir_module.t) : violation list =
+let check_with (profile : Profile.t) (a : Qir_analysis.Analyses.t) =
+  let m = Qir_analysis.Analyses.ir a in
   let acc = { violations = [] } in
   (match check_entry_point acc m with
   | Some f -> (
     match profile with
-    | Profile.Base -> check_base acc f
-    | Profile.Adaptive -> check_adaptive acc m
+    | Profile.Base -> check_base acc (Qir_analysis.Analyses.sccp a f) f
+    | Profile.Adaptive ->
+      check_adaptive acc m (Qir_analysis.Analyses.call_graph a)
     | Profile.Full -> ())
   | None -> ());
   List.rev acc.violations
 
+let check profile m = check_with profile (Qir_analysis.Analyses.of_module m)
 let conforms profile m = check profile m = []
 
 (* The most restrictive profile the module satisfies. *)
 let classify m =
-  if conforms Profile.Base m then Profile.Base
-  else if conforms Profile.Adaptive m then Profile.Adaptive
+  let a = Qir_analysis.Analyses.of_module m in
+  if check_with Profile.Base a = [] then Profile.Base
+  else if check_with Profile.Adaptive a = [] then Profile.Adaptive
   else Profile.Full

@@ -424,5 +424,52 @@ let parse_with_output m =
   | pair -> Ok pair
   | exception Unsupported msg -> Error msg
 
+(* Renumbers clbits to recorded-output order: the parser assigns clbit =
+   result id in allocation order, so a recorded result becomes the clbit
+   of its position in the recorded output, and a measured but unrecorded
+   one (it may still feed a condition) a clbit past them. *)
+let remap_output_order (c : Circuit.t) recorded =
+  let pos = Hashtbl.create 8 in
+  let ok = ref true in
+  List.iteri
+    (fun i r -> if Hashtbl.mem pos r then ok := false else Hashtbl.add pos r i)
+    recorded;
+  let next = ref (List.length recorded) in
+  List.iter
+    (fun (op : Circuit.op) ->
+      match op.Circuit.kind with
+      | Circuit.Measure (_, cl) when not (Hashtbl.mem pos cl) ->
+        Hashtbl.add pos cl !next;
+        incr next
+      | _ -> ())
+    c.Circuit.ops;
+  let at cl =
+    match Hashtbl.find_opt pos cl with
+    | Some i -> i
+    | None ->
+      ok := false;
+      cl
+  in
+  let measured = Hashtbl.create 8 in
+  let ops =
+    List.map
+      (fun (op : Circuit.op) ->
+        let cond =
+          Option.map
+            (fun (cd : Circuit.cond) ->
+              { cd with Circuit.cbits = List.map at cd.Circuit.cbits })
+            op.Circuit.cond
+        in
+        match op.Circuit.kind with
+        | Circuit.Measure (q, cl) ->
+          Hashtbl.replace measured cl ();
+          { Circuit.kind = Circuit.Measure (q, at cl); cond }
+        | _ -> { op with Circuit.cond })
+      c.Circuit.ops
+  in
+  if !ok && List.for_all (Hashtbl.mem measured) recorded then
+    Some { c with Circuit.ops; num_clbits = !next }
+  else None
+
 (* Parses textual QIR end to end. *)
 let parse_string src = parse (Parser.parse_module src)

@@ -26,5 +26,12 @@ val parse_with_output :
     the program records nothing). The program's output bitstring reads
     those results in that order, which need not match result-id order. *)
 
+val remap_output_order :
+  Qcircuit.Circuit.t -> int list -> Qcircuit.Circuit.t option
+(** [remap_output_order c recorded] renumbers [c]'s clbits so the
+    results [recorded] names ({!parse_with_output}'s list) are clbits
+    [0 ..] in record order, the measured but unrecorded ones after
+    them; [None] when a result is recorded twice or never measured. *)
+
 val parse_string : string -> Qcircuit.Circuit.t
 (** Parses textual QIR end to end (LLVM text -> module -> circuit). *)

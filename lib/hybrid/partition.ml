@@ -112,7 +112,9 @@ let plan ?summaries ?(params = Latency.default)
 let plan_module ?params (m : Ir_module.t) =
   match Ir_module.entry_point m with
   | Some f when not (Func.is_declaration f) ->
-    let summaries = Qir_analysis.Summary.of_module m in
+    let summaries =
+      Qir_analysis.(Analyses.summaries (Analyses.of_module m))
+    in
     plan ~summaries ?params (Classify.segments_of_func ~summaries f)
   | Some _ | None -> invalid_arg "Partition.plan_module: no entry point"
 

@@ -247,8 +247,15 @@ let parse_number cur =
   | Some v -> v
   | None -> error cur (Printf.sprintf "bad number %S" text)
 
-let rec parse_value cur =
+(* Values nest at most this deep: deeper input is an error, not a stack
+   overflow. *)
+let max_depth = 512
+
+let rec parse_value depth cur =
+  if depth > max_depth then
+    error cur (Printf.sprintf "nesting deeper than %d" max_depth);
   skip_ws cur;
+  let parse_value = parse_value (depth + 1) in
   match peek cur with
   | None -> error cur "unexpected end of input"
   | Some '"' -> Str (parse_string cur)
@@ -304,7 +311,7 @@ let rec parse_value cur =
 
 let parse s =
   let cur = { src = s; pos = 0 } in
-  match parse_value cur with
+  match parse_value 0 cur with
   | v ->
     skip_ws cur;
     if cur.pos < String.length s then

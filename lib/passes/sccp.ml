@@ -170,10 +170,13 @@ let record sol id = function
   | Unknown -> { sol with unknown = SSet.add id sol.unknown }
   | Varying -> sol
 
+let solves = Atomic.make 0
+
 let solve ?(params = [||]) (f : Func.t) : solution =
   let none = { consts = SMap.empty; unknown = SSet.empty; res = None } in
   if Func.is_declaration f then none
   else begin
+    Atomic.incr solves;
     let seed i = if i < Array.length params then params.(i) else Varying in
     let seeds =
       List.mapi (fun i (p : Func.param) -> (p.Func.pname, seed i)) f.Func.params

@@ -19,6 +19,9 @@ val solve : ?params:lattice array -> Func.t -> solution
 (** [params] seeds the parameters positionally; missing ones, and all of
     them by default, are [Varying] (any caller, any argument). *)
 
+val solves : int Atomic.t
+(** Calls of {!solve} so far, in every Domain. *)
+
 val lattice_of : solution -> Operand.t -> lattice
 (** [Cst] for a proved constant, [Unknown] for a name that rests on an
     [Unknown] seed, [Varying] for any other name. *)

@@ -87,58 +87,11 @@ let initial_qubits (m : Ir_module.t) =
 
    Key compatibility: the per-shot histogram is keyed by the recorded
    output (result_record_output call order), or by results in address
-   order when nothing is recorded. The parser assigns clbit = result id
-   in allocation order, so a recorded result becomes the clbit of its
-   position in the recorded output, and a measured but unrecorded one
-   (it may still feed a condition) a clbit past them; the key reads the
-   recorded positions. Programs that record a result twice or one that
-   is never measured, read an unmeasured result in a condition, or mix
-   static addresses with dynamic allocation (the parser numbers both
-   from qubit 0) have no plan. *)
-let remap_output_order (c : Qcircuit.Circuit.t) recorded =
-  let open Qcircuit in
-  let pos = Hashtbl.create 8 in
-  let ok = ref true in
-  List.iteri
-    (fun i r -> if Hashtbl.mem pos r then ok := false else Hashtbl.add pos r i)
-    recorded;
-  let next = ref (List.length recorded) in
-  List.iter
-    (fun (op : Circuit.op) ->
-      match op.Circuit.kind with
-      | Circuit.Measure (_, cl) when not (Hashtbl.mem pos cl) ->
-        Hashtbl.add pos cl !next;
-        incr next
-      | _ -> ())
-    c.Circuit.ops;
-  let at cl =
-    match Hashtbl.find_opt pos cl with
-    | Some i -> i
-    | None ->
-      ok := false;
-      cl
-  in
-  let measured = Hashtbl.create 8 in
-  let ops =
-    List.map
-      (fun (op : Circuit.op) ->
-        let cond =
-          Option.map
-            (fun (cd : Circuit.cond) ->
-              { cd with Circuit.cbits = List.map at cd.Circuit.cbits })
-            op.Circuit.cond
-        in
-        match op.Circuit.kind with
-        | Circuit.Measure (q, cl) ->
-          Hashtbl.replace measured cl ();
-          { Circuit.kind = Circuit.Measure (q, at cl); cond }
-        | _ -> { op with Circuit.cond })
-      c.Circuit.ops
-  in
-  if !ok && List.for_all (Hashtbl.mem measured) recorded then
-    Some { c with Circuit.ops; num_clbits = !next }
-  else None
-
+   order when nothing is recorded; the key reads the recorded positions
+   of {!Qir.Qir_parser.remap_output_order}. Programs it refuses, that
+   read an unmeasured result in a condition, or mix static addresses
+   with dynamic allocation (the parser numbers both from qubit 0) have
+   no plan. *)
 let sampling_plan (m : Ir_module.t) =
   match addressing m with
   | true, true -> None
@@ -147,7 +100,8 @@ let sampling_plan (m : Ir_module.t) =
     | Ok (c, []) -> Some (Qsim.Sampler.prepare c)
     | Ok (c, recorded) ->
       let key = List.init (List.length recorded) Fun.id in
-      Option.map (Qsim.Sampler.prepare ~key) (remap_output_order c recorded)
+      Option.map (Qsim.Sampler.prepare ~key)
+        (Qir.Qir_parser.remap_output_order c recorded)
     | Error _ -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -272,7 +226,10 @@ module Session = struct
   (* The certificate ({!Qir_analysis.Resource}) is what admission
      control and the cost-fair scheduler charge, so a hot module is
      certified once, not per submission. *)
-  let cert_of s m = lookup s s.cert_cache Qir_analysis.Resource.certify m
+  let cert_of s m =
+    lookup s s.cert_cache
+      (fun m -> Qir_analysis.(Resource.certify (Analyses.of_module m)))
+      m
 
   (* The QIR-to-circuit parse, output-order remap and fusion plan
      behind the batched tier, or the proved [None], so hot runs skip

@@ -172,21 +172,13 @@ let extract (m : Ir_module.t) : t option =
     try
       (* call-graph reachability: the entry must reach no defined
          function (every callee is an external the runtime implements) *)
-      let cg = Qir_analysis.Call_graph.build m in
+      let a = Qir_analysis.Analyses.of_module m in
+      let cg = Qir_analysis.Analyses.call_graph a in
       if Qir_analysis.Call_graph.callees cg entry.Func.name <> [] then
         raise Not_static;
       if Qir_analysis.Call_graph.is_recursive cg entry.Func.name then
         raise Not_static;
-      (* lifetime discipline: any definite qubit/result misuse would
-         fault at runtime — not a tape's business to reproduce *)
-      let lifetime = Qir_analysis.Lifetime.check_module m in
-      if
-        List.exists
-          (fun (d : Qir_analysis.Diagnostic.t) ->
-            d.Qir_analysis.Diagnostic.severity = Qir_analysis.Diagnostic.Error)
-          lifetime
-      then raise Not_static;
-      let facts = Passes.Sccp.solve entry in
+      let facts = Qir_analysis.Analyses.sccp a entry in
       let blocks =
         match Func.straight_chain entry with
         | Some blocks -> blocks
@@ -216,6 +208,15 @@ let extract (m : Ir_module.t) : t option =
                 () (* pure; consumed values are proved const or unused *))
             b.Block.instrs)
         blocks;
+      (* lifetime discipline: any definite qubit/result misuse in the
+         entry would fault at runtime — not a tape's business to
+         reproduce; nothing else in the module runs *)
+      if
+        List.exists
+          (fun (d : Qir_analysis.Diagnostic.t) ->
+            d.Qir_analysis.Diagnostic.severity = Qir_analysis.Diagnostic.Error)
+          (Qir_analysis.Lifetime.check_entry a)
+      then raise Not_static;
       Some { ops = Array.of_list (List.rev !ops); records = !nrecords }
     with Not_static -> None)
 

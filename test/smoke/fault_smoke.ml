@@ -86,7 +86,7 @@ let sccp_folds m =
 
 (* Runs the lifetime check (and so every summary) on a verified module:
    whether it reported anything. *)
-let lifetime_finds m = Qir_analysis.Lifetime.check_module m <> []
+let lifetime_finds m = Qir_analysis.(Lifetime.check_module (Analyses.of_module m)) <> []
 
 (* Runs the quantum optimizer and its lint notes on a verified module:
    whether it changed anything; raises [Failure] when its output does
@@ -95,7 +95,7 @@ let quantum_opt_changes m =
   let m', changed = Qir_analysis.Qdf_opt.pass.Passes.Pass.mrun m in
   if Llvm_ir.Verifier.check_module m' <> [] then
     failwith "quantum-opt output does not verify";
-  ignore (Qir_analysis.Qdf_opt.notes m);
+  ignore Qir_analysis.(Qdf_opt.notes (Analyses.of_module m));
   changed
 
 (* Every mutation must parse or fail with a parse error, and every one
@@ -272,6 +272,23 @@ let mutate_requests () =
   | exception e -> report "nested request" e);
   Printf.printf "request fuzz: %d mutations, %d ok, %d errors, %d raised\n"
     mutations !ok !errors !raised;
+  (* nesting mutations: a request field, and a bare line, [d] arrays deep,
+     around the JSON parser's depth limit and far past it *)
+  let lines = ref 0 and ok = ref 0 and errors = ref 0 in
+  List.iter
+    (fun d ->
+      let v = String.make d '[' ^ "1" ^ String.make d ']' in
+      List.iter
+        (fun line ->
+          incr lines;
+          match Qservice.Protocol.parse_request line with
+          | Ok _ -> incr ok
+          | Error _ -> incr errors
+          | exception e -> report (Printf.sprintf "request nested %d deep" d) e)
+        [ {|{"op":"stats","x":|} ^ v ^ "}"; v ])
+    [ 1; Jsonx.max_depth - 1; Jsonx.max_depth; Jsonx.max_depth + 1; 100_000 ];
+  Printf.printf "request nesting: %d lines, %d ok, %d errors, %d raised\n"
+    !lines !ok !errors !raised;
   !raised
 
 let () =

@@ -37,6 +37,56 @@ let noisy ds =
 let rules ds =
   List.map (fun (d : Qir_analysis.Diagnostic.t) -> d.Qir_analysis.Diagnostic.rule) ds
 
+(* Solve counts: every Lint.run below must run each counted analysis at
+   most once per function and variant. The variants a module admits:
+   per defined function the plain Value_track and Sccp solves and one
+   lifetime solve; a second Value_track for a function calling a
+   fresh-qubit factory; and the Sccp solves seeded from call sites,
+   at most 2p + 1 for a non-root function of p parameters (seeds only
+   harden, one parameter one step at a time). *)
+module QA = Qir_analysis
+
+let solve_counts () =
+  ( Atomic.get QA.Value_track.solves,
+    Atomic.get Passes.Sccp.solves,
+    Atomic.get QA.Summary.solves )
+
+let solve_totals = ref (0, 0, 0)
+
+let variants m =
+  let a = QA.Analyses.of_module m in
+  let cg = QA.Analyses.call_graph a and table = QA.Analyses.summaries a in
+  let root (f : Llvm_ir.Func.t) =
+    match QA.Call_graph.entry_name cg with
+    | Some e -> String.equal e f.Llvm_ir.Func.name
+    | None -> true
+  in
+  List.fold_left
+    (fun (vt, sccp, life) (f : Llvm_ir.Func.t) ->
+      let fresh =
+        List.exists (QA.Summary.fresh_fns_of table)
+          (QA.Call_graph.callees cg f.Llvm_ir.Func.name)
+      in
+      let params = List.length f.Llvm_ir.Func.params in
+      ( (vt + if fresh then 2 else 1),
+        (sccp + if root f || params = 0 then 1 else (2 * params) + 2),
+        life + 1 ))
+    (0, 0, 0)
+    (Llvm_ir.Ir_module.defined_funcs m)
+
+let lint ?notes what m =
+  let v0, s0, l0 = solve_counts () in
+  let ds = QA.Lint.run ?notes (QA.Analyses.of_module m) in
+  let v1, s1, l1 = solve_counts () in
+  let vt, sccp, life = (v1 - v0, s1 - s0, l1 - l0) in
+  let tv, ts, tl = !solve_totals in
+  solve_totals := (tv + vt, ts + sccp, tl + life);
+  let bv, bs, bl = variants m in
+  if vt > bv || sccp > bs || life > bl then
+    fail "%s: solves value_track %d sccp %d lifetime %d, variants %d %d %d"
+      what vt sccp life bv bs bl;
+  ds
+
 (* 1. checked-in examples ------------------------------------------- *)
 
 (* Deliberately-buggy demos: each must fire exactly the rules it is
@@ -64,7 +114,7 @@ let json_documents_parse path m ds =
     (Qir_analysis.Call_graph.build m);
   check "certificate"
     (Qir_analysis.Resource.render_json ~diagnostics:ds)
-    (Qir_analysis.Resource.certify m)
+    Qir_analysis.(Resource.certify (Analyses.of_module m))
 
 let lint_examples dir =
   let files =
@@ -81,7 +131,7 @@ let lint_examples dir =
         let path = Filename.concat dir f in
         let src = In_channel.with_open_text path In_channel.input_all in
         let m = Llvm_ir.Parser.parse_module ~source_name:path src in
-        let ds = Qir_analysis.Lint.run m in
+        let ds = lint path m in
         json_documents_parse path m ds;
         match List.assoc_opt f expected_bad with
         | Some required ->
@@ -127,7 +177,7 @@ let lint_corpus () =
     List.iter
       (fun addressing ->
         let m = Qir.Qir_builder.build ~addressing c in
-        let ds = Qir_analysis.Lint.run ~notes:false m in
+        let ds = lint ~notes:false (Printf.sprintf "generated circuit %d" i) m in
         if ds <> [] then
           fail "generated circuit %d (%s): %d unexpected finding(s): %s" i
             (match addressing with `Static -> "static" | `Dynamic -> "dynamic")
@@ -289,7 +339,7 @@ let lint_mf_corpus () =
       | _ -> ("chain", mf_chain_shape ~n ~gate ~read)
     in
     let m = Llvm_ir.Parser.parse_module src in
-    let ds = Qir_analysis.Lint.run ~notes:false m in
+    let ds = lint ~notes:false (Printf.sprintf "multi-function module %d" i) m in
     if ds <> [] then
       fail "multi-function module %d (%s, n=%d): %d unexpected finding(s): %s"
         i shape n (List.length ds)
@@ -498,7 +548,7 @@ let lint_seeded () =
   List.iter
     (fun (rule, what, src) ->
       let m = Llvm_ir.Parser.parse_module src in
-      let ds = Qir_analysis.Lint.run m in
+      let ds = lint ("seeded " ^ rule) m in
       if not (List.mem rule (rules ds)) then
         fail "seeded %s (%s) not detected" rule what)
     seeded;
@@ -508,7 +558,7 @@ let lint_seeded_cross_call () =
   List.iter
     (fun (rule, what, src) ->
       let m = Llvm_ir.Parser.parse_module src in
-      let ds = Qir_analysis.Lint.run m in
+      let ds = lint ("seeded cross-call " ^ rule) m in
       if not (List.mem rule (rules ds)) then
         fail "seeded cross-call %s (%s) not detected" rule what)
     seeded_cross_call;
@@ -522,6 +572,8 @@ let () =
   lint_mf_corpus ();
   lint_seeded ();
   lint_seeded_cross_call ();
+  (let vt, sccp, life = !solve_totals in
+   Printf.printf "solves: value_track %d, sccp %d, lifetime %d\n" vt sccp life);
   if !failures > 0 then begin
     Printf.eprintf "lint smoke: %d failure(s)\n" !failures;
     exit 1

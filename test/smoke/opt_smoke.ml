@@ -62,6 +62,29 @@ let gates (c : Circuit.t) =
 
 let eligible m = Qruntime.Gate_tape.extract m <> None
 
+(* Solve counts: Qdf_opt.optimize, all rounds and the promotion, solves
+   each function's Value_track and Sccp once; the only lifetime solve is
+   the promoted entry's, after the rounds rewrote it. *)
+let solve_counts () =
+  ( Atomic.get Qir_analysis.Value_track.solves,
+    Atomic.get Passes.Sccp.solves,
+    Atomic.get Qir_analysis.Summary.solves )
+
+let solve_totals = ref (0, 0, 0)
+
+let optimize tag m =
+  let v0, s0, l0 = solve_counts () in
+  let result = Qir_analysis.Qdf_opt.optimize m in
+  let v1, s1, l1 = solve_counts () in
+  let vt, sccp, life = (v1 - v0, s1 - s0, l1 - l0) in
+  let tv, ts, tl = !solve_totals in
+  solve_totals := (tv + vt, ts + sccp, tl + life);
+  let funcs = List.length (Llvm_ir.Ir_module.defined_funcs m) in
+  if vt > funcs || sccp > funcs || life > 1 then
+    fail "%s: solves value_track %d sccp %d lifetime %d for %d function(s)"
+      tag vt sccp life funcs;
+  result
+
 let run_histogram ~seed m =
   (Qruntime.Executor.run_shots_resilient ~seed ~max_tier:`Per_shot ~shots:48 m)
     .histogram
@@ -92,7 +115,7 @@ let () =
               let m =
                 Qir.Qir_builder.build ~addressing (circuit ~redundant ~seed n)
               in
-              let m', st = Qir_analysis.Qdf_opt.optimize m in
+              let m', st = optimize tag m in
               let open Qir_analysis.Qdf_opt in
               gates_before := !gates_before + st.s_gates_before;
               gates_after := !gates_after + st.s_gates_after;
@@ -117,6 +140,9 @@ let () =
     !total !gates_before !gates_after !eligible_before !eligible_after;
   Printf.printf "opt smoke: quantum-opt and the circuit optimizer agree on %d/%d\n"
     !agree !total;
+  (let vt, sccp, life = !solve_totals in
+   Printf.printf "opt smoke: solves value_track %d, sccp %d, lifetime %d\n" vt
+     sccp life);
   if !gates_after >= !gates_before then
     fail "corpus: no gate-count reduction (%d -> %d)" !gates_before !gates_after;
   if !eligible_after <= !eligible_before then

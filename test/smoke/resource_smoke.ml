@@ -59,7 +59,7 @@ let in_iv what tag measured (iv : Resource.iv) =
 
 let check_sound ~seed tag (m : Llvm_ir.Ir_module.t) =
   try
-    let cert = Resource.certify m in
+    let cert = Resource.certify (Qir_analysis.Analyses.of_module m) in
     let qubits, gates, measures = measure ~seed m in
     in_iv "qubits" tag qubits cert.Resource.qubits;
     in_iv "gates" tag gates cert.Resource.gates;
@@ -186,7 +186,7 @@ let fixtures () =
           check_sound ~seed:(trip + 1) tag m;
           (* precision: a proven trip count must make the gate bound
              finite *)
-          let cert = Resource.certify m in
+          let cert = Resource.certify (Qir_analysis.Analyses.of_module m) in
           match cert.Resource.gates.Resource.hi with
           | Resource.Inf -> fail "%s: gate bound not finite" tag
           | Resource.Fin _ -> ())
@@ -222,7 +222,7 @@ let rejections () =
       incr total;
       let tag = Printf.sprintf "reject k %d" k in
       let m = Llvm_ir.Parser.parse_module (big_src k) in
-      let cert = Resource.certify m in
+      let cert = Resource.certify (Qir_analysis.Analyses.of_module m) in
       if Resource.qubits_lower cert <> k + 1 then
         fail "%s: expected proven lower bound %d, got %d" tag (k + 1)
           (Resource.qubits_lower cert);
@@ -238,7 +238,7 @@ let rejections () =
     [ 26; 27; 28; 29 ];
   (* control: a small module under the same budget sails through *)
   let m = Llvm_ir.Parser.parse_module (big_src 1) in
-  let cert = Resource.certify m in
+  let cert = Resource.certify (Qir_analysis.Analyses.of_module m) in
   (match Qservice.Admission.check ~cert ~budget ~backend:`Statevector m with
   | Ok v ->
     if v.Qservice.Admission.v_qubits <> 2 then

@@ -88,7 +88,8 @@ exit:
 (* ------------------------------------------------------------------ *)
 (* Lifetime analysis                                                    *)
 
-let lint src = Lint.run (parse src)
+let lint_module ?notes m = Lint.run ?notes (Analyses.of_module m)
+let lint src = lint_module (parse src)
 
 let prelude =
   {|
@@ -249,7 +250,7 @@ let test_builder_output_is_clean () =
         Qir_builder.build ~addressing (Qcircuit.Generate.bell ())
       in
       check int_t "builder module lints clean" 0
-        (List.length (Lint.run ~notes:false m)))
+        (List.length (lint_module ~notes:false m)))
     [ `Static; `Dynamic ]
 
 (* ------------------------------------------------------------------ *)
@@ -269,7 +270,7 @@ entry:
 
 let test_quantum_dce_removes_dead_gate () =
   let m = parse deadgate_src in
-  check bool_t "QD001 reported" true (has_rule "QD001" (Lint.run m));
+  check bool_t "QD001 reported" true (has_rule "QD001" (lint_module m));
   let m' = Pass_table.run "quantum-dce" m in
   check int_t "x removed" 0 (count_calls_to m' Names.(qis "x"));
   check int_t "h kept" 1 (count_calls_to m' Names.(qis "h"));
@@ -294,7 +295,7 @@ entry:
   in
   (* h acts on an unmeasured qubit, but its effect reaches the measured
      one through the cnot: nothing is removable *)
-  check bool_t "nothing dead" false (has_rule "QD001" (Lint.run m));
+  check bool_t "nothing dead" false (has_rule "QD001" (lint_module m));
   let m' = Pass_table.run "quantum-dce" m in
   check int_t "h kept" 1 (count_calls_to m' Names.(qis "h"));
   check int_t "cnot kept" 1 (count_calls_to m' Names.(qis "cnot"))
@@ -324,10 +325,11 @@ join:
 
 let test_const_addr_proves_phi_static () =
   let m = parse phi_addr_src in
-  let s = Const_addr.summarize m in
+  let a = Analyses.of_module m in
+  let s = Const_addr.summarize (Analyses.const_facts a) m in
   check int_t "two operands proved" 2 s.Const_addr.proved_static;
   check int_t "none left dynamic" 0 s.Const_addr.dynamic;
-  check int_t "two QA001 notes" 2 (count_rule "QA001" (Lint.run m))
+  check int_t "two QA001 notes" 2 (count_rule "QA001" (lint_module m))
 
 let test_detect_proved_upgrade () =
   let m = parse phi_addr_src in
@@ -455,7 +457,7 @@ entry:
   ret void
 }|}
   in
-  let ds = Lint.run m in
+  let ds = lint_module m in
   check bool_t "QV001 reported" true (has_rule "QV001" ds);
   check bool_t "only structural findings" true
     (List.for_all (String.equal "QV001") (rules ds))
@@ -538,7 +540,7 @@ entry:
   (* the mutual pair is one SCC and is reported once per function *)
   check int_t "two QP001" 2 (count_rule "QP001" (Call_graph.findings cg));
   (* whole-module lint surfaces the same rule *)
-  check bool_t "lint reports QP001" true (has_rule "QP001" (Lint.run m))
+  check bool_t "lint reports QP001" true (has_rule "QP001" (lint_module m))
 
 (* ------------------------------------------------------------------ *)
 (* Function effect summaries                                            *)
@@ -564,7 +566,7 @@ entry:
 
 let test_summary_release_and_purity () =
   let m = parse (releasing_helper_src ~use_after:false) in
-  let tbl = Summary.of_module m in
+  let tbl = Analyses.summaries (Analyses.of_module m) in
   let s =
     match Summary.find tbl "free_it" with
     | Some s -> s
@@ -590,7 +592,7 @@ entry:
   ret void
 }|}
   in
-  let tbl2 = Summary.of_module m2 in
+  let tbl2 = Analyses.summaries (Analyses.of_module m2) in
   (match Summary.find tbl2 "twice" with
   | Some s ->
     check bool_t "quantum free" true (Summary.quantum_free s);
@@ -617,13 +619,13 @@ entry:
   ret void
 }|})
   in
-  let tbl = Summary.of_module m in
+  let tbl = Analyses.summaries (Analyses.of_module m) in
   (match Summary.find tbl "make_q" with
   | Some s ->
     check bool_t "returns fresh qubit" true s.Summary.returns_fresh_qubit
   | None -> Alcotest.fail "no summary for @make_q");
   check int_t "caller releasing the returned qubit is clean" 0
-    (List.length (Lint.run ~notes:false m))
+    (List.length (lint_module ~notes:false m))
 
 (* ------------------------------------------------------------------ *)
 (* Cross-call lifetime rules                                            *)
@@ -764,14 +766,14 @@ entry:
 
 let test_quantum_dce_drops_unreachable_function () =
   let m = parse diamond_with_orphan in
-  check bool_t "QC001 before the pass" true (has_rule "QC001" (Lint.run m));
+  check bool_t "QC001 before the pass" true (has_rule "QC001" (lint_module m));
   let m' = Pass_table.run "quantum-dce" m in
   check bool_t "orphan dropped" true
     (Ir_module.find_func m' "orphan" = None);
   check bool_t "reachable helpers kept" true
     (Ir_module.find_func m' "mid" <> None
     && Ir_module.find_func m' "leaf" <> None);
-  check bool_t "clean after the pass" false (has_rule "QC001" (Lint.run m'))
+  check bool_t "clean after the pass" false (has_rule "QC001" (lint_module m'))
 
 (* ------------------------------------------------------------------ *)
 (* Interprocedural constant addresses and profile checking              *)
@@ -849,7 +851,8 @@ join:
   ret void
 }|})
   in
-  let facts = Const_addr.func_facts (Const_addr.analyze_module m) "main" in
+  let main = Option.get (Ir_module.find_func m "main") in
+  let facts = Analyses.sccp (Analyses.of_module m) main in
   check bool_t "proved qubit 5" true
     (match Const_addr.proved_address facts (Operand.Local "q") with
     | Some (Constant.Inttoptr n) -> Int64.equal n 5L
@@ -927,7 +930,7 @@ entry:
 
 let test_classify_with_summaries () =
   let m = parse (releasing_helper_src ~use_after:false) in
-  let summaries = Summary.of_module m in
+  let summaries = Analyses.summaries (Analyses.of_module m) in
   let f = Ir_module.find_func_exn m "main" in
   let call_to name =
     Func.fold_instrs f None (fun acc (i : Instr.t) ->
@@ -979,7 +982,7 @@ entry:
   ret void
 }|})
   in
-  check bool_t "QO001 noted" true (has_rule "QO001" (Lint.run m));
+  check bool_t "QO001 noted" true (has_rule "QO001" (lint_module m));
   let m' = run_opt m in
   check int_t "both h removed" 0 (count_calls_to m' Names.(qis "h"));
   check bool_t "same histogram" true (same_histogram m m')
@@ -998,7 +1001,7 @@ entry:
   ret void
 }|})
   in
-  check bool_t "QO002 noted" true (has_rule "QO002" (Lint.run m));
+  check bool_t "QO002 noted" true (has_rule "QO002" (lint_module m));
   let m' = run_opt m in
   check int_t "one rz left" 1 (count_calls_to m' Names.(qis "rz"));
   check bool_t "same histogram" true (same_histogram m m')
@@ -1107,7 +1110,7 @@ entry:
   ret void
 }|})
   in
-  check bool_t "QO003 noted" true (has_rule "QO003" (Lint.run m));
+  check bool_t "QO003 noted" true (has_rule "QO003" (lint_module m));
   let _, st = Qdf_opt.optimize m in
   check bool_t "release hoisted" true (st.Qdf_opt.s_hoisted > 0)
 
@@ -1117,13 +1120,108 @@ let test_qopt_promotion () =
   in
   check bool_t "dynamic module is tape-ineligible" true
     (Gate_tape.extract m = None);
-  check bool_t "QO004 noted" true (has_rule "QO004" (Lint.run m));
+  check bool_t "QO004 noted" true (has_rule "QO004" (lint_module m));
   let m', st = Qdf_opt.optimize m in
   check bool_t "promotion fired" true (st.Qdf_opt.s_promoted > 0);
   check bool_t "promoted module is tape-eligible" true
     (Gate_tape.extract m' <> None);
   check bool_t "bit-identical histogram" true
     (same_histogram ~seed:3 ~shots:50 m m')
+
+(* The gate tape and static promotion run only the entry, so only the
+   entry's lifetime findings gate them: a never-called helper's error
+   does not, the entry's own error does. *)
+let broken_helper =
+  {|
+declare ptr @__quantum__rt__qubit_allocate()
+declare void @__quantum__rt__qubit_release(ptr)
+define void @helper() {
+entry:
+  %q = call ptr @__quantum__rt__qubit_allocate()
+  call void @__quantum__rt__qubit_release(ptr %q)
+  call void @__quantum__rt__qubit_release(ptr %q)
+  ret void
+}
+|}
+
+let with_text m text = parse (Printer.module_to_string m ^ text)
+
+let test_entry_only_lifetime () =
+  let errors m =
+    Diagnostic.errors (Lifetime.check_module (Analyses.of_module m))
+  in
+  let static =
+    with_text (Qir_builder.build (Qcircuit.Generate.bell ())) broken_helper
+  in
+  check bool_t "helper error reported" true (errors static > 0);
+  check bool_t "static entry stays tape-eligible" true
+    (Gate_tape.extract static <> None);
+  let dynamic =
+    with_text
+      (Qir_builder.build ~addressing:`Dynamic (Qcircuit.Generate.bell ()))
+      broken_helper
+  in
+  check bool_t "QO004 noted" true (has_rule "QO004" (lint_module dynamic));
+  let promoted, st = Qdf_opt.optimize dynamic in
+  check bool_t "dynamic entry still promoted" true (st.Qdf_opt.s_promoted > 0);
+  check bool_t "promoted module is tape-eligible" true
+    (Gate_tape.extract promoted <> None);
+  (* the entry releases its qubit array twice *)
+  let twice line =
+    if Astring.String.is_infix ~affix:"call void @__quantum__rt__qubit_release_array(" line
+    then [ line; line ]
+    else [ line ]
+  in
+  let own =
+    Printer.module_to_string
+      (Qir_builder.build ~addressing:`Dynamic (Qcircuit.Generate.bell ()))
+    |> String.split_on_char '\n' |> List.concat_map twice
+    |> String.concat "\n" |> parse
+  in
+  check bool_t "entry error reported" true (errors own > 0);
+  let _, st = Qdf_opt.optimize own in
+  check int_t "entry with its own error is not promoted" 0
+    st.Qdf_opt.s_promoted
+
+(* Each counted analysis is solved at most once per function and
+   variant on the four cached paths; pinned per file as (Value_track,
+   Sccp, lifetime) solves. Lint with --resources also solves the
+   functions its normalized shadow rewrote, and seeded Sccp variants. *)
+let test_solve_counts () =
+  let counted f =
+    let v = Atomic.get Value_track.solves
+    and s = Atomic.get Passes.Sccp.solves
+    and l = Atomic.get Summary.solves in
+    f ();
+    ( Atomic.get Value_track.solves - v,
+      Atomic.get Passes.Sccp.solves - s,
+      Atomic.get Summary.solves - l )
+  in
+  let pinned =
+    [
+      ("../examples/bell_dynamic.ll", (2, 2, 1), (1, 1, 1), (1, 1, 0), (0, 1, 0));
+      ("../examples/bell_static.ll", (1, 1, 1), (1, 1, 0), (1, 1, 0), (1, 1, 1));
+      ("../examples/phi_addr.ll", (2, 2, 1), (1, 1, 0), (1, 1, 0), (0, 1, 0));
+      ("../examples/recursive_bad.ll", (2, 4, 2), (2, 2, 0), (1, 1, 0), (0, 0, 0));
+      ("../examples/teleport_helpers.ll", (3, 5, 3), (3, 3, 0), (3, 3, 0), (0, 0, 0));
+      ("cli.t/forloop.ll", (2, 2, 1), (1, 1, 0), (1, 1, 0), (0, 1, 0));
+    ]
+  in
+  let triple = Alcotest.(triple int int int) in
+  List.iter
+    (fun (path, lint, opt, cert, tape) ->
+      let m = parse (In_channel.with_open_text path In_channel.input_all) in
+      let resources = Resource_lint.default_opts in
+      check triple (path ^ " lint --resources") lint
+        (counted (fun () ->
+             ignore (Lint.run ~resources (Analyses.of_module m))));
+      check triple (path ^ " optimize") opt
+        (counted (fun () -> ignore (Qdf_opt.optimize m)));
+      check triple (path ^ " certify") cert
+        (counted (fun () -> ignore (Resource.certify (Analyses.of_module m))));
+      check triple (path ^ " tape") tape
+        (counted (fun () -> ignore (Gate_tape.extract m))))
+    pinned
 
 (* Differential property: on random circuits (with seeded redundancy
    injected so the rewrites actually fire) the optimizer must preserve
@@ -1256,3 +1354,9 @@ let suite =
       test_qopt_promotion;
   ]
   @ List.map QCheck_alcotest.to_alcotest qopt_props
+  @ [
+      Alcotest.test_case "lifetime: tape and promotion read the entry" `Quick
+        test_entry_only_lifetime;
+      Alcotest.test_case "analyses: one solve per function and variant"
+        `Quick test_solve_counts;
+    ]

@@ -181,14 +181,15 @@ let test_emitted_documents_parse () =
        @__quantum__qis__h__body(ptr)"
   in
   let open Qir_analysis in
-  let ds = Lint.run m in
+  let a = Analyses.of_module m in
+  let ds = Lint.run a in
   check bool_t "the module has findings" true (ds <> []);
   parses "diagnostics"
     (rendered (Diagnostic.render_json ~module_name:"m \"quoted\".ll") ds)
     (Diagnostic.json_document ~module_name:"m \"quoted\".ll" ds);
   let cg = Call_graph.build m in
   parses "call graph" (rendered Call_graph.render_json cg) (Call_graph.to_json cg);
-  let cert = Resource.certify m in
+  let cert = Resource.certify a in
   parses "certificate"
     (rendered (Resource.render_json ~diagnostics:ds) cert)
     (Resource.to_json ~diagnostics:ds cert);
@@ -553,7 +554,7 @@ let underdeclared_src =
 
 let test_admission_proof_beats_declaration () =
   let m = parse underdeclared_src in
-  let cert = Qir_analysis.Resource.certify m in
+  let cert = Qir_analysis.(Resource.certify (Analyses.of_module m)) in
   let v = Admission.evaluate ~cert ~backend:`Statevector m in
   check int_t "charged the proven peak, not the declared 1" 3
     v.Admission.v_qubits;
@@ -588,7 +589,7 @@ let provably_big_src =
 
 let test_admission_lower_bound_rejects_before_compile () =
   let m = parse provably_big_src in
-  let cert = Qir_analysis.Resource.certify m in
+  let cert = Qir_analysis.(Resource.certify (Analyses.of_module m)) in
   check int_t "proven lower bound" 28 (Qir_analysis.Resource.qubits_lower cert);
   match Admission.check ~cert ~budget:(1 lsl 30) ~backend:`Statevector m with
   | Ok _ -> Alcotest.fail "proven 4 GiB lower bound admitted under 1 GiB"
