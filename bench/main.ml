@@ -1994,7 +1994,7 @@ let with_redundancy ~seed (c : Circuit.t) =
 
 let e16 () =
   Harness.section "E16"
-    "quantum optimizer: gate cancellation and static promotion";
+    "quantum optimizer: gate cancellation, rotation merging, release hoisting";
   Harness.row "  %-30s %7s %7s %6s %6s %6s %10s@\n" "module" "before" "after"
     "red%" "tape0" "tape1" "opt";
   let eligible m = Qruntime.Gate_tape.extract m <> None in
@@ -2053,7 +2053,7 @@ let e16 () =
       [ ("module", str name); ("gates_before", int st.s_gates_before);
         ("gates_after", int st.s_gates_after); ("reduction_pct", fixed 1 red);
         ("cancelled", int st.s_cancelled); ("merged", int st.s_merged);
-        ("releases_hoisted", int st.s_hoisted); ("promoted", bool (st.s_promoted > 0));
+        ("releases_hoisted", int st.s_hoisted);
         ("tape_eligible_before", bool e0); ("tape_eligible_after", bool e1);
         ("optimize_ns", fixed 1 t) ]
   in

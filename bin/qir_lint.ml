@@ -47,17 +47,6 @@ let run input format werror notes ipo call_graph resources qubit_cap deadline
     | `Json -> Format.printf "%a" Qir_analysis.Call_graph.render_json cg
   end
   else begin
-    let ropts =
-      if resources then
-        Some
-          {
-            Qir_analysis.Resource_lint.qubit_cap = Some qubit_cap;
-            deadline_s = deadline;
-            throughput;
-            stabilizer_t_cap = t_cap;
-          }
-      else None
-    in
     (* certification assumes verifier-clean input: a QV001 module gets
        its findings and no certificate *)
     let analyses = Qir_analysis.Analyses.of_module m in
@@ -66,7 +55,23 @@ let run input format werror notes ipo call_graph resources qubit_cap deadline
         Some (Qir_analysis.Resource.certify analyses)
       else None
     in
-    let ds = Qir_analysis.Lint.run ~notes ~ipo ?resources:ropts analyses in
+    (* the printed certificate's findings come last, as QR rules *)
+    let ds =
+      Qir_analysis.Lint.run ~notes ~ipo analyses
+      @
+      match cert with
+      | Some cert ->
+        Qir_analysis.Resource_lint.check
+          ~opts:
+            {
+              Qir_analysis.Resource_lint.qubit_cap = Some qubit_cap;
+              deadline_s = deadline;
+              throughput;
+              stabilizer_t_cap = t_cap;
+            }
+          cert
+      | None -> []
+    in
     (match cert, format with
     | Some cert, `Text ->
       Format.printf "%a" Qir_analysis.Diagnostic.render_text ds;

@@ -58,7 +58,6 @@ let run input shots seed backend no_batch stats timeout shot_timeout
             ("cancelled", Jsonx.int st.Qir_analysis.Qdf_opt.s_cancelled);
             ("merged", Jsonx.int st.Qir_analysis.Qdf_opt.s_merged);
             ("releases_hoisted", Jsonx.int st.Qir_analysis.Qdf_opt.s_hoisted);
-            ("promoted", Jsonx.Bool (st.Qir_analysis.Qdf_opt.s_promoted > 0));
           ])
       opt_stats
   in
@@ -320,7 +319,7 @@ let opt_quantum =
   Arg.(value & flag & info [ "opt-quantum" ]
          ~doc:"Run the value-semantics quantum dataflow optimizer before \
                execution: proof-carrying gate cancellation, rotation \
-               merging, early qubit release and static promotion. \
+               merging and early qubit release. \
                Histograms are bit-identical to the unoptimized program \
                at a fixed seed.")
 

@@ -127,8 +127,7 @@ let optimize =
 let opt_quantum =
   Arg.(value & flag & info [ "opt-quantum" ]
          ~doc:"Run the value-semantics quantum dataflow optimizer \
-               (cancellation, rotation merging, early release, static \
-               promotion).")
+               (cancellation, rotation merging, early release).")
 
 let profile_conv =
   Arg.enum

@@ -31,7 +31,7 @@ let check_module (a : Analyses.t) : finding list =
     (Ir_module.defined_funcs (Analyses.ir a))
 
 (* The entry point alone, against no summaries. An entry that calls no
-   defined function — all the gate tape and static promotion accept —
+   defined function — all the gate tape accepts —
    gets the module check's own answer, solving only itself. *)
 let check_entry (a : Analyses.t) : finding list =
   match Ir_module.entry_point (Analyses.ir a) with

@@ -15,12 +15,14 @@
      QO001 note     cancellable self-inverse gate pair (quantum-opt)
      QO002 note     mergeable rotations (quantum-opt)
      QO003 note     qubit releasable earlier (quantum-opt)
-     QO004 note     entry provably lowers to static addressing (quantum-opt)
      QR001 e/w      qubit bound exceeds backend cap (--resources)
      QR002 warning  unbounded-trip loop on the quantum path (--resources)
      QR003 warning  declared qubit count below proven peak (--resources)
      QR004 note     T-count exceeds stabilizer eligibility (--resources)
      QR005 e/w      depth bound exceeds deadline budget (--resources)
+
+   The QR rules are {!Resource_lint.check} on a {!Resource.certify}
+   certificate; [qir-lint --resources] appends them to [run]'s findings.
 
    By default the lint is interprocedural: the whole module is checked,
    dataflow rules see callee effect summaries, and the call-graph rules
@@ -39,17 +41,11 @@ let verifier_findings (m : Ir_module.t) : Diagnostic.t list =
         ~where:v.Verifier.where "%s" v.Verifier.what)
     (Verifier.check_module m)
 
-let run ?(notes = true) ?(ipo = true) ?resources (a : Analyses.t) :
-    Diagnostic.t list =
+let run ?(notes = true) ?(ipo = true) (a : Analyses.t) : Diagnostic.t list =
   let m = Analyses.ir a in
   let notes_of () =
     if notes then Const_addr.notes (Analyses.const_facts a) m @ Qdf_opt.notes a
     else []
-  in
-  let resource_findings () =
-    match resources with
-    | None -> []
-    | Some opts -> Resource_lint.check ~opts (Resource.certify a)
   in
   match verifier_findings m with
   | _ :: _ as structural -> structural
@@ -59,10 +55,9 @@ let run ?(notes = true) ?(ipo = true) ?resources (a : Analyses.t) :
       @ Lifetime.check_module a
       @ Quantum_dce.findings a ~ipo:true
       @ notes_of ()
-      @ resource_findings ()
     else
       (* entry point only, every call opaque: the pre-interprocedural
          behavior *)
       Lifetime.check_entry a
       @ Quantum_dce.findings a ~ipo:false
-      @ notes_of () @ resource_findings ()
+      @ notes_of ()

@@ -1,5 +1,5 @@
 (* The [quantum-opt] pass: rewrites on the value-semantics view of
-   {!Qdf}. Four proof-carrying transformations, each firing only where
+   {!Qdf}. Three proof-carrying transformations, each firing only where
    the analysis proves the qubit flow:
 
    - adjacent self-inverse gate cancellation, scanning across classical
@@ -7,10 +7,12 @@
    - rotation merging (Rz(a);Rz(b) -> Rz(a+b)) with constant-folded
      angles, identities dropped outright;
    - early qubit release: hoisting release calls (runtime no-ops) to
-     just after the last instruction that may touch the released qubit;
-   - static promotion: a straight-line entry whose every qubit/result
-     operand resolves to a provable address is lowered to the static
-     addressing style — the form the gate-tape fast path replays.
+     just after the last instruction that may touch the released qubit.
+
+   Addressing conversion is not a dataflow rewrite and is not done here:
+   [qirc --addressing static] ({!Qir.Addressing.to_static}) is the one
+   static-QIR converter, and the gate tape runs dynamic entries as
+   written.
 
    Soundness around the runtime's allocator: a gate on a *static* wire
    grows the register (ensure), so removing one before a dynamic
@@ -22,9 +24,7 @@
    Release hoisting is exempt: releases are exact runtime no-ops, so
    moving one is execution-identical; the hoist still refuses to cross
    any event that may touch the released wire, preserving the lint
-   discipline. Static promotion replays the allocator's own index
-   arithmetic (bases assigned in program order), so the promoted module
-   addresses exactly the sim qubits the dynamic one did. *)
+   discipline. *)
 
 open Llvm_ir
 module Gate = Qcircuit.Gate
@@ -40,7 +40,6 @@ type stats = {
   s_cancelled : int;
   s_merged : int;
   s_hoisted : int;
-  s_promoted : int;  (* operands + instructions rewritten by promotion *)
   s_gates_before : int;
   s_gates_after : int;
 }
@@ -386,316 +385,6 @@ let optimize_func (a : Analyses.t) ~emit ~is_entry counters (f : Func.t) :
   else rounds (Analyses.value_track a f) (Analyses.sccp a f) 8 f
 
 (* ------------------------------------------------------------------ *)
-(* Static promotion                                                     *)
-
-exception Refuse
-
-(* Lower a straight-line dynamic entry to static addressing by replaying
-   the runtime allocator's index assignment in program order; [None] if
-   anything is unprovable. The rewritten module addresses exactly the
-   sim qubits the dynamic one did, so every shot histogram is
-   bit-identical — and the result is gate-tape eligible. [m] is [a]'s
-   module or the rounds' rewrite of it, which keeps every SSA value of
-   the entry: [a]'s solves of the entry answer for it. *)
-let promote (a : Analyses.t) (m : Ir_module.t) : (Ir_module.t * int) option =
-  match Ir_module.entry_point m with
-  | None -> None
-  | Some entry when Func.is_declaration entry || entry.Func.params <> [] ->
-    None
-  | Some entry ->
-    let dynamic =
-      Func.fold_instrs entry false (fun acc (i : Instr.t) ->
-          acc
-          ||
-          match i.Instr.op with
-          | Instr.Alloca _ | Instr.Load _ | Instr.Store _ -> true
-          | Instr.Call (_, c, _) -> (
-            match Names.decode c with
-            | Names.Qubit_allocate | Names.Qubit_allocate_array
-            | Names.Array_create_1d | Names.Array_get_element_ptr_1d ->
-              true
-            | _ -> false)
-          | _ -> false)
-    in
-    if not dynamic then None
-    else (
-      try
-        let cg = Analyses.call_graph a in
-        if Call_graph.callees cg entry.Func.name <> [] then raise Refuse;
-        if Call_graph.is_recursive cg entry.Func.name then raise Refuse;
-        let solved =
-          match Ir_module.entry_point (Analyses.ir a) with
-          | Some f -> f
-          | None -> raise Refuse
-        in
-        let vt = Analyses.value_track a solved in
-        let facts = Analyses.sccp a solved in
-        let chain =
-          match Func.straight_chain entry with
-          | Some c -> c
-          | None -> raise Refuse
-        in
-        let syn_addr (o : Operand.t) =
-          match o with
-          | Operand.Const Constant.Null -> Some 0L
-          | Operand.Const (Constant.Inttoptr a) -> Some a
-          | Operand.Const _ -> None
-          | Operand.Local _ -> (
-            match Const_addr.proved_address facts o with
-            | Some Constant.Null -> Some 0L
-            | Some (Constant.Inttoptr a) -> Some a
-            | _ -> None)
-        in
-        (* static result addresses already in use: dynamic result
-           elements are numbered above them *)
-        let max_rstatic = ref (-1L) in
-        Func.iter_instrs entry (fun (i : Instr.t) ->
-            match i.Instr.op with
-            | Instr.Call (_, callee, args) ->
-              List.iter
-                (fun (a : Operand.typed) ->
-                  match syn_addr a.Operand.v with
-                  | Some r when r > !max_rstatic -> max_rstatic := r
-                  | Some _ -> ()
-                  | None -> (
-                    match Value_track.result_of vt a.Operand.v with
-                    | Value_track.RStatic r when r > !max_rstatic ->
-                      max_rstatic := r
-                    | _ -> ()))
-                (Signatures.args_of_kind Signatures.Result callee args)
-            | _ -> ());
-        let size = ref 0L in
-        let next_result = ref (Int64.add !max_rstatic 1L) in
-        let qbase = Hashtbl.create 8
-        and qcount = Hashtbl.create 8
-        and rbase = Hashtbl.create 8
-        and rcount = Hashtbl.create 8 in
-        let deleted = Hashtbl.create 32 in
-        let rewrites = ref 0 in
-        let grow upto =
-          if upto > Int64.of_int Names.max_static_qubit then raise Refuse;
-          if upto > !size then size := upto
-        in
-        let site_of (i : Instr.t) =
-          match i.Instr.id with
-          | Some id -> (
-            match Hashtbl.find_opt vt.Value_track.site_of_def id with
-            | Some s -> (id, s)
-            | None -> raise Refuse)
-          | None -> raise Refuse
-        in
-        let resolve_int (o : Operand.t) =
-          match o with
-          | Operand.Const (Constant.Int a) -> Some a
-          | Operand.Local id -> (
-            match Passes.Sccp.const_of facts id with
-            | Some (Constant.Int a) -> Some a
-            | _ -> None)
-          | _ -> None
-        in
-        let static_qubit a =
-          if a < 0L || a >= Names.dynamic_base then raise Refuse;
-          if a >= Int64.of_int Names.max_static_qubit then raise Refuse;
-          grow (Int64.add a 1L);
-          a
-        in
-        let qubit_addr (o : Operand.t) =
-          match syn_addr o with
-          | Some a -> static_qubit a
-          | None -> (
-            match Value_track.qubit_of vt o with
-            | Value_track.Static a -> static_qubit a
-            | Value_track.Alloc s -> (
-              match Hashtbl.find_opt qbase s with
-              | Some b -> b
-              | None -> raise Refuse)
-            | Value_track.Elem (s, i) -> (
-              match Hashtbl.find_opt qbase s, Hashtbl.find_opt qcount s with
-              | Some b, Some c when i >= 0L && i < c -> Int64.add b i
-              | _ -> raise Refuse)
-            | Value_track.QParam _ | Value_track.QUnknown -> raise Refuse)
-        in
-        let result_addr (o : Operand.t) =
-          match syn_addr o with
-          | Some a ->
-            if a < 0L then raise Refuse;
-            a
-          | None -> (
-            match Value_track.result_of vt o with
-            | Value_track.RStatic a ->
-              if a < 0L || a >= Names.dynamic_base then raise Refuse;
-              a
-            | Value_track.RElem (s, i) -> (
-              match Hashtbl.find_opt rbase s, Hashtbl.find_opt rcount s with
-              | Some b, Some c when i >= 0L && i < c -> Int64.add b i
-              | _ -> raise Refuse)
-            | Value_track.RMeas _ | Value_track.RParam _
-            | Value_track.RUnknown ->
-              raise Refuse)
-        in
-        (* every qubit/result operand in its promoted constant spelling *)
-        let promote_operands (i : Instr.t) rty callee args =
-          match Signatures.arg_kinds callee args with
-          | Some kinds ->
-            let promote addr (a : Operand.typed) =
-              let a' = Operand.qubit_ptr (addr a.Operand.v) in
-              if not (Operand.equal_typed a a') then incr rewrites;
-              a'
-            in
-            let args' =
-              List.map2
-                (fun k (a : Operand.typed) ->
-                  match k with
-                  | Signatures.Qubit -> promote qubit_addr a
-                  | Signatures.Result -> promote result_addr a
-                  | Signatures.Double_arg | Signatures.Int_arg _
-                  | Signatures.Ptr_arg ->
-                    a)
-                kinds args
-            in
-            Some (Instr.mk ?id:i.Instr.id (Instr.Call (rty, callee, args')))
-          | None -> raise Refuse
-        in
-        let promote_instr (i : Instr.t) : Instr.t option =
-          match i.Instr.op with
-          | Instr.Call (rty, callee, args) -> (
-            match Names.decode callee with
-            | Names.Qubit_allocate ->
-              let id, s = site_of i in
-              Hashtbl.replace qbase s !size;
-              grow (Int64.add !size 1L);
-              Hashtbl.replace deleted id ();
-              incr rewrites;
-              None
-            | Names.Qubit_allocate_array ->
-              let id, s = site_of i in
-              let count =
-                match args with
-                | [ a ] -> (
-                  match resolve_int a.Operand.v with
-                  | Some a when a >= 0L -> a
-                  | _ -> raise Refuse)
-                | _ -> raise Refuse
-              in
-              Hashtbl.replace qbase s !size;
-              Hashtbl.replace qcount s count;
-              grow (Int64.add !size count);
-              Hashtbl.replace deleted id ();
-              incr rewrites;
-              None
-            | Names.Array_create_1d ->
-              let id, s = site_of i in
-              let count =
-                match args with
-                | [ _; a ] -> (
-                  match resolve_int a.Operand.v with
-                  | Some a when a >= 0L -> a
-                  | _ -> raise Refuse)
-                | _ -> raise Refuse
-              in
-              Hashtbl.replace rbase s !next_result;
-              Hashtbl.replace rcount s count;
-              next_result := Int64.add !next_result count;
-              Hashtbl.replace deleted id ();
-              incr rewrites;
-              None
-            | Names.Array_get_element_ptr_1d ->
-              (match i.Instr.id with
-              | Some id -> Hashtbl.replace deleted id ()
-              | None -> ());
-              incr rewrites;
-              None
-            | Names.Qubit_release | Names.Qubit_release_array ->
-              incr rewrites;
-              None
-            | Names.Array_update_reference_count
-            | Names.Result_update_reference_count -> (
-              (* bookkeeping on a tracked array: drop with its array *)
-              match args with
-              | { Operand.v = Operand.Local id; _ } :: _
-                when Hashtbl.mem deleted id ->
-                incr rewrites;
-                None
-              | _ -> Some i)
-            | _ -> promote_operands i rty callee args)
-          | Instr.Alloca _ -> (
-            match i.Instr.id with
-            | Some id -> (
-              match Hashtbl.find_opt vt.Value_track.slots id with
-              | Some
-                  ( Value_track.VQArray _ | Value_track.VRArray _
-                  | Value_track.VQubit _ | Value_track.VResult _ ) ->
-                Hashtbl.replace deleted id ();
-                incr rewrites;
-                None
-              | _ -> Some i)
-            | None -> Some i)
-          | Instr.Load (_, p) -> (
-            let quantum_value =
-              match i.Instr.id with
-              | Some id -> (
-                match Hashtbl.find_opt vt.Value_track.env id with
-                | Some
-                    ( Value_track.VQArray _ | Value_track.VRArray _
-                    | Value_track.VQubit _ | Value_track.VResult _ ) ->
-                  true
-                | _ -> false)
-              | None -> false
-            in
-            if quantum_value then begin
-              (match i.Instr.id with
-              | Some id -> Hashtbl.replace deleted id ()
-              | None -> ());
-              incr rewrites;
-              None
-            end
-            else
-              match p with
-              | Operand.Local pid when Hashtbl.mem deleted pid ->
-                raise Refuse
-              | _ -> Some i)
-          | Instr.Store (_, p) -> (
-            match p with
-            | Operand.Local pid when Hashtbl.mem deleted pid ->
-              incr rewrites;
-              None
-            | _ -> Some i)
-          | Instr.Gep _ | Instr.Phi _ -> raise Refuse
-          | _ -> Some i
-        in
-        let rebuilt = Hashtbl.create 8 in
-        List.iter
-          (fun (b : Block.t) ->
-            let instrs = List.filter_map promote_instr b.Block.instrs in
-            Hashtbl.replace rebuilt b.Block.label
-              (Block.mk b.Block.label instrs b.Block.term))
-          chain;
-        let blocks =
-          List.map
-            (fun (b : Block.t) ->
-              match Hashtbl.find_opt rebuilt b.Block.label with
-              | Some b' -> b'
-              | None -> b)
-            entry.Func.blocks
-        in
-        let entry' = Func.replace_blocks entry blocks in
-        (* proof-carrying guard: no surviving use of a deleted def *)
-        Func.iter_uses entry' (fun id ->
-            if Hashtbl.mem deleted id then raise Refuse);
-        if !rewrites = 0 then raise Refuse;
-        (* a definite qubit/result misuse in the entry would fault at
-           runtime, whatever its addressing *)
-        if
-          List.exists
-            (fun (d : Diagnostic.t) ->
-              d.Diagnostic.severity = Diagnostic.Error)
-            (if entry == solved then Lifetime.check_entry a
-             else Lifetime.check_func vt entry)
-        then None
-        else Some (Ir_module.replace_func m entry', !rewrites)
-      with Refuse -> None)
-
-(* ------------------------------------------------------------------ *)
 (* Module pass                                                          *)
 
 (* Every function's rounds over [a]'s module, and what they did. *)
@@ -715,43 +404,24 @@ let run (a : Analyses.t) ~emit =
 let optimize (m : Ir_module.t) : Ir_module.t * stats =
   let a = Analyses.of_module m in
   let m, counters = run a ~emit:(fun _ -> ()) in
-  let m, promoted =
-    match promote a m with Some (m', np) -> (m', np) | None -> (m, 0)
-  in
   let m = Signatures.add_missing_declarations m in
   ( m,
     {
       s_cancelled = counters.cancelled;
       s_merged = counters.merged;
       s_hoisted = counters.hoisted;
-      s_promoted = promoted;
       s_gates_before = gate_count (Analyses.ir a);
       s_gates_after = gate_count m;
     } )
 
-(* Lint integration: the same machinery in dry-run, emitting QO notes;
-   promotion is judged on the module as written. *)
+(* Lint integration: the same machinery in dry-run, emitting QO notes. *)
 let notes (a : Analyses.t) : Diagnostic.t list =
   let acc = ref [] in
-  let emit d = acc := d :: !acc in
-  ignore (run a ~emit);
-  (match promote a (Analyses.ir a), Ir_module.entry_point (Analyses.ir a) with
-  | Some (_, np), Some entry when not (Func.is_declaration entry) ->
-    let where =
-      Printf.sprintf "@%s %%%s" entry.Func.name (Func.entry entry).Block.label
-    in
-    emit
-      (Diagnostic.make ~rule:"QO004" ~severity:Diagnostic.Note ~where
-         "entry point provably lowers to static addressing (%d dynamic \
-          operand(s)/instruction(s) rewritten)"
-         np)
-  | _ -> ());
+  ignore (run a ~emit:(fun d -> acc := d :: !acc));
   List.rev !acc
 
 let mrun (m : Ir_module.t) =
   let m', st = optimize m in
-  ( m',
-    st.s_cancelled > 0 || st.s_merged > 0 || st.s_hoisted > 0
-    || st.s_promoted > 0 )
+  (m', st.s_cancelled > 0 || st.s_merged > 0 || st.s_hoisted > 0)
 
 let pass = { Passes.Pass.mname = "quantum-opt"; mrun }

@@ -694,14 +694,6 @@ type t = {
   functions : fsum list;
 }
 
-let declared_qubits (f : Func.t) =
-  match Func.attr f "required_num_qubits" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> n
-    | _ -> 0)
-  | None -> 0
-
 (* Certification analyzes a normalized shadow of the module: mem2reg
    promotes alloca-resident induction variables to phis (frontend
    output keeps loop counters in memory, where no trip count is
@@ -720,7 +712,9 @@ let certify (a : Analyses.t) : t =
   let m = normalize (Analyses.ir a) in
   let table = summarize (Analyses.with_module a m) in
   let entry = Ir_module.entry_point m in
-  let declared = match entry with Some f -> declared_qubits f | None -> 0 in
+  let declared =
+    match entry with Some f -> Names.declared_qubits f | None -> 0
+  in
   let esum =
     match entry with
     | Some f -> (

@@ -399,12 +399,7 @@ let parse_with_output_exn (m : Ir_module.t) : Circuit.t * int list =
   in
   exec_block st entry (Func.entry entry).Block.label;
   (* honor the declared qubit count when present *)
-  (match Func.attr entry "required_num_qubits" with
-  | Some n -> (
-    match int_of_string_opt n with
-    | Some n when n > st.max_qubit -> note_qubit st (n - 1)
-    | _ -> ())
-  | None -> ());
+  note_qubit st (Names.declared_qubits entry - 1);
   if st.max_qubit >= 0 then Circuit.Build.touch_qubit st.build st.max_qubit;
   if st.next_result > 0 then Circuit.Build.touch_clbit st.build (st.next_result - 1);
   let circuit =

@@ -7,11 +7,14 @@
    round leaves nothing dirty. Facts only move up the client's lattice,
    so fixpoints are reached in height * blocks rounds at worst.
 
-   The forward solver keys facts by *edge*, not by block: a block's
-   in-fact is the join over the facts pushed along its reached incoming
-   edges. Clients whose terminator transfer prunes infeasible successors
+   The forward solver joins each fact a terminator pushes straight into
+   that successor's in-fact, and only along the edges the client's
+   terminator transfer returns: clients that prune infeasible successors
    (constant conditions, proved switch arms) therefore get SCCP-style
-   optimism for free — unreached blocks contribute nothing to joins. *)
+   optimism for free — unreached blocks contribute nothing to joins. A
+   block's in-fact is the join of every fact pushed into it, the same
+   fixpoint as joining per-edge facts over its predecessors, since the
+   join is associative, commutative and idempotent. *)
 
 module SMap = Cfg.SMap
 module SSet = Cfg.SSet
@@ -33,13 +36,6 @@ module Forward (L : LATTICE) = struct
   let uniform_term _label term fact =
     List.map (fun s -> (s, fact)) (Instr.successors term)
 
-  module EMap = Map.Make (struct
-    type t = string * string
-
-    let compare (a1, b1) (a2, b2) =
-      match String.compare a1 a2 with 0 -> String.compare b1 b2 | c -> c
-  end)
-
   type result = {
     cfg : Cfg.t;
     tf : transfer;
@@ -47,56 +43,37 @@ module Forward (L : LATTICE) = struct
   }
 
   let solve ?(init = L.bottom) (cfg : Cfg.t) (tf : transfer) : result =
-    let edge_facts = ref EMap.empty in
-    let reached = ref (SSet.singleton cfg.Cfg.entry) in
-    let block_in label =
-      let base = if String.equal label cfg.Cfg.entry then init else L.bottom in
-      List.fold_left
-        (fun acc p ->
-          match EMap.find_opt (p, label) !edge_facts with
-          | Some f -> L.join acc f
-          | None -> acc)
-        base
-        (Cfg.predecessors cfg label)
-    in
+    let ins = ref (SMap.singleton cfg.Cfg.entry init) in
     let dirty = ref (SSet.singleton cfg.Cfg.entry) in
     while not (SSet.is_empty !dirty) do
       List.iter
         (fun label ->
-          if SSet.mem label !dirty && SSet.mem label !reached then begin
+          if SSet.mem label !dirty then begin
             dirty := SSet.remove label !dirty;
             let b = Cfg.block cfg label in
             let fact =
               List.fold_left
                 (fun fact i -> tf.instr label i fact)
-                (block_in label) b.Block.instrs
+                (SMap.find label !ins) b.Block.instrs
             in
             List.iter
               (fun (succ, f) ->
-                let changed =
-                  match EMap.find_opt (label, succ) !edge_facts with
-                  | Some old -> not (L.equal old (L.join old f))
-                  | None -> true
-                in
-                if changed then begin
-                  edge_facts :=
-                    EMap.update (label, succ)
-                      (function
-                        | Some old -> Some (L.join old f) | None -> Some f)
-                      !edge_facts;
-                  reached := SSet.add succ !reached;
-                  dirty := SSet.add succ !dirty
-                end)
+                (* the first push reaches [succ], whatever it carries *)
+                match SMap.find_opt succ !ins with
+                | Some old ->
+                  let joined = L.join old f in
+                  if not (L.equal old joined) then begin
+                    ins := SMap.add succ joined !ins;
+                    dirty := SSet.add succ !dirty
+                  end
+                | None ->
+                  ins := SMap.add succ (L.join L.bottom f) !ins;
+                  dirty := SSet.add succ !dirty)
               (tf.term label b.Block.term fact)
           end)
         cfg.Cfg.rpo
     done;
-    let ins =
-      SSet.fold
-        (fun label acc -> SMap.add label (block_in label) acc)
-        !reached SMap.empty
-    in
-    { cfg; tf; ins }
+    { cfg; tf; ins = !ins }
 
   let block_in r label =
     Option.value ~default:L.bottom (SMap.find_opt label r.ins)

@@ -24,8 +24,6 @@ let equal a b =
   | Local x, Local y -> String.equal x y
   | (Const _ | Local _), _ -> false
 
-let equal_typed a b = Ty.equal a.ty b.ty && equal a.v b.v
-
 let is_const { v; _ } =
   match v with
   | Const _ -> true

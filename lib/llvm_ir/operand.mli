@@ -25,7 +25,6 @@ val qubit_ptr : int64 -> typed
     [inttoptr (i64 n to ptr)] otherwise (Ex. 6). *)
 
 val equal : t -> t -> bool
-val equal_typed : typed -> typed -> bool
 val is_const : typed -> bool
 
 val as_int : typed -> int64 option

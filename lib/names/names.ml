@@ -149,3 +149,11 @@ let qis_of_gate (g : Gate.t) : (string * float list) option =
 
 let dynamic_base = 0x2000_0000L
 let max_static_qubit = 4096
+
+let declared_qubits (f : Llvm_ir.Func.t) =
+  match Llvm_ir.Func.attr f "required_num_qubits" with
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 0 -> n
+    | _ -> 0)
+  | None -> 0

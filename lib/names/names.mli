@@ -97,5 +97,11 @@ val qis_of_gate : Qcircuit.Gate.t -> (string * float list) option
 val dynamic_base : int64
 
 val max_static_qubit : int
-(** The static qubit indices a tape or a static promotion may commit a
-    simulator to: [0 .. max_static_qubit - 1]. *)
+(** The static qubit indices a gate tape may commit a simulator to:
+    [0 .. max_static_qubit - 1]. *)
+
+val declared_qubits : Llvm_ir.Func.t -> int
+(** The function's ["required_num_qubits"] attribute, trimmed; 0 when it
+    is absent, malformed or negative. The one reader of the attribute:
+    the runtime's initial register, admission, the resource certificate
+    and the circuit parser all size from it. *)

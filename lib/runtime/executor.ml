@@ -30,57 +30,6 @@ type run_result = {
   qubits : int; (* simulator register size at the end of the shot *)
 }
 
-(* ------------------------------------------------------------------ *)
-(* Program shape                                                        *)
-
-(* How the program names its qubits: [(dynamic, static)] — does some
-   function call qubit_allocate(_array), and does some quantum call pass
-   a constant qubit address? *)
-let addressing (m : Ir_module.t) =
-  let dynamic = ref false and static = ref false in
-  List.iter
-    (fun (f : Func.t) ->
-      List.iter
-        (fun (b : Block.t) ->
-          List.iter
-            (fun (i : Instr.t) ->
-              match i.Instr.op with
-              | Instr.Call (_, callee, args) -> (
-                match Names.decode callee with
-                | Names.Qubit_allocate | Names.Qubit_allocate_array ->
-                  dynamic := true
-                | _ ->
-                  List.iter
-                    (fun (a : Operand.typed) ->
-                      match a.Operand.v with
-                      | Operand.Const _ -> static := true
-                      | Operand.Local _ -> ())
-                    (Signatures.args_of_kind Signatures.Qubit callee args))
-              | _ -> ())
-            b.Block.instrs)
-        f.Func.blocks)
-    (Ir_module.defined_funcs m);
-  (!dynamic, !static)
-
-(* Initial register size: the entry point's declared requirement, or 0
-   (the register grows on demand — Sec. IV-A). *)
-let declared_qubits (m : Ir_module.t) =
-  match Ir_module.entry_point m with
-  | Some f -> (
-    match Func.attr f "required_num_qubits" with
-    | Some n -> Option.value ~default:0 (int_of_string_opt n)
-    | None -> 0)
-  | None -> 0
-
-(* A program that allocates its qubits at run time starts from an empty
-   register: preallocating the declared count as well would simulate
-   twice the qubits. Static addresses index the register directly, so a
-   program naming any keeps the declared prefix reserved. *)
-let initial_qubits (m : Ir_module.t) =
-  match addressing m with
-  | true, false -> 0
-  | _ -> declared_qubits m
-
 (* The sampling plan behind the batched tier: the QIR program parsed
    back into a circuit (Ex. 3), its clbits renumbered to recorded-output
    order, prepared for shot-branching sampling.
@@ -93,7 +42,7 @@ let initial_qubits (m : Ir_module.t) =
    with dynamic allocation (the parser numbers both from qubit 0) have
    no plan. *)
 let sampling_plan (m : Ir_module.t) =
-  match addressing m with
+  match Runtime.addressing m with
   | true, true -> None
   | _ -> (
     match Qir.Qir_parser.parse_with_output m with
@@ -289,7 +238,7 @@ let backend_of_kind ?seed ?attempt (kind : backend_kind) n :
 (* One shot: backend, runtime, deadline and entry point are set up here
    once for both interpreters; [interpret ~fuel ~deadline ~externals
    entry] runs the entry and returns its stats and compile seconds.
-   [qubits] is the initial register size ({!initial_qubits}). *)
+   [qubits] is the initial register size ({!Runtime.initial_qubits}). *)
 let run_with ?(seed = 1) ?(backend : backend_kind = `Statevector) ?fuel
     ?deadline ?attempt ~qubits (m : Ir_module.t) interpret : run_result =
   let inst = backend_of_kind ~seed ?attempt backend qubits in
@@ -327,14 +276,15 @@ let run_bytecode ~session ?seed ?backend ?fuel ?deadline ?attempt ~qubits
 let run ?(session = Session.default) ?seed ?backend ?fuel ?deadline ?attempt
     (m : Ir_module.t) : run_result =
   run_bytecode ~session ?seed ?backend ?fuel ?deadline ?attempt
-    ~qubits:(initial_qubits m) m
+    ~qubits:(Runtime.initial_qubits m) m
 
 (* The tree-walking interpreter as the differential oracle for [run]:
    same setup, same observable results, no production path reaches it. *)
 module Reference = struct
   let run ?seed ?backend ?fuel ?deadline ?attempt (m : Ir_module.t) :
       run_result =
-    run_with ?seed ?backend ?fuel ?deadline ?attempt ~qubits:(initial_qubits m) m
+    run_with ?seed ?backend ?fuel ?deadline ?attempt
+      ~qubits:(Runtime.initial_qubits m) m
       (fun ~fuel ~deadline ~externals entry ->
         let st = Interp.create ?fuel ?deadline ~externals m in
         let _ = Interp.run_function st entry [] in
@@ -511,17 +461,16 @@ let run_shots_resilient ?(session = Session.default)
           (tape, if cache_hit then 0. else dt)
         else (None, 0.)
       in
+      let qubits = Runtime.initial_qubits m in
       let one_shot, compile_s =
         match tape with
         | Some tape ->
-          let qubits = declared_qubits m in
           ( (fun ~seed ~deadline:_ ~attempt ->
               Gate_tape.replay tape
                 (backend_of_kind ~seed ~attempt backend qubits)),
             0. )
         | None ->
           let _, dt, cached = Session.compiled session m in
-          let qubits = initial_qubits m in
           ( (fun ~seed ~deadline ~attempt ->
               shot_key
                 (run_bytecode ~session ~seed ~backend

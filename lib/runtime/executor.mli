@@ -103,15 +103,6 @@ type run_result = {
   qubits : int;  (** simulator register size at the end of the shot *)
 }
 
-val declared_qubits : Llvm_ir.Ir_module.t -> int
-(** The entry point's [required_num_qubits], or 0 (the register grows on
-    demand). *)
-
-val initial_qubits : Llvm_ir.Ir_module.t -> int
-(** The register a shot starts from: 0 when the program allocates its
-    qubits at run time and names none by a constant address (the
-    allocations build the register), else {!declared_qubits}. *)
-
 val run :
   ?session:Session.t ->
   ?seed:int ->

@@ -23,6 +23,11 @@ let array_base = 0x3000_0000L
 let one_result_addr = 0x4000_0001L
 let zero_result_addr = 0x4000_0002L
 
+(* An array of [count] 8-byte cells at [handle]: element [i] lives at
+   [array_elem handle i], and the next array starts at
+   [array_elem handle count]. *)
+let array_elem handle i = Int64.add handle (Int64.of_int (8 * (i + 1)))
+
 exception Runtime_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
@@ -222,9 +227,8 @@ let implement rt (call : Names.call) : Interp.value list -> Interp.value =
         let qubit_base = rt.ops.bnum_qubits () in
         rt.ops.ensure (qubit_base + count);
         let handle = rt.next_array in
-        let elem_base = Int64.add handle 8L in
-        rt.next_array <-
-          Int64.add rt.next_array (Int64.of_int (8 * (count + 1)));
+        let elem_base = array_elem handle 0 in
+        rt.next_array <- array_elem handle count;
         Hashtbl.replace rt.arrays handle
           { elem_base; count; qubit_base = Some qubit_base };
         Interp.VPtr handle
@@ -235,9 +239,8 @@ let implement rt (call : Names.call) : Interp.value list -> Interp.value =
         let count = Int64.to_int (int_arg n) in
         if count < 0 then fail "array_create_1d: negative size";
         let handle = rt.next_array in
-        let elem_base = Int64.add handle 8L in
-        rt.next_array <-
-          Int64.add rt.next_array (Int64.of_int (8 * (count + 1)));
+        let elem_base = array_elem handle 0 in
+        rt.next_array <- array_elem handle count;
         Hashtbl.replace rt.arrays handle
           { elem_base; count; qubit_base = None };
         Interp.VPtr handle
@@ -301,3 +304,43 @@ let implement rt (call : Names.call) : Interp.value list -> Interp.value =
 (* Every function of {!Names.symbols}, bound to its implementation. *)
 let externals rt : (string * (Interp.value list -> Interp.value)) list =
   List.map (fun (name, call) -> (name, implement rt call)) Names.symbols
+
+(* ------------------------------------------------------------------ *)
+(* Program shape                                                        *)
+
+(* How the program names its qubits: [(dynamic, static)] — does some
+   function call qubit_allocate(_array), and does some quantum call pass
+   a constant qubit address? *)
+let addressing (m : Ir_module.t) =
+  let dynamic = ref false and static = ref false in
+  List.iter
+    (fun (f : Func.t) ->
+      Func.iter_instrs f (fun (i : Instr.t) ->
+          match i.Instr.op with
+          | Instr.Call (_, callee, args) -> (
+            match Names.decode callee with
+            | Names.Qubit_allocate | Names.Qubit_allocate_array ->
+              dynamic := true
+            | _ when !static -> ()
+            | _ ->
+              List.iter
+                (fun (a : Operand.typed) ->
+                  match a.Operand.v with
+                  | Operand.Const _ -> static := true
+                  | Operand.Local _ -> ())
+                (Signatures.args_of_kind Signatures.Qubit callee args))
+          | _ -> ()))
+    (Ir_module.defined_funcs m);
+  (!dynamic, !static)
+
+(* A program that allocates its qubits at run time starts from an empty
+   register: preallocating the declared count as well would simulate
+   twice the qubits. Static addresses index the register directly, so a
+   program naming any keeps the declared prefix reserved. *)
+let initial_qubits (m : Ir_module.t) =
+  match addressing m with
+  | true, false -> 0
+  | _ -> (
+    match Ir_module.entry_point m with
+    | Some f -> Names.declared_qubits f
+    | None -> 0)

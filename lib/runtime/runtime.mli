@@ -55,3 +55,22 @@ val externals :
   t -> (string * (Llvm_ir.Interp.value list -> Llvm_ir.Interp.value)) list
 (** The full QIS/RT external-function table, ready for
     {!Llvm_ir.Interp.create}. *)
+
+(** {1 Allocator arithmetic} *)
+
+val array_base : int64
+(** The handle of the first runtime array. *)
+
+val array_elem : int64 -> int -> int64
+(** [array_elem handle i]: the address of element [i] of the array at
+    [handle]; the array allocated next starts at [array_elem handle count]. *)
+
+val addressing : Llvm_ir.Ir_module.t -> bool * bool
+(** [(dynamic, static)]: does some defined function allocate qubits, and
+    does some quantum call name a qubit by a constant address? *)
+
+val initial_qubits : Llvm_ir.Ir_module.t -> int
+(** The register a shot starts from: 0 when the program allocates its
+    qubits at run time and names none by a constant address (the
+    allocations build the register), else the entry point's
+    {!Names.declared_qubits}. *)

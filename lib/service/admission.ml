@@ -71,7 +71,11 @@ type verdict = {
    weakest claim. *)
 let evaluate ?tape ?cert ~(backend : Qruntime.Executor.backend_kind)
     (m : Llvm_ir.Ir_module.t) : verdict =
-  let declared = Qruntime.Executor.declared_qubits m in
+  let declared =
+    match Llvm_ir.Ir_module.entry_point m with
+    | Some f -> Names.declared_qubits f
+    | None -> 0
+  in
   let tape_q = Option.map Qruntime.Gate_tape.qubits tape in
   let cert_q = Option.bind cert Qir_analysis.Resource.qubits_upper in
   (* an unbounded certificate still proves its lower bound *)

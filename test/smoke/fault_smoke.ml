@@ -15,9 +15,12 @@
    on the same dataflow), and through the quantum optimizer
    ([Qdf_opt.optimize], whose output must verify, and [Qdf_opt.notes],
    both running the one commute-or-stop scan): any exception fails the
-   run. 2000 more mutations of a small classical corpus (loop, phi,
-   select, GEP, switch) give sccp something to fold, under the same
-   rule.
+   run. Each verified mutation the gate tape accepts — of these texts
+   and of 2000 mutations of the same circuits in dynamic addressing —
+   must give the per-shot histogram at the tape tier ([tape_oracle]);
+   one that differs fails the run. 2000 more mutations of a small
+   classical corpus (loop, phi, select, GEP, switch) give sccp
+   something to fold, under the same rule.
 
    Last, 2000 seeded mutations of an OpenQASM 2 corpus (Bell, GHZ, a
    conditioned gate after a measurement) go through [Qasm2.parse] and
@@ -76,6 +79,50 @@ let mutate rng text =
 
 let sccp = Passes.Pass.of_func_pass Passes.Sccp.pass
 
+(* The tape oracle: a verified mutation the gate tape accepts, replayed
+   at the tape tier, must give the per-shot tier's histogram bit for bit
+   (16 shots, fixed seed). Per-shot runs under a fuel bound (which keeps
+   the tape out of its loop); a run past the fuel is not compared, and
+   any other per-shot failure differs from the tape's answer. Tapes
+   over [tape_qubits] qubits are not run: a mutated address or
+   declaration can name a register no smoke test should simulate. *)
+let tape_qubits = 12
+let tape_checked = ref 0 and on_tape = ref 0
+let too_wide = ref 0 and differ = ref 0
+
+let out_of_fuel msg =
+  let affix = "instruction budget exhausted" in
+  let n = String.length affix in
+  let rec at i =
+    i + n <= String.length msg && (String.sub msg i n = affix || at (i + 1))
+  in
+  at 0
+
+let tape_oracle m =
+  incr tape_checked;
+  match Qruntime.Gate_tape.extract m with
+  | None -> ()
+  | Some tape when Qruntime.Gate_tape.qubits tape > tape_qubits -> incr too_wide
+  | Some _ -> (
+    incr on_tape;
+    let run ?policy max_tier =
+      Qruntime.Executor.run_shots_resilient ?policy ~seed:7 ~shots:16
+        ~max_tier m
+    in
+    let fuel = { Qruntime.Resilience.default with fuel = Some 100_000 } in
+    match run ~policy:fuel `Per_shot with
+    | exception Qruntime.Qir_error.Error e
+      when out_of_fuel e.Qruntime.Qir_error.message ->
+      ()
+    | exception Qruntime.Qir_error.Error _ -> incr differ
+    | per_shot ->
+      let tape = run `Tape in
+      if
+        (not tape.Qruntime.Executor.tape)
+        || tape.Qruntime.Executor.histogram
+           <> per_shot.Qruntime.Executor.histogram
+      then incr differ)
+
 (* Runs sccp on a verified module: whether it folded anything; raises
    [Failure] when its output does not verify. *)
 let sccp_folds m =
@@ -130,9 +177,10 @@ let mutate_texts texts =
         (match lifetime_finds m with
         | finds -> if finds then incr found
         | exception e -> report i e);
-        match quantum_opt_changes m with
+        (match quantum_opt_changes m with
         | changed -> if changed then incr optimized
-        | exception e -> report i e
+        | exception e -> report i e);
+        match tape_oracle m with () -> () | exception e -> report i e
       end)
     | Error _ -> incr rejected
     | exception e -> report i e
@@ -146,6 +194,32 @@ let mutate_texts texts =
     !found;
   Printf.printf "quantum-opt: %d verified mutations, %d changed\n" !verified
     !optimized;
+  !raised
+
+(* The same circuits in dynamic addressing, mutated [mutations] times
+   more, through the tape oracle alone: the tape runs those entries as
+   written, replaying the runtime's allocator. Returns how many raised. *)
+let mutate_dynamic texts =
+  let texts = Array.of_list texts in
+  let rng = Rng.create 2025 in
+  let raised = ref 0 in
+  for i = 0 to mutations - 1 do
+    match
+      Llvm_ir.Parser.parse_module_result
+        (mutate rng texts.(i mod Array.length texts))
+    with
+    | Ok m when Llvm_ir.Verifier.check_module m = [] -> tape_oracle m
+    | Ok _ | Error _ -> ()
+    | exception e ->
+      incr raised;
+      if !raised <= 5 then
+        Printf.eprintf "dynamic mutation %d: %s\n" i (Printexc.to_string e)
+  done;
+  Printf.printf "tape: %d verified mutations, %d on the tape, %d differ\n"
+    !tape_checked !on_tape !differ;
+  if !too_wide > 0 then
+    Printf.printf "tape: %d more over %d qubits, not run\n" !too_wide
+      tape_qubits;
   !raised
 
 (* Classical control flow, where sccp has something to fold: a counted
@@ -306,7 +380,7 @@ let () =
   in
   let failures = ref 0 in
   let total_retries = ref 0 in
-  let texts = ref [] in
+  let texts = ref [] and dynamic_texts = ref [] in
   for i = 0 to circuits - 1 do
     let seed = 1000 + i in
     let n = 2 + (i mod 5) in
@@ -319,6 +393,8 @@ let () =
       (* full pipeline: build -> print -> parse -> optimize -> execute *)
       let text = Qir.Qir_builder.to_string c in
       texts := text :: !texts;
+      dynamic_texts :=
+        Qir.Qir_builder.to_string ~addressing:`Dynamic c :: !dynamic_texts;
       let m = Llvm_ir.Parser.parse_module text in
       let m = Passes.Pipeline.optimize m in
       let r =
@@ -348,10 +424,11 @@ let () =
     (Qsim.Faulty.injected ())
     !total_retries !failures;
   let raised = mutate_texts (List.rev !texts) in
+  let tape_raised = mutate_dynamic (List.rev !dynamic_texts) in
   let sccp_raised = mutate_classical () in
   let qasm_raised = mutate_qasm () in
   let request_raised = mutate_requests () in
   if
-    !failures > 0 || raised > 0 || sccp_raised > 0 || qasm_raised > 0
-    || request_raised > 0
+    !failures > 0 || raised > 0 || tape_raised > 0 || !differ > 0
+    || sccp_raised > 0 || qasm_raised > 0 || request_raised > 0
   then exit 1

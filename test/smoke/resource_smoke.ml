@@ -31,15 +31,17 @@ let fail fmt =
    backend and read the runtime's ground truth. *)
 
 let measure ~seed (m : Llvm_ir.Ir_module.t) =
-  let n = Qruntime.Executor.declared_qubits m in
-  let inst = Qsim.Backend.create_instance ~seed `Statevector n in
-  let rt = Qruntime.Runtime.create inst in
-  let externals = Qruntime.Runtime.externals rt in
-  let entry =
+  let f =
     match Llvm_ir.Ir_module.entry_point m with
-    | Some f -> f.Llvm_ir.Func.name
+    | Some f -> f
     | None -> failwith "module has no entry point"
   in
+  let inst =
+    Qsim.Backend.create_instance ~seed `Statevector (Names.declared_qubits f)
+  in
+  let rt = Qruntime.Runtime.create inst in
+  let externals = Qruntime.Runtime.externals rt in
+  let entry = f.Llvm_ir.Func.name in
   let st = Llvm_ir.Interp.create ~externals m in
   ignore (Llvm_ir.Interp.run_function st entry []);
   let stats = Qruntime.Runtime.stats rt in

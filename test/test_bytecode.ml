@@ -367,6 +367,26 @@ let test_tape_proved_address () =
   check bool_t "computed address still tapes" true
     (Qruntime.Gate_tape.extract m <> None)
 
+(* The verifier accepts a use before its definition in one block; the
+   interpreter faults on it, so the tape must not answer for it. *)
+let test_tape_rejects_use_before_def () =
+  let m =
+    Parser.parse_module
+      {|
+declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+
+define void @main() "entry_point" {
+entry:
+  call void @__quantum__qis__h__body(ptr %q)
+  %q = inttoptr i64 1 to ptr
+  call void @__quantum__qis__mz__body(ptr %q, ptr null)
+  ret void
+}
+|}
+  in
+  check bool_t "no tape" true (Qruntime.Gate_tape.extract m = None)
+
 (* Under the tape cap the tape fires, and its histogram must equal
    per-shot interpretation at the same seed. (The default cap answers
    these mid-circuit-reset programs on the shot-branching tier.) *)
@@ -434,6 +454,8 @@ let suite =
       test_tape_rejects_defined_callee;
     Alcotest.test_case "tape: proved computed address" `Quick
       test_tape_proved_address;
+    Alcotest.test_case "tape: rejects a use before its definition" `Quick
+      test_tape_rejects_use_before_def;
     Alcotest.test_case "tape: histogram equals per-shot" `Quick
       test_tape_histogram_matches;
     Alcotest.test_case "tape: computed-address histogram" `Quick

@@ -38,7 +38,7 @@ let test_bell_dynamic_grows () =
   let text = really_input_string ch (in_channel_length ch) in
   close_in ch;
   let m = Llvm_ir.Parser.parse_module text in
-  check int_t "initial register" 0 (Executor.initial_qubits m);
+  check int_t "initial register" 0 (Runtime.initial_qubits m);
   check int_t "bytecode engine: 2 qubits" 2 (Executor.run ~seed:5 m).Executor.qubits;
   check int_t "oracle: 2 qubits" 2 (Executor.Reference.run ~seed:5 m).Executor.qubits;
   let faulty =
