@@ -1997,7 +1997,7 @@ let e16 () =
     "quantum optimizer: gate cancellation, rotation merging, release hoisting";
   Harness.row "  %-30s %7s %7s %6s %6s %6s %10s@\n" "module" "before" "after"
     "red%" "tape0" "tape1" "opt";
-  let eligible m = Qruntime.Gate_tape.extract m <> None in
+  let eligible m = Qruntime.Gate_tape.extract (Qir_analysis.Analyses.of_module m) <> None in
   let rows =
     List.concat_map
       (fun (n, gates) ->
@@ -2159,7 +2159,7 @@ let e17 () =
   in
   let t_tape =
     Harness.time_ns "tape-reject" (fun () ->
-        let tape = Qruntime.Gate_tape.extract tall in
+        let tape = Qruntime.Gate_tape.extract (Qir_analysis.Analyses.of_module tall) in
         assert (tape <> None);
         rejected
           (Qservice.Admission.check ?tape ~budget ~backend:`Statevector tall))

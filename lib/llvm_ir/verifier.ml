@@ -26,18 +26,19 @@ let check_func (m : Ir_module.t) (f : Func.t) =
         else Hashtbl.replace seen l ())
       labels;
     let label_set = SSet.of_list labels in
-    (* unique defs; collect def sites *)
+    (* unique defs; collect def sites: block label and position in the
+       block (params are defined before every block) *)
     let defs = Hashtbl.create 64 in
-    List.iter (fun (p : Func.param) -> Hashtbl.replace defs p.pname "param") f.params;
+    List.iter (fun (p : Func.param) -> Hashtbl.replace defs p.pname ("", -1)) f.params;
     List.iter
       (fun (b : Block.t) ->
-        List.iter
-          (fun (i : Instr.t) ->
+        List.iteri
+          (fun pos (i : Instr.t) ->
             match i.id with
             | Some id ->
               if Hashtbl.mem defs id then
                 err fname "%%%s defined more than once" id
-              else Hashtbl.replace defs id b.label;
+              else Hashtbl.replace defs id (b.label, pos);
               if Instr.result_ty i.op = None then
                 err fname "%%%s names an instruction with no result" id
             | None ->
@@ -67,27 +68,43 @@ let check_func (m : Ir_module.t) (f : Func.t) =
           [ src.Operand.ty; dst ]
       | _ -> ()
     in
-    (* every use refers to a defined value; terminator targets exist;
-       phis lead their block and match predecessors *)
+    (* every use refers to a value its definition dominates; terminator
+       targets exist; phis lead their block and match predecessors *)
     let cfg = Cfg.of_func f in
+    let dom = lazy (Dom.compute cfg) in
     List.iter
       (fun (b : Block.t) ->
         let where = Printf.sprintf "%s %%%s" fname b.label in
-        let check_operand (o : Operand.typed) =
+        (* a use at position [at] ([max_int]: the end) of block [from] —
+           a phi's incoming value at the end of its predecessor — needs
+           its definition earlier in that block or in a dominating one
+           (the dominator tree is built on the first use across
+           blocks); unreachable blocks are exempt *)
+        let check_operand ?(from = b.label) at (o : Operand.typed) =
           match o.Operand.v with
-          | Operand.Local name ->
-            if not (Hashtbl.mem defs name) then
-              err where "use of undefined value %%%s" name
+          | Operand.Local name -> (
+            match Hashtbl.find_opt defs name with
+            | None -> err where "use of undefined value %%%s" name
+            | Some (label, pos) ->
+              if
+                pos >= 0
+                && (if String.equal label from then pos >= at
+                    else not (Dom.dominates (Lazy.force dom) label from))
+                && Cfg.is_reachable cfg from
+              then err where "use of %%%s not dominated by its definition" name)
           | Operand.Const (Constant.Global g) ->
             if Ir_module.find_func m g = None && Ir_module.find_global m g = None
             then err where "reference to undefined global @%s" g
           | Operand.Const _ -> ()
         in
         let saw_non_phi = ref false in
-        List.iter
-          (fun (i : Instr.t) ->
+        List.iteri
+          (fun pos (i : Instr.t) ->
             (match i.op with
-            | Instr.Phi (_, incoming) ->
+            | Instr.Phi (ty, incoming) ->
+              List.iter
+                (fun (v, from) -> check_operand ~from max_int (Operand.typed ty v))
+                incoming;
               if !saw_non_phi then
                 err where "phi node is not at the start of the block";
               let preds = SSet.of_list (Cfg.predecessors cfg b.label) in
@@ -140,14 +157,16 @@ let check_func (m : Ir_module.t) (f : Func.t) =
               | None -> err where "call to undeclared function @%s" callee)
             | _ -> saw_non_phi := true);
             check_int_types where i.op;
-            List.iter check_operand (Instr.operands i.op))
+            match i.op with
+            | Instr.Phi _ -> ()
+            | op -> List.iter (check_operand pos) (Instr.operands op))
           b.instrs;
         (match b.term with
         | Instr.Switch (v, _, _) when not (Ty.is_integer v.Operand.ty) ->
           err where "switch on %s, not an integer type"
             (Ty.to_string v.Operand.ty)
         | _ -> ());
-        List.iter check_operand (Instr.term_operands b.term);
+        List.iter (check_operand max_int) (Instr.term_operands b.term);
         List.iter
           (fun target ->
             if not (SSet.mem target label_set) then

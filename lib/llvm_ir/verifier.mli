@@ -1,5 +1,7 @@
 (** Structural well-formedness checks: unique labels and definitions,
-    defined uses, valid branch targets, phi/predecessor agreement, call
+    defined uses dominated by their definitions (a phi's incoming value
+    at the end of its predecessor; uses in unreachable blocks exempt),
+    valid branch targets, phi/predecessor agreement, call
     arities against declarations, entry block without predecessors,
     integer types on integer arithmetic, compares, width casts and
     switches. *)

@@ -54,23 +54,25 @@ let sampling_plan (m : Ir_module.t) =
     | Error _ -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Sessions: the reentrant, handle-based home for everything that used
-   to be module-global mutable state — the compile-once bytecode cache,
-   the gate-tape verdict cache, the resource-certificate cache and the
-   sampling-plan cache, all keyed by module *identity*
-   (physical equality), plus hit/miss counters the service tier and
-   qir-run --stats read. A long-running daemon creates one session per
-   logical cache domain; callers that never mention sessions share
-   [Session.default], which preserves the historical behaviour exactly.
+(* Sessions: the reentrant, handle-based home for everything computed
+   from a program and reused across its runs — one LRU list of
+   per-module entries keyed by module *identity* (physical equality),
+   plus hit/miss counters the service tier and qir-run --stats read.
+   An entry holds the module, the digest of the text {!intern} parsed
+   it from, one lazily built analyses record, and the four products:
+   bytecode, gate-tape verdict, resource certificate and sampling plan,
+   each with the seconds computing it took. The certificate and the
+   tape read the one analyses record, so their solves are shared. A
+   long-running daemon creates one session per logical cache domain;
+   callers that never mention sessions share [Session.default].
 
-   One compilation is reused across shots, fault-injection retries,
-   batches and Domain-pool workers. A mutex guards the tiny per-session
-   lists; compilation itself is fast (linear in the module). The
-   analyses behind tape extraction (call graph, lifetime discipline,
-   constant-address propagation) cost orders of magnitude more than a
-   shot, so the verdict — [Some tape] or proved-ineligible [None] — is
-   cached exactly like the compiled program; cached verdicts report 0
-   analysis time. *)
+   A mutex guards the list and every computation on an entry (the
+   analyses record is not thread-safe). The list is LRU, not FIFO: a
+   use moves the entry to the front, so under a service workload — one
+   long-lived hot module among a stream of run-once cold ones — the
+   run-once modules evict each other, not the hot entry, which would
+   otherwise turn the cheapest jobs in the queue into the most
+   expensive ones. *)
 
 module Session = struct
   type cache_stats = {
@@ -84,43 +86,44 @@ module Session = struct
     plan_misses : int;
   }
 
-  (* One cache entry: the module (compared by identity), the value
-     computed from it, the seconds computing it took, and whether an
-     execution, not just an admission check, has asked for it. *)
-  type 'a entry = {
-    key : Ir_module.t;
-    value : 'a;
-    seconds : float;
-    mutable warm : bool;
+  (* A product, once computed: the value and its compute seconds. *)
+  type 'a slot = { mutable value : ('a * float) option }
+
+  type entry = {
+    m : Ir_module.t;
+    digest : Digest.t option; (* of the text [intern] parsed [m] from *)
+    analyses : Qir_analysis.Analyses.t Lazy.t;
+    compiled : Bytecode.program slot;
+    tape : Gate_tape.t option slot;
+    cert : Qir_analysis.Resource.t slot;
+    plan : Qsim.Sampler.plan option slot;
+    mutable warm : bool; (* has an execution, not just admission, asked? *)
   }
 
-  (* One LRU memo, newest entry first, with its hit/miss counters. *)
-  type 'a memo = {
-    mutable entries : 'a entry list;
-    mutable hits : int;
-    mutable misses : int;
-  }
+  type counter = { mutable hits : int; mutable misses : int }
 
   type t = {
     lock : Mutex.t;
     limit : int;
-    compile_cache : Bytecode.program memo;
-    tape_cache : Gate_tape.t option memo;
-    cert_cache : Qir_analysis.Resource.t memo;
-    plan_cache : Qsim.Sampler.plan option memo;
+    mutable entries : entry list; (* most recently used first *)
+    compiles : counter;
+    tapes : counter;
+    certs : counter;
+    plans : counter;
   }
 
   let create ?(cache_limit = 8) () =
     if cache_limit < 1 then
       invalid_arg "Executor.Session.create: need a positive cache limit";
-    let memo () = { entries = []; hits = 0; misses = 0 } in
+    let counter () = { hits = 0; misses = 0 } in
     {
       lock = Mutex.create ();
       limit = cache_limit;
-      compile_cache = memo ();
-      tape_cache = memo ();
-      cert_cache = memo ();
-      plan_cache = memo ();
+      entries = [];
+      compiles = counter ();
+      tapes = counter ();
+      certs = counter ();
+      plans = counter ();
     }
 
   (* The process-wide session behind the session-less API. *)
@@ -130,74 +133,103 @@ module Session = struct
     Mutex.lock s.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
 
-  (* Keep the newest [limit] entries, evicting from the tail. *)
-  let trim limit entries =
-    if List.length entries >= limit then
-      List.filteri (fun i _ -> i < limit - 1) entries
-    else entries
+  let find s (m : Ir_module.t) = List.find_opt (fun e -> e.m == m) s.entries
 
-  (* The caches are LRU, not FIFO: a hit moves the entry to the front.
-     Under a service workload — one long-lived hot module interleaved
-     with a stream of run-once cold modules — FIFO insertion order
-     would evict the hot entry every [limit] cold compiles, silently
-     turning the cheapest jobs in the queue into the most expensive
-     ones.  Move-to-front keeps entries ordered by recency so the
-     run-once modules evict each other instead. *)
-  let touch m entries =
-    List.find_opt (fun e -> e.key == m) entries
-    |> Option.map (fun hit ->
-           (hit, hit :: List.filter (fun e -> e.key != m) entries))
+  (* [e], used now: moved (or added) to the front, evicting the least
+     recently used entry beyond [limit]. *)
+  let use s e =
+    let rest = List.filter (fun x -> x != e) s.entries in
+    s.entries <- e :: List.filteri (fun i _ -> i < s.limit - 1) rest;
+    e
 
-  (* Look [m] up in [memo], or compute, time and insert it: the value,
-     its compute seconds (the original computation's on a hit), and
-     whether it was a hit. [warm] marks the entry warm for
-     {!is_cached}. *)
-  let lookup ?(warm = true) s memo compute (m : Ir_module.t) =
+  let entry ?digest s m =
+    use s
+      (match find s m with
+      | Some e -> e
+      | None ->
+        {
+          m;
+          digest;
+          analyses = lazy (Qir_analysis.Analyses.of_module m);
+          compiled = { value = None };
+          tape = { value = None };
+          cert = { value = None };
+          plan = { value = None };
+          warm = false;
+        })
+
+  (* Program interning: identical text maps to the *same* module, so
+     its products hit across jobs and tenants. A miss parses and
+     verifies the text; only verifier-clean modules are kept, since the
+     analyses behind admission assume them. *)
+  let intern s ~source : (Ir_module.t, Qir_error.t) result =
+    let digest = Some (Digest.string source) in
     locked s (fun () ->
-        match touch m memo.entries with
-        | Some (e, reordered) ->
-          memo.entries <- reordered;
-          memo.hits <- memo.hits + 1;
-          if warm then e.warm <- true;
-          (e.value, e.seconds, true)
-        | None ->
-          let t0 = Unix.gettimeofday () in
-          let value = compute m in
-          let seconds = Unix.gettimeofday () -. t0 in
-          memo.entries <-
-            { key = m; value; seconds; warm } :: trim s.limit memo.entries;
-          memo.misses <- memo.misses + 1;
-          (value, seconds, false))
+        match List.find_opt (fun e -> e.digest = digest) s.entries with
+        | Some e -> Ok (use s e).m
+        | None -> (
+          match Parser.parse_module_result ~source_name:"<job>" source with
+          | Error msg ->
+            Error
+              (Qir_error.make ~kind:Qir_error.Parse ~layer:Qir_error.L_parser
+                 msg)
+          | Ok m -> (
+            match Verifier.check_module m with
+            | v :: _ -> Error (Qir_error.of_verifier_violation v)
+            | [] -> Ok (entry ?digest s m).m)))
 
-  let compiled s m = lookup s s.compile_cache Bytecode.compile m
-  let tape_of s m = lookup s s.tape_cache Gate_tape.extract m
+  (* [m]'s [slot] product, or compute, time and keep it: the value, its
+     compute seconds (the original computation's on a hit), and whether
+     it was a hit. [warm] marks the entry warm for {!is_cached}. *)
+  let lookup ?(warm = true) s counter slot compute m =
+    locked s (fun () ->
+        let e = entry s m in
+        let slot = slot e in
+        let hit = Option.is_some slot.value in
+        if hit then counter.hits <- counter.hits + 1
+        else begin
+          let t0 = Unix.gettimeofday () in
+          let value = compute e in
+          slot.value <- Some (value, Unix.gettimeofday () -. t0);
+          counter.misses <- counter.misses + 1
+        end;
+        if warm then e.warm <- true;
+        let value, seconds = Option.get slot.value in
+        (value, seconds, hit))
+
+  let compiled s m =
+    lookup s s.compiles (fun e -> e.compiled) (fun e -> Bytecode.compile e.m) m
+
+  let tape_of s m =
+    lookup s s.tapes (fun e -> e.tape)
+      (fun e -> Gate_tape.extract (Lazy.force e.analyses)) m
 
   (* The certificate ({!Qir_analysis.Resource}) is what admission
      control and the cost-fair scheduler charge, so a hot module is
-     certified once, not per submission. *)
+     certified once, not per submission. Sizing a job is not running
+     it: certifying leaves the entry cold. *)
   let cert_of s m =
-    lookup s s.cert_cache
-      (fun m -> Qir_analysis.(Resource.certify (Analyses.of_module m)))
-      m
+    lookup ~warm:false s s.certs (fun e -> e.cert)
+      (fun e -> Qir_analysis.Resource.certify (Lazy.force e.analyses)) m
 
   (* The QIR-to-circuit parse, output-order remap and fusion plan
      behind the batched tier, or the proved [None], so hot runs skip
-     all three. Admission control asks for the plan with [~warm:false]
-     (it needs the branch-point count before anything runs); only an
-     execution's lookup warms the entry for {!is_cached}. *)
-  let plan_of ?warm s m = lookup ?warm s s.plan_cache sampling_plan m
+     all three. Admission control asks with [~warm:false] (it needs
+     the branch-point count before anything runs). *)
+  let plan_of ?warm s m =
+    lookup ?warm s s.plans (fun e -> e.plan) (fun e -> sampling_plan e.m) m
 
   let cache_stats s =
     locked s (fun () ->
         {
-          compile_hits = s.compile_cache.hits;
-          compile_misses = s.compile_cache.misses;
-          tape_hits = s.tape_cache.hits;
-          tape_misses = s.tape_cache.misses;
-          cert_hits = s.cert_cache.hits;
-          cert_misses = s.cert_cache.misses;
-          plan_hits = s.plan_cache.hits;
-          plan_misses = s.plan_cache.misses;
+          compile_hits = s.compiles.hits;
+          compile_misses = s.compiles.misses;
+          tape_hits = s.tapes.hits;
+          tape_misses = s.tapes.misses;
+          cert_hits = s.certs.hits;
+          cert_misses = s.certs.misses;
+          plan_hits = s.plans.hits;
+          plan_misses = s.plans.misses;
         })
 
   let cache_stats_fields c =
@@ -215,18 +247,13 @@ module Session = struct
   (* Has an execution warmed this module — compiled it, analysed its
      tape, or sampled from its plan? Admission control and the
      load-shedding policy treat cache-hot jobs as nearly free. *)
-  let is_cached s (m : Ir_module.t) =
-    let warm memo = List.exists (fun e -> e.key == m && e.warm) memo.entries in
-    locked s (fun () ->
-        warm s.compile_cache || warm s.tape_cache || warm s.plan_cache)
+  let is_cached s m =
+    locked s (fun () -> List.exists (fun e -> e.m == m && e.warm) s.entries)
 
-  (* The cached tape verdict, if the analysis already ran — a peek that
+  (* The kept tape verdict, if the analysis already ran — a peek that
      never triggers the (expensive) analysis itself. *)
-  let cached_tape s (m : Ir_module.t) =
-    locked s (fun () ->
-        match List.find_opt (fun e -> e.key == m) s.tape_cache.entries with
-        | Some e -> e.value
-        | None -> None)
+  let cached_tape s m =
+    locked s (fun () -> Option.bind (find s m) (fun e -> Option.bind e.tape.value fst))
 end
 
 let backend_of_kind ?seed ?attempt (kind : backend_kind) n :

@@ -12,15 +12,17 @@ type backend_kind =
 
 (** {1 Sessions}
 
-    A session is the reentrant, handle-based home for everything that
-    used to be module-global mutable state: the compile-once bytecode
-    cache, the gate-tape verdict cache, the resource-certificate cache
-    and the sampling-plan cache, keyed by module identity ([==]), plus
-    hit/miss counters. Every run entry point takes
-    [?session]; callers that omit it share {!Session.default}, which
-    preserves the historical behaviour exactly. A long-running service
-    creates one session per logical cache domain and probes it for
-    cache-hot jobs. All operations are thread-safe. *)
+    A session is one LRU list of per-module entries, keyed by module
+    identity ([==]). An entry holds six things derived from the module:
+    the digest of the text {!Session.intern} parsed it from, one
+    {!Qir_analysis.Analyses.t} that the certificate and the tape share,
+    the bytecode, the gate-tape verdict, the resource certificate and
+    the sampling plan, plus hit/miss counters per product (a product
+    missing from the entry is a miss). Every run entry point takes
+    [?session]; callers that omit it share {!Session.default}. A
+    long-running service creates one session per logical cache domain,
+    interns program text through it and probes it for cache-hot jobs.
+    All operations are thread-safe. *)
 module Session : sig
   type t
 
@@ -36,29 +38,35 @@ module Session : sig
   }
 
   val create : ?cache_limit:int -> unit -> t
-  (** A fresh session with empty caches holding at most [cache_limit]
-      (default 8) modules each. *)
+  (** A fresh session holding at most [cache_limit] (default 8) module
+      entries; a new one evicts the least recently used. *)
 
   val default : t
   (** The process-wide session behind the session-less API. *)
 
+  val intern :
+    t -> source:string -> (Llvm_ir.Ir_module.t, Qir_error.t) result
+  (** The module of this exact text: the same value while its entry
+      stays (a hit is a use). A miss parses and verifies the text;
+      parse and verifier failures are [Parse]/[Verify] errors. *)
+
   val compiled : t -> Llvm_ir.Ir_module.t -> Llvm_ir.Bytecode.program * float * bool
-  (** The compile-once cache: the program, the compile wall-clock
+  (** The compile-once product: the program, the compile wall-clock
       seconds, and whether it was a cache hit (in which case the time is
       the original compile's). *)
 
   val tape_of : t -> Llvm_ir.Ir_module.t -> Gate_tape.t option * float * bool
-  (** The gate-tape verdict cache, shaped like {!compiled}; the verdict
-      is [None] for tape-ineligible modules. *)
+  (** The gate-tape verdict, shaped like {!compiled}; the verdict is
+      [None] for tape-ineligible modules. *)
 
   val cert_of : t -> Llvm_ir.Ir_module.t -> Qir_analysis.Resource.t * float * bool
-  (** The resource-certificate cache, shaped like {!compiled}: the
-      static bounds ({!Qir_analysis.Resource.certify}) that admission
-      control and the cost-fair scheduler charge. *)
+  (** The resource certificate, shaped like {!compiled}: the static
+      bounds ({!Qir_analysis.Resource.certify}) that admission control
+      and the cost-fair scheduler charge; it leaves the entry cold. *)
 
   val plan_of :
     ?warm:bool -> t -> Llvm_ir.Ir_module.t -> Qsim.Sampler.plan option * float * bool
-  (** The sampling-plan cache behind the batched tier, shaped like
+  (** The sampling plan behind the batched tier, shaped like
       {!compiled}: the program parsed back into a circuit
       ({!Qir.Qir_parser.parse_with_output}), its clbits renumbered to
       recorded-output order, prepared by {!Qsim.Sampler.prepare} — or
@@ -73,9 +81,9 @@ module Session : sig
       qir-run's stats line and the service's stats event. *)
 
   val is_cached : t -> Llvm_ir.Ir_module.t -> bool
-  (** Has an execution warmed the module — is it in the compile or tape
-      cache, or in the plan cache with a warm entry? Admission control
-      and load shedding treat cache-hot jobs as nearly free. *)
+  (** Has an execution warmed the module's entry — a compile, a tape
+      lookup or a warm plan lookup? Admission control and load shedding
+      treat cache-hot jobs as nearly free. *)
 
   val cached_tape : t -> Llvm_ir.Ir_module.t -> Gate_tape.t option
   (** The cached tape verdict if the analysis already ran; never

@@ -308,7 +308,8 @@ let extract_call m st (i : Instr.t) (callee : string)
     if not (List.for_all (evaluable m st.facts) args) then raise Refused
   | _ -> raise Refused (* incl. m, read_result, result_equal *)
 
-let extract (m : Ir_module.t) : t option =
+let extract (a : Qir_analysis.Analyses.t) : t option =
+  let m = Qir_analysis.Analyses.ir a in
   match Ir_module.entry_point m with
   | None -> None
   | Some entry when Func.is_declaration entry || entry.Func.params <> [] ->
@@ -317,7 +318,6 @@ let extract (m : Ir_module.t) : t option =
     try
       (* call-graph reachability: the entry must reach no defined
          function (every callee is an external the runtime implements) *)
-      let a = Qir_analysis.Analyses.of_module m in
       let cg = Qir_analysis.Analyses.call_graph a in
       if Qir_analysis.Call_graph.callees cg entry.Func.name <> [] then
         raise Refused;

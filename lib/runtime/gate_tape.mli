@@ -30,7 +30,10 @@ val qubits : t -> int
     touches included — the exact register requirement, used by the
     service tier's admission control to size statevector footprints. *)
 
-val extract : Llvm_ir.Ir_module.t -> t option
+val extract : Qir_analysis.Analyses.t -> t option
+(** The tape of the record's module, reading its solves; a caller that
+    also certifies the module ({!Qir_analysis.Resource.certify}) passes
+    the same record so both share one set of solves. *)
 
 val replay : t -> Qsim.Backend.instance -> string
 (** Runs one shot against a fresh backend instance of

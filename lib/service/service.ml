@@ -75,7 +75,7 @@ type config = {
   overload_depth : int; (* queue depth where degradation starts *)
   chunk : int; (* shots between progress events *)
   tenant_weights : (string * int) list; (* default weight 1 *)
-  module_cache_limit : int; (* interned program texts *)
+  module_cache_limit : int; (* session entries: programs and their products *)
   sleep : bool; (* wait out retry backoff? (off in tests) *)
   cost_fair : bool; (* stride by certified cost, not job count *)
 }
@@ -146,8 +146,6 @@ type t = {
   sched : job Scheduler.t;
   breakers : (string, Breaker.t) Hashtbl.t;
   inflight : (string, int) Hashtbl.t; (* tenant -> certified bytes queued+running *)
-  modules : (Digest.t, Llvm_ir.Ir_module.t) Hashtbl.t;
-  mutable module_order : Digest.t list; (* newest first, for eviction *)
   emit : event -> unit;
   mutable submitted : int;
   mutable accepted : int;
@@ -170,8 +168,6 @@ let create ?(config = default_config) ~emit () =
     sched = Scheduler.create ();
     breakers = Hashtbl.create 8;
     inflight = Hashtbl.create 8;
-    modules = Hashtbl.create 32;
-    module_order = [];
     emit;
     submitted = 0;
     accepted = 0;
@@ -249,36 +245,12 @@ let stats t =
 (* ------------------------------------------------------------------ *)
 (* Program interning: identical program text resubmitted by any tenant
    maps to the *same* Ir_module.t value, so the session's
-   identity-keyed compile/tape caches actually hit across jobs — the
-   compile-once contract at service granularity. Bounded FIFO. A miss
-   parses and verifies the text; only verifier-clean modules are kept. *)
+   identity-keyed products actually hit across jobs. The session keeps
+   the text's digest in the module's entry ({!Executor.Session.intern}),
+   so a text stays interned exactly as long as its module's products
+   stay cached. *)
 
-let intern t ~source : (Llvm_ir.Ir_module.t, Qir_error.t) result =
-  locked t @@ fun () ->
-  let key = Digest.string source in
-  match Hashtbl.find_opt t.modules key with
-  | Some m -> Ok m
-  | None -> (
-    match Llvm_ir.Parser.parse_module_result ~source_name:"<job>" source with
-    | Error msg ->
-      Error (Qir_error.make ~kind:Qir_error.Parse ~layer:Qir_error.L_parser msg)
-    | Ok m -> (
-      match Llvm_ir.Verifier.check_module m with
-      | v :: _ ->
-        (* the analyses behind admission assume verifier-clean input *)
-        Error (Qir_error.of_verifier_violation v)
-      | [] ->
-        if List.length t.module_order >= t.config.module_cache_limit then begin
-          match List.rev t.module_order with
-          | oldest :: _ ->
-            Hashtbl.remove t.modules oldest;
-            t.module_order <-
-              List.filter (fun k -> k <> oldest) t.module_order
-          | [] -> ()
-        end;
-        Hashtbl.add t.modules key m;
-        t.module_order <- key :: t.module_order;
-        Ok m))
+let intern t ~source = Executor.Session.intern t.session ~source
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                            *)

@@ -100,7 +100,7 @@ let out_of_fuel msg =
 
 let tape_oracle m =
   incr tape_checked;
-  match Qruntime.Gate_tape.extract m with
+  match Qruntime.Gate_tape.extract (Qir_analysis.Analyses.of_module m) with
   | None -> ()
   | Some tape when Qruntime.Gate_tape.qubits tape > tape_qubits -> incr too_wide
   | Some _ -> (

@@ -59,7 +59,7 @@ let gates (c : Circuit.t) =
       match op.Circuit.kind with Circuit.Gate _ -> true | _ -> false)
     c.Circuit.ops
 
-let eligible m = Qruntime.Gate_tape.extract m <> None
+let eligible m = Qruntime.Gate_tape.extract (Qir_analysis.Analyses.of_module m) <> None
 
 (* Solve counts: Qdf_opt.optimize, all rounds, solves each function's
    Value_track and Sccp once and no lifetime at all. *)

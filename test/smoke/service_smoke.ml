@@ -17,7 +17,11 @@
    - bookkeeping closes: accepted = completed + failed + shed, and
      rejections happened (the run is actually overloaded);
    - the always-failing tenant's breaker tripped, and the Domain pool
-     throttle is released once the queue drains.
+     throttle is released once the queue drains;
+   - interning keeps the hot program: the hot and cold tenants submit
+     program text through [Service.intern], as qir-serve does, with more
+     fresh cold texts than [module_cache_limit] interleaved, and every
+     hot submission must map to the same physical module.
 
    Used by CI:  dune exec test/smoke/service_smoke.exe *)
 
@@ -46,10 +50,10 @@ let with_measurements (c : Circuit.t) =
   done;
   Circuit.Build.finish b
 
-let cold_module seed =
+let cold_text seed =
   let n = 2 + (seed mod 4) in
   let gates = 8 + (seed mod 3 * 8) in
-  Qir.Qir_builder.build
+  Qir.Qir_builder.to_string
     (with_measurements (Generate.random ~seed ~parametric:false ~gates n))
 
 let () =
@@ -79,7 +83,26 @@ let () =
   let svc =
     Service.create ~config ~emit:(fun ev -> events := ev :: !events) ()
   in
-  let hot = Qir.Qir_builder.build (Generate.bell ()) in
+  let intern what source =
+    match Service.intern svc ~source with
+    | Ok m -> m
+    | Error e ->
+      fail "%s: interning refused: %s" what (Qruntime.Qir_error.to_string e);
+      exit 1
+  in
+  let hot_text = Qir.Qir_builder.to_string (Generate.bell ()) in
+  let hot = intern "hot" hot_text in
+  let hot_interns = ref 0 and hot_moved = ref 0 and cold_interns = ref 0 in
+  let intern_hot () =
+    incr hot_interns;
+    let m = intern "hot" hot_text in
+    if m != hot then incr hot_moved;
+    m
+  in
+  let intern_cold seed =
+    incr cold_interns;
+    intern "cold" (cold_text seed)
+  in
   (* id -> (module, seed, shots) for deterministic-tenant parity *)
   let deterministic : (string, Llvm_ir.Ir_module.t * int * int) Hashtbl.t =
     Hashtbl.create 128
@@ -99,19 +122,20 @@ let () =
   in
   (* ---- the chaos run: submit at ~2x the drain rate ---------------- *)
   for wave = 0 to waves - 1 do
-    (* hot tenant: the same physical module every time (cache-hot) *)
+    (* hot tenant: the same text every time, interned (cache-hot) *)
     for i = 0 to 3 do
       let id = Printf.sprintf "hot-%d-%d" wave i in
       let seed = 100 + (wave * 7) + i in
-      Hashtbl.replace deterministic id (hot, seed, shots_hot);
+      let m = intern_hot () in
+      Hashtbl.replace deterministic id (m, seed, shots_hot);
       guarded id (fun () ->
-          Service.submit svc ~tenant:"hot" ~id ~shots:shots_hot ~seed hot)
+          Service.submit svc ~tenant:"hot" ~id ~shots:shots_hot ~seed m)
     done;
-    (* cold tenant: a fresh fuzzed module per job (always cache-cold) *)
+    (* cold tenant: a fresh fuzzed text per job (always cache-cold) *)
     for i = 0 to 2 do
       let id = Printf.sprintf "cold-%d-%d" wave i in
       let seed = 1000 + (wave * 3) + i in
-      let m = cold_module seed in
+      let m = intern_cold seed in
       Hashtbl.replace deterministic id (m, seed, shots_cold);
       guarded id (fun () ->
           Service.submit svc ~tenant:"cold" ~id ~shots:shots_cold ~seed m)
@@ -138,7 +162,7 @@ let () =
       let id = Printf.sprintf "rushed-%d" wave in
       guarded id (fun () ->
           Service.submit svc ~tenant:"cold" ~id ~shots:4 ~timeout:0.0
-            (cold_module (5000 + wave)))
+            (intern_cold (5000 + wave)))
     end;
     (* injected worker failures for one wave in four: parallel sweeps
        must degrade to sequential, never to a wrong histogram *)
@@ -231,6 +255,13 @@ let () =
   if Qsim.Dpool.throttled () then
     fail "pool throttle left engaged after drain";
 
+  (* ---- gate 5: the hot text stayed interned ----------------------- *)
+  if !cold_interns <= config.Service.module_cache_limit then
+    fail "only %d cold texts for a limit of %d; interning was never pressed"
+      !cold_interns config.Service.module_cache_limit;
+  if !hot_moved > 0 then
+    fail "the hot text was re-parsed into a new module %d times" !hot_moved;
+
   Printf.printf
     "service smoke OK: %d submitted, %d accepted, %d completed (%d \
      degraded), %d failed, %d shed, %d rejected, %d breaker trips, %d \
@@ -239,6 +270,10 @@ let () =
     stats.Service.degraded_results stats.Service.failed stats.Service.shed
     stats.Service.rejected stats.Service.breaker_trips
     stats.Service.throttled_runs !parity_checked;
+  Printf.printf
+    "service smoke interning: %d hot + %d cold texts, the hot text \
+     re-parsed %d times\n"
+    !hot_interns !cold_interns !hot_moved;
   if !failures > 0 then begin
     Printf.eprintf "service smoke FAILED: %d violations\n" !failures;
     exit 1

@@ -1127,7 +1127,7 @@ let test_tape_dynamic_as_written () =
   let m =
     Qir_builder.build ~addressing:`Dynamic (Qcircuit.Generate.bell ())
   in
-  (match Gate_tape.extract m with
+  (match Gate_tape.extract (Analyses.of_module m) with
   | Some tape -> check int_t "register: the allocated pair" 2 (Gate_tape.qubits tape)
   | None -> Alcotest.fail "dynamic entry refused");
   check bool_t "statevector: tape = per-shot" true (tape_matches_per_shot m);
@@ -1152,7 +1152,7 @@ entry:
 }|})
   in
   check bool_t "slot loaded before its store: refused" true
-    (Gate_tape.extract early = None)
+    (Gate_tape.extract (Analyses.of_module early) = None)
 
 (* Static addresses and allocations share the register the runtime
    grows: a fresh qubit is numbered at the current size, and a static
@@ -1192,7 +1192,7 @@ attributes #0 = { "entry_point" "required_num_qubits"="2" }|})
   in
   let shot = Executor.run ~seed:5 m in
   check int_t "per-shot register" 8 shot.Executor.qubits;
-  (match Gate_tape.extract m with
+  (match Gate_tape.extract (Analyses.of_module m) with
   | Some tape ->
     check int_t "tape register: every allocated qubit" 8 (Gate_tape.qubits tape)
   | None -> Alcotest.fail "mixed entry refused");
@@ -1234,14 +1234,14 @@ let test_entry_only_lifetime () =
   in
   check bool_t "helper error reported" true (errors static > 0);
   check bool_t "static entry stays tape-eligible" true
-    (Gate_tape.extract static <> None);
+    (Gate_tape.extract (Analyses.of_module static) <> None);
   let dynamic =
     with_text
       (Qir_builder.build ~addressing:`Dynamic (Qcircuit.Generate.bell ()))
       broken_helper
   in
   check bool_t "dynamic entry stays tape-eligible" true
-    (Gate_tape.extract dynamic <> None);
+    (Gate_tape.extract (Analyses.of_module dynamic) <> None);
   (* the entry releases its qubit array twice *)
   let twice line =
     if Astring.String.is_infix ~affix:"call void @__quantum__rt__qubit_release_array(" line
@@ -1256,12 +1256,16 @@ let test_entry_only_lifetime () =
   in
   check bool_t "entry error reported" true (errors own > 0);
   check bool_t "entry with its own error is refused" true
-    (Gate_tape.extract own = None)
+    (Gate_tape.extract (Analyses.of_module own) = None)
 
 (* Each counted analysis is solved at most once per function and
-   variant on the four cached paths; pinned per file as (Value_track,
-   Sccp, lifetime) solves. Lint with --resources also solves the
-   functions its normalized shadow rewrote, and seeded Sccp variants. *)
+   variant on the cached paths; pinned per file as (Value_track, Sccp,
+   lifetime) solves. Lint with --resources also solves the functions
+   its normalized shadow rewrote, and seeded Sccp variants. The session
+   path (one fresh session: certificate, then tape) shares one analyses
+   record between the two, so a static entry is solved once; a
+   dynamically addressed entry is still solved twice, because
+   certification analyzes its mem2reg'd shadow, a different function. *)
 let test_solve_counts () =
   let counted f =
     let v = Atomic.get Value_track.solves
@@ -1274,17 +1278,17 @@ let test_solve_counts () =
   in
   let pinned =
     [
-      ("../examples/bell_dynamic.ll", (2, 2, 1), (1, 1, 0), (1, 1, 0), (1, 1, 1));
-      ("../examples/bell_static.ll", (1, 1, 1), (1, 1, 0), (1, 1, 0), (1, 1, 1));
-      ("../examples/phi_addr.ll", (2, 2, 1), (1, 1, 0), (1, 1, 0), (0, 0, 0));
-      ("../examples/recursive_bad.ll", (2, 4, 2), (2, 2, 0), (1, 1, 0), (0, 0, 0));
-      ("../examples/teleport_helpers.ll", (3, 5, 3), (3, 3, 0), (3, 3, 0), (0, 0, 0));
-      ("cli.t/forloop.ll", (2, 2, 1), (1, 1, 0), (1, 1, 0), (0, 0, 0));
+      ("../examples/bell_dynamic.ll", (2, 2, 1), (1, 1, 0), (1, 1, 0), (1, 1, 1), (2, 2, 1));
+      ("../examples/bell_static.ll", (1, 1, 1), (1, 1, 0), (1, 1, 0), (1, 1, 1), (1, 1, 1));
+      ("../examples/phi_addr.ll", (2, 2, 1), (1, 1, 0), (1, 1, 0), (0, 0, 0), (1, 1, 0));
+      ("../examples/recursive_bad.ll", (2, 4, 2), (2, 2, 0), (1, 1, 0), (0, 0, 0), (1, 1, 0));
+      ("../examples/teleport_helpers.ll", (3, 5, 3), (3, 3, 0), (3, 3, 0), (0, 0, 0), (3, 3, 0));
+      ("cli.t/forloop.ll", (2, 2, 1), (1, 1, 0), (1, 1, 0), (0, 0, 0), (1, 1, 0));
     ]
   in
   let triple = Alcotest.(triple int int int) in
   List.iter
-    (fun (path, lint, opt, cert, tape) ->
+    (fun (path, lint, opt, cert, tape, session) ->
       let m = parse (In_channel.with_open_text path In_channel.input_all) in
       let resources = Resource_lint.default_opts in
       check triple (path ^ " lint --resources") lint
@@ -1297,7 +1301,12 @@ let test_solve_counts () =
       check triple (path ^ " certify") cert
         (counted (fun () -> ignore (Resource.certify (Analyses.of_module m))));
       check triple (path ^ " tape") tape
-        (counted (fun () -> ignore (Gate_tape.extract m))))
+        (counted (fun () -> ignore (Gate_tape.extract (Analyses.of_module m))));
+      check triple (path ^ " session cert + tape") session
+        (counted (fun () ->
+             let s = Executor.Session.create () in
+             ignore (Executor.Session.cert_of s m);
+             ignore (Executor.Session.tape_of s m))))
     pinned
 
 (* Differential property: on random circuits (with seeded redundancy

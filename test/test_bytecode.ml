@@ -348,7 +348,7 @@ entry:
 
 let test_tape_extracts_static () =
   let m = Parser.parse_module static_circuit_qir in
-  match Qruntime.Gate_tape.extract m with
+  match Qruntime.Gate_tape.extract (Qir_analysis.Analyses.of_module m) with
   | None -> Alcotest.fail "expected a tape for the static circuit"
   | Some tape ->
     check int_t "ops" 8 (Qruntime.Gate_tape.length tape);
@@ -356,19 +356,20 @@ let test_tape_extracts_static () =
 
 let test_tape_rejects_branching () =
   let m = Parser.parse_module branching_qir in
-  check bool_t "no tape" true (Qruntime.Gate_tape.extract m = None)
+  check bool_t "no tape" true (Qruntime.Gate_tape.extract (Qir_analysis.Analyses.of_module m) = None)
 
 let test_tape_rejects_defined_callee () =
   let m = Parser.parse_module loop_qir in
-  check bool_t "no tape" true (Qruntime.Gate_tape.extract m = None)
+  check bool_t "no tape" true (Qruntime.Gate_tape.extract (Qir_analysis.Analyses.of_module m) = None)
 
 let test_tape_proved_address () =
   let m = Parser.parse_module computed_addr_qir in
   check bool_t "computed address still tapes" true
-    (Qruntime.Gate_tape.extract m <> None)
+    (Qruntime.Gate_tape.extract (Qir_analysis.Analyses.of_module m) <> None)
 
-(* The verifier accepts a use before its definition in one block; the
-   interpreter faults on it, so the tape must not answer for it. *)
+(* A use before its definition in one block: the verifier refuses it,
+   but executor callers may pass unverified modules, and the interpreter
+   faults on it, so the tape must not answer for it either. *)
 let test_tape_rejects_use_before_def () =
   let m =
     Parser.parse_module
@@ -385,7 +386,7 @@ entry:
 }
 |}
   in
-  check bool_t "no tape" true (Qruntime.Gate_tape.extract m = None)
+  check bool_t "no tape" true (Qruntime.Gate_tape.extract (Qir_analysis.Analyses.of_module m) = None)
 
 (* Under the tape cap the tape fires, and its histogram must equal
    per-shot interpretation at the same seed. (The default cap answers
@@ -430,6 +431,62 @@ let test_tape_verdict_cache () =
   check bool_t "reparse re-analyzes" true
     (r3.Qruntime.Executor.analysis_s > 0.)
 
+(* One LRU list bounds the session: once [cache_limit] further modules
+   have been used since a module's last use, its entry (and every
+   product in it) is gone; a use in between keeps it. *)
+let test_session_lru_bound () =
+  let open Qruntime.Executor in
+  let limit = 4 in
+  let s = Session.create ~cache_limit:limit () in
+  let mods = List.init (limit + 1) (fun _ -> Parser.parse_module loop_qir) in
+  let hit m =
+    let _, _, hit = Session.compiled s m in
+    hit
+  in
+  let first = List.hd mods and kept = List.nth mods 1 in
+  List.iteri
+    (fun i m ->
+      if i = limit then check bool_t "touched in between: a hit" true (hit kept);
+      check bool_t "a new module is a miss" false (hit m))
+    mods;
+  check bool_t "touched module survives the eviction" true (hit kept);
+  check bool_t "least recently used module was evicted" false (hit first);
+  let c = Session.cache_stats s in
+  check int_t "compile misses" (limit + 2) c.Session.compile_misses;
+  check int_t "compile hits" 2 c.Session.compile_hits
+
+(* Every product of a module lives in its one entry: a product missing
+   from the entry is a miss, certifying does not warm the entry, a
+   compile or a tape lookup does, and a tape verdict is visible to
+   [cached_tape] only once looked up. *)
+let test_session_one_entry () =
+  let open Qruntime.Executor in
+  let s = Session.create () in
+  let m = Parser.parse_module static_circuit_qir in
+  let _, _, cert_hit = Session.cert_of s m in
+  check bool_t "first certificate is a miss" false cert_hit;
+  check bool_t "certified only: cold" false (Session.is_cached s m);
+  check bool_t "no tape peeked before the analysis" true
+    (Session.cached_tape s m = None);
+  let _, _, plan_hit = Session.plan_of ~warm:false s m in
+  check bool_t "a missing slot is a miss" false plan_hit;
+  check bool_t "sizing a plan: still cold" false (Session.is_cached s m);
+  let tape, _, tape_hit = Session.tape_of s m in
+  check bool_t "first tape lookup is a miss" false tape_hit;
+  check bool_t "taped" true (tape <> None);
+  check bool_t "tape lookup warms" true (Session.is_cached s m);
+  check bool_t "cached tape peeked" true (Session.cached_tape s m == tape);
+  let _, _, cert_hit = Session.cert_of s m in
+  check bool_t "second certificate is a hit" true cert_hit;
+  let c = Session.cache_stats s in
+  check (Alcotest.list int_t) "hits and misses per product"
+    [ 0; 0; 0; 1; 1; 1; 0; 1 ]
+    [
+      c.Session.compile_hits; c.Session.compile_misses; c.Session.tape_hits;
+      c.Session.tape_misses; c.Session.cert_hits; c.Session.cert_misses;
+      c.Session.plan_hits; c.Session.plan_misses;
+    ]
+
 let suite =
   [
     Alcotest.test_case "parity: phi swap" `Quick test_phi_swap;
@@ -446,6 +503,10 @@ let suite =
       test_deadline_parity;
     Alcotest.test_case "cache: compile once per module" `Quick
       test_compile_cache;
+    Alcotest.test_case "cache: one LRU bound over modules" `Quick
+      test_session_lru_bound;
+    Alcotest.test_case "cache: one entry per module" `Quick
+      test_session_one_entry;
     Alcotest.test_case "tape: extracts static circuit" `Quick
       test_tape_extracts_static;
     Alcotest.test_case "tape: rejects branching" `Quick

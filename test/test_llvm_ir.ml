@@ -474,6 +474,53 @@ let test_verifier_integer_types () =
       ("", "switch i32 3, label %x [ i32 0, label %x ]", []);
     ]
 
+(* SSA dominance: a use must be dominated by its definition (within a
+   block, the definition comes first), a phi's incoming value must
+   dominate the end of its predecessor, and unreachable blocks are
+   exempt. *)
+let test_verifier_dominance () =
+  let what body =
+    let m =
+      parse
+        ("declare void @h(ptr)\ndefine void @f(i1 %c) {\nentry:\n" ^ body
+       ^ "\n}")
+    in
+    List.map (fun (v : Verifier.violation) -> v.Verifier.where ^ ": " ^ v.Verifier.what)
+      (Verifier.check_module m)
+  in
+  List.iter
+    (fun (name, body, expected) ->
+      check (Alcotest.list string_t) name expected (what body))
+    [
+      ( "use before its definition in one block",
+        "  call void @h(ptr %q)\n  %q = inttoptr i64 1 to ptr\n  ret void",
+        [ "@f %entry: use of %q not dominated by its definition" ] );
+      ( "a self-referencing instruction",
+        "  %x = add i64 %x, 1\n  ret void",
+        [ "@f %entry: use of %x not dominated by its definition" ] );
+      ( "defined in one arm, used at the join",
+        "  br i1 %c, label %t, label %j\nt:\n  %q = inttoptr i64 1 to ptr\n\
+        \  br label %j\nj:\n  call void @h(ptr %q)\n  ret void",
+        [ "@f %j: use of %q not dominated by its definition" ] );
+      ( "a phi entry from the arm that does not define it",
+        "  br i1 %c, label %t, label %j\nt:\n  %q = inttoptr i64 1 to ptr\n\
+        \  br label %j\nj:\n  %p = phi ptr [ %q, %t ], [ %q, %entry ]\n\
+        \  ret void",
+        [ "@f %j: use of %q not dominated by its definition" ] );
+      ( "a phi per arm, a loop-carried value and a dominating definition",
+        "  %z = inttoptr i64 0 to ptr\n  br i1 %c, label %t, label %j\n\
+         t:\n  %q = inttoptr i64 1 to ptr\n  br label %j\n\
+         j:\n  %p = phi ptr [ %q, %t ], [ %z, %entry ]\n  br label %l\n\
+         l:\n  %i = phi i64 [ 0, %j ], [ %n, %l ]\n  %n = add i64 %i, 1\n\
+        \  call void @h(ptr %p)\n  call void @h(ptr %z)\n\
+        \  br i1 %c, label %l, label %e\ne:\n  ret void",
+        [] );
+      ( "unreachable blocks are exempt",
+        "  ret void\ndead:\n  call void @h(ptr %q)\n\
+        \  %q = inttoptr i64 1 to ptr\n  br label %dead",
+        [] );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Interpreter                                                          *)
 
@@ -890,6 +937,8 @@ let suite =
       test_malformed_positions;
     Alcotest.test_case "verifier: integer instructions need integer types"
       `Quick test_verifier_integer_types;
+    Alcotest.test_case "verifier: uses dominated by their definitions" `Quick
+      test_verifier_dominance;
   ]
   @ props
 

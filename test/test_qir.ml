@@ -480,7 +480,7 @@ let test_decoded_gates_are_bound_and_taped () =
         let expected =
           Names.instantiate shape (List.init doubles (fun _ -> 0.3))
         in
-        match Qruntime.Gate_tape.extract m with
+        match Qruntime.Gate_tape.extract (Qir_analysis.Analyses.of_module m) with
         | Some { Qruntime.Gate_tape.ops = [| Qruntime.Gate_tape.Gate (g, qs) |]; _ } ->
           check bool_t (name ^ " taped as its gate") true (Gate.equal g expected);
           check bool_t (name ^ " taped operands") true

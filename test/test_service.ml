@@ -991,6 +991,45 @@ let test_intern_shares_modules_across_jobs () =
     check int_t "parse-kind taxonomy error" Qir_error.exit_parse
       (Qir_error.exit_code e)
 
+(* The hot text outlives a stream of fresh texts: interning lives in the
+   session's LRU entries, so each resubmission moves the hot entry to
+   the front and the run-once texts evict each other. Under a FIFO
+   intern table the hot text was re-parsed into a new module (missing
+   every product of the old one) once per [module_cache_limit] fresh
+   texts. *)
+let test_intern_keeps_hot_text () =
+  let svc, _ = recording () in
+  let intern source =
+    match Service.intern svc ~source with
+    | Ok m -> m
+    | Error e -> Alcotest.fail (Qir_error.to_string e)
+  in
+  let hot_src = Llvm_ir.Printer.module_to_string (bell ()) in
+  let fresh = ref 0 in
+  let cold () =
+    incr fresh;
+    ignore (intern (Printf.sprintf "%s\n; cold program %d\n" hot_src !fresh))
+  in
+  let hot = intern hot_src in
+  for round = 1 to 40 do
+    cold ();
+    if intern hot_src != hot then
+      Alcotest.failf "round %d: the hot text was re-parsed" round
+  done;
+  (* serve-mix's arrival pattern: three hot arrivals, then a fresh text *)
+  let reparsed = ref 0 and current = ref hot in
+  for arrival = 1 to 3000 do
+    if arrival mod 4 = 0 then cold ()
+    else begin
+      let m = intern hot_src in
+      if m != !current then begin
+        incr reparsed;
+        current := m
+      end
+    end
+  done;
+  check int_t "hot text re-parsed" 0 !reparsed
+
 (* Malformed numeric literals in submitted text are parse-coded
    rejections, never an exception out of the service: the next job
    still completes. *)
@@ -1180,6 +1219,8 @@ let suite =
       test_malformed_programs_keep_serving;
     Alcotest.test_case "service: interning shares session caches" `Quick
       test_intern_shares_modules_across_jobs;
+    Alcotest.test_case "service: the hot text stays interned" `Quick
+      test_intern_keeps_hot_text;
     Alcotest.test_case "service: multi-executor drain parity" `Quick
       test_multi_executor_parity;
   ]
