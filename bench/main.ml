@@ -26,8 +26,8 @@ let line_count s =
 let e1 () =
   Harness.section "E1" "Fig. 1 — Bell state across representations";
   let bell = Generate.bell () in
-  let qasm2 = Qasm2.to_string bell in
-  let qasm3 = Qasm3.to_string bell in
+  let qasm2 = Qasm.to_string ~version:`V2 bell in
+  let qasm3 = Qasm.to_string ~version:`V3 bell in
   let qir_dyn =
     Qir.Qir_builder.to_string ~addressing:`Dynamic ~record_output:false bell
   in
@@ -48,12 +48,13 @@ let e1 () =
   Harness.row "@\n  %-40s %12s@\n" "operation" "time";
   let benches =
     [
-      ("parse OpenQASM 2", fun () -> ignore (Qasm2.parse qasm2));
+      ("parse OpenQASM 2", fun () -> ignore (Qasm.parse qasm2));
       ( "parse QIR dynamic (LLVM text)",
         fun () -> ignore (Parser.parse_module qir_dyn) );
       ( "parse QIR static (LLVM text)",
         fun () -> ignore (Parser.parse_module qir_static) );
-      ("print circuit as OpenQASM 2", fun () -> ignore (Qasm2.to_string bell));
+      ( "print circuit as OpenQASM 2",
+        fun () -> ignore (Qasm.to_string ~version:`V2 bell) );
       ( "build + print QIR dynamic",
         fun () -> ignore (Qir.Qir_builder.to_string ~addressing:`Dynamic bell)
       );

@@ -1,27 +1,20 @@
-(* qasm2qir — compile OpenQASM (2 or 3) to QIR.
+(* qasm2qir — compile OpenQASM (2 or 3, as the header says) to QIR.
 
    Example: qasm2qir bell.qasm --addressing dynamic *)
 
 open Cmdliner
 
-let run input qasm3 addressing record_output output =
+let run input addressing record_output output =
   Cli_common.protect @@ fun () ->
   let src = Cli_common.read_file input in
-  let circuit =
-    if qasm3 then
-      Cli_common.or_die (Qcircuit.Qasm3.parse_result src)
-    else Cli_common.or_die (Qcircuit.Qasm2.parse_result src)
-  in
+  let circuit = Cli_common.or_die (Qcircuit.Qasm.parse_result src) in
   let m = Qir.Qir_builder.build ~addressing ~record_output circuit in
   Cli_common.write_output output (Llvm_ir.Printer.module_to_string m)
 
 let input =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"INPUT.qasm"
-         ~doc:"OpenQASM input file ('-' for stdin).")
-
-let qasm3 =
-  Arg.(value & flag & info [ "qasm3"; "3" ]
-         ~doc:"Parse the input as OpenQASM 3 (default: OpenQASM 2).")
+         ~doc:"OpenQASM 2.0 or 3 input file ('-' for stdin); its \
+               OPENQASM header names the version.")
 
 let addressing =
   let enum_conv = Arg.enum [ ("static", `Static); ("dynamic", `Dynamic) ] in
@@ -41,6 +34,6 @@ let cmd =
   let doc = "compile OpenQASM 2/3 to QIR" in
   Cmd.v
     (Cmd.info "qasm2qir" ~doc)
-    Term.(const run $ input $ qasm3 $ addressing $ record_output $ output)
+    Term.(const run $ input $ addressing $ record_output $ output)
 
 let () = exit (Cmd.eval cmd)

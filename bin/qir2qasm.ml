@@ -25,11 +25,8 @@ let run input qasm3 lower output =
         Cli_common.die ~code:Qruntime.Qir_error.exit_exec
           "%s (hint: try --lower)" msg
   in
-  let text =
-    if qasm3 then Qcircuit.Qasm3.to_string circuit
-    else Qcircuit.Qasm2.to_string circuit
-  in
-  Cli_common.write_output output text
+  let version = if qasm3 then `V3 else `V2 in
+  Cli_common.write_output output (Qcircuit.Qasm.to_string ~version circuit)
 
 let input =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"INPUT.ll"

@@ -98,8 +98,8 @@ let run input passes lower optimize opt_quantum check addressing emit verify
   let text =
     match emit with
     | `Qir -> Llvm_ir.Printer.module_to_string m
-    | `Qasm2 -> Qcircuit.Qasm2.to_string (Qir.Qir_parser.parse m)
-    | `Qasm3 -> Qcircuit.Qasm3.to_string (Qir.Qir_parser.parse m)
+    | (`V2 | `V3) as version ->
+      Qcircuit.Qasm.to_string ~version (Qir.Qir_parser.parse m)
     | `Circuit -> Qcircuit.Circuit.to_string (Qir.Qir_parser.parse m)
     | `Mlir -> Qir.Mlir_emit.emit_module m
     | `None -> ""
@@ -146,7 +146,7 @@ let addressing =
 let emit =
   let enum_conv =
     Arg.enum
-      [ ("qir", `Qir); ("qasm2", `Qasm2); ("qasm3", `Qasm3);
+      [ ("qir", `Qir); ("qasm2", `V2); ("qasm3", `V3);
         ("circuit", `Circuit); ("mlir", `Mlir); ("none", `None) ]
   in
   Arg.(value & opt enum_conv `Qir & info [ "emit" ] ~docv:"FORMAT"

@@ -13,7 +13,7 @@ let () =
   print_string (Qcircuit.Circuit.to_string bell);
 
   print_endline "\n=== OpenQASM 2 (Fig. 1, top left) ===";
-  print_string (Qcircuit.Qasm2.to_string bell);
+  print_string (Qcircuit.Qasm.to_string ~version:`V2 bell);
 
   print_endline "\n=== QIR, dynamic qubit addressing (Fig. 1, right) ===";
   print_string (Qir.Qir_builder.to_string ~addressing:`Dynamic bell);

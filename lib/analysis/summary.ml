@@ -149,8 +149,13 @@ type flags = {
   a_used : bool array;
 }
 
-(* mirrors Qhybrid.Partition.controller_supports, plus calls to defined
-   controller-expressible functions *)
+(* Can the controller execute this instruction? Integer compute and
+   forward branches only — no memory, floats or calls (the paper:
+   special purpose hardware is "incapable of executing arbitrary
+   classical code"). Result reads happen at the controller by
+   construction, and a call to a defined function whose summary is
+   controller-expressible is conceptually inlinable into the controller
+   program. The one rule: [Qhybrid.Partition] places segments by it. *)
 let controller_instr_ok (table : table) (i : Instr.t) =
   match i.Instr.op with
   | Instr.Binop (_, ty, _, _) | Instr.Icmp (_, ty, _, _) -> Ty.is_integer ty

@@ -34,7 +34,11 @@ let rec eval env = function
   | Fn (f, _) -> invalid_arg ("Qasm_expr: function " ^ f)
 
 (* Pratt-style parser over the shared lexer; the caller supplies current
-   token access. [prec 0] entry point. *)
+   token access. [prec 0] entry point. [depth] is the nesting the caller
+   has already entered; each parenthesis, unary sign, function call and
+   binary operator adds a level, and past [Jsonx.max_depth] levels
+   the parse fails with a located error instead of exhausting the
+   stack. *)
 module P = struct
   type state = {
     mutable tok : Qasm_lexer.token;
@@ -43,7 +47,9 @@ module P = struct
 
   let advance st = st.tok <- Qasm_lexer.next st.lx
 
-  let rec parse_primary st =
+  let rec parse_primary depth st =
+    if depth > Jsonx.max_depth then
+      Qasm_lexer.error st.lx "nesting deeper than %d" Jsonx.max_depth;
     match st.tok with
     | Qasm_lexer.REAL f ->
       advance st;
@@ -60,7 +66,7 @@ module P = struct
       (match st.tok with
       | Qasm_lexer.LPAREN ->
         advance st;
-        let e = parse 0 st in
+        let e = parse ~depth:(depth + 1) 0 st in
         (match st.tok with
         | Qasm_lexer.RPAREN ->
           advance st;
@@ -72,13 +78,13 @@ module P = struct
       Param name
     | Qasm_lexer.MINUS ->
       advance st;
-      Neg (parse_primary st)
+      Neg (parse_primary (depth + 1) st)
     | Qasm_lexer.PLUS ->
       advance st;
-      parse_primary st
+      parse_primary (depth + 1) st
     | Qasm_lexer.LPAREN ->
       advance st;
-      let e = parse 0 st in
+      let e = parse ~depth:(depth + 1) 0 st in
       (match st.tok with
       | Qasm_lexer.RPAREN ->
         advance st;
@@ -88,9 +94,10 @@ module P = struct
       Qasm_lexer.error st.lx "expected expression, found '%s'"
         (Qasm_lexer.string_of_token tok)
 
-  and parse min_prec st =
-    let lhs = parse_primary st in
-    let rec loop lhs =
+  (* A chain of binary operators builds a tree as deep as it is long,
+     so each operator in it also adds a level. *)
+  and parse ?(depth = 0) min_prec st =
+    let rec loop lhs depth =
       let op, prec =
         match st.tok with
         | Qasm_lexer.PLUS -> (Some '+', 1)
@@ -104,11 +111,13 @@ module P = struct
       | Some op when prec >= min_prec ->
         advance st;
         (* ^ is right-associative, the rest left *)
-        let rhs = parse (if op = '^' then prec else prec + 1) st in
-        loop (Bin (op, lhs, rhs))
+        let rhs =
+          parse ~depth:(depth + 1) (if op = '^' then prec else prec + 1) st
+        in
+        loop (Bin (op, lhs, rhs)) (depth + 1)
       | _ -> lhs
     in
-    loop lhs
+    loop (parse_primary depth st) depth
 end
 
 let rec pp ppf = function

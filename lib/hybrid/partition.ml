@@ -26,36 +26,14 @@ type plan = {
   controller_instrs : int;
 }
 
-(* Can the controller execute this instruction? Integer compute and
-   forward branches only — no memory, floats or calls (the paper: special
-   purpose hardware is "incapable of executing arbitrary classical
-   code"). *)
+(* Can the controller execute this instruction? The one rule is
+   [Summary.controller_instr_ok]; without summaries no call to a defined
+   function counts. *)
 let controller_supports ?(summaries : Qir_analysis.Summary.table option)
     (i : Instr.t) =
-  match i.Instr.op with
-  | Instr.Binop (_, ty, _, _) | Instr.Icmp (_, ty, _, _) -> Ty.is_integer ty
-  | Instr.Select _ | Instr.Freeze _ -> true
-  | Instr.Cast ((Instr.Zext | Instr.Sext | Instr.Trunc), _, _) -> true
-  | Instr.Cast
-      ((Instr.Bitcast | Instr.Inttoptr | Instr.Ptrtoint | Instr.Sitofp
-        | Instr.Fptosi), _, _) ->
-    false
-  | Instr.Phi _ -> true
-  | Instr.Call (_, callee, _) -> (
-    (* result reads happen at the controller by construction *)
-    match Names.decode callee with
-    | Names.Read_result | Names.Result_equal -> true
-    | _ -> (
-      (* a summarized callee whose body is itself controller-expressible
-         is conceptually inlinable into the controller program *)
-      match
-        Option.bind summaries (fun t -> Qir_analysis.Summary.find t callee)
-      with
-      | Some s -> s.Qir_analysis.Summary.controller_ok
-      | None -> false))
-  | Instr.Fbinop _ | Instr.Fcmp _ | Instr.Alloca _ | Instr.Load _
-  | Instr.Store _ | Instr.Gep _ ->
-    false
+  Qir_analysis.Summary.controller_instr_ok
+    (Option.value summaries ~default:(Hashtbl.create 0))
+    i
 
 let segment_controller_ok ?summaries (s : Classify.segment) =
   List.for_all (controller_supports ?summaries) s.Classify.instrs

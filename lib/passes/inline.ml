@@ -202,22 +202,24 @@ let inline_one gen (m : Ir_module.t) recursive (f : Func.t) limits =
     let replacement, suffix_label, subst =
       splice gen b ~before ~call_id ~callee ~args ~after
     in
+    (* successors' phis that named the split block now receive control
+       from the suffix; so do the head's own when the block loops to
+       itself *)
     let blocks =
       List.concat_map
         (fun (blk : Block.t) ->
           if String.equal blk.Block.label b.Block.label then replacement
-          else
-            (* successors' phis that named the split block now receive
-               control from the suffix *)
-            [ Subst.rename_phi_labels
-                (fun l ->
-                  if
-                    String.equal l b.Block.label
-                    && List.mem blk.Block.label (Instr.successors b.Block.term)
-                  then suffix_label
-                  else l)
-                blk ])
+          else [ blk ])
         f.Func.blocks
+      |> List.map (fun (blk : Block.t) ->
+             Subst.rename_phi_labels
+               (fun l ->
+                 if
+                   String.equal l b.Block.label
+                   && List.mem blk.Block.label (Instr.successors b.Block.term)
+                 then suffix_label
+                 else l)
+               blk)
     in
     let f = Func.replace_blocks f blocks in
     let f =

@@ -291,19 +291,22 @@ let run_with ?(seed = 1) ?(backend : backend_kind = `Statevector) ?fuel
     qubits = Qsim.Backend.instance_num_qubits inst;
   }
 
-let run_bytecode ~session ?seed ?backend ?fuel ?deadline ?attempt ~qubits
-    (m : Ir_module.t) : run_result =
+(* One shot of [prog], [m] compiled, whose compile took [compile_s]. *)
+let run_bytecode ?seed ?backend ?fuel ?deadline ?attempt ~qubits ~compile_s
+    prog (m : Ir_module.t) : run_result =
   run_with ?seed ?backend ?fuel ?deadline ?attempt ~qubits m
     (fun ~fuel ~deadline ~externals entry ->
-      let prog, compile_s, cached = Session.compiled session m in
       let st = Bc_exec.create ?fuel ?deadline ~externals prog in
       let _ = Bc_exec.run_function st entry [] in
-      (Bc_exec.stats st, if cached then 0. else compile_s))
+      (Bc_exec.stats st, compile_s))
 
 let run ?(session = Session.default) ?seed ?backend ?fuel ?deadline ?attempt
     (m : Ir_module.t) : run_result =
-  run_bytecode ~session ?seed ?backend ?fuel ?deadline ?attempt
-    ~qubits:(Runtime.initial_qubits m) m
+  let prog, dt, cached = Session.compiled session m in
+  run_bytecode ?seed ?backend ?fuel ?deadline ?attempt
+    ~qubits:(Runtime.initial_qubits m)
+    ~compile_s:(if cached then 0. else dt)
+    prog m
 
 (* The tree-walking interpreter as the differential oracle for [run]:
    same setup, same observable results, no production path reaches it. *)
@@ -497,11 +500,11 @@ let run_shots_resilient ?(session = Session.default)
                 (backend_of_kind ~seed ~attempt backend qubits)),
             0. )
         | None ->
-          let _, dt, cached = Session.compiled session m in
+          let prog, dt, cached = Session.compiled session m in
           ( (fun ~seed ~deadline ~attempt ->
               shot_key
-                (run_bytecode ~session ~seed ~backend
-                   ?fuel:policy.Resilience.fuel ?deadline ~attempt ~qubits m)),
+                (run_bytecode ~seed ~backend ?fuel:policy.Resilience.fuel
+                   ?deadline ~attempt ~qubits ~compile_s:0. prog m)),
             if cached then 0. else dt )
       in
       (* The one shot loop: shot [i] runs with seed [seed + i*7919]. *)

@@ -121,9 +121,9 @@ let of_exn = function
     Some (make ~kind:Verify ~layer:L_verifier msg)
   | Qir.Qir_parser.Unsupported msg ->
     Some (make ~kind:Parse ~layer:L_parser msg)
-  | Qcircuit.Qasm2.Error (line, msg) | Qcircuit.Qasm3.Error (line, msg) ->
+  | Qcircuit.Qasm.Error (line, msg) ->
     Some (make ~kind:Parse ~layer:L_parser (Printf.sprintf "line %d: %s" line msg))
-  | Qcircuit.Qasm2.Unsupported msg | Qir.Qir_builder.Unsupported msg ->
+  | Qcircuit.Qasm.Unsupported msg | Qir.Qir_builder.Unsupported msg ->
     Some (make ~kind:Exec ~layer:L_cli msg)
   | Llvm_ir.Ir_error.Exec_error msg ->
     Some (make ~kind:Exec ~layer:L_interp msg)

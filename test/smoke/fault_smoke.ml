@@ -23,10 +23,12 @@
    something to fold, under the same rule.
 
    Last, 2000 seeded mutations of an OpenQASM 2 corpus (Bell, GHZ, a
-   conditioned gate after a measurement) go through [Qasm2.parse] and
+   conditioned gate after a measurement), and 2000 of the same corpus
+   printed as OpenQASM 3, go through [Qasm.parse] and
    [Qir_builder.build]: each must build or raise an exception the error
    taxonomy classifies ([Qir_error.of_exn]); any other exception fails
-   the run.
+   the run. The OpenQASM 3 corpus has no loops: a mutated loop bound can
+   ask for any number of gates.
 
    Then 2000 seeded mutations of NDJSON request lines (submit, stats,
    quit) go through [Protocol.parse_request], which must answer [Ok] or
@@ -290,15 +292,16 @@ let qasm_corpus =
      u3(0.1,0.2,0.3) q[1];\nmeasure q -> c;\n";
   ]
 
-(* Every OpenQASM 2 mutation must build or raise a taxonomy-classified
-   error; returns how many raised anything else. *)
-let mutate_qasm () =
-  let texts = Array.of_list qasm_corpus in
+(* Every mutation of [corpus] (OpenQASM [version]) must build or raise
+   a taxonomy-classified error; returns how many raised anything
+   else. *)
+let mutate_qasm version corpus =
+  let texts = Array.of_list corpus in
   let rng = Rng.create 2025 in
   let built = ref 0 and classified = ref 0 and raised = ref 0 in
   for i = 0 to mutations - 1 do
     let text = mutate rng texts.(i mod Array.length texts) in
-    match Qir.Qir_builder.build (Qasm2.parse text) with
+    match Qir.Qir_builder.build (Qasm.parse text) with
     | _ -> incr built
     | exception e -> (
       match Qruntime.Qir_error.of_exn e with
@@ -306,11 +309,11 @@ let mutate_qasm () =
       | None ->
         incr raised;
         if !raised <= 5 then
-          Printf.eprintf "qasm2 mutation %d: %s\n%s\n" i (Printexc.to_string e)
-            text)
+          Printf.eprintf "qasm%d mutation %d: %s\n%s\n" version i
+            (Printexc.to_string e) text)
   done;
-  Printf.printf "qasm2 fuzz: %d mutations, %d built, %d classified errors, %d raised\n"
-    mutations !built !classified !raised;
+  Printf.printf "qasm%d fuzz: %d mutations, %d built, %d classified errors, %d raised\n"
+    version mutations !built !classified !raised;
   !raised
 
 let request_corpus =
@@ -426,9 +429,16 @@ let () =
   let raised = mutate_texts (List.rev !texts) in
   let tape_raised = mutate_dynamic (List.rev !dynamic_texts) in
   let sccp_raised = mutate_classical () in
-  let qasm_raised = mutate_qasm () in
+  let qasm2_raised = mutate_qasm 2 qasm_corpus in
+  let qasm3_raised =
+    mutate_qasm 3
+      (List.map
+         (fun t -> Qasm.to_string ~version:`V3 (Qasm.parse t))
+         qasm_corpus)
+  in
   let request_raised = mutate_requests () in
   if
     !failures > 0 || raised > 0 || tape_raised > 0 || !differ > 0
-    || sccp_raised > 0 || qasm_raised > 0 || request_raised > 0
+    || sccp_raised > 0 || qasm2_raised > 0 || qasm3_raised > 0
+    || request_raised > 0
   then exit 1

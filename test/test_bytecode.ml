@@ -181,6 +181,25 @@ let test_loop () =
   (* exit returns the phi's value on the final iteration: 2*(0+..+8) *)
   check string_t "value" "ok: i64 72" r
 
+(* Inlining the call in a block that loops to itself: the split's head
+   keeps the block's phis, whose back-edge entries must now name the
+   suffix that ends the loop body. *)
+let test_inline_self_loop () =
+  let m = Parser.parse_module loop_qir in
+  let m', changed =
+    (Passes.Pass.of_func_pass Passes.Inline.pass).Passes.Pass.mrun m
+  in
+  check bool_t "inlined" true changed;
+  check (Alcotest.list string_t) "verifies" []
+    (List.map
+       (Format.asprintf "%a" Verifier.pp_violation)
+       (Verifier.check_module m'));
+  let value m =
+    value_to_string
+      (Interp.run_function (Interp.create ~externals:[] m) "main" [])
+  in
+  check string_t "same value" (value m) (value m')
+
 let test_div_by_zero () =
   let r, _ = check_parity ~name:"sdiv 0" div_by_zero_qir "main" in
   check bool_t "is exec error" true
@@ -492,6 +511,8 @@ let suite =
     Alcotest.test_case "parity: phi swap" `Quick test_phi_swap;
     Alcotest.test_case "parity: select/switch/gep" `Quick test_classical_mix;
     Alcotest.test_case "parity: loop with calls" `Quick test_loop;
+    Alcotest.test_case "inline: self-looping block verifies" `Quick
+      test_inline_self_loop;
     Alcotest.test_case "parity: division by zero" `Quick test_div_by_zero;
     Alcotest.test_case "parity: missing external" `Quick
       test_missing_external;

@@ -1,4 +1,4 @@
-(* Tests for the circuit IR, the OpenQASM 2/3 front-ends and the peephole
+(* Tests for the circuit IR, the OpenQASM front end and the peephole
    optimizer. *)
 
 open Qcircuit
@@ -20,7 +20,7 @@ measure q -> c;
 |}
 
 let test_parse_bell () =
-  let c = Qasm2.parse bell_qasm2 in
+  let c = Qasm.parse bell_qasm2 in
   check int_t "qubits" 2 c.Circuit.num_qubits;
   check int_t "clbits" 2 c.Circuit.num_clbits;
   check bool_t "equals generated Bell" true
@@ -39,7 +39,7 @@ qreg q[3];
 majority q[0], q[1], q[2];
 |}
   in
-  let c = Qasm2.parse src in
+  let c = Qasm.parse src in
   check int_t "three ops" 3 (Circuit.size c);
   match List.map (fun (o : Circuit.op) -> o.Circuit.kind) c.Circuit.ops with
   | [ Circuit.Gate (Gate.Cx, [ 2; 1 ]); Circuit.Gate (Gate.Cx, [ 2; 0 ]);
@@ -56,7 +56,7 @@ qreg q[1];
 foo(pi) q[0];
 |}
   in
-  let c = Qasm2.parse src in
+  let c = Qasm.parse src in
   match List.map (fun (o : Circuit.op) -> o.Circuit.kind) c.Circuit.ops with
   | [ Circuit.Gate (Gate.Rz a, [ 0 ]); Circuit.Gate (Gate.Rz b, [ 0 ]) ] ->
     check (Alcotest.float 1e-12) "half pi" (Float.pi /. 2.0) a;
@@ -74,8 +74,8 @@ cx q[0], q;
 |}
   in
   (* broadcasting cx q[0], q would alias q[0] with itself: error *)
-  match Qasm2.parse src with
-  | exception Qasm2.Error _ -> ()
+  match Qasm.parse src with
+  | exception Qasm.Error _ -> ()
   | _ -> Alcotest.fail "expected aliasing error"
 
 let test_parse_broadcast_h () =
@@ -88,7 +88,7 @@ h q;
 measure q -> c;
 |}
   in
-  let c = Qasm2.parse src in
+  let c = Qasm.parse src in
   check int_t "4 h + 4 measure" 8 (Circuit.size c);
   check int_t "h count" 4 (Circuit.gate_count ~name:"h" c)
 
@@ -102,7 +102,7 @@ measure q[0] -> c[0];
 if (c == 1) x q[1];
 |}
   in
-  let c = Qasm2.parse src in
+  let c = Qasm.parse src in
   match List.rev c.Circuit.ops with
   | { Circuit.kind = Circuit.Gate (Gate.X, [ 1 ]); cond = Some cond } :: _ ->
     check (Alcotest.list int_t) "condition bits" [ 0; 1 ] cond.Circuit.cbits;
@@ -120,7 +120,7 @@ h a[1];
 x b[2];
 |}
   in
-  let c = Qasm2.parse src in
+  let c = Qasm.parse src in
   check int_t "5 qubits" 5 c.Circuit.num_qubits;
   match List.map (fun (o : Circuit.op) -> o.Circuit.kind) c.Circuit.ops with
   | [ Circuit.Gate (Gate.H, [ 1 ]); Circuit.Gate (Gate.X, [ 4 ]) ] -> ()
@@ -139,24 +139,24 @@ let test_parse_errors () =
   in
   List.iter
     (fun (name, src) ->
-      match Qasm2.parse src with
-      | exception Qasm2.Error _ -> ()
+      match Qasm.parse src with
+      | exception Qasm.Error _ -> ()
       | _ -> Alcotest.failf "%s: expected parse error" name)
     cases
 
 let test_qasm2_roundtrip_bell () =
   let c = Generate.bell () in
-  let printed = Qasm2.to_string c in
-  let c' = Qasm2.parse printed in
+  let printed = Qasm.to_string ~version:`V2 c in
+  let c' = Qasm.parse printed in
   check bool_t "roundtrip" true (Circuit.equal c c')
 
 let test_qasm2_roundtrip_generated () =
   List.iter
     (fun c ->
-      let printed = Qasm2.to_string c in
+      let printed = Qasm.to_string ~version:`V2 c in
       let c' =
-        try Qasm2.parse printed
-        with Qasm2.Error (l, m) ->
+        try Qasm.parse printed
+        with Qasm.Error (l, m) ->
           Alcotest.failf "line %d: %s in\n%s" l m printed
       in
       check int_t "same op count" (Circuit.size c) (Circuit.size c');
@@ -173,7 +173,7 @@ let test_qasm2_splits_bit_condition () =
      condition reads a 1-bit register of its own, and the pieces keep
      every bit's flat index, so the program reads back unchanged *)
   let c = Generate.feedback_rounds ~rounds:3 3 in
-  let c' = Qasm2.parse (Qasm2.to_string c) in
+  let c' = Qasm.parse (Qasm.to_string ~version:`V2 c) in
   check int_t "three 1-bit registers" 3 (List.length c'.Circuit.cregs);
   check bool_t "same ops" true (c.Circuit.ops = c'.Circuit.ops);
   List.iter
@@ -193,14 +193,14 @@ let test_qasm2_rejects_scattered_condition () =
         Circuit.create ~num_qubits:1 ~num_clbits:3
           (List.init 3 (fun cl -> Circuit.measure 0 cl) @ List.map cond conds)
       in
-      match Qasm2.to_string c with
-      | exception Qasm2.Unsupported _ -> ()
-      | _ -> Alcotest.fail "expected Qasm2.Unsupported")
+      match Qasm.to_string ~version:`V2 c with
+      | exception Qasm.Unsupported _ -> ()
+      | _ -> Alcotest.fail "expected Qasm.Unsupported")
     [ [ [ 0; 2 ] ]; [ [ 1; 0 ] ]; [ [ 0; 1 ]; [ 1; 2 ] ] ]
 
 let test_qasm3_accepts_bit_condition () =
   let c = Generate.feedback_rounds ~rounds:3 3 in
-  let c' = Qasm3.parse (Qasm3.to_string c) in
+  let c' = Qasm.parse (Qasm.to_string ~version:`V3 c) in
   check int_t "same op count" (Circuit.size c) (Circuit.size c')
 
 (* ------------------------------------------------------------------ *)
@@ -218,7 +218,7 @@ c[1] = measure q[1];
 |}
 
 let test_qasm3_bell () =
-  let c = Qasm3.parse bell_qasm3 in
+  let c = Qasm.parse bell_qasm3 in
   check bool_t "equals generated Bell" true (Circuit.equal c (Generate.bell ()))
 
 let test_qasm3_for_loop () =
@@ -230,7 +230,7 @@ qubit[10] q;
 for uint i in [0:9] { h q[i]; }
 |}
   in
-  let c = Qasm3.parse src in
+  let c = Qasm.parse src in
   check int_t "ten h gates" 10 (Circuit.gate_count ~name:"h" c);
   check bool_t "equals h_layer" true (Circuit.equal c (Generate.h_layer 10))
 
@@ -246,7 +246,7 @@ for uint i in [0:2:6] {
 }
 |}
   in
-  let c = Qasm3.parse src in
+  let c = Qasm.parse src in
   check int_t "8 x gates" 8 (Circuit.gate_count ~name:"x" c)
 
 let test_qasm3_if () =
@@ -260,7 +260,7 @@ c[0] = measure q[0];
 if (c[0] == 1) { x q[1]; }
 |}
   in
-  let c = Qasm3.parse src in
+  let c = Qasm.parse src in
   match List.rev c.Circuit.ops with
   | { Circuit.kind = Circuit.Gate (Gate.X, [ 1 ]); cond = Some cond } :: _ ->
     check int_t "value" 1 cond.Circuit.value
@@ -269,10 +269,10 @@ if (c[0] == 1) { x q[1]; }
 let test_qasm3_roundtrip () =
   List.iter
     (fun c ->
-      let printed = Qasm3.to_string c in
+      let printed = Qasm.to_string ~version:`V3 c in
       let c' =
-        try Qasm3.parse printed
-        with Qasm3.Error (l, m) ->
+        try Qasm.parse printed
+        with Qasm.Error (l, m) ->
           Alcotest.failf "line %d: %s in\n%s" l m printed
       in
       check int_t "same op count" (Circuit.size c) (Circuit.size c'))
@@ -401,7 +401,7 @@ let prop_qasm2_roundtrip =
     QCheck2.Gen.(pair (int_range 0 10000) (int_range 2 5))
     (fun (seed, n) ->
       let c = Generate.random ~seed ~gates:40 n in
-      let c' = Qasm2.parse (Qasm2.to_string c) in
+      let c' = Qasm.parse (Qasm.to_string ~version:`V2 c) in
       let st, _ = Qsim.Statevector.run_circuit c in
       let st', _ = Qsim.Statevector.run_circuit c' in
       Float.abs (Qsim.Statevector.fidelity st st' -. 1.0) < 1e-9)
