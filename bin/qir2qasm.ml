@@ -19,8 +19,8 @@ let run input qasm3 lower output =
           (Format.asprintf "%a" Qir.Lowering.pp_error e)
     end
     else
-      match Qir.Qir_parser.parse_result m with
-      | Ok c -> c
+      match Qir.Qir_parser.parse_with_output m with
+      | Ok (c, recorded) -> Qir.Qir_parser.in_recorded_order c recorded
       | Error msg ->
         Cli_common.die ~code:Qruntime.Qir_error.exit_exec
           "%s (hint: try --lower)" msg

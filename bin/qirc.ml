@@ -99,8 +99,8 @@ let run input passes lower optimize opt_quantum check addressing emit verify
     match emit with
     | `Qir -> Llvm_ir.Printer.module_to_string m
     | (`V2 | `V3) as version ->
-      Qcircuit.Qasm.to_string ~version (Qir.Qir_parser.parse m)
-    | `Circuit -> Qcircuit.Circuit.to_string (Qir.Qir_parser.parse m)
+      Qcircuit.Qasm.to_string ~version (Qir.Qir_parser.parse_recorded m)
+    | `Circuit -> Qcircuit.Circuit.to_string (Qir.Qir_parser.parse_recorded m)
     | `Mlir -> Qir.Mlir_emit.emit_module m
     | `None -> ""
   in

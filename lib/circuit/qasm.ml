@@ -87,8 +87,7 @@ type stmt =
       (* variable, first, step, last (inclusive) *)
 
 (* A statement with the line where its elaboration errors are
-   reported: the line the parser had reached when the statement (or,
-   for [if] and [for], its header) ended. *)
+   reported: the line of its first token. *)
 and located = int * stmt
 
 type gate_def = {
@@ -259,13 +258,13 @@ let check_gate_body name qubits body =
       | _ -> error line "only gate applications may appear in gate %s" name)
     body
 
-let here ps s = Some (line ps, s)
-
-(* One statement, located where its own errors are reported: after it,
-   or after the header of an [if] or a [for], whose body statements
-   carry their own lines. [None] for a definition or an include, which
-   leave nothing to elaborate. *)
+(* One statement, located at the line it starts on, where its own
+   errors are reported (the body statements of an [if] or a [for] carry
+   their own lines). [None] for a definition or an include, which leave
+   nothing to elaborate. *)
 let rec parse_stmt ps =
+  let start = line ps in
+  let here s = Some (start, s) in
   match tok ps with
   | Qasm_lexer.ID "include" ->
     advance ps;
@@ -286,7 +285,7 @@ let rec parse_stmt ps =
     let size = parse_index ps in
     expect ps Qasm_lexer.RBRACKET;
     expect ps Qasm_lexer.SEMI;
-    here ps (Decl (kw = "qreg", name, size))
+    here (Decl (kw = "qreg", name, size))
   | Qasm_lexer.ID ("qubit" | "bit" as kw) when ps.v3 ->
     advance ps;
     let size =
@@ -300,7 +299,7 @@ let rec parse_stmt ps =
     in
     let name = expect_id ps in
     expect ps Qasm_lexer.SEMI;
-    here ps (Decl (kw = "qubit", name, size))
+    here (Decl (kw = "qubit", name, size))
   | Qasm_lexer.ID ("gate" | "opaque" as kw) ->
     advance ps;
     let name = expect_id ps in
@@ -337,11 +336,11 @@ let rec parse_stmt ps =
     advance ps;
     if tok ps = Qasm_lexer.SEMI then begin
       advance ps;
-      here ps (Barrier [])
+      here (Barrier [])
     end
     else
       let args = parse_args ps [] in
-      here ps (Barrier args)
+      here (Barrier args)
   | Qasm_lexer.ID "if" ->
     advance ps;
     expect ps Qasm_lexer.LPAREN;
@@ -351,16 +350,15 @@ let rec parse_stmt ps =
     expect ps Qasm_lexer.RPAREN;
     if ps.in_if then perror ps "nested if conditions are not supported";
     ps.in_if <- true;
-    let header = line ps in
     let body =
       if not ps.v3 then
-        let s = parse_qop ps in
-        [ (line ps, s) ]
+        let at = line ps in
+        [ (at, parse_qop ps) ]
       else if tok ps = Qasm_lexer.LBRACE then parse_block ps
       else Option.to_list (parse_stmt ps)
     in
     ps.in_if <- false;
-    Some (header, If (bits, value, body))
+    here (If (bits, value, body))
   | Qasm_lexer.ID "for" when ps.v3 ->
     (* for (uint[N] | int)? i in [first:last] | [first:step:last] { ... } *)
     advance ps;
@@ -389,15 +387,14 @@ let rec parse_stmt ps =
       else (Qasm_expr.Num 1., b)
     in
     expect ps Qasm_lexer.RBRACKET;
-    let header = line ps in
     let scope = ps.scope in
     ps.scope <- (var, 0.) :: scope;
     let body = parse_block ps in
     ps.scope <- scope;
-    Some (header, For (var, first, step, last, body))
+    here (For (var, first, step, last, body))
   | Qasm_lexer.ID _ ->
     let s = parse_qop ps in
-    here ps s
+    here s
   | t ->
     perror ps "unexpected '%s'%s" (show t)
       (if ps.depth = 0 then " at top level" else "")

@@ -143,17 +143,8 @@ let parse_with_upgrade (m : Ir_module.t) =
 let convert ~addressing ?(record_output = true) (m : Ir_module.t) =
   let circuit, output = parse_with_upgrade m in
   let circuit =
-    if output = [] || not record_output then circuit
-    else
-      match Qir_parser.remap_output_order circuit output with
-      | Some c when c.Qcircuit.Circuit.num_clbits = List.length output -> c
-      | Some _ | None ->
-        raise
-          (Qir_parser.Unsupported
-             (Printf.sprintf
-                "recorded output (results %s) is not each measured result \
-                 once; the circuit form cannot keep it"
-                (String.concat ", " (List.map string_of_int output))))
+    if record_output then Qir_parser.in_recorded_order ~all:true circuit output
+    else circuit
   in
   Qir_builder.build ~addressing ~record_output circuit
 

@@ -36,7 +36,7 @@ let lower_to_profile ?max_rounds profile (m : Ir_module.t) :
 let lower_to_circuit ?max_rounds (m : Ir_module.t) :
     (Qcircuit.Circuit.t, error) result =
   let m' = lower_module ?max_rounds m in
-  match Qir_parser.parse m' with
+  match Qir_parser.parse_recorded m' with
   | c -> Ok c
   | exception Qir_parser.Unsupported msg -> Error (Unsupported msg)
 

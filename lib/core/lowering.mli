@@ -26,7 +26,8 @@ val lower_to_circuit :
   ?max_rounds:int ->
   Llvm_ir.Ir_module.t ->
   (Qcircuit.Circuit.t, error) result
-(** Lower, then parse with {!Qir_parser}. *)
+(** Lower, then parse with {!Qir_parser.parse_recorded}: the circuit's
+    clbits read the recorded output. *)
 
 val lower_to_base :
   ?max_rounds:int ->

@@ -103,20 +103,43 @@ let lookup st name =
   in
   match v with Some v -> v | None -> fail "use of untracked value %%%s" name
 
-let avalue_of_operand st (o : Operand.t) =
+(* Scalars are the engines' values: a constant is read, and an
+   instruction on constants runs, through {!Interp}'s evaluator at the
+   operand's type, so [add i8 255, 2] is 1 here as it is when executed. *)
+let value_of_avalue ty (v : avalue) =
+  match v with
+  | AInt n -> if Ty.equal ty Ty.Ptr then Interp.VPtr n else Interp.VInt (ty, n)
+  | AFloat f -> Interp.VFloat f
+  | _ -> fail "operand is not a constant scalar"
+
+let avalue_of_value (v : Interp.value) =
+  match v with
+  | Interp.VInt (_, n) | Interp.VPtr n -> AInt n
+  | Interp.VFloat f -> AFloat f
+  | Interp.VVoid -> fail "void operand"
+
+let evaluate f =
+  match f () with
+  | v -> avalue_of_value v
+  | exception Ir_error.Exec_error msg -> fail "%s" msg
+
+(* A binary evaluator [f] of {!Interp} on two constant operands. *)
+let evaluate2 ty f x y =
+  evaluate (fun () -> f (value_of_avalue ty x) (value_of_avalue ty y))
+
+let avalue_of_operand st ty (o : Operand.t) =
   match o with
   | Operand.Local name -> lookup st name
   | Operand.Const c -> (
     match c with
-    | Constant.Int n -> AInt n
-    | Constant.Bool b -> AInt (if b then 1L else 0L)
-    | Constant.Float f -> AFloat f
-    | Constant.Null -> AInt 0L (* resolves to qubit/result 0 contextually *)
-    | Constant.Inttoptr n -> AInt n
     | Constant.Undef -> fail "undef operand"
     | Constant.Global g -> fail "global @%s used as an operand" g
     | Constant.Str _ | Constant.Arr _ | Constant.Zeroinit ->
-      fail "aggregate constant operand")
+      fail "aggregate constant operand"
+    | _ -> (
+      match Interp.eval_const Interp.no_globals ty c with
+      | v -> avalue_of_value v
+      | exception Ir_error.Exec_error msg -> fail "%s" msg))
 
 let as_qubit _st (v : avalue) =
   match v with
@@ -165,7 +188,7 @@ let lin_of v =
 let rec eval_args st i = function
   | [] -> ()
   | (a : Operand.typed) :: rest ->
-    st.args.(i) <- avalue_of_operand st a.Operand.v;
+    st.args.(i) <- avalue_of_operand st a.Operand.ty a.Operand.v;
     eval_args st (i + 1) rest
 
 let exec_call st ~cond id callee call (args : Operand.typed list) =
@@ -267,29 +290,31 @@ let exec_instr st ~cond (i : Instr.t) =
     define st i.Instr.id (ASlot s)
   | Instr.Alloca ty -> fail "alloca of %s" (Ty.to_string ty)
   | Instr.Store (v, p) -> (
-    match avalue_of_operand st p with
-    | ASlot s -> Hashtbl.replace st.mem s (avalue_of_operand st v.Operand.v)
+    match avalue_of_operand st Ty.Ptr p with
+    | ASlot s ->
+      Hashtbl.replace st.mem s (avalue_of_operand st v.Operand.ty v.Operand.v)
     | _ -> fail "store through a non-slot pointer")
   | Instr.Load (_, p) -> (
-    match avalue_of_operand st p with
+    match avalue_of_operand st Ty.Ptr p with
     | ASlot s -> (
       match Hashtbl.find_opt st.mem s with
       | Some v -> define st i.Instr.id v
       | None -> fail "load from an uninitialized slot")
     | _ -> fail "load through a non-slot pointer")
-  | Instr.Cast (Instr.Zext, src, _) | Instr.Cast (Instr.Sext, src, _) ->
-    define st i.Instr.id (avalue_of_operand st src.Operand.v)
-  | Instr.Cast (Instr.Inttoptr, src, _) ->
-    define st i.Instr.id (avalue_of_operand st src.Operand.v)
-  | Instr.Cast (Instr.Ptrtoint, src, _) ->
-    define st i.Instr.id (avalue_of_operand st src.Operand.v)
-  | Instr.Cast (c, _, _) -> fail "unsupported cast %s" (Instr.string_of_cast c)
-  | Instr.Binop (op, _, x, y) -> (
-    let xv = avalue_of_operand st x and yv = avalue_of_operand st y in
+  | Instr.Cast (c, src, ty) -> (
+    match avalue_of_operand st src.Operand.ty src.Operand.v, c with
+    | ((AInt _ | AFloat _) as v), _ ->
+      define st i.Instr.id
+        (evaluate (fun () ->
+             Interp.eval_cast c (value_of_avalue src.Operand.ty v) ty))
+    | v, (Instr.Zext | Instr.Sext | Instr.Inttoptr | Instr.Ptrtoint) ->
+      define st i.Instr.id v
+    | _ -> fail "unsupported cast %s" (Instr.string_of_cast c))
+  | Instr.Binop (op, ty, x, y) -> (
+    let xv = avalue_of_operand st ty x and yv = avalue_of_operand st ty y in
     match op, xv, yv with
-    | Instr.Add, AInt a, AInt b -> define st i.Instr.id (AInt (Int64.add a b))
-    | Instr.Sub, AInt a, AInt b -> define st i.Instr.id (AInt (Int64.sub a b))
-    | Instr.Mul, AInt a, AInt b -> define st i.Instr.id (AInt (Int64.mul a b))
+    | _, AInt _, AInt _ ->
+      define st i.Instr.id (evaluate2 ty (Interp.eval_binop op ty) xv yv)
     | Instr.Shl, v, AInt k ->
       let terms, c = lin_of v in
       let f = Int64.shift_left 1L (Int64.to_int k) in
@@ -301,16 +326,16 @@ let exec_instr st ~cond (i : Instr.t) =
       let ta, ca = lin_of a and tb, cb = lin_of b in
       define st i.Instr.id (ALin (ta @ tb, Int64.add ca cb))
     | _ -> fail "unsupported classical operation %s (lower first)" (Instr.string_of_binop op))
-  | Instr.Icmp (Instr.Ieq, _, x, y) -> (
-    let xv = avalue_of_operand st x and yv = avalue_of_operand st y in
+  | Instr.Icmp (Instr.Ieq, ty, x, y) -> (
+    let xv = avalue_of_operand st ty x and yv = avalue_of_operand st ty y in
     match xv, yv with
     | (ABit _ | ALin _), AInt v | AInt v, (ABit _ | ALin _) ->
       let terms, c =
         lin_of (match xv with AInt _ -> yv | _ -> xv)
       in
       define st i.Instr.id (ACmp (terms, Int64.sub v c))
-    | AInt a, AInt b ->
-      define st i.Instr.id (AInt (if Int64.equal a b then 1L else 0L))
+    | AInt _, AInt _ ->
+      define st i.Instr.id (evaluate2 ty (Interp.eval_icmp Instr.Ieq) xv yv)
     | _ -> fail "unsupported comparison operands (lower first)")
   | Instr.Icmp (p, _, _, _) ->
     fail "unsupported comparison predicate %s (lower first)" (Instr.string_of_icmp p)
@@ -319,7 +344,8 @@ let exec_instr st ~cond (i : Instr.t) =
   | Instr.Gep _ -> fail "getelementptr on classical memory"
   | Instr.Select _ -> fail "select instruction"
   | Instr.Phi _ -> fail "phi node (the program has non-trivial control flow; lower first)"
-  | Instr.Freeze v -> define st i.Instr.id (avalue_of_operand st v.Operand.v)
+  | Instr.Freeze v ->
+    define st i.Instr.id (avalue_of_operand st v.Operand.ty v.Operand.v)
 
 (* ------------------------------------------------------------------ *)
 (* Control flow: a forward chain with optional if-then shapes           *)
@@ -359,7 +385,7 @@ let rec exec_block st (f : Func.t) label =
   | Instr.Ret (Some _) -> fail "entry point returns a value"
   | Instr.Br next -> exec_block st f next
   | Instr.Cond_br (c, then_label, else_label) ->
-    let cond = cond_of_avalue (avalue_of_operand st c) in
+    let cond = cond_of_avalue (avalue_of_operand st Ty.I1 c) in
     (* shape: then-block is straight-line and rejoins at else_label *)
     let then_block = find_block f then_label in
     (match then_block.Block.term with
@@ -465,6 +491,21 @@ let remap_output_order (c : Circuit.t) recorded =
   if !ok && List.for_all (Hashtbl.mem measured) recorded then
     Some { c with Circuit.ops; num_clbits = !next }
   else None
+
+let in_recorded_order ?(all = false) c recorded =
+  if recorded = [] then c
+  else
+    match remap_output_order c recorded with
+    | Some c' when (not all) || c'.Circuit.num_clbits = List.length recorded -> c'
+    | Some _ | None ->
+      fail
+        "recorded output (results %s) is not each measured result once; the \
+         circuit form cannot keep it"
+        (String.concat ", " (List.map string_of_int recorded))
+
+let parse_recorded m =
+  let c, recorded = parse_with_output_exn m in
+  in_recorded_order c recorded
 
 (* Parses textual QIR end to end. *)
 let parse_string src = parse (Parser.parse_module src)

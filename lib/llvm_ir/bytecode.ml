@@ -59,9 +59,8 @@ type term =
   | Ret of operand option
   | Br of int (* edge index *)
   | Cond_br of operand * int * int
-  | Switch of operand * int * (int64 * int) array
-      (* scrutinee, default edge, integer cases in source order
-         (last match wins, like the interpreter's fold) *)
+  | Switch of operand * Ty.t * int * (Constant.t * int) list
+      (* scrutinee, its type, default edge, cases in source order *)
   | Unreachable
 
 type edge =
@@ -118,26 +117,9 @@ let extern_id ctx name =
     i
 
 let compile_const ctx ty (c : Constant.t) =
-  match c with
-  | Constant.Int n -> (
-    try Imm (Interp.VInt (ty, Interp.truncate_to_width ty n))
-    with Ir_error.Exec_error msg -> Raise msg)
-  | Constant.Bool b -> Imm (Interp.VInt (Ty.I1, if b then 1L else 0L))
-  | Constant.Float f -> Imm (Interp.VFloat f)
-  | Constant.Null -> Imm (Interp.VPtr 0L)
-  | Constant.Undef ->
-    Imm
-      (match ty with
-      | Ty.Double -> Interp.VFloat 0.
-      | Ty.Ptr -> Interp.VPtr 0L
-      | _ -> Interp.VInt (ty, 0L))
-  | Constant.Inttoptr n -> Imm (Interp.VPtr n)
-  | Constant.Global g -> (
-    match Hashtbl.find_opt ctx.globals g with
-    | Some addr -> Imm (Interp.VPtr addr)
-    | None -> Raise (Printf.sprintf "no storage for global @%s" g))
-  | Constant.Str _ | Constant.Arr _ | Constant.Zeroinit ->
-    Raise "aggregate constant used as an operand"
+  match Interp.eval_const (Hashtbl.find_opt ctx.globals) ty c with
+  | v -> Imm v
+  | exception Ir_error.Exec_error msg -> Raise msg
 
 let compile_operand ctx slots ty (o : Operand.t) =
   match o with
@@ -372,18 +354,12 @@ let compile_func ctx (f : Func.t) : func =
             Cond_br (compile_operand ctx slots Ty.I1 c, ct, ce)
           | Instr.Switch (v, d, cases) ->
             let de = add_edge ~pred d in
-            let cs =
-              List.filter_map
-                (fun (c, l) ->
-                  match c with
-                  | Constant.Int n -> Some (n, add_edge ~pred l)
-                  | _ -> None (* non-integer case never matches *))
-                cases
-            in
+            let cs = List.map (fun (c, l) -> (c, add_edge ~pred l)) cases in
             Switch
               ( compile_operand ctx slots v.Operand.ty v.Operand.v,
+                v.Operand.ty,
                 de,
-                Array.of_list cs )
+                cs )
           | Instr.Unreachable -> Unreachable
         in
         { boff; bcount; bterm })

@@ -48,7 +48,9 @@ type term =
   | Ret of operand option
   | Br of int  (** edge index *)
   | Cond_br of operand * int * int
-  | Switch of operand * int * (int64 * int) array
+  | Switch of operand * Ty.t * int * (Constant.t * int) list
+      (** scrutinee, its type, default edge, cases; read by
+          {!Interp.switch_target} *)
   | Unreachable
 
 type edge =

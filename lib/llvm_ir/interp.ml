@@ -112,6 +112,30 @@ let pp_value ppf = function
   | VPtr a -> Format.fprintf ppf "ptr 0x%Lx" a
   | VVoid -> Format.pp_print_string ppf "void"
 
+(* The value a constant operand has at type [ty]: integers are read at
+   [ty]'s width (so [i8 -1] and [i8 255] are one value), and [global]
+   gives a global's address, or [None] when it has no storage. *)
+let eval_const global ty (c : Constant.t) =
+  match c with
+  | Constant.Int n -> VInt (ty, truncate_to_width ty n)
+  | Constant.Bool b -> VInt (Ty.I1, if b then 1L else 0L)
+  | Constant.Float f -> VFloat f
+  | Constant.Null -> VPtr 0L
+  | Constant.Undef -> (
+    match ty with
+    | Ty.Double -> VFloat 0.
+    | Ty.Ptr -> VPtr 0L
+    | _ -> VInt (ty, 0L))
+  | Constant.Inttoptr n -> VPtr n
+  | Constant.Global g -> (
+    match global g with
+    | Some addr -> VPtr addr
+    | None -> error "no storage for global @%s" g)
+  | Constant.Str _ | Constant.Arr _ | Constant.Zeroinit ->
+    error "aggregate constant used as an operand"
+
+let no_globals _ = None
+
 (* ------------------------------------------------------------------ *)
 (* State construction                                                   *)
 
@@ -123,15 +147,15 @@ let alloc st cells =
   addr
 
 let rec store_const_into mem addr ty (c : Constant.t) =
-  match c, ty with
-  | Constant.Str s, _ ->
+  match c with
+  | Constant.Str s ->
     String.iteri
       (fun i ch ->
         Hashtbl.replace mem
           (Int64.add addr (Int64.mul (Int64.of_int i) cell_size))
           (VInt (Ty.I8, Int64.of_int (Char.code ch))))
       s
-  | Constant.Arr (ety, elems), _ ->
+  | Constant.Arr (ety, elems) ->
     let esize = Int64.of_int (Ty.size_in_cells ety) in
     List.iteri
       (fun i e ->
@@ -140,19 +164,16 @@ let rec store_const_into mem addr ty (c : Constant.t) =
              (Int64.mul (Int64.mul (Int64.of_int i) esize) cell_size))
           ety e)
       elems
-  | Constant.Zeroinit, _ ->
+  | Constant.Zeroinit ->
     for i = 0 to Ty.size_in_cells ty - 1 do
       Hashtbl.replace mem
         (Int64.add addr (Int64.mul (Int64.of_int i) cell_size))
         (VInt (Ty.I64, 0L))
     done
-  | Constant.Int n, _ -> Hashtbl.replace mem addr (VInt (ty, n))
-  | Constant.Bool b, _ ->
-    Hashtbl.replace mem addr (VInt (Ty.I1, if b then 1L else 0L))
-  | Constant.Float f, _ -> Hashtbl.replace mem addr (VFloat f)
-  | Constant.Null, _ -> Hashtbl.replace mem addr (VPtr 0L)
-  | Constant.Inttoptr n, _ -> Hashtbl.replace mem addr (VPtr n)
-  | (Constant.Undef | Constant.Global _), _ -> ()
+  | ( Constant.Int _ | Constant.Bool _ | Constant.Float _ | Constant.Null
+    | Constant.Inttoptr _ ) ->
+    Hashtbl.replace mem addr (eval_const no_globals ty c)
+  | (Constant.Undef | Constant.Global _) -> ()
 
 let store_const st addr ty c = store_const_into st.mem addr ty c
 
@@ -210,30 +231,11 @@ let consume_budget st =
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                           *)
 
-let eval_const st ty (c : Constant.t) =
-  match c with
-  | Constant.Int n -> VInt (ty, truncate_to_width ty n)
-  | Constant.Bool b -> VInt (Ty.I1, if b then 1L else 0L)
-  | Constant.Float f -> VFloat f
-  | Constant.Null -> VPtr 0L
-  | Constant.Undef -> (
-    match ty with
-    | Ty.Double -> VFloat 0.
-    | Ty.Ptr -> VPtr 0L
-    | _ -> VInt (ty, 0L))
-  | Constant.Inttoptr n -> VPtr n
-  | Constant.Global g -> (
-    match Hashtbl.find_opt st.global_addrs g with
-    | Some addr -> VPtr addr
-    | None -> error "no storage for global @%s" g)
-  | Constant.Str _ | Constant.Arr _ | Constant.Zeroinit ->
-    error "aggregate constant used as an operand"
-
 type frame = { env : (string, value) Hashtbl.t }
 
 let eval_operand st frame ty (o : Operand.t) =
   match o with
-  | Operand.Const c -> eval_const st ty c
+  | Operand.Const c -> eval_const (Hashtbl.find_opt st.global_addrs) ty c
   | Operand.Local name -> (
     match Hashtbl.find_opt frame.env name with
     | Some v -> v
@@ -332,7 +334,21 @@ let eval_cast op v target_ty =
   | Instr.Inttoptr -> VPtr (as_int v)
   | Instr.Ptrtoint -> VInt (target_ty, truncate_to_width target_ty (as_ptr v))
   | Instr.Sitofp -> VFloat (Int64.to_float (as_signed v))
-  | Instr.Fptosi -> VInt (target_ty, Int64.of_float (as_float v))
+  | Instr.Fptosi ->
+    VInt (target_ty, truncate_to_width target_ty (Int64.of_float (as_float v)))
+
+(* The successor a [switch] on [scrut] (of type [ty]) takes: the last
+   case whose constant, read at [ty] like any operand, equals the
+   scrutinee, else [default]. So [i8 -1] matches 255, and [i1 true]
+   matches 1. *)
+let switch_target ty scrut default cases =
+  let n = as_int scrut in
+  List.fold_left
+    (fun acc (c, l) ->
+      match eval_const no_globals ty c with
+      | VInt (_, m) when Int64.equal m n -> l
+      | _ | (exception Ir_error.Exec_error _) -> acc)
+    default cases
 
 (* GEP offset computation over the cell-based layout. *)
 let rec gep_offset ty idxs =
@@ -460,16 +476,8 @@ and exec_block st f frame ~prev (b : Block.t) : value =
     let cond = as_bool (eval_operand st frame Ty.I1 c) in
     branch st f frame ~prev:b.label (if cond then t else e)
   | Instr.Switch (v, d, cases) ->
-    let scrut = as_int (eval_operand st frame v.Operand.ty v.Operand.v) in
-    let target =
-      List.fold_left
-        (fun acc (c, l) ->
-          match c with
-          | Constant.Int n when Int64.equal n scrut -> Some l
-          | _ -> acc)
-        None cases
-    in
-    branch st f frame ~prev:b.label (Option.value ~default:d target)
+    let scrut = eval_operand st frame v.Operand.ty v.Operand.v in
+    branch st f frame ~prev:b.label (switch_target v.Operand.ty scrut d cases)
   | Instr.Unreachable -> error "reached 'unreachable' in @%s" f.Func.name
 
 and branch st f frame ~prev label =

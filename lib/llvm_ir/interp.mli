@@ -70,10 +70,17 @@ val run_entry :
   value
 (** Runs the module's entry point with no arguments. *)
 
-(** {1 Helpers reused by constant folding and the bytecode engine}
+(** {1 Scalar semantics}
 
-    {!Bc_exec} shares these evaluators so both engines agree bit for bit
-    on arithmetic, comparisons, casts, GEP layout and error messages. *)
+    The one statement of what a scalar instruction computes. {!Bc_exec}
+    runs these evaluators, so both engines agree bit for bit on
+    arithmetic, comparisons, casts, GEP layout and error messages; and
+    every compile-time reader of scalars answers to them too: constant
+    folding ([Passes.Const_fold], and through it SCCP, CFG cleanup and
+    unrolling), the counted-loop trip count ([Passes.Unroll], which the
+    resource certificate reads) and circuit extraction
+    ([Qir.Qir_parser]). Integer payloads are normalized to their type's
+    width: an [i8] holds 0..255. *)
 
 val truncate_to_width : Ty.t -> int64 -> int64
 val sign_extend : Ty.t -> int64 -> int64
@@ -85,6 +92,21 @@ val as_signed : value -> int64
 val as_float : value -> float
 val as_ptr : value -> int64
 val as_bool : value -> bool
+
+val eval_const : (string -> int64 option) -> Ty.t -> Constant.t -> value
+(** [eval_const global ty c]: the value constant [c] has as an operand of
+    type [ty]; an integer is read at [ty]'s width, so [i8 -1] and
+    [i8 255] are the same value. [global] resolves a global's address;
+    raises {!Ir_error.Exec_error} for a global it does not know and for
+    an aggregate. [undef] reads as zero. *)
+
+val no_globals : string -> int64 option
+(** The resolver for code that has no global storage (folding). *)
+
+val switch_target : Ty.t -> value -> 'a -> (Constant.t * 'a) list -> 'a
+(** [switch_target ty scrut default cases]: the successor a [switch] on
+    [scrut] of type [ty] takes: the last case whose constant, read by
+    {!eval_const} at [ty], equals [scrut]; [default] if none does. *)
 
 val eval_binop : Instr.binop -> Ty.t -> value -> value -> value
 val eval_fbinop : Instr.fbinop -> value -> value -> value

@@ -70,47 +70,4 @@ let simplify (op : Instr.op) : Operand.t option =
     Some (Operand.Const (Constant.Bool false))
   | _ -> None
 
-let run (_m : Ir_module.t) (f : Func.t) : Func.t * bool =
-  let changed = ref false in
-  let rec fixpoint f =
-    let subst = ref Subst.SMap.empty in
-    let blocks =
-      List.map
-        (fun (b : Block.t) ->
-          let instrs =
-            List.filter_map
-              (fun (i : Instr.t) ->
-                match i.Instr.id with
-                | Some id -> (
-                  match simplify i.Instr.op with
-                  | Some replacement ->
-                    subst := Subst.SMap.add id replacement !subst;
-                    None
-                  | None -> Some i)
-                | None -> Some i)
-              b.Block.instrs
-          in
-          { b with Block.instrs })
-        f.Func.blocks
-    in
-    if Subst.SMap.is_empty !subst then f
-    else begin
-      changed := true;
-      (* replacements may chain (x -> y while y -> z was also simplified
-         this round): resolve transitively before substituting *)
-      let rec resolve (o : Operand.t) =
-        match o with
-        | Operand.Local name -> (
-          match Subst.SMap.find_opt name !subst with
-          | Some o' -> resolve o'
-          | None -> o)
-        | Operand.Const _ -> o
-      in
-      let resolved = Subst.SMap.map resolve !subst in
-      fixpoint (Subst.func resolved (Func.replace_blocks f blocks))
-    end
-  in
-  let f = fixpoint f in
-  (f, !changed)
-
-let pass = { Pass.name = "instcombine"; run }
+let pass = Pass.simplifier "instcombine" simplify

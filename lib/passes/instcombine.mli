@@ -7,5 +7,4 @@ open Llvm_ir
 val simplify : Instr.op -> Operand.t option
 (** The operand the instruction reduces to, when an identity applies. *)
 
-val run : Ir_module.t -> Func.t -> Func.t * bool
 val pass : Pass.func_pass

@@ -11,6 +11,11 @@ type func_pass = {
 
 type module_pass = { mname : string; mrun : Ir_module.t -> Ir_module.t * bool }
 
+val simplifier : string -> (Instr.op -> Operand.t option) -> func_pass
+(** [simplifier name simplify]: the pass that drops every instruction
+    [simplify] reduces to an operand and substitutes that operand for its
+    uses, round after round until nothing reduces. *)
+
 val of_func_pass : func_pass -> module_pass
 (** Applies the pass to every defined function. *)
 

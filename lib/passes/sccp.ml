@@ -118,27 +118,22 @@ let transfer_instr _label (i : Instr.t) fact =
 (* Successors the terminator can take under the fact; none while the
    condition is still Unknown. *)
 let feasible fact (t : Instr.term) =
-  let on (v : Operand.t) pick =
+  let on (v : Operand.t) read pick =
     match operand_lattice fact v with
     | Unknown -> []
     | Cst c -> (
-      match Const_fold.int_of_const c with
+      match read c with
       | Some n -> [ pick n ]
       | None -> Instr.successors t)
     | Varying -> Instr.successors t
   in
   match t with
   | Instr.Cond_br (c, th, el) ->
-    on c (fun n -> if Int64.equal n 0L then el else th)
+    on c Const_fold.int_of_const (fun n -> if Int64.equal n 0L then el else th)
   | Instr.Switch (v, d, cases) ->
-    (* the last matching case wins, as in [Interp] *)
-    on v.Operand.v (fun n ->
-        List.fold_left
-          (fun acc (c, l) ->
-            match Const_fold.int_of_const c with
-            | Some m when Int64.equal m n -> l
-            | _ -> acc)
-          d cases)
+    let ty = v.Operand.ty in
+    on v.Operand.v (Const_fold.value_of_const ty) (fun n ->
+        Interp.switch_target ty n d cases)
   | Instr.Ret _ | Instr.Unreachable | Instr.Br _ -> Instr.successors t
 
 (* Each feasible edge carries the predecessor's fact with the successor's

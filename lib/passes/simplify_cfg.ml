@@ -25,20 +25,13 @@ let fold_terms (f : Func.t) =
             changed := true;
             Instr.Br t
           | Instr.Switch (v, d, cases) -> (
+            let ty = v.Operand.ty in
             match v.Operand.v with
             | Operand.Const c -> (
-              match Const_fold.int_of_const c with
+              match Const_fold.value_of_const ty c with
               | Some n ->
                 changed := true;
-                let target =
-                  List.fold_left
-                    (fun acc (cc, l) ->
-                      match Const_fold.int_of_const cc with
-                      | Some m when Int64.equal m n -> Some l
-                      | _ -> acc)
-                    None cases
-                in
-                Instr.Br (Option.value ~default:d target)
+                Instr.Br (Interp.switch_target ty n d cases)
               | None -> b.Block.term)
             | Operand.Local _ -> b.Block.term)
           | t -> t

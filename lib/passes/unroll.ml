@@ -51,26 +51,26 @@ let find_instr_in_loop (f : Func.t) (body : SSet.t) id =
       else None)
     f.Func.blocks
 
-(* Evaluates the compare scrutinee as an affine function of the induction
-   phi: returns [Some (mult_of_iv, offset)] so that value = iv + offset
-   when mult is 1. We only need iv and iv+step. *)
-let rec affine_of f body phi_id (o : Operand.t) =
+(* The chain defining [o] (an operand of type [ty]) as a function of the
+   induction phi's value, run by the engines' evaluator at each
+   instruction's own type: constants, the phi itself, and the loop's
+   add/sub and sext/zext/trunc. [None] when the chain holds anything
+   else. *)
+let rec chain f body phi_id ty (o : Operand.t) =
   match o with
-  | Operand.Const c -> Option.map (fun n -> (0L, n)) (Const_fold.int_of_const c)
-  | Operand.Local id when String.equal id phi_id -> Some (1L, 0L)
+  | Operand.Const c -> Option.map (fun v _ -> v) (Const_fold.value_of_const ty c)
+  | Operand.Local id when String.equal id phi_id -> Some Fun.id
   | Operand.Local id -> (
     match find_instr_in_loop f body id with
-    | Some (Instr.Binop (Instr.Add, _, x, y)) -> (
-      match affine_of f body phi_id x, affine_of f body phi_id y with
-      | Some (mx, ox), Some (my, oy) -> Some (Int64.add mx my, Int64.add ox oy)
+    | Some (Instr.Binop (((Instr.Add | Instr.Sub) as op), ty, x, y)) -> (
+      match chain f body phi_id ty x, chain f body phi_id ty y with
+      | Some gx, Some gy -> Some (fun iv -> Interp.eval_binop op ty (gx iv) (gy iv))
       | _ -> None)
-    | Some (Instr.Binop (Instr.Sub, _, x, y)) -> (
-      match affine_of f body phi_id x, affine_of f body phi_id y with
-      | Some (mx, ox), Some (my, oy) -> Some (Int64.sub mx my, Int64.sub ox oy)
-      | _ -> None)
-    | Some (Instr.Cast ((Instr.Sext | Instr.Zext), src, _)) ->
-      (* width changes are benign for the small trip counts we accept *)
-      affine_of f body phi_id src.Operand.v
+    | Some (Instr.Cast (((Instr.Sext | Instr.Zext | Instr.Trunc) as c), src, ty))
+      ->
+      Option.map
+        (fun g iv -> Interp.eval_cast c (g iv) ty)
+        (chain f body phi_id src.Operand.ty src.Operand.v)
     | _ -> None)
 
 (* The counted-loop recognizer: the loop's shape and its trip count, if
@@ -107,7 +107,7 @@ let recognize ~max_trip (f : Func.t) cfg (loop : Loop.t) : counted_loop option =
         in
         if not !phis_ok then None
         else
-          (* the condition: icmp on an affine function of some header phi *)
+          (* the condition: icmp on a chain of some header phi *)
           let cond_op =
             List.find_map
               (fun (i : Instr.t) ->
@@ -118,40 +118,29 @@ let recognize ~max_trip (f : Func.t) cfg (loop : Loop.t) : counted_loop option =
           in
           match cond_op with
           | Some (Instr.Icmp (pred, ty, lhs, rhs)) ->
-            (* try each induction-candidate phi *)
-            let try_phi (phi_id, _ty, init, next) =
+            (* try each induction-candidate phi: run the header's
+               compare and the step from its constant start *)
+            let try_phi (phi_id, phi_ty, init, next) =
+              let chain = chain f loop.Loop.body phi_id in
               match
-                ( Const_fold.int_of_const
-                    (match init with
-                    | Operand.Const c -> c
-                    | Operand.Local _ -> Constant.Undef),
-                  affine_of f loop.Loop.body phi_id next )
+                ( (match init with
+                  | Operand.Const c -> Const_fold.value_of_const phi_ty c
+                  | Operand.Local _ -> None),
+                  chain phi_ty next,
+                  chain ty lhs,
+                  chain ty rhs )
               with
-              | Some init_v, Some (1L, step) when not (Int64.equal step 0L) ->
-                let lhs_aff = affine_of f loop.Loop.body phi_id lhs in
-                let rhs_aff = affine_of f loop.Loop.body phi_id rhs in
-                (match lhs_aff, rhs_aff with
-                | Some (ml, ol), Some (mr, rr) ->
-                  (* simulate header evaluations *)
-                  let eval iv (m, o) = Int64.add (Int64.mul m iv) o in
-                  let continue iv =
-                    let x = eval iv (ml, ol) and y = eval iv (mr, rr) in
-                    let c =
-                      match
-                        Const_fold.fold_icmp pred ty x y
-                      with
-                      | Constant.Bool b -> b
-                      | _ -> false
-                    in
-                    if cond_is_continue then c else not c
-                  in
-                  let rec count iv k =
-                    if k > max_trip then None
-                    else if continue iv then count (Int64.add iv step) (k + 1)
-                    else Some k
-                  in
-                  count init_v 0
-                | _ -> None)
+              | Some init_v, Some step, Some gl, Some gr -> (
+                let continue iv =
+                  Interp.as_bool (Interp.eval_icmp pred (gl iv) (gr iv))
+                  = cond_is_continue
+                in
+                let rec count iv k =
+                  if k > max_trip then None
+                  else if continue iv then count (step iv) (k + 1)
+                  else Some k
+                in
+                try count init_v 0 with Ir_error.Exec_error _ -> None)
               | _ -> None
             in
             Option.map

@@ -156,29 +156,21 @@ let double_of facts (o : Operand.t) : float =
 
 (* An argument the runtime ignores (labels, initialize's context
    pointer) still gets evaluated by the interpreter, so it must be
-   provably evaluable: a non-aggregate constant whose evaluation cannot
-   trap, or a proved-constant local. *)
+   provably evaluable: a constant the evaluator reads without trapping,
+   or a proved-constant local that is no aggregate and no missing
+   global. *)
 let evaluable m facts (a : Operand.typed) =
-  let ok_const (c : Constant.t) ~syntactic =
-    match c with
-    | Constant.Null | Constant.Inttoptr _ | Constant.Float _
-    | Constant.Bool _ | Constant.Undef ->
-      true
-    | Constant.Int _ -> (
-      if not syntactic then true
-      else
-        match a.Operand.ty with
-        | Ty.I1 | Ty.I8 | Ty.I16 | Ty.I32 | Ty.I64 -> true
-        | _ -> false (* truncate_to_width would trap *))
-    | Constant.Global g -> Ir_module.find_global m g <> None
-    | Constant.Str _ | Constant.Arr _ | Constant.Zeroinit -> false
-  in
+  let global g = Option.map (fun _ -> 0L) (Ir_module.find_global m g) in
   match a.Operand.v with
-  | Operand.Const c -> ok_const c ~syntactic:true
+  | Operand.Const c -> (
+    match Interp.eval_const global a.Operand.ty c with
+    | _ -> true
+    | exception Ir_error.Exec_error _ -> false)
   | Operand.Local _ -> (
     match resolve_const facts a.Operand.v with
-    | Some c -> ok_const c ~syntactic:false
-    | None -> false)
+    | Some (Constant.Global g) -> global g <> None
+    | Some (Constant.Str _ | Constant.Arr _ | Constant.Zeroinit) | None -> false
+    | Some _ -> true)
 
 let is_quantum (v : Vt.value option) =
   match v with

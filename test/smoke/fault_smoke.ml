@@ -19,8 +19,11 @@
    and of 2000 mutations of the same circuits in dynamic addressing —
    must give the per-shot histogram at the tape tier ([tape_oracle]);
    one that differs fails the run. 2000 more mutations of a small
-   classical corpus (loop, phi, select, GEP, switch) give sccp
-   something to fold, under the same rule.
+   classical corpus (loop, phi, select, GEP, switch, narrow integers)
+   give sccp something to fold, under the same rule; each verified one
+   whose entry runs within fuel is also run before and after sccp,
+   const-fold and loop-unroll, and the histograms must agree
+   ([classical_tv]).
 
    Last, 2000 seeded mutations of an OpenQASM 2 corpus (Bell, GHZ, a
    conditioned gate after a measurement), and 2000 of the same corpus
@@ -224,9 +227,21 @@ let mutate_dynamic texts =
       tape_qubits;
   !raised
 
+(* An entry point that runs [body] from its entry block to [%done],
+   which measures q0 and records the result. *)
+let measured_entry body =
+  "declare void @__quantum__qis__x__body(ptr)\n\
+   declare void @__quantum__qis__mz__body(ptr, ptr)\n\
+   declare void @__quantum__rt__result_record_output(ptr, ptr)\n\n\
+   define void @main() \"entry_point\" {\nentry:\n" ^ body
+  ^ "done:\n  call void @__quantum__qis__mz__body(ptr null, ptr null)\n\
+    \  call void @__quantum__rt__result_record_output(ptr null, ptr null)\n\
+    \  ret void\n}\n"
+
 (* Classical control flow, where sccp has something to fold: a counted
    loop with a constant bound, a phi behind a constant branch, a select
-   whose arms agree, a byte GEP and a switch. *)
+   whose arms agree, a byte GEP and a switch; then narrow integers, where
+   a folder that reads constants at the wrong width changes the answer. *)
 let classical_corpus =
   [
     "declare void @__quantum__qis__h__body(ptr)\n\n\
@@ -248,11 +263,61 @@ let classical_corpus =
     \  call void @__quantum__qis__x__body(ptr %g)\n\
     \  switch i64 %s, label %d [ i64 5, label %five ]\nfive:\n\
     \  %y = mul i64 %s, %n\n  ret i64 %y\nd:\n  ret i64 0\n}\n";
+    (* an i8 counter that wraps: 11 iterations, not the 6 an unwrapped
+       count gives *)
+    measured_entry
+      "  br label %header\nheader:\n\
+      \  %i = phi i8 [ 0, %entry ], [ %next, %body ]\n\
+      \  %c = icmp ult i8 %i, 224\n\
+      \  br i1 %c, label %body, label %done\nbody:\n\
+      \  call void @__quantum__qis__x__body(ptr null)\n\
+      \  %next = add i8 %i, 44\n  br label %header\n";
+    (* an i8 switch whose case is written -1 and computed as 255 *)
+    measured_entry
+      "  %x = add i8 0, -1\n\
+      \  switch i8 %x, label %done [ i8 -1, label %flip ]\nflip:\n\
+      \  call void @__quantum__qis__x__body(ptr null)\n  br label %done\n";
+    (* an i1 switch on a folded compare, with an [i1 true] case *)
+    measured_entry
+      "  %c = icmp eq i64 1, 1\n\
+      \  switch i1 %c, label %done [ i1 true, label %flip ]\nflip:\n\
+      \  call void @__quantum__qis__x__body(ptr null)\n  br label %done\n";
   ]
+
+(* Translation validation of the classical rewrites: a verified module
+   whose entry runs per shot within [tv_fuel] instructions (16 shots,
+   seed 99) must give the same histogram after each of sccp, const-fold
+   and loop-unroll. A rewritten module that fails to run differs. *)
+let tv_fuel = 200_000
+let tv_executed = ref 0 and tv_differ = ref 0
+
+let tv_rewrites =
+  List.map Passes.Pass.of_func_pass
+    Passes.[ Sccp.pass; Const_fold.pass; Unroll.pass ]
+
+let tv_histogram m =
+  let policy = { Qruntime.Resilience.default with fuel = Some tv_fuel } in
+  (Qruntime.Executor.run_shots_resilient ~policy ~seed:99 ~shots:16
+     ~max_tier:`Per_shot m)
+    .Qruntime.Executor.histogram
+
+let classical_tv m =
+  if Llvm_ir.Ir_module.entry_point m <> None then
+    match tv_histogram m with
+    | exception Qruntime.Qir_error.Error _ -> ()
+    | before ->
+      incr tv_executed;
+      List.iter
+        (fun (p : Passes.Pass.module_pass) ->
+          match tv_histogram (fst (p.Passes.Pass.mrun m)) with
+          | after when after = before -> ()
+          | _ | (exception Qruntime.Qir_error.Error _) -> incr tv_differ)
+        tv_rewrites
 
 (* Every mutation of the classical corpus must parse or fail with a
    parse error, and every one that verifies must come out of sccp
-   verified and through the lifetime check; returns how many raised. *)
+   verified, through the lifetime check and through [classical_tv];
+   returns how many raised. *)
 let mutate_classical () =
   let texts = Array.of_list classical_corpus in
   let rng = Rng.create 2026 in
@@ -270,14 +335,17 @@ let mutate_classical () =
       (match sccp_folds m with
       | changed -> if changed then incr folded
       | exception e -> report i e);
-      match lifetime_finds m with
+      (match lifetime_finds m with
       | _ -> ()
-      | exception e -> report i e)
+      | exception e -> report i e);
+      match classical_tv m with () -> () | exception e -> report i e)
     | Ok _ | Error _ -> ()
     | exception e -> report i e
   done;
   Printf.printf "sccp fuzz: %d mutations, %d verified, %d folded, %d raised\n"
     mutations !verified !folded !raised;
+  Printf.printf "classical tv: %d executed, %d differ\n" !tv_executed
+    !tv_differ;
   !raised
 
 let qasm_corpus =
@@ -439,6 +507,6 @@ let () =
   let request_raised = mutate_requests () in
   if
     !failures > 0 || raised > 0 || tape_raised > 0 || !differ > 0
-    || sccp_raised > 0 || qasm2_raised > 0 || qasm3_raised > 0
+    || sccp_raised > 0 || !tv_differ > 0 || qasm2_raised > 0 || qasm3_raised > 0
     || request_raised > 0
   then exit 1

@@ -1,7 +1,8 @@
 (* Resource-certification smoke: the soundness gate for the static
    resource analysis. 120+ fuzzed modules (30 seeds x 2 addressing
    styles x {plain, parametric}) plus counted-loop and interprocedural
-   fixtures are certified and then actually executed; for every module
+   fixtures (i8 and i16 counters among them, with and without a wrap)
+   are certified and then actually executed; for every module
    the interpreter-measured register size, gate count and measurement
    count must fall inside the certified [lo, hi] interval. One
    violation anywhere fails the run — an unsound bound is a broken
@@ -176,6 +177,47 @@ let callee_loop_src trip =
      }"
     trip
 
+let check_fixture ~seed tag src =
+  let m = Llvm_ir.Parser.parse_module src in
+  check_sound ~seed tag m;
+  (* precision: a proven trip count must make the gate bound finite *)
+  let cert = Resource.certify (Qir_analysis.Analyses.of_module m) in
+  match cert.Resource.gates.Resource.hi with
+  | Resource.Inf -> fail "%s: gate bound not finite" tag
+  | Resource.Fin _ -> ()
+
+(* An unsigned counted loop at a narrow type [ty], from 0 by [step]
+   while below [bound]: its counter wraps at [ty]'s width when [bound]
+   is within [step] of it. *)
+let narrow_loop_src ty bound step =
+  Printf.sprintf
+    "declare void @__quantum__qis__h__body(ptr)\n\
+     define void @main() \"entry_point\" {\n\
+     entry:\n\
+    \  br label %%h\n\
+     h:\n\
+    \  %%i = phi %s [ 0, %%entry ], [ %%n, %%b ]\n\
+    \  %%c = icmp ult %s %%i, %d\n\
+    \  br i1 %%c, label %%b, label %%x\n\
+     b:\n\
+    \  call void @__quantum__qis__h__body(ptr inttoptr (i64 1 to ptr))\n\
+    \  %%n = add %s %%i, %d\n\
+    \  br label %%h\n\
+     x:\n\
+    \  ret void\n\
+     }"
+    ty ty bound ty step
+
+(* kind, source: 4 and 6 iterations without a wrap; 11 and 18 with one
+   (an unwrapped count reads 6 and 2) *)
+let narrow_loops =
+  [
+    ("i8 loop", narrow_loop_src "i8" 200 50);
+    ("i8 wrapping loop", narrow_loop_src "i8" 224 44);
+    ("i16 loop", narrow_loop_src "i16" 60000 10000);
+    ("i16 wrapping loop", narrow_loop_src "i16" 64000 40000);
+  ]
+
 let fixtures () =
   let total = ref 0 in
   List.iter
@@ -184,16 +226,14 @@ let fixtures () =
         (fun (kind, src) ->
           incr total;
           let tag = Printf.sprintf "%s trip %d" kind trip in
-          let m = Llvm_ir.Parser.parse_module src in
-          check_sound ~seed:(trip + 1) tag m;
-          (* precision: a proven trip count must make the gate bound
-             finite *)
-          let cert = Resource.certify (Qir_analysis.Analyses.of_module m) in
-          match cert.Resource.gates.Resource.hi with
-          | Resource.Inf -> fail "%s: gate bound not finite" tag
-          | Resource.Fin _ -> ())
+          check_fixture ~seed:(trip + 1) tag src)
         [ ("loop", loop_src trip); ("call-loop", callee_loop_src trip) ])
     [ 1; 2; 3; 5; 8; 13 ];
+  List.iter
+    (fun (tag, src) ->
+      incr total;
+      check_fixture ~seed:1 tag src)
+    narrow_loops;
   !total
 
 (* ------------------------------------------------------------------ *)
