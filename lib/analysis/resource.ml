@@ -315,8 +315,9 @@ let alloc_array_count facts (args : Operand.typed list) =
       | Operand.Const c -> Some c
       | Operand.Local id -> Passes.Sccp.const_of facts id
     in
-    match Option.bind const Passes.Const_fold.int_of_const with
-    | Some n when n >= 0L && n <= Int64.of_int max_trip_search ->
+    match Option.bind const (Passes.Const_fold.value_of_const a.Operand.ty) with
+    | Some (Interp.VInt (_, n)) when n >= 0L && n <= Int64.of_int max_trip_search
+      ->
       Some (Int64.to_int n)
     | _ -> None)
   | _ -> None

@@ -154,7 +154,7 @@ let round ?(fresh_fns = fun _ -> false) t (f : Func.t) =
               let idx =
                 match operand_value t idx.Operand.v with
                 | Some (VInt n) -> Some n
-                | _ -> Option.bind (Operand.as_int idx) Option.some
+                | _ -> None
               in
               match operand_value t arr.Operand.v, idx with
               | Some (VQArray s), Some n -> set i.Instr.id (VQubit (Elem (s, n)))

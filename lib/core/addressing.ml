@@ -142,10 +142,14 @@ let parse_with_upgrade (m : Ir_module.t) =
    is refused rather than re-emitted with a different output. *)
 let convert ~addressing ?(record_output = true) (m : Ir_module.t) =
   let circuit, output = parse_with_upgrade m in
-  let circuit =
-    if record_output then Qir_parser.in_recorded_order ~all:true circuit output
-    else circuit
-  in
+  let output = if record_output then output else [] in
+  let circuit = Qir_parser.in_recorded_order circuit output in
+  if output <> [] && circuit.Qcircuit.Circuit.num_clbits <> List.length output
+  then
+    raise
+      (Qir_parser.Unsupported
+         "the recorded output leaves a measured result out; the circuit \
+          form cannot keep it");
   Qir_builder.build ~addressing ~record_output circuit
 
 let to_static ?record_output m = convert ~addressing:`Static ?record_output m

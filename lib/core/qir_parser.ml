@@ -33,12 +33,12 @@ type avalue =
   | AQubitArray of { base : int; size : int }
   | AResultArray of { base : int; size : int }
   | ASlot of int
-  | AInt of int64
-  | AFloat of float
+  | AScalar of Interp.value (* a constant scalar, as the engines hold it *)
   | AOne (* the canonical one Result *)
   | AZero
   | ABit of int * bool (* result id, negated? *)
-  | ALin of (int * int) list * int64 (* sum of result-bits * weight + const *)
+  | ALin of (int * int) list * int64
+      (* sum of result-bits * weight + const, modulo the width *)
   | ACmp of (int * int) list * int64 (* linear combo == value *)
 
 (* SSA names that are plain numbers below 4096 ([%0], [%17]: LLVM
@@ -104,28 +104,12 @@ let lookup st name =
   match v with Some v -> v | None -> fail "use of untracked value %%%s" name
 
 (* Scalars are the engines' values: a constant is read, and an
-   instruction on constants runs, through {!Interp}'s evaluator at the
+   instruction on constants runs, by {!Interp}'s evaluator at the
    operand's type, so [add i8 255, 2] is 1 here as it is when executed. *)
-let value_of_avalue ty (v : avalue) =
-  match v with
-  | AInt n -> if Ty.equal ty Ty.Ptr then Interp.VPtr n else Interp.VInt (ty, n)
-  | AFloat f -> Interp.VFloat f
-  | _ -> fail "operand is not a constant scalar"
-
-let avalue_of_value (v : Interp.value) =
-  match v with
-  | Interp.VInt (_, n) | Interp.VPtr n -> AInt n
-  | Interp.VFloat f -> AFloat f
-  | Interp.VVoid -> fail "void operand"
-
-let evaluate f =
+let scalar f =
   match f () with
-  | v -> avalue_of_value v
+  | v -> AScalar v
   | exception Ir_error.Exec_error msg -> fail "%s" msg
-
-(* A binary evaluator [f] of {!Interp} on two constant operands. *)
-let evaluate2 ty f x y =
-  evaluate (fun () -> f (value_of_avalue ty x) (value_of_avalue ty y))
 
 let avalue_of_operand st ty (o : Operand.t) =
   match o with
@@ -136,50 +120,56 @@ let avalue_of_operand st ty (o : Operand.t) =
     | Constant.Global g -> fail "global @%s used as an operand" g
     | Constant.Str _ | Constant.Arr _ | Constant.Zeroinit ->
       fail "aggregate constant operand"
-    | _ -> (
-      match Interp.eval_const Interp.no_globals ty c with
-      | v -> avalue_of_value v
-      | exception Ir_error.Exec_error msg -> fail "%s" msg))
+    | _ -> scalar (fun () -> Interp.eval_const Interp.no_globals ty c))
 
-let as_qubit _st (v : avalue) =
+let as_int (v : avalue) =
+  match v with
+  | AScalar (Interp.VInt (_, n) | Interp.VPtr n) -> n
+  | _ -> fail "operand is not a constant integer"
+
+let as_address what (v : avalue) =
+  let n = as_int v in
+  if n < 0L then fail "negative %s address %Ld" what n;
+  Int64.to_int n
+
+let as_qubit (v : avalue) =
   match v with
   | AQubit q -> q
-  | AInt n ->
-    let q = Int64.to_int n in
-    if q < 0 then fail "negative qubit address %Ld" n;
-    q
+  | AScalar _ -> as_address "qubit" v
   | _ -> fail "operand is not a qubit"
 
-let as_result st (v : avalue) =
-  ignore st;
+let as_result (v : avalue) =
   match v with
   | AResult r -> r
-  | AInt n ->
-    let r = Int64.to_int n in
-    if r < 0 then fail "negative result address %Ld" n;
-    r
+  | AScalar _ -> as_address "result" v
   | _ -> fail "operand is not a result"
 
 let as_float (v : avalue) =
   match v with
-  | AFloat f -> f
-  | AInt n -> Int64.to_float n
+  | AScalar (Interp.VFloat f) -> f
+  | AScalar _ -> Int64.to_float (as_int v)
   | _ -> fail "operand is not a rotation angle"
-
-let as_int (v : avalue) =
-  match v with
-  | AInt n -> n
-  | _ -> fail "operand is not a constant integer"
 
 let note_qubit st q = if q > st.max_qubit then st.max_qubit <- q
 
+(* A value derived from results as [sum of bit * weight + const]: its
+   terms and constant (normalized to the value's width). *)
 let lin_of v =
   match v with
   | ABit (r, false) -> ([ (r, 1) ], 0L)
   | ABit (_, true) -> fail "negated result bit in arithmetic"
   | ALin (terms, c) -> (terms, c)
-  | AInt n -> ([], n)
+  | AScalar _ -> ([], as_int v)
   | _ -> fail "operand is not a classical value derived from results"
+
+(* Whether every weight is positive and their sum stays below [2^bits]
+   (as far as an [int] reaches): the sum of result bits never wraps. *)
+let sum_fits bits terms =
+  let top = if bits >= 62 then max_int else (1 lsl bits) - 1 in
+  List.fold_left
+    (fun room (_, w) -> if w > 0 && w <= room then room - w else -1)
+    top terms
+  >= 0
 
 (* ------------------------------------------------------------------ *)
 (* Calls                                                                *)
@@ -236,28 +226,28 @@ let exec_call st ~cond id callee call (args : Operand.typed list) =
     | AResult r, AOne | AOne, AResult r -> define st id (ABit (r, false))
     | AResult r, AZero | AZero, AResult r -> define st id (ABit (r, true))
     | _ -> fail "result_equal: unsupported operand shape")
-  | Names.Read_result -> define st id (ABit (as_result st v.(0), false))
+  | Names.Read_result -> define st id (ABit (as_result v.(0), false))
   | Names.Mz ->
-    let q = as_qubit st v.(0) and r = as_result st v.(1) in
+    let q = as_qubit v.(0) and r = as_result v.(1) in
     note_qubit st q;
     if r >= st.next_result then st.next_result <- r + 1;
     Circuit.Build.measure ?cond st.build q r
   | Names.M ->
-    let q = as_qubit st v.(0) in
+    let q = as_qubit v.(0) in
     note_qubit st q;
     let r = st.next_result in
     st.next_result <- r + 1;
     Circuit.Build.measure ?cond st.build q r;
     define st id (AResult r)
   | Names.Reset ->
-    let q = as_qubit st v.(0) in
+    let q = as_qubit v.(0) in
     note_qubit st q;
     Circuit.Build.reset ?cond st.build q
   | Names.Result_record_output ->
     (* no circuit semantics, but the call order defines the program's
        output bit order — keep it for consumers that need output-
        compatible sampling (the executor's batched fast path) *)
-    st.recorded <- as_result st v.(0) :: st.recorded
+    st.recorded <- as_result v.(0) :: st.recorded
   | Names.Array_update_reference_count | Names.Result_update_reference_count
   | Names.Qubit_release | Names.Qubit_release_array | Names.Array_record_output
   | Names.Initialize | Names.Message ->
@@ -267,7 +257,7 @@ let exec_call st ~cond id callee call (args : Operand.typed list) =
       if doubles = 0 then shape
       else Names.instantiate shape (List.init doubles (fun j -> as_float v.(j)))
     in
-    let qubits = List.init qubits (fun j -> as_qubit st v.(doubles + j)) in
+    let qubits = List.init qubits (fun j -> as_qubit v.(doubles + j)) in
     List.iter (note_qubit st) qubits;
     Circuit.Build.gate ?cond st.build gate qubits
   | Names.Array_get_size_1d | Names.Fail | Names.Unknown ->
@@ -303,39 +293,52 @@ let exec_instr st ~cond (i : Instr.t) =
     | _ -> fail "load through a non-slot pointer")
   | Instr.Cast (c, src, ty) -> (
     match avalue_of_operand st src.Operand.ty src.Operand.v, c with
-    | ((AInt _ | AFloat _) as v), _ ->
-      define st i.Instr.id
-        (evaluate (fun () ->
-             Interp.eval_cast c (value_of_avalue src.Operand.ty v) ty))
+    | AScalar v, _ ->
+      define st i.Instr.id (scalar (fun () -> Interp.eval_cast c v ty))
+    | ALin _, _ | ABit _, Instr.Sext ->
+      fail "%s of a value computed from results (lower first)"
+        (Instr.string_of_cast c)
     | v, (Instr.Zext | Instr.Sext | Instr.Inttoptr | Instr.Ptrtoint) ->
       define st i.Instr.id v
     | _ -> fail "unsupported cast %s" (Instr.string_of_cast c))
   | Instr.Binop (op, ty, x, y) -> (
     let xv = avalue_of_operand st ty x and yv = avalue_of_operand st ty y in
     match op, xv, yv with
-    | _, AInt _, AInt _ ->
-      define st i.Instr.id (evaluate2 ty (Interp.eval_binop op ty) xv yv)
-    | Instr.Shl, v, AInt k ->
-      let terms, c = lin_of v in
-      let f = Int64.shift_left 1L (Int64.to_int k) in
+    | _, AScalar a, AScalar b ->
+      define st i.Instr.id (scalar (fun () -> Interp.eval_binop op ty a b))
+    | Instr.Shl, v, AScalar _ ->
+      let terms, c = lin_of v and k = Int64.to_int (as_int yv) in
+      if k < 0 || k >= Ty.bit_width ty then fail "shl by %d (lower first)" k;
       define st i.Instr.id
         (ALin
-           ( List.map (fun (r, w) -> (r, w * Int64.to_int f)) terms,
-             Int64.mul c f ))
-    | (Instr.Or | Instr.Add), a, b ->
+           ( List.map (fun (r, w) -> (r, w lsl k)) terms,
+             Interp.truncate_to_width ty (Int64.shift_left c k) ))
+    | Instr.Add, a, b
+    | Instr.Or, ((ABit _ | ALin (_, 0L)) as a), ((ABit _ | ALin (_, 0L)) as b) ->
+      (* [or] adds disjoint bits: no constant, and a condition's result
+         bits have distinct power-of-two weights *)
       let ta, ca = lin_of a and tb, cb = lin_of b in
-      define st i.Instr.id (ALin (ta @ tb, Int64.add ca cb))
+      define st i.Instr.id
+        (ALin (ta @ tb, Interp.truncate_to_width ty (Int64.add ca cb)))
     | _ -> fail "unsupported classical operation %s (lower first)" (Instr.string_of_binop op))
   | Instr.Icmp (Instr.Ieq, ty, x, y) -> (
     let xv = avalue_of_operand st ty x and yv = avalue_of_operand st ty y in
     match xv, yv with
-    | (ABit _ | ALin _), AInt v | AInt v, (ABit _ | ALin _) ->
-      let terms, c =
-        lin_of (match xv with AInt _ -> yv | _ -> xv)
+    | (ABit _ | ALin _), AScalar _ | AScalar _, (ABit _ | ALin _) ->
+      (* [trunc (sum + c) = v] is [sum = trunc (v - c)] while the sum
+         cannot reach the width; the operands share the icmp's type *)
+      let (terms, c), v =
+        match xv with
+        | AScalar _ -> (lin_of yv, as_int xv)
+        | _ -> (lin_of xv, as_int yv)
       in
-      define st i.Instr.id (ACmp (terms, Int64.sub v c))
-    | AInt _, AInt _ ->
-      define st i.Instr.id (evaluate2 ty (Interp.eval_icmp Instr.Ieq) xv yv)
+      if not (sum_fits (Ty.bit_width ty) terms) then
+        fail "comparison of a value that may wrap at %s (lower first)"
+          (Ty.to_string ty);
+      define st i.Instr.id
+        (ACmp (terms, Interp.truncate_to_width ty (Int64.sub v c)))
+    | AScalar a, AScalar b ->
+      define st i.Instr.id (scalar (fun () -> Interp.eval_icmp Instr.Ieq a b))
     | _ -> fail "unsupported comparison operands (lower first)")
   | Instr.Icmp (p, _, _, _) ->
     fail "unsupported comparison predicate %s (lower first)" (Instr.string_of_icmp p)
@@ -366,6 +369,8 @@ let cond_of_avalue v : Circuit.cond =
           r)
         sorted
     in
+    if value < Int64.of_int min_int || value > Int64.of_int max_int then
+      fail "condition compares against %Ld, past any register" value;
     { Circuit.cbits = bits; value = Int64.to_int value }
   | _ -> fail "branch condition does not derive from measurement results"
 
@@ -492,12 +497,12 @@ let remap_output_order (c : Circuit.t) recorded =
     Some { c with Circuit.ops; num_clbits = !next }
   else None
 
-let in_recorded_order ?(all = false) c recorded =
+let in_recorded_order c recorded =
   if recorded = [] then c
   else
     match remap_output_order c recorded with
-    | Some c' when (not all) || c'.Circuit.num_clbits = List.length recorded -> c'
-    | Some _ | None ->
+    | Some c' -> c'
+    | None ->
       fail
         "recorded output (results %s) is not each measured result once; the \
          circuit form cannot keep it"

@@ -33,13 +33,11 @@ val remap_output_order :
     [0 ..] in record order, the measured but unrecorded ones after
     them; [None] when a result is recorded twice or never measured. *)
 
-val in_recorded_order :
-  ?all:bool -> Qcircuit.Circuit.t -> int list -> Qcircuit.Circuit.t
+val in_recorded_order : Qcircuit.Circuit.t -> int list -> Qcircuit.Circuit.t
 (** [in_recorded_order c recorded]: [c] renumbered by
     {!remap_output_order}, so its clbits read what the program records;
-    [c] itself when [recorded] is empty. With [~all:true] every measured
-    result must also be recorded. Raises {!Unsupported} when the circuit
-    form cannot keep that output. *)
+    [c] itself when [recorded] is empty. Raises {!Unsupported} when the
+    circuit form cannot keep that output. *)
 
 val parse_recorded : Llvm_ir.Ir_module.t -> Qcircuit.Circuit.t
 (** {!parse_with_output} then {!in_recorded_order}: the circuit whose

@@ -148,9 +148,8 @@ let rec exec_func st fidx (args : value list) : value =
     | Bytecode.Cond_br (c, t, e) ->
       let cond = as_bool (get frame c) in
       run_block (take_edge (if cond then t else e)) ~entry:false
-    | Bytecode.Switch (o, ty, d, cases) ->
-      run_block (take_edge (switch_target ty (get frame o) d cases))
-        ~entry:false
+    | Bytecode.Switch (o, d, cases) ->
+      run_block (take_edge (switch_target (get frame o) d cases)) ~entry:false
     | Bytecode.Unreachable ->
       error "reached 'unreachable' in @%s" f.Bytecode.fname
   in

@@ -59,8 +59,9 @@ type term =
   | Ret of operand option
   | Br of int (* edge index *)
   | Cond_br of operand * int * int
-  | Switch of operand * Ty.t * int * (Constant.t * int) list
-      (* scrutinee, its type, default edge, cases in source order *)
+  | Switch of operand * int * (int64 * int) array
+      (* scrutinee, default edge, cases in source order read by
+         [Interp.switch_cases] *)
   | Unreachable
 
 type edge =
@@ -357,9 +358,8 @@ let compile_func ctx (f : Func.t) : func =
             let cs = List.map (fun (c, l) -> (c, add_edge ~pred l)) cases in
             Switch
               ( compile_operand ctx slots v.Operand.ty v.Operand.v,
-                v.Operand.ty,
                 de,
-                cs )
+                Interp.switch_cases v.Operand.ty cs )
           | Instr.Unreachable -> Unreachable
         in
         { boff; bcount; bterm })

@@ -48,9 +48,8 @@ type term =
   | Ret of operand option
   | Br of int  (** edge index *)
   | Cond_br of operand * int * int
-  | Switch of operand * Ty.t * int * (Constant.t * int) list
-      (** scrutinee, its type, default edge, cases; read by
-          {!Interp.switch_target} *)
+  | Switch of operand * int * (int64 * int) array
+      (** scrutinee, default edge, cases by {!Interp.switch_cases} *)
   | Unreachable
 
 type edge =

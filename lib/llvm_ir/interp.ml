@@ -106,12 +106,6 @@ let as_ptr = function
 
 let as_bool v = not (Int64.equal (as_int v) 0L)
 
-let pp_value ppf = function
-  | VInt (ty, n) -> Format.fprintf ppf "%a %Ld" Ty.pp ty n
-  | VFloat f -> Format.fprintf ppf "double %g" f
-  | VPtr a -> Format.fprintf ppf "ptr 0x%Lx" a
-  | VVoid -> Format.pp_print_string ppf "void"
-
 (* The value a constant operand has at type [ty]: integers are read at
    [ty]'s width (so [i8 -1] and [i8 255] are one value), and [global]
    gives a global's address, or [None] when it has no storage. *)
@@ -337,18 +331,28 @@ let eval_cast op v target_ty =
   | Instr.Fptosi ->
     VInt (target_ty, truncate_to_width target_ty (Int64.of_float (as_float v)))
 
-(* The successor a [switch] on [scrut] (of type [ty]) takes: the last
-   case whose constant, read at [ty] like any operand, equals the
-   scrutinee, else [default]. So [i8 -1] matches 255, and [i1 true]
-   matches 1. *)
-let switch_target ty scrut default cases =
+(* A [switch]'s case constants read at the scrutinee's type [ty] like any
+   operand, so [i8 -1] is 255 and [i1 true] is 1; a case that does not
+   read as an integer never matches. *)
+let switch_cases ty cases =
+  Array.of_list
+    (List.filter_map
+       (fun (c, l) ->
+         match eval_const no_globals ty c with
+         | VInt (_, m) -> Some (m, l)
+         | _ | (exception Ir_error.Exec_error _) -> None)
+       cases)
+
+(* The successor a [switch] on [scrut] takes: the last case equal to the
+   scrutinee, else [default]. *)
+let switch_target scrut default cases =
   let n = as_int scrut in
-  List.fold_left
-    (fun acc (c, l) ->
-      match eval_const no_globals ty c with
-      | VInt (_, m) when Int64.equal m n -> l
-      | _ | (exception Ir_error.Exec_error _) -> acc)
-    default cases
+  let target = ref default in
+  for k = 0 to Array.length cases - 1 do
+    let m, l = Array.unsafe_get cases k in
+    if Int64.equal m n then target := l
+  done;
+  !target
 
 (* GEP offset computation over the cell-based layout. *)
 let rec gep_offset ty idxs =
@@ -477,7 +481,8 @@ and exec_block st f frame ~prev (b : Block.t) : value =
     branch st f frame ~prev:b.label (if cond then t else e)
   | Instr.Switch (v, d, cases) ->
     let scrut = eval_operand st frame v.Operand.ty v.Operand.v in
-    branch st f frame ~prev:b.label (switch_target v.Operand.ty scrut d cases)
+    branch st f frame ~prev:b.label
+      (switch_target scrut d (switch_cases v.Operand.ty cases))
   | Instr.Unreachable -> error "reached 'unreachable' in @%s" f.Func.name
 
 and branch st f frame ~prev label =

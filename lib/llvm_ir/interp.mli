@@ -84,7 +84,6 @@ val run_entry :
 
 val truncate_to_width : Ty.t -> int64 -> int64
 val sign_extend : Ty.t -> int64 -> int64
-val pp_value : Format.formatter -> value -> unit
 val cell_size : int64
 
 val as_int : value -> int64
@@ -103,10 +102,16 @@ val eval_const : (string -> int64 option) -> Ty.t -> Constant.t -> value
 val no_globals : string -> int64 option
 (** The resolver for code that has no global storage (folding). *)
 
-val switch_target : Ty.t -> value -> 'a -> (Constant.t * 'a) list -> 'a
-(** [switch_target ty scrut default cases]: the successor a [switch] on
-    [scrut] of type [ty] takes: the last case whose constant, read by
-    {!eval_const} at [ty], equals [scrut]; [default] if none does. *)
+val switch_cases : Ty.t -> (Constant.t * 'a) list -> (int64 * 'a) array
+(** [switch_cases ty cases]: a [switch]'s cases with each constant read
+    by {!eval_const} at the scrutinee's type [ty] (so [i8 -1] is 255);
+    a case that does not read as an integer is dropped, as it never
+    matches. *)
+
+val switch_target : value -> 'a -> (int64 * 'a) array -> 'a
+(** [switch_target scrut default cases]: the successor a [switch] on
+    [scrut] takes: the last of the {!switch_cases} equal to [scrut];
+    [default] if none is. *)
 
 val eval_binop : Instr.binop -> Ty.t -> value -> value -> value
 val eval_fbinop : Instr.fbinop -> value -> value -> value

@@ -29,17 +29,6 @@ let is_const { v; _ } =
   | Const _ -> true
   | Local _ -> false
 
-let as_int { v; _ } =
-  match v with
-  | Const (Constant.Int n) -> Some n
-  | Const (Constant.Bool b) -> Some (if b then 1L else 0L)
-  | Const
-      ( Constant.Float _ | Constant.Null | Constant.Undef | Constant.Inttoptr _
-      | Constant.Global _ | Constant.Str _ | Constant.Arr _
-      | Constant.Zeroinit )
-  | Local _ ->
-    None
-
 let pp ppf = function
   | Const c -> Constant.pp ppf c
   | Local name -> Format.fprintf ppf "%%%s" name

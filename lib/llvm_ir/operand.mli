@@ -27,9 +27,6 @@ val qubit_ptr : int64 -> typed
 val equal : t -> t -> bool
 val is_const : typed -> bool
 
-val as_int : typed -> int64 option
-(** The integer payload of a constant integer/bool operand. *)
-
 val pp : Format.formatter -> t -> unit
 val pp_typed : Format.formatter -> typed -> unit
 val to_string : t -> string

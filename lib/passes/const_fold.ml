@@ -11,16 +11,6 @@ let const_of_operand (o : Operand.t) =
   | Operand.Const c -> Some c
   | Operand.Local _ -> None
 
-let int_of_const (c : Constant.t) =
-  match c with
-  | Constant.Int n -> Some n
-  | Constant.Bool b -> Some (if b then 1L else 0L)
-  | Constant.Inttoptr n -> Some n
-  | Constant.Null -> Some 0L
-  | Constant.Float _ | Constant.Undef | Constant.Global _ | Constant.Str _
-  | Constant.Arr _ | Constant.Zeroinit ->
-    None
-
 (* The value [c] has as an operand of type [ty], by the engines' own
    constant evaluator. Globals (no address before execution) and [undef]
    are not folded. *)
@@ -30,6 +20,12 @@ let value_of_const ty (c : Constant.t) =
   | _ -> (
     try Some (Interp.eval_const Interp.no_globals ty c)
     with Ir_error.Exec_error _ -> None)
+
+(* Whether a constant [i1] condition holds, read as the engines read it. *)
+let bool_of_const c =
+  match value_of_const Ty.I1 c with
+  | Some (Interp.VFloat _) | None -> None
+  | Some v -> Some (Interp.as_bool v)
 
 let const_of_value (v : Interp.value) =
   match v with
@@ -64,8 +60,8 @@ let fold_op (op : Instr.op) : Constant.t option =
           const_of_value (Interp.eval_cast c v ty))
     | None -> None)
   | Instr.Select (c, a, b) -> (
-    match Option.bind (const_of_operand c) int_of_const with
-    | Some n -> const_of_operand (if Int64.equal n 0L then b else a).Operand.v
+    match Option.bind (const_of_operand c) bool_of_const with
+    | Some taken -> const_of_operand (if taken then a else b).Operand.v
     | None -> None)
   | Instr.Phi (_, incoming) -> (
     (* a phi whose incoming values are all the same constant *)

@@ -8,13 +8,14 @@
 
 open Llvm_ir
 
-val int_of_const : Constant.t -> int64 option
-(** The payload of an integer, boolean or pointer constant, as written. *)
-
 val value_of_const : Ty.t -> Constant.t -> Interp.value option
 (** The value a constant has as an operand of that type, by
     {!Interp.eval_const}; [None] for [undef], a global (no address
     before execution) and what the evaluator refuses. *)
+
+val bool_of_const : Constant.t -> bool option
+(** Whether a constant [i1] condition holds: {!value_of_const} at [i1],
+    so [i1 2] is false as it is when executed. *)
 
 val fold_instr : Instr.op -> Constant.t option
 (** The single-instruction folder (also reused by SCCP). *)

@@ -53,21 +53,23 @@ let gep_address fact ty base idxs =
   let index (i : Operand.typed) =
     match i.Operand.v, operand_lattice fact i.Operand.v with
     | Operand.Local _, Cst c -> (
-      match Const_fold.int_of_const c with
-      | Some n ->
-        Operand.const i.Operand.ty
-          (Constant.Int (Interp.sign_extend i.Operand.ty n))
+      match Const_fold.value_of_const i.Operand.ty c with
+      | Some v ->
+        Operand.const i.Operand.ty (Constant.Int (Interp.as_signed v))
       | None -> raise Exit)
     | _ -> i
   in
   match operand_lattice fact base with
-  | Cst ((Constant.Null | Constant.Inttoptr _ | Constant.Int _) as c) -> (
-    match Interp.gep_offset ty (List.map index idxs) with
-    | off ->
-      let b = Option.value ~default:0L (Const_fold.int_of_const c) in
-      let bytes = Int64.mul (Int64.of_int off) Interp.cell_size in
-      Cst (Constant.Inttoptr (Int64.add b bytes))
-    | exception (Exit | Ir_error.Exec_error _ | Invalid_argument _) -> Varying)
+  | Cst c -> (
+    match Const_fold.value_of_const Ty.Ptr c with
+    | Some (Interp.VPtr b) -> (
+      match Interp.gep_offset ty (List.map index idxs) with
+      | off ->
+        let bytes = Int64.mul (Int64.of_int off) Interp.cell_size in
+        Cst (Constant.Inttoptr (Int64.add b bytes))
+      | exception (Exit | Ir_error.Exec_error _ | Invalid_argument _) ->
+        Varying)
+    | _ -> Varying)
   | _ -> Varying
 
 (* Evaluate one non-phi instruction over the fact. *)
@@ -79,10 +81,8 @@ let eval fact (op : Instr.op) : lattice =
   | Instr.Select (c, a, b) -> (
     match operand_lattice fact c with
     | Cst cc -> (
-      match Const_fold.int_of_const cc with
-      | Some n ->
-        operand_lattice fact
-          (if Int64.equal n 0L then b.Operand.v else a.Operand.v)
+      match Const_fold.bool_of_const cc with
+      | Some taken -> operand_lattice fact (if taken then a else b).Operand.v
       | None -> Varying)
     | Unknown -> Unknown
     | Varying ->
@@ -129,11 +129,11 @@ let feasible fact (t : Instr.term) =
   in
   match t with
   | Instr.Cond_br (c, th, el) ->
-    on c Const_fold.int_of_const (fun n -> if Int64.equal n 0L then el else th)
+    on c Const_fold.bool_of_const (fun taken -> if taken then th else el)
   | Instr.Switch (v, d, cases) ->
     let ty = v.Operand.ty in
     on v.Operand.v (Const_fold.value_of_const ty) (fun n ->
-        Interp.switch_target ty n d cases)
+        Interp.switch_target n d (Interp.switch_cases ty cases))
   | Instr.Ret _ | Instr.Unreachable | Instr.Br _ -> Instr.successors t
 
 (* Each feasible edge carries the predecessor's fact with the successor's

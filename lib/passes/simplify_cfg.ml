@@ -17,9 +17,10 @@ let fold_terms (f : Func.t) =
         let term =
           match b.Block.term with
           | Instr.Cond_br (Operand.Const c, t, e) -> (
-            changed := true;
-            match Const_fold.int_of_const c with
-            | Some n -> Instr.Br (if Int64.equal n 0L then e else t)
+            match Const_fold.bool_of_const c with
+            | Some taken ->
+              changed := true;
+              Instr.Br (if taken then t else e)
             | None -> b.Block.term)
           | Instr.Cond_br (_, t, e) when String.equal t e ->
             changed := true;
@@ -31,7 +32,8 @@ let fold_terms (f : Func.t) =
               match Const_fold.value_of_const ty c with
               | Some n ->
                 changed := true;
-                Instr.Br (Interp.switch_target ty n d cases)
+                Instr.Br
+                  (Interp.switch_target n d (Interp.switch_cases ty cases))
               | None -> b.Block.term)
             | Operand.Local _ -> b.Block.term)
           | t -> t
