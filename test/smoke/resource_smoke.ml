@@ -85,21 +85,7 @@ let check_sound ~seed tag (m : Llvm_ir.Ir_module.t) =
 (* Fuzzed corpus: generated circuits, terminal measurements on every
    qubit, both addressing styles. *)
 
-let with_measurements (c : Circuit.t) =
-  let b =
-    Circuit.Build.create ~num_qubits:c.Circuit.num_qubits
-      ~num_clbits:c.Circuit.num_qubits ()
-  in
-  List.iter
-    (fun (op : Circuit.op) ->
-      match op.Circuit.kind with
-      | Circuit.Gate (g, qs) -> Circuit.Build.gate b g qs
-      | _ -> ())
-    c.Circuit.ops;
-  for q = 0 to c.Circuit.num_qubits - 1 do
-    Circuit.Build.measure b q q
-  done;
-  Circuit.Build.finish b
+let with_measurements = Smoke_corpus.with_measurements
 
 let fuzzed () =
   let total = ref 0 in
@@ -289,6 +275,201 @@ let rejections () =
     fail "control: small module rejected: %s" e.Qruntime.Qir_error.message);
   !total
 
+(* ------------------------------------------------------------------ *)
+(* Pinned outputs: one digest over every certificate, lint finding list
+   and rewritten text of a fixed corpus — this smoke's modules,
+   fault_smoke's fuzzed circuits and their verified static, dynamic and
+   classical mutations, the examples and a set of alloca-based branching
+   programs (with mutations of their own). A refactor of the analyses
+   or passes must leave the digest as pinned; a change that means to
+   alter an output re-pins it and says why. *)
+
+let pinned_digest = "77a2abf5e8e41db4ad363163e7a2dbba"
+
+(* Alloca-based control flow, so mem2reg places phis at dominance
+   frontiers and renames over the dominator tree: the paper's Ex. 4
+   loop, a measured diamond, nested loops, a loop with two latches and
+   a switch with shared targets, and a chain of diamonds. *)
+let branching_corpus =
+  let diamonds k =
+    String.concat ""
+      (List.init k (fun j ->
+           Printf.sprintf
+             "d%d:\n\
+             \  call void @__quantum__qis__h__body(ptr inttoptr (i64 %d to ptr))\n\
+             \  call void @__quantum__qis__mz__body(ptr inttoptr (i64 %d to ptr), ptr inttoptr (i64 %d to ptr))\n\
+             \  %%r%d = call i1 @__quantum__qis__read_result__body(ptr inttoptr (i64 %d to ptr))\n\
+             \  br i1 %%r%d, label %%t%d, label %%j%d\n\
+              t%d:\n\
+             \  store i64 %d, ptr %%acc\n\
+             \  call void @__quantum__qis__x__body(ptr inttoptr (i64 %d to ptr))\n\
+             \  br label %%j%d\n\
+              j%d:\n\
+             \  %%v%d = load i64, ptr %%acc\n\
+             \  %%w%d = add i64 %%v%d, 1\n\
+             \  store i64 %%w%d, ptr %%acc\n\
+             \  br label %%d%d\n"
+             j (j mod 3) (j mod 3) j j j j j j j j (j mod 3) j j j j j j (j + 1)))
+  in
+  let prelude =
+    "declare void @__quantum__qis__h__body(ptr)\n\
+     declare void @__quantum__qis__x__body(ptr)\n\
+     declare void @__quantum__qis__mz__body(ptr, ptr)\n\
+     declare i1 @__quantum__qis__read_result__body(ptr)\n\
+     declare void @__quantum__rt__result_record_output(ptr, ptr)\n\n"
+  in
+  [
+    prelude
+    ^ "define void @main() \"entry_point\" {\nentry:\n\
+      \  %i = alloca i32, align 4\n  store i32 0, ptr %i, align 4\n\
+      \  br label %for.header\nfor.header:\n\
+      \  %1 = load i32, ptr %i, align 4\n  %cond = icmp slt i32 %1, 10\n\
+      \  br i1 %cond, label %body, label %exit\nbody:\n\
+      \  %2 = load i32, ptr %i, align 4\n  %idx = sext i32 %2 to i64\n\
+      \  %qb = inttoptr i64 %idx to ptr\n\
+      \  call void @__quantum__qis__h__body(ptr %qb)\n\
+      \  %3 = load i32, ptr %i, align 4\n  %4 = add nsw i32 %3, 1\n\
+      \  store i32 %4, ptr %i, align 4\n  br label %for.header\nexit:\n\
+      \  ret void\n}\n";
+    prelude
+    ^ "define void @main() \"entry_point\" {\nentry:\n\
+      \  %s = alloca i64\n  store i64 0, ptr %s\n\
+      \  call void @__quantum__qis__h__body(ptr null)\n\
+      \  call void @__quantum__qis__mz__body(ptr null, ptr null)\n\
+      \  %r = call i1 @__quantum__qis__read_result__body(ptr null)\n\
+      \  br i1 %r, label %then, label %else\nthen:\n\
+      \  store i64 1, ptr %s\n  br label %join\nelse:\n\
+      \  store i64 2, ptr %s\n  br label %join\njoin:\n\
+      \  %v = load i64, ptr %s\n  %q = inttoptr i64 %v to ptr\n\
+      \  call void @__quantum__qis__x__body(ptr %q)\n\
+      \  call void @__quantum__qis__mz__body(ptr %q, ptr inttoptr (i64 1 to ptr))\n\
+      \  call void @__quantum__rt__result_record_output(ptr inttoptr (i64 1 to ptr), ptr null)\n\
+      \  ret void\n}\n";
+    prelude
+    ^ "define void @main() \"entry_point\" {\nentry:\n\
+      \  %i = alloca i64\n  %j = alloca i64\n  store i64 0, ptr %i\n\
+      \  br label %outer\nouter:\n  %a = load i64, ptr %i\n\
+      \  %c = icmp slt i64 %a, 3\n  br i1 %c, label %init, label %exit\n\
+       init:\n  store i64 0, ptr %j\n  br label %inner\ninner:\n\
+      \  %b = load i64, ptr %j\n  %d = icmp slt i64 %b, 2\n\
+      \  br i1 %d, label %ibody, label %onext\nibody:\n\
+      \  %q = inttoptr i64 %b to ptr\n\
+      \  call void @__quantum__qis__h__body(ptr %q)\n\
+      \  %b1 = add i64 %b, 1\n  store i64 %b1, ptr %j\n  br label %inner\n\
+       onext:\n  %a1 = add i64 %a, 1\n  store i64 %a1, ptr %i\n\
+      \  br label %outer\nexit:\n  ret void\n}\n";
+    prelude
+    ^ "define void @main() \"entry_point\" {\nentry:\n\
+      \  %n = alloca i64\n  store i64 0, ptr %n\n  br label %head\nhead:\n\
+      \  %k = load i64, ptr %n\n  %more = icmp ult i64 %k, 6\n\
+      \  br i1 %more, label %body, label %exit\nbody:\n\
+      \  %odd = and i64 %k, 1\n\
+      \  switch i64 %odd, label %skip [ i64 0, label %gate i64 1, label %skip ]\n\
+       gate:\n  call void @__quantum__qis__h__body(ptr null)\n\
+      \  %k2 = add i64 %k, 1\n  store i64 %k2, ptr %n\n  br label %head\n\
+       skip:\n  %k3 = add i64 %k, 1\n  store i64 %k3, ptr %n\n\
+      \  br label %head\nexit:\n  ret void\n}\n";
+    prelude
+    ^ "define void @main() \"entry_point\" {\nentry:\n\
+      \  %acc = alloca i64\n  store i64 0, ptr %acc\n  br label %d0\n"
+    ^ diamonds 6
+    ^ "d6:\n  %fin = load i64, ptr %acc\n  %fq = inttoptr i64 %fin to ptr\n\
+      \  call void @__quantum__qis__x__body(ptr %fq)\n  ret void\n}\n";
+  ]
+
+let examples_dir = "examples"
+
+let example_modules () =
+  Sys.readdir examples_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ll")
+  |> List.sort compare
+  |> List.map (fun f ->
+         Llvm_ir.Parser.parse_module
+           (In_channel.with_open_bin (Filename.concat examples_dir f)
+              In_channel.input_all))
+
+(* Every module the digest reads, in a fixed order. *)
+let digest_corpus () =
+  let parse = Llvm_ir.Parser.parse_module in
+  let fuzz =
+    List.concat_map
+      (fun i ->
+        let seed = 4100 + i and n = 2 + (i mod 4) in
+        List.concat_map
+          (fun parametric ->
+            let c =
+              with_measurements (Generate.random ~seed ~parametric ~gates:14 n)
+            in
+            List.map
+              (fun addressing -> Qir.Qir_builder.build ~addressing c)
+              [ `Static; `Dynamic ])
+          [ false; true ])
+      (List.init 30 Fun.id)
+  in
+  let fixtures =
+    List.concat_map
+      (fun trip -> [ parse (loop_src trip); parse (callee_loop_src trip) ])
+      [ 1; 2; 3; 5; 8; 13 ]
+    @ List.map (fun (_, src) -> parse src) narrow_loops
+    @ List.map (fun k -> parse (big_src k)) [ 1; 26; 27; 28; 29 ]
+  in
+  let texts addressing =
+    List.filter_map
+      (fun i ->
+        match Smoke_corpus.fault_circuit i with
+        | c -> Some (Qir.Qir_builder.to_string ~addressing c)
+        | exception _ -> None)
+      (List.init Smoke_corpus.circuits Fun.id)
+  in
+  let branching = List.map parse branching_corpus in
+  List.iter
+    (fun m ->
+      if Llvm_ir.Verifier.check_module m <> [] then
+        fail "digest: a branching corpus program does not verify")
+    branching;
+  fuzz @ fixtures @ example_modules () @ branching
+  @ Smoke_corpus.verified_mutations ~seed:Smoke_corpus.static_seed
+      (texts `Static)
+  @ Smoke_corpus.verified_mutations ~seed:Smoke_corpus.dynamic_seed
+      (texts `Dynamic)
+  @ Smoke_corpus.verified_mutations ~seed:Smoke_corpus.classical_seed
+      Smoke_corpus.classical_corpus
+  @ Smoke_corpus.verified_mutations ~count:500 ~seed:2028 branching_corpus
+
+(* What the digest reads of one module: its certificate, its lint
+   findings, and its text after each rewrite ([qirc --pass], [-O],
+   [--lower]); an exception is read as its text. *)
+let outputs (m : Llvm_ir.Ir_module.t) =
+  let guard f = try f () with e -> "raised " ^ Printexc.to_string e in
+  let print m = Llvm_ir.Printer.module_to_string m in
+  let analyses () = Qir_analysis.Analyses.of_module m in
+  guard (fun () -> Jsonx.to_string (Resource.to_json (Resource.certify (analyses ()))))
+  :: guard (fun () ->
+         Jsonx.to_string
+           (Qir_analysis.Diagnostic.json_document
+              (Qir_analysis.Lint.run (analyses ()))))
+  :: guard (fun () ->
+         Jsonx.to_string
+           (Qir_analysis.Diagnostic.json_document
+              (Qir_analysis.Lint.run ~ipo:false (analyses ()))))
+  :: guard (fun () -> print (Passes.Pipeline.optimize m))
+  :: guard (fun () -> print (Qir.Lowering.lower_module m))
+  :: List.map
+       (fun pass -> guard (fun () -> print (Qir_analysis.Pass_table.run pass m)))
+       [ "simplify-cfg"; "mem2reg"; "loop-unroll"; "quantum-opt"; "sccp" ]
+
+let output_digest () =
+  let corpus = digest_corpus () in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun m -> List.iter (fun s -> Buffer.add_string buf (Digest.string s)) (outputs m))
+    corpus;
+  let d = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  Printf.printf "resource smoke: output digest over %d modules: %s\n"
+    (List.length corpus) d;
+  if d <> pinned_digest then
+    fail "output digest %s differs from the pinned %s" d pinned_digest
+
 let () =
   let n_fuzz = fuzzed () in
   let n_fix = fixtures () in
@@ -297,6 +478,7 @@ let () =
     "resource smoke: %d fuzzed + %d loop/call fixtures certified sound, %d \
      certificate-first rejections\n"
     n_fuzz n_fix n_rej;
+  output_digest ();
   if !failures > 0 then begin
     Printf.eprintf "resource smoke: %d failure(s)\n" !failures;
     exit 1
