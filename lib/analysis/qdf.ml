@@ -87,7 +87,7 @@ type ekind =
 type event = { pos : int; instr : Instr.t; kind : ekind }
 
 type t = {
-  events : (string * event array) list;  (* per block, program order *)
+  events : event array array;  (* by block position, program order *)
   qubit_alloc_sites : int;  (* qubit allocate/allocate_array sites *)
 }
 
@@ -211,15 +211,14 @@ let classify vt facts (i : Instr.t) : ekind =
    rewritten from without changing any SSA value. *)
 let of_func vt facts (f : Func.t) : t =
   let events =
-    List.map
-      (fun (b : Block.t) ->
-        let evs =
-          List.mapi
-            (fun pos i -> { pos; instr = i; kind = classify vt facts i })
-            b.Block.instrs
-        in
-        (b.Block.label, Array.of_list evs))
-      f.Func.blocks
+    Array.of_list
+      (List.map
+         (fun (b : Block.t) ->
+           Array.of_list
+             (List.mapi
+                (fun pos i -> { pos; instr = i; kind = classify vt facts i })
+                b.Block.instrs))
+         f.Func.blocks)
   in
   let qubit_alloc_sites =
     List.length
@@ -231,8 +230,6 @@ let of_func vt facts (f : Func.t) : t =
          (Value_track.sites vt))
   in
   { events; qubit_alloc_sites }
-
-let block_events t label = List.assoc_opt label t.events
 
 (* ------------------------------------------------------------------ *)
 (* The per-block wire index                                            *)

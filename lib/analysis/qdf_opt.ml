@@ -70,57 +70,55 @@ let dangerous (k : Qdf.ekind) =
   | _ -> false
 
 (* Where may gate-removing rewrites fire in [f]? [None] = nowhere; a
-   function gives the minimum eligible instruction index per block
-   (max_int = the whole block is off-limits). *)
+   function gives, by block position, the minimum eligible instruction
+   index (max_int = the whole block is off-limits). *)
 let rewrite_thresholds (qdf : Qdf.t) ~is_entry (f : Func.t) :
-    (string -> int) option =
+    (int -> int) option =
   if not is_entry then None
   else
-    let block_last_danger label =
-      match Qdf.block_events qdf label with
-      | None -> None
-      | Some evs ->
-        Array.fold_left
-          (fun acc (e : Qdf.event) ->
-            if dangerous e.Qdf.kind then Some e.Qdf.pos else acc)
-          None evs
+    let last_danger evs =
+      Array.fold_left
+        (fun acc (e : Qdf.event) ->
+          if dangerous e.Qdf.kind then Some e.Qdf.pos else acc)
+        None evs
     in
-    match Func.straight_chain f with
+    match Cfg.straight_chain (Cfg.of_func f) with
     | Some chain -> (
+      let position = Hashtbl.create 16 in
+      List.iteri
+        (fun i (b : Block.t) ->
+          if not (Hashtbl.mem position b.Block.label) then
+            Hashtbl.add position b.Block.label i)
+        f.Func.blocks;
+      let chain = List.map (fun (b : Block.t) -> Hashtbl.find position b.Block.label) chain in
       let last =
         List.fold_left
-          (fun acc (b : Block.t) ->
-            match block_last_danger b.Block.label with
-            | Some pos -> Some (b.Block.label, pos)
+          (fun acc i ->
+            match last_danger qdf.Qdf.events.(i) with
+            | Some pos -> Some (i, pos)
             | None -> acc)
           None chain
       in
       match last with
       | None -> Some (fun _ -> 0)
-      | Some (danger_label, pos) ->
+      | Some (danger, pos) ->
+        let thr = Array.make (Array.length qdf.Qdf.events) max_int in
         let seen = ref false in
-        let thr =
-          List.map
-            (fun (b : Block.t) ->
-              let label = b.Block.label in
-              if String.equal label danger_label then begin
-                seen := true;
-                (label, pos + 1)
-              end
-              else (label, if !seen then 0 else max_int))
-            chain
-        in
-        Some
-          (fun label ->
-            match List.assoc_opt label thr with
-            | Some t -> t
-            | None -> max_int))
+        List.iter
+          (fun i ->
+            if i = danger then begin
+              seen := true;
+              thr.(i) <- pos + 1
+            end
+            else if !seen then thr.(i) <- 0)
+          chain;
+        Some (Array.get thr))
     | None ->
       (* a branching entry is still rewritable when nothing in it can
          allocate or escape the analysis: loops may revisit any event *)
       let any_danger =
-        List.exists
-          (fun (_, evs) -> Array.exists (fun e -> dangerous e.Qdf.kind) evs)
+        Array.exists
+          (Array.exists (fun (e : Qdf.event) -> dangerous e.Qdf.kind))
           qdf.Qdf.events
       in
       if any_danger || qdf.Qdf.qubit_alloc_sites > 0 then None
@@ -145,58 +143,55 @@ let rebuild_gate_call (mg : Gate.t) (old : Instr.t) :
 (* ------------------------------------------------------------------ *)
 (* Cancellation and merging within a block                              *)
 
-let scan_block (qdf : Qdf.t) ~fname ~min_pos ~emit counters (b : Block.t) :
-    Block.t option =
-  match Qdf.block_events qdf b.Block.label with
-  | None -> None
-  | Some events ->
-    let ix = Qdf.index events in
-    let instr = Array.map (fun (e : Qdf.event) -> e.Qdf.instr) events in
-    let alive = Array.make (Array.length events) true in
-    let where = Printf.sprintf "@%s %%%s" fname b.Block.label in
-    let note i g g2 c =
-      let g = Gate.to_string g and g2 = Gate.to_string g2 in
-      let on = Qdf.wire_to_string ix.Qdf.wires.(List.hd ix.Qdf.own.(i)) in
-      let make rule = Diagnostic.make ~rule ~severity:Diagnostic.Note ~where in
-      emit
-        (match c with
-        | Commute_opt.Cancel ->
-          make "QO001" "cancellable pair: %s then %s on %s cancel" g g2 on
-        | Commute_opt.Identity ->
-          make "QO002" "mergeable rotations: %s then %s on %s combine to identity"
-            g g2 on
-        | Commute_opt.Merged mg ->
-          make "QO002" "mergeable rotations: %s then %s on %s -> %s" g g2 on
-            (Gate.to_string mg))
-    in
-    let start i =
-      match ix.Qdf.kinds.(i) with
-      | Qdf.EGate { exact; _ } when i >= min_pos -> exact
-      | _ -> None
-    in
-    (* a merged gate needs a QIR spelling *)
-    let write j mg =
-      match rebuild_gate_call mg instr.(j), ix.Qdf.kinds.(j) with
-      | Some (callee, instr'), Qdf.EGate { wires; _ } ->
-        instr.(j) <- instr';
-        ix.Qdf.kinds.(j) <-
-          Qdf.EGate { callee; shape = mg; exact = Some mg; wires };
-        true
-      | _ -> false
-    in
-    let s =
-      Commute_opt.scan ~note ~wires:(Array.length ix.Qdf.wires)
-        ~own:ix.Qdf.own ~start ~commutes:(Qdf.commutes ix) ~write alive
-        ix.Qdf.on
-    in
-    counters.cancelled <- counters.cancelled + s.Commute_opt.cancelled;
-    counters.merged <- counters.merged + s.Commute_opt.merged;
-    if Array.for_all Fun.id alive then None
-    else
-      Some
-        (Block.mk b.Block.label
-           (List.filteri (fun k _ -> alive.(k)) (Array.to_list instr))
-           b.Block.term)
+let scan_block (events : Qdf.event array) ~fname ~min_pos ~emit counters
+    (b : Block.t) : Block.t option =
+  let ix = Qdf.index events in
+  let instr = Array.map (fun (e : Qdf.event) -> e.Qdf.instr) events in
+  let alive = Array.make (Array.length events) true in
+  let where = Printf.sprintf "@%s %%%s" fname b.Block.label in
+  let note i g g2 c =
+    let g = Gate.to_string g and g2 = Gate.to_string g2 in
+    let on = Qdf.wire_to_string ix.Qdf.wires.(List.hd ix.Qdf.own.(i)) in
+    let make rule = Diagnostic.make ~rule ~severity:Diagnostic.Note ~where in
+    emit
+      (match c with
+      | Commute_opt.Cancel ->
+        make "QO001" "cancellable pair: %s then %s on %s cancel" g g2 on
+      | Commute_opt.Identity ->
+        make "QO002" "mergeable rotations: %s then %s on %s combine to identity"
+          g g2 on
+      | Commute_opt.Merged mg ->
+        make "QO002" "mergeable rotations: %s then %s on %s -> %s" g g2 on
+          (Gate.to_string mg))
+  in
+  let start i =
+    match ix.Qdf.kinds.(i) with
+    | Qdf.EGate { exact; _ } when i >= min_pos -> exact
+    | _ -> None
+  in
+  (* a merged gate needs a QIR spelling *)
+  let write j mg =
+    match rebuild_gate_call mg instr.(j), ix.Qdf.kinds.(j) with
+    | Some (callee, instr'), Qdf.EGate { wires; _ } ->
+      instr.(j) <- instr';
+      ix.Qdf.kinds.(j) <-
+        Qdf.EGate { callee; shape = mg; exact = Some mg; wires };
+      true
+    | _ -> false
+  in
+  let s =
+    Commute_opt.scan ~note ~wires:(Array.length ix.Qdf.wires)
+      ~own:ix.Qdf.own ~start ~commutes:(Qdf.commutes ix) ~write alive
+      ix.Qdf.on
+  in
+  counters.cancelled <- counters.cancelled + s.Commute_opt.cancelled;
+  counters.merged <- counters.merged + s.Commute_opt.merged;
+  if Array.for_all Fun.id alive then None
+  else
+    Some
+      (Block.mk b.Block.label
+         (List.filteri (fun k _ -> alive.(k)) (Array.to_list instr))
+         b.Block.term)
 
 (* ------------------------------------------------------------------ *)
 (* Early release hoisting                                               *)
@@ -207,15 +202,15 @@ let use_counts (f : Func.t) =
       Hashtbl.replace h id (1 + Option.value ~default:0 (Hashtbl.find_opt h id)));
   h
 
-let hoist_block (qdf : Qdf.t) ~fname ~uses ~emit counters (b : Block.t) :
-    Block.t option =
+let hoist_block (events : Qdf.event array) ~fname ~uses ~emit counters
+    (b : Block.t) : Block.t option =
   let is_release (e : Qdf.event) =
     match e.Qdf.kind with
     | Qdf.ERelease _ | Qdf.ERelease_array _ -> true
     | _ -> false
   in
-  match Qdf.block_events qdf b.Block.label with
-  | Some events when Array.exists is_release events ->
+  if not (Array.exists is_release events) then None
+  else begin
     let n = Array.length events in
     let instr = Array.map (fun (e : Qdf.event) -> e.Qdf.instr) events in
     let ix = Qdf.index events in
@@ -327,7 +322,7 @@ let hoist_block (qdf : Qdf.t) ~fname ~uses ~emit counters (b : Block.t) :
       incr j
     done;
     !result
-  | _ -> None
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Per-function driver                                                  *)
@@ -346,14 +341,14 @@ let optimize_func (a : Analyses.t) ~emit ~is_entry counters (f : Func.t) :
         | None -> f
         | Some thr ->
           let blocks =
-            List.map
-              (fun (b : Block.t) ->
-                let mp = thr b.Block.label in
+            List.mapi
+              (fun i (b : Block.t) ->
+                let mp = thr i in
                 if mp = max_int then b
                 else
                   match
-                    scan_block qdf ~fname:f.Func.name ~min_pos:mp ~emit
-                      counters b
+                    scan_block qdf.Qdf.events.(i) ~fname:f.Func.name
+                      ~min_pos:mp ~emit counters b
                   with
                   | Some b' ->
                     changed := true;
@@ -366,10 +361,11 @@ let optimize_func (a : Analyses.t) ~emit ~is_entry counters (f : Func.t) :
       let qdf = Qdf.of_func vt facts f in
       let uses = use_counts f in
       let blocks =
-        List.map
-          (fun (b : Block.t) ->
+        List.mapi
+          (fun i (b : Block.t) ->
             match
-              hoist_block qdf ~fname:f.Func.name ~uses ~emit counters b
+              hoist_block qdf.Qdf.events.(i) ~fname:f.Func.name ~uses ~emit
+                counters b
             with
             | Some b' ->
               changed := true;

@@ -173,18 +173,17 @@ let analyze_func (summaries : Summary.table) vt (f : Func.t) : result =
     in
     let res = Engine.solve cfg tf in
     let dead = ref [] in
-    List.iter
-      (fun label ->
-        let b = Cfg.block cfg label in
-        ignore
-          (List.fold_left
-             (fun fact (i : Instr.t) ->
-               let verdict, fact' = step ~summaries ~used vt i fact in
-               if verdict = `Dead then dead := (label, i) :: !dead;
-               fact')
-             (Engine.block_out res label)
-             (List.rev b.Block.instrs)))
-      cfg.Cfg.rpo;
+    for k = 0 to Cfg.size cfg - 1 do
+      let label = Cfg.label cfg k and b = Cfg.block_at cfg k in
+      ignore
+        (List.fold_left
+           (fun fact (i : Instr.t) ->
+             let verdict, fact' = step ~summaries ~used vt i fact in
+             if verdict = `Dead then dead := (label, i) :: !dead;
+             fact')
+           (Engine.block_out res label)
+           (List.rev b.Block.instrs))
+    done;
     { dead = !dead }
   end
 

@@ -411,108 +411,94 @@ let block_cost env vt facts fl (b : Block.t) : cost =
 
 exception Bail
 
+(* Path bounds over a region of the condensed graph: max-path on hi,
+   min-path on lo. The region's nodes are walked in reverse postorder of
+   a depth-first walk from [entry] (then from any node it missed), which
+   is a topological order unless the region has a cycle, and then the
+   walk meets an edge back into its own stack: [Bail]. Each node joins
+   what its predecessors pushed, adds its own cost and pushes the sum
+   to its successors. [edges_of] gives a node's edges inside the region.
+   Returns the accumulated cost of every node reachable from [entry]. *)
+let dag_acc nodes entry edges_of cost =
+  let state = Hashtbl.create 16 and order = ref [] in
+  let visit root =
+    if not (Hashtbl.mem state root) then begin
+      Hashtbl.replace state root `Open;
+      let stack = ref [ (root, edges_of root) ] in
+      while !stack <> [] do
+        match !stack with
+        | (u, v :: vs) :: rest -> (
+          stack := (u, vs) :: rest;
+          match Hashtbl.find_opt state v with
+          | Some `Open -> raise Bail
+          | Some `Done -> ()
+          | None ->
+            Hashtbl.replace state v `Open;
+            stack := (v, edges_of v) :: !stack)
+        | (u, []) :: rest ->
+          Hashtbl.replace state u `Done;
+          order := u :: !order;
+          stack := rest
+        | [] -> ()
+      done
+    end
+  in
+  visit entry;
+  List.iter visit nodes;
+  let inc = Hashtbl.create 16 and acc = Hashtbl.create 16 in
+  Hashtbl.replace inc entry zero_cost;
+  List.iter
+    (fun u ->
+      match Hashtbl.find_opt inc u with
+      | None -> () (* unreachable within the region *)
+      | Some c ->
+        let a = seq c (cost u) in
+        Hashtbl.replace acc u a;
+        List.iter
+          (fun v ->
+            Hashtbl.replace inc v
+              (match Hashtbl.find_opt inc v with
+              | Some c -> join c a
+              | None -> a))
+          (edges_of u))
+    !order;
+  acc
+
+(* Loops are condensed innermost first into their headers; the bounds
+   are then path bounds over the resulting DAG. Per-node state is
+   indexed by {!Cfg}'s numbering of the reachable blocks: a node is
+   alive while it has a cost, and a block condensed into a header
+   finds it through [repr]. *)
 let analyze_func a env (f : Func.t) : fsum =
   let vt = Analyses.value_track a f and facts = Analyses.sccp a f in
   let cfg = Cfg.of_func f in
+  let n = Cfg.size cfg in
   let fl =
     { unknown = false; qp_used = Array.make (List.length f.Func.params) false }
   in
-  let reachable = Cfg.reachable cfg in
-  (* per-block costs *)
   let cost =
-    ref
-      (List.fold_left
-         (fun m label ->
-           SMap.add label (block_cost env vt facts fl (Cfg.block cfg label)) m)
-         SMap.empty reachable)
+    Array.init n (fun i ->
+        Some (block_cost env vt facts fl (Cfg.block_at cfg i)))
   in
-  let succs =
-    ref
-      (List.fold_left
-         (fun m label ->
-           SMap.add label
-             (List.filter (Cfg.is_reachable cfg) (Cfg.successors cfg label))
-             m)
-         SMap.empty reachable)
-  in
+  let succs = Array.init n (fun i -> Array.to_list (Cfg.succ cfg i)) in
   (* blocks that end the program: returns and aborts *)
   let terminal =
-    ref
-      (List.fold_left
-         (fun s label ->
-           match (Cfg.block cfg label).Block.term with
-           | Instr.Ret _ | Instr.Unreachable -> SSet.add label s
-           | _ -> s)
-         SSet.empty reachable)
+    Array.init n (fun i ->
+        match (Cfg.block_at cfg i).Block.term with
+        | Instr.Ret _ | Instr.Unreachable -> true
+        | _ -> false)
   in
-  (* collapsed label -> representative node *)
-  let reprs : (string, string) Hashtbl.t = Hashtbl.create 8 in
-  let rec repr l =
-    match Hashtbl.find_opt reprs l with Some r -> repr r | None -> l
+  let repr = Array.init n Fun.id in
+  let rec find i = if repr.(i) = i then i else find repr.(i) in
+  (* the live node standing for a block, if the block is reachable *)
+  let node_of label =
+    match Cfg.index cfg label with
+    | Some i when i < n -> Some (find i)
+    | _ -> None
   in
+  let cost_of u = Option.get cost.(u) in
+  let edges_of u = List.map find succs.(u) in
   let loop_infos = ref [] in
-  (* Topologically order [nodes] over [edges] (edges into [skip] are
-     ignored — used to cut back edges at the loop header). *)
-  let topo nodes edges_of skip =
-    let indeg = Hashtbl.create 16 in
-    SSet.iter (fun n -> Hashtbl.replace indeg n 0) nodes;
-    SSet.iter
-      (fun n ->
-        List.iter
-          (fun s ->
-            if SSet.mem s nodes && (not (SSet.mem s skip)) then
-              Hashtbl.replace indeg s (Hashtbl.find indeg s + 1))
-          (edges_of n))
-      nodes;
-    let q = Queue.create () in
-    SSet.iter (fun n -> if Hashtbl.find indeg n = 0 then Queue.add n q) nodes;
-    let order = ref [] in
-    let seen = ref 0 in
-    while not (Queue.is_empty q) do
-      let n = Queue.pop q in
-      incr seen;
-      order := n :: !order;
-      List.iter
-        (fun s ->
-          if SSet.mem s nodes && not (SSet.mem s skip) then begin
-            let d = Hashtbl.find indeg s - 1 in
-            Hashtbl.replace indeg s d;
-            if d = 0 then Queue.add s q
-          end)
-        (edges_of n)
-    done;
-    if !seen <> SSet.cardinal nodes then raise Bail;
-    List.rev !order
-  in
-  (* Path bounds over a DAG: max-path on hi, min-path on lo, both via
-     pred-join then node-seq. Returns the accumulated cost per node. *)
-  let dag_acc nodes entry edges_of skip =
-    let order = topo nodes edges_of skip in
-    let acc = Hashtbl.create 16 in
-    List.iter
-      (fun n ->
-        let preds =
-          SSet.fold
-            (fun p l ->
-              if
-                List.mem n (edges_of p)
-                && (not (SSet.mem n skip))
-                && Hashtbl.mem acc p
-              then Hashtbl.find acc p :: l
-              else l)
-            nodes []
-        in
-        let inc =
-          match preds with
-          | [] -> if String.equal n entry then Some zero_cost else None
-          | c :: cs -> Some (List.fold_left join c cs)
-        in
-        match inc with
-        | Some inc -> Hashtbl.replace acc n (seq inc (SMap.find n !cost))
-        | None -> () (* unreachable within the region *))
-      order;
-    acc
-  in
   let result =
     try
       (* innermost loops first: smaller bodies collapse before the loops
@@ -523,48 +509,42 @@ let analyze_func a env (f : Func.t) : fsum =
             compare
               (Passes.Loop.SSet.cardinal a.Passes.Loop.body)
               (Passes.Loop.SSet.cardinal b.Passes.Loop.body))
-          (Passes.Loop.find f)
+          (Passes.Loop.find cfg)
       in
       List.iter
         (fun (loop : Passes.Loop.t) ->
           let header = loop.Passes.Loop.header in
-          if
-            Cfg.is_reachable cfg header
-            && String.equal (repr header) header
-            && SMap.mem header !cost
-          then begin
-            let body' =
-              Passes.Loop.SSet.fold
-                (fun l s ->
-                  let r = repr l in
-                  if SMap.mem r !cost then SSet.add r s else s)
-                loop.Passes.Loop.body SSet.empty
-            in
-            let latches' =
+          match Cfg.index cfg header with
+          | Some h when h < n && find h = h && cost.(h) <> None ->
+            let body = Hashtbl.create 16 in
+            Passes.Loop.SSet.iter
+              (fun l -> Option.iter (fun r -> Hashtbl.replace body r ()) (node_of l))
+              loop.Passes.Loop.body;
+            let latches =
               List.sort_uniq compare
                 (List.filter_map
                    (fun l ->
-                     let r = repr l in
-                     if SSet.mem r body' then Some r else None)
+                     Option.bind (node_of l) (fun r ->
+                         if Hashtbl.mem body r then Some r else None))
                    loop.Passes.Loop.latches)
             in
-            if latches' = [] then raise Bail;
-            let edges_of n =
-              List.filter (fun s -> SSet.mem s body') (SMap.find n !succs)
+            if latches = [] then raise Bail;
+            let in_body u =
+              List.filter (fun v -> v <> h && Hashtbl.mem body v) (edges_of u)
             in
-            let acc =
-              dag_acc body' header edges_of (SSet.singleton header)
-            in
+            let nodes = Hashtbl.fold (fun u () l -> u :: l) body [] in
+            let acc = dag_acc nodes h in_body cost_of in
             let iter_cost =
-              match
-                List.filter_map (fun l -> Hashtbl.find_opt acc l) latches'
-              with
+              match List.filter_map (Hashtbl.find_opt acc) latches with
               | [] -> raise Bail
               | c :: cs -> List.fold_left join c cs
             in
             let has_term =
               Passes.Loop.SSet.exists
-                (fun l -> SSet.mem l !terminal)
+                (fun l ->
+                  match Cfg.index cfg l with
+                  | Some i -> i < n && terminal.(i)
+                  | None -> false)
                 loop.Passes.Loop.body
             in
             let trip =
@@ -583,47 +563,36 @@ let analyze_func a env (f : Func.t) : fsum =
             (* the final, failing header evaluation can replay up to one
                more partial iteration on the hi side *)
             let trip' = { trip with hi = badd trip.hi (Fin 1) } in
-            let collapsed = loop_scale iter_cost trip' in
             (* exit targets outside the body become the node's succs *)
-            let exits =
+            succs.(h) <-
               List.sort_uniq compare
                 (List.filter_map
                    (fun (_, target) ->
-                     let r = repr target in
-                     if SSet.mem r body' then None
-                     else if SMap.mem r !cost then Some r
-                     else None)
-                   (Passes.Loop.exits cfg loop))
-            in
-            cost := SMap.add header collapsed !cost;
-            succs := SMap.add header exits !succs;
-            SSet.iter
-              (fun n ->
-                if not (String.equal n header) then begin
-                  Hashtbl.replace reprs n header;
-                  cost := SMap.remove n !cost;
-                  succs := SMap.remove n !succs;
-                  if SSet.mem n !terminal then
-                    terminal := SSet.add header (SSet.remove n !terminal)
+                     Option.bind (node_of target) (fun r ->
+                         if Hashtbl.mem body r then None else Some r))
+                   (Passes.Loop.exits cfg loop));
+            cost.(h) <- Some (loop_scale iter_cost trip');
+            Hashtbl.iter
+              (fun u () ->
+                if u <> h then begin
+                  repr.(u) <- h;
+                  cost.(u) <- None;
+                  succs.(u) <- [];
+                  if terminal.(u) then begin
+                    terminal.(u) <- false;
+                    terminal.(h) <- true
+                  end
                 end)
-              body';
-            if has_term then terminal := SSet.add header !terminal;
-            (* redirect surviving edges into collapsed labels *)
-            succs :=
-              SMap.map
-                (fun ss -> List.sort_uniq compare (List.map repr ss))
-                !succs
-          end)
+              body;
+            if has_term then terminal.(h) <- true
+          | _ -> ())
         loops;
-      let nodes = SMap.fold (fun l _ s -> SSet.add l s) !cost SSet.empty in
-      let entry = repr cfg.Cfg.entry in
-      let edges_of n = SMap.find n !succs in
-      let acc = dag_acc nodes entry edges_of SSet.empty in
+      let nodes = List.filter (fun u -> cost.(u) <> None) (List.init n Fun.id) in
+      let acc = dag_acc nodes (find 0) edges_of cost_of in
       let terms =
-        SSet.fold
-          (fun l cs ->
-            match Hashtbl.find_opt acc l with Some c -> c :: cs | None -> cs)
-          !terminal []
+        List.filter_map
+          (fun u -> if terminal.(u) then Hashtbl.find_opt acc u else None)
+          nodes
       in
       match terms with
       | c :: cs -> List.fold_left join c cs

@@ -506,21 +506,21 @@ let replay (table : table) vt ~report ~at_ret (f : Func.t) =
     { Engine.instr = transfer table vt None; Engine.term = Engine.uniform_term }
   in
   let res = Engine.solve ~init cfg tf in
-  List.iter
-    (fun label ->
-      if Engine.reached res label then begin
-        let b = Cfg.block cfg label in
-        let fact =
-          List.fold_left
-            (fun fact i -> transfer table vt (Some report) label i fact)
-            (Engine.block_in res label)
-            b.Block.instrs
-        in
-        match b.Block.term with
-        | Instr.Ret v -> at_ret label fact v
-        | _ -> ()
-      end)
-    cfg.Cfg.rpo
+  for k = 0 to Cfg.size cfg - 1 do
+    let label = Cfg.label cfg k in
+    if Engine.reached res label then begin
+      let b = Cfg.block_at cfg k in
+      let fact =
+        List.fold_left
+          (fun fact i -> transfer table vt (Some report) label i fact)
+          (Engine.block_in res label)
+          b.Block.instrs
+      in
+      match b.Block.term with
+      | Instr.Ret v -> at_ret label fact v
+      | _ -> ()
+    end
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Lifetime findings, reported by the same replay that summarizes:

@@ -159,7 +159,7 @@ let check_adaptive_func acc (cg : Qir_analysis.Call_graph.t) (f : Func.t) =
         b.Block.instrs)
     f.Func.blocks;
   (* no loops *)
-  if Passes.Loop.find f <> [] then
+  if Passes.Loop.find (Cfg.of_func f) <> [] then
     violate acc "adaptive:no-loops" where "function @%s contains loops"
       f.Func.name;
   if Qir_analysis.Call_graph.is_recursive cg f.Func.name then

@@ -56,7 +56,7 @@ type t = {
   mutable next_result : int;
   mutable next_slot : int;
   mutable max_qubit : int; (* highest qubit index seen (static or dynamic) *)
-  mutable visited : string list;
+  visited : bool array; (* by the entry's {!Cfg} index *)
   mutable recorded : int list; (* result ids record_output'd, reversed *)
   args : avalue array; (* the current call's operand values *)
 }
@@ -374,30 +374,31 @@ let cond_of_avalue v : Circuit.cond =
     { Circuit.cbits = bits; value = Int64.to_int value }
   | _ -> fail "branch condition does not derive from measurement results"
 
-let find_block f label =
-  match Func.find_block f label with
-  | Some b -> b
+let block_index cfg i label =
+  match Cfg.target cfg i label with
+  | Some i -> i
   | None -> fail "branch to undefined label %%%s" label
 
-let rec exec_block st (f : Func.t) label =
-  if List.exists (String.equal label) st.visited then
+let rec exec_block st cfg i =
+  if st.visited.(i) then
     fail "the program contains a loop; lower (unroll) first";
-  st.visited <- label :: st.visited;
-  let b = find_block f label in
+  st.visited.(i) <- true;
+  let b = Cfg.block_at cfg i in
   List.iter (exec_instr st ~cond:None) b.Block.instrs;
   match b.Block.term with
   | Instr.Ret None -> ()
   | Instr.Ret (Some _) -> fail "entry point returns a value"
-  | Instr.Br next -> exec_block st f next
+  | Instr.Br next -> exec_block st cfg (block_index cfg i next)
   | Instr.Cond_br (c, then_label, else_label) ->
     let cond = cond_of_avalue (avalue_of_operand st Ty.I1 c) in
     (* shape: then-block is straight-line and rejoins at else_label *)
-    let then_block = find_block f then_label in
+    let t = block_index cfg i then_label in
+    let then_block = Cfg.block_at cfg t in
     (match then_block.Block.term with
     | Instr.Br join when String.equal join else_label ->
       List.iter (exec_instr st ~cond:(Some cond)) then_block.Block.instrs;
-      st.visited <- then_label :: st.visited;
-      exec_block st f else_label
+      st.visited.(t) <- true;
+      exec_block st cfg (block_index cfg i else_label)
     | _ ->
       fail
         "unsupported control-flow shape (only if-then over measurement \
@@ -412,6 +413,7 @@ let parse_with_output_exn (m : Ir_module.t) : Circuit.t * int list =
     | Some f -> fail "entry point @%s is a declaration" f.Func.name
     | None -> fail "module has no entry point"
   in
+  let cfg = Cfg.of_func entry in
   let st =
     {
       m;
@@ -423,12 +425,12 @@ let parse_with_output_exn (m : Ir_module.t) : Circuit.t * int list =
       next_result = 0;
       next_slot = 0;
       max_qubit = -1;
-      visited = [];
+      visited = Array.make (Cfg.count cfg) false;
       recorded = [];
       args = Array.make max_arity AZero;
     }
   in
-  exec_block st entry (Func.entry entry).Block.label;
+  exec_block st cfg 0;
   (* honor the declared qubit count when present *)
   note_qubit st (Names.declared_qubits entry - 1);
   if st.max_qubit >= 0 then Circuit.Build.touch_qubit st.build st.max_qubit;

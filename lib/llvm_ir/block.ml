@@ -6,14 +6,6 @@ type t = { label : string; instrs : Instr.t list; term : Instr.term }
 
 let mk label instrs term = { label; instrs; term }
 
-let phis block =
-  List.filter
-    (fun i ->
-      match i.Instr.op with
-      | Instr.Phi _ -> true
-      | _ -> false)
-    block.instrs
-
 let non_phis block =
   List.filter
     (fun i ->
@@ -23,7 +15,3 @@ let non_phis block =
     block.instrs
 
 let successors block = Instr.successors block.term
-
-(* Labels defined by this block's instruction results. *)
-let defs block =
-  List.filter_map (fun i -> i.Instr.id) block.instrs

@@ -5,9 +5,5 @@
 type t = { label : string; instrs : Instr.t list; term : Instr.term }
 
 val mk : string -> Instr.t list -> Instr.term -> t
-val phis : t -> Instr.t list
 val non_phis : t -> Instr.t list
 val successors : t -> string list
-
-val defs : t -> string list
-(** Result names defined by the block's instructions. *)

@@ -16,9 +16,6 @@
    fixpoint as joining per-edge facts over its predecessors, since the
    join is associative, commutative and idempotent. *)
 
-module SMap = Cfg.SMap
-module SSet = Cfg.SSet
-
 module type LATTICE = sig
   type t
 
@@ -38,55 +35,49 @@ module Forward (L : LATTICE) = struct
 
   type result = {
     cfg : Cfg.t;
-    tf : transfer;
-    ins : L.t SMap.t; (* joined in-facts of reached blocks *)
+    ins : L.t option array;  (* joined in-facts of reached blocks, by index *)
   }
 
   let solve ?(init = L.bottom) (cfg : Cfg.t) (tf : transfer) : result =
-    let ins = ref (SMap.singleton cfg.Cfg.entry init) in
-    let dirty = ref (SSet.singleton cfg.Cfg.entry) in
-    while not (SSet.is_empty !dirty) do
-      List.iter
-        (fun label ->
-          if SSet.mem label !dirty then begin
-            dirty := SSet.remove label !dirty;
-            let b = Cfg.block cfg label in
-            let fact =
-              List.fold_left
-                (fun fact i -> tf.instr label i fact)
-                (SMap.find label !ins) b.Block.instrs
-            in
-            List.iter
-              (fun (succ, f) ->
-                (* the first push reaches [succ], whatever it carries *)
-                match SMap.find_opt succ !ins with
-                | Some old ->
-                  let joined = L.join old f in
-                  if not (L.equal old joined) then begin
-                    ins := SMap.add succ joined !ins;
-                    dirty := SSet.add succ !dirty
-                  end
-                | None ->
-                  ins := SMap.add succ (L.join L.bottom f) !ins;
-                  dirty := SSet.add succ !dirty)
-              (tf.term label b.Block.term fact)
-          end)
-        cfg.Cfg.rpo
+    let n = Cfg.size cfg in
+    let ins = Array.make n None and dirty = Array.make n false in
+    ins.(0) <- Some init;
+    dirty.(0) <- true;
+    let push i (succ, f) =
+      match Cfg.target cfg i succ with
+      | None -> () (* no such block *)
+      | Some j ->
+        (* the first push reaches [succ], whatever it carries *)
+        let old = Option.value ~default:L.bottom ins.(j) in
+        let joined = L.join old f in
+        if Option.is_none ins.(j) || not (L.equal old joined) then begin
+          ins.(j) <- Some joined;
+          dirty.(j) <- true
+        end
+    in
+    while Array.mem true dirty do
+      for i = 0 to n - 1 do
+        if dirty.(i) then begin
+          dirty.(i) <- false;
+          let label = Cfg.label cfg i and b = Cfg.block_at cfg i in
+          let fact =
+            List.fold_left
+              (fun fact instr -> tf.instr label instr fact)
+              (Option.get ins.(i)) b.Block.instrs
+          in
+          List.iter (push i) (tf.term label b.Block.term fact)
+        end
+      done
     done;
-    { cfg; tf; ins = !ins }
+    { cfg; ins }
 
-  let block_in r label =
-    Option.value ~default:L.bottom (SMap.find_opt label r.ins)
+  let block_in_opt r label =
+    match Cfg.index r.cfg label with
+    | Some i when i < Array.length r.ins -> r.ins.(i)
+    | _ -> None
 
-  let reached r label = SMap.mem label r.ins
-
-  let fold_block r label acc f =
-    let b = Cfg.block r.cfg label in
-    fst
-      (List.fold_left
-         (fun (acc, fact) i -> (f acc fact i, r.tf.instr label i fact))
-         (acc, block_in r label)
-         b.Block.instrs)
+  let block_in r label = Option.value ~default:L.bottom (block_in_opt r label)
+  let reached r label = block_in_opt r label <> None
 end
 
 module Backward (L : LATTICE) = struct
@@ -95,7 +86,11 @@ module Backward (L : LATTICE) = struct
     term : string -> Instr.term -> L.t -> L.t;
   }
 
-  type result = { cfg : Cfg.t; exit : L.t; ins : L.t SMap.t }
+  type result = {
+    cfg : Cfg.t;
+    exit : L.t;
+    ins : L.t array;  (* in-facts by index; bottom where never raised *)
+  }
 
   let transfer_block (tf : transfer) (b : Block.t) out =
     List.fold_left
@@ -103,37 +98,34 @@ module Backward (L : LATTICE) = struct
       (tf.term b.Block.label b.Block.term out)
       (List.rev b.Block.instrs)
 
-  let succ_join cfg exit ins label =
-    match Cfg.successors cfg label with
+  let succ_join cfg exit ins i =
+    match Block.successors (Cfg.block_at cfg i) with
     | [] -> exit
-    | succs ->
-      List.fold_left
-        (fun acc s ->
-          L.join acc (Option.value ~default:L.bottom (SMap.find_opt s ins)))
-        L.bottom succs
+    | _ -> Array.fold_left (fun acc s -> L.join acc ins.(s)) L.bottom (Cfg.succ cfg i)
 
   let solve ?(exit = L.bottom) (cfg : Cfg.t) (tf : transfer) : result =
-    let order = List.rev cfg.Cfg.rpo in
-    let ins = ref SMap.empty in
+    let ins = Array.make (Cfg.count cfg) L.bottom in
     let changed = ref true in
     while !changed do
       changed := false;
-      List.iter
-        (fun label ->
-          let out = succ_join cfg exit !ins label in
-          let fact = transfer_block tf (Cfg.block cfg label) out in
-          let old = Option.value ~default:L.bottom (SMap.find_opt label !ins) in
-          let fact = L.join old fact in
-          if not (L.equal old fact) then begin
-            ins := SMap.add label fact !ins;
-            changed := true
-          end)
-        order
+      for i = Cfg.size cfg - 1 downto 0 do
+        let out = succ_join cfg exit ins i in
+        let fact = transfer_block tf (Cfg.block_at cfg i) out in
+        let old = ins.(i) in
+        let fact = L.join old fact in
+        if not (L.equal old fact) then begin
+          ins.(i) <- fact;
+          changed := true
+        end
+      done
     done;
-    { cfg; exit; ins = !ins }
+    { cfg; exit; ins }
 
-  let block_out r label = succ_join r.cfg r.exit r.ins label
+  let block_out r label =
+    match Cfg.index r.cfg label with
+    | Some i -> succ_join r.cfg r.exit r.ins i
+    | None -> r.exit
 
   let block_in r label =
-    Option.value ~default:L.bottom (SMap.find_opt label r.ins)
+    match Cfg.index r.cfg label with Some i -> r.ins.(i) | None -> L.bottom
 end

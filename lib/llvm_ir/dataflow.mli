@@ -45,12 +45,6 @@ module Forward (L : LATTICE) : sig
 
   val reached : result -> string -> bool
   (** Was the block reached through feasible edges? *)
-
-  val fold_block :
-    result -> string -> 'a -> ('a -> L.t -> Instr.t -> 'a) -> 'a
-  (** Replays the block's instructions from {!block_in}, folding over
-      the fact *before* each instruction — the way clients recover
-      per-instruction facts for reporting. *)
 end
 
 module Backward (L : LATTICE) : sig

@@ -1,25 +1,27 @@
 (* Dominator tree and dominance frontiers, using the Cooper-Harvey-Kennedy
-   iterative algorithm ("A Simple, Fast Dominance Algorithm"). Used by
-   mem2reg (phi placement) and natural-loop detection. *)
-
-module SMap = Map.Make (String)
+   iterative algorithm ("A Simple, Fast Dominance Algorithm"), over the
+   reachable blocks in {!Cfg}'s numbering. Used by mem2reg (phi
+   placement), the verifier and natural-loop detection. *)
 
 type t = {
   cfg : Cfg.t;
-  idom : string SMap.t; (* immediate dominator; entry maps to itself *)
-  children : string list SMap.t; (* dominator-tree children *)
-  frontier : string list SMap.t; (* dominance frontier *)
+  idom : int array;  (* immediate dominator; the entry is its own *)
+  children : int list array;  (* dominator-tree children, by label descending *)
+  frontier : int list array;  (* dominance frontier, latest in RPO first *)
+  pre : int array;  (* preorder number in the dominator tree *)
+  last : int array;  (* the largest preorder number in the subtree *)
 }
 
 let compute cfg =
-  let rpo = Array.of_list cfg.Cfg.rpo in
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i l -> Hashtbl.replace index l i) rpo;
-  let n = Array.length rpo in
-  (* idom as array over rpo indices; -1 = undefined *)
+  let n = Cfg.size cfg in
+  (* reachable predecessors, in {!Cfg.pred} order *)
+  let preds =
+    Array.init n (fun i ->
+        List.filter (fun p -> p < n) (Array.to_list (Cfg.pred cfg i)))
+  in
+  (* -1 = undefined *)
   let idom = Array.make n (-1) in
-  let entry_idx = 0 in
-  idom.(entry_idx) <- entry_idx;
+  idom.(0) <- 0;
   let intersect b1 b2 =
     let f1 = ref b1 and f2 = ref b2 in
     while !f1 <> !f2 do
@@ -36,85 +38,89 @@ let compute cfg =
   while !changed do
     changed := false;
     for i = 1 to n - 1 do
-      let preds =
-        List.filter_map
-          (fun p -> Hashtbl.find_opt index p)
-          (Cfg.predecessors cfg rpo.(i))
-      in
-      let processed = List.filter (fun p -> idom.(p) >= 0) preds in
-      match processed with
+      match List.filter (fun p -> idom.(p) >= 0) preds.(i) with
       | [] -> ()
       | first :: rest ->
-        let new_idom = List.fold_left (fun acc p -> intersect acc p) first rest in
+        let new_idom = List.fold_left intersect first rest in
         if idom.(i) <> new_idom then begin
           idom.(i) <- new_idom;
           changed := true
         end
     done
   done;
-  let idom_map =
-    Array.to_list rpo
-    |> List.mapi (fun i l -> (l, rpo.(idom.(i))))
-    |> List.fold_left (fun acc (l, d) -> SMap.add l d acc) SMap.empty
-  in
-  let children =
-    SMap.fold
-      (fun l d acc ->
-        if String.equal l cfg.Cfg.entry then acc
-        else
-          SMap.update d
-            (function
-              | Some cs -> Some (l :: cs)
-              | None -> Some [ l ])
-            acc)
-      idom_map
-      (SMap.map (fun _ -> []) idom_map)
-  in
-  (* dominance frontiers *)
-  let frontier = ref (SMap.map (fun _ -> []) idom_map) in
-  Array.iter
-    (fun l ->
-      let preds =
-        List.filter (fun p -> Hashtbl.mem index p) (Cfg.predecessors cfg l)
-      in
-      if List.length preds >= 2 then
-        List.iter
-          (fun p ->
-            let rec walk runner =
-              if not (String.equal runner (SMap.find l idom_map)) then begin
-                frontier :=
-                  SMap.update runner
-                    (function
-                      | Some fs ->
-                        if List.mem l fs then Some fs else Some (l :: fs)
-                      | None -> Some [ l ])
-                    !frontier;
-                walk (SMap.find runner idom_map)
-              end
-            in
-            walk p)
-          preds)
-    rpo;
-  { cfg; idom = idom_map; children; frontier = !frontier }
+  let by_label_desc i j = String.compare (Cfg.label cfg j) (Cfg.label cfg i) in
+  let children = Array.make n [] in
+  for i = n - 1 downto 1 do
+    children.(idom.(i)) <- i :: children.(idom.(i))
+  done;
+  let children = Array.map (List.stable_sort by_label_desc) children in
+  (* a join block is in the frontier of every block on the idom chains
+     from its predecessors up to (not including) its own idom; joins are
+     visited in RPO and prepended once each *)
+  let frontier = Array.make n [] in
+  for l = 0 to n - 1 do
+    match preds.(l) with
+    | [] | [ _ ] -> ()
+    | ps ->
+      List.iter
+        (fun p ->
+          let runner = ref p in
+          while !runner <> idom.(l) do
+            (match frontier.(!runner) with
+            | x :: _ when x = l -> ()
+            | fs -> frontier.(!runner) <- l :: fs);
+            runner := idom.(!runner)
+          done)
+        ps
+  done;
+  (* preorder intervals of the dominator tree: [a] dominates [b] iff
+     [b]'s number lies within [a]'s subtree *)
+  let pre = Array.make n 0 and last = Array.make n 0 in
+  let counter = ref 0 in
+  let stack = ref [ `Enter 0 ] in
+  while !stack <> [] do
+    match !stack with
+    | `Enter v :: rest ->
+      pre.(v) <- !counter;
+      incr counter;
+      stack :=
+        List.fold_left (fun acc c -> `Enter c :: acc) (`Leave v :: rest)
+          children.(v)
+    | `Leave v :: rest ->
+      last.(v) <- !counter - 1;
+      stack := rest
+    | [] -> ()
+  done;
+  { cfg; idom; children; frontier; pre; last }
+
+let reachable_index t label =
+  match Cfg.index t.cfg label with
+  | Some i when i < Cfg.size t.cfg -> Some i
+  | _ -> None
+
+let labels t is = List.map (Cfg.label t.cfg) is
 
 let idom t label =
-  if String.equal label t.cfg.Cfg.entry then None
-  else SMap.find_opt label t.idom
+  match reachable_index t label with
+  | Some i when i > 0 -> Some (Cfg.label t.cfg t.idom.(i))
+  | _ -> None
 
 let children t label =
-  Option.value ~default:[] (SMap.find_opt label t.children)
+  match reachable_index t label with
+  | Some i -> labels t t.children.(i)
+  | None -> []
 
 let frontier t label =
-  Option.value ~default:[] (SMap.find_opt label t.frontier)
+  match reachable_index t label with
+  | Some i -> labels t t.frontier.(i)
+  | None -> []
+
+let dominates_index t a b = t.pre.(a) <= t.pre.(b) && t.pre.(b) <= t.last.(a)
 
 (* [dominates t a b] — does block [a] dominate block [b]? *)
 let dominates t a b =
-  let rec walk l =
-    if String.equal l a then true
-    else if String.equal l t.cfg.Cfg.entry then false
-    else
-      match SMap.find_opt l t.idom with
-      | Some d -> walk d
-      | None -> false
-  in
-  walk b
+  String.equal a b
+  ||
+  match reachable_index t a, reachable_index t b with
+  | Some a, Some b -> dominates_index t a b
+  | _ -> false

@@ -29,46 +29,6 @@ let entry f =
   | [] -> invalid_arg ("Func.entry: " ^ f.name ^ " is a declaration")
   | b :: _ -> b
 
-let find_block f label =
-  List.find_opt (fun b -> String.equal b.Block.label label) f.blocks
-
-(* O(1) label lookup for interpreters and compilers that branch a lot.
-   Duplicate labels keep the first occurrence, matching [find_block]. *)
-let label_table f =
-  let tbl = Hashtbl.create (max 16 (List.length f.blocks)) in
-  List.iter
-    (fun (b : Block.t) ->
-      if not (Hashtbl.mem tbl b.Block.label) then
-        Hashtbl.add tbl b.Block.label b)
-    f.blocks;
-  tbl
-
-let find_block_exn f label =
-  match find_block f label with
-  | Some b -> b
-  | None -> invalid_arg (Printf.sprintf "Func.find_block: no block %%%s in @%s" label f.name)
-
-(* Follows unconditional branches from the entry to a ret, visiting no
-   block twice. *)
-let straight_chain f =
-  match f.blocks with
-  | [] -> None
-  | entry :: _ ->
-    let labels = label_table f in
-    let visited = Hashtbl.create 8 in
-    let rec go acc (b : Block.t) =
-      if Hashtbl.mem visited b.Block.label then None
-      else begin
-        Hashtbl.replace visited b.Block.label ();
-        let acc = b :: acc in
-        match b.Block.term with
-        | Instr.Ret _ -> Some (List.rev acc)
-        | Instr.Br l -> Option.bind (Hashtbl.find_opt labels l) (go acc)
-        | Instr.Cond_br _ | Instr.Switch _ | Instr.Unreachable -> None
-      end
-    in
-    go [] entry
-
 let has_attr f key = List.mem_assoc key f.attrs
 let attr f key = List.assoc_opt key f.attrs
 

@@ -29,18 +29,6 @@ val is_declaration : t -> bool
 val entry : t -> Block.t
 (** Raises [Invalid_argument] on declarations. *)
 
-val find_block : t -> string -> Block.t option
-val find_block_exn : t -> string -> Block.t
-
-val label_table : t -> (string, Block.t) Hashtbl.t
-(** One-shot label → block table for O(1) branching (duplicate labels
-    keep the first occurrence, like {!find_block}). *)
-
-val straight_chain : t -> Block.t list option
-(** The blocks from the entry to a [ret] when the function is one
-    straight line of unconditional branches; [None] for declarations and
-    for any branching, looping or [unreachable]-ended control flow. *)
-
 val has_attr : t -> string -> bool
 val attr : t -> string -> string option
 

@@ -28,8 +28,7 @@ type stats = {
 (* Per-block execution plans, built lazily on first entry and cached for
    the lifetime of the state: the phi (pred -> value) map is computed
    once instead of remapping [incoming] with [List.assoc] on every edge,
-   and branches resolve labels through a per-function table instead of
-   scanning the block list. *)
+   and branches resolve labels through the function's {!Cfg}. *)
 type phi_plan = {
   phi_dst : string;
   phi_ty : Ty.t;
@@ -39,10 +38,7 @@ type phi_plan = {
 
 type block_plan = { plan_phis : phi_plan array; plan_body : Instr.t list }
 
-type func_plan = {
-  labels : (string, Block.t) Hashtbl.t;
-  block_plans : (string, block_plan) Hashtbl.t;
-}
+type func_plan = { cfg : Cfg.t; block_plans : (string, block_plan) Hashtbl.t }
 
 type t = {
   m : Ir_module.t;
@@ -389,7 +385,7 @@ let func_plan_of st (f : Func.t) =
   match Hashtbl.find_opt st.plans f.Func.name with
   | Some p -> p
   | None ->
-    let p = { labels = Func.label_table f; block_plans = Hashtbl.create 16 } in
+    let p = { cfg = Cfg.of_func f; block_plans = Hashtbl.create 16 } in
     Hashtbl.replace st.plans f.Func.name p;
     p
 
@@ -487,9 +483,12 @@ and exec_block st f frame ~prev (b : Block.t) : value =
 
 and branch st f frame ~prev label =
   let b =
-    match Hashtbl.find_opt (func_plan_of st f).labels label with
-    | Some b -> b
-    | None -> Func.find_block_exn f label (* raises, matching the seed *)
+    let cfg = (func_plan_of st f).cfg in
+    match Cfg.index cfg label with
+    | Some i -> Cfg.block_at cfg i
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Func.find_block: no block %%%s in @%s" label f.Func.name)
   in
   exec_block st f frame ~prev:(Some prev) b
 

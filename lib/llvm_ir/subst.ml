@@ -28,9 +28,6 @@ let func map (f : Func.t) =
   if SMap.is_empty map then f
   else Func.replace_blocks f (List.map (block map) f.Func.blocks)
 
-let of_list bindings =
-  List.fold_left (fun acc (k, v) -> SMap.add k v acc) SMap.empty bindings
-
 (* Rewrites phi-incoming labels: [rename old new] applied to every block.
    Used when blocks are merged or cloned. *)
 let rename_phi_labels rename (b : Block.t) =
@@ -41,16 +38,3 @@ let rename_phi_labels rename (b : Block.t) =
     | _ -> i
   in
   { b with Block.instrs = List.map fix b.Block.instrs }
-
-let rename_labels rename (b : Block.t) =
-  let term =
-    match b.Block.term with
-    | Instr.Ret _ as t -> t
-    | Instr.Br l -> Instr.Br (rename l)
-    | Instr.Cond_br (c, t, e) -> Instr.Cond_br (c, rename t, rename e)
-    | Instr.Switch (v, d, cases) ->
-      Instr.Switch (v, rename d, List.map (fun (c, l) -> (c, rename l)) cases)
-    | Instr.Unreachable -> Instr.Unreachable
-  in
-  let b = rename_phi_labels rename b in
-  { b with Block.term; Block.label = rename b.Block.label }

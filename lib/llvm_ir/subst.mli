@@ -9,11 +9,6 @@ val instr : Operand.t SMap.t -> Instr.t -> Instr.t
 val term : Operand.t SMap.t -> Instr.term -> Instr.term
 val block : Operand.t SMap.t -> Block.t -> Block.t
 val func : Operand.t SMap.t -> Func.t -> Func.t
-val of_list : (string * Operand.t) list -> Operand.t SMap.t
 
 val rename_phi_labels : (string -> string) -> Block.t -> Block.t
 (** Rewrites the incoming-edge labels of the block's phi nodes. *)
-
-val rename_labels : (string -> string) -> Block.t -> Block.t
-(** Renames the block's own label, its terminator targets and its phi
-    incoming labels. *)

@@ -174,9 +174,9 @@ let check_func (m : Ir_module.t) (f : Func.t) =
           (Instr.successors b.term))
       f.blocks;
     (* the entry block must have no predecessors *)
-    (match Cfg.predecessors cfg cfg.Cfg.entry with
-    | [] -> ()
-    | _ :: _ -> err fname "the entry block has predecessors");
+    (match Cfg.pred cfg 0 with
+    | [||] -> ()
+    | _ -> err fname "the entry block has predecessors");
     List.rev !errs
   end
 

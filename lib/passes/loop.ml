@@ -10,40 +10,46 @@ type t = {
 }
 
 (* Natural loop of back edge (latch -> header): header plus all blocks that
-   reach the latch without passing through the header. *)
-let natural_loop cfg header latch =
-  let body = ref (SSet.singleton header) in
-  let rec grow label =
-    if not (SSet.mem label !body) then begin
-      body := SSet.add label !body;
-      List.iter grow (Cfg.predecessors cfg label)
-    end
+   reach the latch without passing through the header, found by a
+   worklist over {!Cfg.pred}. [mark] (one slot per block) says which
+   blocks the walk stamped [stamp] has taken. *)
+let grow cfg mark stamp header latch =
+  mark.(header) <- stamp;
+  let body = ref (SSet.singleton (Cfg.label cfg header)) in
+  let rec go = function
+    | [] -> ()
+    | i :: rest ->
+      if mark.(i) = stamp then go rest
+      else begin
+        mark.(i) <- stamp;
+        body := SSet.add (Cfg.label cfg i) !body;
+        go (Array.fold_left (fun acc p -> p :: acc) rest (Cfg.pred cfg i))
+      end
   in
-  grow latch;
+  go [ latch ];
   !body
 
-let find (f : Func.t) =
-  let cfg = Cfg.of_func f in
+let find cfg =
   let dom = Dom.compute cfg in
-  (* back edges: u -> v where v dominates u *)
-  let back_edges =
-    List.concat_map
-      (fun u ->
-        List.filter_map
-          (fun v -> if Dom.dominates dom v u then Some (u, v) else None)
-          (Cfg.successors cfg u))
-      (Cfg.reachable cfg)
-  in
-  (* group by header, merging bodies of shared headers *)
+  let mark = Array.make (Cfg.count cfg) (-1) in
+  (* back edges u -> v where v dominates u, grouped by header, bodies of
+     shared headers merged *)
   let tbl : (string, string list * SSet.t) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun (latch, header) ->
-      let body = natural_loop cfg header latch in
-      match Hashtbl.find_opt tbl header with
-      | Some (latches, acc) ->
-        Hashtbl.replace tbl header (latch :: latches, SSet.union acc body)
-      | None -> Hashtbl.replace tbl header ([ latch ], body))
-    back_edges;
+  let stamp = ref 0 in
+  for u = 0 to Cfg.size cfg - 1 do
+    Array.iter
+      (fun v ->
+        if Dom.dominates_index dom v u then begin
+          let body = grow cfg mark !stamp v u in
+          incr stamp;
+          let header = Cfg.label cfg v and latch = Cfg.label cfg u in
+          match Hashtbl.find_opt tbl header with
+          | Some (latches, acc) ->
+            Hashtbl.replace tbl header (latch :: latches, SSet.union acc body)
+          | None -> Hashtbl.replace tbl header ([ latch ], body)
+        end)
+      (Cfg.succ cfg u)
+  done;
   Hashtbl.fold
     (fun header (latches, body) acc -> { header; latches; body } :: acc)
     tbl []

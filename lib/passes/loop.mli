@@ -6,14 +6,13 @@ module SSet : Set.S with type elt = string
 type t = {
   header : string;
   latches : string list;  (** sources of back edges into the header *)
-  body : SSet.t;  (** all blocks of the loop, including the header *)
+  body : SSet.t;
+      (** all blocks of the loop, including the header: every block,
+          reachable or not, that reaches a latch without passing
+          through the header *)
 }
 
-val natural_loop : Cfg.t -> string -> string -> SSet.t
-(** [natural_loop cfg header latch]: the header plus every block reaching
-    the latch without passing through the header. *)
-
-val find : Func.t -> t list
+val find : Cfg.t -> t list
 (** Loops grouped by header (bodies of shared headers merged). *)
 
 val exits : Cfg.t -> t -> (string * string) list

@@ -140,7 +140,9 @@ let run (_m : Ir_module.t) (f : Func.t) : Func.t * bool =
     in
     let new_instrs : (string, Instr.t list) Hashtbl.t = Hashtbl.create 16 in
     let new_terms : (string, Instr.term) Hashtbl.t = Hashtbl.create 16 in
-    let rec rename label (stacks : Operand.t SMap.t) =
+    (* a block's renaming starts from the stacks its immediate dominator
+       ended with; returns the stacks it ends with *)
+    let rename label (stacks : Operand.t SMap.t) =
       let b = Cfg.block cfg label in
       let stacks = ref stacks in
       (* our phis define new values for their allocas on entry *)
@@ -191,9 +193,16 @@ let run (_m : Ir_module.t) (f : Func.t) : Func.t * bool =
               !cell
           | None -> ())
         (Cfg.successors cfg label);
-      List.iter (fun child -> rename child !stacks) (Dom.children dom label)
+      !stacks
     in
-    rename cfg.Cfg.entry SMap.empty;
+    (* the dominator tree in preorder, without recursion *)
+    let rec walk = function
+      | [] -> ()
+      | (label, stacks) :: rest ->
+        let stacks = rename label stacks in
+        walk (List.map (fun c -> (c, stacks)) (Dom.children dom label) @ rest)
+    in
+    walk [ (Cfg.entry cfg, SMap.empty) ];
     (* 4. rebuild: inserted phis first, then surviving instructions; the
        load-substitution map is applied to phi incoming values too. *)
     let blocks =

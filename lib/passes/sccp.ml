@@ -8,8 +8,8 @@
    reads the same solution for its address proofs. *)
 
 open Llvm_ir
-module SMap = Cfg.SMap
-module SSet = Cfg.SSet
+module SMap = Map.Make (String)
+module SSet = Set.Make (String)
 
 type lattice = Unknown | Cst of Constant.t | Varying
 
@@ -25,13 +25,16 @@ let equal a b =
   | Cst c1, Cst c2 -> Constant.equal c1 c2
   | (Unknown | Cst _ | Varying), _ -> false
 
-(* bindings are only ever Cst or Varying; absent = Unknown *)
+(* bindings are only ever Cst or Varying; absent = Unknown. A block
+   that defines nothing passes its in-fact on as is, so the two facts
+   meeting at an if-then join are often one map: both operations answer
+   that case without walking it. *)
 module Fact = struct
   type t = lattice SMap.t
 
   let bottom = SMap.empty
-  let equal = SMap.equal equal
-  let join a b = SMap.union (fun _ x y -> Some (join x y)) a b
+  let equal a b = a == b || SMap.equal equal a b
+  let join a b = if a == b then a else SMap.union (fun _ x y -> Some (join x y)) a b
 end
 
 module Engine = Dataflow.Forward (Fact)

@@ -7,7 +7,6 @@
    Runs to a local fixed point. *)
 
 open Llvm_ir
-module SSet = Set.Make (String)
 
 let fold_terms (f : Func.t) =
   let changed = ref false in
@@ -38,22 +37,21 @@ let fold_terms (f : Func.t) =
             | Operand.Local _ -> b.Block.term)
           | t -> t
         in
-        { b with Block.term })
+        if term == b.Block.term then b else { b with Block.term })
       f.Func.blocks
   in
-  (Func.replace_blocks f blocks, !changed)
+  if !changed then (Func.replace_blocks f blocks, true) else (f, false)
 
 (* Removes unreachable blocks and prunes phi entries whose predecessor is
    gone. *)
 let prune_unreachable (f : Func.t) =
   let cfg = Cfg.of_func f in
-  let reachable = SSet.of_list (Cfg.reachable cfg) in
-  if SSet.cardinal reachable = List.length f.Func.blocks then (f, false)
+  if Cfg.size cfg = List.length f.Func.blocks then (f, false)
   else begin
     let blocks =
       List.filter_map
         (fun (b : Block.t) ->
-          if not (SSet.mem b.Block.label reachable) then None
+          if not (Cfg.is_reachable cfg b.Block.label) then None
           else begin
             let instrs =
               List.map
@@ -61,7 +59,7 @@ let prune_unreachable (f : Func.t) =
                   match i.Instr.op with
                   | Instr.Phi (ty, incoming) ->
                     let incoming =
-                      List.filter (fun (_, l) -> SSet.mem l reachable) incoming
+                      List.filter (fun (_, l) -> Cfg.is_reachable cfg l) incoming
                     in
                     { i with Instr.op = Instr.Phi (ty, incoming) }
                   | _ -> i)
@@ -76,6 +74,14 @@ let prune_unreachable (f : Func.t) =
 
 (* Replaces single-incoming phis by their value. *)
 let collapse_trivial_phis (f : Func.t) =
+  let trivial (i : Instr.t) =
+    match i.Instr.id, i.Instr.op with
+    | Some _, Instr.Phi (_, [ _ ]) -> true
+    | _ -> false
+  in
+  if not (List.exists (fun (b : Block.t) -> List.exists trivial b.Block.instrs) f.Func.blocks)
+  then (f, false)
+  else
   let subst = ref Subst.SMap.empty in
   let blocks =
     List.map
@@ -127,64 +133,69 @@ let collapse_trivial_phis (f : Func.t) =
    function. *)
 let merge_chains (f : Func.t) =
   let cfg = Cfg.of_func f in
-  (* [next.(b)] = the block b absorbs, when the link is mergeable *)
-  let absorbable = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Block.t) ->
-      match b.Block.term with
-      | Instr.Br s when not (String.equal s b.Block.label) -> (
-        match Cfg.predecessors cfg s with
-        | [ p ]
-          when String.equal p b.Block.label
-               && Cfg.is_reachable cfg b.Block.label
-               && not (String.equal s cfg.Cfg.entry) ->
-          Hashtbl.replace absorbable b.Block.label s
-        | _ -> ())
+  (* [next.(i)] = the block [i] absorbs, when the link is mergeable *)
+  let next = Array.make (Cfg.count cfg) (-1) in
+  let absorbed = Array.make (Cfg.count cfg) false in
+  for i = 0 to Cfg.size cfg - 1 do
+    let b = Cfg.block_at cfg i in
+    match b.Block.term with
+    | Instr.Br s when not (String.equal s b.Block.label) -> (
+      match Cfg.target cfg i s with
+      | Some j when j <> 0 && Cfg.pred cfg j = [| i |] ->
+        next.(i) <- j;
+        absorbed.(j) <- true
       | _ -> ())
-    f.Func.blocks;
-  if Hashtbl.length absorbable = 0 then (f, false)
+    | _ -> ()
+  done;
+  if not (Array.mem true absorbed) then (f, false)
   else begin
-    (* chain heads: blocks that absorb but are not themselves absorbed *)
-    let absorbed = Hashtbl.create 16 in
-    Hashtbl.iter (fun _ s -> Hashtbl.replace absorbed s ()) absorbable;
     let subst = ref Subst.SMap.empty in
-    let tail_of = Hashtbl.create 16 in
-    (* head label -> label of the final block in its chain *)
+    (* [head.(t)] = the head whose chain ends at [t] *)
+    let head = Array.make (Cfg.count cfg) (-1) in
+    (* the blocks' indices, read off {!Cfg.layout} as the walk meets them
+       (a block repeating an earlier label is looked up) *)
+    let layout = Cfg.layout cfg and k = ref 0 in
+    let index_of (b : Block.t) =
+      if !k < Array.length layout && Cfg.block_at cfg layout.(!k) == b then begin
+        incr k;
+        layout.(!k - 1)
+      end
+      else Option.get (Cfg.index cfg b.Block.label)
+    in
     let merged_blocks =
       List.filter_map
         (fun (b : Block.t) ->
-          if Hashtbl.mem absorbed b.Block.label then None
+          let h = index_of b in
+          if absorbed.(h) then None
           else begin
             (* walk the chain from this head *)
-            let rec collect rev_groups label =
-              let blk = Cfg.block cfg label in
+            let rec collect rev_instrs i =
+              let blk = Cfg.block_at cfg i in
               let instrs =
                 List.filter_map
-                  (fun (i : Instr.t) ->
-                    match i.Instr.id, i.Instr.op with
-                    | Some id, Instr.Phi (_, [ (v, _) ])
-                      when not (String.equal label b.Block.label) ->
+                  (fun (instr : Instr.t) ->
+                    match instr.Instr.id, instr.Instr.op with
+                    | Some id, Instr.Phi (_, [ (v, _) ]) when i <> h ->
                       subst := Subst.SMap.add id v !subst;
                       None
-                    | _ -> Some i)
+                    | _ -> Some instr)
                   blk.Block.instrs
               in
-              let rev_groups = instrs :: rev_groups in
-              match Hashtbl.find_opt absorbable label with
-              | Some s -> collect rev_groups s
-              | None -> (List.concat (List.rev rev_groups), blk.Block.term, label)
+              let rev_instrs = List.rev_append instrs rev_instrs in
+              if next.(i) >= 0 then collect rev_instrs next.(i)
+              else (List.rev rev_instrs, blk.Block.term, i)
             in
-            let instrs, term, tail = collect [] b.Block.label in
-            Hashtbl.replace tail_of tail b.Block.label;
+            let instrs, term, tail = collect [] h in
+            head.(tail) <- h;
             Some (Block.mk b.Block.label instrs term)
           end)
         f.Func.blocks
     in
     (* phi labels naming an absorbed chain tail now come from the head *)
     let rename l =
-      match Hashtbl.find_opt tail_of l with
-      | Some head -> head
-      | None -> l
+      match Cfg.index cfg l with
+      | Some t when head.(t) >= 0 -> Cfg.label cfg head.(t)
+      | _ -> l
     in
     let blocks = List.map (Subst.rename_phi_labels rename) merged_blocks in
     let f = Func.replace_blocks f blocks in

@@ -389,7 +389,7 @@ let run ?(limits = default_limits) (_m : Ir_module.t) (f : Func.t) :
     if fuel = 0 then f
     else begin
       let cfg = Cfg.of_func f in
-      let loops = Loop.find f in
+      let loops = Loop.find cfg in
       (* innermost first: smaller bodies first *)
       let loops =
         List.sort

@@ -316,7 +316,7 @@ let extract (a : Qir_analysis.Analyses.t) : t option =
       if Qir_analysis.Call_graph.is_recursive cg entry.Func.name then
         raise Refused;
       let blocks =
-        match Func.straight_chain entry with
+        match Cfg.straight_chain (Cfg.of_func entry) with
         | Some blocks -> blocks
         | None -> raise Refused
       in

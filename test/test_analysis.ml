@@ -33,12 +33,14 @@ let count_calls_to m callee =
 (* A forward reachability problem with branch pruning: blocks behind a
    constant-false edge are never reached, and a diamond join merges the
    facts of both feasible predecessors. *)
-module Labels = struct
-  type t = Cfg.SSet.t
+module SSet = Set.Make (String)
 
-  let bottom = Cfg.SSet.empty
-  let equal = Cfg.SSet.equal
-  let join = Cfg.SSet.union
+module Labels = struct
+  type t = SSet.t
+
+  let bottom = SSet.empty
+  let equal = SSet.equal
+  let join = SSet.union
 end
 
 module FwdLabels = Dataflow.Forward (Labels)
@@ -69,7 +71,7 @@ exit:
       FwdLabels.instr = (fun _ _ fact -> fact);
       FwdLabels.term =
         (fun label term fact ->
-          let fact = Cfg.SSet.add label fact in
+          let fact = SSet.add label fact in
           match term with
           | Instr.Cond_br (Operand.Const (Constant.Bool false), _, el) ->
             [ (el, fact) ]
@@ -78,9 +80,9 @@ exit:
   in
   let res = FwdLabels.solve cfg tf in
   check bool_t "diamond join sees both arms" true
-    (Cfg.SSet.equal
+    (SSet.equal
        (FwdLabels.block_in res "join")
-       (Cfg.SSet.of_list [ "entry"; "a"; "b" ]));
+       (SSet.of_list [ "entry"; "a"; "b" ]));
   check bool_t "constant-false arm unreached" false
     (FwdLabels.reached res "dead");
   check bool_t "exit reached" true (FwdLabels.reached res "exit")

@@ -773,11 +773,13 @@ dead2:
 |}
   in
   let m = parse src in
-  let f = Ir_module.find_func_exn m "f" in
-  check
-    (Alcotest.slist string_t String.compare)
-    "dead blocks" [ "dead"; "dead2" ]
-    (Cfg.unreachable_blocks f)
+  let cfg = Cfg.of_func (Ir_module.find_func_exn m "f") in
+  check (Alcotest.list string_t) "dead blocks" [ "dead"; "dead2" ]
+    (List.filter
+       (fun l -> not (Cfg.is_reachable cfg l))
+       [ "entry"; "dead"; "dead2" ]);
+  check (Alcotest.list string_t) "reachable" [ "entry" ] (Cfg.reachable cfg);
+  check bool_t "no such block" false (Cfg.is_reachable cfg "nowhere")
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                           *)

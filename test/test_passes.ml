@@ -138,7 +138,7 @@ join:
   check bool_t "false branch" true (Int64.equal (run 0L) 2L);
   (* a phi was inserted in join *)
   let f = Ir_module.find_func_exn m' "f" in
-  let join = Func.find_block_exn f "join" in
+  let join = Cfg.block (Cfg.of_func f) "join" in
   check bool_t "phi present" true
     (List.exists
        (fun (i : Instr.t) ->
@@ -534,7 +534,7 @@ exit:
   let m', changed = (Pass.of_func_pass Unroll.pass).Pass.mrun m in
   check bool_t "unrolled" true changed;
   verify m';
-  check bool_t "no loop left" true (Loop.find (Ir_module.find_func_exn m' "tri") = []);
+  check bool_t "no loop left" true (Loop.find (Cfg.of_func (Ir_module.find_func_exn m' "tri")) = []);
   check bool_t "same result" true (Int64.equal before (run_i64 m' "tri" [ 0L ]))
 
 let test_unroll_skips_dynamic_bound () =
@@ -670,7 +670,7 @@ exit:
   check bool_t "unrolled" true changed;
   verify m';
   check bool_t "no loop left" true
-    (Loop.find (Ir_module.find_func_exn m' "f") = []);
+    (Loop.find (Cfg.of_func (Ir_module.find_func_exn m' "f")) = []);
   check bool_t "same result" true (Int64.equal before (run_i64 m' "f" []));
   (* and the whole pipeline folds it to a constant return *)
   let m'' = Pipeline.lower m in
