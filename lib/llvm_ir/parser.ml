@@ -13,6 +13,7 @@ type t = {
   type_defs : (string, Ty.t) Hashtbl.t;
   attr_groups : (int, (string * string) list) Hashtbl.t;
   mutable group_refs : (string * int) list; (* function -> attribute group *)
+  mutable depth : int; (* types and constants being parsed, nested *)
 }
 
 let error p fmt =
@@ -33,6 +34,7 @@ let create src =
     type_defs = Hashtbl.create 16;
     attr_groups = Hashtbl.create 8;
     group_refs = [];
+    depth = 0;
   }
 
 (* [is p tok]: the current token is the punctuation token [tok]. Every
@@ -123,6 +125,16 @@ let rec skip_words p is_word =
     skip_words p is_word
   | _ -> ()
 
+(* Types and constants nest at most [Jsonx.max_depth] deep: deeper
+   input is a located parse error, not a stack overflow. *)
+let nested p parse =
+  if p.depth >= Jsonx.max_depth then
+    error p "nesting deeper than %d" Jsonx.max_depth;
+  p.depth <- p.depth + 1;
+  let x = parse () in
+  p.depth <- p.depth - 1;
+  x
+
 (* ------------------------------------------------------------------ *)
 (* Types                                                                *)
 
@@ -131,7 +143,9 @@ let resolve_named_type p name =
   | Some ty -> ty
   | None -> Ty.Struct [] (* forward reference to an opaque named type *)
 
-let rec parse_ty p =
+let rec parse_ty p = nested p (fun () -> parse_nested_ty p)
+
+and parse_nested_ty p =
   let base =
     match p.tok with
     | Lexer.WORD "void" ->
@@ -223,7 +237,9 @@ and parse_ty_suffix p base =
 (* ------------------------------------------------------------------ *)
 (* Constants and operands                                               *)
 
-let rec parse_const p ty =
+let rec parse_const p ty = nested p (fun () -> parse_nested_const p ty)
+
+and parse_nested_const p ty =
   match p.tok with
   | Lexer.INT n ->
     advance p;
