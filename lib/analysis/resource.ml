@@ -90,8 +90,6 @@ let pp_iv ppf v =
   if v.hi = Fin v.lo then Format.fprintf ppf "%d" v.lo
   else Format.fprintf ppf "[%d, %s]" v.lo (bound_to_string v.hi)
 
-let iv_to_string v = Format.asprintf "%a" pp_iv v
-
 (* ------------------------------------------------------------------ *)
 (* Resource vectors                                                    *)
 

@@ -23,14 +23,6 @@ let pp_error ppf = function
 let lower_module ?max_rounds (m : Ir_module.t) : Ir_module.t =
   Passes.Pipeline.lower ?max_rounds m
 
-(* Lowers and checks against [profile]. *)
-let lower_to_profile ?max_rounds profile (m : Ir_module.t) :
-    (Ir_module.t, error) result =
-  let m' = lower_module ?max_rounds m in
-  match Profile_check.check profile m' with
-  | [] -> Ok m'
-  | vs -> Error (Violations vs)
-
 (* Full route to a circuit: lower, then parse. Accepts anything the
    pipeline can flatten into the supported control-flow shapes. *)
 let lower_to_circuit ?max_rounds (m : Ir_module.t) :

@@ -16,12 +16,6 @@ val lower_module : ?max_rounds:int -> Llvm_ir.Ir_module.t -> Llvm_ir.Ir_module.t
 (** Runs the lowering pipeline; purely structural, always succeeds (it
     just may not reach the base profile). *)
 
-val lower_to_profile :
-  ?max_rounds:int ->
-  Profile.t ->
-  Llvm_ir.Ir_module.t ->
-  (Llvm_ir.Ir_module.t, error) result
-
 val lower_to_circuit :
   ?max_rounds:int ->
   Llvm_ir.Ir_module.t ->

@@ -32,11 +32,6 @@ let fresh b =
   b.counter <- b.counter + 1;
   name
 
-let fresh_label b prefix =
-  let name = Printf.sprintf "%s.%d" prefix b.counter in
-  b.counter <- b.counter + 1;
-  name
-
 let insert b op =
   b.cur_instrs <- Instr.mk op :: b.cur_instrs
 

@@ -16,8 +16,6 @@ val create :
 val fresh : t -> string
 (** A fresh numeric value name. *)
 
-val fresh_label : t -> string -> string
-
 val insert : t -> Instr.op -> unit
 (** Appends a result-less instruction. *)
 

@@ -135,8 +135,6 @@ let predecessors cfg l =
 let is_reachable cfg l =
   match index cfg l with Some i -> i < cfg.reachable | None -> false
 
-let reachable cfg = List.init cfg.reachable (label cfg)
-
 (* On a straight line from the entry, reverse postorder is the line's
    order: each link goes to the next index, and any other target is a
    block already on it. *)

@@ -49,9 +49,6 @@ val predecessors : t -> string -> string list
 
 val is_reachable : t -> string -> bool
 
-val reachable : t -> string list
-(** The reachable blocks' labels, in reverse postorder. *)
-
 val straight_chain : t -> Block.t list option
 (** The blocks from the entry to a [ret] when the function is one
     straight line of unconditional branches; [None] for any branching,

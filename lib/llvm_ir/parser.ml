@@ -1024,8 +1024,6 @@ let parse_module ?(source_name = "parsed") src =
   in
   Ir_module.mk ~source_name ~globals:(List.rev !globals) funcs
 
-let parse_module_exn = parse_module
-
 let parse_module_result ?source_name src =
   match parse_module ?source_name src with
   | m -> Ok m

@@ -12,7 +12,5 @@
 val parse_module : ?source_name:string -> string -> Ir_module.t
 (** Raises {!Ir_error.Parse_error} with a source location. *)
 
-val parse_module_exn : ?source_name:string -> string -> Ir_module.t
-
 val parse_module_result :
   ?source_name:string -> string -> (Ir_module.t, string) result

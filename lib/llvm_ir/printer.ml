@@ -150,6 +150,4 @@ let pp_module ppf (m : Ir_module.t) =
     group_attrs
 
 let instr_to_string i = asprintf "%a" pp_instr i
-let term_to_string t = asprintf "%a" pp_term t
-let func_to_string f = asprintf "%a" (pp_func []) f
 let module_to_string m = asprintf "%a" pp_module m

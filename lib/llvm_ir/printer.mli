@@ -7,6 +7,4 @@ val pp_term : Format.formatter -> Instr.term -> unit
 val pp_block : Format.formatter -> Block.t -> unit
 val pp_module : Format.formatter -> Ir_module.t -> unit
 val instr_to_string : Instr.t -> string
-val term_to_string : Instr.term -> string
-val func_to_string : Func.t -> string
 val module_to_string : Ir_module.t -> string

@@ -74,14 +74,6 @@ let prune_unreachable (f : Func.t) =
 
 (* Replaces single-incoming phis by their value. *)
 let collapse_trivial_phis (f : Func.t) =
-  let trivial (i : Instr.t) =
-    match i.Instr.id, i.Instr.op with
-    | Some _, Instr.Phi (_, [ _ ]) -> true
-    | _ -> false
-  in
-  if not (List.exists (fun (b : Block.t) -> List.exists trivial b.Block.instrs) f.Func.blocks)
-  then (f, false)
-  else
   let subst = ref Subst.SMap.empty in
   let blocks =
     List.map
