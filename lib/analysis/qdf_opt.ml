@@ -90,7 +90,9 @@ let rewrite_thresholds (qdf : Qdf.t) ~is_entry (f : Func.t) :
           if not (Hashtbl.mem position b.Block.label) then
             Hashtbl.add position b.Block.label i)
         f.Func.blocks;
-      let chain = List.map (fun (b : Block.t) -> Hashtbl.find position b.Block.label) chain in
+      let chain =
+        List.map (fun (b : Block.t) -> Hashtbl.find position b.Block.label) chain
+      in
       let last =
         List.fold_left
           (fun acc i ->

@@ -516,7 +516,8 @@ let analyze_func a env (f : Func.t) : fsum =
           | Some h when h < n && find h = h && cost.(h) <> None ->
             let body = Hashtbl.create 16 in
             Passes.Loop.SSet.iter
-              (fun l -> Option.iter (fun r -> Hashtbl.replace body r ()) (node_of l))
+              (fun l ->
+                Option.iter (fun r -> Hashtbl.replace body r ()) (node_of l))
               loop.Passes.Loop.body;
             let latches =
               List.sort_uniq compare

@@ -15,7 +15,7 @@ type t = {
   renum : int array;  (* index in function order -> index *)
   reachable : int;  (* indices below this are reachable, in RPO *)
   succ : int array array;  (* in terminator order, one per edge *)
-  pred : int array array;  (* one per edge, by label descending *)
+  pred : int array array Lazy.t;  (* one per edge, by label descending *)
 }
 
 let of_func (f : Func.t) =
@@ -40,11 +40,11 @@ let of_func (f : Func.t) =
     Array.mapi
       (fun v (b : Block.t) ->
         match b.Block.term with
-        | Instr.Br l -> (
-          match target v l with -1 -> [||] | w -> [| w |])
+        | Instr.Br l -> ( match target v l with -1 -> [||] | w -> [| w |])
         | t ->
-          Array.of_list
-            (List.filter (fun w -> w >= 0) (List.map (target v) (Instr.successors t))))
+          List.map (target v) (Instr.successors t)
+          |> List.filter (fun w -> w >= 0)
+          |> Array.of_list)
       first
   in
   (* iterative depth-first walk from the entry; [order] receives the
@@ -87,14 +87,19 @@ let of_func (f : Func.t) =
   let blocks = Array.map (fun v -> first.(v)) order in
   Array.iter (fun ss -> Array.iteri (fun k w -> ss.(k) <- renum.(w)) ss) succ0;
   let succ = Array.map (fun v -> succ0.(v)) order in
-  let preds = Array.make n [] in
-  for i = n - 1 downto 0 do
-    Array.iter (fun j -> preds.(j) <- i :: preds.(j)) succ.(i)
-  done;
-  let by_label_desc i j =
-    String.compare blocks.(j).Block.label blocks.(i).Block.label
+  let pred =
+    lazy
+      (let preds = Array.make n [] in
+       for i = n - 1 downto 0 do
+         Array.iter (fun j -> preds.(j) <- i :: preds.(j)) succ.(i)
+       done;
+       let by_label_desc i j =
+         String.compare blocks.(j).Block.label blocks.(i).Block.label
+       in
+       Array.map
+         (fun ps -> Array.of_list (List.stable_sort by_label_desc ps))
+         preds)
   in
-  let pred = Array.map (fun ps -> Array.of_list (List.stable_sort by_label_desc ps)) preds in
   { blocks; index; renum; reachable; succ; pred }
 
 let size cfg = cfg.reachable
@@ -106,7 +111,7 @@ let index cfg label =
   | Some v -> Some cfg.renum.(v)
   | None -> None
 let succ cfg i = cfg.succ.(i)
-let pred cfg i = cfg.pred.(i)
+let pred cfg i = (Lazy.force cfg.pred).(i)
 let entry cfg = label cfg 0
 let layout cfg = cfg.renum
 
@@ -129,7 +134,7 @@ let successors cfg l =
 
 let predecessors cfg l =
   match index cfg l with
-  | Some i -> Array.fold_right (fun p acc -> label cfg p :: acc) cfg.pred.(i) []
+  | Some i -> Array.fold_right (fun p acc -> label cfg p :: acc) (pred cfg i) []
   | None -> []
 
 let is_reachable cfg l =

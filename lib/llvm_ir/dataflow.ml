@@ -101,7 +101,8 @@ module Backward (L : LATTICE) = struct
   let succ_join cfg exit ins i =
     match Block.successors (Cfg.block_at cfg i) with
     | [] -> exit
-    | _ -> Array.fold_left (fun acc s -> L.join acc ins.(s)) L.bottom (Cfg.succ cfg i)
+    | _ ->
+      Array.fold_left (fun acc s -> L.join acc ins.(s)) L.bottom (Cfg.succ cfg i)
 
   let solve ?(exit = L.bottom) (cfg : Cfg.t) (tf : transfer) : result =
     let ins = Array.make (Cfg.count cfg) L.bottom in

@@ -17,15 +17,13 @@ let check_func (m : Ir_module.t) (f : Func.t) =
   let fname = "@" ^ f.Func.name in
   if Func.is_declaration f then []
   else begin
-    (* unique labels *)
-    let labels = List.map (fun (b : Block.t) -> b.label) f.blocks in
-    let seen = Hashtbl.create 16 in
+    (* unique labels: a label names its first block *)
+    let cfg = Cfg.of_func f in
     List.iter
-      (fun l ->
-        if Hashtbl.mem seen l then err fname "duplicate block label %%%s" l
-        else Hashtbl.replace seen l ())
-      labels;
-    let label_set = SSet.of_list labels in
+      (fun (b : Block.t) ->
+        if Cfg.block cfg b.label != b then
+          err fname "duplicate block label %%%s" b.label)
+      f.blocks;
     (* unique defs; collect def sites: block label and position in the
        block (params are defined before every block) *)
     let defs = Hashtbl.create 64 in
@@ -70,7 +68,6 @@ let check_func (m : Ir_module.t) (f : Func.t) =
     in
     (* every use refers to a value its definition dominates; terminator
        targets exist; phis lead their block and match predecessors *)
-    let cfg = Cfg.of_func f in
     let dom = lazy (Dom.compute cfg) in
     List.iter
       (fun (b : Block.t) ->
@@ -169,7 +166,7 @@ let check_func (m : Ir_module.t) (f : Func.t) =
         List.iter (check_operand max_int) (Instr.term_operands b.term);
         List.iter
           (fun target ->
-            if not (SSet.mem target label_set) then
+            if Cfg.index cfg target = None then
               err where "branch to undefined label %%%s" target)
           (Instr.successors b.term))
       f.blocks;
