@@ -82,17 +82,16 @@ let rewrite_thresholds (qdf : Qdf.t) ~is_entry (f : Func.t) :
           if dangerous e.Qdf.kind then Some e.Qdf.pos else acc)
         None evs
     in
-    match Cfg.straight_chain (Cfg.of_func f) with
+    let cfg = Cfg.of_func f in
+    match Cfg.straight_chain cfg with
     | Some chain -> (
-      let position = Hashtbl.create 16 in
+      (* the chain's blocks (indices 0, 1, ...), by their position in
+         the function *)
+      let position = Array.make (Cfg.count cfg) 0 in
       List.iteri
-        (fun i (b : Block.t) ->
-          if not (Hashtbl.mem position b.Block.label) then
-            Hashtbl.add position b.Block.label i)
-        f.Func.blocks;
-      let chain =
-        List.map (fun (b : Block.t) -> Hashtbl.find position b.Block.label) chain
-      in
+        (fun p (_, i) -> Option.iter (fun i -> position.(i) <- p) i)
+        (Cfg.numbered cfg f.Func.blocks);
+      let chain = List.mapi (fun i _ -> position.(i)) chain in
       let last =
         List.fold_left
           (fun acc i ->

@@ -113,7 +113,20 @@ let index cfg label =
 let succ cfg i = cfg.succ.(i)
 let pred cfg i = (Lazy.force cfg.pred).(i)
 let entry cfg = label cfg 0
-let layout cfg = cfg.renum
+
+(* The function's numbered blocks come in [renum]'s order, so one walk
+   pairs them with their indices without a label lookup. *)
+let numbered cfg blocks =
+  let k = ref 0 in
+  List.map
+    (fun b ->
+      if !k < Array.length cfg.renum && cfg.blocks.(cfg.renum.(!k)) == b
+      then begin
+        incr k;
+        (b, Some cfg.renum.(!k - 1))
+      end
+      else (b, None))
+    blocks
 
 (* A few successors are searched before the label table: a branch
    target is usually one of them. *)
@@ -128,9 +141,6 @@ let target cfg i l =
 
 let block cfg l =
   match index cfg l with Some i -> cfg.blocks.(i) | None -> raise Not_found
-
-let successors cfg l =
-  match index cfg l with Some i -> Block.successors cfg.blocks.(i) | None -> []
 
 let predecessors cfg l =
   match index cfg l with

@@ -29,8 +29,9 @@ val pred : t -> int -> int array
 (** Predecessor indices, reachable or not, one per edge, ordered by
     label, descending. *)
 
-val layout : t -> int array
-(** The indices of the numbered blocks in function order. *)
+val numbered : t -> Block.t list -> (Block.t * int option) list
+(** [numbered cfg f.blocks]: each block with its index; [None] for a
+    block whose label an earlier block carries. *)
 
 val entry : t -> string
 (** The entry block's label. *)
@@ -41,9 +42,6 @@ val target : t -> int -> string -> int option
 val block : t -> string -> Block.t
 (** Raises [Not_found]. *)
 
-val successors : t -> string -> string list
-(** The block's terminator targets, as written. *)
-
 val predecessors : t -> string -> string list
 (** The labels of {!pred}. *)
 
@@ -51,5 +49,6 @@ val is_reachable : t -> string -> bool
 
 val straight_chain : t -> Block.t list option
 (** The blocks from the entry to a [ret] when the function is one
-    straight line of unconditional branches; [None] for any branching,
-    looping or [unreachable]-ended control flow. *)
+    straight line of unconditional branches (they are the blocks of
+    indices [0, 1, ...]); [None] for any branching, looping or
+    [unreachable]-ended control flow. *)

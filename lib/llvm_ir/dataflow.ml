@@ -126,7 +126,4 @@ module Backward (L : LATTICE) = struct
     match Cfg.index r.cfg label with
     | Some i -> succ_join r.cfg r.exit r.ins i
     | None -> r.exit
-
-  let block_in r label =
-    match Cfg.index r.cfg label with Some i -> r.ins.(i) | None -> L.bottom
 end

@@ -65,7 +65,4 @@ module Backward (L : LATTICE) : sig
   val block_out : result -> string -> L.t
   (** Join of the successor in-facts (the [exit] fact for blocks with
       no successors). *)
-
-  val block_in : result -> string -> L.t
-  (** The fact before the block's first instruction. *)
 end

@@ -19,11 +19,11 @@ let check_func (m : Ir_module.t) (f : Func.t) =
   else begin
     (* unique labels: a label names its first block *)
     let cfg = Cfg.of_func f in
+    let numbered = Cfg.numbered cfg f.blocks in
     List.iter
-      (fun (b : Block.t) ->
-        if Cfg.block cfg b.label != b then
-          err fname "duplicate block label %%%s" b.label)
-      f.blocks;
+      (fun ((b : Block.t), i) ->
+        if i = None then err fname "duplicate block label %%%s" b.label)
+      numbered;
     (* unique defs; collect def sites: block label and position in the
        block (params are defined before every block) *)
     let defs = Hashtbl.create 64 in
@@ -70,7 +70,7 @@ let check_func (m : Ir_module.t) (f : Func.t) =
        targets exist; phis lead their block and match predecessors *)
     let dom = lazy (Dom.compute cfg) in
     List.iter
-      (fun (b : Block.t) ->
+      (fun ((b : Block.t), i) ->
         let where = Printf.sprintf "%s %%%s" fname b.label in
         (* a use at position [at] ([max_int]: the end) of block [from] —
            a phi's incoming value at the end of its predecessor — needs
@@ -164,12 +164,17 @@ let check_func (m : Ir_module.t) (f : Func.t) =
             (Ty.to_string v.Operand.ty)
         | _ -> ());
         List.iter (check_operand max_int) (Instr.term_operands b.term);
+        let resolve target =
+          match i with
+          | Some i -> Cfg.target cfg i target
+          | None -> Cfg.index cfg target
+        in
         List.iter
           (fun target ->
-            if Cfg.index cfg target = None then
+            if resolve target = None then
               err where "branch to undefined label %%%s" target)
           (Instr.successors b.term))
-      f.blocks;
+      numbered;
     (* the entry block must have no predecessors *)
     (match Cfg.pred cfg 0 with
     | [||] -> ()

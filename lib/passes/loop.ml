@@ -60,5 +60,5 @@ let exits cfg loop =
     (fun label ->
       List.filter_map
         (fun s -> if SSet.mem s loop.body then None else Some (label, s))
-        (Cfg.successors cfg label))
+        (Block.successors (Cfg.block cfg label)))
     (SSet.elements loop.body)

@@ -192,7 +192,7 @@ let run (_m : Ir_module.t) (f : Func.t) : Func.t * bool =
                 c := (v, label) :: !c)
               !cell
           | None -> ())
-        (Cfg.successors cfg label);
+        (Block.successors b);
       !stacks
     in
     (* the dominator tree in preorder, without recursion *)

@@ -144,20 +144,15 @@ let merge_chains (f : Func.t) =
     let subst = ref Subst.SMap.empty in
     (* [head.(t)] = the head whose chain ends at [t] *)
     let head = Array.make (Cfg.count cfg) (-1) in
-    (* the blocks' indices, read off {!Cfg.layout} as the walk meets them
-       (a block repeating an earlier label is looked up) *)
-    let layout = Cfg.layout cfg and k = ref 0 in
-    let index_of (b : Block.t) =
-      if !k < Array.length layout && Cfg.block_at cfg layout.(!k) == b then begin
-        incr k;
-        layout.(!k - 1)
-      end
-      else Option.get (Cfg.index cfg b.Block.label)
-    in
     let merged_blocks =
       List.filter_map
-        (fun (b : Block.t) ->
-          let h = index_of b in
+        (fun ((b : Block.t), i) ->
+          (* a block repeating a label stands for the label's block *)
+          let h =
+            match i with
+            | Some h -> h
+            | None -> Option.get (Cfg.index cfg b.Block.label)
+          in
           if absorbed.(h) then None
           else begin
             (* walk the chain from this head *)
@@ -181,7 +176,7 @@ let merge_chains (f : Func.t) =
             head.(tail) <- h;
             Some (Block.mk b.Block.label instrs term)
           end)
-        f.Func.blocks
+        (Cfg.numbered cfg f.Func.blocks)
     in
     (* phi labels naming an absorbed chain tail now come from the head *)
     let rename l =

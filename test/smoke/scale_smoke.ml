@@ -78,47 +78,45 @@ let sample run =
   done;
   (Unix.gettimeofday () -. t0) /. float_of_int !calls
 
-(* Seconds per chain of every layer, over [copies] chains of [n]
-   blocks. *)
-let measure ~copies n =
-  Gc.compact ();
-  let chains =
-    List.init copies (fun _ ->
-        let m = Parser.parse_module (chain_text n) in
-        let f = Option.get (Ir_module.entry_point m) in
-        List.map (fun (_, layer) -> layer m f) layers)
-  in
-  List.mapi
-    (fun k _ ->
-      let runs = List.map (fun layers -> List.nth layers k) chains in
-      sample (fun () -> List.iter (fun run -> run ()) runs)
-      /. float_of_int copies)
-    layers
+(* Every layer's closures over [large / n] distinct chains of [n]
+   blocks, so every size runs on as many blocks. *)
+let chains n =
+  List.init (large / n) (fun _ ->
+      let m = Parser.parse_module (chain_text n) in
+      let f = Option.get (Ir_module.entry_point m) in
+      List.map (fun (_, layer) -> layer m f) layers)
 
 let () =
-  (* per size, per layer: the best of 3 rounds *)
-  let rounds =
-    List.init 3 (fun _ ->
-        List.map (fun n -> measure ~copies:(large / n) n) sizes)
+  let sets = List.map (fun n -> (n, chains n)) sizes in
+  (* per layer, 3 rounds over every size in turn; seconds per chain,
+     best of the rounds *)
+  let times =
+    List.mapi
+      (fun k _ ->
+        let runs n = List.map (fun c -> List.nth c k) (List.assoc n sets) in
+        let once n =
+          sample (fun () -> List.iter (fun run -> run ()) (runs n))
+          /. float_of_int (large / n)
+        in
+        let rounds = List.init 3 (fun _ -> List.map once sizes) in
+        List.fold_left (List.map2 Float.min) (List.hd rounds) (List.tl rounds))
+      layers
   in
-  let best =
-    List.fold_left (List.map2 (List.map2 min)) (List.hd rounds) (List.tl rounds)
-  in
-  let at n = List.nth best (Option.get (List.find_index (( = ) n) sizes)) in
+  let at n ts = List.nth ts (Option.get (List.find_index (( = ) n) sizes)) in
   let failures = ref 0 in
   Printf.printf "%-30s" "layer";
   List.iter (fun n -> Printf.printf " %11s" (Printf.sprintf "n=%d ms" n)) sizes;
   Printf.printf " %7s\n" "ratio";
-  List.iteri
-    (fun k (name, _) ->
-      let t n = List.nth (at n) k in
+  List.iter2
+    (fun (name, _) ts ->
+      let t n = at n ts in
       let ratio = t large /. t small in
       let bad = ratio > max_ratio in
       if bad then incr failures;
       Printf.printf "%-30s" name;
       List.iter (fun n -> Printf.printf " %11.3f" (t n *. 1e3)) sizes;
       Printf.printf " %7.2f%s\n" ratio (if bad then "  FAIL" else ""))
-    layers;
+    layers times;
   if !failures > 0 then begin
     Printf.printf "scale smoke: %d layer(s) grow faster than %.0fx per 4x blocks\n"
       !failures max_ratio;

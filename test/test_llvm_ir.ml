@@ -741,7 +741,7 @@ let test_cfg_diamond () =
   let f = Ir_module.find_func_exn m "f" in
   let cfg = Cfg.of_func f in
   check (Alcotest.list string_t) "entry succs" [ "t"; "e" ]
-    (Cfg.successors cfg "entry");
+    (Block.successors (Cfg.block cfg "entry"));
   check
     (Alcotest.slist string_t String.compare)
     "join preds" [ "t"; "e" ] (Cfg.predecessors cfg "join");
