@@ -513,7 +513,7 @@ let analyze_func a env (f : Func.t) : fsum =
         (fun (loop : Passes.Loop.t) ->
           let header = loop.Passes.Loop.header in
           match Cfg.index cfg header with
-          | Some h when h < n && find h = h && cost.(h) <> None ->
+          | Some h when h < n && find h = h && Option.is_some cost.(h) ->
             let body = Hashtbl.create 16 in
             Passes.Loop.SSet.iter
               (fun l ->
@@ -586,7 +586,9 @@ let analyze_func a env (f : Func.t) : fsum =
             if has_term then terminal.(h) <- true
           | _ -> ())
         loops;
-      let nodes = List.filter (fun u -> cost.(u) <> None) (List.init n Fun.id) in
+      let nodes =
+        List.filter (fun u -> Option.is_some cost.(u)) (List.init n Fun.id)
+      in
       let acc = dag_acc nodes (find 0) edges_of cost_of in
       let terms =
         List.filter_map

@@ -487,6 +487,7 @@ and branch st f frame ~prev label =
     match Cfg.index cfg label with
     | Some i -> Cfg.block_at cfg i
     | None ->
+      (* the message Bytecode's invalid edges carry too *)
       invalid_arg
         (Printf.sprintf "Func.find_block: no block %%%s in @%s" label f.Func.name)
   in

@@ -34,7 +34,8 @@ module Fact = struct
 
   let bottom = SMap.empty
   let equal a b = a == b || SMap.equal equal a b
-  let join a b = if a == b then a else SMap.union (fun _ x y -> Some (join x y)) a b
+  let join a b =
+    if a == b then a else SMap.union (fun _ x y -> Some (join x y)) a b
 end
 
 module Engine = Dataflow.Forward (Fact)

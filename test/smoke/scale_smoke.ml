@@ -6,13 +6,12 @@
    where a quadratic layer reads 16. The n = 5 000 column is printed,
    not gated.
 
-   A round times every size, so drift on a shared host reaches all of
-   them. A sample repeats calls for [min_sample_s] and averages them.
-   A smaller size is read over as many distinct chains, taken in turn,
-   as make up 40 000 blocks, so its working set is the largest one's:
-   the ratio measures the algorithm, not the step where the data
-   outgrows a cache. Only one size is alive at a time, parsed into a
-   compacted heap.
+   Each of a layer's rounds times every size in turn, so drift on a
+   shared host reaches all of them. A sample repeats calls for
+   [min_sample_s] and averages them. A smaller size is read over as
+   many distinct chains, taken in turn, as make up 40 000 blocks, so
+   its working set is the largest one's: the ratio measures the
+   algorithm, not the step where the data outgrows a cache.
 
    Used by CI:  dune exec test/smoke/scale_smoke.exe *)
 
