@@ -41,12 +41,9 @@
      dune exec test/smoke/fault_smoke.exe *)
 
 open Qcircuit
+open Smoke_corpus
 
-let circuits = Smoke_corpus.circuits
 let shots = 3
-let mutations = Smoke_corpus.mutations
-
-let mutate = Smoke_corpus.mutate
 
 let sccp = Passes.Pass.of_func_pass Passes.Sccp.pass
 
@@ -122,7 +119,7 @@ let quantum_opt_changes m =
    check; returns how many raised anything else. *)
 let mutate_texts texts =
   let texts = Array.of_list texts in
-  let rng = Rng.create Smoke_corpus.static_seed in
+  let rng = Rng.create static_seed in
   let ok = ref 0 and rejected = ref 0 and raised = ref 0 in
   let verified = ref 0 and circuits = ref 0 and refused = ref 0 in
   let folded = ref 0 and found = ref 0 and optimized = ref 0 in
@@ -172,7 +169,7 @@ let mutate_texts texts =
    written, replaying the runtime's allocator. Returns how many raised. *)
 let mutate_dynamic texts =
   let texts = Array.of_list texts in
-  let rng = Rng.create Smoke_corpus.dynamic_seed in
+  let rng = Rng.create dynamic_seed in
   let raised = ref 0 in
   for i = 0 to mutations - 1 do
     match
@@ -192,8 +189,6 @@ let mutate_dynamic texts =
     Printf.printf "tape: %d more over %d qubits, not run\n" !too_wide
       tape_qubits;
   !raised
-
-let classical_corpus = Smoke_corpus.classical_corpus
 
 (* Translation validation of the classical rewrites: a verified module
    whose entry runs per shot within [tv_fuel] instructions (16 shots,
@@ -231,7 +226,7 @@ let classical_tv m =
    returns how many raised. *)
 let mutate_classical () =
   let texts = Array.of_list classical_corpus in
-  let rng = Rng.create Smoke_corpus.classical_seed in
+  let rng = Rng.create classical_seed in
   let verified = ref 0 and folded = ref 0 and raised = ref 0 in
   let report i e =
     incr raised;
@@ -364,9 +359,9 @@ let () =
   let total_retries = ref 0 in
   let texts = ref [] and dynamic_texts = ref [] in
   for i = 0 to circuits - 1 do
-    let seed = Smoke_corpus.fault_seed i in
+    let seed = fault_seed i in
     try
-      let c = Smoke_corpus.fault_circuit i in
+      let c = fault_circuit i in
       (* full pipeline: build -> print -> parse -> optimize -> execute *)
       let text = Qir.Qir_builder.to_string c in
       texts := text :: !texts;

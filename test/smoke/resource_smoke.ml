@@ -85,8 +85,6 @@ let check_sound ~seed tag (m : Llvm_ir.Ir_module.t) =
 (* Fuzzed corpus: generated circuits, terminal measurements on every
    qubit, both addressing styles. *)
 
-let with_measurements = Smoke_corpus.with_measurements
-
 let fuzzed () =
   let total = ref 0 in
   for i = 0 to 29 do
@@ -95,7 +93,8 @@ let fuzzed () =
     List.iter
       (fun parametric ->
         let c =
-          with_measurements (Generate.random ~seed ~parametric ~gates:14 n)
+          Smoke_corpus.with_measurements
+            (Generate.random ~seed ~parametric ~gates:14 n)
         in
         List.iter
           (fun addressing ->
@@ -398,7 +397,8 @@ let digest_corpus () =
         List.concat_map
           (fun parametric ->
             let c =
-              with_measurements (Generate.random ~seed ~parametric ~gates:14 n)
+              Smoke_corpus.with_measurements
+                (Generate.random ~seed ~parametric ~gates:14 n)
             in
             List.map
               (fun addressing -> Qir.Qir_builder.build ~addressing c)
@@ -443,7 +443,8 @@ let outputs (m : Llvm_ir.Ir_module.t) =
   let guard f = try f () with e -> "raised " ^ Printexc.to_string e in
   let print m = Llvm_ir.Printer.module_to_string m in
   let analyses () = Qir_analysis.Analyses.of_module m in
-  guard (fun () -> Jsonx.to_string (Resource.to_json (Resource.certify (analyses ()))))
+  guard (fun () ->
+      Jsonx.to_string (Resource.to_json (Resource.certify (analyses ()))))
   :: guard (fun () ->
          Jsonx.to_string
            (Qir_analysis.Diagnostic.json_document
@@ -462,7 +463,8 @@ let output_digest () =
   let corpus = digest_corpus () in
   let buf = Buffer.create 4096 in
   List.iter
-    (fun m -> List.iter (fun s -> Buffer.add_string buf (Digest.string s)) (outputs m))
+    (fun m ->
+      List.iter (fun s -> Buffer.add_string buf (Digest.string s)) (outputs m))
     corpus;
   let d = Digest.to_hex (Digest.string (Buffer.contents buf)) in
   Printf.printf "resource smoke: output digest over %d modules: %s\n"
